@@ -12,26 +12,33 @@ A Snapshot-Ensemble-style trainer (Huang et al., discussed in Related Work)
 is also provided as an extension: it trains a *single* architecture with a
 cyclic learning rate and collects one snapshot per cycle, which illustrates
 the monolithic-architecture restriction that MotherNets removes.
+
+All of them describe their networks as ``MemberTask`` records and go through
+the pipeline in :mod:`repro.core.trainer` (``fit_task`` / ``_run_tasks`` /
+``_book``), exactly like the MotherNets trainer.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.arch.serialization import spec_to_json
 from repro.arch.spec import ArchitectureSpec
 from repro.core.cost_model import CostLedger
-from repro.core.ensemble import Ensemble, EnsembleMember
 from repro.core.registry import register_trainer
-from repro.core.trainer import EnsembleTrainer, EnsembleTrainingRun, record_training_cost
+from repro.core.trainer import (
+    EnsembleTrainer,
+    EnsembleTrainingRun,
+    MemberTask,
+    TrainedNetwork,
+    fit_task,
+)
 from repro.data.datasets import Dataset
-from repro.data.sampling import bootstrap_sample
 from repro.nn.dtypes import resolve_dtype
 from repro.nn.model import Model
 from repro.nn.optimizers import CosineSchedule
-from repro.nn.serialization import unpack_model_state
-from repro.nn.training import TrainingConfig, TrainingResult
+from repro.nn.training import TrainingConfig
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngManager
 
@@ -41,12 +48,9 @@ logger = get_logger("core.baselines")
 class _ScratchTrainer(EnsembleTrainer):
     """Shared implementation for the two from-scratch baselines.
 
-    Members are mutually independent, so with ``config.workers > 1`` they
-    train concurrently on the :mod:`repro.parallel` process pool: workers
-    receive ``(spec, seeds)`` tasks, read the training set through shared
-    memory, and draw their own bootstrap samples with the same derived seeds
-    the serial loop uses — bitwise-identical members under matching BLAS
-    thread counts.  ``workers=1`` (default) is the unchanged serial path.
+    Members are mutually independent, so every one is a task: built from
+    ``(spec, init seed)``, fitted on the training set or — for bagging — on
+    the bootstrap sample its ``bag_seed`` draws from it.
     """
 
     use_bagging: bool = False
@@ -58,161 +62,36 @@ class _ScratchTrainer(EnsembleTrainer):
         self._validate(specs, dataset)
         rngs = RngManager(seed)
         ledger = CostLedger(approach=self.approach)
-        members: List[EnsembleMember] = []
-        member_results: Dict[str, TrainingResult] = {}
+        phase_start = time.perf_counter()
 
-        # Per-member records, in spec order; members journaled by an
-        # interrupted checkpointed run come back flagged "restored" (reused
-        # bitwise, booked into the ledger, but not re-counted as trained).
-        entries: List[Optional[Dict[str, object]]] = [None] * len(specs)
-        for index in range(len(specs)):
-            restored = self._restored_member(index)
-            if restored is not None:
-                entries[index] = {
-                    "model": restored.model,
-                    "result": restored.result,
-                    "seconds": restored.seconds,
-                    "compute_phases": restored.compute_phases,
-                    "samples": restored.samples_per_epoch,
-                    "parameters": restored.parameters,
-                    "restored": True,
-                }
-
-        workers = self._member_workers(self.config, len(specs))
-        if workers > 1:
-            phase_start = time.perf_counter()
-            from repro.parallel.worker import MemberTask
-
-            # Resolve the compute dtype in the parent: workers are fresh
-            # interpreters and would otherwise fall back to the global
-            # default even when this run opted into another dtype.
-            dtype = str(resolve_dtype(None))
-            tasks: List[MemberTask] = []
-            task_indices: List[int] = []
-            for index, spec in enumerate(specs):
-                if entries[index] is not None:
-                    continue
-                tasks.append(
-                    MemberTask(
-                        name=spec.name,
-                        spec_json=spec_to_json(spec),
-                        config=self.config,
-                        train_seed=rngs.seed("shuffle", index),
-                        dtype=dtype,
-                        init_seed=rngs.seed("init", index),
-                        bag_seed=rngs.seed("bag", index) if self.use_bagging else None,
-                        collect_phase_timings=self.collect_phase_timings,
-                    )
-                )
-                task_indices.append(index)
-            unpacked: Dict[int, Model] = {}
-
-            def on_member(task_index: int, outcome) -> None:
-                # Streaming journal hook: persist each member as its worker
-                # delivers it (a parent crash loses only in-flight fits).
-                index = task_indices[task_index]
-                model = unpack_model_state(outcome.state)
-                unpacked[task_index] = model
-                self._journal_member(
-                    index,
-                    name=specs[index].name,
-                    model=model,
-                    result=outcome.result,
-                    seconds=outcome.seconds,
-                    parameters=outcome.parameters,
-                    samples=outcome.samples_per_epoch,
-                    compute_phases=outcome.compute_phases,
-                )
-
-            outcomes = []
-            if tasks:
-                outcomes, _ = self._run_parallel(
-                    tasks,
-                    dataset.x_train,
-                    dataset.y_train,
-                    min(workers, len(tasks)),
-                    config=self.config,
-                    on_outcome=on_member,
-                )
-            for task_index, (index, outcome) in enumerate(zip(task_indices, outcomes)):
-                model = unpacked.get(task_index)
-                if model is None:  # pragma: no cover - callback always ran
-                    model = unpack_model_state(outcome.state)
-                entries[index] = {
-                    "model": model,
-                    "result": outcome.result,
-                    "seconds": outcome.seconds,
-                    "compute_phases": outcome.compute_phases,
-                    "samples": outcome.samples_per_epoch,
-                    "parameters": outcome.parameters,
-                }
-            ledger.record_phase_makespan("scratch", time.perf_counter() - phase_start)
-        else:
-            for index, spec in enumerate(specs):
-                if entries[index] is not None:
-                    continue
-                model = Model.from_spec(spec, seed=rngs.seed("init", index))
-                if self.use_bagging:
-                    bag = bootstrap_sample(
-                        dataset.x_train, dataset.y_train, seed=rngs.seed("bag", index)
-                    )
-                    x, y, samples = bag.x, bag.y, bag.size
-                else:
-                    x, y, samples = dataset.x_train, dataset.y_train, dataset.train_size
-                result, seconds, compute_phases = self._fit(
-                    model, x, y, self.config, seed=rngs.seed("shuffle", index)
-                )
-                self._journal_member(
-                    index,
-                    name=spec.name,
-                    model=model,
-                    result=result,
-                    seconds=seconds,
-                    parameters=model.parameter_count(),
-                    samples=samples,
-                    compute_phases=compute_phases,
-                )
-                entries[index] = {
-                    "model": model,
-                    "result": result,
-                    "seconds": seconds,
-                    "compute_phases": compute_phases,
-                    "samples": samples,
-                    "parameters": model.parameter_count(),
-                }
-                logger.info("trained %s from scratch in %.2fs", spec.name, seconds)
-
-        for spec, entry in zip(specs, entries):
-            member_results[spec.name] = entry["result"]
-            ledger.add(
-                network=spec.name,
-                phase="scratch",
-                epochs=entry["result"].epochs_run,
-                wall_clock_seconds=entry["seconds"],
-                parameters=entry["parameters"],
-                samples_per_epoch=entry["samples"],
-                compute_phases=entry["compute_phases"],
+        # Members journaled by an interrupted checkpointed run are restored
+        # bitwise; the rest become tasks.
+        members = [self._restored_member(index) for index in range(len(specs))]
+        pending = [index for index, net in enumerate(members) if net is None]
+        # Resolve the compute dtype here: pool workers are fresh interpreters
+        # and would otherwise fall back to the global default even when this
+        # run opted into another dtype.
+        dtype = str(resolve_dtype(None))
+        tasks = [
+            MemberTask(
+                name=specs[index].name,
+                spec_json=spec_to_json(specs[index]),
+                config=self.config,
+                train_seed=rngs.seed("shuffle", index),
+                dtype=dtype,
+                init_seed=rngs.seed("init", index),
+                bag_seed=rngs.seed("bag", index) if self.use_bagging else None,
+                collect_phase_timings=self.collect_phase_timings,
             )
-            if not entry.get("restored"):
-                record_training_cost(self.approach, "scratch", entry["seconds"])
-            members.append(
-                EnsembleMember(
-                    name=spec.name,
-                    model=entry["model"],
-                    training_result=entry["result"],
-                    source="scratch",
-                    training_seconds=entry["seconds"],
-                )
-            )
+            for index in pending
+        ]
 
-        ensemble = Ensemble(members, num_classes=dataset.num_classes)
-        return EnsembleTrainingRun(
-            approach=self.approach,
-            ensemble=ensemble,
-            ledger=ledger,
-            config=self.config,
-            member_results=member_results,
-        )
+        def member_done(task_index: int, net: TrainedNetwork) -> None:
+            members[pending[task_index]] = net
+            self._journal_member(pending[task_index], net)
+
+        self._run_tasks(tasks, dataset, self.config, ledger, "scratch", phase_start, member_done)
+        return self._finish(ledger, "scratch", "scratch", members, dataset)
 
 
 @register_trainer("full_data")
@@ -243,9 +122,10 @@ class SnapshotEnsembleTrainer(EnsembleTrainer):
     diverse ensembles.
 
     Unlike the other approaches, snapshot cycles form a strict sequential
-    chain (every cycle continues from the previous cycle's weights), so
-    ``config.workers > 1`` cannot help and is deliberately ignored (with a
-    log note) rather than rejected — configs stay portable across approaches.
+    chain (every cycle continues from the previous cycle's weights), so each
+    cycle's task is fitted here on the live network and ``config.workers``
+    has nothing to distribute — it is deliberately ignored (with a log note)
+    rather than rejected, so configs stay portable across approaches.
     """
 
     approach = "snapshot"
@@ -277,7 +157,7 @@ class SnapshotEnsembleTrainer(EnsembleTrainer):
         spec = specs[0]
         rngs = RngManager(seed)
         ledger = CostLedger(approach=self.approach)
-        if getattr(self.config, "workers", 1) > 1:
+        if self.config.workers > 1:
             logger.info(
                 "snapshot ensembles train one network sequentially; workers=%d ignored",
                 self.config.workers,
@@ -304,87 +184,32 @@ class SnapshotEnsembleTrainer(EnsembleTrainer):
         )
 
         model = Model.from_spec(spec, seed=rngs.seed("init"))
-        members: List[EnsembleMember] = []
-        member_results: Dict[str, TrainingResult] = {}
 
         # Checkpoint/resume: snapshots form a sequential chain, so the
         # journal always holds a contiguous prefix of cycles.  Restore it,
         # then continue the chain from the last snapshot's weights (a
         # snapshot is a copy of the live network at cycle end, and model
         # serialisation round-trips bitwise).
-        start_cycle = 0
-        while start_cycle < self.num_snapshots:
-            restored = self._restored_member(start_cycle)
+        snapshots: List[TrainedNetwork] = []
+        while len(snapshots) < self.num_snapshots:
+            restored = self._restored_member(len(snapshots))
             if restored is None:
                 break
-            member_results[restored.name] = restored.result
-            ledger.add(
-                network=restored.name,
-                phase="member",
-                epochs=restored.result.epochs_run if restored.result else 0,
-                wall_clock_seconds=restored.seconds,
-                parameters=restored.parameters,
-                samples_per_epoch=restored.samples_per_epoch,
-                compute_phases=restored.compute_phases,
-            )
-            members.append(
-                EnsembleMember(
-                    name=restored.name,
-                    model=restored.model,
-                    training_result=restored.result,
-                    source="snapshot",
-                    training_seconds=restored.seconds,
-                )
-            )
-            model = restored.model.copy()
-            start_cycle += 1
+            snapshots.append(restored)
+        if snapshots:
+            model = snapshots[-1].model.copy()
 
-        for cycle in range(start_cycle, self.num_snapshots):
-            result, seconds, compute_phases = self._fit(
-                model,
-                dataset.x_train,
-                dataset.y_train,
-                cycle_config,
-                seed=rngs.seed("shuffle", cycle),
+        for cycle in range(len(snapshots), self.num_snapshots):
+            task = MemberTask(
+                name=f"{spec.name}-snapshot-{cycle}",
+                spec_json=spec_to_json(spec),
+                config=cycle_config,
+                train_seed=rngs.seed("shuffle", cycle),
+                collect_phase_timings=self.collect_phase_timings,
             )
-            snapshot = model.copy()
-            name = f"{spec.name}-snapshot-{cycle}"
-            self._journal_member(
-                cycle,
-                name=name,
-                model=snapshot,
-                result=result,
-                seconds=seconds,
-                parameters=snapshot.parameter_count(),
-                samples=dataset.train_size,
-                compute_phases=compute_phases,
-            )
-            member_results[name] = result
-            ledger.add(
-                network=name,
-                phase="member",
-                epochs=result.epochs_run,
-                wall_clock_seconds=seconds,
-                parameters=snapshot.parameter_count(),
-                samples_per_epoch=dataset.train_size,
-                compute_phases=compute_phases,
-            )
-            record_training_cost(self.approach, "member", seconds)
-            members.append(
-                EnsembleMember(
-                    name=name,
-                    model=snapshot,
-                    training_result=result,
-                    source="snapshot",
-                    training_seconds=seconds,
-                )
-            )
+            net = fit_task(task, dataset.x_train, dataset.y_train, model=model)
+            net.model = model.copy()
+            self._journal_member(cycle, net)
+            snapshots.append(net)
 
-        ensemble = Ensemble(members, num_classes=dataset.num_classes)
-        return EnsembleTrainingRun(
-            approach=self.approach,
-            ensemble=ensemble,
-            ledger=ledger,
-            config=self.config,
-            member_results=member_results,
-        )
+        return self._finish(ledger, "member", "snapshot", snapshots, dataset)

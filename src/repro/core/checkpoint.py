@@ -31,22 +31,26 @@ resume so a journal can never silently leak into a *different* experiment.
 The journal is self-contained and deleted (:meth:`discard`) once the final
 artifact manifest is safely on disk.
 
-MotherNets subtlety: a member whose hatching plan is empty *aliases* its
-cluster's MotherNet — the serial loop fine-tunes the MotherNet model in
-place, and later members of the cluster hatch from the fine-tuned weights.
-Such members are journaled with ``aliased_mothernet=True``; on resume the
-trainer installs their restored weights as the cluster's MotherNet before
-hatching anything after them, preserving the bitwise guarantee.
+The journaled record is the trainers' own
+:class:`~repro.core.trainer.TrainedNetwork`; entries loaded back carry
+``restored=True``.  MotherNets subtlety: a member whose hatching plan is
+empty *aliases* its cluster's MotherNet — the trainer fine-tunes the
+MotherNet model in place, and later members of the cluster hatch from the
+fine-tuned weights.  Such members are journaled with
+``aliased_mothernet=True``; on resume the trainer installs their restored
+weights as the cluster's MotherNet before hatching anything after them,
+preserving the bitwise guarantee.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import shutil
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from repro.core.trainer import TrainedNetwork
 from repro.nn.model import Model
 from repro.nn.serialization import load_model, save_model
 from repro.nn.training import TrainingResult
@@ -70,58 +74,42 @@ _RESUME_RESTORED = _metrics.gauge(
     "latest resumed run.",
 )
 
-__all__ = ["CheckpointedNetwork", "RunCheckpoint", "CHECKPOINT_DIR_NAME"]
+__all__ = ["RunCheckpoint", "CHECKPOINT_DIR_NAME"]
 
 
-@dataclass
-class CheckpointedNetwork:
-    """One journaled network: the trained model plus its cost-ledger facts."""
+def _meta(net: TrainedNetwork, index: int) -> Dict[str, object]:
+    """The done-marker JSON of one journaled network."""
+    return {
+        "schema": CHECKPOINT_SCHEMA,
+        "index": index,
+        "name": net.name,
+        "seconds": net.seconds,
+        "parameters": net.parameters,
+        "samples_per_epoch": net.samples_per_epoch,
+        "compute_phases": dict(net.compute_phases),
+        "cluster_id": net.cluster_id,
+        "aliased_mothernet": net.aliased_mothernet,
+        "result": None if net.result is None else net.result.to_dict(),
+    }
 
-    name: str
-    model: Model
-    result: Optional[TrainingResult]
-    seconds: float
-    parameters: int
-    samples_per_epoch: int
-    compute_phases: Dict[str, float] = field(default_factory=dict)
-    cluster_id: Optional[int] = None
-    # True for a MotherNets member whose hatching plan was empty: its model
-    # IS the cluster's fine-tuned MotherNet (see module docstring).
-    aliased_mothernet: bool = False
 
-    def _meta(self, index: int) -> Dict[str, object]:
-        return {
-            "schema": CHECKPOINT_SCHEMA,
-            "index": index,
-            "name": self.name,
-            "seconds": self.seconds,
-            "parameters": self.parameters,
-            "samples_per_epoch": self.samples_per_epoch,
-            "compute_phases": dict(self.compute_phases),
-            "cluster_id": self.cluster_id,
-            "aliased_mothernet": self.aliased_mothernet,
-            "result": None if self.result is None else self.result.to_dict(),
-        }
-
-    @classmethod
-    def _from_meta(cls, meta: Dict[str, object], model: Model) -> "CheckpointedNetwork":
-        result = meta.get("result")
-        return cls(
-            name=str(meta["name"]),
-            model=model,
-            result=None if result is None else TrainingResult.from_dict(result),
-            seconds=float(meta.get("seconds", 0.0)),
-            parameters=int(meta.get("parameters", 0)),
-            samples_per_epoch=int(meta.get("samples_per_epoch", 0)),
-            compute_phases=dict(meta.get("compute_phases") or {}),
-            cluster_id=meta.get("cluster_id"),
-            aliased_mothernet=bool(meta.get("aliased_mothernet", False)),
-        )
+def _from_meta(meta: Dict[str, object], model: Model) -> TrainedNetwork:
+    result = meta.get("result")
+    return TrainedNetwork(
+        name=str(meta["name"]),
+        model=model,
+        result=None if result is None else TrainingResult.from_dict(result),
+        seconds=float(meta.get("seconds", 0.0)),
+        parameters=int(meta.get("parameters", 0)),
+        samples_per_epoch=int(meta.get("samples_per_epoch", 0)),
+        compute_phases=dict(meta.get("compute_phases") or {}),
+        cluster_id=meta.get("cluster_id"),
+        aliased_mothernet=bool(meta.get("aliased_mothernet", False)),
+        restored=True,
+    )
 
 
 def _safe_filename(name: str) -> str:
-    import re
-
     return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
@@ -134,8 +122,8 @@ class RunCheckpoint:
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
-        self.members: Dict[int, CheckpointedNetwork] = {}
-        self.mothernets: Dict[int, CheckpointedNetwork] = {}
+        self.members: Dict[int, TrainedNetwork] = {}
+        self.mothernets: Dict[int, TrainedNetwork] = {}
         self.restored = 0  # networks handed back to a trainer this run
 
     # ----------------------------------------------------------------- open
@@ -219,7 +207,7 @@ class RunCheckpoint:
                 weights = marker.with_suffix(".npz")
                 try:
                     meta = json.loads(marker.read_text(encoding="utf-8"))
-                    network = CheckpointedNetwork._from_meta(meta, load_model(weights))
+                    network = _from_meta(meta, load_model(weights))
                 except (OSError, ValueError, KeyError) as exc:
                     # The done marker is written after the weights, so this is
                     # a journal someone tampered with (or a torn filesystem);
@@ -231,16 +219,16 @@ class RunCheckpoint:
                 into[int(meta["index"])] = network
 
     # -------------------------------------------------------------- journal
-    def _record(self, directory: Path, stem: str, index: int, net: CheckpointedNetwork) -> None:
+    def _record(self, directory: Path, stem: str, index: int, net: TrainedNetwork) -> None:
         # Weights first, marker last: the marker's existence is the commit
         # point (both writes are individually atomic).
         save_model(net.model, directory / f"{stem}.npz")
         atomic_write_text(
             directory / f"{stem}.json",
-            json.dumps(net._meta(index), indent=2, sort_keys=True) + "\n",
+            json.dumps(_meta(net, index), indent=2, sort_keys=True) + "\n",
         )
 
-    def record_member(self, index: int, net: CheckpointedNetwork) -> None:
+    def record_member(self, index: int, net: TrainedNetwork) -> None:
         """Journal member ``index`` as done (atomic; safe against kill -9)."""
         self._record(
             self.root / _MEMBER_DIR, f"{index:03d}-{_safe_filename(net.name)}", index, net
@@ -248,7 +236,7 @@ class RunCheckpoint:
         self.members[index] = net
         log_event("train.member_journaled", member=net.name, index=index)
 
-    def record_mothernet(self, cluster_id: int, net: CheckpointedNetwork) -> None:
+    def record_mothernet(self, cluster_id: int, net: TrainedNetwork) -> None:
         """Journal the MotherNet of ``cluster_id`` as done."""
         self._record(
             self.root / _MOTHERNET_DIR,
@@ -260,10 +248,10 @@ class RunCheckpoint:
         log_event("train.mothernet_journaled", mothernet=net.name, cluster=cluster_id)
 
     # -------------------------------------------------------------- restore
-    def member(self, index: int) -> Optional[CheckpointedNetwork]:
+    def member(self, index: int) -> Optional[TrainedNetwork]:
         return self.members.get(index)
 
-    def mothernet(self, cluster_id: int) -> Optional[CheckpointedNetwork]:
+    def mothernet(self, cluster_id: int) -> Optional[TrainedNetwork]:
         return self.mothernets.get(cluster_id)
 
     def mark_restored(self, kind: str, name: str) -> None:

@@ -1,9 +1,20 @@
 """Ensemble training pipelines.
 
-This module defines the shared pipeline scaffolding (:class:`EnsembleTrainer`,
-:class:`EnsembleTrainingRun`) and the paper's contribution,
-:class:`MotherNetsTrainer`, which trains an ensemble in the two phases of
-§2.2:
+Every network any trainer fits — a MotherNet, a hatched member, a
+from-scratch baseline member, a snapshot cycle — is described by one
+:class:`MemberTask` and trained by one function,
+:func:`fit_task`, which returns one record, :class:`TrainedNetwork`.
+:class:`EnsembleTrainer` supplies the rest of the single pipeline: a runner
+that executes tasks in order in this process or on the
+:mod:`repro.parallel` pool (``TrainingConfig.workers`` only chooses *where*
+a task runs), and the one place a trained network is booked into the
+:class:`~repro.core.cost_model.CostLedger` and the training metrics.
+Because a task record fully determines its fit, members are bitwise
+identical run to run, in-process to pool and first try to retry (under
+matching BLAS thread counts).
+
+On top of that, :class:`MotherNetsTrainer` is the paper's contribution
+(§2.2):
 
 1. cluster the member architectures (Algorithm 1) and train one MotherNet per
    cluster from scratch on the full data set;
@@ -11,18 +22,21 @@ This module defines the shared pipeline scaffolding (:class:`EnsembleTrainer`,
    transformations and fine-tune it on its own bagged sample.
 
 The baselines (full-data and bagging, §3) live in ``repro.core.baselines``
-and share the same scaffolding so that training cost is accounted identically
-across approaches.
+and use the same helpers, so training cost is accounted identically across
+approaches.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.arch.params import count_parameters
-from repro.arch.serialization import spec_to_json
+from repro.arch.serialization import spec_from_json, spec_to_json
 from repro.arch.spec import ArchitectureSpec
 from repro.arch.validation import check_same_task
 from repro.core.clustering import Cluster, cluster_ensemble
@@ -32,8 +46,8 @@ from repro.core.hatching import hatch
 from repro.core.registry import register_trainer
 from repro.data.datasets import Dataset
 from repro.data.sampling import bootstrap_sample
+from repro.nn.dtypes import resolve_dtype
 from repro.nn.model import Model
-from repro.nn.serialization import unpack_model_state
 from repro.nn.training import Trainer, TrainingConfig, TrainingResult
 from repro.obs.metrics import get_registry
 from repro.utils.logging import get_logger
@@ -59,14 +73,94 @@ _TRAINING_SECONDS = _metrics.counter(
 
 
 def record_training_cost(approach: str, phase: str, seconds: float) -> None:
-    """Count one finished network against the per-phase training metrics.
-
-    Called by every trainer right where it books the network into its
-    :class:`~repro.core.cost_model.CostLedger`, so metrics and ledger agree.
-    """
+    """Count one finished network against the per-phase training metrics."""
     if _metrics.enabled:
         _NETWORKS_TRAINED.labels(approach, phase).inc()
         _TRAINING_SECONDS.labels(approach, phase).inc(float(seconds))
+
+
+@dataclass
+class MemberTask:
+    """The complete description of one network to train — everything
+    :func:`fit_task` needs besides the training set; picklable, so the same
+    record runs in this process or travels to a :mod:`repro.parallel` worker.
+
+    ``init_weights`` (when given) are installed over a ``seed``-initialised
+    model — this is how hatched members travel: the trainer hatches from the
+    MotherNet and records the resulting weight/state snapshot, the fit
+    rebuilds the model (``Model.from_spec(spec, seed=init_seed)``) and
+    restores the snapshot before fine-tuning.  ``bag_seed`` (when given) makes
+    the fit draw the member's bootstrap sample from the training set.
+    """
+
+    name: str
+    spec_json: str
+    config: TrainingConfig
+    train_seed: int
+    dtype: Optional[str] = None
+    init_seed: int = 0
+    init_weights: Optional[Dict[str, Dict[str, object]]] = None
+    bag_seed: Optional[int] = None
+    collect_phase_timings: bool = True
+
+
+@dataclass
+class TrainedNetwork:
+    """One trained network plus its cost-ledger facts: what :func:`fit_task`
+    returns, the pool ships back, the checkpoint journal stores and the
+    ledger books."""
+
+    name: str
+    model: Model
+    result: Optional[TrainingResult]
+    seconds: float
+    parameters: int
+    samples_per_epoch: int
+    compute_phases: Dict[str, float] = field(default_factory=dict)
+    cluster_id: Optional[int] = None
+    # True for a MotherNets member whose hatching plan was empty: its model
+    # IS the cluster's fine-tuned MotherNet (see MotherNetsTrainer).
+    aliased_mothernet: bool = False
+    # True when loaded from the checkpoint journal instead of trained by
+    # this run (booked into the ledger, not re-counted as trained).
+    restored: bool = False
+
+
+def fit_task(task: MemberTask, x, y, model: Optional[Model] = None) -> TrainedNetwork:
+    """Train the network ``task`` describes on ``(x, y)``.
+
+    The model is built from the task's spec and ``init_seed`` and, for a
+    hatched member, overwritten with the ``init_weights`` snapshot — unless
+    the caller passes the live ``model`` to continue training in place (an
+    aliased MotherNet, a snapshot chain).  With a ``bag_seed`` the fit runs
+    on the bootstrap sample that seed draws from ``(x, y)``.  Every input
+    comes from the task record, so the result is the same wherever and
+    however often the task runs.
+    """
+    if model is None:
+        model = Model.from_spec(
+            spec_from_json(task.spec_json), seed=task.init_seed, dtype=task.dtype
+        )
+        if task.init_weights is not None:
+            model.set_weights(task.init_weights)
+    if task.bag_seed is not None:
+        bag = bootstrap_sample(x, y, seed=task.bag_seed)
+        x, y = bag.x, bag.y
+    timings = capture_phase_timings() if task.collect_phase_timings else nullcontext({})
+    start = time.perf_counter()
+    with timings as phases:
+        result = Trainer(task.config).fit(model, x, y, seed=task.train_seed)
+    seconds = time.perf_counter() - start
+    logger.info("trained %s in %.2fs / %d epochs", task.name, seconds, result.epochs_run)
+    return TrainedNetwork(
+        name=task.name,
+        model=model,
+        result=result,
+        seconds=seconds,
+        parameters=model.parameter_count(),
+        samples_per_epoch=int(x.shape[0]),
+        compute_phases=dict(phases),
+    )
 
 
 @dataclass
@@ -88,7 +182,7 @@ class EnsembleTrainingRun:
 
     @property
     def makespan_seconds(self) -> float:
-        """Critical-path wall clock (equals total for fully serial runs)."""
+        """Critical-path wall clock (equals total when no pool ran)."""
         return self.ledger.makespan_seconds
 
     @property
@@ -152,57 +246,7 @@ class EnsembleTrainer:
                 f"{dataset.num_classes}"
             )
 
-    def _fit(
-        self,
-        model: Model,
-        x,
-        y,
-        config: TrainingConfig,
-        seed: int,
-    ) -> tuple:
-        """Train a model; returns ``(result, wall_clock_seconds, phases)``
-        where ``phases`` is the compute-phase breakdown of the fit (empty when
-        ``collect_phase_timings`` is off)."""
-        start = time.perf_counter()
-        if self.collect_phase_timings:
-            with capture_phase_timings() as phases:
-                result = Trainer(config).fit(model, x, y, seed=seed)
-        else:
-            phases = {}
-            result = Trainer(config).fit(model, x, y, seed=seed)
-        return result, time.perf_counter() - start, phases
-
-    def _member_workers(self, config: TrainingConfig, num_tasks: int) -> int:
-        """How many worker processes a member-training phase should use."""
-        workers = max(1, int(getattr(config, "workers", 1)))
-        return min(workers, num_tasks)
-
-    def _run_parallel(
-        self, tasks, x, y, workers: int, config: Optional[TrainingConfig] = None, on_outcome=None
-    ):
-        """Fan the member tasks out over the process pool (see
-        :mod:`repro.parallel`); returns ``(outcomes, makespan_seconds)``.
-
-        ``config`` (default ``self.config``) supplies the fault-tolerance
-        knobs — per-task deadline and retry budget; ``on_outcome(task_index,
-        outcome)`` streams results back as they finish (the checkpoint
-        journal hook).
-        """
-        from repro.parallel.executor import train_members
-
-        config = config if config is not None else self.config
-        return train_members(
-            tasks,
-            x,
-            y,
-            workers=workers,
-            task_timeout=float(getattr(config, "task_timeout", 900.0)),
-            max_task_retries=int(getattr(config, "max_task_retries", 2)),
-            on_outcome=on_outcome,
-        )
-
-    # ---------------------------------------------------------- checkpointing
-    def _restored_member(self, index: int):
+    def _restored_member(self, index: int) -> Optional[TrainedNetwork]:
         """The journaled member at ``index``, or None (also when not
         checkpointing).  Books the restore against the resume telemetry."""
         if self.checkpoint is None:
@@ -212,38 +256,100 @@ class EnsembleTrainer:
             self.checkpoint.mark_restored("member", net.name)
         return net
 
-    def _journal_member(
-        self,
-        index: int,
-        *,
-        name: str,
-        model: Model,
-        result: TrainingResult,
-        seconds: float,
-        parameters: int,
-        samples: int,
-        compute_phases: Dict[str, float],
-        cluster_id: Optional[int] = None,
-        aliased_mothernet: bool = False,
-    ) -> None:
+    def _journal_member(self, index: int, net: TrainedNetwork) -> None:
         """Journal one finished member when a checkpoint is attached."""
-        if self.checkpoint is None:
-            return
-        from repro.core.checkpoint import CheckpointedNetwork
+        if self.checkpoint is not None:
+            self.checkpoint.record_member(index, net)
 
-        self.checkpoint.record_member(
-            index,
-            CheckpointedNetwork(
-                name=name,
-                model=model,
-                result=result,
-                seconds=seconds,
-                parameters=parameters,
-                samples_per_epoch=samples,
-                compute_phases=dict(compute_phases),
-                cluster_id=cluster_id,
-                aliased_mothernet=aliased_mothernet,
-            ),
+    def _run_tasks(
+        self,
+        tasks: Sequence[MemberTask],
+        dataset: Dataset,
+        config: TrainingConfig,
+        ledger: CostLedger,
+        phase: str,
+        phase_start: float,
+        on_done: Callable[[int, TrainedNetwork], None],
+    ) -> List[TrainedNetwork]:
+        """Fit every task on the training set; returns the networks in task
+        order.
+
+        This is the only in-process-vs-pool decision: with
+        ``min(config.workers, len(tasks)) > 1`` the tasks fan out over one
+        :class:`~repro.parallel.executor.ParallelExecutor` pool (under
+        ``config``'s per-task deadline and retry budget), otherwise they run
+        here, in order.  ``on_done(task_index, net)`` fires as each network
+        lands — the checkpoint-journal hook, so a crash mid-phase loses only
+        the in-flight fits.  Only a pool that actually ran records the phase
+        makespan (wall clock since ``phase_start``); without one the
+        ledger's per-network seconds already are the critical path.
+        """
+        workers = min(config.workers, len(tasks))
+        if workers > 1:
+            from repro.parallel.executor import ParallelExecutor
+
+            with ParallelExecutor(
+                {"x": np.asarray(dataset.x_train), "y": np.asarray(dataset.y_train)},
+                workers=workers,
+                task_timeout=config.task_timeout,
+                max_task_retries=config.max_task_retries,
+            ) as pool:
+                nets, _ = pool.train(tasks, on_outcome=on_done)
+            ledger.record_phase_makespan(phase, time.perf_counter() - phase_start)
+            return nets
+        nets = []
+        for task_index, task in enumerate(tasks):
+            nets.append(fit_task(task, dataset.x_train, dataset.y_train))
+            on_done(task_index, nets[-1])
+        return nets
+
+    def _book(self, ledger: CostLedger, phase: str, net: TrainedNetwork) -> None:
+        """Book one network: the only writer of the cost ledger and the
+        training-cost metrics, so the two always agree.  Restored networks
+        keep the ledger complete but were already counted by the run that
+        trained them."""
+        ledger.add(
+            network=net.name,
+            phase=phase,
+            epochs=net.result.epochs_run if net.result is not None else 0,
+            wall_clock_seconds=net.seconds,
+            parameters=net.parameters,
+            samples_per_epoch=net.samples_per_epoch,
+            compute_phases=net.compute_phases,
+        )
+        if not net.restored:
+            record_training_cost(self.approach, phase, net.seconds)
+
+    def _finish(
+        self,
+        ledger: CostLedger,
+        phase: str,
+        source: str,
+        nets: Sequence[TrainedNetwork],
+        dataset: Dataset,
+        **run_fields,
+    ) -> EnsembleTrainingRun:
+        """Book the members in ensemble order and assemble the run."""
+        for net in nets:
+            self._book(ledger, phase, net)
+        members = [
+            EnsembleMember(
+                name=net.name,
+                model=net.model,
+                training_result=net.result,
+                source=source,
+                cluster_id=net.cluster_id,
+                training_seconds=net.seconds,
+            )
+            for net in nets
+        ]
+        return EnsembleTrainingRun(
+            approach=self.approach,
+            ensemble=Ensemble(members, num_classes=dataset.num_classes),
+            ledger=ledger,
+            config=self.config,
+            member_results={net.name: net.result for net in nets},
+            **run_fields,
         )
 
 
@@ -272,21 +378,16 @@ class MotherNetsTrainer(EnsembleTrainer):
         weights during hatching (0 keeps hatching exactly function
         preserving).
 
-    Parallelism
-    -----------
-    With ``config.workers > 1`` and more than one cluster, the phase-1
-    MotherNet fits fan out over the process pool (they are mutually
-    independent — one MotherNet per cluster); the resulting models are
-    bitwise identical to the serial loop's under matching BLAS thread
-    counts, so every downstream hatch sees the same weights.
-    With ``member_config.workers > 1`` the phase-2 fine-tunes fan out over a
-    process pool (:mod:`repro.parallel`) and produce members bitwise
-    identical to the serial path under matching BLAS thread counts.  Members
-    whose hatching plan is empty (they equal their cluster's MotherNet) are
-    a sequential dependency — the serial loop fine-tunes the MotherNet model
-    in place, and later members of the cluster hatch from the fine-tuned
-    weights — so those members train in the parent at their serial position
-    while every strict-superset member runs on the pool.
+    Tasks
+    -----
+    MotherNets of different clusters are mutually independent, and so are
+    members that strictly extend their MotherNet (each trains a private
+    hatched copy): all of them are tasks, run wherever ``config.workers`` /
+    ``member_config.workers`` puts them.  A member whose hatching plan is
+    *empty* is not: it IS its cluster's MotherNet, fine-tuned in place, and
+    every later member of the cluster hatches from the fine-tuned weights.
+    That is a genuine sequential dependency, so such a member trains in this
+    process at its position in the member order.
     """
 
     approach = "mothernets"
@@ -320,423 +421,128 @@ class MotherNetsTrainer(EnsembleTrainer):
         rngs = RngManager(seed)
         ledger = CostLedger(approach=self.approach)
 
-        # Phase 0: cluster the ensemble and construct one MotherNet per cluster.
+        # Cluster the ensemble and construct one MotherNet per cluster.
         clusters = cluster_ensemble(specs, tau=self.tau)
-        cluster_of: Dict[str, Cluster] = {
-            member.name: cluster for cluster in clusters for member in cluster.members
+        cluster_id_of: Dict[str, int] = {
+            member.name: cluster.cluster_id for cluster in clusters for member in cluster.members
         }
 
         # Phase 1: train every MotherNet from scratch on the full data set.
-        # MotherNets of different clusters are mutually independent, so with
-        # workers > 1 and several clusters they fan out over the same process
-        # pool phase 2 uses; each worker rebuilds its MotherNet from the same
-        # derived seeds the serial loop uses, making the parallel phase
-        # bitwise identical to the serial one (matching BLAS thread counts).
+        # MotherNets already journaled by an interrupted run are restored
+        # bitwise instead of retrained (their ledger records come from the
+        # journal, so the final cost accounting stays complete).
+        phase_start = time.perf_counter()
+        mothernets: Dict[int, TrainedNetwork] = {}
+        if self.checkpoint is not None:
+            for cluster in clusters:
+                net = self.checkpoint.mothernet(cluster.cluster_id)
+                if net is not None:
+                    self.checkpoint.mark_restored("mothernet", net.name)
+                    mothernets[cluster.cluster_id] = net
+        pending = [cluster for cluster in clusters if cluster.cluster_id not in mothernets]
+        # Resolve the compute dtype here: pool workers are fresh interpreters
+        # and would otherwise fall back to the global default even when this
+        # run opted into another dtype.
+        dtype = str(resolve_dtype(None))
+        tasks = [
+            MemberTask(
+                name=cluster.mothernet.name,
+                spec_json=spec_to_json(cluster.mothernet),
+                config=self.config,
+                train_seed=rngs.seed("mothernet-shuffle", cluster.cluster_id),
+                dtype=dtype,
+                init_seed=rngs.seed("mothernet", cluster.cluster_id),
+                collect_phase_timings=self.collect_phase_timings,
+            )
+            for cluster in pending
+        ]
+
+        def mothernet_done(task_index: int, net: TrainedNetwork) -> None:
+            net.cluster_id = pending[task_index].cluster_id
+            mothernets[net.cluster_id] = net
+            if self.checkpoint is not None:
+                self.checkpoint.record_mothernet(net.cluster_id, net)
+
+        self._run_tasks(
+            tasks, dataset, self.config, ledger, "mothernet", phase_start, mothernet_done
+        )
         mothernet_models: Dict[int, Model] = {}
         mothernet_results: Dict[int, TrainingResult] = {}
-
-        # Checkpoint/resume: MotherNets already journaled by an interrupted
-        # run are restored bitwise instead of retrained (their ledger records
-        # come from the journal, so the final cost accounting stays complete).
-        pending_clusters: List[Cluster] = []
         for cluster in clusters:
-            net = (
-                self.checkpoint.mothernet(cluster.cluster_id)
-                if self.checkpoint is not None
-                else None
-            )
-            if net is None:
-                pending_clusters.append(cluster)
-                continue
-            self.checkpoint.mark_restored("mothernet", net.name)
+            net = mothernets[cluster.cluster_id]
+            self._book(ledger, "mothernet", net)
             mothernet_models[cluster.cluster_id] = net.model
             mothernet_results[cluster.cluster_id] = net.result
-            ledger.add(
-                network=cluster.mothernet.name,
-                phase="mothernet",
-                epochs=net.result.epochs_run if net.result is not None else 0,
-                wall_clock_seconds=net.seconds,
-                parameters=net.parameters,
-                samples_per_epoch=net.samples_per_epoch,
-                compute_phases=net.compute_phases,
+
+        # Phase 2: hatch every member, in member order, and fine-tune it on
+        # its own bagged sample.  Hatching needs the MotherNet models, so it
+        # happens here; a task carries the hatched weight snapshot plus the
+        # member's derived seeds.
+        phase_start = time.perf_counter()
+        members: List[Optional[TrainedNetwork]] = [None] * len(specs)
+        tasks = []
+        hatched_members: List[tuple] = []  # (member index, hatch seconds) per task
+
+        def member_done(index: int, hatch_seconds: float, net: TrainedNetwork) -> None:
+            net.seconds += hatch_seconds
+            net.cluster_id = cluster_id_of[net.name]
+            members[index] = net
+            self._journal_member(index, net)
+
+        for index, spec in enumerate(specs):
+            cluster_id = cluster_id_of[spec.name]
+            restored = self._restored_member(index)
+            if restored is not None:
+                # A restored *aliased* member IS its cluster's fine-tuned
+                # MotherNet — install its weights before any later member of
+                # the cluster hatches (exactly what the in-place fine-tune
+                # would have left behind).
+                if restored.aliased_mothernet:
+                    mothernet_models[cluster_id] = restored.model
+                members[index] = restored
+                continue
+            parent = mothernet_models[cluster_id]
+            hatch_start = time.perf_counter()
+            hatched = hatch(parent, spec, seed=rngs.seed("hatch", index), noise_std=self.noise_std)
+            hatch_seconds = time.perf_counter() - hatch_start
+            task = MemberTask(
+                name=spec.name,
+                spec_json=spec_to_json(hatched.spec),
+                config=self.member_config,
+                train_seed=rngs.seed("member-shuffle", index),
+                dtype=str(hatched.dtype),
+                bag_seed=rngs.seed("bag", index),
+                collect_phase_timings=self.collect_phase_timings,
             )
+            if hatched is parent:
+                # Empty hatching plan: fine-tune the MotherNet itself, now,
+                # so later members of the cluster hatch from the result.
+                net = fit_task(task, dataset.x_train, dataset.y_train, model=parent)
+                net.aliased_mothernet = True
+                member_done(index, hatch_seconds, net)
+            else:
+                task.init_weights = hatched.get_weights()
+                tasks.append(task)
+                hatched_members.append((index, hatch_seconds))
 
-        def journal_mothernet(cluster, model, result, seconds, parameters, samples, phases):
-            if self.checkpoint is None:
-                return
-            from repro.core.checkpoint import CheckpointedNetwork
-
-            self.checkpoint.record_mothernet(
-                cluster.cluster_id,
-                CheckpointedNetwork(
-                    name=cluster.mothernet.name,
-                    model=model,
-                    result=result,
-                    seconds=seconds,
-                    parameters=parameters,
-                    samples_per_epoch=samples,
-                    compute_phases=dict(phases),
-                    cluster_id=cluster.cluster_id,
-                ),
-            )
-
-        mothernet_workers = self._member_workers(self.config, len(pending_clusters))
-        if mothernet_workers > 1:
-            phase_start = time.perf_counter()
-            from repro.nn.dtypes import resolve_dtype
-            from repro.parallel.worker import MemberTask
-
-            # Resolve the compute dtype in the parent: workers are fresh
-            # interpreters and would otherwise fall back to the global default
-            # even when this run opted into another dtype.
-            dtype = str(resolve_dtype(None))
-            tasks = [
-                MemberTask(
-                    name=cluster.mothernet.name,
-                    spec_json=spec_to_json(cluster.mothernet),
-                    config=self.config,
-                    train_seed=rngs.seed("mothernet-shuffle", cluster.cluster_id),
-                    dtype=dtype,
-                    init_seed=rngs.seed("mothernet", cluster.cluster_id),
-                    collect_phase_timings=self.collect_phase_timings,
-                )
-                for cluster in pending_clusters
-            ]
-            # Stream every finished MotherNet into the journal as it lands,
-            # so a parent crash mid-phase loses only the in-flight fits.
-            unpacked: Dict[int, Model] = {}
-
-            def on_mothernet(task_index: int, outcome) -> None:
-                model = unpack_model_state(outcome.state)
-                unpacked[task_index] = model
-                journal_mothernet(
-                    pending_clusters[task_index],
-                    model,
-                    outcome.result,
-                    outcome.seconds,
-                    outcome.parameters,
-                    outcome.samples_per_epoch,
-                    outcome.compute_phases,
-                )
-
-            outcomes, _ = self._run_parallel(
-                tasks,
-                dataset.x_train,
-                dataset.y_train,
-                mothernet_workers,
-                config=self.config,
-                on_outcome=on_mothernet,
-            )
-            for task_index, (cluster, outcome) in enumerate(zip(pending_clusters, outcomes)):
-                model = unpacked.get(task_index)
-                if model is None:  # pragma: no cover - callback always ran
-                    model = unpack_model_state(outcome.state)
-                mothernet_models[cluster.cluster_id] = model
-                mothernet_results[cluster.cluster_id] = outcome.result
-                ledger.add(
-                    network=cluster.mothernet.name,
-                    phase="mothernet",
-                    epochs=outcome.result.epochs_run,
-                    wall_clock_seconds=outcome.seconds,
-                    parameters=outcome.parameters,
-                    samples_per_epoch=outcome.samples_per_epoch,
-                    compute_phases=outcome.compute_phases,
-                )
-                record_training_cost(self.approach, "mothernet", outcome.seconds)
-            ledger.record_phase_makespan("mothernet", time.perf_counter() - phase_start)
-        else:
-            for cluster in pending_clusters:
-                model = Model.from_spec(
-                    cluster.mothernet, seed=rngs.seed("mothernet", cluster.cluster_id)
-                )
-                result, seconds, compute_phases = self._fit(
-                    model,
-                    dataset.x_train,
-                    dataset.y_train,
-                    self.config,
-                    seed=rngs.seed("mothernet-shuffle", cluster.cluster_id),
-                )
-                mothernet_models[cluster.cluster_id] = model
-                mothernet_results[cluster.cluster_id] = result
-                journal_mothernet(
-                    cluster,
-                    model,
-                    result,
-                    seconds,
-                    model.parameter_count(),
-                    dataset.train_size,
-                    compute_phases,
-                )
-                ledger.add(
-                    network=cluster.mothernet.name,
-                    phase="mothernet",
-                    epochs=result.epochs_run,
-                    wall_clock_seconds=seconds,
-                    parameters=model.parameter_count(),
-                    samples_per_epoch=dataset.train_size,
-                    compute_phases=compute_phases,
-                )
-                record_training_cost(self.approach, "mothernet", seconds)
-                logger.info(
-                    "trained %s (%d members) in %.2fs / %d epochs",
-                    cluster.mothernet.name,
-                    cluster.size,
-                    seconds,
-                    result.epochs_run,
-                )
-
-        # Phase 2: hatch every member and fine-tune it on a bagged sample.
-        # Hatched members are mutually independent, so with workers > 1 the
-        # fine-tunes fan out over the process pool: hatching stays in the
-        # parent (it needs the MotherNet models), each worker receives the
-        # hatched weight snapshot plus the member's derived seeds, and draws
-        # its bootstrap sample from the shared-memory training set exactly as
-        # the serial loop draws it here.
-        members: List[EnsembleMember] = []
-        member_results: Dict[str, TrainingResult] = {}
-        workers = self._member_workers(self.member_config, len(specs))
-        if workers > 1:
-            phase_start = time.perf_counter()
-            from repro.parallel.worker import MemberTask
-
-            # Walk the members in serial order.  A member whose hatching plan
-            # is *empty* aliases its cluster's MotherNet: the serial loop
-            # fine-tunes the MotherNet model in place, and every later member
-            # of that cluster hatches from the fine-tuned weights.  That is a
-            # genuine sequential dependency, so such members train here in
-            # the parent at their exact serial position; all strict-superset
-            # members are independent (they train a private hatched copy) and
-            # fan out to the worker pool.  The merged result is bitwise
-            # identical to the serial path.
-            entries: List[Optional[Dict[str, object]]] = [None] * len(specs)
-            tasks: List[MemberTask] = []
-            task_indices: List[int] = []
-            task_hatch_seconds: Dict[int, float] = {}
-            for index, spec in enumerate(specs):
-                cluster = cluster_of[spec.name]
-                restored = self._restored_member(index)
-                if restored is not None:
-                    # Journaled by an interrupted run: reuse bitwise.  A
-                    # restored *aliased* member IS its cluster's fine-tuned
-                    # MotherNet — install its weights before any later member
-                    # of the cluster hatches (exactly what the in-place
-                    # fine-tune would have left behind).
-                    entries[index] = {
-                        "model": restored.model,
-                        "result": restored.result,
-                        "seconds": restored.seconds,
-                        "compute_phases": restored.compute_phases,
-                        "samples": restored.samples_per_epoch,
-                        "parameters": restored.parameters,
-                        "restored": True,
-                    }
-                    if restored.aliased_mothernet:
-                        mothernet_models[cluster.cluster_id] = restored.model
-                    continue
-                parent = mothernet_models[cluster.cluster_id]
-                hatch_start = time.perf_counter()
-                hatched = hatch(
-                    parent, spec, seed=rngs.seed("hatch", index), noise_std=self.noise_std
-                )
-                hatch_seconds = time.perf_counter() - hatch_start
-                bag_seed = rngs.seed("bag", index)
-                train_seed = rngs.seed("member-shuffle", index)
-                if hatched is parent:
-                    bag = bootstrap_sample(dataset.x_train, dataset.y_train, seed=bag_seed)
-                    result, seconds, compute_phases = self._fit(
-                        hatched, bag.x, bag.y, self.member_config, seed=train_seed
-                    )
-                    entries[index] = {
-                        "model": hatched,
-                        "result": result,
-                        "seconds": seconds + hatch_seconds,
-                        "compute_phases": compute_phases,
-                        "samples": bag.size,
-                        "parameters": hatched.parameter_count(),
-                    }
-                    self._journal_member(
-                        index,
-                        name=spec.name,
-                        model=hatched,
-                        result=result,
-                        seconds=seconds + hatch_seconds,
-                        parameters=hatched.parameter_count(),
-                        samples=bag.size,
-                        compute_phases=compute_phases,
-                        cluster_id=cluster.cluster_id,
-                        aliased_mothernet=True,
-                    )
-                else:
-                    tasks.append(
-                        MemberTask(
-                            name=spec.name,
-                            spec_json=spec_to_json(hatched.spec),
-                            config=self.member_config,
-                            train_seed=train_seed,
-                            dtype=str(hatched.dtype),
-                            init_weights=hatched.get_weights(),
-                            bag_seed=bag_seed,
-                            collect_phase_timings=self.collect_phase_timings,
-                        )
-                    )
-                    task_indices.append(index)
-                    task_hatch_seconds[index] = hatch_seconds
-            outcomes = []
-            unpacked_members: Dict[int, Model] = {}
-
-            def on_member(task_index: int, outcome) -> None:
-                # Streaming journal hook: persist each member the moment its
-                # worker delivers it, so a parent crash mid-phase loses only
-                # the in-flight fits.
-                index = task_indices[task_index]
-                model = unpack_model_state(outcome.state)
-                unpacked_members[task_index] = model
-                self._journal_member(
-                    index,
-                    name=specs[index].name,
-                    model=model,
-                    result=outcome.result,
-                    seconds=outcome.seconds + task_hatch_seconds[index],
-                    parameters=outcome.parameters,
-                    samples=outcome.samples_per_epoch,
-                    compute_phases=outcome.compute_phases,
-                    cluster_id=cluster_of[specs[index].name].cluster_id,
-                )
-
-            if tasks:
-                outcomes, _ = self._run_parallel(
-                    tasks,
-                    dataset.x_train,
-                    dataset.y_train,
-                    min(workers, len(tasks)),
-                    config=self.member_config,
-                    on_outcome=on_member,
-                )
-            for task_index, (index, outcome) in enumerate(zip(task_indices, outcomes)):
-                model = unpacked_members.get(task_index)
-                if model is None:  # pragma: no cover - callback always ran
-                    model = unpack_model_state(outcome.state)
-                entries[index] = {
-                    "model": model,
-                    "result": outcome.result,
-                    "seconds": outcome.seconds + task_hatch_seconds[index],
-                    "compute_phases": outcome.compute_phases,
-                    "samples": outcome.samples_per_epoch,
-                    "parameters": outcome.parameters,
-                }
-            for index, (spec, entry) in enumerate(zip(specs, entries)):
-                cluster = cluster_of[spec.name]
-                member_results[spec.name] = entry["result"]
-                ledger.add(
-                    network=spec.name,
-                    phase="member",
-                    epochs=entry["result"].epochs_run,
-                    wall_clock_seconds=entry["seconds"],
-                    parameters=entry["parameters"],
-                    samples_per_epoch=entry["samples"],
-                    compute_phases=entry["compute_phases"],
-                )
-                if not entry.get("restored"):
-                    record_training_cost(self.approach, "member", entry["seconds"])
-                members.append(
-                    EnsembleMember(
-                        name=spec.name,
-                        model=entry["model"],
-                        training_result=entry["result"],
-                        source="hatched",
-                        cluster_id=cluster.cluster_id,
-                        training_seconds=entry["seconds"],
-                    )
-                )
-            ledger.record_phase_makespan("member", time.perf_counter() - phase_start)
-        else:
-            for index, spec in enumerate(specs):
-                cluster = cluster_of[spec.name]
-                restored = self._restored_member(index)
-                if restored is not None:
-                    if restored.aliased_mothernet:
-                        # See the parallel branch: the restored model is the
-                        # cluster's fine-tuned MotherNet; later members hatch
-                        # from it.
-                        mothernet_models[cluster.cluster_id] = restored.model
-                    member_results[spec.name] = restored.result
-                    ledger.add(
-                        network=spec.name,
-                        phase="member",
-                        epochs=restored.result.epochs_run if restored.result else 0,
-                        wall_clock_seconds=restored.seconds,
-                        parameters=restored.parameters,
-                        samples_per_epoch=restored.samples_per_epoch,
-                        compute_phases=restored.compute_phases,
-                    )
-                    members.append(
-                        EnsembleMember(
-                            name=spec.name,
-                            model=restored.model,
-                            training_result=restored.result,
-                            source="hatched",
-                            cluster_id=cluster.cluster_id,
-                            training_seconds=restored.seconds,
-                        )
-                    )
-                    continue
-                parent = mothernet_models[cluster.cluster_id]
-                hatch_start = time.perf_counter()
-                model = hatch(
-                    parent, spec, seed=rngs.seed("hatch", index), noise_std=self.noise_std
-                )
-                hatch_seconds = time.perf_counter() - hatch_start
-                aliased = model is parent
-                bag = bootstrap_sample(
-                    dataset.x_train, dataset.y_train, seed=rngs.seed("bag", index)
-                )
-                result, seconds, compute_phases = self._fit(
-                    model, bag.x, bag.y, self.member_config, seed=rngs.seed("member-shuffle", index)
-                )
-                self._journal_member(
-                    index,
-                    name=spec.name,
-                    model=model,
-                    result=result,
-                    seconds=seconds + hatch_seconds,
-                    parameters=model.parameter_count(),
-                    samples=bag.size,
-                    compute_phases=compute_phases,
-                    cluster_id=cluster.cluster_id,
-                    aliased_mothernet=aliased,
-                )
-                member_results[spec.name] = result
-                ledger.add(
-                    network=spec.name,
-                    phase="member",
-                    epochs=result.epochs_run,
-                    wall_clock_seconds=seconds + hatch_seconds,
-                    parameters=model.parameter_count(),
-                    samples_per_epoch=bag.size,
-                    compute_phases=compute_phases,
-                )
-                record_training_cost(self.approach, "member", seconds + hatch_seconds)
-                members.append(
-                    EnsembleMember(
-                        name=spec.name,
-                        model=model,
-                        training_result=result,
-                        source="hatched",
-                        cluster_id=cluster.cluster_id,
-                        training_seconds=seconds + hatch_seconds,
-                    )
-                )
-
-        ensemble = Ensemble(members, num_classes=dataset.num_classes)
-        return EnsembleTrainingRun(
-            approach=self.approach,
-            ensemble=ensemble,
-            ledger=ledger,
-            config=self.config,
+        self._run_tasks(
+            tasks,
+            dataset,
+            self.member_config,
+            ledger,
+            "member",
+            phase_start,
+            lambda task_index, net: member_done(*hatched_members[task_index], net),
+        )
+        return self._finish(
+            ledger,
+            "member",
+            "hatched",
+            members,
+            dataset,
             clusters=clusters,
             mothernet_models=mothernet_models,
             mothernet_results=mothernet_results,
-            member_results=member_results,
         )
 
 

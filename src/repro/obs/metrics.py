@@ -505,8 +505,8 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """A picklable plain-data view of every registered metric.
 
-        The snapshot is what training workers ship back to the parent inside
-        ``MemberOutcome`` so per-member metrics survive worker exit; it can
+        The snapshot is what training workers ship back to the parent next to
+        each trained network so per-member metrics survive worker exit; it can
         cross ``multiprocessing`` queues or be serialised as JSON (histogram
         samples are ``(bucket counts, sum)`` pairs).
         """

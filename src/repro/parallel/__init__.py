@@ -2,14 +2,15 @@
 
 Two halves share the same ``spawn``-safe multiprocessing substrate:
 
-* **Training** — :class:`ParallelExecutor` fans independent ensemble-member
-  fits out over a persistent worker pool.  The training set is published once
-  through POSIX shared memory (:class:`SharedDataset`; workers get zero-copy
-  ``np.ndarray`` views), every worker's BLAS pool is capped before its numpy
-  import (:func:`repro.utils.parallel.blas_thread_limit`), and outcomes carry
-  both per-member seconds and the batch's critical-path makespan.  Enabled
-  end to end by ``TrainingConfig(workers=N)``; ``workers=1`` keeps the exact
-  pre-existing serial code path.
+* **Training** — :class:`ParallelExecutor` fans independent
+  :class:`MemberTask` fits out over a persistent worker pool.  The training
+  set is published once through POSIX shared memory (:class:`SharedDataset`;
+  workers get zero-copy ``np.ndarray`` views), every worker's BLAS pool is
+  capped before its numpy import
+  (:func:`repro.utils.parallel.blas_thread_limit`), and the pool returns the
+  trained networks next to the batch's critical-path makespan.  The
+  ensemble trainers build the same tasks whatever ``TrainingConfig.workers``
+  says; ``workers=N`` only moves their execution onto this pool.
 * **Serving** — :class:`PoolPredictor` answers concurrent predict requests
   from N worker processes that each warm-load one ``EnsemblePredictor`` from
   a shared artifact directory, with request micro-batching, round-robin
@@ -24,21 +25,18 @@ Two halves share the same ``spawn``-safe multiprocessing substrate:
   tensors-through-the-queues path.
 """
 
-from repro.parallel.executor import ParallelExecutor, train_members
+from repro.parallel.executor import MemberTask, ParallelExecutor
 from repro.parallel.shared_data import AttachedDataset, SharedArrayMeta, SharedDataset
 from repro.parallel.shm_transport import ArenaMeta, ShmArena
-from repro.parallel.worker import MemberOutcome, MemberTask
 from repro.parallel.serving import PoolPredictor
 
 __all__ = [
     "ParallelExecutor",
-    "train_members",
     "SharedDataset",
     "AttachedDataset",
     "SharedArrayMeta",
     "ArenaMeta",
     "ShmArena",
     "MemberTask",
-    "MemberOutcome",
     "PoolPredictor",
 ]

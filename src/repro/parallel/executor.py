@@ -3,18 +3,18 @@
 :class:`ParallelExecutor` is the engine behind ``TrainingConfig(workers=N)``:
 a persistent, ``spawn``-safe pool of worker processes that attach the
 training set through shared memory exactly once (see
-:mod:`repro.parallel.shared_data`), train independent ensemble members, and
-ship back ``(weights, TrainingResult, cost)`` records.
+:mod:`repro.parallel.shared_data`), fit independent
+:class:`~repro.core.trainer.MemberTask` records with the same
+:func:`~repro.core.trainer.fit_task` the trainers call in-process, and ship
+back :class:`~repro.core.trainer.TrainedNetwork` records.
 
 Key properties
 --------------
 
-* **Deterministic** — tasks carry the same derived seeds the serial loop
-  would use, workers run the same ``Trainer``, and outcomes come back in task
-  order.  With matching BLAS thread counts the trained members are *bitwise*
-  identical to the serial path, run to run, serial to parallel, and — because
-  a task record fully determines its member — fault-free to retried-after-a-
-  crash.
+* **Deterministic** — a task record fully determines its fit and outcomes
+  come back in task order.  With matching BLAS thread counts the trained
+  members are *bitwise* identical run to run, in-process to pool, and
+  fault-free to retried-after-a-crash.
 * **No oversubscription** — worker start-up happens inside
   :func:`~repro.utils.parallel.blas_thread_limit`, so every worker's BLAS
   pool is capped (default: one thread per worker) before numpy is imported.
@@ -23,7 +23,7 @@ Key properties
   the run.  The scheduler detects the failure, evicts the worker, respawns
   the pool slot under bounded exponential backoff (the same supervisor
   semantics as the serving pool), and retries the failed
-  :class:`~repro.parallel.worker.MemberTask` up to ``max_task_retries``
+  :class:`~repro.core.trainer.MemberTask` up to ``max_task_retries``
   times.  Detection combines three signals:
 
   - **process death** — ``Process.is_alive()`` turning false;
@@ -52,19 +52,20 @@ Key properties
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue as thread_queue
 import time
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _mp_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.trainer import MemberTask, TrainedNetwork
+from repro.nn.serialization import unpack_model_state
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
 from repro.parallel.shared_data import SharedDataset
-from repro.parallel.worker import MemberOutcome, MemberTask, _worker_main
+from repro.parallel.supervision import poll_results
+from repro.parallel.worker import _worker_main
 from repro.utils.logging import get_logger
 from repro.utils.parallel import blas_thread_limit, cpu_count
 
@@ -105,7 +106,7 @@ _HEARTBEAT_MISSES = _metrics.counter(
     "Alive-but-silent training workers detected via heartbeat loss.",
 )
 
-__all__ = ["MemberTask", "MemberOutcome", "ParallelExecutor", "train_members"]
+__all__ = ["MemberTask", "ParallelExecutor"]
 
 
 @dataclass
@@ -242,33 +243,6 @@ class ParallelExecutor:
                 self._spawn_worker(worker_id)
             self._started = True
 
-    def _poll_results(self, timeout: float) -> List[tuple]:
-        """Drain whatever messages the per-worker result queues hold.
-
-        Multiplexes over every queue's reader pipe with
-        ``multiprocessing.connection.wait``; returns a (possibly empty) list
-        of ``(kind, worker_id, payload)`` messages.  Queues swapped out by a
-        concurrent respawn surface as closed readers and are skipped.
-        """
-        snapshot = {
-            queue._reader: queue for queue in self._result_queues if queue is not None
-        }
-        try:
-            readable = _mp_wait(list(snapshot), timeout=timeout)
-        except OSError:  # pragma: no cover - reader closed mid-wait (respawn)
-            return []
-        messages: List[tuple] = []
-        for reader in readable:
-            queue = snapshot[reader]
-            while True:
-                try:
-                    messages.append(queue.get_nowait())
-                except thread_queue.Empty:
-                    break
-                except (OSError, ValueError, EOFError):  # pragma: no cover
-                    break  # queue closed/poisoned; successor takes over
-        return messages
-
     # ------------------------------------------------------------ lifecycle
     def _evict_worker(self, worker_id: int, reason: str, member: Optional[str]) -> None:
         """Take a dead or wedged worker out of rotation and schedule respawn."""
@@ -326,14 +300,14 @@ class ParallelExecutor:
     def train(
         self,
         tasks: Sequence[MemberTask],
-        on_outcome: Optional[Callable[[int, MemberOutcome], None]] = None,
-    ) -> Tuple[List[MemberOutcome], float]:
-        """Train every task; returns ``(outcomes_in_task_order, makespan)``.
+        on_outcome: Optional[Callable[[int, TrainedNetwork], None]] = None,
+    ) -> Tuple[List[TrainedNetwork], float]:
+        """Train every task; returns ``(networks_in_task_order, makespan)``.
 
         ``makespan`` is the parent-side wall clock from first submission to
         last result — the critical path of the batch, as opposed to the sum
-        of the per-member ``MemberOutcome.seconds``.  ``on_outcome(task_index,
-        outcome)`` fires in completion order as results stream in (the
+        of the per-network ``TrainedNetwork.seconds``.  ``on_outcome(task_index,
+        network)`` fires in completion order as results stream in (the
         checkpoint journal hook); an exception it raises aborts the run.
         """
         tasks = list(tasks)
@@ -342,7 +316,7 @@ class ParallelExecutor:
         try:
             self._ensure_workers()
             start = time.perf_counter()
-            outcomes: List[Optional[MemberOutcome]] = [None] * len(tasks)
+            outcomes: List[Optional[TrainedNetwork]] = [None] * len(tasks)
             attempts = [0] * len(tasks)
             pending = deque(range(len(tasks)))
             busy: Dict[int, _Dispatch] = {}
@@ -404,19 +378,23 @@ class ParallelExecutor:
                     )
 
                 # 2. Collect messages (results, errors, heartbeats).
-                for kind, worker_id, payload in self._poll_results(self.poll_interval):
+                messages = poll_results(self._result_queues, self.poll_interval)
+                for kind, worker_id, payload in messages:
                     self._last_beat[worker_id] = time.monotonic()
                     if kind == "heartbeat":
                         continue
                     if kind == "result":
-                        task_index, attempt, outcome = payload
+                        task_index, attempt, outcome, worker_metrics = payload
                         busy.pop(worker_id, None)
                         self._evictions[worker_id] = 0
                         if outcomes[task_index] is None:
+                            # The model crossed the process boundary packed
+                            # as plain data (worker._worker_main).
+                            outcome.model = unpack_model_state(outcome.model)
                             outcomes[task_index] = outcome
                             done += 1
-                            if outcome.metrics:
-                                _metrics.merge_snapshot(outcome.metrics)
+                            if worker_metrics:
+                                _metrics.merge_snapshot(worker_metrics)
                             if on_outcome is not None:
                                 on_outcome(task_index, outcome)
                     elif kind == "error":
@@ -544,29 +522,3 @@ class ParallelExecutor:
             self.close()
         except Exception:
             pass
-
-
-def train_members(
-    tasks: Sequence[MemberTask],
-    x: np.ndarray,
-    y: np.ndarray,
-    workers: int,
-    blas_threads_per_worker: int = 1,
-    task_timeout: float = 900.0,
-    max_task_retries: int = 2,
-    on_outcome: Optional[Callable[[int, MemberOutcome], None]] = None,
-) -> Tuple[List[MemberOutcome], float]:
-    """One-shot convenience wrapper: publish, train, tear down.
-
-    This is what the ensemble trainers call for a single parallel phase; the
-    class form is for callers that run several batches against one published
-    dataset.
-    """
-    with ParallelExecutor(
-        {"x": np.asarray(x), "y": np.asarray(y)},
-        workers=workers,
-        blas_threads_per_worker=blas_threads_per_worker,
-        task_timeout=task_timeout,
-        max_task_retries=max_task_retries,
-    ) as executor:
-        return executor.train(tasks, on_outcome=on_outcome)

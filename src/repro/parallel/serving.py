@@ -64,7 +64,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import multiprocessing as mp
-from multiprocessing.connection import wait as _mp_wait
 
 import numpy as np
 
@@ -76,6 +75,7 @@ from repro.core.ensemble import resolve_combination_method
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
 from repro.parallel.shm_transport import RESULT_ITEMSIZE, ShmArena, _align
+from repro.parallel.supervision import poll_results
 from repro.parallel.worker import _serving_worker_main
 from repro.utils.logging import get_logger
 
@@ -360,7 +360,7 @@ class PoolPredictor:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise RuntimeError("serving workers failed to start in time")
-                for kind, worker_id, info in self._poll_results(timeout=remaining):
+                for kind, worker_id, info in poll_results(self._result_queues, remaining):
                     if kind == "ready":
                         self._ready.add(worker_id)
                     elif kind == "fatal":
@@ -441,32 +441,6 @@ class PoolPredictor:
         )
         process.start()
         return process
-
-    def _poll_results(self, timeout: float) -> List[tuple]:
-        """Drain whatever messages the per-worker result queues hold.
-
-        Multiplexes over every queue's reader pipe with
-        ``multiprocessing.connection.wait``; returns (possibly empty) list of
-        ``(kind, worker_id, payload)`` messages.  Queues swapped out by a
-        concurrent respawn surface as closed readers and are skipped — the
-        next call picks up their replacements.
-        """
-        snapshot = {queue._reader: queue for queue in list(self._result_queues)}
-        try:
-            readable = _mp_wait(list(snapshot), timeout=timeout)
-        except OSError:  # pragma: no cover - reader closed mid-wait (respawn)
-            return []
-        messages: List[tuple] = []
-        for reader in readable:
-            queue = snapshot[reader]
-            while True:
-                try:
-                    messages.append(queue.get_nowait())
-                except thread_queue.Empty:
-                    break
-                except (OSError, ValueError, EOFError):  # pragma: no cover
-                    break  # queue closed/poisoned; successor takes over
-        return messages
 
     # ------------------------------------------------------- internal loops
     def _dispatch_loop(self) -> None:
@@ -648,7 +622,7 @@ class PoolPredictor:
 
     def _collect_loop(self) -> None:
         while not self._stop_collector.is_set():
-            for kind, worker_id, payload in self._poll_results(timeout=0.2):
+            for kind, worker_id, payload in poll_results(self._result_queues, 0.2):
                 if kind == "result":
                     if payload[0] == "shm":
                         self._collect_shm_result(worker_id, payload)

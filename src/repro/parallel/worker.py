@@ -1,25 +1,25 @@
 """Worker-process side of the parallel engine (training *and* serving).
 
 Everything here runs inside ``spawn``-started worker processes, so it is all
-module-level (picklable by reference) and communicates exclusively through
-the picklable :class:`MemberTask` / :class:`MemberOutcome` records plus the
-shared-memory dataset attached at worker start-up.  The serving-pool worker
-loop (:func:`_serving_worker_main`) lives here too: it answers request
-descriptors from :class:`~repro.parallel.serving.PoolPredictor`, reading
-request rows from — and writing probabilities into — its per-worker
-shared-memory arena when the pool runs the ``shm`` transport.
+module-level (picklable by reference).  A training worker receives picklable
+:class:`~repro.core.trainer.MemberTask` records, fits each against the
+shared-memory dataset attached at start-up, and ships the resulting
+:class:`~repro.core.trainer.TrainedNetwork` back with its model packed as
+plain data.  The serving-pool worker loop (:func:`_serving_worker_main`)
+lives here too: it answers request descriptors from
+:class:`~repro.parallel.serving.PoolPredictor`, reading request rows from —
+and writing probabilities into — its per-worker shared-memory arena when the
+pool runs the ``shm`` transport.
 
-A worker trains exactly the way the serial path does — same
-:class:`~repro.nn.training.Trainer`, same seed derivations, same bootstrap
-sampling against the (shared) training set — so a member trained by a worker
-is bitwise identical to the member the serial loop would have produced,
-provided the BLAS thread count matches (floating-point summation order inside
-GEMM depends on it; the executor caps workers to one BLAS thread each by
-default).  Because every input is derived from the task record alone, a task
-*retried* on a different worker after a crash is also bitwise identical to a
-fault-free first attempt.
-
-Resilience contract with the executor:
+A worker fits a task with the very function the trainers call in-process,
+:func:`repro.core.trainer.fit_task`, and every input of that function comes
+from the task record — so a member is bitwise the same wherever it trains,
+and a task *retried* on another worker after a crash is bitwise identical to
+a fault-free first attempt, provided the BLAS thread count matches
+(floating-point summation order inside GEMM depends on it; the executor caps
+workers to one BLAS thread each by default).  What is specific to running
+*in a worker* stays on this side of the process boundary, in
+:func:`_worker_main`, never in ``fit_task``:
 
 * the worker runs a persistent loop over its private request queue (one
   task at a time, ``None`` ends the loop) and ships every message through
@@ -31,142 +31,27 @@ Resilience contract with the executor:
   process (SIGSTOP, scheduler starvation) from a merely slow one; a worker
   wedged inside the training call keeps heartbeating, which is exactly why
   the executor additionally enforces per-task deadlines;
-* the final :mod:`repro.obs` registry snapshot of each member fit travels
-  back inside :class:`MemberOutcome`, so per-member training metrics survive
-  worker exit (the registry is reset after each snapshot: snapshots are
-  deltas, and the parent merges them without double counting);
-* :func:`repro.faults.fire` injection points (``train`` point) sit directly
-  around the member fit for chaos tests — free when ``REPRO_FAULTS`` is
-  unset.
+* the :mod:`repro.obs` registry snapshot of each fit travels back next to
+  the network, so per-member training metrics survive worker exit (the
+  registry is reset after each snapshot: snapshots are deltas, and the
+  parent merges them without double counting — the parent's own registry
+  is never reset);
+* the :func:`repro.faults.fire` ``train`` injection point sits directly
+  before the fit for chaos tests — free when ``REPRO_FAULTS`` is unset, and
+  absent from in-process fits, so a train fault can only ever kill a worker.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
+from repro.core.trainer import fit_task
+from repro.faults import fire
+from repro.nn.serialization import pack_model_state
+from repro.obs.metrics import get_registry
 from repro.parallel.shared_data import AttachedDataset, SharedArrayMeta
 from repro.utils.parallel import apply_blas_thread_cap
-
-# Populated once per worker by _init_worker; read by every _train_member call.
-_ATTACHED: Optional[AttachedDataset] = None
-
-
-@dataclass
-class MemberTask:
-    """One ensemble member to train, shipped parent -> worker.
-
-    ``init_weights`` (when given) are installed over a ``seed``-initialised
-    model — this is how hatched members travel: the parent hatches from the
-    MotherNet and ships the resulting weight/state snapshot, the worker
-    rebuilds the model (``Model.from_spec(spec, seed=init_seed)``) and
-    restores the snapshot before fine-tuning.  ``bag_seed`` (when given) makes
-    the worker draw the member's bootstrap sample from the shared training
-    set, exactly as the serial path draws it in the parent.
-    """
-
-    name: str
-    spec_json: str
-    config: object  # TrainingConfig; typed loosely to keep this module import-light
-    train_seed: int
-    dtype: Optional[str] = None
-    init_seed: int = 0
-    init_weights: Optional[Dict[str, Dict[str, object]]] = None
-    bag_seed: Optional[int] = None
-    collect_phase_timings: bool = True
-
-
-@dataclass
-class MemberOutcome:
-    """One trained member, shipped worker -> parent."""
-
-    name: str
-    state: Dict[str, object]  # packed model state (spec + dtype + weights)
-    result: object  # TrainingResult
-    seconds: float  # in-worker wall clock of the fit (per-member cost)
-    samples_per_epoch: int
-    parameters: int
-    compute_phases: Dict[str, float] = field(default_factory=dict)
-    # Delta snapshot of the worker's repro.obs registry covering this fit;
-    # merged into the parent registry so per-member metrics outlive the
-    # worker process.  None when metrics are disabled in the worker.
-    metrics: Optional[Dict[str, Dict[str, object]]] = None
-    attempt: int = 0  # which attempt produced this outcome (0 = first try)
-
-
-def _init_worker(meta: Dict[str, SharedArrayMeta], blas_threads: int) -> None:
-    """Cap BLAS threads and attach the shared dataset (idempotent)."""
-    apply_blas_thread_cap(blas_threads)
-    global _ATTACHED
-    if _ATTACHED is None:
-        _ATTACHED = AttachedDataset(meta)
-
-
-def _train_member(task: MemberTask, attempt: int = 0) -> MemberOutcome:
-    """Train one member against the shared dataset and return its outcome."""
-    # Imports live here (not at module top) so the parent can enumerate tasks
-    # without paying for the full nn stack, and so spawn start-up stays lean
-    # until a task actually arrives.
-    from repro.arch.serialization import spec_from_json
-    from repro.data.sampling import bootstrap_sample
-    from repro.faults import fire
-    from repro.nn.model import Model
-    from repro.nn.serialization import pack_model_state
-    from repro.nn.training import Trainer
-    from repro.obs.metrics import get_registry
-    from repro.utils.timing import capture_phase_timings
-
-    if _ATTACHED is None:
-        raise RuntimeError("worker used before _init_worker attached the dataset")
-    x = _ATTACHED["x"]
-    y = _ATTACHED["y"]
-
-    spec = spec_from_json(task.spec_json)
-    model = Model.from_spec(spec, seed=task.init_seed, dtype=task.dtype)
-    if task.init_weights is not None:
-        model.set_weights(task.init_weights)
-
-    if task.bag_seed is not None:
-        bag = bootstrap_sample(x, y, seed=task.bag_seed)
-        x_fit, y_fit, samples = bag.x, bag.y, bag.size
-    else:
-        x_fit, y_fit, samples = x, y, int(x.shape[0])
-
-    # Chaos-test injection point: fires "mid-member" — after the task is
-    # accepted and the model is built, before any result can be produced.
-    fire("train", member=task.name, attempt=attempt)
-
-    start = time.perf_counter()
-    if task.collect_phase_timings:
-        with capture_phase_timings() as phases:
-            result = Trainer(task.config).fit(model, x_fit, y_fit, seed=task.train_seed)
-    else:
-        phases = {}
-        result = Trainer(task.config).fit(model, x_fit, y_fit, seed=task.train_seed)
-    seconds = time.perf_counter() - start
-
-    # Ship the registry delta for this fit and reset, so the next task on
-    # this worker starts from zero and the parent never double-merges.
-    registry = get_registry()
-    if registry.enabled:
-        metrics = registry.snapshot()
-        registry.reset()
-    else:
-        metrics = None
-
-    return MemberOutcome(
-        name=task.name,
-        state=pack_model_state(model),
-        result=result,
-        seconds=seconds,
-        samples_per_epoch=samples,
-        parameters=model.parameter_count(),
-        compute_phases=dict(phases),
-        metrics=metrics,
-        attempt=attempt,
-    )
 
 
 def _serving_worker_main(
@@ -216,8 +101,6 @@ def _serving_worker_main(
     except BaseException as exc:  # pragma: no cover - startup failure path
         result_queue.put(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
         return
-    from repro.faults import fire
-
     try:
         while True:
             item = request_queue.get()
@@ -310,12 +193,14 @@ def _worker_main(
 ) -> None:
     """Training-worker main loop (one process; see module docstring)."""
     try:
-        _init_worker(meta, blas_threads)
+        apply_blas_thread_cap(blas_threads)
+        data = AttachedDataset(meta)
     except BaseException as exc:  # pragma: no cover - startup failure path
         try:
             result_queue.put(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
         finally:
             return
+    registry = get_registry()
     stop = threading.Event()
     beat = threading.Thread(
         target=_heartbeat_loop,
@@ -331,12 +216,23 @@ def _worker_main(
                 break
             task_index, attempt, task = item
             try:
-                outcome = _train_member(task, attempt=attempt)
+                # Chaos-test injection point: fires "mid-member" — after the
+                # task is accepted, before any result can be produced.
+                fire("train", member=task.name, attempt=attempt)
+                net = fit_task(task, data["x"], data["y"])
+                net.model = pack_model_state(net.model)
+                # Ship the registry delta for this fit and reset, so the next
+                # task on this worker starts from zero and the parent never
+                # double-merges.
+                metrics = None
+                if registry.enabled:
+                    metrics = registry.snapshot()
+                    registry.reset()
             except Exception as exc:
                 result_queue.put(
                     ("error", worker_id, (task_index, attempt, f"{type(exc).__name__}: {exc}"))
                 )
             else:
-                result_queue.put(("result", worker_id, (task_index, attempt, outcome)))
+                result_queue.put(("result", worker_id, (task_index, attempt, net, metrics)))
     finally:
         stop.set()

@@ -76,6 +76,10 @@ def test_mothernets_full_resume_is_bitwise(tmp_path, workers):
     assert resumed.checkpoint.restored == expected
     gauge = get_registry().get("repro_training_resume_restored_networks")
     assert gauge is not None and gauge.value == expected
+    # Nothing ran on a pool in the resumed run, so it records no phase
+    # makespan: the critical path is the restored networks' booked seconds.
+    assert resumed.run.ledger.phase_makespans == {}
+    assert resumed.run.makespan_seconds == resumed.run.total_training_seconds
 
 
 @pytest.mark.parametrize("approach", ["full-data", "bagging"])

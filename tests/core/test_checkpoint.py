@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.arch.zoo import mlp_family
-from repro.core.checkpoint import CheckpointedNetwork, RunCheckpoint
+from repro.core.checkpoint import RunCheckpoint
+from repro.core.trainer import TrainedNetwork
 from repro.nn.model import Model
 
 FINGERPRINT = {"name": "ckpt-test", "seed": 0}
@@ -17,7 +18,7 @@ FINGERPRINT = {"name": "ckpt-test", "seed": 0}
 def _network(name="m0", seed=3, cluster_id=None, aliased=False):
     spec = mlp_family(count=1, input_features=6, num_classes=3, base_width=8, seed=1)[0]
     model = Model.from_spec(spec, seed=seed)
-    return CheckpointedNetwork(
+    return TrainedNetwork(
         name=name,
         model=model,
         result=None,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pickle
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, get_registry
 
 
 def _worker_registry():
@@ -97,3 +97,40 @@ def test_snapshot_reset_snapshot_ships_deltas_once():
     parent.merge_snapshot(worker.snapshot())
     worker.reset()
     assert parent.get("jobs_total").value == 4
+
+
+def test_in_process_training_never_resets_the_parent_registry():
+    """Snapshot-then-reset is the *worker's* protocol: a ``workers=1`` run
+    fits its tasks in this process through the same function workers call,
+    and must leave everything the parent registry already counted alone."""
+    from repro.api import run_experiment
+
+    counter = get_registry().counter(
+        "test_parent_survives_training_total", "Set before an in-process run."
+    )
+    counter.inc(7)
+    run_experiment(
+        {
+            "name": "registry-survives",
+            "dataset": {
+                "name": "tabular",
+                "train_samples": 64,
+                "test_samples": 16,
+                "num_classes": 3,
+                "num_features": 6,
+                "seed": 1,
+            },
+            "members": {
+                "family": "mlp",
+                "count": 2,
+                "input_features": 6,
+                "num_classes": 3,
+                "base_width": 6,
+                "seed": 1,
+            },
+            "approach": "full-data",
+            "training": {"max_epochs": 1, "batch_size": 32, "workers": 1},
+            "seed": 0,
+        }
+    )
+    assert counter.value == 7

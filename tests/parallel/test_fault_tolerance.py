@@ -145,9 +145,21 @@ def test_retries_exhausted_raises_naming_member(experiment_dict, monkeypatch):
     assert "2 times" in str(excinfo.value)  # 1 attempt + 1 retry
 
 
+def test_in_process_fits_carry_no_train_fault_point(
+    experiment_dict, scratch_serial, monkeypatch
+):
+    """The ``train`` injection point belongs to the worker loop, not to the
+    fit function workers share with in-process runs: at ``workers=1`` every
+    task fits in this process, where a train fault must never fire (it would
+    take down the run's own parent instead of a replaceable worker)."""
+    monkeypatch.setenv("REPRO_FAULTS", "train_error")
+    run = run_experiment(_scratch_config(experiment_dict)).run
+    _assert_same_members(scratch_serial, run)
+
+
 def test_worker_metrics_merge_into_parent(experiment_dict):
     """Satellite (a): per-member metrics recorded inside worker processes
-    (e.g. epoch counters) ship back in ``MemberOutcome`` and accumulate in
+    (e.g. epoch counters) ship back with each trained network and accumulate in
     the parent registry."""
     epochs_before = _counter("repro_training_epochs_total")
     run = run_experiment(_scratch_config(experiment_dict, workers=2)).run
