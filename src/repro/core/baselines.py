@@ -15,13 +15,14 @@ the monolithic-architecture restriction that MotherNets removes.
 
 All of them describe their networks as ``MemberTask`` records and go through
 the pipeline in :mod:`repro.core.trainer` (``fit_task`` / ``_run_tasks`` /
-``_book``), exactly like the MotherNets trainer.
+``_book``), exactly like the MotherNets trainer; the from-scratch baselines
+hand ``_run_tasks`` a dependency graph without edges.
 """
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence
 
 from repro.arch.serialization import spec_to_json
 from repro.arch.spec import ArchitectureSpec
@@ -31,8 +32,10 @@ from repro.core.trainer import (
     EnsembleTrainer,
     EnsembleTrainingRun,
     MemberTask,
+    TaskNode,
     TrainedNetwork,
     fit_task,
+    work_units,
 )
 from repro.data.datasets import Dataset
 from repro.nn.dtypes import resolve_dtype
@@ -48,9 +51,10 @@ logger = get_logger("core.baselines")
 class _ScratchTrainer(EnsembleTrainer):
     """Shared implementation for the two from-scratch baselines.
 
-    Members are mutually independent, so every one is a task: built from
-    ``(spec, init seed)``, fitted on the training set or — for bagging — on
-    the bootstrap sample its ``bag_seed`` draws from it.
+    Members are mutually independent, so every one is a node without
+    dependencies: built from ``(spec, init seed)``, fitted on the training
+    set or — for bagging — on the bootstrap sample its ``bag_seed`` draws
+    from it.
     """
 
     use_bagging: bool = False
@@ -62,35 +66,40 @@ class _ScratchTrainer(EnsembleTrainer):
         self._validate(specs, dataset)
         rngs = RngManager(seed)
         ledger = CostLedger(approach=self.approach)
-        phase_start = time.perf_counter()
-
-        # Members journaled by an interrupted checkpointed run are restored
-        # bitwise; the rest become tasks.
-        members = [self._restored_member(index) for index in range(len(specs))]
-        pending = [index for index, net in enumerate(members) if net is None]
         # Resolve the compute dtype here: pool workers are fresh interpreters
         # and would otherwise fall back to the global default even when this
         # run opted into another dtype.
         dtype = str(resolve_dtype(None))
-        tasks = [
-            MemberTask(
-                name=specs[index].name,
-                spec_json=spec_to_json(specs[index]),
-                config=self.config,
-                train_seed=rngs.seed("shuffle", index),
-                dtype=dtype,
-                init_seed=rngs.seed("init", index),
-                bag_seed=rngs.seed("bag", index) if self.use_bagging else None,
-                collect_phase_timings=self.collect_phase_timings,
-            )
-            for index in pending
-        ]
 
-        def member_done(task_index: int, net: TrainedNetwork) -> None:
-            members[pending[task_index]] = net
-            self._journal_member(pending[task_index], net)
+        def member_node(index: int) -> TaskNode:
+            def make_task() -> MemberTask:
+                return MemberTask(
+                    name=specs[index].name,
+                    spec_json=spec_to_json(specs[index]),
+                    config=self.config,
+                    train_seed=rngs.seed("shuffle", index),
+                    dtype=dtype,
+                    init_seed=rngs.seed("init", index),
+                    bag_seed=rngs.seed("bag", index) if self.use_bagging else None,
+                    collect_phase_timings=self.collect_phase_timings,
+                )
 
-        self._run_tasks(tasks, dataset, self.config, ledger, "scratch", phase_start, member_done)
+            work = work_units(specs[index], self.config, dataset)
+            done = partial(self._journal_member, index)
+            return TaskNode(index, "scratch", (), work, make_task, done)
+
+        # Members journaled by an interrupted checkpointed run are restored
+        # bitwise; the rest become the nodes of a graph without edges.
+        nodes: List[TaskNode] = []
+        landed: Dict[int, TrainedNetwork] = {}
+        for index in range(len(specs)):
+            net = self._restored_member(index)
+            if net is None:
+                nodes.append(member_node(index))
+            else:
+                landed[index] = net
+        self._run_tasks(nodes, landed, dataset, ledger)
+        members = [landed[index] for index in range(len(specs))]
         return self._finish(ledger, "scratch", "scratch", members, dataset)
 
 

@@ -34,12 +34,10 @@ artifact manifest is safely on disk.
 The journaled record is the trainers' own
 :class:`~repro.core.trainer.TrainedNetwork`; entries loaded back carry
 ``restored=True``.  MotherNets subtlety: a member whose hatching plan is
-empty *aliases* its cluster's MotherNet — the trainer fine-tunes the
-MotherNet model in place, and later members of the cluster hatch from the
-fine-tuned weights.  Such members are journaled with
-``aliased_mothernet=True``; on resume the trainer installs their restored
-weights as the cluster's MotherNet before hatching anything after them,
-preserving the bitwise guarantee.
+empty *aliases* its cluster's MotherNet — it fine-tunes a copy of it, and
+later members of the cluster hatch from the fine-tuned weights.  Such
+members are journaled with ``aliased_mothernet=True``; on resume the later
+members hatch from the restored weights, preserving the bitwise guarantee.
 """
 
 from __future__ import annotations

@@ -53,17 +53,19 @@ class CostLedger:
 
     Per-record ``wall_clock_seconds`` always measures each network's own
     training time (total compute), regardless of how many worker processes
-    trained networks concurrently.  When a phase *was* executed in parallel,
-    the trainer additionally records the phase's **makespan** — the
-    critical-path wall clock from the first submission to the last result —
-    via :meth:`record_phase_makespan`; :attr:`makespan_seconds` then reports
-    how long the run actually took, next to :attr:`total_seconds`'s "how much
-    compute it burned".
+    trained networks concurrently.  When a pool ran, the trainer additionally
+    records **makespans** via :meth:`record_phase_makespan`: the pool's wall
+    window, partitioned at the moment each phase's last network landed
+    (``"mothernet"`` = pool start to last MotherNet, ``"member"`` = from there
+    to the last member).  One pool serves the whole run, so member tasks may
+    run inside the ``"mothernet"`` window; the values still sum to the time
+    actually waited, which :attr:`makespan_seconds` reports next to
+    :attr:`total_seconds`'s "how much compute it burned".
     """
 
     approach: str
     records: List[CostRecord] = field(default_factory=list)
-    # phase -> measured critical-path seconds, for phases run in parallel.
+    # phase -> its share of the pooled wall window (see class docstring).
     phase_makespans: Dict[str, float] = field(default_factory=dict)
 
     def add(
@@ -90,7 +92,7 @@ class CostLedger:
         return record
 
     def record_phase_makespan(self, phase: str, seconds: float) -> None:
-        """Record the critical-path wall clock of a phase run in parallel."""
+        """Record a phase's share of the pooled wall window."""
         if seconds < 0:
             raise ValueError("makespan seconds must be non-negative")
         self.phase_makespans[phase] = float(seconds)

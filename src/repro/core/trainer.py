@@ -5,7 +5,8 @@ from-scratch baseline member, a snapshot cycle — is described by one
 :class:`MemberTask` and trained by one function,
 :func:`fit_task`, which returns one record, :class:`TrainedNetwork`.
 :class:`EnsembleTrainer` supplies the rest of the single pipeline: a runner
-that executes tasks in order in this process or on the
+that takes the run as a dependency graph of :class:`TaskNode` records and executes
+it in list order in this process or, critical path first, on one
 :mod:`repro.parallel` pool (``TrainingConfig.workers`` only chooses *where*
 a task runs), and the one place a trained network is booked into the
 :class:`~repro.core.cost_model.CostLedger` and the training metrics.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Container, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from repro.arch.validation import check_same_task
 from repro.core.clustering import Cluster, cluster_ensemble
 from repro.core.cost_model import CostLedger
 from repro.core.ensemble import Ensemble, EnsembleMember
-from repro.core.hatching import hatch
+from repro.core.hatching import hatch, plan_hatching
 from repro.core.registry import register_trainer
 from repro.data.datasets import Dataset
 from repro.data.sampling import bootstrap_sample
@@ -102,6 +103,7 @@ class MemberTask:
     init_weights: Optional[Dict[str, Dict[str, object]]] = None
     bag_seed: Optional[int] = None
     collect_phase_timings: bool = True
+    priority: float = 0.0  # pool dispatch order only (highest first); the fit never sees it
 
 
 @dataclass
@@ -131,8 +133,8 @@ def fit_task(task: MemberTask, x, y, model: Optional[Model] = None) -> TrainedNe
 
     The model is built from the task's spec and ``init_seed`` and, for a
     hatched member, overwritten with the ``init_weights`` snapshot — unless
-    the caller passes the live ``model`` to continue training in place (an
-    aliased MotherNet, a snapshot chain).  With a ``bag_seed`` the fit runs
+    the caller passes the live ``model`` to continue training in place (a
+    snapshot chain).  With a ``bag_seed`` the fit runs
     on the bootstrap sample that seed draws from ``(x, y)``.  Every input
     comes from the task record, so the result is the same wherever and
     however often the task runs.
@@ -161,6 +163,48 @@ def fit_task(task: MemberTask, x, y, model: Optional[Model] = None) -> TrainedNe
         samples_per_epoch=int(x.shape[0]),
         compute_phases=dict(phases),
     )
+
+
+@dataclass
+class TaskNode:
+    """One network still to train, as a node of a run's dependency graph.
+
+    ``make_task`` is called with the networks under the keys ``deps`` once
+    all have landed (trained, or restored from the journal) — for a member,
+    the one network it hatches from; ``work`` is :func:`work_units`; ``done``
+    receives the landed network (the checkpoint-journal hook).  Node lists
+    respect their own edges: list order is the in-process execution order.
+    """
+
+    key: Hashable
+    phase: str
+    deps: Tuple[Hashable, ...]
+    work: float
+    make_task: Callable[..., MemberTask]
+    done: Callable[[TrainedNetwork], None]
+
+
+def critical_path(nodes: Sequence[TaskNode]) -> Dict[Hashable, float]:
+    """Priority of every node: its own work plus the heaviest chain of
+    dependents below it, so a long chain's head never queues behind a leaf."""
+    priority: Dict[Hashable, float] = {}
+    below: Dict[Hashable, float] = {}  # key -> priority of its heaviest dependent
+    for node in reversed(nodes):
+        priority[node.key] = node.work + below.get(node.key, 0.0)
+        for dep in node.deps:
+            below[dep] = max(below.get(dep, 0.0), priority[node.key])
+    return priority
+
+
+def runnable(nodes: Sequence[TaskNode], landed: Container, priority: Dict) -> List[TaskNode]:
+    """The nodes whose dependencies have all landed, critical path first (stable)."""
+    ready = [node for node in nodes if all(dep in landed for dep in node.deps)]
+    return sorted(ready, key=lambda node: -priority[node.key])
+
+
+def work_units(spec: ArchitectureSpec, config: TrainingConfig, dataset: Dataset) -> float:
+    """A fit's cost bound, in the ledger's unit: parameters x samples x epochs."""
+    return float(count_parameters(spec)) * dataset.x_train.shape[0] * config.max_epochs
 
 
 @dataclass
@@ -263,45 +307,86 @@ class EnsembleTrainer:
 
     def _run_tasks(
         self,
-        tasks: Sequence[MemberTask],
+        nodes: Sequence[TaskNode],
+        landed: Dict[Hashable, TrainedNetwork],
         dataset: Dataset,
-        config: TrainingConfig,
         ledger: CostLedger,
-        phase: str,
-        phase_start: float,
-        on_done: Callable[[int, TrainedNetwork], None],
-    ) -> List[TrainedNetwork]:
-        """Fit every task on the training set; returns the networks in task
-        order.
+    ) -> None:
+        """Train every node; each network joins ``landed`` (which arrives
+        holding the restored ones) under its node's key.
 
-        This is the only in-process-vs-pool decision: with
-        ``min(config.workers, len(tasks)) > 1`` the tasks fan out over one
-        :class:`~repro.parallel.executor.ParallelExecutor` pool (under
-        ``config``'s per-task deadline and retry budget), otherwise they run
-        here, in order.  ``on_done(task_index, net)`` fires as each network
-        lands — the checkpoint-journal hook, so a crash mid-phase loses only
-        the in-flight fits.  Only a pool that actually ran records the phase
-        makespan (wall clock since ``phase_start``); without one the
-        ledger's per-network seconds already are the critical path.
+        This is the only in-process-vs-pool decision.  With
+        ``min(config.workers, len(nodes)) <= 1`` the nodes run here in list
+        order — the bitwise oracle.  Otherwise one ``ParallelExecutor`` (under
+        ``config``'s task deadline and retry budget) serves the whole run: a
+        node is submitted, with its :func:`critical_path` priority, the moment
+        its dependencies have landed, and a result releases the nodes it
+        unblocked before it reaches ``node.done`` — the journal write overlaps
+        worker compute and a crash still loses only the in-flight fits.
+        ``make_task`` always runs here (hatching) and is timed into the fit.
+
+        Only a pool records makespans: its wall window, partitioned where each
+        phase's last node landed, so they sum to the time actually waited
+        although phases overlap.  Without a pool the per-network seconds
+        already are the critical path.
         """
-        workers = min(config.workers, len(tasks))
-        if workers > 1:
-            from repro.parallel.executor import ParallelExecutor
 
-            with ParallelExecutor(
-                {"x": np.asarray(dataset.x_train), "y": np.asarray(dataset.y_train)},
-                workers=workers,
-                task_timeout=config.task_timeout,
-                max_task_retries=config.max_task_retries,
-            ) as pool:
-                nets, _ = pool.train(tasks, on_outcome=on_done)
-            ledger.record_phase_makespan(phase, time.perf_counter() - phase_start)
-            return nets
-        nets = []
-        for task_index, task in enumerate(tasks):
-            nets.append(fit_task(task, dataset.x_train, dataset.y_train))
-            on_done(task_index, nets[-1])
-        return nets
+        made_in: Dict[Hashable, float] = {}
+
+        def make(node: TaskNode) -> MemberTask:
+            start = time.perf_counter()
+            task = node.make_task(*(landed[dep] for dep in node.deps))
+            made_in[node.key] = time.perf_counter() - start
+            return task
+
+        def land(node: TaskNode, net: TrainedNetwork) -> None:
+            net.seconds += made_in[node.key]
+            landed[node.key] = net
+
+        workers = min(self.config.workers, len(nodes))
+        if workers <= 1:
+            for node in nodes:
+                land(node, fit_task(make(node), dataset.x_train, dataset.y_train))
+                node.done(landed[node.key])
+            return
+
+        from repro.parallel.executor import ParallelExecutor
+
+        window_start = time.perf_counter()
+        priority = critical_path(nodes)
+        waiting = list(nodes)
+        running: List[TaskNode] = []  # by executor task index
+        phase_end: Dict[str, float] = {}
+
+        def release() -> Iterator[MemberTask]:
+            # Lazy: the pool offers each task to a worker before the next is made.
+            for node in runnable(waiting, landed, priority):
+                waiting.remove(node)
+                running.append(node)
+                task = make(node)
+                task.priority = priority[node.key]
+                yield task
+
+        def follow_up(task_index: int, net: TrainedNetwork) -> Iterator[MemberTask]:
+            land(running[task_index], net)
+            phase_end[running[task_index].phase] = time.perf_counter()
+            return release()
+
+        with ParallelExecutor(
+            {"x": np.asarray(dataset.x_train), "y": np.asarray(dataset.y_train)},
+            workers=workers,
+            task_timeout=self.config.task_timeout,
+            max_task_retries=self.config.max_task_retries,
+        ) as pool:
+            pool.train(
+                release(),
+                on_outcome=lambda task_index, net: running[task_index].done(net),
+                follow_up=follow_up,
+            )
+        for phase in dict.fromkeys(node.phase for node in nodes):
+            window_end = max(window_start, phase_end[phase])
+            ledger.record_phase_makespan(phase, window_end - window_start)
+            window_start = window_end
 
     def _book(self, ledger: CostLedger, phase: str, net: TrainedNetwork) -> None:
         """Book one network: the only writer of the cost ledger and the
@@ -380,14 +465,17 @@ class MotherNetsTrainer(EnsembleTrainer):
 
     Tasks
     -----
-    MotherNets of different clusters are mutually independent, and so are
-    members that strictly extend their MotherNet (each trains a private
-    hatched copy): all of them are tasks, run wherever ``config.workers`` /
-    ``member_config.workers`` puts them.  A member whose hatching plan is
-    *empty* is not: it IS its cluster's MotherNet, fine-tuned in place, and
-    every later member of the cluster hatches from the fine-tuned weights.
-    That is a genuine sequential dependency, so such a member trains in this
-    process at its position in the member order.
+    Every MotherNet and every member is a node of one dependency graph, run
+    by :meth:`EnsembleTrainer._run_tasks` in this process or on one pool of
+    ``config.workers`` processes.  The edges, stated once: a member depends
+    on the network it hatches from.  That is its cluster's MotherNet — unless
+    an earlier member (in member order) of the cluster had an *empty*
+    hatching plan.  Such an "aliased" member equals the MotherNet
+    structurally: its task carries the snapshot it starts from unchanged (and
+    the MotherNet's ``init_seed``), and every later member of the cluster
+    hatches from *its* fine-tuned weights; several of them in one cluster
+    form a chain in member order.  MotherNets depend on nothing, and a
+    network restored from the checkpoint journal has already landed.
     """
 
     approach = "mothernets"
@@ -418,132 +506,115 @@ class MotherNetsTrainer(EnsembleTrainer):
     ) -> EnsembleTrainingRun:
         specs = list(specs)
         self._validate(specs, dataset)
-        rngs = RngManager(seed)
         ledger = CostLedger(approach=self.approach)
 
-        # Cluster the ensemble and construct one MotherNet per cluster.
-        clusters = cluster_ensemble(specs, tau=self.tau)
-        cluster_id_of: Dict[str, int] = {
-            member.name: cluster.cluster_id for cluster in clusters for member in cluster.members
-        }
-
-        # Phase 1: train every MotherNet from scratch on the full data set.
-        # MotherNets already journaled by an interrupted run are restored
-        # bitwise instead of retrained (their ledger records come from the
-        # journal, so the final cost accounting stays complete).
-        phase_start = time.perf_counter()
-        mothernets: Dict[int, TrainedNetwork] = {}
-        if self.checkpoint is not None:
-            for cluster in clusters:
-                net = self.checkpoint.mothernet(cluster.cluster_id)
-                if net is not None:
-                    self.checkpoint.mark_restored("mothernet", net.name)
-                    mothernets[cluster.cluster_id] = net
-        pending = [cluster for cluster in clusters if cluster.cluster_id not in mothernets]
-        # Resolve the compute dtype here: pool workers are fresh interpreters
-        # and would otherwise fall back to the global default even when this
-        # run opted into another dtype.
-        dtype = str(resolve_dtype(None))
-        tasks = [
-            MemberTask(
-                name=cluster.mothernet.name,
-                spec_json=spec_to_json(cluster.mothernet),
-                config=self.config,
-                train_seed=rngs.seed("mothernet-shuffle", cluster.cluster_id),
-                dtype=dtype,
-                init_seed=rngs.seed("mothernet", cluster.cluster_id),
-                collect_phase_timings=self.collect_phase_timings,
-            )
-            for cluster in pending
-        ]
-
-        def mothernet_done(task_index: int, net: TrainedNetwork) -> None:
-            net.cluster_id = pending[task_index].cluster_id
-            mothernets[net.cluster_id] = net
-            if self.checkpoint is not None:
-                self.checkpoint.record_mothernet(net.cluster_id, net)
-
-        self._run_tasks(
-            tasks, dataset, self.config, ledger, "mothernet", phase_start, mothernet_done
-        )
-        mothernet_models: Dict[int, Model] = {}
-        mothernet_results: Dict[int, TrainingResult] = {}
-        for cluster in clusters:
-            net = mothernets[cluster.cluster_id]
+        # Cluster the ensemble and construct one MotherNet per cluster, train
+        # what the journal does not hold, book everything in ensemble order.
+        clusters, nodes, landed = self._graph(specs, dataset, seed)
+        self._run_tasks(nodes, landed, dataset, ledger)
+        mothernets = {c.cluster_id: landed["mothernet", c.cluster_id] for c in clusters}
+        for net in mothernets.values():
             self._book(ledger, "mothernet", net)
-            mothernet_models[cluster.cluster_id] = net.model
-            mothernet_results[cluster.cluster_id] = net.result
-
-        # Phase 2: hatch every member, in member order, and fine-tune it on
-        # its own bagged sample.  Hatching needs the MotherNet models, so it
-        # happens here; a task carries the hatched weight snapshot plus the
-        # member's derived seeds.
-        phase_start = time.perf_counter()
-        members: List[Optional[TrainedNetwork]] = [None] * len(specs)
-        tasks = []
-        hatched_members: List[tuple] = []  # (member index, hatch seconds) per task
-
-        def member_done(index: int, hatch_seconds: float, net: TrainedNetwork) -> None:
-            net.seconds += hatch_seconds
-            net.cluster_id = cluster_id_of[net.name]
-            members[index] = net
-            self._journal_member(index, net)
-
-        for index, spec in enumerate(specs):
-            cluster_id = cluster_id_of[spec.name]
-            restored = self._restored_member(index)
-            if restored is not None:
-                # A restored *aliased* member IS its cluster's fine-tuned
-                # MotherNet — install its weights before any later member of
-                # the cluster hatches (exactly what the in-place fine-tune
-                # would have left behind).
-                if restored.aliased_mothernet:
-                    mothernet_models[cluster_id] = restored.model
-                members[index] = restored
-                continue
-            parent = mothernet_models[cluster_id]
-            hatch_start = time.perf_counter()
-            hatched = hatch(parent, spec, seed=rngs.seed("hatch", index), noise_std=self.noise_std)
-            hatch_seconds = time.perf_counter() - hatch_start
-            task = MemberTask(
-                name=spec.name,
-                spec_json=spec_to_json(hatched.spec),
-                config=self.member_config,
-                train_seed=rngs.seed("member-shuffle", index),
-                dtype=str(hatched.dtype),
-                bag_seed=rngs.seed("bag", index),
-                collect_phase_timings=self.collect_phase_timings,
-            )
-            if hatched is parent:
-                # Empty hatching plan: fine-tune the MotherNet itself, now,
-                # so later members of the cluster hatch from the result.
-                net = fit_task(task, dataset.x_train, dataset.y_train, model=parent)
-                net.aliased_mothernet = True
-                member_done(index, hatch_seconds, net)
-            else:
-                task.init_weights = hatched.get_weights()
-                tasks.append(task)
-                hatched_members.append((index, hatch_seconds))
-
-        self._run_tasks(
-            tasks,
-            dataset,
-            self.member_config,
-            ledger,
-            "member",
-            phase_start,
-            lambda task_index, net: member_done(*hatched_members[task_index], net),
-        )
         return self._finish(
             ledger,
             "member",
             "hatched",
-            members,
+            [landed["member", index] for index in range(len(specs))],
             dataset,
             clusters=clusters,
-            mothernet_models=mothernet_models,
-            mothernet_results=mothernet_results,
+            mothernet_models={cid: net.model for cid, net in mothernets.items()},
+            mothernet_results={cid: net.result for cid, net in mothernets.items()},
         )
+
+    def _graph(
+        self, specs: Sequence[ArchitectureSpec], dataset: Dataset, seed: int
+    ) -> Tuple[List[Cluster], List[TaskNode], Dict[Hashable, TrainedNetwork]]:
+        """The run as a graph (see "Tasks"): the clusters, the nodes still to
+        train — MotherNets in cluster order, then members in member order — and
+        the journaled networks, all keyed ``(phase, cluster id | index)``."""
+        clusters = cluster_ensemble(specs, tau=self.tau)
+        rngs = RngManager(seed)
+        # Resolve the compute dtype here: pool workers are fresh interpreters
+        # and would otherwise fall back to the global default even when this
+        # run opted into another dtype.
+        dtype = str(resolve_dtype(None))
+        nodes: List[TaskNode] = []
+        landed: Dict[Hashable, TrainedNetwork] = {}
+
+        def mothernet_node(cluster: Cluster) -> TaskNode:
+            cluster_id = cluster.cluster_id
+
+            def make_task() -> MemberTask:
+                return MemberTask(
+                    name=cluster.mothernet.name,
+                    spec_json=spec_to_json(cluster.mothernet),
+                    config=self.config,
+                    train_seed=rngs.seed("mothernet-shuffle", cluster_id),
+                    dtype=dtype,
+                    init_seed=rngs.seed("mothernet", cluster_id),
+                    collect_phase_timings=self.collect_phase_timings,
+                )
+
+            def done(net: TrainedNetwork) -> None:
+                net.cluster_id = cluster_id
+                if self.checkpoint is not None:
+                    self.checkpoint.record_mothernet(cluster_id, net)
+
+            work = work_units(cluster.mothernet, self.config, dataset)
+            return TaskNode(("mothernet", cluster_id), "mothernet", (), work, make_task, done)
+
+        def member_node(index: int, cluster_id: int, aliased: bool) -> TaskNode:
+            spec = specs[index]
+
+            def make_task(parent: TrainedNetwork) -> MemberTask:
+                # An empty plan leaves nothing to apply: the record carries
+                # the parent's own snapshot.
+                model = parent.model
+                if not aliased:
+                    model = hatch(model, spec, rngs.seed("hatch", index), self.noise_std)
+                return MemberTask(
+                    name=spec.name,
+                    spec_json=spec_to_json(spec),
+                    config=self.member_config,
+                    train_seed=rngs.seed("member-shuffle", index),
+                    dtype=str(model.dtype),
+                    init_seed=rngs.seed("mothernet", cluster_id) if aliased else 0,
+                    init_weights=model.get_weights(),
+                    bag_seed=rngs.seed("bag", index),
+                    collect_phase_timings=self.collect_phase_timings,
+                )
+
+            def done(net: TrainedNetwork) -> None:
+                net.cluster_id = cluster_id
+                net.aliased_mothernet = aliased
+                self._journal_member(index, net)
+
+            work = work_units(spec, self.member_config, dataset)
+            deps = (source[cluster_id],)
+            return TaskNode(("member", index), "member", deps, work, make_task, done)
+
+        # The network each cluster's next member hatches from.
+        source: Dict[int, Hashable] = {}
+        for cluster in clusters:
+            key = source[cluster.cluster_id] = ("mothernet", cluster.cluster_id)
+            net = None if self.checkpoint is None else self.checkpoint.mothernet(key[1])
+            if net is None:
+                nodes.append(mothernet_node(cluster))
+            else:
+                self.checkpoint.mark_restored("mothernet", net.name)
+                landed[key] = net
+        cluster_of = {member.name: cluster for cluster in clusters for member in cluster.members}
+        for index, spec in enumerate(specs):
+            cluster = cluster_of[spec.name]
+            aliased = not plan_hatching(cluster.mothernet, spec).steps
+            net = self._restored_member(index)
+            if net is None:
+                nodes.append(member_node(index, cluster.cluster_id, aliased))
+            else:
+                landed["member", index] = net
+            if aliased:
+                source[cluster.cluster_id] = ("member", index)
+        return clusters, nodes, landed
 
 
 def summarize_run(run: EnsembleTrainingRun) -> Dict[str, object]:

@@ -2,13 +2,14 @@
 
 Two halves share the same ``spawn``-safe multiprocessing substrate:
 
-* **Training** — :class:`ParallelExecutor` fans independent
-  :class:`MemberTask` fits out over a persistent worker pool.  The training
-  set is published once through POSIX shared memory (:class:`SharedDataset`;
+* **Training** — :class:`ParallelExecutor` runs :class:`MemberTask` fits on
+  one persistent worker pool per run, highest priority first, accepting the
+  follow-up tasks a finished fit unblocks (the trainers' dependency graph).
+  The training set is published once through POSIX shared memory (:class:`SharedDataset`;
   workers get zero-copy ``np.ndarray`` views), every worker's BLAS pool is
   capped before its numpy import
   (:func:`repro.utils.parallel.blas_thread_limit`), and the pool returns the
-  trained networks next to the batch's critical-path makespan.  The
+  trained networks next to the run's critical-path makespan.  The
   ensemble trainers build the same tasks whatever ``TrainingConfig.workers``
   says; ``workers=N`` only moves their execution onto this pool.
 * **Serving** — :class:`PoolPredictor` answers concurrent predict requests

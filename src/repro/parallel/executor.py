@@ -1,18 +1,20 @@
 """Fault-tolerant process-based parallel training of ensemble members.
 
 :class:`ParallelExecutor` is the engine behind ``TrainingConfig(workers=N)``:
-a persistent, ``spawn``-safe pool of worker processes that attach the
-training set through shared memory exactly once (see
-:mod:`repro.parallel.shared_data`), fit independent
+one persistent, ``spawn``-safe pool of worker processes per training run.
+The workers attach the training set through shared memory exactly once (see
+:mod:`repro.parallel.shared_data`), fit
 :class:`~repro.core.trainer.MemberTask` records with the same
 :func:`~repro.core.trainer.fit_task` the trainers call in-process, and ship
-back :class:`~repro.core.trainer.TrainedNetwork` records.
+back :class:`~repro.core.trainer.TrainedNetwork` records.  It runs whatever is
+submitted, highest ``priority`` first, and a result may submit follow-up tasks:
+that is all the pool sees of the trainers' dependency graph (``_run_tasks``).
 
 Key properties
 --------------
 
 * **Deterministic** — a task record fully determines its fit and outcomes
-  come back in task order.  With matching BLAS thread counts the trained
+  come back in submission order.  With matching BLAS thread counts the trained
   members are *bitwise* identical run to run, in-process to pool, and
   fault-free to retried-after-a-crash.
 * **No oversubscription** — worker start-up happens inside
@@ -29,7 +31,9 @@ Key properties
   - **process death** — ``Process.is_alive()`` turning false;
   - **per-task deadline** — a task running longer than ``task_timeout``
     seconds marks its worker wedged; the executor SIGKILLs it (a hung
-    worker cannot be asked nicely) and retries the task elsewhere;
+    worker cannot be asked nicely) and retries the task elsewhere.  Tasks
+    only go to workers that have reported ``ready`` (data set attached), so
+    the clock never runs while an interpreter is still booting;
   - **heartbeat loss** — each worker's daemon heartbeat thread pings every
     ``heartbeat_interval`` seconds; a silent-but-alive process (SIGSTOP,
     scheduler starvation) past ``heartbeat_timeout`` is treated as wedged.
@@ -41,21 +45,23 @@ Key properties
   holds one of its queue locks poisons only its own queues; the respawn
   installs fresh ones.
 * **Makespan accounting** — :meth:`train` returns the critical-path wall
-  clock of the whole batch next to the per-member in-worker seconds, so cost
+  clock of the whole run next to the per-member in-worker seconds, so cost
   ledgers can report both "total compute" and "time you actually waited".
-* **Streaming results** — :meth:`train` accepts an ``on_outcome`` callback
-  invoked the moment each task finishes (in completion order), which is how
-  checkpointing journals members to disk *during* the run rather than after
-  it.
+* **Streaming results** — as each task finishes (in completion order)
+  :meth:`train` first asks ``follow_up`` for the tasks the result unblocked
+  and dispatches, then calls ``on_outcome``, which is how checkpointing
+  journals networks to disk *during* the run without idling a worker.  The
+  ``train.worker_ready`` / ``task_dispatched`` / ``task_finished`` events are
+  the run's per-worker timeline.
 """
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing as mp
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -191,6 +197,7 @@ class ParallelExecutor:
         self._request_queues: List = [None] * self.workers
         self._result_queues: List = [None] * self.workers
         self._last_beat: Dict[int, float] = {}
+        self._ready: Set[int] = set()  # workers that attached the data set
         # worker -> monotonic time its respawn is due; worker -> consecutive
         # evictions since it last produced a result (drives the backoff).
         self._down: Dict[int, float] = {}
@@ -235,6 +242,7 @@ class ParallelExecutor:
             )
             process.start()
         self._processes[worker_id] = process
+        self._ready.discard(worker_id)  # not dispatchable until it says so
         self._last_beat[worker_id] = time.monotonic()
 
     def _ensure_workers(self) -> None:
@@ -299,90 +307,117 @@ class ParallelExecutor:
     # ---------------------------------------------------------------- run
     def train(
         self,
-        tasks: Sequence[MemberTask],
+        tasks: Iterable[MemberTask],
         on_outcome: Optional[Callable[[int, TrainedNetwork], None]] = None,
+        follow_up: Optional[Callable[[int, TrainedNetwork], Iterable[MemberTask]]] = None,
     ) -> Tuple[List[TrainedNetwork], float]:
-        """Train every task; returns ``(networks_in_task_order, makespan)``.
+        """Train every task; returns ``(networks_in_submission_order, makespan)``.
 
         ``makespan`` is the parent-side wall clock from first submission to
-        last result — the critical path of the batch, as opposed to the sum
-        of the per-network ``TrainedNetwork.seconds``.  ``on_outcome(task_index,
-        network)`` fires in completion order as results stream in (the
-        checkpoint journal hook); an exception it raises aborts the run.
+        last result — the critical path of the run, as opposed to the sum of
+        the per-network ``TrainedNetwork.seconds``.  Pending tasks go to
+        workers highest ``MemberTask.priority`` first, ties in submission
+        order.  Per result, in completion order, ``follow_up(task_index,
+        network)`` yields the tasks that join the run because of it (their
+        indices continue the submission order) and only then
+        ``on_outcome(task_index, network)`` fires — the checkpoint-journal
+        hook; an exception from either aborts the run.
         """
-        tasks = list(tasks)
-        if not tasks:
-            return [], 0.0
         try:
             self._ensure_workers()
             start = time.perf_counter()
-            outcomes: List[Optional[TrainedNetwork]] = [None] * len(tasks)
-            attempts = [0] * len(tasks)
-            pending = deque(range(len(tasks)))
+            submitted: List[MemberTask] = []
+            outcomes: List[Optional[TrainedNetwork]] = []
+            attempts: List[int] = []
+            queued_at: Dict[int, float] = {}  # when each task last became runnable
+            pending: List[Tuple[float, int]] = []  # heap of (-priority, task index)
             busy: Dict[int, _Dispatch] = {}
             done = 0
             retries = 0
 
-            def fail_or_retry(task_index: int, reason: str) -> None:
-                nonlocal retries
-                attempts[task_index] += 1
-                if attempts[task_index] > self.max_task_retries:
-                    log_event(
-                        "train.retries_exhausted",
-                        member=tasks[task_index].name,
-                        attempts=attempts[task_index],
-                        reason=reason,
-                    )
-                    raise RuntimeError(
-                        f"training of member {tasks[task_index].name!r} failed "
-                        f"{attempts[task_index]} times (max_task_retries="
-                        f"{self.max_task_retries}); last failure: {reason}"
-                    )
-                retries += 1
-                _TASK_RETRIES.inc()
-                pending.append(task_index)
-                logger.warning(
-                    "retrying member %r (attempt %d/%d): %s",
-                    tasks[task_index].name,
-                    attempts[task_index] + 1,
-                    self.max_task_retries + 1,
-                    reason,
-                )
-                log_event(
-                    "train.task_retried",
-                    member=tasks[task_index].name,
-                    attempt=attempts[task_index],
-                    reason=reason,
-                )
+            def enqueue(task_index: int) -> None:
+                queued_at[task_index] = time.monotonic()
+                heapq.heappush(pending, (-submitted[task_index].priority, task_index))
 
-            while done < len(tasks):
-                # 1. Dispatch pending tasks to idle, healthy workers.
+            def submit(task: MemberTask) -> None:
+                submitted.append(task)
+                outcomes.append(None)
+                attempts.append(0)
+                enqueue(len(submitted) - 1)
+                dispatch_pending()
+
+            def dispatch_pending() -> None:
+                # Only to workers that reported ready: a task's deadline
+                # starts here, never while its worker is still booting.
                 for worker_id in range(self.workers):
                     if not pending:
                         break
                     if worker_id in busy or worker_id in self._down:
                         continue
-                    process = self._processes[worker_id]
-                    if process is None or not process.is_alive():
+                    if worker_id not in self._ready or not self._processes[worker_id].is_alive():
                         continue
-                    task_index = pending.popleft()
+                    _, task_index = heapq.heappop(pending)
                     if outcomes[task_index] is not None:
                         continue  # a late straggler already answered it
-                    self._request_queues[worker_id].put(
-                        (task_index, attempts[task_index], tasks[task_index])
-                    )
-                    busy[worker_id] = _Dispatch(
-                        task_index,
-                        attempts[task_index],
-                        time.monotonic() + self.task_timeout,
+                    task, attempt = submitted[task_index], attempts[task_index]
+                    now = time.monotonic()
+                    self._request_queues[worker_id].put((task_index, attempt, task))
+                    busy[worker_id] = _Dispatch(task_index, attempt, now + self.task_timeout)
+                    log_event(
+                        "train.task_dispatched",
+                        member=task.name,
+                        worker=worker_id,
+                        attempt=attempt,
+                        waited_seconds=round(now - queued_at[task_index], 4),
                     )
 
-                # 2. Collect messages (results, errors, heartbeats).
+            def fail_or_retry(task_index: int, reason: str) -> None:
+                nonlocal retries
+                name = submitted[task_index].name
+                attempts[task_index] += 1
+                if attempts[task_index] > self.max_task_retries:
+                    log_event(
+                        "train.retries_exhausted",
+                        member=name,
+                        attempts=attempts[task_index],
+                        reason=reason,
+                    )
+                    raise RuntimeError(
+                        f"training of member {name!r} failed "
+                        f"{attempts[task_index]} times (max_task_retries="
+                        f"{self.max_task_retries}); last failure: {reason}"
+                    )
+                retries += 1
+                _TASK_RETRIES.inc()
+                enqueue(task_index)
+                logger.warning(
+                    "retrying member %r (attempt %d/%d): %s",
+                    name,
+                    attempts[task_index] + 1,
+                    self.max_task_retries + 1,
+                    reason,
+                )
+                log_event(
+                    "train.task_retried", member=name, attempt=attempts[task_index], reason=reason
+                )
+
+            for task in tasks:
+                submit(task)
+            while done < len(submitted):
+                # 1. Dispatch pending tasks to idle, ready workers.
+                dispatch_pending()
+
+                # 2. Collect messages (ready, results, errors, heartbeats).
                 messages = poll_results(self._result_queues, self.poll_interval)
                 for kind, worker_id, payload in messages:
-                    self._last_beat[worker_id] = time.monotonic()
-                    if kind == "heartbeat":
-                        continue
+                    now = time.monotonic()
+                    if kind == "ready":
+                        # The first message of a fresh process: its last
+                        # "beat" is still the moment it was spawned.
+                        self._ready.add(worker_id)
+                        boot = round(now - self._last_beat[worker_id], 3)
+                        log_event("train.worker_ready", worker=worker_id, boot_seconds=boot)
+                    self._last_beat[worker_id] = now
                     if kind == "result":
                         task_index, attempt, outcome, worker_metrics = payload
                         busy.pop(worker_id, None)
@@ -395,6 +430,17 @@ class ParallelExecutor:
                             done += 1
                             if worker_metrics:
                                 _metrics.merge_snapshot(worker_metrics)
+                            log_event(
+                                "train.task_finished",
+                                member=outcome.name,
+                                worker=worker_id,
+                                seconds=round(outcome.seconds, 4),
+                            )
+                            # Keep the workers fed before anything slower:
+                            # tasks this result unblocked, then the journal.
+                            for task in (follow_up(task_index, outcome) if follow_up else ()):
+                                submit(task)
+                            dispatch_pending()
                             if on_outcome is not None:
                                 on_outcome(task_index, outcome)
                     elif kind == "error":
@@ -423,7 +469,7 @@ class ParallelExecutor:
                         reason = "heartbeat"
                     else:
                         continue
-                    member = None if dispatch is None else tasks[dispatch.task_index].name
+                    member = None if dispatch is None else submitted[dispatch.task_index].name
                     self._evict_worker(worker_id, reason, member)
                     busy.pop(worker_id, None)
                     if dispatch is not None and outcomes[dispatch.task_index] is None:

@@ -21,7 +21,9 @@ workers to one BLAS thread each by default).  What is specific to running
 *in a worker* stays on this side of the process boundary, in
 :func:`_worker_main`, never in ``fit_task``:
 
-* the worker runs a persistent loop over its private request queue (one
+* the worker announces ``("ready", worker_id, None)`` once the data set is
+  attached — only then does the executor hand it tasks and start their
+  deadlines — then runs a persistent loop over its private request queue (one
   task at a time, ``None`` ends the loop) and ships every message through
   its private result queue — queue locks are never shared across workers,
   so a SIGKILL mid-operation poisons only this worker's queues, which the
@@ -195,6 +197,7 @@ def _worker_main(
     try:
         apply_blas_thread_cap(blas_threads)
         data = AttachedDataset(meta)
+        result_queue.put(("ready", worker_id, None))
     except BaseException as exc:  # pragma: no cover - startup failure path
         try:
             result_queue.put(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))

@@ -10,11 +10,15 @@ scratch baselines, and the snapshot-cycle chain.
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 
-from repro.api import run_experiment
+from repro.api import ExperimentSpec, run_experiment
 from repro.arch.zoo import mlp_family
+from repro.core import MotherNetsTrainer
+from repro.core.trainer import critical_path, runnable
 from repro.obs.metrics import get_registry
 
 
@@ -46,7 +50,7 @@ def _experiment(approach="mothernets", workers=1, **overrides):
     return base
 
 
-def _assert_identical_runs(first, second):
+def _assert_same_weights(first, second):
     assert [m.name for m in first.ensemble.members] == [
         m.name for m in second.ensemble.members
     ]
@@ -55,6 +59,11 @@ def _assert_identical_runs(first, second):
         for layer in wa:
             for key in wa[layer]:
                 np.testing.assert_array_equal(wa[layer][key], wb[layer][key], err_msg=a.name)
+
+
+def _assert_identical_runs(first, second):
+    _assert_same_weights(first, second)
+    for a, b in zip(first.ensemble.members, second.ensemble.members):
         # Restored members reuse the journaled ledger facts verbatim — a
         # retrained member would book a different wall clock.
         assert a.training_seconds == b.training_seconds
@@ -80,6 +89,65 @@ def test_mothernets_full_resume_is_bitwise(tmp_path, workers):
     # makespan: the critical path is the restored networks' booked seconds.
     assert resumed.run.ledger.phase_makespans == {}
     assert resumed.run.makespan_seconds == resumed.run.total_training_seconds
+
+
+def test_resume_after_a_crash_at_every_point_of_two_landing_orders(tmp_path):
+    """Crash-point enumeration over the task graph: whatever prefix of the
+    landing order made it into the journal — under the in-process order and
+    under the pool's critical-path order — a ``workers=2`` resume retrains
+    exactly the rest and ends bitwise where the uninterrupted run did.
+
+    Two clusters; ``mlp-base`` equals cluster 0's MotherNet, so the journaled
+    prefix may hold it while its dependents must still hatch from it.
+    """
+    config = _experiment(
+        workers=2,
+        members={"family": "mlp", "count": 4, "input_features": 10, "num_classes": 3,
+                 "base_width": 8, "seed": 2},
+    )
+    complete = tmp_path / "complete"
+    reference = run_experiment(config, checkpoint_dir=complete)
+    spec = ExperimentSpec.from_dict(config)
+    trainer = MotherNetsTrainer(spec.training, **spec.trainer)
+    _, nodes, _ = trainer._graph(spec.member_specs(), reference.dataset, spec.seed)
+    assert {node.phase for node in nodes} == {"mothernet", "member"}
+    assert len([node for node in nodes if node.phase == "mothernet"]) == 2
+    assert any(dep[0] == "member" for node in nodes for dep in node.deps)
+
+    # Landing orders: list order (workers=1), and always the most urgent
+    # runnable node next (what a pool prefers).
+    priority, landed, by_priority = critical_path(nodes), set(), []
+    while len(by_priority) < len(nodes):
+        waiting = [node for node in nodes if node.key not in landed]
+        by_priority.append(runnable(waiting, landed, priority)[0])
+        landed.add(by_priority[-1].key)
+    assert [node.key for node in by_priority] != [node.key for node in nodes]
+    prefixes = {
+        frozenset(node.key for node in order[:length])
+        for order in (nodes, by_priority)
+        for length in range(len(nodes) + 1)
+    }
+
+    def journal_files(root, key):
+        kind, index = key
+        pattern = f"c{index:04d}-*" if kind == "mothernet" else f"{index:03d}-*"
+        return list((root / "checkpoint" / f"{kind}s").glob(pattern))
+
+    for number, journaled in enumerate(sorted(prefixes, key=sorted)):
+        crashed = tmp_path / f"crash-{number}"
+        shutil.copytree(complete, crashed)
+        for node in nodes:
+            if node.key not in journaled:
+                files = journal_files(crashed, node.key)
+                assert len(files) == 2  # weights + done marker
+                for path in files:
+                    path.unlink()
+        resumed = run_experiment(config, checkpoint_dir=crashed, resume=True)
+        assert resumed.checkpoint.restored == len(journaled)
+        _assert_same_weights(reference.run, resumed.run)
+        # A makespan is booked only if a pool ran (two or more fits left).
+        pooled = len(nodes) - len(journaled) >= 2
+        assert bool(resumed.run.ledger.phase_makespans) == pooled, sorted(journaled)
 
 
 @pytest.mark.parametrize("approach", ["full-data", "bagging"])
@@ -113,11 +181,7 @@ def test_snapshot_resume_restores_cycle_prefix(tmp_path):
 
     resumed = run_experiment(config, checkpoint_dir=tmp_path, resume=True)
     assert resumed.checkpoint.restored == 2
-    for a, b in zip(first.run.ensemble.members, resumed.run.ensemble.members):
-        wa, wb = a.model.get_weights(), b.model.get_weights()
-        for layer in wa:
-            for key in wa[layer]:
-                np.testing.assert_array_equal(wa[layer][key], wb[layer][key], err_msg=a.name)
+    _assert_same_weights(first.run, resumed.run)
 
 
 def test_resume_metrics_not_double_counted(tmp_path):

@@ -9,6 +9,9 @@ qualitative claims at miniature scale:
 * the three approaches produce working ensembles under all inference methods.
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,37 @@ def test_member_epoch_fraction_caps_member_budget(tabular_setup):
         specs, dataset, seed=1
     )
     assert all(result.epochs_run <= 2 for result in run.member_results.values())
+
+
+def _weight_hash(model):
+    digest = hashlib.sha256()
+    for layer, arrays in sorted(model.get_weights().items()):
+        for key, value in sorted(arrays.items()):
+            digest.update(f"{layer}/{key}".encode() + value.tobytes())
+    return digest.hexdigest()
+
+
+def test_members_equal_to_their_mothernet_stay_distinct(tabular_setup):
+    """Two members that both equal their cluster's MotherNet are two networks:
+    each is rebuilt from its own task record (the second hatches from the
+    first one's fine-tuned weights), never one ``Model`` fine-tuned twice."""
+    dataset, specs, _ = tabular_setup
+    members = [specs[0], dataclasses.replace(specs[0], name=f"{specs[0].name}-twin"), specs[1]]
+    hashes = {}
+    for workers in (1, 2):
+        config = TrainingConfig(
+            max_epochs=2, min_epochs=2, batch_size=64, learning_rate=0.05, workers=workers
+        )
+        run = MotherNetsTrainer(config, tau=0.3).train(members, dataset, seed=0)
+        first, twin = run.ensemble.members[:2]
+        assert first.cluster_id == twin.cluster_id
+        assert first.model is not twin.model
+        assert first.model is not run.mothernet_models[first.cluster_id]
+        assert first.model.spec.name == members[0].name
+        assert twin.model.spec.name == members[1].name
+        hashes[workers] = [_weight_hash(m.model) for m in run.ensemble.members]
+        assert len(set(hashes[workers])) == len(members)
+    assert hashes[1] == hashes[2]
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ artifact (serving pool / CLI), or both.
 
 from __future__ import annotations
 
+import logging
 import os
 import sys
 
 import pytest
 
 from repro.api import run_experiment, save_ensemble_run
+from repro.obs.events import EVENTS_LOGGER_NAME
 
 
 def _shm_entries() -> set:
@@ -35,6 +37,41 @@ def shm_sweep():
     yield
     leaked = _shm_entries() - before
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+
+
+@pytest.fixture
+def train_events():
+    """The structured events (``repro.obs.log_event``) emitted while the test
+    runs, in order, as ``(event, fields)`` pairs — the same lines a
+    ``--log-file`` would hold.
+
+    On the way out it checks the invariant every pooled run must keep: a
+    ``train.task_dispatched`` only ever goes to a worker that has said
+    ``train.worker_ready`` since it was last (re)spawned, so no task deadline
+    runs while an interpreter is still booting.
+    """
+    records = []
+
+    class _Capture(logging.Handler):
+        def emit(self, record):
+            records.append((record.repro_event, dict(record.repro_fields)))
+
+    events = logging.getLogger(EVENTS_LOGGER_NAME)
+    handler, level = _Capture(), events.level
+    events.addHandler(handler)
+    events.setLevel(logging.INFO)
+    yield records
+    events.removeHandler(handler)
+    events.setLevel(level)
+
+    ready = set()
+    for event, fields in records:
+        if event == "train.worker_ready":
+            ready.add(fields["worker"])
+        elif event in ("train.worker_evicted", "train.worker_respawned"):
+            ready.discard(fields["worker"])
+        elif event == "train.task_dispatched":
+            assert fields["worker"] in ready, (fields, records)
 
 
 def parallel_experiment_dict(**overrides):

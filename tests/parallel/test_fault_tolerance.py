@@ -28,9 +28,10 @@ from repro.obs.metrics import get_registry
 
 # Member names produced by the conftest mlp family (count=4, seed=1).
 MEMBERS = ["mlp-base", "mlp-var-001", "mlp-var-002", "mlp-var-003"]
-# In the *mothernets* conftest experiment the first two members alias their
-# cluster's MotherNet and train inline in the parent; the last two are
-# worker tasks (the only place train faults can fire).
+# In the *mothernets* conftest experiment the first two members equal their
+# cluster's MotherNet (empty hatching plan); mlp-var-002 and mlp-var-003 hatch
+# from mlp-base's fine-tuned weights.  On a pool every one of them — and the
+# MotherNets — is a worker task, the only place train faults can fire.
 WORKER_TRAINED_MEMBER = "mlp-var-002"
 
 
@@ -133,6 +134,38 @@ def test_mothernets_chaos_crash_matches_serial(
         serial_result.ensemble.super_learner_weights,
     )
     assert _counter("repro_training_task_retries_total") >= retries_before + 1
+
+
+@pytest.mark.parametrize("victim", ["mothernet-0", "mlp-base"])
+def test_crash_upstream_of_dependents_retries_bitwise(
+    experiment_dict, serial_result, monkeypatch, train_events, victim
+):
+    """MotherNets and aliased members are pool citizens too: crash the first
+    attempt of a network other members hatch from (cluster 0's MotherNet, or
+    ``mlp-base``, which equals it and feeds ``mlp-var-002`` / ``-003``).  The
+    retry is bitwise the fault-free fit, so everything hatched from it is
+    bitwise the serial run as well."""
+    monkeypatch.setenv("REPRO_FAULTS", f"train_crash:member={victim}:attempt=0")
+    retries_before = _counter("repro_training_task_retries_total")
+
+    config = copy.deepcopy(experiment_dict())
+    config["training"] = dict(config["training"], workers=2)
+    chaos = run_experiment(config)
+
+    _assert_same_members(serial_result.run, chaos.run)
+    assert _counter("repro_training_task_retries_total") >= retries_before + 1
+    attempts = [
+        (fields["member"], fields["attempt"])
+        for event, fields in train_events
+        if event == "train.task_dispatched"
+    ]
+    assert (victim, 0) in attempts and (victim, 1) in attempts
+    # Nothing downstream started from the crashed attempt: dependents were
+    # only dispatched after the retry had landed.
+    events = [(event, fields.get("member")) for event, fields in train_events]
+    landed = events.index(("train.task_finished", victim))
+    for dependent in ("mlp-var-002", "mlp-var-003"):
+        assert events.index(("train.task_dispatched", dependent)) > landed
 
 
 def test_retries_exhausted_raises_naming_member(experiment_dict, monkeypatch):

@@ -93,6 +93,105 @@ def test_mothernets_parallel_ledger(serial_result, experiment_dict):
     _assert_no_parallel_residue()
 
 
+def test_pooled_mothernets_run_is_one_pool_scheduled_critical_path_first(
+    experiment_dict, train_events
+):
+    """One pool serves MotherNets and members alike, and the schedule reads
+    off the event log: who booted when, what went where, what waited.
+
+    The conftest family has two clusters; ``mlp-base`` equals cluster 0's
+    MotherNet (empty hatching plan), so ``mlp-var-002`` / ``mlp-var-003``
+    hatch from its fine-tuned weights.
+    """
+    run = run_experiment(with_workers(experiment_dict(), 2)).run
+
+    def of(kind):
+        return [fields for event, fields in train_events if event == kind]
+
+    # `workers` interpreters for the whole run — not a pool per phase.
+    assert sorted(e["worker"] for e in of("train.worker_ready")) == [0, 1]
+    assert all(e["boot_seconds"] > 0 for e in of("train.worker_ready"))
+    # Every network ran on the pool exactly once, the aliased members too.
+    networks = ["mothernet-0", "mothernet-1", "mlp-base", "mlp-var-001", "mlp-var-002",
+                "mlp-var-003"]
+    dispatched = [e["member"] for e in of("train.task_dispatched")]
+    assert sorted(dispatched) == sorted(networks)
+    assert sorted(e["member"] for e in of("train.task_finished")) == sorted(networks)
+    assert all(e["attempt"] == 0 and e["waited_seconds"] >= 0 for e in of("train.task_dispatched"))
+    # Critical path first: mothernet-1 (larger, and as long a chain) leads.
+    assert dispatched[0] == "mothernet-1"
+    # The edges hold in time: nothing starts before what it hatches from landed.
+    order = [
+        (event.split(".")[1], fields["member"])
+        for event, fields in train_events
+        if event in ("train.task_dispatched", "train.task_finished")
+    ]
+    for child, parent in [
+        ("mlp-base", "mothernet-0"),
+        ("mlp-var-001", "mothernet-1"),
+        ("mlp-var-002", "mlp-base"),
+        ("mlp-var-003", "mlp-base"),
+    ]:
+        assert order.index(("task_finished", parent)) < order.index(("task_dispatched", child))
+    # The two makespans partition the pooled window where the last MotherNet
+    # landed, so they sum to the time actually waited.
+    makespans = run.ledger.phase_makespans
+    assert set(makespans) == {"mothernet", "member"}
+    assert run.makespan_seconds == pytest.approx(sum(makespans.values()))
+    _assert_no_parallel_residue()
+
+
+def test_conv_family_identical_at_any_worker_count():
+    """The small-VGG family of the end-to-end benchmark (two clusters, an
+    aliased member with a dependent): the same member weights and the same
+    ledger sequence at workers = 1, 2 and 3."""
+    config = {
+        "name": "conv-tiny",
+        "dataset": {"name": "cifar10", "image_shape": [3, 8, 8], "train_samples": 128,
+                    "test_samples": 32, "seed": 3},
+        "members": {"family": "small_vgg", "input_shape": [3, 8, 8], "width_scale": 0.0625},
+        "approach": "mothernets",
+        "trainer": {"tau": 0.5},
+        "training": {"max_epochs": 1, "batch_size": 64, "learning_rate": 0.05},
+        "seed": 3,
+    }
+    runs = {workers: run_experiment(with_workers(config, workers)) for workers in (1, 2, 3)}
+    x = runs[1].dataset.x_test
+    facts = [(r.network, r.phase, r.epochs, r.samples_per_epoch) for r in runs[1].run.ledger.records]
+    assert len(runs[1].run.clusters) == 2
+    for workers in (2, 3):
+        _assert_same_ensembles(runs[1].run, runs[workers].run, x)
+        assert facts == [
+            (r.network, r.phase, r.epochs, r.samples_per_epoch)
+            for r in runs[workers].run.ledger.records
+        ]
+    _assert_no_parallel_residue()
+
+
+def test_first_task_deadline_does_not_cover_worker_boot():
+    """A task's deadline starts when it is handed to a worker that is up,
+    not when the pool is spawned: with a deadline shorter than an
+    interpreter boot (spawn + numpy import) a millisecond fit still succeeds
+    on its first attempt chain instead of being evicted while booting."""
+    from repro.arch.serialization import spec_to_json
+    from repro.arch.zoo import mlp_family
+    from repro.parallel.executor import MemberTask, ParallelExecutor
+
+    spec = mlp_family(count=1, input_features=4, num_classes=2, base_width=4, seed=1)[0]
+    rng = np.random.default_rng(0)
+    data = {"x": rng.normal(size=(32, 4)).astype(np.float32), "y": rng.integers(0, 2, size=32)}
+    task = MemberTask(
+        name="tiny",
+        spec_json=spec_to_json(spec),
+        config=TrainingConfig(max_epochs=1, batch_size=32),
+        train_seed=0,
+    )
+    with ParallelExecutor(data, workers=1, task_timeout=0.2) as pool:
+        outcomes, _ = pool.train([task])
+    assert [net.name for net in outcomes] == ["tiny"]
+    _assert_no_parallel_residue()
+
+
 @pytest.mark.parametrize("approach", ["full-data", "bagging"])
 def test_scratch_baselines_parallel_match_serial(experiment_dict, approach):
     config = experiment_dict(approach=approach)
