@@ -117,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=2.0,
-        help="how long the dispatcher waits to coalesce concurrent requests",
+        help="upper bound on how long the dispatcher coalesces concurrent "
+        "requests while every worker is busy (never waited on an idle pool)",
     )
     serve.add_argument(
         "--no-restart",

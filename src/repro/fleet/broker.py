@@ -49,6 +49,7 @@ plenty.
 from __future__ import annotations
 
 import secrets
+import socket
 import threading
 import time
 from collections import deque
@@ -722,6 +723,21 @@ def serve_broker(
     manager = _BrokerManager(address=(host, int(port)), authkey=authkey.encode())
     server = manager.get_server()
 
+    def _accept_until_stopped() -> None:
+        # The stdlib accepter, except that it ends with the server: that one
+        # retries accept() forever (its process is expected to exit), and on
+        # our closed listener that is a busy loop convoying the GIL for every
+        # other thread of a process that lives on.
+        threading.current_thread().name = "repro-fleet-broker-accept"
+        while not server.stop_event.is_set():
+            try:
+                conn = server.listener.accept()
+            except OSError:
+                continue
+            threading.Thread(target=server.handle_request, args=(conn,), daemon=True).start()
+
+    server.accepter = _accept_until_stopped
+
     def _serve() -> None:
         try:
             server.serve_forever()
@@ -740,6 +756,12 @@ def serve_broker(
         try:
             server.stop_event.set()
         except AttributeError:  # pragma: no cover - stdlib internals moved
+            pass
+        # Closing a listener does not wake a thread blocked in accept() on
+        # it; one throwaway connection does.
+        try:
+            socket.create_connection(server.address, timeout=1.0).close()
+        except OSError:  # pragma: no cover - listener already gone
             pass
         try:
             server.listener.close()

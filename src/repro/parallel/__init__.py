@@ -14,8 +14,8 @@ Two halves share the same ``spawn``-safe multiprocessing substrate:
   says; ``workers=N`` only moves their execution onto this pool.
 * **Serving** — :class:`PoolPredictor` answers concurrent predict requests
   from N worker processes that each warm-load one ``EnsemblePredictor`` from
-  a shared artifact directory, with request micro-batching, round-robin
-  dispatch, and a self-healing supervisor (dead workers are evicted and
+  a shared artifact directory, with request micro-batching,
+  dispatch-when-idle to the least-loaded worker, and a self-healing supervisor (dead workers are evicted and
   respawned under bounded backoff; each worker owns private crash-isolated
   queues).  Exposed over HTTP by ``python -m repro serve``
   (:func:`repro.parallel.server.run_server`), including Prometheus

@@ -46,17 +46,32 @@ Each HTTP connection is handled on its own thread
 (``ThreadingHTTPServer``); the pool's dispatcher coalesces concurrent
 requests into micro-batches across those threads.
 
+Write path: every response this module builds leaves in **one write** —
+status line, headers and body joined into one buffer — and every accepted
+connection has ``TCP_NODELAY`` set.  Headers and body as two small writes is
+the textbook Nagle x delayed-ACK stall: the kernel holds the second segment
+until the client acknowledges the first, and a keep-alive client that has
+nothing to send delays that ACK by a fixed 40 ms.  One handler serves pool
+and queue mode, so the rule holds for both.
+
 Logging on the serve front is structured: one JSON object per line on
 stderr (``repro.obs.events``), machine-ingestable without regexes; pass
 ``log_format="text"`` (CLI ``--log-format text``) for the classic format.
+That includes connections that fail: a client that resets mid-response is an
+``http.client_gone`` event (and ``repro_http_requests_total{code="499"}``),
+any other handler failure an ``http.handler_error`` event carrying the
+traceback as a field — never ``socketserver``'s raw traceback.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import signal
+import sys
 import threading
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Union
@@ -86,11 +101,54 @@ _HTTP_LATENCY = _metrics.histogram(
 _KNOWN_PATHS = ("/predict", "/admin/swap", "/info", "/healthz", "/metrics")
 
 
+def _log_connection_failure(exc: BaseException, path: Optional[str]) -> None:
+    """One event for a connection that ended in ``exc`` (being handled);
+    ``path`` is the metric path of the request it hit, if any."""
+    if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
+        log_event("http.client_gone", path=path, error=str(exc))
+        if path is not None:
+            _HTTP_REQUESTS.labels(path, "499").inc()
+    else:
+        log_event(
+            "http.handler_error",
+            level=logging.ERROR,
+            path=path,
+            error=repr(exc),
+            traceback=traceback.format_exc(),
+        )
+
+
+class _Server(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` whose failed connections stay on the event log
+    (the stdlib's ``handle_error`` prints a raw traceback to stderr).  The
+    handler reports its own failures, knowing the request; what reaches this
+    one failed outside ``handle()``."""
+
+    def handle_error(self, request, client_address) -> None:
+        _log_connection_failure(sys.exc_info()[1], None)
+
+
 def _make_handler(pool, mode: str, started_at: float):
     queue_mode = mode == "queue"
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted connection: the replies the stdlib
+        # writes itself (send_error: head, then body) cannot stall either.
+        disable_nagle_algorithm = True
+
+        def handle_one_request(self) -> None:
+            # No request in progress until parse_request() fills this in, so
+            # a keep-alive connection reset while idle is not blamed on the
+            # request answered before it.
+            self.path = None
+            super().handle_one_request()
+
+        def handle(self) -> None:
+            try:
+                super().handle()
+            except Exception as exc:
+                _log_connection_failure(exc, self._metric_path() if self.path else None)
 
         def _metric_path(self) -> str:
             if self.path.startswith("/result/"):
@@ -105,8 +163,13 @@ def _make_handler(pool, mode: str, started_at: float):
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            if self.request_version == "HTTP/0.9":  # bare "GET /path": no head
+                self.wfile.write(body)
+            else:
+                # end_headers() would flush the head on its own; the body
+                # joins it so the response is a single write.
+                self._headers_buffer += (b"\r\n", body)
+                self.flush_headers()
             _HTTP_REQUESTS.labels(self._metric_path(), str(status)).inc()
 
         def do_GET(self):  # noqa: N802 - stdlib API name
@@ -320,9 +383,7 @@ def run_server(
             transport=transport,
         )
     try:
-        server = ThreadingHTTPServer(
-            (host, int(port)), _make_handler(pool, mode, started_at)
-        )
+        server = _Server((host, int(port)), _make_handler(pool, mode, started_at))
     except BaseException:
         pool.close()
         raise

@@ -3,10 +3,24 @@
 :class:`PoolPredictor` closes the ROADMAP "multi-process serving" item: N
 worker processes each warm-load one :class:`~repro.api.predictor.EnsemblePredictor`
 from the *same* artifact directory, and a dispatcher coalesces incoming
-requests into micro-batches (up to ``max_batch`` rows or ``max_wait_ms``)
-that are handed to the workers round-robin.  Client calls are thread-safe:
-any number of application threads can call :meth:`predict` /
-:meth:`predict_proba` concurrently; each call blocks only on its own future.
+requests into micro-batches that are handed to the least-loaded ready worker.
+Client calls are thread-safe: any number of application threads can call
+:meth:`predict` / :meth:`predict_proba` concurrently; each call blocks only
+on its own future.
+
+Dispatch rule (:func:`dispatch_reason`): the dispatcher first takes whatever
+is *already* queued, without blocking, then ships the group as soon as
+
+(a) it holds ``max_batch`` rows (``full``), or
+(b) some ready worker has nothing in flight (``idle``), or
+(c) ``max_wait_ms`` has passed since the group's first request was enqueued
+    (``deadline``),
+
+sleeping in between until a request arrives or a worker goes idle.  Waiting
+therefore only ever happens under contention — every ready worker busy — where
+the time is spent coalescing instead of queueing behind a worker anyway; a
+lone request on an idle pool costs its work, not a timer.  ``max_wait_ms`` is
+the upper bound on that contended wait; ``0`` means never wait.
 
 Micro-batching semantics: coalescing groups *requests* into one IPC dispatch
 (amortising queue/pickle overhead); inside the worker each request still runs
@@ -54,14 +68,14 @@ import atexit
 import itertools
 import math
 import pickle
-import queue as thread_queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 import multiprocessing as mp
 
@@ -103,7 +117,15 @@ _REQUEST_ROWS = _metrics.histogram(
     buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048),
 )
 _DISPATCHES = _metrics.counter(
-    "repro_serve_dispatches_total", "Micro-batch dispatches handed to workers."
+    "repro_serve_dispatches_total",
+    "Micro-batch dispatches handed to workers, by why the group stopped "
+    "coalescing (see dispatch_reason).",
+    ("reason",),
+)
+_DISPATCH_WAIT = _metrics.histogram(
+    "repro_serve_dispatch_wait_seconds",
+    "Per request: enqueued by the client thread to handed to a worker "
+    "(coalescing wait plus the dispatcher's own work).",
 )
 _DISPATCH_ROWS = _metrics.histogram(
     "repro_serve_dispatch_rows",
@@ -183,10 +205,30 @@ class _Request:
     x: np.ndarray
     method: str
     future: Future = field(default_factory=Future)
+    enqueued: float = field(default_factory=time.monotonic)
 
     @property
     def rows(self) -> int:
         return int(self.x.shape[0])
+
+
+def dispatch_reason(
+    rows: int, max_batch: int, idle_worker: bool, waited: float, max_wait: float
+) -> Optional[str]:
+    """Why a coalesced group ships *now* — or ``None``: keep coalescing.
+
+    ``rows`` is what the group holds, ``idle_worker`` whether some ready
+    worker has nothing in flight, ``waited`` the seconds since the group's
+    first request was enqueued and ``max_wait`` the bound on that wait.  The
+    returned reason labels ``repro_serve_dispatches_total``.
+    """
+    if rows >= max_batch:
+        return "full"
+    if idle_worker:
+        return "idle"
+    if waited >= max_wait:
+        return "deadline"
+    return None
 
 
 class PoolPredictor:
@@ -196,6 +238,15 @@ class PoolPredictor:
     ``EnsemblePredictor.load``).  Always ``close()`` the pool — or use it as a
     context manager — so worker processes and queues shut down promptly; an
     ``atexit`` hook covers forgotten pools.
+
+    Dispatch parameters (see :func:`dispatch_reason`)
+    -------------------------------------------------
+    max_batch:
+        Rows at which a coalesced group ships whatever the workers are doing.
+    max_wait_ms:
+        Upper bound on how long a group keeps coalescing while every ready
+        worker is busy; no request waits while a worker is idle.  ``0`` means
+        never wait.
 
     Resilience parameters
     ---------------------
@@ -318,13 +369,24 @@ class PoolPredictor:
         self._arena_generation = [0] * self.workers
         self._closed = False
         self._lock = threading.Lock()
+        # The dispatcher sleeps on this condition (same lock as everything
+        # below): notified when a request is enqueued, when a worker's
+        # in-flight count drops to zero or a worker turns ready, and by
+        # close().
+        self._wake = threading.Condition(self._lock)
+        self._pending: Deque[_Request] = deque()
         self._futures: Dict[int, Future] = {}
         # request_id -> worker_id for dispatched-but-unanswered requests, so
         # a worker death fails exactly its in-flight futures (promptly,
         # instead of letting clients run into the full request timeout);
         # request_id -> dispatch time feeds the hung-worker deadline.
+        # _load[worker_id] counts that worker's entries in _inflight and
+        # changes only together with it, under _lock — so "idle", the rolling
+        # swap's drain check and a death's orphan list read one picture.
         self._inflight: Dict[int, int] = {}
         self._inflight_since: Dict[int, float] = {}
+        self._load: List[int] = [0] * self.workers
+        self._next_worker = 0  # round-robin tie-break; dispatcher thread only
         # Worker lifecycle state.  _ready holds the ids whose predictor is
         # loaded (guarded by _lock, written by the collector/supervisor);
         # _down maps a dead worker to the monotonic time its respawn is due
@@ -373,7 +435,6 @@ class PoolPredictor:
             raise
         _WORKERS_ALIVE.set(len(self._ready))
 
-        self._pending: "thread_queue.Queue" = thread_queue.Queue()
         self._stop_supervisor = threading.Event()
         self._stop_collector = threading.Event()
         self._dispatcher = threading.Thread(
@@ -444,45 +505,50 @@ class PoolPredictor:
 
     # ------------------------------------------------------- internal loops
     def _dispatch_loop(self) -> None:
-        rr = itertools.cycle(range(self.workers))
-        stop = False
-        while not stop:
-            item = self._pending.get()
-            if item is None:
+        while True:
+            taken = self._next_group()
+            if taken is None:
                 break
-            group: List[_Request] = [item]
-            rows = item.rows
-            deadline = time.monotonic() + self.max_wait_ms / 1000.0
-            # Micro-batch: coalesce whatever arrives within the wait window,
-            # up to max_batch total rows.
-            while rows < self.max_batch:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    break
-                try:
-                    extra = self._pending.get(timeout=timeout)
-                except thread_queue.Empty:
-                    break
-                if extra is None:
-                    stop = True
-                    break
-                group.append(extra)
-                rows += extra.rows
-            if self._dispatch_group(rr, group) and _metrics.enabled:
-                _DISPATCHES.inc()
-                _DISPATCH_ROWS.observe(rows)
-            # Drop the request references before blocking on the next get():
+            self._dispatch_group(*taken)
+            # Drop the request references before blocking for the next group:
             # each _Request pins its input tensor and (through its future)
             # the eventual result view — holding them across the idle wait
             # would keep arena result regions reserved long after the client
-            # dropped its copy.  `item`/`extra` matter as much as `group`:
-            # a local survives past its loop.
-            item = extra = None
-            del group
+            # dropped its copy.
+            taken = None
 
-    def _dispatch_group(self, rr, group: List[_Request]) -> bool:
-        """Hand one micro-batch to a ready worker; ``False`` if the group
-        was failed instead.
+    def _next_group(self) -> Optional[Tuple[List[_Request], int, str]]:
+        """Block until a micro-batch should ship; ``(group, rows, reason)``,
+        or ``None`` once the pool is closed and nothing is queued.
+
+        Takes what is already queued without blocking, asks
+        :func:`dispatch_reason`, and otherwise sleeps until a request
+        arrives, a worker goes idle or the group's deadline passes.
+        """
+        group: List[_Request] = []
+        rows = 0
+        with self._wake:
+            while True:
+                while self._pending and rows < self.max_batch:
+                    request = self._pending.popleft()
+                    group.append(request)
+                    rows += request.rows
+                if not group:
+                    if self._closed:
+                        return None
+                    self._wake.wait()
+                    continue
+                # A closing pool never waits.
+                max_wait = 0.0 if self._closed else self.max_wait_ms / 1000.0
+                waited = time.monotonic() - group[0].enqueued
+                idle = any(self._load[worker_id] == 0 for worker_id in self._ready)
+                reason = dispatch_reason(rows, self.max_batch, idle, waited, max_wait)
+                if reason is not None:
+                    return group, rows, reason
+                self._wake.wait(max_wait - waited)
+
+    def _dispatch_group(self, group: List[_Request], rows: int, reason: str) -> None:
+        """Hand one micro-batch to a ready worker, or fail it if none is left.
 
         The in-flight registration double-checks the chosen worker is still
         in ``_ready`` under the pool lock before anything lands on its
@@ -495,9 +561,9 @@ class PoolPredictor:
         stranding the requests until the client timeout.
         """
         while True:
-            worker_id = self._pick_worker(rr, group)
+            worker_id = self._pick_worker(group)
             if worker_id is None:
-                return False
+                return
             item = self._build_dispatch(worker_id, group)
             dispatched = time.monotonic()
             with self._lock:
@@ -506,11 +572,19 @@ class PoolPredictor:
                     for request in group:
                         self._inflight[request.request_id] = worker_id
                         self._inflight_since[request.request_id] = dispatched
+                    self._load[worker_id] += len(group)
             if not claimed:
                 self._abort_dispatch(worker_id, item)
                 continue
+            # Counted before the worker can see the item, so a client that
+            # has its answer also finds its dispatch in the metrics.
+            if _metrics.enabled:
+                _DISPATCHES.labels(reason).inc()
+                _DISPATCH_ROWS.observe(rows)
+                for request in group:
+                    _DISPATCH_WAIT.observe(dispatched - request.enqueued)
             self._request_queues[worker_id].put(item)
-            return True
+            return
 
     def _abort_dispatch(self, worker_id: int, item: tuple) -> None:
         """Release arena regions reserved for a dispatch that never shipped
@@ -597,20 +671,21 @@ class PoolPredictor:
             _TRANSPORT_BYTES.labels("shm", "request").inc(_descriptor_nbytes(item))
         return item
 
-    def _is_serving(self, worker_id: int) -> bool:
-        with self._lock:
-            if worker_id not in self._ready:
-                return False
-        return self._processes[worker_id].is_alive()
-
-    def _pick_worker(self, rr, group: List[_Request]) -> Optional[int]:
-        """Round-robin over ready workers; with respawn enabled, wait up to
-        ``worker_wait`` for capacity to come back before failing the group."""
+    def _pick_worker(self, group: List[_Request]) -> Optional[int]:
+        """The ready worker with the fewest requests in flight — the idle one
+        when :func:`dispatch_reason` said ``idle`` — round-robin among equals;
+        with respawn enabled, wait up to ``worker_wait`` for capacity to come
+        back before failing the group."""
         deadline = time.monotonic() + self.worker_wait
         while True:
-            for _ in range(self.workers):
-                worker_id = next(rr)
-                if self._is_serving(worker_id):
+            with self._lock:
+                ranked = sorted(
+                    self._ready,
+                    key=lambda w: (self._load[w], (w - self._next_worker) % self.workers),
+                )
+            for worker_id in ranked:
+                if self._processes[worker_id].is_alive():
+                    self._next_worker = (worker_id + 1) % self.workers
                     return worker_id
             if self._closed or not self.restart_workers or time.monotonic() >= deadline:
                 break
@@ -644,9 +719,10 @@ class PoolPredictor:
                                 self._resolve(request_id, result=proba)
                 elif kind == "ready":
                     # A respawned worker finished loading its predictor.
-                    with self._lock:
+                    with self._wake:
                         self._ready.add(worker_id)
                         self._attempts[worker_id] = 0
+                        self._wake.notify()
                     _WORKERS_ALIVE.set(self.alive_workers())
                     log_event("serve.worker_ready", worker=worker_id)
                     logger.info("serving worker %d is ready", worker_id)
@@ -1000,9 +1076,7 @@ class PoolPredictor:
             # will answer it on the old generation.
             while True:
                 with self._lock:
-                    busy = any(
-                        owner == worker_id for owner in self._inflight.values()
-                    )
+                    busy = self._load[worker_id] > 0
                 if not busy:
                     break
                 if time.monotonic() > deadline:
@@ -1050,10 +1124,14 @@ class PoolPredictor:
                 self._swapping.discard(worker_id)
 
     def _resolve(self, request_id: int, result=None, exception=None) -> None:
-        with self._lock:
+        with self._wake:
             future = self._futures.pop(request_id, None)
-            self._inflight.pop(request_id, None)
+            worker_id = self._inflight.pop(request_id, None)
             self._inflight_since.pop(request_id, None)
+            if worker_id is not None:
+                self._load[worker_id] -= 1
+                if self._load[worker_id] == 0:
+                    self._wake.notify()
         if future is None:  # pragma: no cover - duplicate/late reply
             return
         if exception is not None:
@@ -1087,9 +1165,10 @@ class PoolPredictor:
             x = validate_batch(x, self.input_shape)
             resolved = self._resolve_method(method)
             request = _Request(next(self._request_ids), x, resolved)
-            with self._lock:
+            with self._wake:
                 self._futures[request.request_id] = request.future
-            self._pending.put(request)
+                self._pending.append(request)
+                self._wake.notify()
             result = request.future.result(timeout=timeout or self.request_timeout)
         except BaseException:
             _REQUESTS_ERROR.inc()
@@ -1199,7 +1278,8 @@ class PoolPredictor:
         self._closed = True
         self._stop_supervisor.set()
         self._supervisor.join(timeout=10)
-        self._pending.put(None)
+        with self._wake:
+            self._wake.notify()
         self._dispatcher.join(timeout=10)
         self._shutdown_processes()
         self._stop_collector.set()
@@ -1210,8 +1290,10 @@ class PoolPredictor:
         with self._lock:
             leftovers = list(self._futures.values())
             self._futures.clear()
+            self._pending.clear()
             self._inflight.clear()
             self._inflight_since.clear()
+            self._load = [0] * self.workers
         for future in leftovers:
             if not future.done():
                 future.set_exception(RuntimeError("PoolPredictor closed"))

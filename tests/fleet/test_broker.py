@@ -1,6 +1,7 @@
 """Unit tests for the in-process partitioned broker: delivery semantics,
 partition assignment, redelivery clocks, and the cross-process manager."""
 
+import threading
 import time
 
 import pytest
@@ -224,6 +225,27 @@ def test_served_broker_roundtrip_through_manager_proxy(broker):
         assert proxy.stats()["consumers"] == {"remote": [0, 1, 2, 3]}
     finally:
         stop()
+
+
+def test_stopped_broker_server_leaves_no_accept_thread(broker):
+    """The stdlib manager's accepter retries ``accept()`` on the closed
+    listener forever — a busy loop that outlived every front in the process
+    and convoyed the GIL for whatever ran next."""
+
+    def accepters():
+        return [t for t in threading.enumerate() if t.name == "repro-fleet-broker-accept"]
+
+    before = set(accepters())
+    address, stop = serve_broker(broker, port=0, authkey="test-key")
+    assert connect_broker(address, authkey="test-key").stats()["depth"] == 0
+    assert len(set(accepters()) - before) == 1
+    stop()
+    deadline = time.monotonic() + 10.0
+    while set(accepters()) - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not set(accepters()) - before
+    with pytest.raises(OSError):
+        connect_broker(address, authkey="test-key")
 
 
 def test_connect_broker_rejects_wrong_authkey(broker):

@@ -48,12 +48,10 @@ def refs(swap_store, serial_result):
     return probe, ref0, ref1
 
 
-def test_swap_under_fire_drops_nothing_and_mixes_nothing(
-    swap_store, refs, shm_sweep
-):
+def _swap_under_fire(swap_store, refs, max_wait_ms):
     probe, ref0, ref1 = refs
     swap_store.promote(0)
-    pool = PoolPredictor(swap_store.root, workers=2, max_wait_ms=1.0)
+    pool = PoolPredictor(swap_store.root, workers=2, max_wait_ms=max_wait_ms)
     try:
         assert pool.generation == 0
         stop = threading.Event()
@@ -113,8 +111,26 @@ def test_swap_under_fire_drops_nothing_and_mixes_nothing(
         assert pool.healthz()["status"] == "ok"
         # Post-swap the pool answers purely from the new generation.
         np.testing.assert_array_equal(pool.predict_proba(probe), ref1)
+        with pool._lock:
+            assert pool._inflight == {}
+            assert pool._load == [0, 0]
     finally:
         pool.close()
+
+
+def test_swap_under_fire_drops_nothing_and_mixes_nothing(
+    swap_store, refs, shm_sweep
+):
+    _swap_under_fire(swap_store, refs, max_wait_ms=1.0)
+
+
+def test_swap_under_fire_while_the_dispatcher_waits_for_an_idle_worker(
+    swap_store, refs, shm_sweep
+):
+    """Four clients on two workers, one of them draining: the dispatcher is
+    holding a group and waiting (window far above a request's work) when the
+    worker it would go to leaves and re-enters the ready set."""
+    _swap_under_fire(swap_store, refs, max_wait_ms=40.0)
 
 
 def test_swap_without_pointer_move_is_a_noop(swap_store, refs, shm_sweep):

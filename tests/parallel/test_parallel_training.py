@@ -102,8 +102,15 @@ def test_pooled_mothernets_run_is_one_pool_scheduled_critical_path_first(
     The conftest family has two clusters; ``mlp-base`` equals cluster 0's
     MotherNet (empty hatching plan), so ``mlp-var-002`` / ``mlp-var-003``
     hatch from its fine-tuned weights.
+
+    Same family on a longer run (~0.1 s a fit instead of ~7 ms): on the
+    conftest run one interpreter fits all six networks in ~60 ms, so a sibling
+    that boots that much later never gets to say ready.
     """
-    run = run_experiment(with_workers(experiment_dict(), 2)).run
+    config = with_workers(experiment_dict(), 2)
+    config["dataset"]["train_samples"] = 4096
+    config["training"]["max_epochs"] = 10
+    run = run_experiment(config).run
 
     def of(kind):
         return [fields for event, fields in train_events if event == kind]

@@ -1,14 +1,18 @@
 """PoolPredictor correctness: bitwise parity with EnsemblePredictor, thread
-safety under concurrent clients, and clean worker shutdown."""
+safety under concurrent clients, the dispatch-when-idle rule, and clean
+worker shutdown."""
 
 import multiprocessing as mp
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.api import EnsemblePredictor
+from repro.obs.metrics import get_registry
 from repro.parallel import PoolPredictor
+from repro.parallel.serving import dispatch_reason
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +64,89 @@ def test_pool_under_concurrent_clients(pool, reference, serial_result):
     assert all(results)
 
 
+@pytest.mark.parametrize(
+    "rows, idle_worker, waited, max_wait, expected",
+    [
+        (1, True, 0.0, 0.05, "idle"),  # a lone request on an idle pool: now
+        (1, False, 0.0, 0.05, None),  # every worker busy, room left, early: wait
+        (1, False, 0.049, 0.05, None),
+        (8, False, 0.0, 0.05, "full"),  # max_batch rows: now, busy or not
+        (9, True, 0.0, 0.05, "full"),
+        (1, False, 0.05, 0.05, "deadline"),  # the bound on the contended wait
+        (1, False, 0.2, 0.05, "deadline"),
+        (1, False, 0.0, 0.0, "deadline"),  # max_wait_ms=0: never wait
+        (1, True, 0.0, 0.0, "idle"),
+    ],
+)
+def test_dispatch_reason_table(rows, idle_worker, waited, max_wait, expected):
+    assert dispatch_reason(rows, 8, idle_worker, waited, max_wait) == expected
+
+
+def _dispatches():
+    """``{reason: count}`` of ``repro_serve_dispatches_total`` so far."""
+    counter = get_registry().get("repro_serve_dispatches_total")
+    return {labels[0]: value for labels, value in counter.samples()}
+
+
+def _dispatched_since(before):
+    return {
+        reason: count - before.get(reason, 0)
+        for reason, count in _dispatches().items()
+        if count != before.get(reason, 0)
+    }
+
+
+@pytest.fixture(scope="module")
+def wide_window_pool(saved_artifact):
+    """One worker and a wait window far above a request's work: whatever
+    waits out ``max_wait_ms`` shows as a 50 ms call."""
+    predictor = PoolPredictor(saved_artifact, workers=1, max_wait_ms=50.0)
+    yield predictor
+    predictor.close()
+
+
+def test_lone_requests_do_not_sit_out_the_wait_window(
+    wide_window_pool, reference, serial_result
+):
+    x = serial_result.dataset.x_test
+    wide_window_pool.predict_proba(x[:1])
+    before = _dispatches()
+    seconds = []
+    for i in range(20):
+        start = time.perf_counter()
+        out = wide_window_pool.predict_proba(x[i : i + 1])
+        seconds.append(time.perf_counter() - start)
+        np.testing.assert_array_equal(out, reference.predict_proba(x[i : i + 1]))
+    # The fixed window made every one of these >= 50 ms; two are left to the
+    # machine (this container shares its cores).
+    assert sum(s < 0.025 for s in seconds) >= 18, sorted(seconds)
+    assert _dispatched_since(before) == {"idle": 20}
+
+
+def test_contended_requests_coalesce_while_the_worker_is_busy(
+    wide_window_pool, reference, serial_result
+):
+    x = serial_result.dataset.x_test
+    expected = reference.predict_proba(x)
+    before = _dispatches()
+
+    def client(tid):
+        ok = True
+        for i in range(20):
+            row = (tid * 20 + i) % len(x)
+            out = wide_window_pool.predict_proba(x[row : row + 1])
+            ok = ok and np.array_equal(out, expected[row : row + 1])
+        return ok
+
+    with ThreadPoolExecutor(max_workers=8) as clients:
+        assert all(clients.map(client, range(8)))
+    since = _dispatched_since(before)
+    assert 0 < sum(since.values()) < 160, since
+    with wide_window_pool._lock:
+        assert wide_window_pool._inflight == {}
+        assert wide_window_pool._load == [0]
+
+
 def test_pool_validates_inputs_in_parent(pool):
     with pytest.raises(ValueError):
         pool.predict_proba(np.zeros((3, 99)))  # wrong feature count
@@ -84,8 +171,6 @@ def test_dead_worker_fails_requests_promptly_without_respawn(
     request_timeout — the pre-supervisor contract, still available via
     ``restart_workers=False``.  (Respawn behaviour is covered in
     test_supervisor.py.)"""
-    import time
-
     predictor = PoolPredictor(
         saved_artifact,
         workers=1,

@@ -1,12 +1,20 @@
 """End-to-end test of ``python -m repro serve``: ephemeral port, concurrent
-HTTP clients, bitwise parity with EnsemblePredictor, clean SIGTERM exit."""
+HTTP clients, bitwise parity with EnsemblePredictor, the one-write response
+path, a JSON-only stderr, clean SIGTERM exit."""
 
+import contextlib
+import http.client
+import io
 import json
 import os
 import signal
+import socket
+import statistics
+import struct
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -15,12 +23,13 @@ import numpy as np
 import pytest
 
 from repro.api import EnsemblePredictor
+from repro.parallel.server import _make_handler, _Server
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-@pytest.fixture(scope="module")
-def server(saved_artifact):
+def _spawn_serve(saved_artifact, *extra):
+    """Start ``repro serve`` on an ephemeral port; ``(process, banner)``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
@@ -35,8 +44,7 @@ def server(saved_artifact):
             "0",
             "--workers",
             "2",
-            "--max-wait-ms",
-            "1.0",
+            *extra,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -44,9 +52,19 @@ def server(saved_artifact):
         env=env,
     )
     try:
-        line = proc.stdout.readline()
-        banner = json.loads(line)
+        banner = json.loads(proc.stdout.readline())
         assert banner["event"] == "serving"
+    except BaseException:
+        proc.kill()
+        proc.wait(timeout=10)
+        raise
+    return proc, banner
+
+
+@pytest.fixture(scope="module")
+def server(saved_artifact):
+    proc, banner = _spawn_serve(saved_artifact, "--max-wait-ms", "1.0")
+    try:
         import repro
 
         assert banner["version"] == repro.__version__
@@ -150,6 +168,208 @@ def test_serve_rejects_malformed_requests(server):
     assert excinfo.value.code == 400
 
 
+def _timed_post(conn, body):
+    start = time.perf_counter()
+    conn.request(
+        "POST", "/predict", body=body, headers={"Content-Type": "application/json"}
+    )
+    response = conn.getresponse()
+    response.read()
+    seconds = time.perf_counter() - start
+    assert response.status == 200
+    return seconds
+
+
+def test_keepalive_request_costs_what_a_fresh_connection_costs(server):
+    """A reply split over two writes stalls a keep-alive client for the
+    kernel's fixed 40 ms delayed-ACK timer (50 vs 6 ms before the one-write
+    path, ~5 vs ~6 ms after): both thresholds keep >= 15 ms of margin."""
+    _, url = server
+    host, port = url[len("http://") :].split(":")
+    body = json.dumps({"inputs": [[0.0] * 12], "proba": True}).encode("utf-8")
+
+    conn = http.client.HTTPConnection(host, int(port), timeout=60)
+    try:
+        _timed_post(conn, body)
+        keepalive = [_timed_post(conn, body) for _ in range(40)]
+    finally:
+        conn.close()
+    fresh = []
+    for _ in range(40):
+        one = http.client.HTTPConnection(host, int(port), timeout=60)
+        try:
+            fresh.append(_timed_post(one, body))
+        finally:
+            one.close()
+    assert statistics.median(keepalive) < 0.025, sorted(keepalive)
+    assert abs(statistics.median(keepalive) - statistics.median(fresh)) < 0.010
+
+
+class _RecordingSocket:
+    """Stands in for an accepted connection: serves the request bytes, keeps
+    every ``sendall`` (one per ``wfile.write``) and every socket option."""
+
+    def __init__(self, request_bytes):
+        self._rfile = io.BytesIO(request_bytes)
+        self.writes = []
+        self.options = []
+
+    def makefile(self, mode, bufsize):
+        assert mode == "rb"
+        return self._rfile
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+    def setsockopt(self, *option):
+        self.options.append(option)
+
+
+class _FakePool:
+    def healthz(self):
+        return {"status": "ok"}
+
+    def predict_proba(self, x, method=None):
+        return np.full((x.shape[0], 4), 0.25, dtype=np.float32)
+
+
+def test_every_response_leaves_in_one_write():
+    def request(method, path, body=b""):
+        head = f"{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {len(body)}\r\n\r\n"
+        return head.encode("ascii") + body
+
+    predict = json.dumps({"inputs": [[0.0] * 12], "proba": True}).encode("utf-8")
+    sock = _RecordingSocket(
+        request("POST", "/predict", predict)
+        + request("GET", "/healthz")
+        + request("GET", "/metrics")
+        + request("POST", "/predict", b"{}")  # no "inputs": a 400
+    )
+    _make_handler(_FakePool(), "pool", time.monotonic())(sock, ("127.0.0.1", 0), None)
+
+    assert (socket.IPPROTO_TCP, socket.TCP_NODELAY, True) in sock.options
+    statuses = []
+    for write in sock.writes:  # one write == one whole response
+        head, _, body = write.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        statuses.append(int(lines[0].split()[1]))
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert int(headers["Content-Length"]) == len(body)
+    assert statuses == [200, 200, 200, 400]
+    assert json.loads(sock.writes[0].partition(b"\r\n\r\n")[2]) == {
+        "probabilities": [[0.25] * 4]
+    }
+
+
+@contextlib.contextmanager
+def _serving_in_process(handler):
+    """The serve front's HTTP server on a thread of this process; its URL."""
+    httpd = _Server(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.05,))
+    thread.start()
+    try:
+        yield "http://127.0.0.1:%d" % httpd.server_address[1]
+    finally:
+        httpd.shutdown()
+        thread.join(timeout=30)
+        httpd.server_close()
+        assert not thread.is_alive()
+
+
+def test_accepted_connections_have_tcp_nodelay():
+    nodelay = []
+
+    class Probe(_make_handler(_FakePool(), "pool", time.monotonic())):
+        def setup(self):
+            super().setup()
+            nodelay.append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+    with _serving_in_process(Probe) as url:
+        with urllib.request.urlopen(url + "/healthz", timeout=30) as response:
+            assert json.loads(response.read()) == {"status": "ok"}
+    assert len(nodelay) == 1 and nodelay[0] != 0
+
+
+def test_handler_failure_is_one_event_carrying_the_traceback(train_events, capfd):
+    class Broken(_FakePool):
+        def healthz(self):
+            raise KeyError("boom")
+
+    handler = _make_handler(Broken(), "pool", time.monotonic())
+    with _serving_in_process(handler) as url:
+        with pytest.raises((OSError, http.client.HTTPException)):
+            urllib.request.urlopen(url + "/healthz", timeout=30)
+    errors = [fields for event, fields in train_events if event == "http.handler_error"]
+    assert len(errors) == 1
+    assert errors[0]["path"] == "/healthz"
+    assert "KeyError: 'boom'" in errors[0]["traceback"]
+    # socketserver's own report starts with a dashed rule and this sentence.
+    assert "Exception occurred during processing" not in capfd.readouterr().err
+
+
+def test_failure_outside_the_handler_is_an_event_too(train_events, capfd):
+    class Unready(_make_handler(_FakePool(), "pool", time.monotonic())):
+        def setup(self):
+            raise OSError("no such connection")
+
+    with _serving_in_process(Unready) as url:
+        with pytest.raises((OSError, http.client.HTTPException)):
+            urllib.request.urlopen(url + "/healthz", timeout=30)
+    errors = [fields for event, fields in train_events if event == "http.handler_error"]
+    assert len(errors) == 1
+    assert errors[0]["path"] is None
+    assert "no such connection" in errors[0]["traceback"]
+    assert "Exception occurred during processing" not in capfd.readouterr().err
+
+
+def test_client_reset_mid_response_stays_on_the_json_log(
+    saved_artifact, serial_result
+):
+    """A client that sends a 256-row request and resets the connection
+    (``SO_LINGER 0``) used to cost 23 lines of raw ``socketserver`` traceback
+    on a stderr documented as one JSON object per line, and a request no
+    counter saw."""
+    proc, banner = _spawn_serve(saved_artifact)
+    url = banner["url"]
+    try:
+        x = np.tile(serial_result.dataset.x_test, (4, 1))[:256]
+        body = json.dumps({"inputs": x.tolist(), "proba": True}).encode("utf-8")
+        head = (
+            "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii")
+        for _ in range(3):
+            sock = socket.create_connection((banner["host"], banner["port"]), timeout=30)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.sendall(head + body)
+            sock.close()  # linger 0: RST, while the server is still working
+
+        gone = 'repro_http_requests_total{path="/predict",code="499"} 3'
+        deadline = time.monotonic() + 30.0
+        while True:
+            with urllib.request.urlopen(url + "/metrics", timeout=30) as response:
+                metrics = response.read().decode("utf-8")
+            if gone in metrics.splitlines() or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert gone in metrics.splitlines(), metrics
+
+        # The next client, on a new connection, is answered bitwise-correctly.
+        out = _post(url, {"inputs": x.tolist(), "proba": True})
+        expected = EnsemblePredictor.load(saved_artifact).predict_proba(x)
+        assert np.array_equal(np.asarray(out["probabilities"]), expected)
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    events = [json.loads(line) for line in err.splitlines()]  # every line is JSON
+    gone_events = [e for e in events if e.get("event") == "http.client_gone"]
+    assert len(gone_events) == 3
+    assert all(e["path"] == "/predict" for e in gone_events)
+
+
 def test_serve_healthz_degrades_and_recovers_after_worker_sigkill(server):
     """SIGKILL a pool worker through its advertised pid: /healthz must report
     'degraded' during the gap and return to 'ok' once the supervisor's
@@ -157,8 +377,6 @@ def test_serve_healthz_degrades_and_recovers_after_worker_sigkill(server):
 
     Runs last against the shared server — recovery restores full capacity.
     """
-    import time
-
     _, url = server
 
     def get(path):
@@ -198,28 +416,7 @@ def test_serve_healthz_degrades_and_recovers_after_worker_sigkill(server):
 
 
 def test_serve_shuts_down_cleanly_on_sigterm(saved_artifact):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--artifact",
-            str(saved_artifact),
-            "--port",
-            "0",
-            "--workers",
-            "2",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-    )
-    banner = json.loads(proc.stdout.readline())
-    assert banner["event"] == "serving"
+    proc, _ = _spawn_serve(saved_artifact)
     proc.send_signal(signal.SIGTERM)
     out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0
