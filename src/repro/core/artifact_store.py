@@ -44,7 +44,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
@@ -81,7 +81,9 @@ __all__ = [
     "LINEAGE_NAME",
     "LINEAGE_SCHEMA",
     "ResolvedArtifact",
+    "ServedArtifact",
     "resolve_artifact",
+    "served_artifact",
 ]
 
 
@@ -172,6 +174,56 @@ def resolve_artifact(
         f"{path} is not an ensemble artifact (no {_MANIFEST_NAME}) "
         f"nor an artifact store (no {CURRENT_NAME})"
     )
+
+
+@dataclass(frozen=True)
+class ServedArtifact:
+    """What a serving tier keeps about the artifact generation it serves."""
+
+    path: Path  # the concrete artifact directory workers load
+    generation: int
+    input_shape: Tuple[int, ...]
+    num_classes: int
+    num_members: int
+    approach: str
+    has_super_learner: bool
+
+
+def served_artifact(
+    path: Union[str, Path],
+    generation: Optional[int] = None,
+    serving: Optional[ServedArtifact] = None,
+) -> ServedArtifact:
+    """Resolve ``path`` (see :func:`resolve_artifact`) and read the serving
+    facts off its manifest.
+
+    ``serving`` is what a live pool or fleet serves now: a hot-swap target
+    whose input shape or class count differ from it is refused — request
+    validation and the shared-memory arenas are sized for the serving shapes.
+    """
+    from repro.api.artifacts import read_manifest
+
+    resolved = resolve_artifact(path, generation=generation)
+    manifest = read_manifest(resolved.path)
+    served = ServedArtifact(
+        path=resolved.path,
+        generation=resolved.generation,
+        input_shape=tuple(int(d) for d in manifest["input_shape"]),
+        num_classes=int(manifest["num_classes"]),
+        num_members=len(manifest["members"]),
+        approach=manifest["approach"],
+        has_super_learner=manifest.get("super_learner_weights") is not None,
+    )
+    if serving is not None and (served.input_shape, served.num_classes) != (
+        serving.input_shape,
+        serving.num_classes,
+    ):
+        raise ValueError(
+            f"cannot hot-swap to generation {served.generation}: its "
+            f"input_shape={served.input_shape} / num_classes={served.num_classes} "
+            f"differ from the serving {serving.input_shape} / {serving.num_classes}"
+        )
+    return served
 
 
 def _member_origins(manifest: Dict[str, Any], default: str) -> List[Dict[str, Any]]:

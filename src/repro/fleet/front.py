@@ -40,12 +40,13 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.artifact_store import ARTIFACT_GENERATION, resolve_artifact
+from repro.core.artifact_store import ARTIFACT_GENERATION, served_artifact
 from repro.core.ensemble import resolve_combination_method
 from repro.fleet.autoscaler import Autoscaler, AutoscaleSignals
 from repro.fleet.broker import InProcBroker, serve_broker
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry, quantile_from_counts
+from repro.parallel.supervision import backoff_delay
 from repro.utils.logging import get_logger
 
 logger = get_logger("fleet.front")
@@ -120,27 +121,16 @@ class FleetFront:
         log_format: Optional[str] = None,
         log_file: Optional[Union[str, Path]] = None,
     ):
-        from repro.api.artifacts import read_manifest
-
         if min_consumers < 1:
             raise ValueError("min_consumers must be at least 1")
         if max_consumers < min_consumers:
             raise ValueError("need min_consumers <= max_consumers")
         # Like the pool: resolve the (possibly store-layout) path once, keep
         # the caller's root in self.path so swap() can re-resolve CURRENT.
-        resolved = resolve_artifact(artifact)
-        manifest = read_manifest(resolved.path)
-        resolve_combination_method(method, has_super_learner=True)
         self.path = Path(artifact)
-        self._artifact_dir = resolved.path
-        self.generation = resolved.generation
+        self._artifact = served_artifact(artifact)
+        resolve_combination_method(method, has_super_learner=self._artifact.has_super_learner)
         self.method = method
-        self.input_shape = tuple(int(d) for d in manifest["input_shape"])
-        self.num_classes = int(manifest["num_classes"])
-        self.num_members = len(manifest["members"])
-        self.approach = manifest["approach"]
-        self._has_super_learner = manifest.get("super_learner_weights") is not None
-        resolve_combination_method(method, has_super_learner=self._has_super_learner)
         self.min_consumers = int(min_consumers)
         self.max_consumers = int(max_consumers)
         self.consumer_workers = int(consumer_workers)
@@ -177,6 +167,10 @@ class FleetFront:
         self._local: List[_LocalConsumer] = []
         self._desired = self.min_consumers if self.spawn_local else 0
         self._spawned = 0
+        # Consecutive unexpected consumer exits, and the monotonic time until
+        # which they hold further spawns (the supervision core's backoff).
+        self._spawn_failures = 0
+        self._spawn_hold = 0.0
         self._reconcile_thread: Optional[threading.Thread] = None
         if self.spawn_local:
             self._reconcile_thread = threading.Thread(
@@ -214,10 +208,16 @@ class FleetFront:
             self.max_consumers,
         )
 
+    generation = property(lambda self: self._artifact.generation)
+    input_shape = property(lambda self: self._artifact.input_shape)
+    num_classes = property(lambda self: self._artifact.num_classes)
+    num_members = property(lambda self: self._artifact.num_members)
+    approach = property(lambda self: self._artifact.approach)
+
     # ----------------------------------------------------------------- client
     def _resolve_method(self, method: Optional[str]) -> str:
         return resolve_combination_method(
-            method, default=self.method, has_super_learner=self._has_super_learner
+            method, default=self.method, has_super_learner=self._artifact.has_super_learner
         )
 
     def submit(
@@ -381,6 +381,9 @@ class FleetFront:
 
     def _reconcile(self) -> None:
         now = time.monotonic()
+        # Only asked while a failure streak is open: it ends once the fleet
+        # is whole again and every local consumer has attached.
+        attached = set(self.broker.control_status()["consumers"]) if self._spawn_failures else ()
         with self._lock:
             desired = self._desired
             # Prune exited processes; escalate draining stragglers.
@@ -400,6 +403,11 @@ class FleetFront:
                             consumer.consumer_id,
                             code,
                         )
+                        # A consumer that cannot start (unreadable generation,
+                        # bad broker address) must not be relaunched every
+                        # tick — an interpreter and a numpy import each time.
+                        self._spawn_hold = now + backoff_delay(self._spawn_failures)
+                        self._spawn_failures += 1
                     continue
                 if (
                     consumer.draining
@@ -420,6 +428,10 @@ class FleetFront:
                     pass
                 log_event("fleet.consumer_draining", consumer=consumer.consumer_id)
             shortfall = desired - len(running)
+            if now < self._spawn_hold:
+                shortfall = 0
+            elif shortfall <= 0 and all(c.consumer_id in attached for c in running):
+                self._spawn_failures = 0
         # Spawns happen outside the lock (subprocess start is slow).
         for _ in range(max(0, shortfall)):
             consumer = self._spawn_consumer()
@@ -480,24 +492,13 @@ class FleetFront:
         """
         if self._closed:
             raise RuntimeError("FleetFront is closed")
-        resolved = resolve_artifact(self.path, generation=generation)
-        from repro.api.artifacts import read_manifest
-
-        manifest = read_manifest(resolved.path)
-        new_shape = tuple(int(d) for d in manifest["input_shape"])
-        new_classes = int(manifest["num_classes"])
-        if new_shape != self.input_shape or new_classes != self.num_classes:
-            raise ValueError(
-                f"cannot hot-swap to generation {resolved.generation}: its "
-                f"input_shape={new_shape} / num_classes={new_classes} differ "
-                f"from the fleet's {self.input_shape} / {self.num_classes}"
-            )
-        previous_generation = self.generation
-        if resolved.path == self._artifact_dir:
+        previous = self._artifact
+        target = served_artifact(self.path, generation, serving=previous)
+        if target.path == previous.path:
             return {
                 "status": "noop",
-                "generation": self.generation,
-                "previous_generation": previous_generation,
+                "generation": previous.generation,
+                "previous_generation": previous.generation,
                 "consumers_acked": 0,
                 "swap_seconds": 0.0,
             }
@@ -507,18 +508,14 @@ class FleetFront:
             "swap.started",
             artifact=str(self.path),
             mode="queue",
-            from_generation=previous_generation,
-            to_generation=resolved.generation,
+            from_generation=previous.generation,
+            to_generation=target.generation,
         )
         # Future consumers (autoscaler spawns pass self.path) resolve the
         # new CURRENT themselves; existing ones roll via the control channel.
-        self._artifact_dir = resolved.path
-        self.generation = resolved.generation
-        self.num_members = len(manifest["members"])
-        self.approach = manifest["approach"]
-        self._has_super_learner = manifest.get("super_learner_weights") is not None
+        self._artifact = target
         revision = self.broker.post_control(
-            {"op": "swap", "generation": resolved.generation}
+            {"op": "swap", "generation": target.generation}
         )
         while True:
             status = self.broker.control_status()
@@ -536,7 +533,7 @@ class FleetFront:
                 log_event(
                     "swap.failed",
                     mode="queue",
-                    to_generation=resolved.generation,
+                    to_generation=target.generation,
                     errors=failed,
                 )
                 raise RuntimeError(
@@ -551,37 +548,37 @@ class FleetFront:
                 log_event(
                     "swap.failed",
                     mode="queue",
-                    to_generation=resolved.generation,
+                    to_generation=target.generation,
                     errors=[f"timeout waiting for acks from {missing}"],
                 )
                 raise RuntimeError(
                     f"fleet swap timed out after {timeout:.0f}s waiting for "
                     f"consumers {missing} to acknowledge generation "
-                    f"{resolved.generation}"
+                    f"{target.generation}"
                 )
             time.sleep(0.05)
         elapsed = time.monotonic() - start
-        ARTIFACT_GENERATION.set(self.generation)
+        ARTIFACT_GENERATION.set(target.generation)
         log_event(
             "swap.completed",
             mode="queue",
-            from_generation=previous_generation,
-            to_generation=self.generation,
+            from_generation=previous.generation,
+            to_generation=target.generation,
             consumers=len(acks),
             seconds=elapsed,
         )
         logger.info(
             "fleet hot-swapped %s: generation %d -> %d (%d consumers in %.2fs)",
             self.path,
-            previous_generation,
-            self.generation,
+            previous.generation,
+            target.generation,
             len(acks),
             elapsed,
         )
         return {
             "status": "ok",
-            "generation": self.generation,
-            "previous_generation": previous_generation,
+            "generation": target.generation,
+            "previous_generation": previous.generation,
             "consumers_acked": len(acks),
             "swap_seconds": elapsed,
         }
@@ -633,7 +630,7 @@ class FleetFront:
             "num_classes": self.num_classes,
             "input_shape": list(self.input_shape),
             "method": self.method,
-            "super_learner": self._has_super_learner,
+            "super_learner": self._artifact.has_super_learner,
             "transport": self.transport,
             "broker_address": list(self.broker_address),
             "queue": self.broker.stats(),

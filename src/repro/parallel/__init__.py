@@ -1,6 +1,9 @@
 """Process-based parallel execution layer for training and serving.
 
-Two halves share the same ``spawn``-safe multiprocessing substrate:
+Two halves share the same ``spawn``-safe multiprocessing substrate and one
+supervision core (:mod:`repro.parallel.supervision`: a worker's life — spawn
+on fresh private queues, ready, evict, bounded backoff, respawn, shutdown —
+is written once; :mod:`repro.parallel.worker` holds the one worker loop):
 
 * **Training** — :class:`ParallelExecutor` runs :class:`MemberTask` fits on
   one persistent worker pool per run, highest priority first, accepting the
@@ -15,9 +18,10 @@ Two halves share the same ``spawn``-safe multiprocessing substrate:
 * **Serving** — :class:`PoolPredictor` answers concurrent predict requests
   from N worker processes that each warm-load one ``EnsemblePredictor`` from
   a shared artifact directory, with request micro-batching,
-  dispatch-when-idle to the least-loaded worker, and a self-healing supervisor (dead workers are evicted and
-  respawned under bounded backoff; each worker owns private crash-isolated
-  queues).  Exposed over HTTP by ``python -m repro serve``
+  dispatch-when-idle to the least-loaded worker, and a supervisor thread
+  that owns every process replacement (dead or wedged workers are evicted
+  and respawned under bounded backoff; a hot-swap is a supervised roll).
+  Exposed over HTTP by ``python -m repro serve``
   (:func:`repro.parallel.server.run_server`), including Prometheus
   ``GET /metrics`` and a degrading ``GET /healthz``.  The request/response
   data plane is pluggable: ``transport="shm"`` (default) moves tensors

@@ -19,31 +19,30 @@ Key properties
   fault-free to retried-after-a-crash.
 * **No oversubscription** — worker start-up happens inside
   :func:`~repro.utils.parallel.blas_thread_limit`, so every worker's BLAS
-  pool is capped (default: one thread per worker) before numpy is imported.
+  pool is capped (``BLAS_THREADS_PER_WORKER``, one thread) before numpy is
+  imported.
 * **Fault-tolerant** — a worker crash (SIGKILL, OOM kill, segfault), hang
-  (wedged syscall, infinite loop), or in-process exception no longer kills
-  the run.  The scheduler detects the failure, evicts the worker, respawns
-  the pool slot under bounded exponential backoff (the same supervisor
-  semantics as the serving pool), and retries the failed
-  :class:`~repro.core.trainer.MemberTask` up to ``max_task_retries``
-  times.  Detection combines three signals:
+  (wedged syscall, infinite loop), or in-process exception does not kill the
+  run.  The workers fill the slots of a
+  :class:`~repro.parallel.supervision.SlotTable` — the same supervision core
+  the serving pool runs on: spawn on fresh private queues, evict, bounded
+  exponential backoff, respawn — which the single-threaded :meth:`train` loop
+  drives between polls.  What is the executor's own is *detection* and what
+  happens to the task: a failed :class:`~repro.core.trainer.MemberTask` is
+  retried up to ``max_task_retries`` times, then the run fails with a
+  :class:`RuntimeError` naming the member.  Three signals evict a worker:
 
   - **process death** — ``Process.is_alive()`` turning false;
   - **per-task deadline** — a task running longer than ``task_timeout``
-    seconds marks its worker wedged; the executor SIGKILLs it (a hung
-    worker cannot be asked nicely) and retries the task elsewhere.  Tasks
-    only go to workers that have reported ``ready`` (data set attached), so
-    the clock never runs while an interpreter is still booting;
+    seconds marks its worker wedged (a hung worker cannot be asked nicely: it
+    is SIGKILLed).  Tasks only go to slots that are ``ready`` (data set
+    attached), so the clock never runs while an interpreter is still booting;
   - **heartbeat loss** — each worker's daemon heartbeat thread pings every
-    ``heartbeat_interval`` seconds; a silent-but-alive process (SIGSTOP,
-    scheduler starvation) past ``heartbeat_timeout`` is treated as wedged.
+    ``HEARTBEAT_INTERVAL`` seconds; a silent-but-alive process (SIGSTOP,
+    scheduler starvation) past ``HEARTBEAT_TIMEOUT`` is treated as wedged.
 
-  Retries exhausted surface as a :class:`RuntimeError` naming the member.
-* **Crash-isolated IPC** — every worker owns a private request queue and a
-  private result queue (multiplexed in the parent via
-  ``multiprocessing.connection.wait``), so a SIGKILL landing while a worker
-  holds one of its queue locks poisons only its own queues; the respawn
-  installs fresh ones.
+  A worker that returns a result is healthy again: its next eviction starts
+  the backoff over.
 * **Makespan accounting** — :meth:`train` returns the critical-path wall
   clock of the whole run next to the per-member in-worker seconds, so cost
   ledgers can report both "total compute" and "time you actually waited".
@@ -61,7 +60,7 @@ import heapq
 import multiprocessing as mp
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +69,7 @@ from repro.nn.serialization import unpack_model_state
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
 from repro.parallel.shared_data import SharedDataset
-from repro.parallel.supervision import poll_results
+from repro.parallel.supervision import Slot, SlotTable
 from repro.parallel.worker import _worker_main
 from repro.utils.logging import get_logger
 from repro.utils.parallel import blas_thread_limit, cpu_count
@@ -114,6 +113,22 @@ _HEARTBEAT_MISSES = _metrics.counter(
 
 __all__ = ["MemberTask", "ParallelExecutor"]
 
+#: BLAS thread cap applied to each worker before its numpy import: with
+#: ``workers ~= cores`` one thread each uses the machine fully without
+#: oversubscription.  Bitwise in-process/pool equivalence holds when the
+#: in-process run's BLAS pool has this same size (``OMP_NUM_THREADS=1``).
+BLAS_THREADS_PER_WORKER = 1
+#: Workers ping every ``HEARTBEAT_INTERVAL`` seconds; an alive process silent
+#: past ``HEARTBEAT_TIMEOUT`` is treated as wedged.  The timeout must
+#: comfortably cover worker start-up (spawn + numpy import).
+HEARTBEAT_INTERVAL = 0.5
+HEARTBEAT_TIMEOUT = 60.0
+#: First respawn delay of an evicted slot; doubles per consecutive eviction up
+#: to the supervision core's cap, and a returned result starts it over.
+RESTART_BACKOFF = 0.25
+#: How long one scheduler round waits for worker messages.
+POLL_INTERVAL = 0.1
+
 
 @dataclass
 class _Dispatch:
@@ -134,144 +149,70 @@ class ParallelExecutor:
         ``{"x": x_train, "y": y_train}``.
     workers:
         Number of worker processes.
-    blas_threads_per_worker:
-        BLAS thread cap applied to each worker before its numpy import
-        (default 1 — with ``workers ~= cores`` this uses the machine fully
-        without oversubscription).  Bitwise serial/parallel equivalence holds
-        when the serial run's BLAS pool has this same size (e.g. under
-        ``OMP_NUM_THREADS=1``).
     task_timeout:
         Per-task deadline in seconds.  A worker that exceeds it is treated
         as wedged: SIGKILLed, evicted, respawned, and its task retried.
     max_task_retries:
         How many times a failed task (crash, hang, in-worker exception) is
         re-enqueued before the run fails with an error naming the member.
-    heartbeat_interval / heartbeat_timeout:
-        Workers ping every ``heartbeat_interval`` seconds; an alive process
-        silent past ``heartbeat_timeout`` is treated as wedged.  The timeout
-        must comfortably cover worker start-up (spawn + numpy import).
-    restart_backoff / restart_backoff_max:
-        Initial and maximum delay before respawning an evicted pool slot,
-        doubling per consecutive eviction (a worker that returns a result
-        resets its backoff) — the same bounded-backoff supervisor semantics
-        as the serving pool.
     """
 
     def __init__(
         self,
         data: Dict[str, np.ndarray],
         workers: int,
-        blas_threads_per_worker: int = 1,
         task_timeout: float = 900.0,
         max_task_retries: int = 2,
-        heartbeat_interval: float = 0.5,
-        heartbeat_timeout: float = 60.0,
-        restart_backoff: float = 0.25,
-        restart_backoff_max: float = 30.0,
-        poll_interval: float = 0.1,
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if blas_threads_per_worker < 1:
-            raise ValueError("blas_threads_per_worker must be at least 1")
         if task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
         if max_task_retries < 0:
             raise ValueError("max_task_retries must be non-negative")
-        if heartbeat_interval <= 0 or heartbeat_timeout <= heartbeat_interval:
-            raise ValueError("need 0 < heartbeat_interval < heartbeat_timeout")
-        if restart_backoff <= 0 or restart_backoff_max < restart_backoff:
-            raise ValueError("need 0 < restart_backoff <= restart_backoff_max")
         self.workers = int(workers)
-        self.blas_threads_per_worker = int(blas_threads_per_worker)
         self.task_timeout = float(task_timeout)
         self.max_task_retries = int(max_task_retries)
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.heartbeat_timeout = float(heartbeat_timeout)
-        self.restart_backoff = float(restart_backoff)
-        self.restart_backoff_max = float(restart_backoff_max)
-        self.poll_interval = float(poll_interval)
         self._shared = SharedDataset(data)
-        self._ctx = mp.get_context("spawn")
-        self._processes: List[Optional[mp.process.BaseProcess]] = [None] * self.workers
-        self._request_queues: List = [None] * self.workers
-        self._result_queues: List = [None] * self.workers
-        self._last_beat: Dict[int, float] = {}
-        self._ready: Set[int] = set()  # workers that attached the data set
-        # worker -> monotonic time its respawn is due; worker -> consecutive
-        # evictions since it last produced a result (drives the backoff).
-        self._down: Dict[int, float] = {}
-        self._evictions: Dict[int, int] = {i: 0 for i in range(self.workers)}
+        self._table = SlotTable(
+            mp.get_context("spawn"),
+            [Slot(worker_id) for worker_id in range(self.workers)],
+            _worker_main,
+            "repro-train",
+            backoff=RESTART_BACKOFF,
+        )
+        self._last_beat: Dict[int, float] = {}  # worker -> when it last said anything
         self._started = False
-        if self.workers * self.blas_threads_per_worker > cpu_count():
+        if self.workers * BLAS_THREADS_PER_WORKER > cpu_count():
             logger.info(
                 "workers (%d) x blas threads (%d) exceeds the %d usable cores; "
                 "expect time-slicing rather than speedup",
                 self.workers,
-                self.blas_threads_per_worker,
+                BLAS_THREADS_PER_WORKER,
                 cpu_count(),
             )
 
     # ---------------------------------------------------------------- pool
-    def _spawn_worker(self, worker_id: int) -> None:
-        """(Re)start ``worker_id`` on fresh private queues.
-
-        Fresh queues matter on the respawn path: a SIGKILL can land while
-        the predecessor holds one of its queue locks, leaving the lock
-        acquired forever; undelivered payloads on the old queues belong to
-        task attempts that were already rescheduled.
-        """
-        self._request_queues[worker_id] = self._ctx.Queue()
-        self._result_queues[worker_id] = self._ctx.Queue()
+    def _spawn_worker(self, slot: Slot) -> None:
         # The env cap must surround process creation: spawn children inherit
         # the environment at exec time and size their BLAS pools from it when
         # they import numpy.
-        with blas_thread_limit(self.blas_threads_per_worker):
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(
-                    worker_id,
-                    self._shared.meta,
-                    self.blas_threads_per_worker,
-                    self.heartbeat_interval,
-                    self._request_queues[worker_id],
-                    self._result_queues[worker_id],
-                ),
-                daemon=True,
-                name=f"repro-train-{worker_id}",
+        with blas_thread_limit(BLAS_THREADS_PER_WORKER):
+            self._table.spawn(
+                slot, self._shared.meta, BLAS_THREADS_PER_WORKER, HEARTBEAT_INTERVAL
             )
-            process.start()
-        self._processes[worker_id] = process
-        self._ready.discard(worker_id)  # not dispatchable until it says so
-        self._last_beat[worker_id] = time.monotonic()
+        self._last_beat[slot.worker_id] = slot.spawned_at
 
-    def _ensure_workers(self) -> None:
-        if not self._started:
-            for worker_id in range(self.workers):
-                self._spawn_worker(worker_id)
-            self._started = True
-
-    # ------------------------------------------------------------ lifecycle
-    def _evict_worker(self, worker_id: int, reason: str, member: Optional[str]) -> None:
+    def _evict_worker(self, slot: Slot, reason: str, member: Optional[str]) -> None:
         """Take a dead or wedged worker out of rotation and schedule respawn."""
-        process = self._processes[worker_id]
-        if process is not None and process.is_alive():
-            # A wedged worker cannot be asked nicely; SIGKILL mirrors what an
-            # operator (or the OOM killer) would do.
-            process.kill()
-            process.join(timeout=10)
-        attempts = self._evictions[worker_id]
-        self._evictions[worker_id] = attempts + 1
-        backoff = min(self.restart_backoff * (2 ** attempts), self.restart_backoff_max)
-        self._down[worker_id] = time.monotonic() + backoff
+        exitcode, backoff = self._table.evict(slot)
         if _metrics.enabled:
             _WORKER_EVICTIONS.labels(reason).inc()
             if reason == "heartbeat":
                 _HEARTBEAT_MISSES.inc()
-        exitcode = None if process is None else process.exitcode
         logger.error(
             "training worker %d evicted (%s, exit code %s)%s; respawning in %.2fs",
-            worker_id,
+            slot.worker_id,
             reason,
             exitcode,
             f" while training {member!r}" if member else "",
@@ -279,30 +220,12 @@ class ParallelExecutor:
         )
         log_event(
             "train.worker_evicted",
-            worker=worker_id,
+            worker=slot.worker_id,
             reason=reason,
             exitcode=exitcode,
             member=member,
             restart_in_seconds=round(backoff, 3),
         )
-
-    def _respawn_due_workers(self, now: float) -> None:
-        for worker_id, due in list(self._down.items()):
-            if now < due:
-                continue
-            del self._down[worker_id]
-            self._spawn_worker(worker_id)
-            _WORKER_RESTARTS.inc()
-            logger.info(
-                "respawned training worker %d (eviction %d)",
-                worker_id,
-                self._evictions[worker_id],
-            )
-            log_event(
-                "train.worker_respawned",
-                worker=worker_id,
-                eviction=self._evictions[worker_id],
-            )
 
     # ---------------------------------------------------------------- run
     def train(
@@ -324,7 +247,10 @@ class ParallelExecutor:
         hook; an exception from either aborts the run.
         """
         try:
-            self._ensure_workers()
+            if not self._started:
+                for slot in self._table.slots:
+                    self._spawn_worker(slot)
+                self._started = True
             start = time.perf_counter()
             submitted: List[MemberTask] = []
             outcomes: List[Optional[TrainedNetwork]] = []
@@ -349,19 +275,18 @@ class ParallelExecutor:
             def dispatch_pending() -> None:
                 # Only to workers that reported ready: a task's deadline
                 # starts here, never while its worker is still booting.
-                for worker_id in range(self.workers):
+                for slot in self._table.slots:
                     if not pending:
                         break
-                    if worker_id in busy or worker_id in self._down:
-                        continue
-                    if worker_id not in self._ready or not self._processes[worker_id].is_alive():
+                    worker_id = slot.worker_id
+                    if worker_id in busy or slot.state != "ready" or not slot.process.is_alive():
                         continue
                     _, task_index = heapq.heappop(pending)
                     if outcomes[task_index] is not None:
                         continue  # a late straggler already answered it
                     task, attempt = submitted[task_index], attempts[task_index]
                     now = time.monotonic()
-                    self._request_queues[worker_id].put((task_index, attempt, task))
+                    slot.request_queue.put((task_index, attempt, task))
                     busy[worker_id] = _Dispatch(task_index, attempt, now + self.task_timeout)
                     log_event(
                         "train.task_dispatched",
@@ -408,20 +333,18 @@ class ParallelExecutor:
                 dispatch_pending()
 
                 # 2. Collect messages (ready, results, errors, heartbeats).
-                messages = poll_results(self._result_queues, self.poll_interval)
-                for kind, worker_id, payload in messages:
+                for kind, worker_id, payload in self._table.poll(POLL_INTERVAL):
                     now = time.monotonic()
-                    if kind == "ready":
-                        # The first message of a fresh process: its last
-                        # "beat" is still the moment it was spawned.
-                        self._ready.add(worker_id)
-                        boot = round(now - self._last_beat[worker_id], 3)
+                    slot = self._table.slots[worker_id]
+                    if kind == "ready" and slot.state == "starting":
+                        slot.state = "ready"
+                        boot = round(now - slot.spawned_at, 3)
                         log_event("train.worker_ready", worker=worker_id, boot_seconds=boot)
                     self._last_beat[worker_id] = now
                     if kind == "result":
                         task_index, attempt, outcome, worker_metrics = payload
                         busy.pop(worker_id, None)
-                        self._evictions[worker_id] = 0
+                        self._table.mark_healthy(slot)
                         if outcomes[task_index] is None:
                             # The model crossed the process boundary packed
                             # as plain data (worker._worker_main).
@@ -449,28 +372,26 @@ class ParallelExecutor:
                         if outcomes[task_index] is None:
                             fail_or_retry(task_index, message)
                     elif kind == "fatal":  # worker could not start (attach failed)
-                        self._evict_worker(worker_id, "startup", None)
+                        self._evict_worker(slot, "startup", None)
 
                 now = time.monotonic()
 
                 # 3. Health checks: deaths, deadlines, heartbeat loss.
-                for worker_id in range(self.workers):
-                    if worker_id in self._down:
+                for slot in self._table.slots:
+                    if slot.state == "down":
                         continue
-                    process = self._processes[worker_id]
-                    if process is None:
-                        continue
+                    worker_id = slot.worker_id
                     dispatch = busy.get(worker_id)
-                    if not process.is_alive():
+                    if not slot.process.is_alive():
                         reason = "died"
                     elif dispatch is not None and now >= dispatch.deadline:
                         reason = "deadline"
-                    elif now - self._last_beat.get(worker_id, now) > self.heartbeat_timeout:
+                    elif now - self._last_beat[worker_id] > HEARTBEAT_TIMEOUT:
                         reason = "heartbeat"
                     else:
                         continue
                     member = None if dispatch is None else submitted[dispatch.task_index].name
-                    self._evict_worker(worker_id, reason, member)
+                    self._evict_worker(slot, reason, member)
                     busy.pop(worker_id, None)
                     if dispatch is not None and outcomes[dispatch.task_index] is None:
                         fail_or_retry(
@@ -484,14 +405,24 @@ class ParallelExecutor:
                         )
 
                 # 4. Bring evicted pool slots back under backoff.
-                self._respawn_due_workers(now)
+                for slot in self._table.due(now):
+                    self._spawn_worker(slot)
+                    _WORKER_RESTARTS.inc()
+                    logger.info(
+                        "respawned training worker %d (eviction %d)",
+                        slot.worker_id,
+                        slot.failures,
+                    )
+                    log_event(
+                        "train.worker_respawned", worker=slot.worker_id, eviction=slot.failures
+                    )
 
             makespan = time.perf_counter() - start
         except BaseException:
             # A failed run must not hang the caller a second time: waiting
             # for stuck tasks could block forever, so kill the pool outright
             # before the exception propagates.
-            self._terminate()
+            self._shutdown(graceful=False)
             raise
         if _metrics.enabled:
             _TASKS_TOTAL.inc(len(outcomes))
@@ -510,52 +441,15 @@ class ParallelExecutor:
         return outcomes, makespan  # type: ignore[return-value]
 
     # ------------------------------------------------------------- cleanup
-    def _close_queues(self) -> None:
-        for queues in (self._request_queues, self._result_queues):
-            for index, queue in enumerate(queues):
-                if queue is None:
-                    continue
-                try:
-                    queue.close()
-                    queue.join_thread()
-                except Exception:  # pragma: no cover - feeder already gone
-                    pass
-                queues[index] = None
-
-    def _terminate(self) -> None:
-        """Forcibly stop the workers (used on the error path, where waiting
-        for in-flight tasks could block forever) and free the segments."""
-        for process in self._processes:
-            if process is not None and process.is_alive():
-                process.kill()
-        for index, process in enumerate(self._processes):
-            if process is not None:
-                process.join(timeout=10)
-                self._processes[index] = None
-        self._close_queues()
+    def _shutdown(self, graceful: bool) -> None:
+        self._table.stop(self._table.slots, graceful=graceful)
+        self._table.close()
         self._started = False
         self._shared.close()
 
     def close(self) -> None:
         """Shut the pool down, then destroy the shared segments (idempotent)."""
-        for worker_id, process in enumerate(self._processes):
-            if process is None or not process.is_alive():
-                continue
-            try:
-                self._request_queues[worker_id].put(None)
-            except Exception:  # pragma: no cover
-                pass
-        for index, process in enumerate(self._processes):
-            if process is None:
-                continue
-            process.join(timeout=10)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.kill()
-                process.join(timeout=5)
-            self._processes[index] = None
-        self._close_queues()
-        self._started = False
-        self._shared.close()
+        self._shutdown(graceful=True)
 
     def __enter__(self) -> "ParallelExecutor":
         return self

@@ -28,26 +28,38 @@ through ``EnsemblePredictor.predict_proba`` with its own rows and the
 configured ``batch_size``, so every answer is **bitwise identical** to what a
 single-process ``EnsemblePredictor`` would return for the same call.
 
-Self-healing: a supervisor thread health-checks the worker processes every
-``supervise_interval`` seconds.  A dead worker has its in-flight requests
-failed promptly, is evicted from dispatch, and — when ``restart_workers`` is
-on (the default) — is respawned from the artifact directory under a bounded
-exponential backoff (``restart_backoff`` doubling per consecutive failed
-attempt up to ``restart_backoff_max``).  :meth:`healthz` reports ``degraded``
-while capacity is reduced and returns to ``ok`` once the respawned worker has
-its predictor warm again; every transition is recorded as a structured event
-(``serve.worker_died`` / ``serve.worker_respawned`` / ``serve.worker_ready``)
-and counted in the ``repro_serve_*`` metrics.
+Worker life cycle: each worker fills one slot of a
+:class:`~repro.parallel.supervision.SlotTable` — the record holds its process,
+its private queues, its state (``starting | ready | draining | down``) and its
+backoff, plus the pool's arena, load and artifact generation — and **process
+replacement has exactly one owner, the supervisor thread**.  It wakes every
+``supervise_interval`` seconds to health-check, and at once when another
+thread posts a lifecycle fact under the pool lock (a ``ready`` / ``fatal``
+handshake, a draining slot's load reaching zero, a swap published, the pool
+closing); nothing else stops or spawns a worker, which is why ``close()`` —
+stopping the supervisor first — cannot race a spawn.
 
-Crash-safe IPC layout: every worker owns a private request queue (parent
-writes, worker reads) and a private result queue (worker writes, parent
-reads), so each internal queue lock ever has exactly one process on each
-side.  A worker SIGKILLed while holding a lock — e.g. mid-``get`` on its
-request queue — therefore poisons only its *own* queues, and the supervisor
-replaces both with fresh ones at respawn; with a lock shared across workers
-(the naive single result queue) one crash could deadlock the whole pool.
-The collector multiplexes the per-worker result queues through
-``multiprocessing.connection.wait``.
+* *Self-healing.*  A dead worker, or one holding a dispatch past
+  ``dispatch_timeout`` (wedged: it is SIGKILLed), is evicted: its in-flight
+  requests fail promptly and — when ``restart_workers`` is on (the default) —
+  the slot is respawned from the artifact directory under the core's bounded
+  exponential backoff (``restart_backoff`` doubling per consecutive failed
+  attempt up to ``restart_backoff_max``; reaching ``ready`` starts it over).
+  :meth:`healthz` reports ``degraded`` while capacity is reduced and returns
+  to ``ok`` once the respawned worker has its predictor warm again; every
+  transition is a structured event (``serve.worker_died`` /
+  ``serve.worker_hung`` / ``serve.worker_respawned`` / ``serve.worker_ready``)
+  and counted in the ``repro_serve_*`` metrics.
+* *Hot-swap is a supervised replacement.*  :meth:`PoolPredictor.swap` only
+  validates the target, publishes it as the pool's artifact and waits; the
+  supervisor rolls one stale-generation slot at a time (``draining`` → load 0
+  → graceful stop → spawn from the target, no backoff → ``ready`` → next).
+  The dispatcher claims its worker under the same lock the supervisor flips
+  ``draining`` under, so a group either belongs to the old worker before the
+  drain check — and is answered on the old generation — or never reaches it.
+* *Parent death.*  Workers watch their parent and exit when it is gone
+  (:mod:`repro.parallel.worker`), so a SIGKILLed server leaves no orphan
+  pinning its ``/dev/shm`` segments.
 
 Transports: with ``transport="shm"`` (the default) each worker additionally
 owns a shared-memory arena (:class:`~repro.parallel.shm_transport.ShmArena`)
@@ -56,10 +68,11 @@ once into the worker's arena and probabilities come back as zero-copy views
 of worker-written result regions.  ``transport="pickle"`` keeps the original
 tensors-through-the-queue path as the bitwise reference; the shm dispatcher
 also falls back to it per dispatch whenever a request does not fit the arena.
-A dead worker's arena is retired wholesale (name unlinked immediately, the
-mapping closed once the last client-held result view is garbage collected)
-and the respawned worker gets a fresh generation, so a SIGKILL mid-slot-write
-can never wedge the dispatcher or leak ``/dev/shm`` segments.
+Like its queues, a worker's arena is private and replaced at every spawn: the
+old one is retired wholesale (name unlinked immediately, the mapping closed
+once the last client-held result view is garbage collected) and the successor
+gets a fresh generation, so a SIGKILL mid-slot-write can never wedge the
+dispatcher or leak ``/dev/shm`` segments.
 """
 
 from __future__ import annotations
@@ -67,6 +80,7 @@ from __future__ import annotations
 import atexit
 import itertools
 import math
+import multiprocessing as mp
 import pickle
 import threading
 import time
@@ -77,19 +91,14 @@ from math import prod
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
-import multiprocessing as mp
-
 import numpy as np
 
-from repro.core.artifact_store import (
-    ARTIFACT_GENERATION,
-    resolve_artifact,
-)
+from repro.core.artifact_store import ARTIFACT_GENERATION, served_artifact
 from repro.core.ensemble import resolve_combination_method
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
 from repro.parallel.shm_transport import RESULT_ITEMSIZE, ShmArena, _align
-from repro.parallel.supervision import poll_results
+from repro.parallel.supervision import Slot, SlotTable
 from repro.parallel.worker import _serving_worker_main
 from repro.utils.logging import get_logger
 
@@ -206,10 +215,37 @@ class _Request:
     method: str
     future: Future = field(default_factory=Future)
     enqueued: float = field(default_factory=time.monotonic)
+    # Set together, under the pool lock, when the dispatcher claims a worker.
+    worker_id: Optional[int] = None
+    dispatched: float = 0.0
 
     @property
     def rows(self) -> int:
         return int(self.x.shape[0])
+
+
+@dataclass
+class _PoolSlot(Slot):
+    """A serving worker's slot: the supervision record plus what the pool
+    keeps per worker."""
+
+    arena: Optional[ShmArena] = None
+    load: int = 0  # its dispatched-but-unanswered requests (pool lock)
+    generation: int = 0  # the artifact generation its process loaded
+
+
+@dataclass
+class _Swap:
+    """A published hot-swap; the supervisor rolls the pool towards it.
+
+    ``rolling`` and ``rolled`` belong to the supervisor thread; ``done`` and
+    ``error`` are posted under the pool lock for the waiting ``swap()`` call.
+    """
+
+    rolling: Optional[_PoolSlot] = None
+    rolled: int = 0
+    done: bool = False
+    error: Optional[str] = None
 
 
 def dispatch_reason(
@@ -304,8 +340,6 @@ class PoolPredictor:
         transport: str = "shm",
         arena_slots: int = 4,
     ):
-        from repro.api.artifacts import read_manifest
-
         if workers < 1:
             raise ValueError("workers must be at least 1")
         resolve_combination_method(method, has_super_learner=True)
@@ -313,8 +347,6 @@ class PoolPredictor:
             raise ValueError("max_batch must be positive")
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be non-negative")
-        if restart_backoff <= 0 or restart_backoff_max < restart_backoff:
-            raise ValueError("need 0 < restart_backoff <= restart_backoff_max")
         if supervise_interval <= 0:
             raise ValueError("supervise_interval must be positive")
         if dispatch_timeout < 0:
@@ -330,11 +362,11 @@ class PoolPredictor:
         # Resolve the (possibly store-layout) artifact path once: workers
         # spawn from the concrete generation directory, while self.path keeps
         # the caller's root so swap() can re-resolve CURRENT later.
-        resolved = resolve_artifact(path)
         self.path = Path(path)
-        self._artifact_dir = resolved.path
-        self.generation = resolved.generation
-        manifest = read_manifest(self._artifact_dir)
+        self._artifact = served_artifact(path)
+        resolve_combination_method(
+            method, has_super_learner=self._artifact.has_super_learner
+        )
         self.method = method
         self.workers = int(workers)
         self.batch_size = int(batch_size)
@@ -345,97 +377,47 @@ class PoolPredictor:
         self.transport = transport
         self.arena_slots = int(arena_slots)
         self.restart_workers = bool(restart_workers)
-        self.restart_backoff = float(restart_backoff)
-        self.restart_backoff_max = float(restart_backoff_max)
         self.supervise_interval = float(supervise_interval)
         self.worker_wait = float(worker_wait)
         self.dispatch_timeout = float(dispatch_timeout)
         self.startup_timeout = float(startup_timeout)
-        self.input_shape = tuple(int(d) for d in manifest["input_shape"])
-        self.num_classes = int(manifest["num_classes"])
-        self.num_members = len(manifest["members"])
-        self.approach = manifest["approach"]
-        self._has_super_learner = manifest.get("super_learner_weights") is not None
-        resolve_combination_method(
-            method, has_super_learner=self._has_super_learner
-        )
 
-        self._feature_size = prod(self.input_shape)
-        self._ctx = mp.get_context("spawn")
-        self._request_queues = []
-        self._result_queues = []
-        self._processes: List[mp.Process] = []
-        self._arenas: List[Optional[ShmArena]] = [None] * self.workers
-        self._arena_generation = [0] * self.workers
+        # One record per worker (process, queues, state, backoff, arena,
+        # load): every field but ``load`` is written by the supervisor thread
+        # only, and ``state`` and ``load`` change under the pool lock.
+        self._table = SlotTable(
+            mp.get_context("spawn"),
+            [_PoolSlot(worker_id) for worker_id in range(self.workers)],
+            _serving_worker_main,
+            "repro-serve",
+            backoff=restart_backoff,
+            backoff_max=restart_backoff_max,
+        )
+        self._slots: List[_PoolSlot] = self._table.slots
         self._closed = False
         self._lock = threading.Lock()
-        # The dispatcher sleeps on this condition (same lock as everything
-        # below): notified when a request is enqueued, when a worker's
-        # in-flight count drops to zero or a worker turns ready, and by
-        # close().
+        # Two conditions on the one pool lock.  The dispatcher sleeps on
+        # _wake: notified when a request is enqueued, when a worker's load
+        # drops to zero or a worker turns ready, and by close().  The
+        # supervisor (and a waiting swap() or constructor) sleeps on
+        # _lifecycle: notified by _post() for lifecycle facts only — a
+        # ready/fatal handshake, a draining slot's load reaching zero, a
+        # swap published, finished or abandoned, close() — never per request.
         self._wake = threading.Condition(self._lock)
+        self._lifecycle = threading.Condition(self._lock)
+        self._facts_posted = False
         self._pending: Deque[_Request] = deque()
-        self._futures: Dict[int, Future] = {}
-        # request_id -> worker_id for dispatched-but-unanswered requests, so
-        # a worker death fails exactly its in-flight futures (promptly,
-        # instead of letting clients run into the full request timeout);
-        # request_id -> dispatch time feeds the hung-worker deadline.
-        # _load[worker_id] counts that worker's entries in _inflight and
-        # changes only together with it, under _lock — so "idle", the rolling
-        # swap's drain check and a death's orphan list read one picture.
-        self._inflight: Dict[int, int] = {}
-        self._inflight_since: Dict[int, float] = {}
-        self._load: List[int] = [0] * self.workers
+        # Every unanswered request, queued or dispatched; a dispatched one
+        # names its worker, so a death fails exactly that worker's requests
+        # and its dispatch time feeds the hung-worker deadline.
+        self._requests: Dict[int, _Request] = {}
         self._next_worker = 0  # round-robin tie-break; dispatcher thread only
-        # Worker lifecycle state.  _ready holds the ids whose predictor is
-        # loaded (guarded by _lock, written by the collector/supervisor);
-        # _down maps a dead worker to the monotonic time its respawn is due
-        # (None = respawn disabled) and _attempts counts consecutive failed
-        # starts since the worker last reached "ready" (drives the backoff).
-        # Both are touched only by the supervisor thread (and close()).
-        self._ready: set = set()
-        self._down: Dict[int, Optional[float]] = {}
-        self._attempts: Dict[int, int] = {i: 0 for i in range(self.workers)}
         self._restarts_total = 0
-        # Hot-swap state.  _swapping (guarded by _lock) marks workers whose
-        # lifecycle the rolling swap temporarily owns — the supervisor must
-        # not race it with its own respawn; _lifecycle_lock serialises the
-        # swap's process replacement against _check_workers wholesale; the
-        # non-reentrant _swap_lock admits one swap at a time.
-        self._swapping: set = set()
-        self._lifecycle_lock = threading.Lock()
-        self._swap_lock = threading.Lock()
+        self._load_failure: Optional[str] = None  # last "fatal" handshake
+        self._swap: Optional[_Swap] = None  # published under _lock
+        self._swap_lock = threading.Lock()  # admits one swap() at a time
         self._swaps_total = 0
         self._request_ids = itertools.count()
-        for worker_id in range(self.workers):
-            self._request_queues.append(self._ctx.Queue())
-            self._result_queues.append(self._ctx.Queue())
-            if self.transport == "shm":
-                self._arenas[worker_id] = self._new_arena(worker_id)
-            self._processes.append(self._spawn_worker(worker_id))
-        _WORKERS_CONFIGURED.set(self.workers)
-
-        # Wait until every worker has its predictor loaded (warm pool).
-        deadline = time.monotonic() + float(startup_timeout)
-        try:
-            while len(self._ready) < self.workers:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RuntimeError("serving workers failed to start in time")
-                for kind, worker_id, info in poll_results(self._result_queues, remaining):
-                    if kind == "ready":
-                        self._ready.add(worker_id)
-                    elif kind == "fatal":
-                        raise RuntimeError(
-                            f"serving worker {worker_id} failed to load: {info}"
-                        )
-        except BaseException:
-            self._shutdown_processes()
-            self._retire_arenas()
-            raise
-        _WORKERS_ALIVE.set(len(self._ready))
-
-        self._stop_supervisor = threading.Event()
         self._stop_collector = threading.Event()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
@@ -446,9 +428,26 @@ class PoolPredictor:
         self._supervisor = threading.Thread(
             target=self._supervise_loop, name="repro-serve-supervise", daemon=True
         )
-        self._dispatcher.start()
-        self._collector.start()
-        self._supervisor.start()
+        for thread in (self._dispatcher, self._collector, self._supervisor):
+            thread.start()
+        _WORKERS_CONFIGURED.set(self.workers)
+        try:
+            # All workers boot concurrently, each arena created before its
+            # spawn; the pool is warm once every slot has said ready.
+            for slot in self._slots:
+                self._spawn(slot)
+            with self._lock:
+                warm = self._lifecycle.wait_for(
+                    lambda: self._load_failure is not None
+                    or all(slot.state == "ready" for slot in self._slots),
+                    timeout=self.startup_timeout,
+                )
+                failure = self._load_failure
+            if failure is not None or not warm:
+                raise RuntimeError(failure or "serving workers failed to start in time")
+        except BaseException:
+            self.close()
+            raise
         atexit.register(self.close)
         logger.info(
             "serving %s ensemble (%d members) from %s with %d workers",
@@ -458,50 +457,56 @@ class PoolPredictor:
             self.workers,
         )
 
+    generation = property(lambda self: self._artifact.generation)
+    input_shape = property(lambda self: self._artifact.input_shape)
+    num_classes = property(lambda self: self._artifact.num_classes)
+    num_members = property(lambda self: self._artifact.num_members)
+    approach = property(lambda self: self._artifact.approach)
+
     # ------------------------------------------------------------ factories
     @classmethod
     def load(cls, path: Union[str, Path], **kwargs) -> "PoolPredictor":
         """Mirror of ``EnsemblePredictor.load`` for the pooled server."""
         return cls(path, **kwargs)
 
-    def _new_arena(self, worker_id: int) -> ShmArena:
-        return ShmArena(
-            worker_id,
-            max_batch=self.max_batch,
-            feature_size=self._feature_size,
-            num_classes=self.num_classes,
-            slots=self.arena_slots,
-            generation=self._arena_generation[worker_id],
+    def _spawn(self, slot: _PoolSlot) -> None:
+        """Start the slot's worker from the artifact the pool serves *now*,
+        on a fresh arena generation next to the table's fresh queues.
+
+        The arena is replaced wholesale for the queues' reason: a SIGKILL
+        mid-slot-write leaves regions reserved for descriptors that will
+        never arrive.  The old generation's name is unlinked at once (no
+        /dev/shm leak); its mapping survives only as long as clients hold
+        result views into it.  Supervisor thread only (and the constructor).
+        """
+        served = self._artifact
+        if self.transport == "shm":
+            old_arena = slot.arena
+            slot.arena = ShmArena(
+                slot.worker_id,
+                max_batch=self.max_batch,
+                feature_size=prod(served.input_shape),
+                num_classes=served.num_classes,
+                slots=self.arena_slots,
+                generation=0 if old_arena is None else old_arena.generation + 1,
+            )
+            if old_arena is not None:
+                old_arena.retire()
+        slot.generation = served.generation
+        self._table.spawn(
+            slot,
+            str(served.path),
+            self.method,
+            self.batch_size,
+            self.warm,
+            slot.arena.meta if slot.arena is not None else None,
         )
 
-    def _retire_arenas(self) -> None:
-        for worker_id, arena in enumerate(self._arenas):
-            if arena is not None:
-                arena.retire()
-            self._arenas[worker_id] = None
-
-    def _spawn_worker(self, worker_id: int) -> mp.Process:
-        """Start the worker process for ``worker_id`` on that worker's
-        *current* private queues and arena (respawns install fresh ones
-        first — see :meth:`_respawn_worker`)."""
-        arena = self._arenas[worker_id]
-        process = self._ctx.Process(
-            target=_serving_worker_main,
-            args=(
-                worker_id,
-                str(self._artifact_dir),
-                self.method,
-                self.batch_size,
-                self.warm,
-                arena.meta if arena is not None else None,
-                self._request_queues[worker_id],
-                self._result_queues[worker_id],
-            ),
-            daemon=True,
-            name=f"repro-serve-{worker_id}",
-        )
-        process.start()
-        return process
+    def _post(self) -> None:
+        """Tell the supervisor (and whoever waits on it) that a lifecycle
+        fact changed; call with the pool lock held."""
+        self._facts_posted = True
+        self._lifecycle.notify_all()
 
     # ------------------------------------------------------- internal loops
     def _dispatch_loop(self) -> None:
@@ -517,16 +522,46 @@ class PoolPredictor:
             # dropped its copy.
             taken = None
 
-    def _next_group(self) -> Optional[Tuple[List[_Request], int, str]]:
-        """Block until a micro-batch should ship; ``(group, rows, reason)``,
-        or ``None`` once the pool is closed and nothing is queued.
+    def _dispatch_group(
+        self, group: List[_Request], rows: int, reason: str, slot: Optional[_PoolSlot]
+    ) -> None:
+        """Ship one micro-batch to the worker claimed for it — or fail it,
+        if :meth:`_next_group` found none."""
+        if slot is None:
+            error = RuntimeError("no serving workers alive")
+            for request in group:
+                self._resolve(request.request_id, exception=error)
+            return
+        item = self._build_dispatch(slot, group)
+        # Counted before the worker can see the item, so a client that
+        # has its answer also finds its dispatch in the metrics.
+        if _metrics.enabled:
+            _DISPATCHES.labels(reason).inc()
+            _DISPATCH_ROWS.observe(rows)
+            handed = time.monotonic()
+            for request in group:
+                _DISPATCH_WAIT.observe(handed - request.enqueued)
+        slot.request_queue.put(item)
+
+    def _next_group(self) -> Optional[Tuple[List[_Request], int, str, Optional[_PoolSlot]]]:
+        """Block until a micro-batch should ship and a worker is claimed for
+        it: ``(group, rows, reason, slot)``, or ``None`` once the pool is
+        closed and nothing is queued.
 
         Takes what is already queued without blocking, asks
         :func:`dispatch_reason`, and otherwise sleeps until a request
-        arrives, a worker goes idle or the group's deadline passes.
+        arrives, a worker goes idle or the group's deadline passes.  The
+        worker is picked and claimed (its ``load`` raised, the requests
+        stamped with it) under the one lock hold: a slot the supervisor turns
+        ``draining`` or ``down`` — under the same lock — either already owns
+        the group, and answers it or has it failed with the rest of its
+        in-flight requests, or is never picked.  With respawn enabled a group
+        that finds no ready worker waits up to ``worker_wait`` for capacity
+        to come back before it gives up (``slot`` is ``None``).
         """
         group: List[_Request] = []
         rows = 0
+        give_up: Optional[float] = None
         with self._wake:
             while True:
                 while self._pending and rows < self.max_batch:
@@ -540,68 +575,35 @@ class PoolPredictor:
                     continue
                 # A closing pool never waits.
                 max_wait = 0.0 if self._closed else self.max_wait_ms / 1000.0
-                waited = time.monotonic() - group[0].enqueued
-                idle = any(self._load[worker_id] == 0 for worker_id in self._ready)
+                now = time.monotonic()
+                waited = now - group[0].enqueued
+                ready = [slot for slot in self._slots if slot.state == "ready"]
+                idle = any(slot.load == 0 for slot in ready)
                 reason = dispatch_reason(rows, self.max_batch, idle, waited, max_wait)
-                if reason is not None:
-                    return group, rows, reason
-                self._wake.wait(max_wait - waited)
-
-    def _dispatch_group(self, group: List[_Request], rows: int, reason: str) -> None:
-        """Hand one micro-batch to a ready worker, or fail it if none is left.
-
-        The in-flight registration double-checks the chosen worker is still
-        in ``_ready`` under the pool lock before anything lands on its
-        queue.  A rolling swap removes a worker from ``_ready`` under the
-        same lock and only drains/stops it once no in-flight request maps to
-        it — so a dispatch either commits *before* the drain check (the old
-        worker answers it on the old generation) or re-targets another
-        worker.  Without the recheck, a dispatch could slip onto a worker's
-        queue after the swap observed it idle and sent the stop sentinel,
-        stranding the requests until the client timeout.
-        """
-        while True:
-            worker_id = self._pick_worker(group)
-            if worker_id is None:
-                return
-            item = self._build_dispatch(worker_id, group)
-            dispatched = time.monotonic()
-            with self._lock:
-                claimed = worker_id in self._ready
-                if claimed:
+                if reason is None:
+                    self._wake.wait(max_wait - waited)
+                    continue
+                # Fewest requests in flight first — the idle one when the
+                # reason is "idle" — round-robin among equals.
+                ready.sort(
+                    key=lambda s: (s.load, (s.worker_id - self._next_worker) % self.workers)
+                )
+                slot = next((s for s in ready if s.process.is_alive()), None)
+                if slot is not None:
                     for request in group:
-                        self._inflight[request.request_id] = worker_id
-                        self._inflight_since[request.request_id] = dispatched
-                    self._load[worker_id] += len(group)
-            if not claimed:
-                self._abort_dispatch(worker_id, item)
-                continue
-            # Counted before the worker can see the item, so a client that
-            # has its answer also finds its dispatch in the metrics.
-            if _metrics.enabled:
-                _DISPATCHES.labels(reason).inc()
-                _DISPATCH_ROWS.observe(rows)
-                for request in group:
-                    _DISPATCH_WAIT.observe(dispatched - request.enqueued)
-            self._request_queues[worker_id].put(item)
-            return
-
-    def _abort_dispatch(self, worker_id: int, item: tuple) -> None:
-        """Release arena regions reserved for a dispatch that never shipped
-        (its worker left the ready set between pick and claim)."""
-        if item[0] != "shm":
-            return
-        generation, request_region, entries = item[1]
-        arena = self._arenas[worker_id]
-        if arena is None or arena.generation != generation:
-            return  # the arena was already retired wholesale
-        for entry in entries:
-            arena.free_result(entry[5])
-        arena.free_request(request_region)
+                        request.worker_id, request.dispatched = slot.worker_id, now
+                    slot.load += len(group)
+                    self._next_worker = (slot.worker_id + 1) % self.workers
+                    return group, rows, reason, slot
+                if give_up is None:
+                    give_up = now + self.worker_wait
+                if self._closed or not self.restart_workers or now >= give_up:
+                    return group, rows, reason, None
+                self._wake.wait(give_up - now)
 
     # ------------------------------------------------------------ transports
-    def _build_dispatch(self, worker_id: int, group: List[_Request]) -> tuple:
-        """Encode a micro-batch for ``worker_id``'s queue.
+    def _build_dispatch(self, slot: _PoolSlot, group: List[_Request]) -> tuple:
+        """Encode a micro-batch for the slot's request queue.
 
         On the shm transport the rows are written into the worker's arena and
         the queue item is a fixed-size descriptor; when the arena cannot hold
@@ -610,7 +612,7 @@ class PoolPredictor:
         worker accepts either, so no request is ever refused for size.
         """
         if self.transport == "shm":
-            item = self._build_shm_dispatch(worker_id, group)
+            item = self._build_shm_dispatch(slot.arena, group)
             if item is not None:
                 return item
         with _TRANSPORT_PHASE.labels("pickle", "request_serialize").time():
@@ -625,13 +627,10 @@ class PoolPredictor:
         return ("pickle", payload)
 
     def _build_shm_dispatch(
-        self, worker_id: int, group: List[_Request]
+        self, arena: ShmArena, group: List[_Request]
     ) -> Optional[tuple]:
         """Reserve arena regions and copy the rows in; ``None`` on any
         capacity miss (the caller falls back to pickle)."""
-        arena = self._arenas[worker_id]
-        if arena is None:  # pragma: no cover - shm transport always has one
-            return None
         request_region = arena.alloc_request(
             sum(_align(request.x.nbytes) for request in group)
         )
@@ -671,33 +670,9 @@ class PoolPredictor:
             _TRANSPORT_BYTES.labels("shm", "request").inc(_descriptor_nbytes(item))
         return item
 
-    def _pick_worker(self, group: List[_Request]) -> Optional[int]:
-        """The ready worker with the fewest requests in flight — the idle one
-        when :func:`dispatch_reason` said ``idle`` — round-robin among equals;
-        with respawn enabled, wait up to ``worker_wait`` for capacity to come
-        back before failing the group."""
-        deadline = time.monotonic() + self.worker_wait
-        while True:
-            with self._lock:
-                ranked = sorted(
-                    self._ready,
-                    key=lambda w: (self._load[w], (w - self._next_worker) % self.workers),
-                )
-            for worker_id in ranked:
-                if self._processes[worker_id].is_alive():
-                    self._next_worker = (worker_id + 1) % self.workers
-                    return worker_id
-            if self._closed or not self.restart_workers or time.monotonic() >= deadline:
-                break
-            time.sleep(0.05)
-        error = RuntimeError("no serving workers alive")
-        for request in group:
-            self._resolve(request.request_id, exception=error)
-        return None
-
     def _collect_loop(self) -> None:
         while not self._stop_collector.is_set():
-            for kind, worker_id, payload in poll_results(self._result_queues, 0.2):
+            for kind, worker_id, payload in self._table.poll(0.2):
                 if kind == "result":
                     if payload[0] == "shm":
                         self._collect_shm_result(worker_id, payload)
@@ -718,11 +693,15 @@ class PoolPredictor:
                             else:
                                 self._resolve(request_id, result=proba)
                 elif kind == "ready":
-                    # A respawned worker finished loading its predictor.
-                    with self._wake:
-                        self._ready.add(worker_id)
-                        self._attempts[worker_id] = 0
+                    # The worker finished loading its predictor.
+                    slot = self._slots[worker_id]
+                    with self._lock:
+                        if slot.state != "starting":
+                            continue  # stale: the slot was evicted meanwhile
+                        slot.state = "ready"
+                        self._table.mark_healthy(slot)
                         self._wake.notify()
+                        self._post()
                     _WORKERS_ALIVE.set(self.alive_workers())
                     log_event("serve.worker_ready", worker=worker_id)
                     logger.info("serving worker %d is ready", worker_id)
@@ -736,6 +715,11 @@ class PoolPredictor:
                     log_event(
                         "serve.worker_load_failed", worker=worker_id, error=str(payload)
                     )
+                    with self._lock:
+                        self._load_failure = (
+                            f"serving worker {worker_id} failed to load: {payload}"
+                        )
+                        self._post()
 
     def _collect_shm_result(self, worker_id: int, payload: tuple) -> None:
         """Resolve one shm-transport reply: hand out zero-copy result views,
@@ -747,7 +731,7 @@ class PoolPredictor:
         arena's book-keeping — stale offsets must not free live regions.
         """
         _, generation, request_region, replies = payload
-        arena = self._arenas[worker_id]
+        arena = self._slots[worker_id].arena
         live = arena is not None and arena.generation == generation
         if live:
             arena.free_request(request_region)
@@ -786,153 +770,160 @@ class PoolPredictor:
 
     # ------------------------------------------------------------ supervisor
     def _supervise_loop(self) -> None:
-        while not self._stop_supervisor.wait(self.supervise_interval):
+        """The one owner of process replacement: evict, respawn, roll.
+
+        Every other thread only posts facts under the pool lock
+        (:meth:`_post`).  This loop wakes for them, and every
+        ``supervise_interval`` seconds to health-check, until the pool is
+        closed — ``close()`` waits for it to end before it stops a single
+        worker, so nothing can spawn behind a closed pool.
+        """
+        while True:
+            with self._lock:
+                if not (self._facts_posted or self._closed):
+                    self._lifecycle.wait(self.supervise_interval)
+                self._facts_posted = False
+                if self._closed:
+                    return
+                swap = self._swap
+                if swap is None:
+                    for slot in self._slots:
+                        if slot.state == "draining":  # its swap was abandoned
+                            slot.state = "ready"
+                            self._wake.notify()
             try:
-                self._check_workers()
+                self._check_workers(time.monotonic())
+                if swap is not None:
+                    self._advance_swap(swap)
             except Exception:  # pragma: no cover - supervisor must survive
                 logger.exception("pool supervisor check failed")
+            _WORKERS_ALIVE.set(self.alive_workers())
 
-    def _check_workers(self) -> None:
-        # Serialised against a rolling swap's process-replacement phase: both
-        # paths mutate _processes/_down/queues/arenas for a worker, and the
-        # swap additionally owns the workers it marked in _swapping.
-        with self._lifecycle_lock:
-            self._check_workers_locked()
+    def _check_workers(self, now: float) -> None:
+        """Evict dead and wedged workers, respawn the slots that are due.
 
-    def _check_workers_locked(self) -> None:
-        now = time.monotonic()
-        self._kill_wedged_workers(now)
-        with self._lock:
-            swapping = set(self._swapping)
-        for worker_id, process in enumerate(self._processes):
-            if worker_id in swapping:
-                continue  # the swap owns this worker's lifecycle right now
-            if process.is_alive():
-                continue
-            if worker_id not in self._down:
-                self._on_worker_death(worker_id, process)
-            else:
-                restart_at = self._down[worker_id]
-                if (
-                    restart_at is None
-                    or self._closed
-                    or not self.restart_workers
-                    or now < restart_at
-                ):
-                    continue
-                self._respawn_worker(worker_id)
-        _WORKERS_ALIVE.set(self.alive_workers())
-
-    def _kill_wedged_workers(self, now: float) -> None:
-        """SIGKILL workers holding a dispatch past ``dispatch_timeout``.
-
-        A wedged worker (hung in a syscall, looping, SIGSTOPped) still has a
-        live process, so the death path alone never notices it and its
-        clients would burn the whole request timeout.  Killing it converts
-        the hang into an ordinary death, which the loop right after this
-        call handles: in-flight requests fail promptly and the worker is
-        respawned under the usual backoff.
+        A wedged worker (hung in a syscall, looping, SIGSTOPped) holding a
+        dispatch past ``dispatch_timeout`` still has a live process, so its
+        clients would burn the whole request timeout; evicting it SIGKILLs it
+        and fails them promptly, like any other death.
         """
-        if self.dispatch_timeout <= 0:
-            return
-        with self._lock:
-            wedged = {
-                owner
-                for request_id, owner in self._inflight.items()
-                if now - self._inflight_since.get(request_id, now) > self.dispatch_timeout
-            }
-        for worker_id in wedged:
-            process = self._processes[worker_id]
-            if worker_id in self._down or not process.is_alive():
+        wedged = set()
+        if self.dispatch_timeout > 0:
+            with self._lock:
+                wedged = {
+                    request.worker_id
+                    for request in self._requests.values()
+                    if request.worker_id is not None
+                    and now - request.dispatched > self.dispatch_timeout
+                }
+        for slot in self._slots:
+            if slot.state == "down":
                 continue
-            _WORKER_HANGS.inc()
-            logger.error(
-                "serving worker %d exceeded the %.0fs dispatch deadline; killing it",
-                worker_id,
-                self.dispatch_timeout,
+            if slot.process.is_alive():
+                if slot.worker_id not in wedged:
+                    continue
+                _WORKER_HANGS.inc()
+                logger.error(
+                    "serving worker %d exceeded the %.0fs dispatch deadline; killing it",
+                    slot.worker_id,
+                    self.dispatch_timeout,
+                )
+                log_event(
+                    "serve.worker_hung",
+                    worker=slot.worker_id,
+                    dispatch_timeout_seconds=self.dispatch_timeout,
+                )
+            self._evict(slot)
+        for slot in self._table.due(now):
+            self._spawn(slot)
+            self._restarts_total += 1
+            _WORKER_RESTARTS.inc()
+            logger.info(
+                "respawned serving worker %d (attempt %d)", slot.worker_id, slot.failures
             )
-            log_event(
-                "serve.worker_hung",
-                worker=worker_id,
-                dispatch_timeout_seconds=self.dispatch_timeout,
-            )
-            process.kill()
-            process.join(timeout=10)
+            log_event("serve.worker_respawned", worker=slot.worker_id, attempt=slot.failures)
 
-    def _on_worker_death(self, worker_id: int, process: mp.Process) -> None:
-        """Evict a dead worker: fail its in-flight requests, schedule respawn."""
+    def _evict(self, slot: _PoolSlot) -> None:
+        """Take a dead worker out of dispatch, fail its in-flight requests,
+        schedule its respawn."""
+        restart = self.restart_workers
+        exitcode, backoff = self._table.evict(slot, restart=restart)
         with self._lock:
-            self._ready.discard(worker_id)
-            attempts = self._attempts[worker_id]
-            self._attempts[worker_id] = attempts + 1
             orphaned = [
-                request_id
-                for request_id, owner in self._inflight.items()
-                if owner == worker_id
+                request.request_id
+                for request in self._requests.values()
+                if request.worker_id == slot.worker_id
             ]
-        backoff = min(self.restart_backoff * (2 ** attempts), self.restart_backoff_max)
-        restart = self.restart_workers and not self._closed
-        self._down[worker_id] = (time.monotonic() + backoff) if restart else None
         _WORKER_DEATHS.inc()
         logger.error(
             "serving worker %d died (exit code %s); failing %d in-flight requests%s",
-            worker_id,
-            process.exitcode,
+            slot.worker_id,
+            exitcode,
             len(orphaned),
             f", respawning in {backoff:.1f}s" if restart else "",
         )
         log_event(
             "serve.worker_died",
-            worker=worker_id,
-            exitcode=process.exitcode,
+            worker=slot.worker_id,
+            exitcode=exitcode,
             inflight_failed=len(orphaned),
             restart_in_seconds=backoff if restart else None,
         )
-        error = RuntimeError(f"serving worker {worker_id} died")
+        error = RuntimeError(f"serving worker {slot.worker_id} died")
         for request_id in orphaned:
             self._resolve(request_id, exception=error)
 
-    def _install_fresh_ipc(self, worker_id: int) -> None:
-        """Replace a worker's queues and arena before (re)spawning it.
+    def _advance_swap(self, swap: _Swap) -> None:
+        """Roll the pool towards the published artifact, one slot at a time.
 
-        A SIGKILL can land while the worker holds one of its queue locks
-        (it spends its life blocked in request_queue.get(), and replies
-        under the result queue's write lock), leaving that lock acquired
-        forever.  The successor therefore gets *fresh* queues rather than
-        inheriting potentially poisoned ones; undelivered payloads on the
-        old queues belong to futures that were already failed at death.
-        The arena is replaced wholesale for the same reason: a SIGKILL
-        mid-slot-write leaves regions reserved for descriptors that will
-        never arrive.  The old generation's name is unlinked now (no
-        /dev/shm leak); its mapping survives only as long as clients hold
-        result views into it.  Shared with the rolling swap, which rolls a
-        worker through the same replacement path a death would.
+        A ``ready`` slot still on another generation turns ``draining`` (no
+        new dispatch can claim it); when its load reaches zero it is stopped
+        gracefully and spawned from the target directory without backoff; the
+        next slot only rolls once that successor is ``ready``.  A successor
+        that dies first fails the swap.  A slot that crashes on its own is
+        not rolled: it respawns — on the target — under its normal backoff.
         """
-        old_queues = (self._request_queues[worker_id], self._result_queues[worker_id])
-        self._request_queues[worker_id] = self._ctx.Queue()
-        self._result_queues[worker_id] = self._ctx.Queue()
-        if self.transport == "shm":
-            old_arena = self._arenas[worker_id]
-            self._arena_generation[worker_id] += 1
-            self._arenas[worker_id] = self._new_arena(worker_id)
-            if old_arena is not None:
-                old_arena.retire()
-        for old_queue in old_queues:
-            try:
-                old_queue.close()
-            except Exception:  # pragma: no cover - feeder already gone
-                pass
-
-    def _respawn_worker(self, worker_id: int) -> None:
-        self._install_fresh_ipc(worker_id)
-        self._processes[worker_id] = self._spawn_worker(worker_id)
-        del self._down[worker_id]
-        self._restarts_total += 1
-        _WORKER_RESTARTS.inc()
-        with self._lock:
-            attempt = self._attempts[worker_id]
-        logger.info("respawned serving worker %d (attempt %d)", worker_id, attempt)
-        log_event("serve.worker_respawned", worker=worker_id, attempt=attempt)
+        target = self._artifact.generation
+        while not swap.done and swap.error is None:
+            slot = swap.rolling
+            if slot is None:
+                with self._lock:
+                    stale = [
+                        s for s in self._slots if s.state != "down" and s.generation != target
+                    ]
+                    slot = next((s for s in stale if s.state in ("ready", "draining")), None)
+                    if slot is not None:
+                        slot.state = "draining"
+                        swap.rolling = slot
+                    elif not stale:
+                        swap.done = True
+                        self._lifecycle.notify_all()
+                if slot is None:
+                    return  # finished, or the stale slots left are still starting
+            elif slot.state == "draining":
+                with self._lock:
+                    if slot.load > 0:
+                        return  # its last answer posts the next fact
+                self._table.stop([slot], timeout=30.0)
+                # Due at once: should this spawn fail (no room for the new
+                # arena), the next pass retries it like any other respawn.
+                slot.down_until = 0.0
+                self._spawn(slot)
+            elif slot.state == "starting":
+                return  # its ready handshake posts the next fact
+            else:
+                swap.rolling = None
+                if slot.state == "ready":
+                    swap.rolled += 1
+                    _SWAP_WORKERS.inc()
+                    log_event("swap.worker_rolled", worker=slot.worker_id, generation=target)
+                elif slot.generation == target:  # evicted before it said ready
+                    with self._lock:
+                        swap.error = (
+                            f"worker {slot.worker_id} failed to load generation "
+                            f"{target} during swap"
+                        )
+                        self._lifecycle.notify_all()
 
     # -------------------------------------------------------------- hot swap
     def swap(
@@ -942,18 +933,17 @@ class PoolPredictor:
 
         Re-resolves the path the pool was constructed with — for a store
         root that picks up whatever ``CURRENT`` now points at, or the
-        explicitly requested ``generation``.  Workers are rolled one at a
-        time through the same fresh-IPC replacement path the supervisor uses
-        for crashed workers: each is removed from dispatch, drained of its
-        in-flight requests (they complete on the old generation), stopped
-        gracefully, and respawned from the new generation directory; the
-        next worker only rolls once its predecessor's successor is warm, so
-        the pool never drops below ``workers - 1`` ready workers.  Every
-        response therefore comes entirely from one generation — never a mix.
+        explicitly requested ``generation`` — publishes it as the pool's
+        artifact and waits while the supervisor rolls the workers onto it
+        (:meth:`_advance_swap`): in-flight requests complete on the old
+        generation, the pool never drops below ``workers - 1`` ready workers,
+        and every response comes entirely from one generation — never a mix.
 
-        Raises ``RuntimeError`` if another swap is already in progress, and
-        refuses generations whose input shape or class count differ from the
-        serving pool's (the shared-memory arenas are sized for them).
+        Raises ``RuntimeError`` if another swap is already in progress, if a
+        rolled worker fails to load the new generation, on timeout (default
+        ``startup_timeout`` per worker) or when the pool is closed meanwhile,
+        and refuses generations whose input shape or class count differ from
+        the serving pool's (the shared-memory arenas are sized for them).
         """
         if self._closed:
             raise RuntimeError("PoolPredictor is closed")
@@ -967,182 +957,104 @@ class PoolPredictor:
     def _swap_locked(
         self, generation: Optional[int], timeout: Optional[float]
     ) -> Dict[str, Any]:
-        from repro.api.artifacts import read_manifest
-
-        resolved = resolve_artifact(self.path, generation=generation)
-        manifest = read_manifest(resolved.path)
-        new_shape = tuple(int(d) for d in manifest["input_shape"])
-        new_classes = int(manifest["num_classes"])
-        if new_shape != self.input_shape or new_classes != self.num_classes:
-            raise ValueError(
-                f"cannot hot-swap to generation {resolved.generation}: its "
-                f"input_shape={new_shape} / num_classes={new_classes} differ "
-                f"from the pool's {self.input_shape} / {self.num_classes} "
-                "(the shared-memory arenas are sized for the serving shapes)"
-            )
-        previous_generation = self.generation
-        if resolved.path == self._artifact_dir:
+        previous = self._artifact
+        target = served_artifact(self.path, generation, serving=previous)
+        if target.path == previous.path:
             # CURRENT did not move (or the pool serves a bare directory):
             # nothing to roll, and the call stays idempotent.
             return {
                 "status": "noop",
-                "generation": self.generation,
-                "previous_generation": previous_generation,
+                "generation": previous.generation,
+                "previous_generation": previous.generation,
                 "workers_respawned": 0,
                 "swap_seconds": 0.0,
             }
         start = time.monotonic()
-        deadline = start + (
-            timeout if timeout is not None else self.startup_timeout * self.workers
-        )
         log_event(
             "swap.started",
             artifact=str(self.path),
-            from_generation=previous_generation,
-            to_generation=resolved.generation,
+            from_generation=previous.generation,
+            to_generation=target.generation,
         )
-        # Point every spawn path at the new generation *before* rolling: a
-        # supervisor respawn racing the swap (for a worker that crashed on
-        # its own) then also lands on the new artifact.
-        self._artifact_dir = resolved.path
-        self.generation = resolved.generation
-        self.num_members = len(manifest["members"])
-        self.approach = manifest["approach"]
-        self._has_super_learner = manifest.get("super_learner_weights") is not None
-        rolled = 0
-        try:
-            for worker_id in range(self.workers):
-                self._roll_worker(worker_id, deadline)
-                rolled += 1
-                _SWAP_WORKERS.inc()
-                log_event(
-                    "swap.worker_rolled",
-                    worker=worker_id,
-                    generation=self.generation,
+        swap = _Swap()
+        with self._lock:
+            # Publishing points every spawn at the target from here on — a
+            # slot that crashes on its own mid-swap respawns on it too.
+            self._artifact, self._swap = target, swap
+            self._post()
+            self._lifecycle.wait_for(
+                lambda: swap.done or swap.error is not None or self._closed,
+                timeout=timeout if timeout is not None else self.startup_timeout * self.workers,
+            )
+            self._swap = None  # finished or abandoned: a draining slot serves on
+            self._post()
+            error = swap.error
+            if error is None and not swap.done:
+                error = (
+                    "PoolPredictor closed during swap"
+                    if self._closed
+                    else f"timed out rolling workers onto generation {target.generation} "
+                    f"during swap ({swap.rolled} of {self.workers} rolled)"
                 )
-        except BaseException as exc:
+        if error is not None:
             _SWAPS.labels("error").inc()
             log_event(
                 "swap.failed",
-                from_generation=previous_generation,
-                to_generation=self.generation,
-                workers_rolled=rolled,
-                error=str(exc),
+                from_generation=previous.generation,
+                to_generation=target.generation,
+                workers_rolled=swap.rolled,
+                error=error,
             )
-            raise
+            raise RuntimeError(error)
         elapsed = time.monotonic() - start
         self._swaps_total += 1
         _SWAPS.labels("ok").inc()
         _SWAP_SECONDS.observe(elapsed)
-        ARTIFACT_GENERATION.set(self.generation)
+        ARTIFACT_GENERATION.set(target.generation)
         log_event(
             "swap.completed",
-            from_generation=previous_generation,
-            to_generation=self.generation,
-            workers=rolled,
+            from_generation=previous.generation,
+            to_generation=target.generation,
+            workers=swap.rolled,
             seconds=elapsed,
         )
         logger.info(
             "hot-swapped %s: generation %d -> %d (%d workers rolled in %.2fs)",
             self.path,
-            previous_generation,
-            self.generation,
-            rolled,
+            previous.generation,
+            target.generation,
+            swap.rolled,
             elapsed,
         )
         return {
             "status": "ok",
-            "generation": self.generation,
-            "previous_generation": previous_generation,
-            "workers_respawned": rolled,
+            "generation": target.generation,
+            "previous_generation": previous.generation,
+            "workers_respawned": swap.rolled,
             "swap_seconds": elapsed,
         }
 
-    def _roll_worker(self, worker_id: int, deadline: float) -> None:
-        """Drain one worker and respawn it from ``self._artifact_dir``.
-
-        Marking the worker in ``_swapping`` hands its lifecycle to the swap
-        (the supervisor skips it); removing it from ``_ready`` under the
-        pool lock, combined with the dispatcher's claim-recheck, guarantees
-        no new dispatch lands on its queue after the drain check — see
-        :meth:`_dispatch_group`.
-        """
-        with self._lock:
-            self._swapping.add(worker_id)
-            self._ready.discard(worker_id)
-        try:
-            # Drain: every in-flight request this worker owns was claimed
-            # before the _ready removal above, so the (still running) worker
-            # will answer it on the old generation.
-            while True:
-                with self._lock:
-                    busy = self._load[worker_id] > 0
-                if not busy:
-                    break
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"timed out draining worker {worker_id} during swap"
-                    )
-                time.sleep(0.005)
-            process = self._processes[worker_id]
-            with self._lifecycle_lock:
-                if worker_id in self._down:
-                    # Crashed earlier and awaiting the supervisor's backoff;
-                    # the roll takes over the replacement right now.
-                    del self._down[worker_id]
-                elif process.is_alive():
-                    try:
-                        self._request_queues[worker_id].put(None)
-                    except Exception:  # pragma: no cover - queue poisoned
-                        pass
-                    process.join(timeout=30)
-                    if process.is_alive():  # pragma: no cover - stuck worker
-                        process.kill()
-                        process.join(timeout=10)
-                self._install_fresh_ipc(worker_id)
-                self._processes[worker_id] = self._spawn_worker(worker_id)
-            # Wait until the successor reports ready (the collector adds it
-            # to _ready) before rolling the next worker: capacity never
-            # drops below workers - 1.
-            while True:
-                with self._lock:
-                    if worker_id in self._ready:
-                        break
-                if not self._processes[worker_id].is_alive():
-                    raise RuntimeError(
-                        f"worker {worker_id} failed to load generation "
-                        f"{self.generation} during swap"
-                    )
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"timed out waiting for worker {worker_id} to warm "
-                        f"generation {self.generation} during swap"
-                    )
-                time.sleep(0.01)
-        finally:
-            with self._lock:
-                self._swapping.discard(worker_id)
-
     def _resolve(self, request_id: int, result=None, exception=None) -> None:
-        with self._wake:
-            future = self._futures.pop(request_id, None)
-            worker_id = self._inflight.pop(request_id, None)
-            self._inflight_since.pop(request_id, None)
-            if worker_id is not None:
-                self._load[worker_id] -= 1
-                if self._load[worker_id] == 0:
+        with self._lock:
+            request = self._requests.pop(request_id, None)
+            if request is not None and request.worker_id is not None:
+                slot = self._slots[request.worker_id]
+                slot.load -= 1
+                if slot.load == 0:
                     self._wake.notify()
-        if future is None:  # pragma: no cover - duplicate/late reply
+                    if slot.state == "draining":
+                        self._post()
+        if request is None:  # pragma: no cover - duplicate/late reply
             return
         if exception is not None:
-            future.set_exception(exception)
+            request.future.set_exception(exception)
         else:
-            future.set_result(result)
+            request.future.set_result(result)
 
     # --------------------------------------------------------------- client
     def _resolve_method(self, method: Optional[str]) -> str:
         return resolve_combination_method(
-            method, default=self.method, has_super_learner=self._has_super_learner
+            method, default=self.method, has_super_learner=self._artifact.has_super_learner
         )
 
     def predict_proba(
@@ -1166,7 +1078,7 @@ class PoolPredictor:
             resolved = self._resolve_method(method)
             request = _Request(next(self._request_ids), x, resolved)
             with self._wake:
-                self._futures[request.request_id] = request.future
+                self._requests[request.request_id] = request
                 self._pending.append(request)
                 self._wake.notify()
             result = request.future.result(timeout=timeout or self.request_timeout)
@@ -1192,8 +1104,8 @@ class PoolPredictor:
     def alive_workers(self) -> int:
         """Workers that are loaded *and* whose process is alive right now."""
         with self._lock:
-            ready = list(self._ready)
-        return sum(1 for worker_id in ready if self._processes[worker_id].is_alive())
+            ready = [slot.process for slot in self._slots if slot.state == "ready"]
+        return sum(process.is_alive() for process in ready)
 
     def healthz(self) -> Dict[str, Any]:
         """Health summary for the ``/healthz`` endpoint.
@@ -1220,9 +1132,7 @@ class PoolPredictor:
 
     def info(self) -> Dict[str, Any]:
         """JSON-friendly description of the pool (CLI ``serve`` /info)."""
-        arenas = [
-            arena.stats() if arena is not None else None for arena in self._arenas
-        ]
+        arenas = [slot.arena for slot in self._slots]
         return {
             "artifact": str(self.path),
             "approach": self.approach,
@@ -1230,7 +1140,7 @@ class PoolPredictor:
             "swaps": self._swaps_total,
             "workers": self.workers,
             "alive_workers": self.alive_workers(),
-            "worker_pids": [process.pid for process in self._processes],
+            "worker_pids": [slot.process.pid for slot in self._slots],
             "restarts": self._restarts_total,
             "restart_workers": self.restart_workers,
             "num_members": self.num_members,
@@ -1239,33 +1149,15 @@ class PoolPredictor:
             "method": self.method,
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_ms,
-            "super_learner": self._has_super_learner,
+            "super_learner": self._artifact.has_super_learner,
             "transport": self.transport,
             "arena_slots": self.arena_slots if self.transport == "shm" else None,
             "arena_bytes_per_worker": (
-                self._arenas[0].total_bytes
-                if self.transport == "shm" and self._arenas[0] is not None
-                else None
+                arenas[0].total_bytes if arenas[0] is not None else None
             ),
-            "arenas": arenas,
+            "arenas": [arena.stats() if arena is not None else None for arena in arenas],
             "request_latency_seconds": _latency_quantiles(_REQUEST_LATENCY),
         }
-
-    def _shutdown_processes(self) -> None:
-        for request_queue in self._request_queues:
-            try:
-                request_queue.put(None)
-            except Exception:  # pragma: no cover
-                pass
-        for process in self._processes:
-            process.join(timeout=10)
-        for process in self._processes:
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=5)
-        for request_queue in self._request_queues:
-            request_queue.close()
-            request_queue.join_thread()
 
     def close(self) -> None:
         """Stop the supervisor and dispatcher, drain the workers, fail
@@ -1273,31 +1165,33 @@ class PoolPredictor:
 
         Idempotent; after it returns no child process of the pool is alive.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._stop_supervisor.set()
-        self._supervisor.join(timeout=10)
-        with self._wake:
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._post()
             self._wake.notify()
+        # The owner first: once the supervisor has ended nothing spawns any
+        # more, so every process stopped below stays stopped.
+        self._supervisor.join(timeout=60)
         self._dispatcher.join(timeout=10)
-        self._shutdown_processes()
+        self._table.stop(self._slots)
         self._stop_collector.set()
         self._collector.join(timeout=10)
-        for result_queue in self._result_queues:
-            result_queue.close()
-            result_queue.join_thread()
+        self._table.close()
         with self._lock:
-            leftovers = list(self._futures.values())
-            self._futures.clear()
+            leftovers = list(self._requests.values())
+            self._requests.clear()
             self._pending.clear()
-            self._inflight.clear()
-            self._inflight_since.clear()
-            self._load = [0] * self.workers
-        for future in leftovers:
-            if not future.done():
-                future.set_exception(RuntimeError("PoolPredictor closed"))
-        self._retire_arenas()
+            for slot in self._slots:
+                slot.load = 0
+        for request in leftovers:
+            if not request.future.done():
+                request.future.set_exception(RuntimeError("PoolPredictor closed"))
+        for slot in self._slots:
+            if slot.arena is not None:
+                slot.arena.retire()
+            slot.arena = None
         try:
             atexit.unregister(self.close)
         except Exception:  # pragma: no cover

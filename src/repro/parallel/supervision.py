@@ -1,36 +1,206 @@
-"""Parent-side supervision helpers shared by the training executor and the
-serving pool (the start of one supervision core; see ROADMAP)."""
+"""The one place that knows how a pool slot lives.
+
+A pool — the training executor's or the serving pool's — is a fixed number of
+*slots*, each filled by one ``spawn``-started worker process at a time.
+:class:`SlotTable` holds one :class:`Slot` record per worker and is the only
+code under ``repro.parallel`` that creates a queue or a process.  It is
+passive: no thread, no lock, no logging.  Its owner drives it — the executor
+from its single-threaded ``train()`` loop, the serving pool from its supervisor
+thread — decides *when* a transition happens, and logs the facts the table
+hands back (exit code, backoff) under its own event and metric names::
+
+    down -> starting       spawn(): first start, a respawn once due(), or the
+                           successor of a slot rolled onto a new artifact
+    starting -> ready      the owner, on the worker's "ready" message
+    ready -> draining      the serving owner: no new dispatch, roll it next
+    draining -> ready      the serving owner: that swap was abandoned
+    (any but down) -> down evict(): died, wedged (killed here), failed to
+                           start — the respawn is scheduled under backoff
+    (any) -> down          stop(): drained and asked to exit (a rolled slot's
+                           old worker, pool shutdown) — nothing is scheduled
+
+``evict`` schedules the respawn ``backoff_delay(failures)`` seconds out —
+``base`` doubling per consecutive failure up to ``cap`` — and ``due`` lists the
+slots whose wait is over; ``mark_healthy`` ends a failure streak (the executor
+calls it on a returned result, the serving pool on ``ready``).  Every spawn
+puts the worker on *fresh private* queues: a SIGKILL can land while the
+predecessor holds one of its queue locks and leave it acquired forever, and
+whatever is still on the old queues belongs to work the owner already failed
+or rescheduled.  Private queues also mean each lock only ever has one process
+on each side, so a crash poisons one slot, never the pool; ``poll``
+multiplexes the result side with ``multiprocessing.connection.wait``.
+"""
 
 from __future__ import annotations
 
 import queue as thread_queue
+import time
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _mp_wait
-from typing import List, Sequence
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+
+#: Default respawn backoff: the first retry waits ``RESTART_BACKOFF`` seconds,
+#: each consecutive failure doubles that, up to ``RESTART_BACKOFF_MAX``.
+RESTART_BACKOFF = 0.5
+RESTART_BACKOFF_MAX = 30.0
 
 
-def poll_results(result_queues: Sequence, timeout: float) -> List[tuple]:
-    """Drain whatever messages the per-worker result queues hold.
+def backoff_delay(
+    failures: int, base: float = RESTART_BACKOFF, cap: float = RESTART_BACKOFF_MAX
+) -> float:
+    """Seconds to wait before the next start, after ``failures`` consecutive
+    failed ones: ``base`` doubling per failure, bounded by ``cap``."""
+    # The exponent is clamped so a slot failing for days cannot overflow.
+    return min(base * (2 ** min(failures, 32)), cap)
 
-    Multiplexes over every queue's reader pipe with
-    ``multiprocessing.connection.wait``; returns a (possibly empty) list of
-    ``(kind, worker_id, payload)`` messages.  ``None`` entries (pool slots
-    without a queue) are skipped; queues swapped out by a concurrent respawn
-    surface as closed readers and are skipped too — the next call picks up
-    their replacements.
+
+@dataclass
+class Slot:
+    """One worker's condition.  Owners subclass it for what else they keep
+    per worker (the serving pool: arena, load, artifact generation)."""
+
+    worker_id: int
+    process: Any = None
+    request_queue: Any = None  # owner writes, worker reads
+    result_queue: Any = None  # worker writes, owner reads
+    state: str = "down"  # starting | ready | draining | down
+    down_until: Optional[float] = None  # monotonic respawn time; None: not scheduled
+    failures: int = 0  # consecutive, since the owner last called mark_healthy
+    spawned_at: float = 0.0
+
+
+class SlotTable:
+    """Slot records plus the few operations that change a worker's process.
+
+    ``target(worker_id, *args, request_queue, result_queue)`` is the worker
+    main function (module-level: it is pickled by reference), ``args`` what
+    :meth:`spawn` is given.  Not thread-safe by itself: one thread owns
+    ``spawn`` / ``evict`` / ``stop`` / ``close``; ``poll`` may run on another
+    (it tolerates queues replaced under it).
     """
-    snapshot = {queue._reader: queue for queue in list(result_queues) if queue is not None}
-    try:
-        readable = _mp_wait(list(snapshot), timeout=timeout)
-    except OSError:  # pragma: no cover - reader closed mid-wait (respawn)
-        return []
-    messages: List[tuple] = []
-    for reader in readable:
-        queue = snapshot[reader]
-        while True:
-            try:
-                messages.append(queue.get_nowait())
-            except thread_queue.Empty:
-                break
-            except (OSError, ValueError, EOFError):  # pragma: no cover
-                break  # queue closed/poisoned; successor takes over
-    return messages
+
+    def __init__(
+        self,
+        ctx,
+        slots: Sequence[Slot],
+        target: Callable[..., None],
+        name: str,
+        backoff: float = RESTART_BACKOFF,
+        backoff_max: float = RESTART_BACKOFF_MAX,
+    ):
+        if backoff <= 0 or backoff_max < backoff:
+            raise ValueError("need 0 < restart_backoff <= restart_backoff_max")
+        self.slots = list(slots)
+        self._ctx = ctx
+        self._target = target
+        self._name = name
+        self._backoff = float(backoff)
+        self._backoff_max = float(backoff_max)
+
+    def spawn(self, slot: Slot, *args) -> None:
+        """(Re)start the slot's worker on fresh private queues, closing the
+        predecessor's; the slot is ``starting`` until its owner sees ``ready``."""
+        old_queues = (slot.request_queue, slot.result_queue)
+        slot.request_queue, slot.result_queue = self._ctx.Queue(), self._ctx.Queue()
+        for queue in old_queues:
+            if queue is not None:
+                queue.close()
+        slot.process = self._ctx.Process(
+            target=self._target,
+            args=(slot.worker_id, *args, slot.request_queue, slot.result_queue),
+            daemon=True,
+            name=f"{self._name}-{slot.worker_id}",
+        )
+        slot.process.start()
+        slot.state, slot.down_until, slot.spawned_at = "starting", None, time.monotonic()
+
+    def evict(self, slot: Slot, restart: bool = True) -> Tuple[Optional[int], float]:
+        """Take a dead or wedged worker out of rotation; ``(exit code, backoff)``.
+
+        A wedged worker cannot be asked nicely: if the process is still alive
+        it is SIGKILLed, as an operator (or the OOM killer) would.  With
+        ``restart`` the respawn is scheduled ``backoff`` seconds out.
+        """
+        process = slot.process
+        if process.is_alive():
+            process.kill()
+            process.join(timeout=10)
+        backoff = backoff_delay(slot.failures, self._backoff, self._backoff_max)
+        slot.failures += 1
+        slot.state = "down"
+        slot.down_until = time.monotonic() + backoff if restart else None
+        return process.exitcode, backoff
+
+    def due(self, now: float) -> List[Slot]:
+        """The evicted slots whose backoff has run out."""
+        return [
+            slot
+            for slot in self.slots
+            if slot.state == "down" and slot.down_until is not None and now >= slot.down_until
+        ]
+
+    @staticmethod
+    def mark_healthy(slot: Slot) -> None:
+        """The worker proved itself: its next failure starts the backoff over."""
+        slot.failures = 0
+
+    def poll(self, timeout: float) -> List[tuple]:
+        """Whatever ``(kind, worker_id, payload)`` messages the workers sent,
+        waiting up to ``timeout`` seconds for the first.
+
+        Queues swapped out by a concurrent respawn surface as closed readers
+        and are skipped — the next call picks up their replacements.
+        """
+        snapshot = {
+            slot.result_queue._reader: slot.result_queue
+            for slot in self.slots
+            if slot.result_queue is not None
+        }
+        try:
+            readable = _mp_wait(list(snapshot), timeout=timeout)
+        except OSError:  # pragma: no cover - reader closed mid-wait (respawn)
+            return []
+        messages: List[tuple] = []
+        for reader in readable:
+            queue = snapshot[reader]
+            while True:
+                try:
+                    messages.append(queue.get_nowait())
+                except thread_queue.Empty:
+                    break
+                except (OSError, ValueError, EOFError):  # pragma: no cover
+                    break  # queue closed/poisoned; successor takes over
+        return messages
+
+    def stop(self, slots: Iterable[Slot], graceful: bool = True, timeout: float = 10.0) -> None:
+        """End the given slots' workers and leave them ``down``, unscheduled.
+
+        Graceful: each is sent the ``None`` sentinel — it finishes what is on
+        its queue first — and gets ``timeout`` seconds before it is killed.
+        Otherwise they are killed outright (the error path, where waiting for
+        in-flight work could block forever).
+        """
+        live = [slot for slot in slots if slot.process is not None]
+        for slot in live:
+            slot.state, slot.down_until = "down", None
+            if not graceful:
+                slot.process.kill()
+            elif slot.process.is_alive():
+                try:
+                    slot.request_queue.put(None)
+                except (OSError, ValueError):  # pragma: no cover - queue poisoned
+                    pass
+        for slot in live:
+            slot.process.join(timeout=timeout)
+            if slot.process.is_alive():  # pragma: no cover - stuck worker
+                slot.process.kill()
+                slot.process.join(timeout=5)
+
+    def close(self) -> None:
+        """Close every queue, once the workers are stopped."""
+        for slot in self.slots:
+            for queue in (slot.request_queue, slot.result_queue):
+                if queue is not None:
+                    queue.close()
+                    queue.join_thread()
+            slot.request_queue = slot.result_queue = None

@@ -1,52 +1,65 @@
 """Worker-process side of the parallel engine (training *and* serving).
 
 Everything here runs inside ``spawn``-started worker processes, so it is all
-module-level (picklable by reference).  A training worker receives picklable
-:class:`~repro.core.trainer.MemberTask` records, fits each against the
-shared-memory dataset attached at start-up, and ships the resulting
-:class:`~repro.core.trainer.TrainedNetwork` back with its model packed as
-plain data.  The serving-pool worker loop (:func:`_serving_worker_main`)
-lives here too: it answers request descriptors from
-:class:`~repro.parallel.serving.PoolPredictor`, reading request rows from —
-and writing probabilities into — its per-worker shared-memory arena when the
-pool runs the ``shm`` transport.
+module-level (picklable by reference).  There is **one worker loop**,
+:func:`_run_worker` — the mirror image of the parent-side supervision core
+(:mod:`repro.parallel.supervision`):
 
-A worker fits a task with the very function the trainers call in-process,
-:func:`repro.core.trainer.fit_task`, and every input of that function comes
-from the task record — so a member is bitwise the same wherever it trains,
-and a task *retried* on another worker after a crash is bitwise identical to
-a fault-free first attempt, provided the BLAS thread count matches
-(floating-point summation order inside GEMM depends on it; the executor caps
-workers to one BLAS thread each by default).  What is specific to running
-*in a worker* stays on this side of the process boundary, in
-:func:`_worker_main`, never in ``fit_task``:
+1. set up; then announce ``("ready", worker_id, None)`` — only then does the
+   owner hand the worker anything, so no deadline ever runs while an
+   interpreter is still booting — or ``("fatal", worker_id, reason)`` and exit;
+2. ``get`` an item off the private request queue, handle it, reply on the
+   private result queue; one item at a time, ``None`` ends the loop.  Queue
+   locks are never shared across workers, so a SIGKILL mid-operation poisons
+   only this worker's queues, which its owner replaces at respawn;
+3. throughout, **exit when the parent is gone**: a daemon thread waits on the
+   parent's sentinel and calls ``os._exit``, whatever the main thread is doing
+   (blocked in ``get``, mid-fit, mid-inference).  A SIGKILLed parent runs no
+   cleanup; workers that outlived it would pin its shared-memory segments
+   through the inherited resource-tracker pipe forever.
 
-* the worker announces ``("ready", worker_id, None)`` once the data set is
-  attached — only then does the executor hand it tasks and start their
-  deadlines — then runs a persistent loop over its private request queue (one
-  task at a time, ``None`` ends the loop) and ships every message through
-  its private result queue — queue locks are never shared across workers,
-  so a SIGKILL mid-operation poisons only this worker's queues, which the
-  executor replaces at respawn;
+:func:`_worker_main` (training) and :func:`_serving_worker_main` (serving)
+each give that loop a set-up and a handle function.
+
+A training worker receives picklable :class:`~repro.core.trainer.MemberTask`
+records and fits each with the very function the trainers call in-process,
+:func:`repro.core.trainer.fit_task`, against the shared-memory data set
+attached at set-up; every input of that function comes from the task record —
+so a member is bitwise the same wherever it trains, and a task *retried* on
+another worker after a crash is bitwise identical to a fault-free first
+attempt, provided the BLAS thread count matches (floating-point summation
+order inside GEMM depends on it; the executor caps workers to one BLAS thread
+each).  What is specific to running *in a worker* stays on this side of the
+process boundary, never in ``fit_task``:
+
 * a daemon heartbeat thread emits ``("heartbeat", worker_id, None)`` every
   ``heartbeat_interval`` seconds so the executor can tell a *stopped*
   process (SIGSTOP, scheduler starvation) from a merely slow one; a worker
   wedged inside the training call keeps heartbeating, which is exactly why
   the executor additionally enforces per-task deadlines;
-* the :mod:`repro.obs` registry snapshot of each fit travels back next to
-  the network, so per-member training metrics survive worker exit (the
-  registry is reset after each snapshot: snapshots are deltas, and the
-  parent merges them without double counting — the parent's own registry
-  is never reset);
+* the resulting :class:`~repro.core.trainer.TrainedNetwork` ships back with
+  its model packed as plain data, next to the :mod:`repro.obs` registry
+  snapshot of the fit, so per-member training metrics survive worker exit
+  (the registry is reset after each snapshot: snapshots are deltas, and the
+  parent merges them without double counting — the parent's own registry is
+  never reset);
 * the :func:`repro.faults.fire` ``train`` injection point sits directly
   before the fit for chaos tests — free when ``REPRO_FAULTS`` is unset, and
   absent from in-process fits, so a train fault can only ever kill a worker.
+
+A serving worker answers request descriptors from
+:class:`~repro.parallel.serving.PoolPredictor`, reading request rows from —
+and writing probabilities into — its per-worker shared-memory arena when the
+pool runs the ``shm`` transport.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
 import threading
-from typing import Dict
+from multiprocessing.connection import wait as _mp_wait
+from typing import Callable, Dict, Tuple
 
 from repro.core.trainer import fit_task
 from repro.faults import fire
@@ -54,6 +67,59 @@ from repro.nn.serialization import pack_model_state
 from repro.obs.metrics import get_registry
 from repro.parallel.shared_data import AttachedDataset, SharedArrayMeta
 from repro.utils.parallel import apply_blas_thread_cap
+
+
+def _exit_when_parent_dies() -> None:
+    """Daemon watcher: leave the moment the parent process is gone.
+
+    A SIGKILLed parent runs no cleanup, and a worker blocked in
+    ``request_queue.get()`` (or mid-fit) would outlive it forever, pinning its
+    shared-memory segments through the inherited resource-tracker pipe.  The
+    parent's sentinel turns readable when it dies; ``os._exit`` ends this
+    process whatever its main thread is doing, and once the last worker is
+    gone the resource tracker unlinks what the parent left in ``/dev/shm``.
+    """
+    parent = mp.parent_process()
+    if parent is None:  # pragma: no cover - not started by multiprocessing
+        return
+
+    def watch() -> None:
+        _mp_wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
+def _run_worker(
+    worker_id: int,
+    request_queue,
+    result_queue,
+    set_up: Callable[[], Tuple[Callable[[object], None], Callable[[], None]]],
+) -> None:
+    """The one worker loop, for training and serving workers alike.
+
+    ``set_up()`` does whatever must succeed before the worker can take work
+    and returns ``(handle, tear_down)``.  Then: announce ``("ready",
+    worker_id, None)`` — or ``("fatal", worker_id, reason)`` and exit if
+    set-up raised — and ``handle`` every item off the private request queue,
+    one at a time, until the ``None`` sentinel.  Throughout, the worker exits
+    on its own when its parent is gone (:func:`_exit_when_parent_dies`).
+    """
+    _exit_when_parent_dies()
+    try:
+        handle, tear_down = set_up()
+        result_queue.put(("ready", worker_id, None))
+    except BaseException as exc:  # pragma: no cover - startup failure path
+        result_queue.put(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
+        return
+    try:
+        while True:
+            item = request_queue.get()
+            if item is None:
+                break
+            handle(item)
+    finally:
+        tear_down()
 
 
 def _serving_worker_main(
@@ -68,8 +134,7 @@ def _serving_worker_main(
 ) -> None:
     """Serving-pool worker: load the artifact once, answer request groups.
 
-    Two request encodings arrive on the queue (besides the ``None``
-    shutdown sentinel), tagged by their first element:
+    Two request encodings arrive on the queue, tagged by their first element:
 
     * ``("pickle", [(request_id, rows, method), ...])`` — the reference
       transport: tensors travel through the queue itself.
@@ -87,93 +152,71 @@ def _serving_worker_main(
     carries the probabilities through the queue in the rare case the
     reservation cannot hold them (never for float32/float64 outputs).
     """
-    import numpy as np
 
-    arena = None
-    try:
+    def set_up():
+        import numpy as np
+
         from repro.api.predictor import EnsemblePredictor
         from repro.parallel.shared_data import attach_segment
 
         predictor = EnsemblePredictor.load(
             artifact, method=method, batch_size=batch_size, warm=warm
         )
-        if arena_meta is not None:
-            arena = attach_segment(arena_meta.name)
-        result_queue.put(("ready", worker_id, None))
-    except BaseException as exc:  # pragma: no cover - startup failure path
-        result_queue.put(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
-        return
-    try:
-        while True:
-            item = request_queue.get()
-            if item is None:
-                break
+        arena = attach_segment(arena_meta.name) if arena_meta is not None else None
+
+        def answer_shm(entry: tuple) -> tuple:
+            request_id, offset, shape, dtype, method_override, res_off, res_cap = entry
+            try:
+                rows = np.ndarray(
+                    tuple(shape), dtype=np.dtype(dtype), buffer=arena.buf, offset=offset
+                )
+                proba = predictor.predict_proba(rows, method=method_override)
+                del rows
+                # Chaos-test injection point ("serve_shm_write"): die or
+                # wedge mid-slot-write — the dispatcher must survive a
+                # result region that never gets its descriptor.
+                fire("serve_shm_write", worker=worker_id)
+                if proba.nbytes > res_cap:  # reservation too narrow: via the queue
+                    return (request_id, res_off, None, None, proba, None)
+                out = np.ndarray(
+                    proba.shape, dtype=proba.dtype, buffer=arena.buf, offset=res_off
+                )
+                np.copyto(out, proba, casting="no")
+                del out
+                return (request_id, res_off, tuple(proba.shape), str(proba.dtype), None, None)
+            except Exception as exc:
+                return (request_id, res_off, None, None, None, f"{type(exc).__name__}: {exc}")
+
+        def answer_pickle(entry: tuple) -> tuple:
+            request_id, x, method_override = entry
+            try:
+                return (request_id, predictor.predict_proba(x, method=method_override), None)
+            except Exception as exc:
+                return (request_id, None, f"{type(exc).__name__}: {exc}")
+
+        def handle(item) -> None:
             # Chaos-test injection point ("serve"): crash or wedge this worker
             # with a request group in flight — free when REPRO_FAULTS is unset.
             fire("serve", worker=worker_id)
             kind, payload = item
             if kind == "pickle":
-                replies = []
-                for request_id, x, method_override in payload:
-                    try:
-                        proba = predictor.predict_proba(x, method=method_override)
-                        replies.append((request_id, proba, None))
-                    except Exception as exc:
-                        replies.append(
-                            (request_id, None, f"{type(exc).__name__}: {exc}")
-                        )
-                result_queue.put(("result", worker_id, ("pickle", replies)))
-                continue
-            generation, request_region, entries = payload
-            replies = []
-            for request_id, offset, shape, dtype, method_override, res_off, res_cap in entries:
+                reply = ("pickle", [answer_pickle(entry) for entry in payload])
+            else:
+                generation, request_region, entries = payload
+                replies = [answer_shm(entry) for entry in entries]
+                reply = ("shm", generation, request_region, replies)
+            result_queue.put(("result", worker_id, reply))
+
+        def tear_down() -> None:
+            if arena is not None:
                 try:
-                    rows = np.ndarray(
-                        tuple(shape),
-                        dtype=np.dtype(dtype),
-                        buffer=arena.buf,
-                        offset=offset,
-                    )
-                    proba = predictor.predict_proba(rows, method=method_override)
-                    del rows
-                    # Chaos-test injection point ("serve_shm_write"): die or
-                    # wedge mid-slot-write — the dispatcher must survive a
-                    # result region that never gets its descriptor.
-                    fire("serve_shm_write", worker=worker_id)
-                    if proba.nbytes <= res_cap:
-                        out = np.ndarray(
-                            proba.shape,
-                            dtype=proba.dtype,
-                            buffer=arena.buf,
-                            offset=res_off,
-                        )
-                        np.copyto(out, proba, casting="no")
-                        del out
-                        replies.append(
-                            (
-                                request_id,
-                                res_off,
-                                tuple(proba.shape),
-                                str(proba.dtype),
-                                None,
-                                None,
-                            )
-                        )
-                    else:  # reservation too narrow: fall back through the queue
-                        replies.append((request_id, res_off, None, None, proba, None))
-                except Exception as exc:
-                    replies.append(
-                        (request_id, res_off, None, None, None, f"{type(exc).__name__}: {exc}")
-                    )
-            result_queue.put(
-                ("result", worker_id, ("shm", generation, request_region, replies))
-            )
-    finally:
-        if arena is not None:
-            try:
-                arena.close()
-            except Exception:  # pragma: no cover - views torn down with us
-                pass
+                    arena.close()
+                except Exception:  # pragma: no cover - views torn down with us
+                    pass
+
+        return handle, tear_down
+
+    _run_worker(worker_id, request_queue, result_queue, set_up)
 
 
 def _heartbeat_loop(worker_id: int, result_queue, interval: float, stop: threading.Event) -> None:
@@ -193,30 +236,21 @@ def _worker_main(
     request_queue,
     result_queue,
 ) -> None:
-    """Training-worker main loop (one process; see module docstring)."""
-    try:
+    """Training-worker main (one process; see module docstring)."""
+
+    def set_up():
         apply_blas_thread_cap(blas_threads)
         data = AttachedDataset(meta)
-        result_queue.put(("ready", worker_id, None))
-    except BaseException as exc:  # pragma: no cover - startup failure path
-        try:
-            result_queue.put(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
-        finally:
-            return
-    registry = get_registry()
-    stop = threading.Event()
-    beat = threading.Thread(
-        target=_heartbeat_loop,
-        args=(worker_id, result_queue, heartbeat_interval, stop),
-        name=f"repro-train-heartbeat-{worker_id}",
-        daemon=True,
-    )
-    beat.start()
-    try:
-        while True:
-            item = request_queue.get()
-            if item is None:
-                break
+        registry = get_registry()
+        stop = threading.Event()
+        threading.Thread(
+            target=_heartbeat_loop,
+            args=(worker_id, result_queue, heartbeat_interval, stop),
+            name=f"repro-train-heartbeat-{worker_id}",
+            daemon=True,
+        ).start()
+
+        def handle(item) -> None:
             task_index, attempt, task = item
             try:
                 # Chaos-test injection point: fires "mid-member" — after the
@@ -237,5 +271,7 @@ def _worker_main(
                 )
             else:
                 result_queue.put(("result", worker_id, (task_index, attempt, net, metrics)))
-    finally:
-        stop.set()
+
+        return handle, stop.set
+
+    _run_worker(worker_id, request_queue, result_queue, set_up)

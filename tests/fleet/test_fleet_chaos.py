@@ -20,6 +20,7 @@ import pytest
 
 from repro.api import EnsemblePredictor
 from repro.fleet import FleetFront
+from tests.procs import child_pids, residue, shm_entries
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -87,6 +88,9 @@ def test_consumer_crash_redelivers_with_zero_dropped_requests(
         while front.broker.consumer_count() < 2 and time.monotonic() < deadline:
             time.sleep(0.05)
         assert front.broker.consumer_count() == 2
+        chaos_children = child_pids(chaos.pid)  # its pool worker + resource tracker
+        assert len(chaos_children) == 2
+        shm_not_chaos = {name for name in shm_entries() if f"-{chaos.pid}-" not in name}
 
         # 16 jobs round-robin over 4 partitions: the chaos consumer owns two
         # of them, so it sees ~8 jobs and cannot survive the stream.
@@ -101,6 +105,9 @@ def test_consumer_crash_redelivers_with_zero_dropped_requests(
         # The crash actually happened and the broker actually redelivered.
         assert chaos.wait(timeout=30) == -signal.SIGKILL
         assert front.broker.redeliveries() >= 1
+        # The crashed consumer ran no cleanup: its pool worker has to notice
+        # the parent is gone and leave, and its arena goes with it.
+        assert residue(chaos_children, shm_not_chaos, timeout=5.0) == ([], [])
         stats = front.broker.stats()
         assert stats["depth"] == 0 and stats["inflight"] == 0
     finally:

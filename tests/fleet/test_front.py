@@ -1,6 +1,8 @@
 """FleetFront against an in-process consumer: bitwise parity with the
 single-process predictor, sync and async result paths, and validation."""
 
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from repro.api import EnsemblePredictor
 from repro.fleet import BrokerFull, FleetConsumer, FleetFront
+from repro.fleet.front import _LocalConsumer
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +162,39 @@ def test_close_fails_outstanding_futures(saved_artifact):
         front.result(job_id, timeout=1)
     with pytest.raises(RuntimeError):
         front.submit(np.zeros((1, 12)))
+
+
+def test_a_consumer_that_cannot_start_is_relaunched_under_backoff(
+    saved_artifact, monkeypatch
+):
+    """A local consumer that exits at once (unreadable generation, bad broker
+    address) used to be relaunched on every reconcile tick — ~60 interpreter
+    starts in these 3 s; under the backoff it is a handful.  The streak must
+    not lock a healthy consumer out: once one can start again the fleet gets
+    ready and the delay starts over."""
+    doomed = []
+
+    def spawn_doomed(self):
+        process = subprocess.Popen([sys.executable, "-c", "raise SystemExit(1)"])
+        doomed.append(process)
+        return _LocalConsumer(consumer_id=f"doomed-{len(doomed)}", process=process)
+
+    real_spawn = FleetFront._spawn_consumer
+    monkeypatch.setattr(FleetFront, "_spawn_consumer", spawn_doomed)
+    front = FleetFront(
+        saved_artifact, min_consumers=1, max_consumers=1, reconcile_interval=0.05
+    )
+    try:
+        time.sleep(3.0)
+        assert 2 <= len(doomed) <= 6, len(doomed)
+        monkeypatch.setattr(FleetFront, "_spawn_consumer", real_spawn)
+        front.wait_ready(timeout=120)
+        deadline = time.monotonic() + 10
+        while front._spawn_failures and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert front._spawn_failures == 0
+        assert front.local_consumers()["running"] == 1
+    finally:
+        front.close()
+        for process in doomed:
+            process.wait(timeout=10)

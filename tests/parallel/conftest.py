@@ -8,19 +8,12 @@ artifact (serving pool / CLI), or both.
 from __future__ import annotations
 
 import logging
-import os
-import sys
 
 import pytest
 
 from repro.api import run_experiment, save_ensemble_run
 from repro.obs.events import EVENTS_LOGGER_NAME
-
-
-def _shm_entries() -> set:
-    if not sys.platform.startswith("linux"):
-        return set()
-    return {name for name in os.listdir("/dev/shm") if name.startswith("repro-shm")}
+from tests.procs import shm_entries
 
 
 @pytest.fixture
@@ -33,9 +26,9 @@ def shm_sweep():
     only segments the test itself created and failed to clean up count as
     leaks.
     """
-    before = _shm_entries()
+    before = shm_entries()
     yield
-    leaked = _shm_entries() - before
+    leaked = shm_entries() - before
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
 
 

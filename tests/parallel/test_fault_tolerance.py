@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import copy
 import json
+import logging
+import multiprocessing as mp
 import os
 import signal
 import subprocess
@@ -24,7 +26,9 @@ import numpy as np
 import pytest
 
 from repro.api import load_ensemble_run, run_experiment
+from repro.obs.events import EVENTS_LOGGER_NAME
 from repro.obs.metrics import get_registry
+from tests.procs import child_pids, residue, shm_entries
 
 # Member names produced by the conftest mlp family (count=4, seed=1).
 MEMBERS = ["mlp-base", "mlp-var-001", "mlp-var-002", "mlp-var-003"]
@@ -112,6 +116,49 @@ def test_hang_past_deadline_evicts_and_retries_bitwise(
         _counter("repro_training_worker_evictions_total", "deadline")
         >= deadline_before + 1
     )
+
+
+def test_silent_worker_is_evicted_on_heartbeat_loss_and_retried_bitwise(
+    experiment_dict, scratch_serial, monkeypatch, train_events
+):
+    """SIGSTOP a worker the moment it is handed a task: the process stays
+    alive and far inside its task deadline, only its heartbeat goes silent.
+    The executor evicts it for exactly that (``reason="heartbeat"``), retries
+    the task elsewhere, and the ensemble is bitwise the fault-free run."""
+    from repro.parallel import executor
+
+    monkeypatch.setattr(executor, "HEARTBEAT_INTERVAL", 0.2)
+    monkeypatch.setattr(executor, "HEARTBEAT_TIMEOUT", 4.0)  # still covers a worker boot
+    misses_before = _counter("repro_training_heartbeat_misses_total")
+    stopped = []
+
+    class StopOnDispatch(logging.Handler):
+        def emit(self, record):
+            fields = record.repro_fields
+            if record.repro_event == "train.task_dispatched" and not stopped:
+                stopped.append((fields["worker"], fields["member"]))
+                (process,) = [
+                    p for p in mp.active_children() if p.name == f"repro-train-{fields['worker']}"
+                ]
+                os.kill(process.pid, signal.SIGSTOP)
+
+    events = logging.getLogger(EVENTS_LOGGER_NAME)
+    handler = StopOnDispatch()
+    events.addHandler(handler)
+    try:
+        chaos = run_experiment(_scratch_config(experiment_dict, workers=2)).run
+    finally:
+        events.removeHandler(handler)
+
+    _assert_same_members(scratch_serial, chaos)
+    (worker, member), = stopped
+    evictions = [fields for event, fields in train_events if event == "train.worker_evicted"]
+    assert [(e["worker"], e["reason"], e["member"]) for e in evictions] == [
+        (worker, "heartbeat", member)
+    ]
+    retried = [fields for event, fields in train_events if event == "train.task_retried"]
+    assert [(r["member"], r["attempt"]) for r in retried] == [(member, 1)]
+    assert _counter("repro_training_heartbeat_misses_total") == misses_before + 1
 
 
 def test_mothernets_chaos_crash_matches_serial(
@@ -206,38 +253,15 @@ def test_worker_metrics_merge_into_parent(experiment_dict):
 # --------------------------------------------------------------------------
 
 
-def _child_pids(pid: int) -> list:
-    """Direct children of ``pid`` (procfs scan; spawn workers only)."""
-    children = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            stat = Path("/proc", entry, "stat").read_text()
-            ppid = int(stat.rsplit(")", 1)[1].split()[1])
-        except (OSError, ValueError, IndexError):
-            continue
-        if ppid == pid:
-            children.append(int(entry))
-    return children
-
-
-def _reap_shm_residue() -> None:
-    # The SIGKILLed parent never ran SharedDataset cleanup; unlink whatever
-    # its orphans left so later tests' residue assertions stay meaningful.
-    for leftover in Path("/dev/shm").glob("repro-shm*"):
-        try:
-            leftover.unlink()
-        except OSError:
-            pass
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="procfs + /dev/shm")
 def test_parent_kill9_then_resume_skips_journaled_members(
     experiment_dict, scratch_serial, tmp_path
 ):
-    """kill -9 the training CLI mid-run; ``--resume`` restores the journaled
+    """kill -9 the training CLI mid-run: its workers — one of them wedged in
+    a fit — notice and leave by themselves, which lets the resource tracker
+    unlink the published data set; ``--resume`` then restores the journaled
     members bitwise and only trains the remainder (acceptance criterion)."""
+    shm_before = shm_entries()
     config = _scratch_config(experiment_dict, workers=2, task_timeout=600.0)
     spec_path = tmp_path / "exp.json"
     spec_path.write_text(json.dumps(config), encoding="utf-8")
@@ -268,22 +292,15 @@ def test_parent_kill9_then_resume_skips_journaled_members(
             if time.monotonic() > deadline:
                 pytest.fail("no members journaled within 120s")
             time.sleep(0.05)
-        workers = _child_pids(proc.pid)
+        children = child_pids(proc.pid)
+        assert len(children) >= 3  # two workers and the resource tracker
         proc.kill()  # SIGKILL: no cleanup of any kind runs
         proc.wait(timeout=30)
+        assert residue(children, shm_before, timeout=5.0) == ([], [])
     finally:
-        for pid in _child_pids(proc.pid) + ([] if proc.poll() is not None else [proc.pid]):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:
-                pass
-        for pid in locals().get("workers", []):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:
-                pass
+        if proc.poll() is None:
+            proc.kill()
         proc.stderr.close()
-        _reap_shm_residue()
 
     journaled = len(list(member_markers.glob("*.json")))
     assert journaled >= 2

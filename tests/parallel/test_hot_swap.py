@@ -10,6 +10,7 @@ request.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import shutil
 import threading
 import time
@@ -112,8 +113,8 @@ def _swap_under_fire(swap_store, refs, max_wait_ms):
         # Post-swap the pool answers purely from the new generation.
         np.testing.assert_array_equal(pool.predict_proba(probe), ref1)
         with pool._lock:
-            assert pool._inflight == {}
-            assert pool._load == [0, 0]
+            assert pool._requests == {}
+            assert [slot.load for slot in pool._slots] == [0, 0]
     finally:
         pool.close()
 
@@ -187,3 +188,54 @@ def test_bare_directory_swap_is_a_noop(saved_artifact, shm_sweep):
         assert pool.generation == 0
     finally:
         pool.close()
+
+
+def test_close_during_a_rolling_swap_leaves_nothing_behind(
+    swap_store, refs, shm_sweep, train_events, monkeypatch
+):
+    """``close()`` while ``swap()`` waits for a busy worker to drain.  The
+    roll used to run on the caller's thread, so it could see the drained —
+    by ``close()`` stopped — worker, install fresh queues and a fresh arena
+    and spawn a successor *after* ``close()`` had returned: a live child and
+    a new segment behind a "closed" pool, and a ``swap()`` waiting out
+    ``startup_timeout x workers`` for a ``ready`` no collector would deliver.
+    With one owner for process replacement, stopped first, there is nothing
+    left to race — and the request in flight is still answered."""
+    probe, ref0, _ = refs
+    swap_store.promote(0)
+    # The worker sits 2 s on its first request: time to start a swap and to
+    # close the pool while that swap is draining it.
+    monkeypatch.setenv("REPRO_FAULTS", "serve_hang:times=1:seconds=2")
+    pool = PoolPredictor(swap_store.root, workers=1, max_wait_ms=0.0)
+    pids = pool.info()["worker_pids"]
+    outcome = {}
+
+    def call(name, function, *args):
+        try:
+            outcome[name] = function(*args)
+        except BaseException as exc:
+            outcome[name] = exc
+
+    request = threading.Thread(target=call, args=("answer", pool.predict_proba, probe[:4]))
+    swap = threading.Thread(target=call, args=("swap", pool.swap, 1))
+    try:
+        request.start()
+        deadline = time.monotonic() + 30
+        while pool.info()["arenas"][0]["inflight_dispatches"] != 1:
+            assert time.monotonic() < deadline, "request never dispatched"
+            time.sleep(0.005)
+        swap.start()
+        while not any(event == "swap.started" for event, _ in train_events):
+            assert time.monotonic() < deadline, "swap never started"
+            time.sleep(0.005)
+    finally:
+        pool.close()
+    swap.join(timeout=10)
+    request.join(timeout=10)
+    assert not swap.is_alive() and not request.is_alive()
+    assert isinstance(outcome["swap"], RuntimeError), outcome
+    np.testing.assert_array_equal(outcome["answer"], ref0[:4])
+    # Nothing was spawned once close() had begun: no successor process (the
+    # slot still names the original worker), no arena of one (shm_sweep).
+    assert pool.info()["worker_pids"] == pids
+    assert [p for p in mp.active_children() if p.name.startswith("repro-serve")] == []

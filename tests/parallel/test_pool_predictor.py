@@ -143,8 +143,8 @@ def test_contended_requests_coalesce_while_the_worker_is_busy(
     since = _dispatched_since(before)
     assert 0 < sum(since.values()) < 160, since
     with wide_window_pool._lock:
-        assert wide_window_pool._inflight == {}
-        assert wide_window_pool._load == [0]
+        assert wide_window_pool._requests == {}
+        assert [slot.load for slot in wide_window_pool._slots] == [0]
 
 
 def test_pool_validates_inputs_in_parent(pool):
@@ -182,7 +182,7 @@ def test_dead_worker_fails_requests_promptly_without_respawn(
     try:
         x = serial_result.dataset.x_test[:4]
         predictor.predict(x)  # pool is warm and round-tripping
-        predictor._processes[0].kill()
+        predictor._slots[0].process.kill()
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="died|alive"):
             predictor.predict_proba(x)
@@ -195,7 +195,7 @@ def test_dead_worker_fails_requests_promptly_without_respawn(
         assert health["alive_workers"] == 0
         assert health["restarts"] == 0
         with predictor._lock:
-            assert predictor._inflight == {}
+            assert predictor._requests == {}
     finally:
         predictor.close()
 
@@ -206,7 +206,7 @@ def test_pool_close_is_clean_and_final(saved_artifact, serial_result, shm_sweep)
     predictor = PoolPredictor(saved_artifact, workers=2)
     x = serial_result.dataset.x_test[:4]
     predictor.predict(x)
-    processes = list(predictor._processes)
+    processes = [slot.process for slot in predictor._slots]
     predictor.close()
     assert all(not p.is_alive() for p in processes)
     # Only this predictor's workers must be gone (the module-scoped pool

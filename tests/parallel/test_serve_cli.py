@@ -24,6 +24,7 @@ import pytest
 
 from repro.api import EnsemblePredictor
 from repro.parallel.server import _make_handler, _Server
+from tests.procs import child_pids, residue, shm_entries
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -421,3 +422,27 @@ def test_serve_shuts_down_cleanly_on_sigterm(saved_artifact):
     out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert json.loads(out.strip().splitlines()[-1]) == {"event": "stopped"}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="procfs + /dev/shm")
+def test_workers_and_arenas_do_not_outlive_a_sigkilled_server(saved_artifact):
+    """kill -9 the server: it runs no cleanup, so its pool workers must notice
+    the parent is gone and leave — and with them gone the resource tracker
+    unlinks both arenas.  Left to themselves they would sit in
+    ``request_queue.get()`` under PID 1 forever, pinning ``/dev/shm``."""
+    shm_before = shm_entries()
+    proc, banner = _spawn_serve(saved_artifact)
+    try:
+        with urllib.request.urlopen(banner["url"] + "/info", timeout=30) as response:
+            worker_pids = json.loads(response.read())["worker_pids"]
+        assert len(worker_pids) == 2 and len(shm_entries() - shm_before) == 2
+        children = child_pids(proc.pid)
+        assert set(worker_pids) < set(children)  # the resource tracker is the third
+        proc.kill()
+        proc.wait(timeout=30)
+        assert residue(children, shm_before, timeout=5.0) == ([], [])
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.stdout.close()
+        proc.stderr.close()

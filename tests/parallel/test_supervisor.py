@@ -1,9 +1,11 @@
-"""Self-healing serving pool: worker death detection, respawn with bounded
+"""The supervision core by itself (slot table, backoff), then the self-healing
+serving pool on top of it: worker death detection, respawn with bounded
 backoff, health degradation and recovery, and no process / shared-memory
 leaks across a crash-and-recover cycle."""
 
 import multiprocessing as mp
 import os
+import signal
 import sys
 import time
 
@@ -12,6 +14,8 @@ import pytest
 
 from repro.api import EnsemblePredictor
 from repro.parallel import PoolPredictor
+from repro.parallel.supervision import Slot, SlotTable, backoff_delay
+from tests.procs import echo_worker
 
 
 def _wait_for(predicate, timeout, interval=0.05):
@@ -48,7 +52,7 @@ def test_sigkilled_worker_is_respawned_and_capacity_restored(
         assert pool.healthz()["status"] == "ok"
         np.testing.assert_array_equal(pool.predict_proba(x), reference.predict_proba(x))
 
-        victim = pool._processes[0]
+        victim = pool._slots[0].process
         victim.kill()
         victim.join(timeout=10)
 
@@ -65,7 +69,7 @@ def test_sigkilled_worker_is_respawned_and_capacity_restored(
         assert recovered["alive_workers"] == 2
         assert recovered["restarts"] >= 1
         assert pool.info()["restarts"] >= 1
-        new_pid = pool._processes[0].pid
+        new_pid = pool._slots[0].process.pid
         assert new_pid is not None and new_pid != victim.pid
 
         # The restored pool serves, and answers stay bitwise identical.
@@ -73,7 +77,7 @@ def test_sigkilled_worker_is_respawned_and_capacity_restored(
             pool.predict_proba(x[:16]), reference.predict_proba(x[:16])
         )
     finally:
-        processes = list(pool._processes)
+        processes = [slot.process for slot in pool._slots]
         pool.close()
     assert all(not p.is_alive() for p in processes)
     _assert_no_residue(processes)
@@ -96,15 +100,15 @@ def test_single_worker_pool_survives_kill_and_serves_during_recovery(
     reference = EnsemblePredictor.load(saved_artifact)
     x = serial_result.dataset.x_test[:8]
     try:
-        pool._processes[0].kill()
-        pool._processes[0].join(timeout=10)
+        pool._slots[0].process.kill()
+        pool._slots[0].process.join(timeout=10)
         assert _wait_for(lambda: pool.healthz()["status"] == "down", timeout=10.0)
         # Dispatch during the outage: held until the respawned worker loads.
         np.testing.assert_array_equal(pool.predict_proba(x), reference.predict_proba(x))
         assert _wait_for(lambda: pool.healthz()["status"] == "ok", timeout=60.0)
         assert pool.healthz()["restarts"] >= 1
     finally:
-        processes = list(pool._processes)
+        processes = [slot.process for slot in pool._slots]
         pool.close()
     _assert_no_residue(processes)
 
@@ -121,8 +125,8 @@ def test_restart_disabled_evicts_but_does_not_respawn(saved_artifact, serial_res
     )
     x = serial_result.dataset.x_test[:8]
     try:
-        pool._processes[1].kill()
-        pool._processes[1].join(timeout=10)
+        pool._slots[1].process.kill()
+        pool._slots[1].process.join(timeout=10)
         assert _wait_for(lambda: pool.healthz()["status"] == "degraded", timeout=10.0)
         # Give a would-be respawn plenty of time, then confirm none happened.
         time.sleep(1.0)
@@ -133,7 +137,7 @@ def test_restart_disabled_evicts_but_does_not_respawn(saved_artifact, serial_res
         # The surviving worker keeps serving.
         assert pool.predict(x).shape == (8,)
     finally:
-        processes = list(pool._processes)
+        processes = [slot.process for slot in pool._slots]
         pool.close()
     _assert_no_residue(processes)
 
@@ -151,14 +155,14 @@ def test_repeated_kills_bounded_backoff_and_recovery(saved_artifact, serial_resu
     )
     try:
         for _ in range(2):
-            pool._processes[0].kill()
-            pool._processes[0].join(timeout=10)
+            pool._slots[0].process.kill()
+            pool._slots[0].process.join(timeout=10)
             assert _wait_for(lambda: pool.healthz()["status"] == "ok", timeout=60.0)
         assert pool.healthz()["restarts"] >= 2
         x = serial_result.dataset.x_test[:4]
         assert pool.predict(x).shape == (4,)
     finally:
-        processes = list(pool._processes)
+        processes = [slot.process for slot in pool._slots]
         pool.close()
     _assert_no_residue(processes)
 
@@ -167,11 +171,74 @@ def test_backoff_schedule_is_bounded():
     """The per-attempt backoff doubles from restart_backoff and saturates at
     restart_backoff_max (the 'bounded restart backoff' contract)."""
     base, cap = 0.5, 30.0
-    delays = [min(base * (2 ** attempt), cap) for attempt in range(12)]
-    assert delays[0] == base
+    delays = [backoff_delay(failures, base, cap) for failures in range(12)]
+    assert delays[:3] == [base, 2 * base, 4 * base]
     assert all(later >= earlier for earlier, later in zip(delays, delays[1:]))
     assert delays[-1] == cap
     assert max(delays) <= cap
+    assert backoff_delay(10**6, base, cap) == cap  # a streak of days cannot overflow
+
+
+def test_slot_table_life_cycle_without_a_pool():
+    """spawn -> ready -> evict -> not due before / due after the backoff ->
+    respawn on *different* queue objects -> healthy starts the delay over;
+    stop is graceful, close leaves no queue."""
+    table = SlotTable(
+        mp.get_context("spawn"), [Slot(0)], echo_worker, "test-slot", backoff=0.2, backoff_max=0.5
+    )
+    (slot,) = table.slots
+    assert (slot.state, slot.process, table.due(time.monotonic())) == ("down", None, [])
+
+    def next_message():
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            messages = table.poll(0.5)
+            if messages:
+                return messages
+        raise AssertionError("worker never answered")
+
+    try:
+        table.spawn(slot, "hello")
+        assert slot.state == "starting" and slot.process.name == "test-slot-0"
+        assert next_message() == [("ready", 0, "hello")]
+        slot.state = "ready"  # the owner's move, on the handshake
+        slot.request_queue.put("ping")
+        assert next_message() == [("result", 0, "ping")]
+
+        # Evicting a live (wedged) worker kills it; the first delay is the base.
+        first = slot.process, slot.request_queue, slot.result_queue
+        exitcode, backoff = table.evict(slot)
+        assert (exitcode, backoff) == (-signal.SIGKILL, 0.2)
+        assert (slot.state, slot.failures) == ("down", 1)
+        assert table.due(slot.down_until - 0.01) == []
+        assert table.due(slot.down_until) == [slot]
+
+        # The successor never touches the predecessor's (possibly poisoned) queues.
+        table.spawn(slot, "again")
+        assert slot.process is not first[0] and slot.down_until is None
+        assert slot.request_queue is not first[1] and slot.result_queue is not first[2]
+        assert first[1]._closed and first[2]._closed
+        assert next_message() == [("ready", 0, "again")]
+
+        # Consecutive failures double the delay up to the cap ...
+        assert table.evict(slot)[1] == 0.4
+        assert table.evict(slot)[1] == 0.5
+        # ... a worker that proved itself starts it over, and without
+        # restart the slot is never due.
+        table.mark_healthy(slot)
+        assert table.evict(slot, restart=False)[1] == 0.2
+        assert slot.down_until is None and table.due(time.monotonic() + 3600) == []
+
+        table.spawn(slot, "last")
+        assert next_message() == [("ready", 0, "last")]
+        slot.request_queue.put("pending work is finished before the sentinel")
+    finally:
+        table.stop(table.slots)
+        answered = table.poll(0)
+        table.close()
+    assert answered == [("result", 0, "pending work is finished before the sentinel")]
+    assert slot.process.exitcode == 0 and slot.state == "down"
+    assert slot.request_queue is None and slot.result_queue is None
 
 
 def test_pool_validation_of_supervisor_parameters(saved_artifact):

@@ -1,0 +1,68 @@
+"""Process and ``/dev/shm`` residue checks shared by the kill -9 tests (Linux
+procfs; the tests that use them skip elsewhere)."""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+from pathlib import Path
+from typing import Iterable, List, Set, Tuple
+
+
+def _stat_fields(pid: int) -> List[str]:
+    """``/proc/<pid>/stat`` after the command name: state, ppid, ..."""
+    return Path("/proc", str(pid), "stat").read_text().rsplit(")", 1)[1].split()
+
+
+def child_pids(pid: int) -> List[int]:
+    """Direct children of ``pid`` (spawn workers, the resource tracker)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            ppid = int(_stat_fields(int(entry))[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == pid:
+            children.append(int(entry))
+    return children
+
+
+def is_running(pid: int) -> bool:
+    """False once ``pid`` has exited; a zombie awaiting its reaper has."""
+    try:
+        return _stat_fields(pid)[0] != "Z"
+    except (OSError, IndexError):
+        return False
+
+
+def shm_entries() -> Set[str]:
+    if not sys.platform.startswith("linux"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("repro-shm")}
+
+
+def residue(
+    pids: Iterable[int], shm_before: Set[str], timeout: float = 5.0
+) -> Tuple[List[int], List[str]]:
+    """Wait up to ``timeout`` seconds for every pid to exit and every
+    ``repro-shm`` entry not in ``shm_before`` to be unlinked; returns what is
+    left: ``(pids still running, segments still there)`` — both empty is clean."""
+    deadline = time.monotonic() + timeout
+    while True:
+        running = [pid for pid in pids if is_running(pid)]
+        leaked = sorted(shm_entries() - shm_before)
+        if not (running or leaked) or time.monotonic() > deadline:
+            return running, leaked
+        time.sleep(0.05)
+
+
+def echo_worker(worker_id: int, greeting: str, request_queue, result_queue) -> None:
+    """A trivial ``SlotTable`` target: say ready, echo every item until the
+    ``None`` sentinel (module-level here so a spawn child can import it
+    without pulling in numpy)."""
+    result_queue.put(("ready", worker_id, greeting))
+    for item in iter(request_queue.get, None):
+        result_queue.put(("result", worker_id, item))
