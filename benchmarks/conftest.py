@@ -154,6 +154,10 @@ def small_ensemble_scenario() -> Dict:
         "runs": runs,
         "evaluations": evaluations,
         "totals": {name: run.total_training_seconds for name, run in runs.items()},
+        # What the cost claims are asserted on: parameters x samples x epochs
+        # run, exact and seeded.  The seconds above go into the printed
+        # reports; between two sub-second fits they follow the machine.
+        "work_units": {name: run.ledger.total_work_units for name, run in runs.items()},
     }
 
 

@@ -52,9 +52,9 @@ def test_bench_fig5_small_ensemble(benchmark, paper_expectations):
     write_report("fig5_small_ensemble", "\n".join(report))
 
     # Shape assertions (scaled-down substrate; see DESIGN.md §4).
-    totals = scenario["totals"]
-    assert totals["mothernets"] < totals["full_data"], "MotherNets must train faster than full-data"
-    assert totals["mothernets"] < totals["bagging"], "MotherNets must train faster than bagging"
+    work = scenario["work_units"]
+    assert work["mothernets"] < work["full_data"], "MotherNets must train cheaper than full-data"
+    assert work["mothernets"] < work["bagging"], "MotherNets must train cheaper than bagging"
     mothernets_error = evaluations["mothernets"]["EA"]
     full_data_error = evaluations["full_data"]["EA"]
     assert abs(mothernets_error - full_data_error) < 15.0

@@ -40,10 +40,18 @@ class Layer:
         until this layer's *next* forward/backward call — layers with
         workspace arenas (e.g. the GEMM conv engine) hand out views into
         reused scratch buffers.  Callers that retain gradients across steps
-        must copy; :meth:`repro.nn.model.Model.backward` does this at the
-        model boundary.
+        must copy.
         """
         raise NotImplementedError
+
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        """Accumulate parameter gradients only.
+
+        :meth:`repro.nn.model.Model.backward` calls this on its first layer,
+        whose input gradient (dL/d(batch)) nobody reads; layers where that
+        gradient is real work (``Conv2D``, ``Dense``) override it to skip it.
+        """
+        self.backward(grad_output)
 
     # ------------------------------------------------------------ utilities
     def clear_workspaces(self) -> None:

@@ -10,20 +10,47 @@ Two execution engines are available:
 * ``"gemm"`` (default) — lowers the convolution to matrix multiplies
   (``W_mat @ cols`` forward, ``tensordot``/``matmul`` backward) so the heavy
   lifting runs inside BLAS.  All large temporaries (padded input, im2col
-  patch matrix, col2im scatter target) live in a per-layer
+  patch matrix, scatter target) live in a per-layer
   :class:`~repro.nn.workspace.WorkspaceArena` and are reused across batches,
   so steady-state training allocates no per-call conv scratch.  Inference is
   fused: no backward cache is written and the same workspace is recycled.
   Consequence of the reuse: the gradient returned by :meth:`backward` is a
   view into the arena, valid only until the layer's next call (forward
-  outputs are always fresh).  The sequential forward/backward training loop
-  consumes it immediately; ``Model.backward`` copies at the model boundary.
+  outputs are always fresh); the sequential forward/backward training loop
+  consumes it immediately.
 * ``"einsum"`` — the original ``np.einsum`` formulation, kept as the
   numerical reference the GEMM path is tested against.
 
+**The input gradient on wide rows** (GEMM engine, stride 1, kernel > 1,
+float32).  ``col2im`` adds the ``k * k`` planes of ``W.T @ g`` into the padded
+image at ``k * k`` offsets; on compact columns every such add moves runs of
+``out_w`` elements.  Instead, ``grad_output`` is first copied onto the *row
+pitch of the padded input* (``W' = W + 2 * padding`` columns per row,
+``L = (out_h - 1) * W' + out_w`` columns per image, the ``W' - out_w`` junk
+columns between two rows zero), the same ``W.T @ g`` runs on that, and kernel
+offset ``(i, j)`` becomes one slab add ``flat[:, :, i * W' + j :][:L] +=
+plane`` over the row-flattened padded image — the whole image in one
+contiguous run.  Nothing about the arithmetic changes: the GEMM's inner
+dimension is still ``out_channels``, so a real column is the same dot product
+as before and a junk column is exactly zero (weights being finite); the slabs
+are added in the same ``(i, j)`` order; and a junk zero landing on a real
+element leaves it alone (the sums start from ``+0.0``, so none of them is a
+``-0.0`` that adding ``+0.0`` would flip).  The junk columns stay zero under
+the invariant ``pad_fwd`` uses: zeroed when the arena allocates the buffer,
+never written afterwards.  ``grad_W`` stays on the compact ``cols`` of the
+forward pass — widening it would change the length, and so the rounding, of a
+reduction.  "The same dot product gives the same bits wherever its column
+sits" is a property of the BLAS, not of arithmetic: it holds for the ``sgemm``
+this was measured against and not for its ``dgemm`` (edge-tile kernels round
+differently), so float64 keeps compact columns and :func:`col2im`, as do other
+strides and 1x1 kernels.  The free functions :func:`im2col` / :func:`col2im`
+remain the public reference.
+
 When the phase-timing registry (:mod:`repro.utils.timing`) is enabled, the
 layer reports ``conv.im2col`` / ``conv.gemm`` / ``conv.bias`` /
-``conv.col2im`` so cost breakdowns can separate data movement from compute.
+``conv.col2im`` so cost breakdowns can separate data movement from compute;
+``conv.col2im`` is the input-gradient scatter on either path, and the pitch
+copy and the wider GEMM are booked under ``conv.gemm``.
 """
 
 from __future__ import annotations
@@ -235,6 +262,21 @@ class Conv2D(Layer):
         cols = self._arena.get("cols", (n, c * k * k, out_h * out_w), x.dtype)
         return im2col(src, (k, k), s, 0, out=cols)
 
+    def _on_padded_pitch(self, grad_output: np.ndarray, pitch: int) -> np.ndarray:
+        """``grad_output`` as ``(N, out_channels, length)`` with its rows
+        ``pitch`` columns apart — the row pitch of the padded input — and
+        ``length`` ending with the last real column.
+
+        The ``pitch - out_w`` junk columns between two rows are zero under the
+        invariant ``pad_fwd`` relies on: zeroed at allocation, and only the
+        real columns are ever written."""
+        n, o, out_h, out_w = grad_output.shape
+        rows = self._arena.get(
+            "grad_wide", (n, o, out_h, pitch), grad_output.dtype, zero_on_alloc=True
+        )
+        rows[:, :, :, :out_w] = grad_output
+        return rows.reshape(n, o, out_h * pitch)[:, :, : (out_h - 1) * pitch + out_w]
+
     # ------------------------------------------------------------------ pass
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -278,7 +320,8 @@ class Conv2D(Layer):
             self._cache = None
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def _backward_operands(self, grad_output: np.ndarray) -> Tuple[tuple, np.ndarray, np.ndarray]:
+        """``(input_shape, cols, grad_mat)`` of the pending training forward."""
         if self._cache is None:
             if getattr(self, "_had_training_forward", False):
                 raise RuntimeError(
@@ -293,43 +336,71 @@ class Conv2D(Layer):
                 "(the GEMM engine caches workspace columns; run backward immediately "
                 "after the training forward, or use engine='einsum')"
             )
-        n = grad_output.shape[0]
-        grad_mat = grad_output.reshape(n, self.out_channels, -1)
-        w_mat = self.params["W"].reshape(self.out_channels, -1)
-        kernel = (self.kernel_size, self.kernel_size)
+        grad_mat = grad_output.reshape(grad_output.shape[0], self.out_channels, -1)
+        return input_shape, cols, grad_mat
 
-        if self.engine == "einsum":
-            grad_w = np.einsum("nop,nfp->of", grad_mat, cols)
-            self.grads["W"] = grad_w.reshape(self.params["W"].shape)
-            if self.use_bias:
-                self.grads["b"] = grad_mat.sum(axis=(0, 2))
-            grad_cols = np.einsum("of,nop->nfp", w_mat, grad_mat)
-            return col2im(grad_cols, input_shape, kernel, self.stride, self.padding)
-
-        timed = _timing.phase_timing_enabled()
+    def _param_grads(self, grad_mat: np.ndarray, cols: np.ndarray) -> None:
+        timed = self.engine != "einsum" and _timing.phase_timing_enabled()
         if timed:
             t0 = time.perf_counter()
-        grad_w = np.tensordot(grad_mat, cols, axes=((0, 2), (0, 2)))
+        if self.engine == "einsum":
+            grad_w = np.einsum("nop,nfp->of", grad_mat, cols)
+        else:
+            grad_w = np.tensordot(grad_mat, cols, axes=((0, 2), (0, 2)))
         self.grads["W"] = grad_w.reshape(self.params["W"].shape)
-        grad_cols = self._arena.get(
-            "grad_cols", cols.shape, np.result_type(w_mat.dtype, grad_mat.dtype)
-        )
-        np.matmul(w_mat.T, grad_mat, out=grad_cols)
         if timed:
             t1 = time.perf_counter()
             _timing.record_phase("conv.gemm", t1 - t0)
         if self.use_bias:
             self.grads["b"] = grad_mat.sum(axis=(0, 2))
             if timed:
-                t2 = time.perf_counter()
-                _timing.record_phase("conv.bias", t2 - t1)
-                t1 = t2
-        c, h, w = input_shape[1], input_shape[2], input_shape[3]
-        p = self.padding
-        scatter = self._arena.get(
-            "pad_bwd", (n, c, h + 2 * p, w + 2 * p), grad_cols.dtype
-        )
-        grad_input = col2im(grad_cols, input_shape, kernel, self.stride, p, out=scatter)
+                _timing.record_phase("conv.bias", time.perf_counter() - t1)
+
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        _, cols, grad_mat = self._backward_operands(grad_output)
+        self._param_grads(grad_mat, cols)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        input_shape, cols, grad_mat = self._backward_operands(grad_output)
+        self._param_grads(grad_mat, cols)
+        w_mat = self.params["W"].reshape(self.out_channels, -1)
+        kernel = (self.kernel_size, self.kernel_size)
+        if self.engine == "einsum":
+            grad_cols = np.einsum("of,nop->nfp", w_mat, grad_mat)
+            return col2im(grad_cols, input_shape, kernel, self.stride, self.padding)
+
+        timed = _timing.phase_timing_enabled()
+        if timed:
+            t0 = time.perf_counter()
+        n, c, h, w = input_shape
+        k, p = self.kernel_size, self.padding
+        dtype = np.result_type(w_mat.dtype, grad_mat.dtype)
+        # float64 stays compact: dgemm's edge kernels round a column
+        # differently depending on where it sits (see the module docstring).
+        wide = self.stride == 1 and k > 1 and dtype == np.float32
+        if wide:
+            pitch = w + 2 * p
+            grad_mat = self._on_padded_pitch(grad_output, pitch)
+        length = grad_mat.shape[2]
+        grad_cols = self._arena.get("grad_cols", (n, c * k * k, length), dtype)
+        np.matmul(w_mat.T, grad_mat, out=grad_cols)
+        if timed:
+            t1 = time.perf_counter()
+            _timing.record_phase("conv.gemm", t1 - t0)
+        scatter = self._arena.get("pad_bwd", (n, c, h + 2 * p, w + 2 * p), dtype)
+        if wide:
+            # Kernel offset (i, j) moves the whole image by i rows and j
+            # columns: one contiguous slab of the row-flattened padded image.
+            scatter.fill(0)
+            flat = scatter.reshape(n, c, -1)
+            slabs = grad_cols.reshape(n, c, k * k, length)
+            for i in range(k):
+                for j in range(k):
+                    offset = i * pitch + j
+                    flat[:, :, offset : offset + length] += slabs[:, :, i * k + j]
+            grad_input = scatter[:, :, p : p + h, p : p + w] if p > 0 else scatter
+        else:
+            grad_input = col2im(grad_cols, input_shape, kernel, self.stride, p, out=scatter)
         if timed:
             _timing.record_phase("conv.col2im", time.perf_counter() - t1)
         return grad_input

@@ -65,10 +65,13 @@ class Dense(Layer):
             self._cache_input = None
         return x @ self.params["W"] + self.params["b"]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad_output: np.ndarray) -> None:
         if self._cache_input is None:
             raise RuntimeError(f"{self.name}: backward called before a training forward pass")
         x = self._cache_input
         self.grads["W"] = x.T @ grad_output
         self.grads["b"] = grad_output.sum(axis=0)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_output)
         return grad_output @ self.params["W"].T

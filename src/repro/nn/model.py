@@ -231,17 +231,20 @@ class Model:
             out = layer.forward(out, training=training)
         return out
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        """Back-propagate a gradient with respect to the logits; returns the
-        gradient with respect to the input batch."""
+    def backward(self, grad_logits: np.ndarray) -> None:
+        """Back-propagate a gradient with respect to the logits into every
+        layer's parameter gradients.
+
+        The gradient with respect to the input batch is not produced: no
+        caller reads it, and for a convolutional first layer it costs a GEMM
+        and a scatter per step.  Drive the layers' own ``backward`` (which
+        always return their input gradient) where it is needed.
+        """
+        first, *rest = self._sequence()
         grad = grad_logits
-        for layer in reversed(self._sequence()):
+        for layer in reversed(rest):
             grad = layer.backward(grad)
-        # Layers may return views into reused workspace buffers (see
-        # Layer.backward); detach at the model boundary so callers own the
-        # input gradient outright.  One input-sized copy per step — noise
-        # next to the conv GEMMs.
-        return np.array(grad, copy=True)
+        first.backward_params(grad)
 
     def predict_logits(self, x: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
         """Inference-mode logits, optionally mini-batched to bound memory."""

@@ -16,6 +16,7 @@ format.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Any, Dict, Union
@@ -55,6 +56,31 @@ def unpack_model_state(state: Dict[str, Any]) -> Model:
     return model
 
 
+def _named_arrays(model: Model) -> Dict[str, np.ndarray]:
+    """Every parameter and state tensor under its ``.npz`` entry name."""
+    return {
+        f"{layer_name}|{key}": value
+        for layer_name, layer_weights in model.get_weights().items()
+        for key, value in layer_weights.items()
+    }
+
+
+def model_content_hash(model: Model) -> str:
+    """sha256 over every array's name, dtype, shape and bytes, in name order.
+
+    Unlike a hash of the ``.npz`` file this does not depend on zlib or the
+    archive's timestamps, so it compares trained weights across machines and
+    commits: two models hash equal exactly when every parameter and state
+    tensor is bitwise equal.  ``tests/nn/test_training_bits.py`` pins the
+    benchmark spec's members with it.
+    """
+    digest = hashlib.sha256()
+    for name, value in sorted(_named_arrays(model).items()):
+        digest.update(f"{name}|{value.dtype.str}|{value.shape}|".encode("utf-8"))
+        digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
+
+
 def save_model(model: Model, path: Union[str, Path]) -> Path:
     """Save ``model`` (spec + weights + state) to ``path`` as an ``.npz`` file.
 
@@ -68,10 +94,7 @@ def save_model(model: Model, path: Union[str, Path]) -> Path:
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
-    arrays = {}
-    for layer_name, layer_weights in model.get_weights().items():
-        for key, value in layer_weights.items():
-            arrays[f"{layer_name}|{key}"] = value
+    arrays = _named_arrays(model)
     arrays[_SPEC_KEY] = np.frombuffer(spec_to_json(model.spec).encode("utf-8"), dtype=np.uint8)
     with atomic_writer(path, "wb") as handle:
         np.savez_compressed(handle, **arrays)

@@ -361,6 +361,9 @@ class Trainer:
         result = TrainingResult()
         start_time = time.perf_counter()
         batches = _BatchGatherer(x_train, y_train, config.batch_size, config.shuffle)
+        # Every layer's backward overwrites its gradients, so nothing is
+        # zeroed per step, and the layer list is resolved once per fit.
+        parameter_layers = model.parameter_layers()
 
         for epoch in range(config.max_epochs):
             epoch_start = time.perf_counter()
@@ -371,9 +374,10 @@ class Trainer:
             for x_batch, y_batch in batches.epoch(rng):
                 logits = model.forward(x_batch, training=True)
                 loss_value, grad = loss_fn(logits, y_batch)
-                model.zero_grads()
                 model.backward(grad)
-                optimizer.step(model.iter_parameters())
+                optimizer.step(
+                    triple for layer in parameter_layers for triple in layer.iter_parameters()
+                )
                 losses.append(loss_value)
                 correct += int((logits.argmax(axis=1) == np.asarray(y_batch).astype(int)).sum())
                 result.samples_seen += x_batch.shape[0]

@@ -3,13 +3,22 @@
 Besides the per-network accounting (:class:`Timer`,
 :class:`WallClockAccumulator`), this module hosts the *compute-phase*
 registry: hot-path layers report how long they spend in each internal phase
-(``conv.im2col``, ``conv.gemm``, ``conv.bias``, ``conv.col2im``) so the cost
-ledger can split training time into data movement versus BLAS compute.  The
-registry is off unless a caller enables it via :func:`enable_phase_timing` or
-:func:`capture_phase_timings`; note the ensemble trainers *do* enable it for
-their fits by default (a few ``perf_counter`` pairs per conv call — well
-under a percent of a conv's cost; pass ``collect_phase_timings=False`` to
-train fully uninstrumented).
+so the cost ledger can split training time into data movement versus BLAS
+compute.  The phases:
+
+* ``conv.im2col`` — padding and patch gather of the forward pass;
+* ``conv.gemm`` — the forward product, the weight-gradient ``tensordot`` and
+  the input-gradient product (with its copy onto the padded row pitch);
+* ``conv.bias`` — bias add and bias gradient;
+* ``conv.col2im`` — the input-gradient scatter;
+* ``norm.forward`` / ``norm.backward`` — ``BatchNorm``, one record per call;
+* ``pool.forward`` / ``pool.backward`` — ``MaxPool2D``, one record per call.
+
+The registry is off unless a caller enables it via
+:func:`enable_phase_timing` or :func:`capture_phase_timings`; note the
+ensemble trainers *do* enable it for their fits by default (a
+``perf_counter`` pair per record — well under a percent of a fit; pass
+``collect_phase_timings=False`` to train fully uninstrumented).
 """
 
 from __future__ import annotations

@@ -98,9 +98,13 @@ def test_mothernets_members_converge_in_fewer_epochs_than_scratch(mothernets_run
 
 
 def test_mothernets_member_phase_cheaper_than_full_data_per_member(mothernets_run, full_data_run):
-    mn_member_seconds = mothernets_run.ledger.seconds_by_phase()["member"]
-    fd_seconds = full_data_run.total_training_seconds
-    assert mn_member_seconds < fd_seconds
+    """Compared in cost-model work units (parameters x samples x epochs run),
+    which are exact and seeded; the wall-clock seconds of these sub-second
+    fits follow the machine's speed of the moment."""
+    mn_member_work = sum(
+        record.work_units for record in mothernets_run.ledger.records if record.phase == "member"
+    )
+    assert mn_member_work < full_data_run.ledger.total_work_units
 
 
 def test_mothernets_accuracy_close_to_full_data_and_not_worse_than_bagging(

@@ -131,6 +131,31 @@ def test_training_step_reduces_loss(small_mlp_spec):
     assert loss_value() < initial
 
 
+@pytest.mark.parametrize("spec_fixture", ["small_mlp_spec", "tiny_vgg_spec", "tiny_resnet_spec"])
+def test_backward_fills_every_parameter_gradient_and_returns_nothing(spec_fixture, request):
+    """``Model.backward`` stops at the first layer's parameters — nobody reads
+    dL/d(batch) — and must leave exactly the gradients that driving every
+    layer's own ``backward`` (which does return its input gradient) leaves."""
+    spec = request.getfixturevalue(spec_fixture)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(6, *spec.input_shape)).astype(np.float32)
+    y = rng.integers(0, spec.num_classes, size=6)
+    model, layerwise = Model.from_spec(spec, seed=0), Model.from_spec(spec, seed=0)
+
+    grad = SoftmaxCrossEntropy().backward(model.forward(x, training=True), y)
+    assert model.backward(grad) is None
+
+    layerwise.forward(x, training=True)
+    for layer in reversed(layerwise._sequence()):
+        grad = layer.backward(grad)
+    assert grad.shape == x.shape
+    got = {name: g for name, _, g in model.iter_parameters()}
+    want = {name: g for name, _, g in layerwise.iter_parameters()}
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
 def test_dropout_spec_included_between_head_and_classifier():
     spec = ArchitectureSpec.dense("d", 10, [8], 4, dropout_rate=0.5)
     model = Model.from_spec(spec, seed=0)

@@ -53,6 +53,25 @@ def test_conv_training_reports_compute_phases(tiny_vgg_spec):
         assert key in phases and phases[key] > 0.0, phases
 
 
+def test_norm_and_pool_report_one_record_per_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        timing, "record_phase", lambda category, seconds: calls.append((category, seconds))
+    )
+    monkeypatch.setattr(timing, "phase_timing_enabled", lambda: True)
+    from repro.nn.layers import BatchNorm, MaxPool2D
+
+    x = np.random.default_rng(0).normal(size=(4, 3, 4, 4)).astype(np.float32)
+    norm, pool = BatchNorm(3), MaxPool2D(2)
+    pooled = pool.forward(norm.forward(x, training=True), training=True)
+    norm.backward(pool.backward(np.ones_like(pooled)))
+    norm.forward(x)  # inference is timed too
+    assert [category for category, _ in calls] == [
+        "norm.forward", "pool.forward", "pool.backward", "norm.backward", "norm.forward",
+    ]
+    assert all(seconds > 0.0 for _, seconds in calls)
+
+
 def test_ledger_aggregates_compute_phases():
     ledger = CostLedger(approach="x")
     ledger.add("a", "member", 1, 1.0, 10, 100, compute_phases={"conv.gemm": 0.4})
