@@ -1,24 +1,20 @@
-"""Micro-benchmarks for the execution engine.
+"""Micro-benchmarks that no end-to-end probe covers yet.
 
-Measures the hot paths the figure benchmarks are built on — conv
-forward/backward, dense, a full VGG training step, and batched ensemble
-inference — comparing the *fast* engine (float32, BLAS GEMM, workspace
-reuse, batched ensemble pass) against the *reference* seed path (float64,
-``np.einsum``, per-member inference loop).  The two parallel-engine
-benchmarks (``ensemble_train_parallel``, ``pool_predict``) instead compare
-the multi-process path (``workers=4``) against the single-process one and
-record the machine's usable ``cpu_count`` next to the ratio — parallel
-speedup is physically bounded by the core count, so the number is only
-meaningful together with it.  ``metrics_overhead`` measures the
-observability tax: the same VGG fit with the ``repro.obs`` registry disabled
-versus enabled (must stay under 2%).  Results are written as
-machine-readable JSON so the performance trajectory can be tracked PR over
-PR.
+The kernel, ensemble-inference and pool benchmarks that used to live here are
+``nn.*`` / ``parallel.*`` probes of ``benchmarks/e2e`` now.  What is left:
+``dense`` — a wide dense layer's training step, float32 (fast) against the
+float64 seed path (reference), the sub-second case the harness smoke test
+runs; ``metrics_overhead`` — the observability tax: the same VGG fit with the
+``repro.obs`` registry disabled versus enabled (must stay under 2%);
+``hot_swap`` — client-observed p99 inside a generation swap against steady
+state, with the machine's usable ``cpu_count`` next to it.  Results are
+written as machine-readable JSON; the committed ``BENCH_micro.json`` entries
+of the last two are guarded by the tier-1 suite.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/micro/run_micro.py \
-        [--benchmarks all|conv_forward,vgg_step,...] [--repeats 5] \
+        [--benchmarks all|dense,hot_swap,...] [--repeats 5] \
         [--output benchmarks/micro/BENCH_micro.json]
 
 Each benchmark reports the median over ``--repeats`` timed runs (after one
@@ -42,11 +38,9 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.arch import small_vgg_ensemble, vgg
-from repro.core import Ensemble, EnsembleMember
-from repro.nn import Model, SoftmaxCrossEntropy
-from repro.nn.layers import Conv2D, Dense, ResidualUnit
-from repro.nn.optimizers import SGD
+from repro.arch import vgg
+from repro.nn import Model
+from repro.nn.layers import Dense
 from repro.utils.parallel import cpu_count
 
 SCHEMA = "repro.bench.micro/v1"
@@ -67,71 +61,9 @@ def _median_seconds(fn: Callable[[], None], repeats: int) -> float:
     return float(statistics.median(samples))
 
 
-def set_conv_engine(model: Model, engine: str) -> None:
-    """Switch every convolution of a model to the given execution engine."""
-    for layer in model._sequence():
-        if isinstance(layer, Conv2D):
-            layer.engine = engine
-        elif isinstance(layer, ResidualUnit):
-            for sub in layer.sublayers():
-                if isinstance(sub, Conv2D):
-                    sub.engine = engine
-
-
-def _reference_model(spec, seed: int = 0) -> Model:
-    model = Model.from_spec(spec, seed=seed, dtype="float64")
-    set_conv_engine(model, "einsum")
-    return model
-
-
-def _fast_model(spec, seed: int = 0) -> Model:
-    return Model.from_spec(spec, seed=seed, dtype="float32")
-
-
 # ---------------------------------------------------------------------------
 # Benchmarks
 # ---------------------------------------------------------------------------
-
-def bench_conv_forward(repeats: int) -> Dict:
-    """Inference-mode forward of a mid-network convolution."""
-    params = {"batch": 64, "in_channels": 32, "out_channels": 64, "kernel": 3, "hw": 16}
-    rng = np.random.default_rng(0)
-    x64 = rng.normal(size=(params["batch"], params["in_channels"], params["hw"], params["hw"]))
-    x32 = x64.astype(np.float32)
-    ref = Conv2D(32, 64, 3, seed=1, dtype="float64", engine="einsum")
-    fast = Conv2D(32, 64, 3, seed=1, dtype="float32", engine="gemm")
-    return {
-        "params": params,
-        "reference_seconds": _median_seconds(lambda: ref.forward(x64, training=False), repeats),
-        "fast_seconds": _median_seconds(lambda: fast.forward(x32, training=False), repeats),
-    }
-
-
-def bench_conv_backward(repeats: int) -> Dict:
-    """Training-mode forward + backward of the same convolution."""
-    params = {"batch": 64, "in_channels": 32, "out_channels": 64, "kernel": 3, "hw": 16}
-    rng = np.random.default_rng(0)
-    x64 = rng.normal(size=(params["batch"], params["in_channels"], params["hw"], params["hw"]))
-    x32 = x64.astype(np.float32)
-    g64 = rng.normal(size=(params["batch"], params["out_channels"], params["hw"], params["hw"]))
-    g32 = g64.astype(np.float32)
-    ref = Conv2D(32, 64, 3, seed=1, dtype="float64", engine="einsum")
-    fast = Conv2D(32, 64, 3, seed=1, dtype="float32", engine="gemm")
-
-    def run_ref():
-        ref.forward(x64, training=True)
-        ref.backward(g64)
-
-    def run_fast():
-        fast.forward(x32, training=True)
-        fast.backward(g32)
-
-    return {
-        "params": params,
-        "reference_seconds": _median_seconds(run_ref, repeats),
-        "fast_seconds": _median_seconds(run_fast, repeats),
-    }
-
 
 def bench_dense(repeats: int) -> Dict:
     """Training-mode forward + backward of a wide dense layer."""
@@ -151,79 +83,6 @@ def bench_dense(repeats: int) -> Dict:
     def run_fast():
         fast.forward(x32, training=True)
         fast.backward(g32)
-
-    return {
-        "params": params,
-        "reference_seconds": _median_seconds(run_ref, repeats),
-        "fast_seconds": _median_seconds(run_fast, repeats),
-    }
-
-
-def bench_vgg_step(repeats: int) -> Dict:
-    """One full training step (forward, loss, backward, SGD update) of a
-    scaled-down V16 on CIFAR-shaped inputs — the unit of work every
-    training-time figure accumulates."""
-    params = {"variant": "V16", "batch": 64, "input_shape": [3, 16, 16], "width_scale": 0.25}
-    spec = vgg("V16", num_classes=10, input_shape=(3, 16, 16), width_scale=0.25)
-    rng = np.random.default_rng(0)
-    x64 = rng.normal(size=(params["batch"], 3, 16, 16))
-    x32 = x64.astype(np.float32)
-    y = rng.integers(0, 10, size=params["batch"])
-    loss_fn = SoftmaxCrossEntropy()
-
-    def make_step(model: Model, x: np.ndarray) -> Callable[[], None]:
-        optimizer = SGD(learning_rate=0.01, momentum=0.9)
-
-        def step():
-            logits = model.forward(x, training=True)
-            _, grad = loss_fn(logits, y)
-            model.zero_grads()
-            model.backward(grad)
-            optimizer.step(model.iter_parameters())
-
-        return step
-
-    ref_step = make_step(_reference_model(spec), x64)
-    fast_step = make_step(_fast_model(spec), x32)
-    return {
-        "params": params,
-        "reference_seconds": _median_seconds(ref_step, repeats),
-        "fast_seconds": _median_seconds(fast_step, repeats),
-    }
-
-
-def bench_ensemble_predict(repeats: int) -> Dict:
-    """All-member probability tensor for a five-member VGG ensemble:
-    batched single pass (fast) versus the per-member sweep (reference)."""
-    params = {
-        "members": 5,
-        "samples": 256,
-        "batch_size": 128,
-        "input_shape": [3, 16, 16],
-        "width_scale": 0.25,
-    }
-    specs = small_vgg_ensemble(num_classes=10, input_shape=(3, 16, 16), width_scale=0.25)
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(params["samples"], 3, 16, 16))
-
-    ref_members = [
-        EnsembleMember(name=spec.name, model=_reference_model(spec, seed=i))
-        for i, spec in enumerate(specs)
-    ]
-    fast_members = [
-        EnsembleMember(name=spec.name, model=_fast_model(spec, seed=i))
-        for i, spec in enumerate(specs)
-    ]
-    fast_ensemble = Ensemble(fast_members, num_classes=10)
-
-    def run_ref():
-        # The seed implementation: one independent sweep per member.
-        np.stack(
-            [m.model.predict_proba(x, batch_size=params["batch_size"]) for m in ref_members]
-        )
-
-    def run_fast():
-        fast_ensemble.predict_proba_all(x, batch_size=params["batch_size"])
 
     return {
         "params": params,
@@ -265,7 +124,7 @@ def bench_metrics_overhead(repeats: int) -> Dict:
     registry = get_registry()
 
     def fit():
-        model = _fast_model(spec, seed=1)
+        model = Model.from_spec(spec, seed=1, dtype="float32")
         Trainer(config).fit(model, x, y, seed=0)
 
     def run_disabled():
@@ -283,262 +142,6 @@ def bench_metrics_overhead(repeats: int) -> Dict:
     entry["overhead_fraction"] = (
         entry["fast_seconds"] / entry["reference_seconds"] - 1.0
     )
-    return entry
-
-
-def bench_ensemble_train_parallel(repeats: int) -> Dict:
-    """Full-data training of a four-member MLP ensemble: serial loop
-    (``workers=1``, the reference) versus the process-pool engine
-    (``workers=4``).  The task is embarrassingly parallel, so on a machine
-    with >= 4 usable cores the parallel path approaches a 4x speedup (pool
-    start-up amortises over the members); on fewer cores the workers
-    time-slice and the recorded ``cpu_count`` explains the resulting ratio.
-    """
-    workers = 4
-    params = {
-        "members": 4,
-        "train_samples": 1024,
-        "features": 12,
-        "classes": 4,
-        "base_width": 192,
-        "max_epochs": 6,
-        "batch_size": 32,
-        "workers": workers,
-        "cpu_count": cpu_count(),
-    }
-    from repro.arch.zoo import mlp_family
-    from repro.core.baselines import FullDataTrainer
-    from repro.data import load_dataset
-    from repro.nn.training import TrainingConfig
-
-    specs = mlp_family(
-        count=params["members"],
-        input_features=params["features"],
-        num_classes=params["classes"],
-        base_width=params["base_width"],
-        seed=1,
-    )
-    dataset = load_dataset(
-        "tabular",
-        train_samples=params["train_samples"],
-        test_samples=32,
-        num_classes=params["classes"],
-        num_features=params["features"],
-        seed=3,
-    )
-
-    def config(n_workers: int) -> TrainingConfig:
-        return TrainingConfig(
-            max_epochs=params["max_epochs"],
-            min_epochs=params["max_epochs"],
-            convergence_patience=params["max_epochs"],
-            batch_size=params["batch_size"],
-            learning_rate=0.05,
-            workers=n_workers,
-        )
-
-    def run_serial():
-        FullDataTrainer(config(1), collect_phase_timings=False).train(specs, dataset, seed=0)
-
-    def run_parallel():
-        FullDataTrainer(config(workers), collect_phase_timings=False).train(
-            specs, dataset, seed=0
-        )
-
-    return {
-        "params": params,
-        "reference_seconds": _median_seconds(run_serial, repeats),
-        "fast_seconds": _median_seconds(run_parallel, repeats),
-    }
-
-
-def bench_pool_predict(repeats: int) -> Dict:
-    """A stream of concurrent predict requests against a saved artifact:
-    one single-process ``EnsemblePredictor`` answering sequentially (the
-    reference) versus a four-worker ``PoolPredictor`` fed by eight client
-    threads.  Worker start-up is excluded (both predictors are warm before
-    timing); per-request IPC is included, which is the honest serving cost.
-    """
-    workers = 4
-    params = {
-        "members": 3,
-        "requests": 24,
-        "rows_per_request": 64,
-        "workers": workers,
-        "client_threads": 8,
-        "cpu_count": cpu_count(),
-    }
-    from repro.api import EnsemblePredictor, run_experiment, save_ensemble_run
-    from repro.parallel import PoolPredictor
-
-    result = run_experiment(
-        {
-            "name": "bench-pool",
-            "dataset": {
-                "name": "tabular",
-                "train_samples": 256,
-                "test_samples": 2048,
-                "num_classes": 4,
-                "num_features": 16,
-                "seed": 5,
-            },
-            "members": {
-                "family": "mlp",
-                "count": params["members"],
-                "input_features": 16,
-                "num_classes": 4,
-                "base_width": 96,
-                "seed": 1,
-            },
-            "approach": "full-data",
-            "training": {"max_epochs": 2, "batch_size": 64, "learning_rate": 0.1},
-            "seed": 0,
-        }
-    )
-    artifact_root = Path(tempfile.mkdtemp(prefix="repro-bench-pool-"))
-    artifact = artifact_root / "artifact"
-    save_ensemble_run(result.run, artifact)
-    rows = params["rows_per_request"]
-    batches = [
-        result.dataset.x_test[i * rows : (i + 1) * rows] for i in range(params["requests"])
-    ]
-
-    reference = EnsemblePredictor.load(artifact)
-    pool = PoolPredictor(artifact, workers=workers, max_wait_ms=1.0)
-    clients = ThreadPoolExecutor(max_workers=params["client_threads"])
-    try:
-
-        def run_reference():
-            for batch in batches:
-                reference.predict_proba(batch)
-
-        def run_pool():
-            list(clients.map(pool.predict_proba, batches))
-
-        entry = {
-            "params": params,
-            "reference_seconds": _median_seconds(run_reference, repeats),
-            "fast_seconds": _median_seconds(run_pool, repeats),
-        }
-    finally:
-        clients.shutdown(wait=True)
-        pool.close()
-        shutil.rmtree(artifact_root, ignore_errors=True)
-    return entry
-
-
-def bench_pool_predict_large(repeats: int) -> Dict:
-    """Large-batch serving data plane: shm transport (fast) versus the pickle
-    reference, one worker, one client — isolating what the transport itself
-    costs.  For each batch size the harness records p50/p99 end-to-end
-    latency and the bytes that actually crossed the parent<->worker process
-    boundary (measured by the ``repro_serve_transport_bytes_total`` counters:
-    tensor payloads on the pickle path, queue descriptors on the shm path).
-    The headline ``speedup`` is pickle-p50 over shm-p50 at batch 4096;
-    ``bytes_ratio_4096`` is the corresponding bytes reduction, which is
-    deterministic (no timing involved) and guarded by the tier-1 suite.
-    """
-    batch_sizes = [256, 1024, 4096]
-    params = {
-        "members": 3,
-        "features": 32,
-        "classes": 8,
-        "batch_sizes": batch_sizes,
-        "workers": 1,
-        "arena_slots": 4,
-        "cpu_count": cpu_count(),
-    }
-    from repro.api import run_experiment, save_ensemble_run
-    from repro.obs.metrics import get_registry
-    from repro.parallel import PoolPredictor
-
-    result = run_experiment(
-        {
-            "name": "bench-pool-large",
-            "dataset": {
-                "name": "tabular",
-                "train_samples": 256,
-                "test_samples": max(batch_sizes),
-                "num_classes": params["classes"],
-                "num_features": params["features"],
-                "seed": 5,
-            },
-            "members": {
-                "family": "mlp",
-                "count": params["members"],
-                "input_features": params["features"],
-                "num_classes": params["classes"],
-                "base_width": 64,
-                "seed": 1,
-            },
-            "approach": "full-data",
-            "training": {"max_epochs": 1, "batch_size": 64, "learning_rate": 0.1},
-            "seed": 0,
-        }
-    )
-    artifact_root = Path(tempfile.mkdtemp(prefix="repro-bench-pool-large-"))
-    artifact = artifact_root / "artifact"
-    save_ensemble_run(result.run, artifact)
-    x_full = result.dataset.x_test
-
-    registry = get_registry()
-
-    def transport_bytes(transport: str) -> float:
-        metric = registry.get("repro_serve_transport_bytes_total")
-        if metric is None:
-            return 0.0
-        return (
-            metric.labels(transport, "request").value
-            + metric.labels(transport, "response").value
-        )
-
-    iterations = max(repeats, 10)  # p99 needs more than a handful of samples
-    transports: Dict[str, Dict] = {}
-    try:
-        for transport in ("pickle", "shm"):
-            per_batch: Dict[str, Dict] = {}
-            pool = PoolPredictor(
-                artifact,
-                workers=1,
-                transport=transport,
-                max_batch=max(batch_sizes),
-                arena_slots=params["arena_slots"],
-                max_wait_ms=0.0,
-            )
-            try:
-                for batch in batch_sizes:
-                    x = x_full[:batch]
-                    pool.predict_proba(x)  # warm-up (arena pages, worker caches)
-                    samples: List[float] = []
-                    bytes_before = transport_bytes(transport)
-                    for _ in range(iterations):
-                        start = time.perf_counter()
-                        pool.predict_proba(x)
-                        samples.append(time.perf_counter() - start)
-                    moved = transport_bytes(transport) - bytes_before
-                    per_batch[str(batch)] = {
-                        "p50_seconds": float(np.percentile(samples, 50)),
-                        "p99_seconds": float(np.percentile(samples, 99)),
-                        "bytes_per_request": moved / iterations,
-                    }
-            finally:
-                pool.close()
-            transports[transport] = per_batch
-    finally:
-        shutil.rmtree(artifact_root, ignore_errors=True)
-
-    large = str(max(batch_sizes))
-    entry = {
-        "params": params,
-        "iterations": iterations,
-        "transports": transports,
-        "reference_seconds": transports["pickle"][large]["p50_seconds"],
-        "fast_seconds": transports["shm"][large]["p50_seconds"],
-        "bytes_ratio_4096": (
-            transports["pickle"][large]["bytes_per_request"]
-            / transports["shm"][large]["bytes_per_request"]
-        ),
-    }
     return entry
 
 
@@ -655,15 +258,8 @@ def bench_hot_swap(repeats: int) -> Dict:
 
 
 BENCHMARKS: Dict[str, Callable[[int], Dict]] = {
-    "conv_forward": bench_conv_forward,
-    "conv_backward": bench_conv_backward,
     "dense": bench_dense,
-    "vgg_step": bench_vgg_step,
-    "ensemble_predict": bench_ensemble_predict,
     "metrics_overhead": bench_metrics_overhead,
-    "ensemble_train_parallel": bench_ensemble_train_parallel,
-    "pool_predict": bench_pool_predict,
-    "pool_predict_large": bench_pool_predict_large,
     "hot_swap": bench_hot_swap,
 }
 
@@ -691,10 +287,10 @@ def run(names: List[str], repeats: int) -> Dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": cpu_count(),
-        "reference": "float64 + einsum conv + per-member inference loop (seed path); "
-        "workers=1 single-process path for the parallel benchmarks",
-        "fast": "float32 + GEMM conv with workspace reuse + batched ensemble inference; "
-        "workers=4 process pool for the parallel benchmarks",
+        "reference": "dense: float64; metrics_overhead: registry disabled; "
+        "hot_swap: p99 inside the swap window",
+        "fast": "dense: float32; metrics_overhead: registry enabled; "
+        "hot_swap: steady-state p99",
         "benchmarks": results,
     }
 

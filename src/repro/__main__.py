@@ -126,13 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="disable the pool supervisor's automatic worker respawn",
     )
     serve.add_argument(
-        "--transport",
-        choices=("shm", "pickle"),
-        default="shm",
-        help="request/response data plane: shared-memory arenas (default) or "
-        "the pickle-through-queues reference path",
-    )
-    serve.add_argument(
         "--log-format",
         choices=("json", "text"),
         default="json",
@@ -260,12 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--batch-size", type=int, default=256)
     worker.add_argument(
         "--max-batch", type=int, default=1024, help="micro-batch row cap per dispatch"
-    )
-    worker.add_argument(
-        "--transport",
-        choices=("shm", "pickle"),
-        default="shm",
-        help="pool data plane (see `repro serve --transport`)",
     )
     worker.add_argument(
         "--metrics-interval",
@@ -422,37 +409,62 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.obs.events import configure_logging, enable_events
     from repro.parallel.server import run_server
 
+    configure_logging(fmt=args.log_format, force=True, log_file=args.log_file)
+    enable_events()
+    if args.mode == "queue":
+        from repro.fleet.front import FleetFront
+
+        backend = FleetFront(
+            args.artifact,
+            partitions=args.partitions,
+            visibility_timeout=args.visibility_timeout,
+            method=args.method,
+            min_consumers=args.min_consumers,
+            max_consumers=args.max_consumers,
+            consumer_workers=(
+                args.workers if args.consumer_workers is None else args.consumer_workers
+            ),
+            batch_size=args.batch_size,
+            max_batch=args.max_batch,
+            spawn_local=not args.no_local_consumers,
+            autoscale=not args.no_autoscale,
+            autoscale_cooldown=args.autoscale_cooldown,
+            autoscale_interval=args.autoscale_interval,
+            up_queue_depth=args.up_queue_depth,
+            down_queue_depth=args.down_queue_depth,
+            up_p99_seconds=args.up_p99_seconds,
+            down_p99_seconds=args.down_p99_seconds,
+            host=args.host,
+            fleet_port=args.fleet_port,
+            fleet_authkey=args.fleet_authkey,
+            log_format=args.log_format,
+            log_file=args.log_file,
+        )
+    else:
+        from repro.parallel.serving import PoolPredictor
+
+        backend = PoolPredictor(
+            args.artifact,
+            workers=args.workers,
+            method=args.method,
+            batch_size=args.batch_size,
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            restart_workers=not args.no_restart,
+        )
+    # run_server closes the backend, however it ends.
     return run_server(
-        artifact=args.artifact,
+        backend,
+        args.artifact,
+        mode=args.mode,
         host=args.host,
         port=args.port,
         workers=args.workers,
         method=args.method,
-        batch_size=args.batch_size,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         restart_workers=not args.no_restart,
-        transport=args.transport,
-        log_format=args.log_format,
-        log_file=args.log_file,
-        mode=args.mode,
-        partitions=args.partitions,
-        min_consumers=args.min_consumers,
-        max_consumers=args.max_consumers,
-        consumer_workers=args.consumer_workers,
-        visibility_timeout=args.visibility_timeout,
-        fleet_port=args.fleet_port,
-        fleet_authkey=args.fleet_authkey,
-        autoscale=not args.no_autoscale,
-        autoscale_cooldown=args.autoscale_cooldown,
-        autoscale_interval=args.autoscale_interval,
-        up_queue_depth=args.up_queue_depth,
-        down_queue_depth=args.down_queue_depth,
-        up_p99_seconds=args.up_p99_seconds,
-        down_p99_seconds=args.down_p99_seconds,
-        spawn_consumers=not args.no_local_consumers,
     )
 
 
@@ -482,7 +494,6 @@ def _cmd_fleet_worker(args: argparse.Namespace) -> int:
         method=args.method,
         batch_size=args.batch_size,
         max_batch=args.max_batch,
-        transport=args.transport,
         metrics_interval=args.metrics_interval,
     ).start()
 

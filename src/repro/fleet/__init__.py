@@ -21,7 +21,6 @@ queue-depth + windowed-p99 signals, hysteresis, and cooldown.
 
 from repro.fleet.autoscaler import Autoscaler, AutoscaleSignals
 from repro.fleet.broker import (
-    Broker,
     BrokerFull,
     CompletedJob,
     InProcBroker,
@@ -35,7 +34,6 @@ from repro.fleet.front import FleetFront
 __all__ = [
     "Autoscaler",
     "AutoscaleSignals",
-    "Broker",
     "BrokerFull",
     "CompletedJob",
     "FleetConsumer",

@@ -4,12 +4,11 @@ The queue-mode serving front (:class:`~repro.fleet.front.FleetFront`) does
 not hand prediction requests to a local worker pool directly; it publishes
 them onto a **broker** and lets consumer workers — in this process, in other
 processes on this host, or on other hosts — lease, execute, and acknowledge
-them.  The broker abstraction is deliberately Kafka-shaped (partitions,
-round-robin publishing, consumer assignment, at-least-once delivery) so an
-external broker can be slotted in later; :class:`InProcBroker` is the
-dependency-free stdlib implementation that ships first, built on bounded
-deques and one condition variable, and served to out-of-process consumers
-through ``multiprocessing.managers`` (see :func:`serve_broker` /
+them.  The broker is Kafka-shaped (partitions, round-robin publishing,
+consumer assignment, at-least-once delivery): :class:`InProcBroker` is a
+dependency-free stdlib implementation built on bounded deques and one
+condition variable, served to out-of-process consumers through
+``multiprocessing.managers`` (see :func:`serve_broker` /
 :func:`connect_broker`).
 
 Delivery semantics — **at-least-once**:
@@ -54,6 +53,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.managers import BaseManager
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.events import log_event
@@ -82,7 +82,6 @@ _JOBS = _metrics.counter(
 )
 
 __all__ = [
-    "Broker",
     "BrokerFull",
     "CompletedJob",
     "InProcBroker",
@@ -134,62 +133,7 @@ class _Lease:
     deadline: float
 
 
-class Broker:
-    """Abstract broker protocol the serving tier programs against.
-
-    Everything the front and the consumers call goes through these seven
-    methods, so an external broker (Kafka, SQS, Redis streams) only has to
-    implement this surface.  :class:`InProcBroker` is the reference.
-    """
-
-    def publish(self, payload: Any, job_id: Optional[str] = None) -> str:
-        raise NotImplementedError
-
-    def attach(self, consumer_id: str) -> List[int]:
-        raise NotImplementedError
-
-    def detach(self, consumer_id: str) -> None:
-        raise NotImplementedError
-
-    def lease(self, consumer_id: str, timeout: float = 1.0) -> Optional[Job]:
-        raise NotImplementedError
-
-    def ack(
-        self,
-        consumer_id: str,
-        job_id: str,
-        result: Any,
-        metrics: Optional[Dict[str, Dict[str, object]]] = None,
-    ) -> bool:
-        raise NotImplementedError
-
-    def nack(self, consumer_id: str, job_id: str, error: str) -> None:
-        raise NotImplementedError
-
-    def stats(self) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    # Control channel — broadcast commands (artifact hot-swaps) to every
-    # attached consumer, with per-consumer acknowledgements so the front can
-    # tell when the fleet has converged.
-    def post_control(self, command: Dict[str, Any]) -> int:
-        raise NotImplementedError
-
-    def get_control(
-        self, consumer_id: str, after: int
-    ) -> Optional[Tuple[int, Dict[str, Any]]]:
-        raise NotImplementedError
-
-    def ack_control(
-        self, consumer_id: str, revision: int, ok: bool, detail: Optional[str] = None
-    ) -> None:
-        raise NotImplementedError
-
-    def control_status(self) -> Dict[str, Any]:
-        raise NotImplementedError
-
-
-class InProcBroker(Broker):
+class InProcBroker:
     """Stdlib in-process broker: bounded deques + one condition variable.
 
     Lives in the serving front's process; out-of-process consumers reach it
@@ -704,8 +648,15 @@ class InProcBroker(Broker):
 # consumers scale out horizontally.
 
 
+class _BrokerManager(BaseManager):
+    """The manager both ends use; ``get_broker`` is its one typeid."""
+
+
+_BrokerManager.register("get_broker")
+
+
 def serve_broker(
-    broker: Broker, host: str = "127.0.0.1", port: int = 0, authkey: str = "repro-fleet"
+    broker: InProcBroker, host: str = "127.0.0.1", port: int = 0, authkey: str = "repro-fleet"
 ) -> Tuple[Tuple[str, int], Callable[[], None]]:
     """Expose ``broker`` on ``host:port`` (0 picks an ephemeral port).
 
@@ -714,14 +665,10 @@ def serve_broker(
     pass to :func:`connect_broker` (loopback + shared key is the intended
     deployment; put a real transport in front of it for untrusted networks).
     """
-    from multiprocessing.managers import BaseManager
-
-    class _BrokerManager(BaseManager):
-        pass
-
-    _BrokerManager.register("get_broker", callable=lambda: broker)
-    manager = _BrokerManager(address=(host, int(port)), authkey=authkey.encode())
-    server = manager.get_server()
+    server = _BrokerManager(address=(host, int(port)), authkey=authkey.encode()).get_server()
+    # The class registers the typeid once; *which* broker a server hands out
+    # is that server's own, so two fronts in one process never share one.
+    server.registry = {"get_broker": (lambda: broker, *server.registry["get_broker"][1:])}
 
     def _accept_until_stopped() -> None:
         # The stdlib accepter, except that it ends with the server: that one
@@ -773,15 +720,9 @@ def serve_broker(
 
 def connect_broker(
     address: Tuple[str, int], authkey: str = "repro-fleet"
-) -> Broker:
+) -> InProcBroker:
     """Connect to a broker served by :func:`serve_broker`; returns a proxy
-    implementing the :class:`Broker` surface."""
-    from multiprocessing.managers import BaseManager
-
-    class _BrokerManager(BaseManager):
-        pass
-
-    _BrokerManager.register("get_broker")
+    that duck-types :class:`InProcBroker`."""
     manager = _BrokerManager(
         address=(address[0], int(address[1])), authkey=authkey.encode()
     )

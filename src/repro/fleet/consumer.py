@@ -5,8 +5,8 @@ attaches to the broker (in-process object or a
 :func:`~repro.fleet.broker.connect_broker` proxy — the loop cannot tell the
 difference), leases jobs from its assigned partitions, answers them through
 the *existing* multi-process :class:`~repro.parallel.serving.PoolPredictor`
-(shm transport, micro-batching, and the self-healing supervisor all reused
-unchanged), and acks each result back.  Results are therefore **bitwise
+(shared-memory arenas, micro-batching, and the self-healing supervisor all
+reused unchanged), and acks each result back.  Results are therefore **bitwise
 identical** to a single-process ``EnsemblePredictor`` on the same rows — the
 queue tier adds scheduling, never arithmetic.
 
@@ -32,10 +32,8 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-import numpy as np
-
 from repro.faults import fire
-from repro.fleet.broker import Broker, Job
+from repro.fleet.broker import InProcBroker, Job
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
 from repro.parallel.serving import PoolPredictor
@@ -56,13 +54,13 @@ __all__ = ["FleetConsumer"]
 class FleetConsumer:
     """Run one serving pool against broker partitions until stopped.
 
-    ``broker`` is anything implementing the :class:`~repro.fleet.broker.
-    Broker` surface — the in-process object in tests, a manager proxy in
+    ``broker`` is an :class:`~repro.fleet.broker.InProcBroker` or anything
+    that duck-types it — the in-process object in tests, a manager proxy in
     ``repro fleet-worker``.  ``close()`` drains first: the loop stops
     leasing, the in-flight job (if any) finishes and acks, then the consumer
     detaches and the pool shuts down — the same mechanism a scale-down rides.
     Artifact hot-swaps arrive as broker *control* messages: between jobs the
-    loop polls :meth:`~repro.fleet.broker.Broker.get_control`, applies
+    loop polls :meth:`~repro.fleet.broker.InProcBroker.get_control`, applies
     ``{"op": "swap", ...}`` by rolling its own pool
     (:meth:`~repro.parallel.serving.PoolPredictor.swap`), and acks the
     revision so the front can tell when the fleet has converged.
@@ -70,7 +68,7 @@ class FleetConsumer:
 
     def __init__(
         self,
-        broker: Broker,
+        broker: InProcBroker,
         artifact: Union[str, Path],
         consumer_id: str,
         workers: int = 1,
@@ -78,7 +76,6 @@ class FleetConsumer:
         batch_size: int = 256,
         max_batch: int = 1024,
         max_wait_ms: float = 2.0,
-        transport: str = "shm",
         lease_timeout: float = 0.5,
         metrics_interval: float = 1.0,
         restart_workers: bool = True,
@@ -94,7 +91,6 @@ class FleetConsumer:
             batch_size=batch_size,
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
-            transport=transport,
             restart_workers=restart_workers,
         )
         self._stop = threading.Event()
@@ -196,10 +192,6 @@ class FleetConsumer:
         try:
             payload = job.payload
             proba = self.pool.predict_proba(payload["x"], method=payload.get("method"))
-            # A shm-transport result is a zero-copy view of a pool worker's
-            # arena; materialise it so the ack (which may pickle it over the
-            # manager connection) releases the arena region promptly.
-            proba = np.array(proba, copy=True)
         except Exception as exc:
             _CONSUMED.labels("error").inc()
             try:

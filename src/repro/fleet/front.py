@@ -103,7 +103,6 @@ class FleetFront:
         consumer_workers: int = 1,
         batch_size: int = 256,
         max_batch: int = 1024,
-        transport: str = "shm",
         spawn_local: bool = True,
         autoscale: bool = True,
         autoscale_cooldown: float = 10.0,
@@ -136,7 +135,6 @@ class FleetFront:
         self.consumer_workers = int(consumer_workers)
         self.batch_size = int(batch_size)
         self.max_batch = int(max_batch)
-        self.transport = transport
         self.request_timeout = float(request_timeout)
         self.result_ttl = float(result_ttl)
         self.spawn_local = bool(spawn_local)
@@ -358,8 +356,6 @@ class FleetFront:
             str(self.batch_size),
             "--max-batch",
             str(self.max_batch),
-            "--transport",
-            self.transport,
         ]
         if self._log_format is not None:
             argv += ["--log-format", self._log_format]
@@ -631,7 +627,6 @@ class FleetFront:
             "input_shape": list(self.input_shape),
             "method": self.method,
             "super_learner": self._artifact.has_super_learner,
-            "transport": self.transport,
             "broker_address": list(self.broker_address),
             "queue": self.broker.stats(),
             "consumers": self.broker.consumer_count(),

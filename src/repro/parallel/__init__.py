@@ -23,11 +23,12 @@ is written once; :mod:`repro.parallel.worker` holds the one worker loop):
   and respawned under bounded backoff; a hot-swap is a supervised roll).
   Exposed over HTTP by ``python -m repro serve``
   (:func:`repro.parallel.server.run_server`), including Prometheus
-  ``GET /metrics`` and a degrading ``GET /healthz``.  The request/response
-  data plane is pluggable: ``transport="shm"`` (default) moves tensors
-  through per-worker shared-memory arenas (:class:`ShmArena`) so the queues
-  carry only fixed-size descriptors; ``transport="pickle"`` is the reference
-  tensors-through-the-queues path.
+  ``GET /metrics`` and a degrading ``GET /healthz``.  The data plane has
+  one wire format: every entry of a dispatch travels as a reference into the
+  worker's shared-memory arena (:class:`ShmArena`) or, when the arena cannot
+  place it, inline; ``transport="pickle"`` is the all-inline case of the same
+  code — a pool without arenas, kept as the tests' and the benchmark's
+  reference.
 """
 
 from repro.parallel.executor import MemberTask, ParallelExecutor

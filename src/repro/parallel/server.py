@@ -55,8 +55,8 @@ nothing to send delays that ACK by a fixed 40 ms.  One handler serves pool
 and queue mode, so the rule holds for both.
 
 Logging on the serve front is structured: one JSON object per line on
-stderr (``repro.obs.events``), machine-ingestable without regexes; pass
-``log_format="text"`` (CLI ``--log-format text``) for the classic format.
+stderr (``repro.obs.events``), machine-ingestable without regexes
+(``--log-format text`` for the classic format; the CLI configures it).
 That includes connections that fail: a client that resets mid-response is an
 ``http.client_gone`` event (and ``repro_http_requests_total{code="499"}``),
 any other handler failure an ``http.handler_error`` event carrying the
@@ -78,11 +78,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.obs.events import configure_logging, enable_events, log_event
+from repro.obs.events import log_event
 from repro.obs.exposition import CONTENT_TYPE, render_prometheus
 from repro.obs.metrics import get_registry
 from repro.obs.process import update_process_metrics
-from repro.parallel.serving import PoolPredictor
 from repro.utils.logging import get_logger
 
 logger = get_logger("parallel.server")
@@ -217,10 +216,27 @@ def _make_handler(pool, mode: str, started_at: float):
                     {"job_id": job_id, "predictions": proba.argmax(axis=1).tolist()},
                 )
 
-        def _admin_swap(self) -> None:
+        def _read_body(self) -> Optional[bytes]:
+            """The request body — or ``None``, having answered 400, when
+            ``Content-Length`` is not a non-negative integer (``read(-1)``
+            would block this thread until the peer hangs up).  That
+            connection is closed: where its body ends is unknown."""
             try:
                 length = int(self.headers.get("Content-Length", "0"))
-                body = json.loads(self.rfile.read(length) or b"{}")
+                if length < 0:
+                    raise ValueError
+            except ValueError:
+                self.close_connection = True
+                self._reply(400, {"error": "Content-Length must be a non-negative integer"})
+                return None
+            return self.rfile.read(length)
+
+        def _admin_swap(self) -> None:
+            raw = self._read_body()
+            if raw is None:
+                return
+            try:
+                body = json.loads(raw or b"{}")
                 generation = body.get("generation")
                 if generation is not None:
                     generation = int(generation)
@@ -243,9 +259,11 @@ def _make_handler(pool, mode: str, started_at: float):
                 if self.path != "/predict":
                     self._reply(404, {"error": f"unknown path {self.path!r}"})
                     return
+                raw = self._read_body()
+                if raw is None:
+                    return
                 try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                    body = json.loads(self.rfile.read(length) or b"{}")
+                    body = json.loads(raw or b"{}")
                     inputs = body.get("inputs")
                     if inputs is None:
                         raise ValueError('request body needs an "inputs" array')
@@ -283,109 +301,47 @@ def _make_handler(pool, mode: str, started_at: float):
 
 
 def run_server(
+    backend,
     artifact: Union[str, Path],
+    mode: str = "pool",
     host: str = "127.0.0.1",
     port: int = 8765,
     workers: int = 2,
     method: str = "average",
-    batch_size: int = 256,
-    max_batch: int = 1024,
-    max_wait_ms: float = 2.0,
     restart_workers: bool = True,
-    transport: str = "shm",
-    log_format: str = "json",
-    log_file: Optional[Union[str, Path]] = None,
-    ready_event: Optional[threading.Event] = None,
-    mode: str = "pool",
-    partitions: int = 4,
-    min_consumers: int = 1,
-    max_consumers: int = 4,
-    consumer_workers: Optional[int] = None,
-    visibility_timeout: float = 30.0,
-    fleet_port: int = 0,
-    fleet_authkey: str = "repro-fleet",
-    autoscale: bool = True,
-    autoscale_cooldown: float = 10.0,
-    autoscale_interval: float = 1.0,
-    up_queue_depth: float = 4.0,
-    down_queue_depth: float = 1.0,
-    up_p99_seconds: float = 2.0,
-    down_p99_seconds: float = 0.5,
-    spawn_consumers: bool = True,
     startup_timeout: float = 180.0,
 ) -> int:
-    """Serve ``artifact`` until SIGINT/SIGTERM; returns the process exit code.
+    """Serve ``backend`` over HTTP until SIGINT/SIGTERM; returns the process
+    exit code.  The backend is the caller's to build — a
+    :class:`~repro.parallel.serving.PoolPredictor` (``mode="pool"``) or a
+    :class:`~repro.fleet.front.FleetFront` (``mode="queue"``) — and this
+    function's to close, on every way out.
 
     Prints one machine-readable JSON line (``{"event": "serving", ...}``)
     once the backend is warm and the socket is bound — with ``--port 0``
     this is how callers learn the ephemeral port (and, in queue mode, the
-    broker address fleet workers attach to).  Lifecycle transitions (start,
-    worker death/respawn, stop) are emitted as structured events on stderr;
-    ``log_file`` mirrors them into a size-rotated JSON file.
+    broker address fleet workers attach to).  ``artifact``, ``workers``,
+    ``method`` and ``restart_workers`` are only reported, there and in the
+    ``serve.started`` event.  Lifecycle transitions (start, worker
+    death/respawn, stop) are structured events on the log the caller
+    configured.
 
-    ``mode="queue"`` swaps the local pool for a
-    :class:`~repro.fleet.front.FleetFront` and waits up to
-    ``startup_timeout`` for ``min_consumers`` consumers to attach before
-    announcing readiness; ``spawn_consumers=False`` skips both the local
-    consumer subprocesses and the wait, for fronts served purely by external
-    ``repro fleet-worker`` processes.
+    A queue-mode front that spawns its own consumers gets up to
+    ``startup_timeout`` seconds for ``min_consumers`` of them to attach
+    before readiness is announced; one served purely by external ``repro
+    fleet-worker`` processes is announced at once.
     """
     from repro import __version__
 
-    if mode not in ("pool", "queue"):
-        raise ValueError(f"unknown serve mode {mode!r}; expected 'pool' or 'queue'")
-    configure_logging(fmt=log_format, force=True, log_file=log_file)
-    enable_events()
     started_at = time.monotonic()
-    if mode == "queue":
-        from repro.fleet.front import FleetFront
-
-        pool = FleetFront(
-            artifact,
-            partitions=partitions,
-            visibility_timeout=visibility_timeout,
-            method=method,
-            min_consumers=min_consumers,
-            max_consumers=max_consumers,
-            consumer_workers=workers if consumer_workers is None else consumer_workers,
-            batch_size=batch_size,
-            max_batch=max_batch,
-            transport=transport,
-            spawn_local=spawn_consumers,
-            autoscale=autoscale,
-            autoscale_cooldown=autoscale_cooldown,
-            autoscale_interval=autoscale_interval,
-            up_queue_depth=up_queue_depth,
-            down_queue_depth=down_queue_depth,
-            up_p99_seconds=up_p99_seconds,
-            down_p99_seconds=down_p99_seconds,
-            host=host,
-            fleet_port=fleet_port,
-            fleet_authkey=fleet_authkey,
-            log_format=log_format,
-            log_file=log_file,
-        )
-        if spawn_consumers:
-            try:
-                pool.wait_ready(timeout=startup_timeout)
-            except BaseException:
-                pool.close()
-                raise
-    else:
-        pool = PoolPredictor(
-            artifact,
-            workers=workers,
-            method=method,
-            batch_size=batch_size,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            restart_workers=restart_workers,
-            transport=transport,
-        )
     try:
-        server = _Server((host, int(port)), _make_handler(pool, mode, started_at))
+        if mode not in ("pool", "queue"):
+            raise ValueError(f"unknown serve mode {mode!r}; expected 'pool' or 'queue'")
+        if mode == "queue" and backend.spawn_local:
+            backend.wait_ready(timeout=startup_timeout)
+        server = _Server((host, int(port)), _make_handler(backend, mode, started_at))
     except BaseException:
-        pool.close()
+        backend.close()
         raise
     bound_port = server.server_address[1]
 
@@ -410,12 +366,11 @@ def run_server(
         "port": bound_port,
         "workers": workers,
         "method": method,
-        "transport": transport,
         "artifact": str(artifact),
     }
     if mode == "queue":
         banner["broker"] = (
-            f"{pool.broker_address[0]}:{pool.broker_address[1]}"
+            f"{backend.broker_address[0]}:{backend.broker_address[1]}"
         )
     print(json.dumps(banner), flush=True)
     log_event(
@@ -426,15 +381,12 @@ def run_server(
         workers=workers,
         artifact=str(artifact),
         restart_workers=restart_workers,
-        transport=transport,
     )
-    if ready_event is not None:
-        ready_event.set()
     try:
         server.serve_forever(poll_interval=0.2)
     finally:
         server.server_close()
-        pool.close()
+        backend.close()
         for sig, handler in previous_handlers.items():
             try:
                 signal.signal(sig, handler)

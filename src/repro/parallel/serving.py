@@ -61,18 +61,25 @@ stopping the supervisor first — cannot race a spawn.
   (:mod:`repro.parallel.worker`), so a SIGKILLed server leaves no orphan
   pinning its ``/dev/shm`` segments.
 
-Transports: with ``transport="shm"`` (the default) each worker additionally
-owns a shared-memory arena (:class:`~repro.parallel.shm_transport.ShmArena`)
-and the queues carry only fixed-size descriptors — request rows are written
-once into the worker's arena and probabilities come back as zero-copy views
-of worker-written result regions.  ``transport="pickle"`` keeps the original
-tensors-through-the-queue path as the bitwise reference; the shm dispatcher
-also falls back to it per dispatch whenever a request does not fit the arena.
-Like its queues, a worker's arena is private and replaced at every spawn: the
-old one is retired wholesale (name unlinked immediately, the mapping closed
-once the last client-held result view is garbage collected) and the successor
-gets a fresh generation, so a SIGKILL mid-slot-write can never wedge the
-dispatcher or leak ``/dev/shm`` segments.
+Wire format (one, whatever the transport): a dispatch is ``(generation,
+entries)`` with one entry per request, and every entry names its rows either
+as a reference ``(offset, shape, dtype)`` into the worker's shared-memory
+arena (:class:`~repro.parallel.shm_transport.ShmArena`) — the rows were
+copied there once, the queue carries about a hundred bytes — or as the array
+itself, *inline*; its probabilities come back the same two ways, into a
+result region reserved at dispatch or inline (:func:`~repro.parallel.worker.
+answer_entry`), and the collector copies them out and frees both regions with
+the reply, so clients always get ordinary owned arrays.  An entry goes inline
+exactly when its reservation fails — a request bigger than the whole arena, a
+ring momentarily full — each half on its own, nothing already reserved is
+rolled back, and no request is ever refused for size.  ``transport="pickle"``
+is the all-inline case of the same code: a pool that owns no arena, kept
+constructible as the bitwise oracle of the tests and the baseline the
+benchmark times the arenas against.  Like its queues, a worker's arena is
+private and lives exactly as long as the worker: every spawn retires the old
+one wholesale (unlinked and closed) and gives the successor a fresh
+generation, so a SIGKILL mid-slot-write can never wedge the dispatcher or leak
+``/dev/shm`` segments.
 """
 
 from __future__ import annotations
@@ -97,7 +104,7 @@ from repro.core.artifact_store import ARTIFACT_GENERATION, served_artifact
 from repro.core.ensemble import resolve_combination_method
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
-from repro.parallel.shm_transport import RESULT_ITEMSIZE, ShmArena, _align
+from repro.parallel.shm_transport import RESULT_ITEMSIZE, ShmArena
 from repro.parallel.supervision import Slot, SlotTable
 from repro.parallel.worker import _serving_worker_main
 from repro.utils.logging import get_logger
@@ -159,20 +166,21 @@ _WORKER_HANGS = _metrics.counter(
 )
 _TRANSPORT_BYTES = _metrics.counter(
     "repro_serve_transport_bytes_total",
-    "Bytes crossing the parent<->worker process boundary, by transport and "
-    "direction (shm counts only the queue descriptors; pickle counts the "
-    "tensor payloads).",
+    "Bytes crossing the parent<->worker queues, by the pool's transport and "
+    "direction: references cost their pickled size, inline tensors their "
+    "bytes on top.",
     ("transport", "direction"),
 )
 _TRANSPORT_FALLBACKS = _metrics.counter(
     "repro_serve_transport_fallbacks_total",
-    "Dispatches the shm transport handed to the pickle path instead.",
+    "Halves of a dispatch entry (its rows, its result) that found no room in "
+    "the worker's arena and travelled inline instead.",
     ("reason",),
 )
 _TRANSPORT_PHASE = _metrics.histogram(
     "repro_serve_transport_phase_seconds",
-    "Per-dispatch transport phases: copying rows into the arena (shm) or "
-    "building the tensor payload (pickle).",
+    "Transport phases: placing a dispatch's rows (request_copy), copying a "
+    "result out of the arena (response_copy).",
     ("transport", "phase"),
 )
 _SWAPS = _metrics.counter(
@@ -188,15 +196,14 @@ _SWAP_SECONDS = _metrics.histogram(
     "generation.",
 )
 
-#: Estimated per-request pickle framing on the reference transport; the
-#: tensor bytes dominate, so the counter is a (tight) lower bound of the
-#: true pickled size — conservative for any shm-vs-pickle ratio claim.
-_PICKLE_OVERHEAD = 64
-
-
-def _descriptor_nbytes(message: object) -> int:
-    """Actual pickled size of a (small) queue descriptor."""
-    return len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+def _wire_nbytes(message: object) -> int:
+    """Pickled size of a queue message; the bytes of the tensors it carries
+    inline are counted out of band, not copied."""
+    buffers: List[pickle.PickleBuffer] = []
+    head = pickle.dumps(
+        message, protocol=pickle.HIGHEST_PROTOCOL, buffer_callback=buffers.append
+    )
+    return len(head) + sum(memoryview(buffer).nbytes for buffer in buffers)
 
 
 def _latency_quantiles(histogram) -> Dict[str, Optional[float]]:
@@ -308,16 +315,16 @@ class PoolPredictor:
     Transport parameters
     --------------------
     transport:
-        ``"shm"`` (default) moves request rows and result probabilities
-        through per-worker shared-memory arenas; the queues carry only small
-        fixed-size descriptors.  ``"pickle"`` is the reference path with the
-        tensors pickled through the queues; both produce bitwise-identical
-        predictions.
+        ``"shm"`` (default) gives every worker a shared-memory arena: rows
+        and probabilities travel as references into it, and only what the
+        arena cannot place travels inline.  ``"pickle"`` is the pool without
+        arenas — every entry inline through the same code — kept as the
+        reference the tests and the benchmark compare against; both produce
+        bitwise-identical predictions.
     arena_slots:
         Arena capacity in units of ``max_batch``-row dispatches.  A single
-        request larger than ``max_batch`` rows occupies several slots' worth
-        of contiguous bytes; anything that exceeds the whole arena falls back
-        to the pickle path for that dispatch.
+        request larger than ``max_batch`` rows takes several slots' worth of
+        contiguous bytes; one that exceeds the whole arena travels inline.
     """
 
     def __init__(
@@ -474,10 +481,9 @@ class PoolPredictor:
         on a fresh arena generation next to the table's fresh queues.
 
         The arena is replaced wholesale for the queues' reason: a SIGKILL
-        mid-slot-write leaves regions reserved for descriptors that will
-        never arrive.  The old generation's name is unlinked at once (no
-        /dev/shm leak); its mapping survives only as long as clients hold
-        result views into it.  Supervisor thread only (and the constructor).
+        mid-slot-write leaves regions reserved for replies that will never
+        arrive.  The old generation is retired — unlinked and closed — on
+        the spot.  Supervisor thread only (and the constructor).
         """
         served = self._artifact
         if self.transport == "shm":
@@ -515,11 +521,9 @@ class PoolPredictor:
             if taken is None:
                 break
             self._dispatch_group(*taken)
-            # Drop the request references before blocking for the next group:
-            # each _Request pins its input tensor and (through its future)
-            # the eventual result view — holding them across the idle wait
-            # would keep arena result regions reserved long after the client
-            # dropped its copy.
+            # Each _Request pins its input tensor: holding the last group
+            # across the idle wait keeps up to max_batch rows alive while the
+            # next request is parsed (+1 % peak RSS at 256-row requests).
             taken = None
 
     def _dispatch_group(
@@ -601,97 +605,82 @@ class PoolPredictor:
                     return group, rows, reason, None
                 self._wake.wait(give_up - now)
 
-    # ------------------------------------------------------------ transports
+    # ------------------------------------------------------------ data plane
     def _build_dispatch(self, slot: _PoolSlot, group: List[_Request]) -> tuple:
-        """Encode a micro-batch for the slot's request queue.
+        """Encode a micro-batch for the slot's request queue (the format is
+        :func:`repro.parallel.worker.answer_entry`'s).
 
-        On the shm transport the rows are written into the worker's arena and
-        the queue item is a fixed-size descriptor; when the arena cannot hold
-        the dispatch (ring momentarily full, or a request bigger than the
-        whole arena) the dispatch degrades to the pickle encoding — the
-        worker accepts either, so no request is ever refused for size.
+        Each request's rows are written into the worker's arena and a result
+        region is reserved for its probabilities; a half the arena cannot
+        place (a ring momentarily full, a request bigger than the whole
+        arena, no arena at all on ``transport="pickle"``) travels inline
+        instead — on its own: what is already reserved stays reserved.
         """
-        if self.transport == "shm":
-            item = self._build_shm_dispatch(slot.arena, group)
-            if item is not None:
-                return item
-        with _TRANSPORT_PHASE.labels("pickle", "request_serialize").time():
-            payload = [
-                (request.request_id, request.x, request.method) for request in group
-            ]
-        if _metrics.enabled:
-            _TRANSPORT_BYTES.labels("pickle", "request").inc(
-                sum(request.x.nbytes for request in group)
-                + _PICKLE_OVERHEAD * len(group)
-            )
-        return ("pickle", payload)
-
-    def _build_shm_dispatch(
-        self, arena: ShmArena, group: List[_Request]
-    ) -> Optional[tuple]:
-        """Reserve arena regions and copy the rows in; ``None`` on any
-        capacity miss (the caller falls back to pickle)."""
-        request_region = arena.alloc_request(
-            sum(_align(request.x.nbytes) for request in group)
-        )
-        if request_region is None:
-            _TRANSPORT_FALLBACKS.labels("request_ring_full").inc()
-            return None
+        arena = slot.arena
         entries: List[tuple] = []
-        result_offsets: List[int] = []
-        cursor = request_region
-        for request in group:
-            result_capacity = _align(request.rows * self.num_classes * RESULT_ITEMSIZE)
-            result_offset = arena.alloc_result(result_capacity)
-            if result_offset is None:
-                for offset in result_offsets:
-                    arena.free_result(offset)
-                arena.free_request(request_region)
-                _TRANSPORT_FALLBACKS.labels("result_ring_full").inc()
-                return None
-            result_offsets.append(result_offset)
-            entries.append(
-                (
-                    request.request_id,
-                    cursor,
-                    tuple(request.x.shape),
-                    str(request.x.dtype),
-                    request.method,
-                    result_offset,
-                    result_capacity,
+        with _TRANSPORT_PHASE.labels(self.transport, "request_copy").time():
+            for request in group:
+                rows, result_offset = request.x, None
+                result_capacity = request.rows * self.num_classes * RESULT_ITEMSIZE
+                if arena is not None:
+                    rows_offset = arena.write_request(rows)
+                    if rows_offset is not None:
+                        rows = (rows_offset, rows.shape, str(rows.dtype))
+                    else:
+                        _TRANSPORT_FALLBACKS.labels("request_ring_full").inc()
+                    result_offset = arena.alloc_result(result_capacity)
+                    if result_offset is None:
+                        _TRANSPORT_FALLBACKS.labels("result_ring_full").inc()
+                entries.append(
+                    (request.request_id, rows, request.method, result_offset, result_capacity)
                 )
-            )
-            cursor += _align(request.x.nbytes)
-        with _TRANSPORT_PHASE.labels("shm", "request_copy").time():
-            for request, entry in zip(group, entries):
-                arena.write_request(entry[1], request.x)
-        item = ("shm", (arena.generation, request_region, entries))
+        item = (None if arena is None else arena.generation, entries)
         if _metrics.enabled:
-            _TRANSPORT_BYTES.labels("shm", "request").inc(_descriptor_nbytes(item))
+            _TRANSPORT_BYTES.labels(self.transport, "request").inc(_wire_nbytes(item))
         return item
+
+    def _collect_result(self, worker_id: int, payload: tuple) -> None:
+        """Resolve one dispatch's replies: copy each result out of the arena
+        (or take it as it came, inline), free the regions the reply names.
+
+        Replies from a *retired* arena generation (a worker that answered
+        after its death was already handled and its arena swapped) are
+        resolved for any still-waiting future but never touch the successor
+        arena's book-keeping — stale offsets must not free live regions.
+        """
+        generation, replies = payload
+        arena = self._slots[worker_id].arena
+        live = arena is not None and arena.generation == generation
+        if _metrics.enabled:
+            _TRANSPORT_BYTES.labels(self.transport, "response").inc(_wire_nbytes(payload))
+        for request_id, rows_offset, result_offset, proba, error in replies:
+            if isinstance(proba, tuple):  # a reference: written at result_offset
+                if not live:
+                    # Stale generation — the death handler already failed the
+                    # future; the retired arena was reclaimed wholesale.
+                    continue
+                try:
+                    with _TRANSPORT_PHASE.labels(self.transport, "response_copy").time():
+                        proba = arena.read_result(result_offset, *proba)
+                except RuntimeError as exc:
+                    # The arena was retired between the liveness check and the
+                    # copy (a concurrent respawn); the collector must outlive
+                    # any such race, and this future's client gets the same
+                    # worker-died story the death handler tells.
+                    error = f"serving worker {worker_id} arena retired mid-reply: {exc}"
+            if live:
+                arena.free_request(rows_offset)
+                arena.free_result(result_offset)
+            if error is not None:
+                self._resolve(request_id, exception=RuntimeError(error))
+            else:
+                self._resolve(request_id, result=proba)
 
     def _collect_loop(self) -> None:
         while not self._stop_collector.is_set():
             for kind, worker_id, payload in self._table.poll(0.2):
                 if kind == "result":
-                    if payload[0] == "shm":
-                        self._collect_shm_result(worker_id, payload)
-                    else:
-                        replies = payload[1]
-                        if _metrics.enabled:
-                            _TRANSPORT_BYTES.labels("pickle", "response").inc(
-                                sum(
-                                    proba.nbytes
-                                    for _, proba, _ in replies
-                                    if proba is not None
-                                )
-                                + _PICKLE_OVERHEAD * len(replies)
-                            )
-                        for request_id, proba, error in replies:
-                            if error is not None:
-                                self._resolve(request_id, exception=RuntimeError(error))
-                            else:
-                                self._resolve(request_id, result=proba)
+                    self._collect_result(worker_id, payload)
                 elif kind == "ready":
                     # The worker finished loading its predictor.
                     slot = self._slots[worker_id]
@@ -720,53 +709,6 @@ class PoolPredictor:
                             f"serving worker {worker_id} failed to load: {payload}"
                         )
                         self._post()
-
-    def _collect_shm_result(self, worker_id: int, payload: tuple) -> None:
-        """Resolve one shm-transport reply: hand out zero-copy result views,
-        release the dispatch's request region.
-
-        Replies from a *retired* arena generation (a worker that answered
-        after its death was already handled and its arena swapped) are
-        resolved for any still-waiting future but never touch the successor
-        arena's book-keeping — stale offsets must not free live regions.
-        """
-        _, generation, request_region, replies = payload
-        arena = self._slots[worker_id].arena
-        live = arena is not None and arena.generation == generation
-        if live:
-            arena.free_request(request_region)
-        if _metrics.enabled:
-            _TRANSPORT_BYTES.labels("shm", "response").inc(
-                _descriptor_nbytes(payload)
-            )
-        for request_id, result_offset, shape, dtype, inline, error in replies:
-            if error is not None:
-                if live:
-                    arena.free_result(result_offset)
-                self._resolve(request_id, exception=RuntimeError(error))
-            elif inline is not None:  # reservation overflow: came via queue
-                if live:
-                    arena.free_result(result_offset)
-                self._resolve(request_id, result=inline)
-            elif live:
-                try:
-                    with _TRANSPORT_PHASE.labels("shm", "response_view").time():
-                        view = arena.take_result_view(result_offset, shape, dtype)
-                except Exception as exc:
-                    # The arena was retired between the liveness check and the
-                    # view (a concurrent respawn); the collector must outlive
-                    # any such race, and this future's client gets the same
-                    # worker-died story the death handler tells.
-                    self._resolve(
-                        request_id,
-                        exception=RuntimeError(
-                            f"serving worker {worker_id} arena retired mid-reply: {exc}"
-                        ),
-                    )
-                else:
-                    self._resolve(request_id, result=view)
-            # else: stale generation — the death handler already failed the
-            # future; the retired arena is reclaimed wholesale.
 
     # ------------------------------------------------------------ supervisor
     def _supervise_loop(self) -> None:

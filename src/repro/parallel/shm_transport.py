@@ -1,24 +1,25 @@
-"""Zero-copy request/response arenas for the serving pool (``transport="shm"``).
+"""Per-worker shared-memory arenas for the serving pool's data plane.
 
-The pickle transport ships every request batch and every probability matrix
-*through* the worker queues: the dispatcher pickles the rows, the pipe copies
-them kernel-side, the worker unpickles them — and the reply makes the same
-trip in reverse.  For large batches that is the dominant serving cost.
+Shipping a request batch and its probability matrix *through* a worker's
+queues means pickling the rows, a kernel-side pipe copy and an unpickle — and
+the same trip back.  For large batches that is the dominant serving cost.
 
-:class:`ShmArena` removes the tensor bytes from the queues entirely.  Each
-serving worker owns one POSIX shared-memory segment (created through the
+:class:`ShmArena` takes the tensor bytes off the queues.  Each serving worker
+owns one POSIX shared-memory segment (created through the
 :mod:`repro.parallel.shared_data` publish/attach machinery) laid out as two
 regions::
 
     [0, request_bytes)                       request ring  (dispatcher writes)
     [request_bytes, request_bytes+result_bytes)  result ring (worker writes)
 
-The dispatcher copies request rows **once** into the request region; the
-worker maps the same segment, runs ``predict_proba`` directly on zero-copy
-views of those rows, and writes the probabilities into a result region the
-dispatcher reserved for it.  The queues carry only fixed-size descriptors
-(request ids, offsets, shapes, dtypes) — a few hundred bytes regardless of
-batch size.
+The dispatcher copies a request's rows **once** into the request ring; the
+worker maps the same segment, runs ``predict_proba`` directly on a zero-copy
+view of those rows and writes the probabilities into a result region the
+dispatcher reserved for it; the collector copies them out — the client gets
+an ordinary owned array — and frees both regions with the reply.  The queues
+then carry only references (offset, shape, dtype) — about a hundred bytes
+whatever the batch size.  A request the rings cannot place right now simply
+travels inline in the same message (see :mod:`repro.parallel.serving`).
 
 Single-producer / single-consumer, lock-free across processes
 -------------------------------------------------------------
@@ -26,39 +27,34 @@ Single-producer / single-consumer, lock-free across processes
 Each arena has exactly one writer per region on each side of the process
 boundary: the dispatcher thread is the only writer of the request region and
 the worker process is the only writer of the result region.  Cross-process
-visibility is sequenced by the descriptor queues (a descriptor is enqueued
-only after its bytes are fully written), so the shared memory itself needs no
-locks — the worker never blocks the dispatcher and vice versa.  The small
-parent-side *bookkeeping* (which byte ranges are in flight) is guarded by an
-ordinary ``threading.Lock`` inside :class:`_RegionAllocator`; no worker ever
-touches it, so a SIGKILLed worker cannot leave it held.
+visibility is sequenced by the queues (a reference is enqueued only after its
+bytes are fully written), so the shared memory itself needs no locks — the
+worker never blocks the dispatcher and vice versa.  The parent-side
+*bookkeeping* (which byte ranges are in flight) is guarded by an ordinary
+``threading.Lock`` inside :class:`_RegionAllocator`, and one more in the arena
+keeps a copy in or out from overlapping :meth:`ShmArena.retire`; no worker
+ever touches either, so a SIGKILLed worker cannot leave them held.
 
-Crash semantics
----------------
+Lifetime
+--------
 
-A worker killed mid-slot-write corrupts nothing the parent trusts: the
-descriptor for that dispatch never arrives, the supervisor fails the
-in-flight futures on death, and the respawn path **retires** the whole arena
-(unlinks the ``/dev/shm`` name immediately) and hands the successor a fresh
-one — no allocator state survives into the new generation.  Result views
-already delivered to clients keep the retired segment mapped until the last
-view is garbage-collected; only then is the mapping closed (the name is long
-gone, so the leak sweeps stay clean).
+An arena lives as long as its worker.  A worker killed mid-slot-write
+corrupts nothing the parent trusts: the reply for that dispatch never
+arrives, the supervisor fails the in-flight futures on death, and the respawn
+path **retires** the whole arena — name unlinked, mapping closed, in one step,
+since nothing outside it ever holds a view — and hands the successor a fresh
+one; no allocator state survives into the new generation.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.parallel.shared_data import create_segment
-from repro.utils.logging import get_logger
-
-logger = get_logger("parallel.shm_transport")
 
 #: Every region handed out is aligned to this many bytes so numpy views onto
 #: the arena start on cache-line boundaries regardless of request dtype.
@@ -86,10 +82,10 @@ class ArenaMeta:
 class _RegionAllocator:
     """First-fit free-list allocator over ``[base, base + capacity)``.
 
-    Regions are allocated per *dispatch* (requests) or per *request*
-    (results), so the call rate is low; a plain interval free list with
-    neighbour coalescing is plenty.  Frees arrive from arbitrary threads
-    (the collector, client-side view finalizers), hence the lock.
+    Regions are allocated per *request* (one for its rows, one for its
+    result), so the call rate is low; a plain interval free list with
+    neighbour coalescing is plenty.  The dispatcher allocates and the
+    collector frees, hence the lock.
     """
 
     def __init__(self, base: int, capacity: int):
@@ -101,7 +97,7 @@ class _RegionAllocator:
 
     def alloc(self, nbytes: int) -> Optional[int]:
         """Reserve an aligned region; ``None`` when nothing fits (the caller
-        falls back to the pickle transport for that dispatch)."""
+        sends that entry inline)."""
         need = _align(max(1, nbytes))
         with self._lock:
             for index, (offset, size) in enumerate(self._free):
@@ -115,10 +111,11 @@ class _RegionAllocator:
                 return offset
         return None
 
-    def free(self, offset: int) -> bool:
+    def free(self, offset: Optional[int]) -> bool:
         """Release a region, coalescing with free neighbours.  Unknown
-        offsets are ignored (stale descriptors from a pre-respawn worker
-        generation must never corrupt the successor's book-keeping)."""
+        offsets are ignored: ``None`` (that half of the entry travelled
+        inline), a double free, a stale reference from a pre-respawn worker
+        generation — none may corrupt the book-keeping."""
         with self._lock:
             size = self._allocated.pop(offset, None)
             if size is None:
@@ -158,9 +155,8 @@ class ShmArena:
 
     Sized at pool start from the dispatch envelope: ``slots`` concurrent
     dispatches of up to ``max_batch`` rows each.  A single oversized request
-    (rows > ``max_batch``) simply allocates several slots' worth of
-    contiguous bytes — multi-slot coalescing falls out of byte-granularity
-    allocation for free.
+    (rows > ``max_batch``) simply takes several slots' worth of contiguous
+    bytes — byte-granularity allocation needs no notion of a slot.
     """
 
     def __init__(
@@ -191,10 +187,10 @@ class ShmArena:
         )
         self._requests = _RegionAllocator(0, self.request_bytes)
         self._results = _RegionAllocator(self.request_bytes, self.result_bytes)
+        # Held across every copy into or out of the mapping, and by retire():
+        # the mapping is never closed under a view of it.
         self._lock = threading.Lock()
-        self._exported_views = 0
         self._retired = False
-        self._closed = False
 
     # ----------------------------------------------------------- descriptors
     @property
@@ -212,8 +208,6 @@ class ShmArena:
 
     def stats(self) -> Dict[str, object]:
         """Occupancy snapshot for ``/info`` (and tests)."""
-        with self._lock:
-            exported = self._exported_views
         return {
             "generation": self.generation,
             "slots": self.slots,
@@ -223,90 +217,59 @@ class ShmArena:
             "result_capacity_bytes": self.result_bytes,
             "result_used_bytes": self._results.used_bytes,
             "inflight_dispatches": self._requests.inflight_regions,
-            "exported_result_views": exported,
         }
 
     # ------------------------------------------------------------ dispatcher
-    def alloc_request(self, nbytes: int) -> Optional[int]:
-        return None if self._retired else self._requests.alloc(nbytes)
+    def write_request(self, array: np.ndarray) -> Optional[int]:
+        """Reserve a request region and copy one request's rows into it — the
+        single copy the arena costs on the inbound path.  Returns the
+        region's offset, or ``None`` when nothing fits (or the arena is
+        retired): those rows travel inline."""
+        with self._lock:
+            if self._retired:
+                return None
+            offset = self._requests.alloc(array.nbytes)
+            if offset is not None:
+                view = np.ndarray(
+                    array.shape, dtype=array.dtype, buffer=self._segment.buf, offset=offset
+                )
+                np.copyto(view, array, casting="no")
+                del view
+            return offset
 
     def alloc_result(self, nbytes: int) -> Optional[int]:
+        """Reserve a result region for the worker to write; ``None`` when
+        nothing fits (or the arena is retired): that reply travels inline."""
         return None if self._retired else self._results.alloc(nbytes)
 
-    def free_request(self, offset: int) -> bool:
+    # -------------------------------------------------------------- collector
+    def read_result(self, offset: int, shape: Tuple[int, ...], dtype: str) -> np.ndarray:
+        """Copy a worker-written result out of its region: the caller owns
+        the returned array, and the region can be freed at once."""
+        with self._lock:
+            if self._retired:
+                raise RuntimeError("arena retired")
+            return np.ndarray(
+                shape, dtype=np.dtype(dtype), buffer=self._segment.buf, offset=offset
+            ).copy()
+
+    def free_request(self, offset: Optional[int]) -> bool:
         return self._requests.free(offset)
 
-    def free_result(self, offset: int) -> bool:
+    def free_result(self, offset: Optional[int]) -> bool:
         return self._results.free(offset)
-
-    def write_request(self, offset: int, array: np.ndarray) -> None:
-        """Copy one request's rows into the arena — the single copy the shm
-        transport performs on the inbound path."""
-        view = np.ndarray(
-            array.shape, dtype=array.dtype, buffer=self._segment.buf, offset=offset
-        )
-        np.copyto(view, array, casting="no")
-        del view
-
-    # -------------------------------------------------------------- collector
-    def take_result_view(
-        self, offset: int, shape: Tuple[int, ...], dtype: str
-    ) -> np.ndarray:
-        """Zero-copy view of a worker-written result region.
-
-        The region stays reserved until the returned array is garbage
-        collected (a ``weakref.finalize`` hook frees it), so the client can
-        hold the probabilities as long as it likes without the ring
-        recycling the bytes underneath it.
-        """
-        view = np.ndarray(
-            tuple(shape), dtype=np.dtype(dtype), buffer=self._segment.buf, offset=offset
-        )
-        with self._lock:
-            self._exported_views += 1
-        weakref.finalize(view, self._release_result_region, offset)
-        return view
-
-    def _release_result_region(self, offset: int) -> None:
-        self._results.free(offset)
-        with self._lock:
-            self._exported_views -= 1
-            close_now = self._retired and self._exported_views == 0
-        if close_now:
-            self._close_segment()
 
     # -------------------------------------------------------------- lifecycle
     def retire(self) -> None:
-        """Tear the arena down: unlink the ``/dev/shm`` name *now* (no leak
-        regardless of what else happens), close the mapping as soon as the
-        last exported result view is gone.  Idempotent."""
+        """Tear the arena down with its worker: unlink the ``/dev/shm`` name
+        and close the mapping.  Idempotent; nothing is placed or read
+        afterwards."""
         with self._lock:
             if self._retired:
                 return
             self._retired = True
-            close_now = self._exported_views == 0
-        try:
-            self._segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-        if close_now:
-            self._close_segment()
-
-    def _close_segment(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        try:
+            try:
+                self._segment.unlink()
+            except FileNotFoundError:  # pragma: no cover - already unlinked
+                pass
             self._segment.close()
-        except BufferError:  # pragma: no cover - a view resurfaced; the name
-            # is already unlinked, so the worst case is a mapping that lives
-            # until the exporting array dies.
-            with self._lock:
-                self._closed = False
-
-    def __del__(self):  # pragma: no cover - best-effort safety net
-        try:
-            self.retire()
-        except Exception:
-            pass

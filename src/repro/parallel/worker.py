@@ -47,10 +47,11 @@ process boundary, never in ``fit_task``:
   before the fit for chaos tests — free when ``REPRO_FAULTS`` is unset, and
   absent from in-process fits, so a train fault can only ever kill a worker.
 
-A serving worker answers request descriptors from
-:class:`~repro.parallel.serving.PoolPredictor`, reading request rows from —
-and writing probabilities into — its per-worker shared-memory arena when the
-pool runs the ``shm`` transport.
+A serving worker answers the dispatches of
+:class:`~repro.parallel.serving.PoolPredictor` entry by entry
+(:func:`answer_entry`): an entry's rows are a reference into the worker's
+shared-memory arena or the array itself, and its probabilities go back the
+same two ways.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ import os
 import threading
 from multiprocessing.connection import wait as _mp_wait
 from typing import Callable, Dict, Tuple
+
+import numpy as np
 
 from repro.core.trainer import fit_task
 from repro.faults import fire
@@ -122,6 +125,42 @@ def _run_worker(
         tear_down()
 
 
+def answer_entry(predictor, arena_buf, entry: tuple, worker_id: int = 0) -> tuple:
+    """Answer one entry of a serving dispatch; plain function of its inputs.
+
+    ``entry`` is ``(request_id, rows, method, result_offset,
+    result_capacity)``.  ``rows`` is the array itself or a reference
+    ``(offset, shape, dtype)`` into ``arena_buf`` (the worker's arena
+    mapping), on whose bytes the predictor then runs directly.  The reply is
+    ``(request_id, rows_offset, result_offset, proba, error)`` — both offsets
+    echoed, so the reply alone says which regions it releases.  ``proba`` is
+    ``(shape, dtype)`` once the probabilities are written at
+    ``result_offset``, the array itself when no region was reserved
+    (``result_offset`` is ``None``) or the reservation is too narrow for
+    them, and ``None`` next to an ``error`` string.
+    """
+    request_id, rows, method, result_offset, result_capacity = entry
+    rows_offset = None
+    try:
+        if isinstance(rows, tuple):
+            rows_offset, shape, dtype = rows
+            rows = np.ndarray(shape, dtype=np.dtype(dtype), buffer=arena_buf, offset=rows_offset)
+        proba = predictor.predict_proba(rows, method=method)
+        if result_offset is not None and proba.nbytes <= result_capacity:
+            # Chaos-test injection point ("serve_shm_write"): die or wedge
+            # mid-slot-write — the dispatcher must survive a result region
+            # that never gets its reply.
+            fire("serve_shm_write", worker=worker_id)
+            out = np.ndarray(
+                proba.shape, dtype=proba.dtype, buffer=arena_buf, offset=result_offset
+            )
+            np.copyto(out, proba, casting="no")
+            proba = (proba.shape, str(proba.dtype))
+        return (request_id, rows_offset, result_offset, proba, None)
+    except Exception as exc:
+        return (request_id, rows_offset, result_offset, None, f"{type(exc).__name__}: {exc}")
+
+
 def _serving_worker_main(
     worker_id: int,
     artifact: str,
@@ -132,30 +171,17 @@ def _serving_worker_main(
     request_queue,
     result_queue,
 ) -> None:
-    """Serving-pool worker: load the artifact once, answer request groups.
+    """Serving-pool worker: load the artifact once, answer dispatches.
 
-    Two request encodings arrive on the queue, tagged by their first element:
-
-    * ``("pickle", [(request_id, rows, method), ...])`` — the reference
-      transport: tensors travel through the queue itself.
-    * ``("shm", (generation, request_region, entries))`` — the zero-copy
-      transport: each entry is ``(request_id, offset, shape, dtype, method,
-      result_offset, result_capacity)`` and the rows live in this worker's
-      shared-memory arena (``arena_meta``).  The worker predicts directly on
-      a view of the arena bytes and writes the probabilities into the
-      reserved result region; only the descriptor goes back on the queue.
-
-    Replies mirror the encodings: ``("result", worker_id, ("pickle",
-    replies))`` or ``("result", worker_id, ("shm", generation,
-    request_region, replies))`` where each shm reply is ``(request_id,
-    result_offset, shape, dtype, inline_result, error)`` — ``inline_result``
-    carries the probabilities through the queue in the rare case the
-    reservation cannot hold them (never for float32/float64 outputs).
+    A dispatch is ``(generation, entries)`` and is answered with ``("result",
+    worker_id, (generation, replies))``, one :func:`answer_entry` reply per
+    entry; ``generation`` names the arena the references point into and is
+    echoed so the pool can tell a reply that outlived its arena.
+    ``arena_meta`` is ``None`` for a pool that owns no arena: every entry
+    then arrives, and is answered, inline.
     """
 
     def set_up():
-        import numpy as np
-
         from repro.api.predictor import EnsemblePredictor
         from repro.parallel.shared_data import attach_segment
 
@@ -163,49 +189,15 @@ def _serving_worker_main(
             artifact, method=method, batch_size=batch_size, warm=warm
         )
         arena = attach_segment(arena_meta.name) if arena_meta is not None else None
-
-        def answer_shm(entry: tuple) -> tuple:
-            request_id, offset, shape, dtype, method_override, res_off, res_cap = entry
-            try:
-                rows = np.ndarray(
-                    tuple(shape), dtype=np.dtype(dtype), buffer=arena.buf, offset=offset
-                )
-                proba = predictor.predict_proba(rows, method=method_override)
-                del rows
-                # Chaos-test injection point ("serve_shm_write"): die or
-                # wedge mid-slot-write — the dispatcher must survive a
-                # result region that never gets its descriptor.
-                fire("serve_shm_write", worker=worker_id)
-                if proba.nbytes > res_cap:  # reservation too narrow: via the queue
-                    return (request_id, res_off, None, None, proba, None)
-                out = np.ndarray(
-                    proba.shape, dtype=proba.dtype, buffer=arena.buf, offset=res_off
-                )
-                np.copyto(out, proba, casting="no")
-                del out
-                return (request_id, res_off, tuple(proba.shape), str(proba.dtype), None, None)
-            except Exception as exc:
-                return (request_id, res_off, None, None, None, f"{type(exc).__name__}: {exc}")
-
-        def answer_pickle(entry: tuple) -> tuple:
-            request_id, x, method_override = entry
-            try:
-                return (request_id, predictor.predict_proba(x, method=method_override), None)
-            except Exception as exc:
-                return (request_id, None, f"{type(exc).__name__}: {exc}")
+        arena_buf = arena.buf if arena is not None else None
 
         def handle(item) -> None:
             # Chaos-test injection point ("serve"): crash or wedge this worker
             # with a request group in flight — free when REPRO_FAULTS is unset.
             fire("serve", worker=worker_id)
-            kind, payload = item
-            if kind == "pickle":
-                reply = ("pickle", [answer_pickle(entry) for entry in payload])
-            else:
-                generation, request_region, entries = payload
-                replies = [answer_shm(entry) for entry in entries]
-                reply = ("shm", generation, request_region, replies)
-            result_queue.put(("result", worker_id, reply))
+            generation, entries = item
+            replies = [answer_entry(predictor, arena_buf, entry, worker_id) for entry in entries]
+            result_queue.put(("result", worker_id, (generation, replies)))
 
         def tear_down() -> None:
             if arena is not None:

@@ -169,6 +169,43 @@ def test_serve_rejects_malformed_requests(server):
     assert excinfo.value.code == 400
 
 
+def _http_400s(url, path):
+    with urllib.request.urlopen(url + "/metrics", timeout=30) as response:
+        page = response.read().decode()
+    sample = f'repro_http_requests_total{{path="{path}",code="400"}} '
+    return sum(float(line[len(sample):]) for line in page.splitlines() if line.startswith(sample))
+
+
+@pytest.mark.parametrize("length", ["-1", "many"])
+@pytest.mark.parametrize("path", ["/predict", "/admin/swap"])
+def test_bad_content_length_is_refused_before_reading(server, path, length):
+    """``read(int("-1"))`` reads to end of stream: a keep-alive client that
+    sends a negative Content-Length and then just stays connected would pin
+    its handler thread for as long as it likes.  The server must answer 400
+    without reading, and hang up itself — it cannot know where that body
+    ends."""
+    _, url = server
+    host, port = url.rsplit("/", 1)[1].split(":")
+    refused_before = _http_400s(url, path)
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: {host}\r\nContent-Length: {length}\r\n\r\n".encode()
+        )
+        sock.settimeout(2.0)  # answered promptly, although we never hang up
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break  # the server closed the connection
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
+    assert b"Content-Length must be" in reply
+    assert _http_400s(url, path) == refused_before + 1
+    # ...and the next request, on a fresh connection, is served.
+    with urllib.request.urlopen(url + "/healthz", timeout=30) as response:
+        assert json.loads(response.read())["status"] in ("ok", "degraded")
+
+
 def _timed_post(conn, body):
     start = time.perf_counter()
     conn.request(

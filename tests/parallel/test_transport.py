@@ -1,13 +1,16 @@
-"""Serving data plane: shm vs pickle transport equivalence and mechanics.
+"""Serving data plane: one wire format, arena references or inline.
 
-The contract (ISSUE 8): ``transport="shm"`` answers are **bitwise identical**
-to ``transport="pickle"`` and to the single-process ``EnsemblePredictor`` —
-including requests larger than ``max_batch`` (multi-slot coalescing) and
-concurrent client threads — while moving orders of magnitude fewer bytes
-through the worker queues.  The shm path hands out zero-copy views of the
-arena; the pickle path's behaviour (plain owned arrays) is unchanged.
+The contract: a pool with arenas (``transport="shm"``) answers **bitwise
+identically** to the all-inline pool (``transport="pickle"``, the oracle) and
+to the single-process ``EnsemblePredictor`` — including requests larger than
+``max_batch``, larger than the whole arena (they travel inline) and concurrent
+client threads — while moving orders of magnitude fewer bytes through the
+worker queues.  Results are ordinary owned arrays on both.
 """
 
+import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,7 +19,9 @@ import pytest
 from repro.api import EnsemblePredictor
 from repro.obs.metrics import get_registry
 from repro.parallel import PoolPredictor
-from repro.parallel.shm_transport import ShmArena, _RegionAllocator
+from repro.parallel.shm_transport import ALIGNMENT, ShmArena, _RegionAllocator
+from repro.parallel.worker import answer_entry
+from tests.procs import shm_entries
 
 
 def _counter(name: str, *labels: str) -> float:
@@ -26,6 +31,12 @@ def _counter(name: str, *labels: str) -> float:
     if labels:
         metric = metric.labels(*labels)
     return metric.value
+
+
+def _fallbacks() -> float:
+    return _counter("repro_serve_transport_fallbacks_total", "request_ring_full") + _counter(
+        "repro_serve_transport_fallbacks_total", "result_ring_full"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +78,7 @@ def test_shm_handles_requests_larger_than_max_batch(
 ):
     """A single request bigger than ``max_batch`` coalesces several slots'
     worth of contiguous arena bytes — still zero fallbacks, still bitwise."""
-    fallbacks_before = _counter(
-        "repro_serve_transport_fallbacks_total", "request_ring_full"
-    ) + _counter("repro_serve_transport_fallbacks_total", "result_ring_full")
+    fallbacks_before = _fallbacks()
     x = serial_result.dataset.x_test  # 64 rows >> max_batch=8
     with PoolPredictor(
         saved_artifact, workers=1, transport="shm", max_batch=8, arena_slots=16
@@ -77,17 +86,14 @@ def test_shm_handles_requests_larger_than_max_batch(
         np.testing.assert_array_equal(
             pool.predict_proba(x), reference.predict_proba(x)
         )
-    fallbacks_after = _counter(
-        "repro_serve_transport_fallbacks_total", "request_ring_full"
-    ) + _counter("repro_serve_transport_fallbacks_total", "result_ring_full")
-    assert fallbacks_after == fallbacks_before
+    assert _fallbacks() == fallbacks_before
 
 
 def test_shm_oversized_request_falls_back_to_pickle(
     saved_artifact, reference, serial_result, shm_sweep
 ):
-    """A request that cannot fit the whole arena degrades to the pickle
-    encoding for that dispatch — transparently, counted, still bitwise."""
+    """A request that cannot fit the whole arena travels inline —
+    transparently, counted, still bitwise."""
     x = serial_result.dataset.x_test  # 64 rows; arena sized for ~2
     with PoolPredictor(
         saved_artifact, workers=1, transport="shm", max_batch=2, arena_slots=1
@@ -126,28 +132,23 @@ def test_transports_under_concurrent_clients(
     assert all(results)
 
 
-def test_shm_results_are_views_pickle_results_own_their_data(
-    saved_artifact, serial_result, shm_sweep
+@pytest.mark.parametrize("transport", ["shm", "pickle"])
+def test_results_own_their_data_and_are_writable(
+    saved_artifact, serial_result, transport, shm_sweep
 ):
-    """The small-fix satellite: shm results come back as zero-copy views of
-    the arena (no re-pickle, no extra copy); the pickle path still returns
-    plain owned arrays — its behaviour is unchanged."""
+    """A result is copied out of the arena once, at reply time: the client
+    gets an ordinary owned, writable array whatever the transport, and the
+    arena holds nothing for it afterwards."""
     x = serial_result.dataset.x_test[:4]
-    with PoolPredictor(saved_artifact, workers=1, transport="shm") as pool:
+    with PoolPredictor(saved_artifact, workers=1, transport=transport) as pool:
         out = pool.predict_proba(x)
-        assert out.base is not None  # a view of the arena's buffer
-        stats = pool.info()["arenas"][0]
-        assert stats["exported_result_views"] >= 1
-        assert stats["result_used_bytes"] > 0
-        # Dropping the view releases its region back to the arena.
-        del out, stats
-        deadline_stats = pool.info()["arenas"][0]
-        assert deadline_stats["exported_result_views"] == 0
-        assert deadline_stats["result_used_bytes"] == 0
-    with PoolPredictor(saved_artifact, workers=1, transport="pickle") as pool:
-        out = pool.predict_proba(x)
-        assert out.base is None  # an ordinary owned array, as before
-        out[...] = 0.0  # and safely mutable by the client
+        assert out.base is None and out.flags.owndata and out.flags.writeable
+        expected = out.copy()
+        out[...] = 0.0  # scribbling on one answer cannot reach the next
+        np.testing.assert_array_equal(pool.predict_proba(x), expected)
+        for arena in pool.info()["arenas"]:
+            if arena is not None:
+                assert arena["request_used_bytes"] == arena["result_used_bytes"] == 0
 
 
 def test_transport_bytes_counters_populated(
@@ -155,7 +156,7 @@ def test_transport_bytes_counters_populated(
 ):
     """Both directions of ``repro_serve_transport_bytes_total`` move, and the
     shm descriptors are far smaller than the pickle tensors for the same
-    traffic (the benchmark guards the exact ratio at batch 4096)."""
+    traffic (``parallel.ipc_bytes_per_request_b256`` measures it end to end)."""
     x = serial_result.dataset.x_test
 
     def deltas(transport):
@@ -230,8 +231,8 @@ def test_region_allocator_first_fit_coalesce_and_stale_free():
 
 def test_region_allocator_exhaustion_and_recovery_under_interleaved_frees():
     """Exhaust the arena with interleaved alloc/free orders: alloc must
-    return None (pickle fallback) exactly while nothing fits, and recover
-    the moment enough contiguous space coalesces back."""
+    return None (the entry goes inline) exactly while nothing fits, and
+    recover the moment enough contiguous space coalesces back."""
     alloc = _RegionAllocator(base=0, capacity=512)
     regions = [alloc.alloc(128) for _ in range(4)]
     assert regions == [0, 128, 256, 384]
@@ -265,8 +266,6 @@ def test_region_allocator_coalesces_out_of_order_releases():
 def test_region_allocator_nonzero_base_and_alignment_rounding():
     """Offsets honour the arena base and sub-alignment requests round up to
     the alignment quantum (so neighbouring regions never overlap)."""
-    from repro.parallel.shm_transport import ALIGNMENT
-
     alloc = _RegionAllocator(base=1024, capacity=4 * ALIGNMENT)
     a = alloc.alloc(1)  # rounds up to one alignment quantum
     b = alloc.alloc(ALIGNMENT + 1)  # rounds up to two
@@ -289,20 +288,134 @@ def test_region_allocator_double_free_is_ignored():
     assert alloc.used_bytes == 128
 
 
-def test_arena_retire_unlinks_immediately_but_defers_close(shm_sweep):
-    import os
-    import sys
-
+def test_arena_retire_unlinks_and_closes(shm_sweep):
+    """One lifetime rule: ``retire()`` unlinks the name and closes the
+    mapping in one step, and nothing is placed or read afterwards."""
     arena = ShmArena(0, max_batch=4, feature_size=3, num_classes=2, slots=2)
-    offset = arena.alloc_result(64)
-    view = arena.take_result_view(offset, (2, 2), "float64")
+    rows = np.arange(6, dtype=np.float64).reshape(2, 3)
+    offset = arena.write_request(rows)
+    result_offset = arena.alloc_result(64)
+    assert offset is not None and result_offset is not None
+    np.testing.assert_array_equal(arena.read_result(offset, (2, 3), "float64"), rows)
+    name = arena.meta.name
     arena.retire()
     if sys.platform.startswith("linux"):
-        # The name is gone from /dev/shm the moment retire() runs...
-        assert arena.meta.name not in os.listdir("/dev/shm")
-    # ...but the mapping stays usable while a client still holds a view.
-    assert view.shape == (2, 2)
-    del view
-    # Allocations after retirement are refused (callers fall back to pickle).
-    assert arena.alloc_request(16) is None
+        assert name not in os.listdir("/dev/shm")
+    assert arena._segment.buf is None  # the mapping is closed, not parked
+    assert arena.write_request(rows) is None
     assert arena.alloc_result(16) is None
+    with pytest.raises(RuntimeError, match="retired"):
+        arena.read_result(result_offset, (2, 2), "float64")
+    arena.retire()  # idempotent
+
+
+# --------------------------------------------------------------------------
+# the wire format: the worker's answer function (no worker processes), and a
+# sweep of pool shapes against the in-process reference on both transports
+# --------------------------------------------------------------------------
+
+
+def test_answer_entry_mixes_references_and_inline(reference, serial_result):
+    """One dispatch, every combination: rows by reference or inline, result
+    into a reserved region, inline because none was reserved, inline because
+    the reservation is too narrow — and a failing entry spoils no other."""
+    x = serial_result.dataset.x_test
+    buf = bytearray(8192)
+
+    def place(rows, offset):
+        np.ndarray(rows.shape, rows.dtype, buffer=buf, offset=offset)[...] = rows
+        return (offset, rows.shape, str(rows.dtype))
+
+    def reply_of(entry):
+        return answer_entry(reference, buf, entry)
+
+    def written(offset, shape, dtype):
+        return np.ndarray(shape, np.dtype(dtype), buffer=buf, offset=offset)
+
+    # rows by reference, result written into its region
+    request_id, rows_offset, result_offset, proba, error = reply_of(
+        (1, place(x[:5], 0), "average", 4096, 5 * 4 * 8)
+    )
+    assert (request_id, rows_offset, result_offset, error) == (1, 0, 4096, None)
+    np.testing.assert_array_equal(written(4096, *proba), reference.predict_proba(x[:5]))
+    # rows inline, result written into its region
+    _, rows_offset, result_offset, proba, error = reply_of((2, x[5:8], "vote", 4608, 3 * 4 * 8))
+    assert (rows_offset, result_offset, error) == (None, 4608, None)
+    np.testing.assert_array_equal(
+        written(4608, *proba), reference.predict_proba(x[5:8], method="vote")
+    )
+    # one row by reference, reservation too narrow: the result comes inline,
+    # the offsets still come back so both regions are released
+    _, rows_offset, result_offset, proba, error = reply_of(
+        (3, place(x[8:9], 1024), "average", 5120, 1)
+    )
+    assert (rows_offset, result_offset, error) == (1024, 5120, None)
+    np.testing.assert_array_equal(proba, reference.predict_proba(x[8:9]))
+    # all inline: what every entry of a transport="pickle" pool looks like
+    _, rows_offset, result_offset, proba, error = reply_of((4, x[9:10], "average", None, 0))
+    assert (rows_offset, result_offset, error) == (None, None, None)
+    np.testing.assert_array_equal(proba, reference.predict_proba(x[9:10]))
+    # an entry that fails names its regions too, and carries no result
+    reply = reply_of((5, place(x[:2], 2048), "no-such-method", 6144, 64))
+    assert reply[:4] == (5, 2048, 6144, None) and "no-such-method" in reply[4]
+
+
+@pytest.mark.parametrize("arena_slots", [1, 4])
+@pytest.mark.parametrize("max_batch", [1, 2, 8])
+def test_pool_shape_sweep_matches_reference_on_both_transports(
+    saved_artifact, reference, serial_result, max_batch, arena_slots, shm_sweep
+):
+    """Concurrent requests of 1-64 rows against small arenas: some exceed
+    ``max_batch``, some the whole arena, some meet a full ring.  Whatever
+    mix of references and inline entries that makes, every answer is bitwise
+    the reference's, a fallback is counted exactly where a half of an entry
+    went inline, and every region is free again once the replies are in."""
+    x = serial_result.dataset.x_test
+    expected = reference.predict_proba(x)
+    rng = np.random.default_rng(100 * max_batch + arena_slots)
+    sizes = [1, 64] + [int(n) for n in rng.integers(1, 65, size=rng.integers(0, 5))]
+    segments_before = shm_entries()
+
+    for transport in ("shm", "pickle"):
+        with PoolPredictor(
+            saved_artifact,
+            workers=1,
+            transport=transport,
+            max_batch=max_batch,
+            arena_slots=arena_slots,
+            max_wait_ms=1.0,
+        ) as pool:
+            assert (shm_entries() != segments_before) == (transport == "shm")
+            # Count what went inline where it is decided, next to the counter.
+            inline = []
+            build = pool._build_dispatch
+
+            def spy(slot, group):
+                item = build(slot, group)
+                for _, rows, _, result_offset, _ in item[1]:
+                    inline.append(isinstance(rows, np.ndarray))
+                    inline.append(result_offset is None)
+                return item
+
+            pool._build_dispatch = spy
+            fallbacks_before = _fallbacks()
+            start = threading.Barrier(len(sizes))
+
+            def call(rows):
+                start.wait(timeout=30)
+                return pool.predict_proba(x[:rows])
+
+            with ThreadPoolExecutor(max_workers=len(sizes)) as clients:
+                answers = list(clients.map(call, sizes))
+            for rows, answer in zip(sizes, answers):
+                assert np.array_equal(answer, expected[:rows])
+            assert len(inline) == 2 * len(sizes)
+            if transport == "shm":
+                assert _fallbacks() - fallbacks_before == sum(inline)
+                arena = pool.info()["arenas"][0]
+                # 64 rows of 12 float64 features never fit these arenas
+                assert arena["request_capacity_bytes"] < x.nbytes and sum(inline) >= 1
+                assert arena["request_used_bytes"] == arena["result_used_bytes"] == 0
+            else:
+                assert all(inline) and _fallbacks() == fallbacks_before
+        assert shm_entries() == segments_before
