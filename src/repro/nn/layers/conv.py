@@ -21,6 +21,40 @@ Two execution engines are available:
 * ``"einsum"`` — the original ``np.einsum`` formulation, kept as the
   numerical reference the GEMM path is tested against.
 
+**The forward gather as a table lookup** (GEMM engine).  Filling ``cols`` is a
+pure copy, and as one 6-D strided copy (:func:`im2col` with ``out=``) it moves
+runs of ``out_w`` contiguous elements — 8, 4, 2 elements on the small images
+that ensembles of small members are made of — so the copy feeding the GEMM
+cost twice the GEMM.  For short rows the layer instead looks the positions up:
+:func:`_patch_table` holds, for one channel, where each of the ``k * k * out_h
+* out_w`` patch elements sits in the row-flattened padded image, and one
+``np.take`` along the flattened image axis of ``(N * C, H' * W')`` fills the
+same ``(N, C * k * k, out_h * out_w)`` buffer.  Same values in the same
+layout, so the GEMM that follows, the ``cols`` that ``backward`` reads and
+every bit downstream are untouched.  The table depends only on the geometry
+``(padded_h, padded_w, kernel, stride)``; it is cached under that key and
+shared, read-only, by every layer and member with that geometry (a few KB
+each).  The lookup moves single elements, so it wins on short rows and loses
+on long ones; ``TABLE_GATHER_MAX_RUN`` is the crossover, from (median of 7,
+alternating, 3x3 "same", 16 channels, strided / table; > 1 favours the
+table):
+
+=========  =====  =====  =====  =====  =====  =====  =====  =====
+``out_w``      2      4      6      8     10     12     16     32
+=========  =====  =====  =====  =====  =====  =====  =====  =====
+float32    4.2x   2.6x   1.8x   1.3x   1.06x  0.91x  0.72x  0.57x
+float64    3.9x   2.7x   1.8x   1.3x   1.18x  1.00x  0.89x  0.85x
+=========  =====  =====  =====  =====  =====  =====  =====  =====
+
+(N = 64; N = 1 and 256, 3 and 64 channels and stride 2 cross over at the same
+place — the full table is in CHANGES.md.)  Two shapes have a longer run than
+their ``out_w`` says and keep the strided copy, which numpy collapses to one
+``memcpy`` there: a 1x1 kernel at stride 1 (``ResidualUnit``'s projection)
+and a kernel as large as the padded image — the cases where the table is the
+identity, for which :func:`_patch_table` returns ``None``.  An unpadded input
+that is not C-contiguous would have to be copied flat before it can be
+indexed, so it stays on the strided copy too.
+
 **The input gradient on wide rows** (GEMM engine, stride 1, kernel > 1,
 float32).  ``col2im`` adds the ``k * k`` planes of ``W.T @ g`` into the padded
 image at ``k * k`` offsets; on compact columns every such add moves runs of
@@ -55,6 +89,7 @@ copy and the wider GEMM are booked under ``conv.gemm``.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Optional, Tuple
 
@@ -68,6 +103,12 @@ from repro.utils import timing as _timing
 from repro.utils.rng import SeedLike, as_rng
 
 CONV_ENGINES = ("gemm", "einsum")
+
+#: Longest contiguous run of the patch view (``out_w`` elements) that the GEMM
+#: engine still gathers through the index table; longer rows take the strided
+#: copy.  Set from the crossover table in the module docstring: the table wins
+#: at every measured shape up to 8, breaks even around 10, loses from 12 on.
+TABLE_GATHER_MAX_RUN = 8
 
 
 def _patch_view(
@@ -132,6 +173,24 @@ def im2col(
     if copy and np.may_share_memory(cols, x):
         cols = cols.copy()
     return cols
+
+
+@functools.lru_cache(maxsize=128)
+def _patch_table(padded_h: int, padded_w: int, kernel: int, stride: int) -> Optional[np.ndarray]:
+    """Where each element of one channel's ``(k * k, out_h * out_w)`` patch
+    matrix sits in that channel's row-flattened ``padded_h`` x ``padded_w``
+    image: :func:`im2col` of the positions themselves.  Read-only, because
+    every layer with this geometry shares it.
+
+    ``None`` when the table is the identity (a 1x1 kernel at stride 1, or a
+    kernel as large as the image): the gather is then a plain copy."""
+    positions = np.arange(padded_h * padded_w, dtype=np.intp)
+    image = positions.reshape(1, 1, padded_h, padded_w)
+    table = im2col(image, (kernel, kernel), stride, 0).ravel()
+    if np.array_equal(table, positions):
+        return None
+    table.setflags(write=False)
+    return table
 
 
 def col2im(
@@ -260,7 +319,18 @@ class Conv2D(Layer):
             padded[:, :, p : p + h, p : p + w] = x
             src = padded
         cols = self._arena.get("cols", (n, c * k * k, out_h * out_w), x.dtype)
-        return im2col(src, (k, k), s, 0, out=cols)
+        # The strided copy moves runs of ``out_w`` elements, the table single
+        # ones: short rows go through the table (an unpadded input that is
+        # not contiguous would first have to be copied flat, so it does not).
+        table = None
+        if out_w <= TABLE_GATHER_MAX_RUN and src.flags.c_contiguous:
+            table = _patch_table(h + 2 * p, w + 2 * p, k, s)
+        if table is None:
+            return im2col(src, (k, k), s, 0, out=cols)
+        # mode="clip" only spares ``out=`` the bounds-checking detour through
+        # a temporary; every index is in range by construction.
+        np.take(src.reshape(n * c, -1), table, axis=1, out=cols.reshape(n * c, -1), mode="clip")
+        return cols
 
     def _on_padded_pitch(self, grad_output: np.ndarray, pitch: int) -> np.ndarray:
         """``grad_output`` as ``(N, out_channels, length)`` with its rows

@@ -131,7 +131,10 @@ class SGD(Optimizer):
         if self.momentum == 0.0:
             param -= self.learning_rate * grad
             return
-        buf = self.state.setdefault(name, {"velocity": np.zeros_like(param)})["velocity"]
+        slot = self.state.get(name)
+        if slot is None:
+            slot = self.state[name] = {"velocity": np.zeros_like(param)}
+        buf = slot["velocity"]
         buf *= self.momentum
         buf += grad
         if self.nesterov:
@@ -158,9 +161,13 @@ class Adam(Optimizer):
         self.eps = float(eps)
 
     def _update(self, name: str, param: np.ndarray, grad: np.ndarray) -> None:
-        slot = self.state.setdefault(
-            name, {"m": np.zeros_like(param), "v": np.zeros_like(param), "t": np.zeros(1)}
-        )
+        slot = self.state.get(name)
+        if slot is None:
+            slot = self.state[name] = {
+                "m": np.zeros_like(param),
+                "v": np.zeros_like(param),
+                "t": np.zeros(1),
+            }
         slot["t"] += 1
         t = float(slot["t"][0])
         slot["m"] = self.beta1 * slot["m"] + (1 - self.beta1) * grad

@@ -117,6 +117,16 @@ def _log_connection_failure(exc: BaseException, path: Optional[str]) -> None:
         )
 
 
+def _json_object(raw: bytes) -> dict:
+    """The request body as a JSON object; an empty body is ``{}``.  Valid JSON
+    of another type (``[1, 2]``, ``3``, ``"x"``) is the client's error, not a
+    handler failure."""
+    body = json.loads(raw or b"{}")
+    if not isinstance(body, dict):
+        raise ValueError("request body must be a JSON object")
+    return body
+
+
 class _Server(ThreadingHTTPServer):
     """``ThreadingHTTPServer`` whose failed connections stay on the event log
     (the stdlib's ``handle_error`` prints a raw traceback to stderr).  The
@@ -236,7 +246,7 @@ def _make_handler(pool, mode: str, started_at: float):
             if raw is None:
                 return
             try:
-                body = json.loads(raw or b"{}")
+                body = _json_object(raw)
                 generation = body.get("generation")
                 if generation is not None:
                     generation = int(generation)
@@ -263,7 +273,7 @@ def _make_handler(pool, mode: str, started_at: float):
                 if raw is None:
                     return
                 try:
-                    body = json.loads(raw or b"{}")
+                    body = _json_object(raw)
                     inputs = body.get("inputs")
                     if inputs is None:
                         raise ValueError('request body needs an "inputs" array')

@@ -5,8 +5,10 @@ PR 20 rewrote ``MaxPool2D``, ``BatchNorm`` and the GEMM engine's
 same floating-point operations in the same order.  The bodies below are the
 ones those layers had before the rewrite, copied unchanged from the parent
 commit; ``test_kernel_bits.py`` runs old and new side by side and demands
-equal bits, equal signs of zero and equal strides.  Do not "fix" or tidy this
-file: it is only useful as long as it is the old code.
+equal bits, equal signs of zero and equal strides.  PR 22 replaced the forward
+gather of short rows by an index-table ``take``; ``_gather_cols`` below is the
+body it had before.  Do not "fix" or tidy this file: it is only useful as
+long as it is the old code.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro.nn.layers.conv import Conv2D, col2im
+from repro.nn.layers.conv import Conv2D, col2im, im2col
 from repro.nn.layers.normalization import BatchNorm
 from repro.nn.layers.pooling import MaxPool2D
 from repro.utils import timing as _timing
@@ -110,8 +112,25 @@ class ReferenceBatchNorm(BatchNorm):
 
 
 class ReferenceConv2D(Conv2D):
-    """Input gradient through the compact ``W.T @ g`` and the ``col2im``
-    loop of ``kh * kw`` strided adds (forward is the engine's own)."""
+    """Forward gather as one 6-D strided copy whatever the row length; input
+    gradient through the compact ``W.T @ g`` and the ``col2im`` loop of
+    ``kh * kw`` strided adds."""
+
+    def _gather_cols(self, x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+        """im2col into the reusable workspace (padding handled in-arena)."""
+        n, c, h, w = x.shape
+        k, s, p = self.kernel_size, self.stride, self.padding
+        src = x
+        if p > 0:
+            # The zero border is written once at allocation and never touched
+            # again: subsequent batches only overwrite the interior.
+            padded = self._arena.get(
+                "pad_fwd", (n, c, h + 2 * p, w + 2 * p), x.dtype, zero_on_alloc=True
+            )
+            padded[:, :, p : p + h, p : p + w] = x
+            src = padded
+        cols = self._arena.get("cols", (n, c * k * k, out_h * out_w), x.dtype)
+        return im2col(src, (k, k), s, 0, out=cols)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:

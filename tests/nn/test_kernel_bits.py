@@ -1,6 +1,7 @@
 """Differential tests of the engine's numerics contract: ``MaxPool2D``,
-``BatchNorm`` and the GEMM engine's ``Conv2D.backward`` against the kernels
-they replaced (``reference_kernels.py``, the parent commit's bodies verbatim).
+``BatchNorm`` and the GEMM engine's ``Conv2D`` forward gather and ``backward``
+against the kernels they replaced (``reference_kernels.py``, the parent
+commit's bodies verbatim).
 
 "Equal" means equal bits: same dtype, shape and **strides** (downstream
 reductions follow the memory layout), ``np.array_equal`` and equal
@@ -23,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.nn.layers import BatchNorm, Conv2D, MaxPool2D
+from repro.nn.layers.conv import _patch_table
 from tests.nn.reference_kernels import ReferenceBatchNorm, ReferenceConv2D, ReferenceMaxPool2D
 from tests.nn.test_training_bits import GOLDEN, environment_fingerprint
 
@@ -171,6 +173,71 @@ def test_batchnorm_wider_than_its_input_still_promotes():
     assert_same_bits(new.forward(x, True), old.forward(x, True), "training forward")
     assert_same_bits(new.backward(grad), old.backward(grad), "input gradient")
     assert_same_bits(new.forward(x, False), old.forward(x, False), "inference forward")
+
+
+# ---------------------------------------------------------------------------
+# Conv2D forward gather (GEMM engine)
+# ---------------------------------------------------------------------------
+
+
+@settings(SETTINGS, max_examples=120)
+@given(
+    dtype=dtypes,
+    kernel=st.sampled_from([1, 3, 5]),
+    padding=st.sampled_from(["same", 0, 1, 2]),
+    stride=st.sampled_from([1, 2]),
+    side=st.integers(1, 32),  # rows on both sides of TABLE_GATHER_MAX_RUN
+    channels=st.sampled_from([(1, 1), (3, 4), (5, 3), (16, 16)]),
+    contiguous=st.booleans(),
+    seed=seeds,
+)
+def test_conv_gather_matches_the_strided_copy(
+    dtype, kernel, padding, stride, side, channels, contiguous, seed
+):
+    pad = (kernel - 1) // 2 if padding == "same" else padding
+    if side + 2 * pad < kernel:
+        return  # no output pixel
+    rng = np.random.default_rng(seed)
+    in_channels, out_channels = channels
+    make = dict(stride=stride, padding=padding, seed=seed % 1000, dtype=dtype)
+    new = Conv2D(in_channels, out_channels, kernel, **make)
+    old = ReferenceConv2D(in_channels, out_channels, kernel, **make)
+    out_side = new.output_spatial(side, side)[0]
+
+    # Large batch, the trailing small batch of an epoch, large again: the
+    # arena hands back the first ``pad_fwd`` and ``cols``.
+    for batch in (6, 2, 6):
+        if contiguous:
+            x = rng.normal(size=(batch, in_channels, side, side)).astype(dtype)
+        else:  # channels-last memory behind an (N, C, H, W) view
+            x = rng.normal(size=(batch, side, side, in_channels)).astype(dtype).transpose(0, 3, 1, 2)
+        x[rng.random(x.shape) < 0.1] = -0.0
+        assert_same_bits(
+            new._gather_cols(x, out_side, out_side), old._gather_cols(x, out_side, out_side), "cols"
+        )
+        for training in (False, True):
+            assert_same_bits(new.forward(x, training), old.forward(x, training), "forward")
+        assert_same_bits(new._cache[1], old._cache[1], "cached cols")
+
+    padded = [buf for (key, _, _), buf in new._arena._buffers.items() if key == "pad_fwd"]
+    assert len(padded) == (2 if pad else 0)
+    for buf in padded:
+        border = np.ones(buf.shape[2:], dtype=bool)
+        border[pad:-pad, pad:-pad] = False
+        assert not buf[:, :, border].any()
+
+
+def test_patch_table_is_shared_read_only_and_absent_when_the_gather_is_a_copy():
+    table = _patch_table(10, 10, 3, 1)
+    assert table is _patch_table(10, 10, 3, 1)
+    assert table.dtype == np.intp and table.shape == (3 * 3 * 8 * 8,)
+    assert not table.flags.writeable
+    image = np.arange(100.0)
+    windows = np.lib.stride_tricks.sliding_window_view(image.reshape(10, 10), (3, 3))
+    np.testing.assert_array_equal(image[table].reshape(3, 3, 8, 8), windows.transpose(2, 3, 0, 1))
+    # 1x1 at stride 1, and a kernel the size of the image: patches in image order.
+    assert _patch_table(8, 8, 1, 1) is None and _patch_table(3, 3, 3, 1) is None
+    assert _patch_table(8, 8, 1, 2) is not None
 
 
 # ---------------------------------------------------------------------------

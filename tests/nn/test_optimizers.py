@@ -79,6 +79,25 @@ def test_optimizer_state_is_keyed_by_parameter_name():
     assert set(optimizer.state) == {"a", "b"}
 
 
+@pytest.mark.parametrize(
+    "optimizer, buffers",
+    [(SGD(learning_rate=0.1, momentum=0.9), 1), (Adam(), 2)],
+    ids=["sgd", "adam"],
+)
+def test_optimizer_state_is_allocated_on_first_sight_only(monkeypatch, optimizer, buffers):
+    """``dict.setdefault(name, {... zeros_like ...})`` built (and threw away)
+    a fresh set of buffers on every call of every step."""
+    import repro.nn.optimizers as module
+
+    allocations = []
+    real = np.zeros_like
+    monkeypatch.setattr(module.np, "zeros_like", lambda a: allocations.append(1) or real(a))
+    a, b = np.array([1.0]), np.array([1.0])
+    for _ in range(3):
+        optimizer.step([("a", a, np.array([1.0])), ("b", b, np.array([2.0]))])
+    assert len(allocations) == 2 * buffers
+
+
 def test_invalid_hyperparameters_raise():
     with pytest.raises(ValueError):
         SGD(learning_rate=0.0)

@@ -206,6 +206,32 @@ def test_bad_content_length_is_refused_before_reading(server, path, length):
         assert json.loads(response.read())["status"] in ("ok", "degraded")
 
 
+@pytest.mark.parametrize("body", [b"[1,2,3]", b"3", b'"x"'])
+@pytest.mark.parametrize("path", ["/predict", "/admin/swap"])
+def test_json_body_that_is_not_an_object_is_a_400(server, path, body):
+    """Valid JSON, wrong type: ``body.get`` used to raise ``AttributeError``
+    past both ``except`` tuples, so the client saw a dropped connection and
+    the log a handler traceback.  It is a 400 like any other bad request, and
+    the keep-alive connection goes on to serve the next one."""
+    _, url = server
+    host, port = url[len("http://") :].split(":")
+    refused_before = _http_400s(url, path)
+    conn = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
+        sock = conn.sock
+        response = conn.getresponse()
+        assert response.status == 400
+        assert json.loads(response.read()) == {"error": "request body must be a JSON object"}
+        conn.request("GET", "/healthz")
+        assert conn.sock is sock  # http.client would have reopened a closed connection
+        health = conn.getresponse()
+        assert health.status == 200 and json.loads(health.read())["status"] in ("ok", "degraded")
+    finally:
+        conn.close()
+    assert _http_400s(url, path) == refused_before + 1
+
+
 def _timed_post(conn, body):
     start = time.perf_counter()
     conn.request(
