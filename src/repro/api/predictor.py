@@ -3,9 +3,12 @@
 :class:`EnsemblePredictor` loads an ensemble artifact once and answers warm,
 batched ``predict`` / ``predict_proba`` calls.  It is the deployment-side
 counterpart of :func:`repro.api.run_experiment`: strict about inputs (shape
-and dtype are validated before any member runs), explicit about the
-combination method, and built on the batched single-pass
-:meth:`~repro.core.ensemble.Ensemble.predict_proba_all` engine.
+and dtype are validated before any member runs) and explicit about the
+combination method.  Loading lowers every member the inference plan covers
+(:mod:`repro.nn.lowering`: BatchNorm folded, one GEMM per layer for the whole
+batch, one scratch) and serves through that; the layer graph's
+:meth:`~repro.core.ensemble.Ensemble.predict_proba_all` stays the numerical
+reference and serves the members the plan does not cover, bit for bit.
 """
 
 from __future__ import annotations
@@ -62,6 +65,46 @@ def validate_batch(x: np.ndarray, input_shape: Tuple[int, ...]) -> np.ndarray:
     return x
 
 
+class _Served:
+    """One generation as a request sees it: the ensemble, the plan its lowered
+    members run through and the graph of the members the plan leaves.  Built
+    whole, never modified; a predictor holds one and a request reads it once,
+    so :meth:`EnsemblePredictor.reload` swaps generations in one assignment.
+    """
+
+    def __init__(self, ensemble: Ensemble):
+        # Imported here, not with the module: `repro train` and its spawned
+        # workers import this module and never lower anything.
+        from repro.nn.lowering import InferencePlan
+
+        self.ensemble = ensemble
+        members = ensemble.members
+        self.input_shape: Tuple[int, ...] = tuple(members[0].model.spec.input_shape)
+        # The plan is a snapshot of the members' weights as they are now; the
+        # members it does not cover stay on the graph.
+        self.plan = InferencePlan([member.model for member in members])
+        self.rest = [i for i in range(len(members)) if i not in self.plan.lowered]
+        self.graph = (
+            Ensemble([members[i] for i in self.rest], ensemble.num_classes) if self.rest else None
+        )
+        # The dtype the graph stacks these members' probabilities in.
+        self.dtype = np.result_type(
+            *(getattr(member.model, "dtype", None) or np.float64 for member in members)
+        )
+
+    def member_probabilities(self, x: np.ndarray, batch_size: int) -> np.ndarray:
+        """``(members, samples, classes)``: the lowered members through the
+        plan, the others through the graph."""
+        if not self.plan.lowered:
+            return self.ensemble.predict_proba_all(x, batch_size=batch_size)
+        shape = (len(self.ensemble), x.shape[0], self.ensemble.num_classes)
+        out = np.empty(shape, dtype=self.dtype)
+        self.plan.probabilities(x, batch_size, out)
+        if self.graph is not None:
+            out[self.rest] = self.graph.predict_proba_all(x, batch_size=batch_size)
+        return out
+
+
 class EnsemblePredictor:
     """Warm, input-validated serving for a trained :class:`Ensemble`.
 
@@ -85,19 +128,32 @@ class EnsemblePredictor:
             )
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        self.ensemble = ensemble
+        self._served = _Served(ensemble)
         self.method = method
         self.batch_size = int(batch_size)
         self.metadata = dict(metadata or {})
-        self.input_shape: Tuple[int, ...] = tuple(
-            ensemble.members[0].model.spec.input_shape
-        )
-        self.num_classes = ensemble.num_classes
         # Which store generation is loaded; bare directories (and in-memory
         # runs) are implicitly generation 0.  The path the caller handed to
         # load() is kept so reload() re-resolves CURRENT from the same root.
         self.generation = 0
         self.source_path: Optional[Path] = None
+
+    @property
+    def ensemble(self) -> Ensemble:
+        return self._served.ensemble
+
+    @property
+    def input_shape(self) -> Tuple[int, ...]:
+        return self._served.input_shape
+
+    @property
+    def num_classes(self) -> int:
+        return self._served.ensemble.num_classes
+
+    @property
+    def lowered(self) -> Tuple[int, ...]:
+        """Positions of the members served through the inference plan."""
+        return self._served.plan.lowered
 
     # ------------------------------------------------------------- factories
     @classmethod
@@ -113,7 +169,10 @@ class EnsemblePredictor:
         :func:`repro.api.save_ensemble_run`.
 
         ``warm=True`` (default) runs one zero-batch through every member so
-        lazily-built conv workspaces exist before the first real request.
+        that what is built lazily (the plan's scratch, bound for a 1-row
+        batch and rebound when a larger one arrives; the graph's conv
+        workspaces for members it serves) exists before the first real
+        request.
 
         ``path`` may be a bare artifact directory (implicit generation 0) or
         an :class:`~repro.core.artifact_store.ArtifactStore` root, in which
@@ -146,9 +205,10 @@ class EnsemblePredictor:
         if warm:
             predictor.warmup()
         logger.info(
-            "loaded %s ensemble (%d members, generation %d) from %s",
+            "loaded %s ensemble (%d members, %d lowered, generation %d) from %s",
             manifest["approach"],
             len(run.ensemble),
+            len(predictor.lowered),
             resolved.generation,
             resolved.path,
         )
@@ -165,43 +225,23 @@ class EnsemblePredictor:
         store root that means picking up whatever ``CURRENT`` now points at
         (the single-process analogue of ``PoolPredictor.swap``).  The call
         replaces the ensemble atomically from the caller's perspective: it
-        either completes (new weights, warmed) or raises leaving the old
-        ensemble serving.
+        either completes (new weights, lowered and warmed — exactly what a
+        fresh :meth:`load` gives) or raises leaving the old ensemble serving.
         """
         source = self.source_path if path is None else Path(path)
         if source is None:
             raise ValueError(
                 "this predictor was not loaded from disk; pass reload(path=...)"
             )
-        resolved = resolve_artifact(source, generation=generation)
-        manifest = read_manifest(resolved.path)
-        run = load_ensemble_run(resolved.path, manifest=manifest)
-        ensemble = run.ensemble
-        input_shape = tuple(ensemble.members[0].model.spec.input_shape)
-        self.ensemble = ensemble
-        self.input_shape = input_shape
-        self.num_classes = ensemble.num_classes
-        self.generation = resolved.generation
-        self.source_path = source
-        self.metadata.update(
-            {
-                "artifact": str(source),
-                "approach": manifest["approach"],
-                "dtype": manifest["dtype"],
-                "repro_version": manifest.get("repro_version"),
-                "ledger_summary": manifest.get("ledger_summary", {}),
-            }
+        # Loaded, lowered and warmed on the side: nothing of this predictor
+        # changes before the new generation has answered a batch.
+        fresh = type(self).load(
+            source, method=self.method, batch_size=self.batch_size, generation=generation
         )
-        if resolved.store is not None:
-            self.metadata["generation"] = resolved.generation
-            self.metadata["store_root"] = str(resolved.store.root)
-        self.warmup()
-        logger.info(
-            "reloaded %s ensemble (generation %d) from %s",
-            manifest["approach"],
-            resolved.generation,
-            resolved.path,
-        )
+        # The one assignment a concurrent request can observe.
+        self._served = fresh._served
+        self.generation, self.source_path = fresh.generation, fresh.source_path
+        self.metadata.update(fresh.metadata)
         return self.generation
 
     @classmethod
@@ -219,23 +259,11 @@ class EnsemblePredictor:
             metadata={"approach": run.approach},
         )
 
-    # ------------------------------------------------------------ validation
-    def _validate(self, x: np.ndarray) -> np.ndarray:
-        return validate_batch(x, self.input_shape)
-
-    def _resolve_method(self, method: Optional[str]) -> str:
-        return resolve_combination_method(
-            method,
-            default=self.method,
-            has_super_learner=self.ensemble.super_learner_weights is not None,
-            subject="ensemble",
-        )
-
     # --------------------------------------------------------------- serving
     def warmup(self) -> None:
-        """Run a single dummy batch so every member's lazy buffers exist."""
+        """Run a single dummy batch so every lazily built buffer exists."""
         dummy = np.zeros((1,) + self.input_shape, dtype=np.float32)
-        self.ensemble.predict_proba_all(dummy, batch_size=1)
+        self._served.member_probabilities(dummy, 1)
 
     def predict_proba(
         self,
@@ -244,12 +272,16 @@ class EnsemblePredictor:
         batch_size: Optional[int] = None,
     ) -> np.ndarray:
         """Combined class probabilities, shape ``(samples, classes)``."""
-        x = self._validate(x)
-        return self.ensemble.predict_proba(
-            x,
-            method=self._resolve_method(method),
-            batch_size=batch_size or self.batch_size,
+        served = self._served  # read once: a reload() may land mid-request
+        x = validate_batch(x, served.input_shape)
+        method = resolve_combination_method(
+            method,
+            default=self.method,
+            has_super_learner=served.ensemble.super_learner_weights is not None,
+            subject="ensemble",
         )
+        probs = served.member_probabilities(x, batch_size or self.batch_size)
+        return served.ensemble.combine(probs, method)
 
     def predict(
         self,
@@ -262,8 +294,9 @@ class EnsemblePredictor:
 
     def member_probabilities(self, x: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
         """Raw per-member probabilities, shape ``(members, samples, classes)``."""
-        x = self._validate(x)
-        return self.ensemble.predict_proba_all(x, batch_size=batch_size or self.batch_size)
+        served = self._served
+        x = validate_batch(x, served.input_shape)
+        return served.member_probabilities(x, batch_size or self.batch_size)
 
     # ------------------------------------------------------------ inspection
     def info(self) -> Dict[str, Any]:

@@ -187,6 +187,10 @@ class Ensemble:
         ``ValueError`` listing the valid choices *before* any member inference
         runs.
         """
+        self._check_method(method)
+        return self.combine(self.member_probabilities(x, batch_size=batch_size), method)
+
+    def _check_method(self, method: str) -> None:
         if method not in COMBINATION_METHODS:
             raise ValueError(
                 f"unknown inference method {method!r}; valid choices: "
@@ -196,7 +200,11 @@ class Ensemble:
             raise RuntimeError(
                 "fit_super_learner must be called before super_learner inference"
             )
-        probs = self.member_probabilities(x, batch_size=batch_size)
+
+    def combine(self, probs: np.ndarray, method: str = "average") -> np.ndarray:
+        """Ensemble class probabilities from per-member ones, ``(members,
+        samples, classes)`` — wherever those were computed."""
+        self._check_method(method)
         if method == "average":
             return probs.mean(axis=0)
         if method == "vote":

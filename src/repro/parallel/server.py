@@ -117,6 +117,15 @@ def _log_connection_failure(exc: BaseException, path: Optional[str]) -> None:
         )
 
 
+def _json_flag(body: dict, name: str) -> bool:
+    """``body[name]`` when it is a JSON boolean, ``False`` when absent;
+    anything else (``"false"`` is a non-empty string) is the client's error."""
+    value = body.get(name, False)
+    if not isinstance(value, bool):
+        raise ValueError(f'"{name}" must be true or false, got {value!r}')
+    return value
+
+
 def _json_object(raw: bytes) -> dict:
     """The request body as a JSON object; an empty body is ``{}``.  Valid JSON
     of another type (``[1, 2]``, ``3``, ``"x"``) is the client's error, not a
@@ -279,8 +288,8 @@ def _make_handler(pool, mode: str, started_at: float):
                         raise ValueError('request body needs an "inputs" array')
                     x = np.asarray(inputs, dtype=np.float64)
                     method = body.get("method")
-                    want_proba = bool(body.get("proba", False))
-                    if body.get("async", False):
+                    want_proba = _json_flag(body, "proba")
+                    if _json_flag(body, "async"):
                         if not queue_mode:
                             raise ValueError(
                                 'async predict ("async": true) needs '

@@ -19,11 +19,16 @@ def predictor(artifact):
 
 
 def test_loaded_predictor_matches_in_memory_ensemble(predictor, tiny_result):
+    """The predictor serves the lowered plan, the ensemble is the layer graph:
+    same labels, probabilities within the plan's stated tolerance
+    (``tests/nn/test_lowering.py``)."""
     x = tiny_result.dataset.x_test
     for method in ("average", "vote", "super_learner"):
-        np.testing.assert_array_equal(
+        np.testing.assert_allclose(
             predictor.predict_proba(x, method=method),
             tiny_result.ensemble.predict_proba(x, method=method),
+            rtol=0,
+            atol=1e-5,
         )
         np.testing.assert_array_equal(
             predictor.predict(x, method=method),
@@ -31,11 +36,12 @@ def test_loaded_predictor_matches_in_memory_ensemble(predictor, tiny_result):
         )
 
 
-def test_from_run_serves_without_disk(tiny_result):
-    predictor = EnsemblePredictor.from_run(tiny_result.run)
+def test_from_run_serves_without_disk(predictor, tiny_result):
+    from_run = EnsemblePredictor.from_run(tiny_result.run)
     x = tiny_result.dataset.x_test[:8]
+    np.testing.assert_array_equal(from_run.predict_proba(x), predictor.predict_proba(x))
     np.testing.assert_array_equal(
-        predictor.predict(x), tiny_result.ensemble.predict(x, method="average")
+        from_run.predict(x), tiny_result.ensemble.predict(x, method="average")
     )
 
 

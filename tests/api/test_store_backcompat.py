@@ -19,6 +19,7 @@ from repro.core.artifact_store import (
     resolve_artifact,
 )
 from repro.data.datasets import load_dataset
+from tests.procs import assert_serves_the_graph
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +39,7 @@ def test_bare_v2_loads_as_generation_zero_bitwise(bare_artifact, probe_batch):
     reference = run.ensemble.predict_proba(probe_batch, method="average")
     predictor = EnsemblePredictor.load(bare_artifact)
     assert predictor.generation == 0
-    np.testing.assert_array_equal(
-        predictor.predict_proba(probe_batch, method="average"), reference
-    )
+    assert_serves_the_graph(predictor.predict_proba(probe_batch, method="average"), reference)
     # Bare directories keep their exact pre-store info() surface: no
     # generation/store keys leak into the metadata.
     info = predictor.info()
@@ -65,9 +64,7 @@ def test_bare_v1_loads_as_generation_zero_bitwise(
     )
     predictor = EnsemblePredictor.load(v1)
     assert predictor.generation == 0
-    np.testing.assert_array_equal(
-        predictor.predict_proba(probe_batch, method="average"), reference
-    )
+    assert_serves_the_graph(predictor.predict_proba(probe_batch, method="average"), reference)
 
 
 def test_migrated_store_serves_identical_weights(
@@ -114,9 +111,7 @@ def test_torn_current_serves_old_generation(
     reference = load_ensemble_run(store.generation_path(1)).ensemble.predict_proba(
         probe_batch, method="average"
     )
-    np.testing.assert_array_equal(
-        predictor.predict_proba(probe_batch, method="average"), reference
-    )
+    assert_serves_the_graph(predictor.predict_proba(probe_batch, method="average"), reference)
 
 
 def test_predictor_reload_tracks_current(bare_artifact, tmp_path, experiment_dict):
@@ -145,5 +140,5 @@ def test_predictor_reload_tracks_current(bare_artifact, tmp_path, experiment_dic
     ).ensemble.predict_proba(
         load_dataset(**experiment_dict()["dataset"]).x_test[:8], method="average"
     )
-    np.testing.assert_array_equal(new, reference)
+    assert_serves_the_graph(new, reference)
     assert not np.array_equal(old, new)  # the weights really changed

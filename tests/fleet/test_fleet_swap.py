@@ -20,6 +20,7 @@ import pytest
 from repro.api import EnsemblePredictor, run_experiment
 from repro.core.artifact_store import ArtifactStore
 from repro.fleet import FleetConsumer, FleetFront
+from tests.procs import ColdReference
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +39,9 @@ def swap_store(saved_artifact, experiment_dict, tmp_path_factory):
 @pytest.fixture(scope="module")
 def refs(swap_store, serial_result):
     probe = serial_result.dataset.x_test
-    ref0 = EnsemblePredictor.load(swap_store.root, generation=0).predict_proba(probe)
-    ref1 = EnsemblePredictor.load(swap_store.root, generation=1).predict_proba(probe)
-    assert not np.array_equal(ref0, ref1)
+    ref0 = ColdReference(EnsemblePredictor.load(swap_store.root, generation=0), probe)
+    ref1 = ColdReference(EnsemblePredictor.load(swap_store.root, generation=1), probe)
+    assert not np.array_equal(ref0[:], ref1[:])
     return probe, ref0, ref1
 
 
@@ -127,7 +128,7 @@ def test_fleet_swap_under_fire_converges_all_consumers(swap_store, refs):
         assert all(ack["ok"] for ack in status["acks"].values())
         # Post-swap the whole fleet answers purely from the new generation.
         np.testing.assert_array_equal(
-            front.predict_proba(probe, timeout=60), ref1
+            front.predict_proba(probe, timeout=60), ref1[:]
         )
     finally:
         for consumer in consumers:

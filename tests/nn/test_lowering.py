@@ -1,0 +1,339 @@
+"""The inference plan (``repro.nn.lowering``) against the layer graph.
+
+The plan is exact in real arithmetic and rounds differently: BatchNorm is
+folded into the weights, a layer is one GEMM over the whole batch, pooling is
+taken before bias and ReLU.  The contract these tests state:
+
+* every probability is within ``TOLERANCE`` (absolute, float32) of the
+  graph's, for every ``arch.zoo`` family, image sizes 1-12 and batches of 1,
+  7 and 256;
+* on the benchmark spec's test split the smallest top-2 margin of the served
+  probabilities is at least ``MARGIN_FACTOR`` times the largest deviation, so
+  no label can move and ``error_pct`` cannot either;
+* what the plan does not cover (residual units, float64, the einsum engine, a
+  stride) is answered by the graph, bit for bit;
+* a request longer than ``batch_size`` is cut where the graph cuts it;
+* nothing is built per batch size, and what a plan served before does not
+  reach the bits of what it serves next;
+* ``reload()`` leaves nothing of the old generation's folded weights behind,
+  and a generation that fails to load or to warm leaves the old one serving.
+
+Run with ``-rs``: on a numerical stack where the benchmark spec trains to
+other weights the margin is another draw, and a skip says so.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.api import EnsemblePredictor, run_experiment, save_ensemble_run
+from repro.arch import zoo
+from repro.core.artifact_store import ArtifactStore
+from repro.core.ensemble import Ensemble, EnsembleMember
+from repro.nn import Model
+from repro.nn.layers import BatchNorm
+from repro.nn.lowering import InferencePlan, lower_model
+from tests.nn.test_training_bits import BENCHMARK_SPEC, GOLDEN, environment_fingerprint
+
+#: Largest absolute difference between a plan and a graph probability.
+TOLERANCE = 1e-5
+#: Smallest top-2 margin on the benchmark's test split, in deviations.
+MARGIN_FACTOR = 100
+
+SETTINGS = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def build_ensemble(specs, seed: int = 0, dtype=None) -> Ensemble:
+    """Freshly initialised members whose BatchNorm layers hold the statistics
+    of a trained network (a fresh one folds to the identity)."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for index, spec in enumerate(specs):
+        model = Model.from_spec(spec, seed=seed + index, dtype=dtype)
+        for layer in model._sequence():
+            if isinstance(layer, BatchNorm):
+                size, dt = layer.num_features, layer.dtype
+                layer.params["gamma"] = rng.uniform(0.5, 1.5, size).astype(dt)
+                layer.params["beta"] = rng.normal(0.0, 0.3, size).astype(dt)
+                layer.state["running_mean"] = rng.normal(0.0, 0.5, size).astype(dt)
+                layer.state["running_var"] = rng.uniform(0.3, 2.0, size).astype(dt)
+        members.append(EnsembleMember(spec.name, model))
+    return Ensemble(members, specs[0].num_classes)
+
+
+def plan_probabilities(ensemble: Ensemble, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    plan = InferencePlan([member.model for member in ensemble.members])
+    assert plan.lowered == tuple(range(len(ensemble)))
+    out = np.empty((len(ensemble), x.shape[0], ensemble.num_classes), dtype=np.float32)
+    plan.probabilities(x, batch_size, out)
+    return out
+
+
+# --------------------------------------------------------------------------
+# Plan vs graph over the zoo
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def zoo_families(draw):
+    """``(specs, per-sample input shape)`` of a lowerable zoo family."""
+    family = draw(st.sampled_from(["small_vgg", "vgg", "v16_variants", "mlp"]))
+    if family == "mlp":
+        features = draw(st.integers(1, 24))
+        specs = zoo.mlp_family(
+            draw(st.integers(1, 4)),
+            input_features=features,
+            num_classes=draw(st.integers(2, 6)),
+            base_width=draw(st.integers(4, 12)),
+            seed=draw(st.integers(0, 5)),
+            use_batchnorm=draw(st.booleans()),
+        )
+        return specs, (features,)
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    scale = draw(st.sampled_from([0.03125, 0.0625]))
+    if family == "small_vgg":
+        specs = zoo.small_vgg_ensemble(10, shape, scale)
+    elif family == "vgg":
+        specs = [zoo.vgg(draw(st.sampled_from(zoo.VGG_VARIANT_NAMES)), 7, shape, scale)]
+    else:
+        specs = zoo.v16_variant_family(3, 10, shape, scale, seed=draw(st.integers(0, 20)))
+    return specs, shape
+
+
+@SETTINGS
+@given(family=zoo_families(), batch=st.sampled_from([1, 7, 256]), seed=st.integers(0, 1000))
+def test_plan_matches_graph_within_tolerance(family, batch, seed):
+    specs, shape = family
+    ensemble = build_ensemble(specs, seed)
+    x = np.random.default_rng(seed).normal(size=(batch,) + shape).astype(np.float32)
+    graph = ensemble.predict_proba_all(x)
+    plan = plan_probabilities(ensemble, x)
+    assert plan.dtype == graph.dtype and plan.shape == graph.shape
+    assert np.abs(plan - graph).max() <= TOLERANCE
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint8])
+def test_input_is_cast_like_the_graph_casts_it(dtype):
+    ensemble = build_ensemble(zoo.small_vgg_ensemble(10, (3, 8, 8), 0.0625))
+    x = np.random.default_rng(0).integers(0, 200, size=(5, 3, 8, 8)).astype(dtype)
+    graph = ensemble.predict_proba_all(x)
+    assert np.abs(plan_probabilities(ensemble, x) - graph).max() <= TOLERANCE
+
+
+# --------------------------------------------------------------------------
+# The benchmark spec: no label can move
+# --------------------------------------------------------------------------
+
+
+def test_benchmark_spec_margin_dwarfs_the_deviation():
+    result = run_experiment(BENCHMARK_SPEC)
+    x, y = result.dataset.x_test, result.dataset.y_test
+    graph = result.ensemble.predict_proba(x, method="average")
+    served = EnsemblePredictor.from_run(result.run).predict_proba(x, method="average")
+    deviation = float(np.abs(served - graph).max())
+    top2 = np.sort(graph, axis=1)[:, -2:]
+    margin = float((top2[:, 1] - top2[:, 0]).min())
+    assert deviation <= TOLERANCE
+    golden = json.loads(GOLDEN.read_text())
+    if margin < MARGIN_FACTOR * deviation and environment_fingerprint() != golden["environment"]:
+        pytest.skip(
+            f"on this numerical stack the spec trains to other weights: margin {margin:.3g} "
+            f"vs deviation {deviation:.3g}"
+        )
+    assert margin >= MARGIN_FACTOR * deviation, (margin, deviation)
+    np.testing.assert_array_equal(served.argmax(axis=1), graph.argmax(axis=1))
+    assert 100.0 * np.mean(served.argmax(axis=1) != y) == result.evaluate(methods=["average"])[
+        "average"
+    ]
+
+
+# --------------------------------------------------------------------------
+# What the plan does not cover is the graph's, bit for bit
+# --------------------------------------------------------------------------
+
+
+def _break_engine(model):
+    model.conv_blocks[0].units[0].conv.engine = "einsum"
+
+
+def _break_stride(model):
+    model.conv_blocks[-1].units[-1].conv.stride = 2
+
+
+@pytest.mark.parametrize("break_model", [_break_engine, _break_stride])
+def test_uncovered_conv_is_not_lowered(break_model):
+    model = Model.from_spec(zoo.vgg("V13", 10, (3, 8, 8), 0.0625), seed=0)
+    assert lower_model(model) is not None
+    break_model(model)
+    assert lower_model(model) is None
+
+
+def test_uncovered_ensembles_get_the_graphs_bits():
+    x = np.random.default_rng(3).normal(size=(9, 3, 8, 8)).astype(np.float32)
+    resnets = build_ensemble(
+        [zoo.resnet(18, 10, (3, 8, 8), 0.0625), zoo.resnet(34, 10, (3, 8, 8), 0.0625)]
+    )
+    wide = build_ensemble(zoo.small_vgg_ensemble(10, (3, 8, 8), 0.0625)[:2], dtype="float64")
+    for ensemble in (resnets, wide):
+        predictor = EnsemblePredictor(ensemble)
+        assert predictor.lowered == ()
+        served = predictor.member_probabilities(x, batch_size=4)
+        graph = ensemble.predict_proba_all(x, batch_size=4)
+        assert served.dtype == graph.dtype
+        np.testing.assert_array_equal(served, graph)
+
+
+def test_mixed_ensemble_lowers_what_it_can():
+    specs = [
+        zoo.vgg("V13", 10, (3, 8, 8), 0.0625),
+        zoo.resnet(18, 10, (3, 8, 8), 0.0625),
+        zoo.vgg("V16", 10, (3, 8, 8), 0.0625),
+    ]
+    ensemble = build_ensemble(specs)
+    predictor = EnsemblePredictor(ensemble)
+    assert predictor.lowered == (0, 2)
+    x = np.random.default_rng(4).normal(size=(6, 3, 8, 8)).astype(np.float32)
+    served = predictor.member_probabilities(x)
+    graph = ensemble.predict_proba_all(x)
+    np.testing.assert_array_equal(served[1], graph[1])
+    assert np.abs(served - graph).max() <= TOLERANCE
+    np.testing.assert_array_equal(
+        predictor.predict_proba(x, method="vote"), ensemble.combine(served, "vote")
+    )
+
+
+# --------------------------------------------------------------------------
+# Chunking, scratch
+# --------------------------------------------------------------------------
+
+
+def test_long_request_is_chunked_at_batch_size():
+    ensemble = build_ensemble(zoo.small_vgg_ensemble(10, (3, 8, 8), 0.0625))
+    predictor = EnsemblePredictor(ensemble, batch_size=4)
+    x = np.random.default_rng(5).normal(size=(10, 3, 8, 8)).astype(np.float32)
+    whole = predictor.member_probabilities(x)
+    chunks = [predictor.member_probabilities(x[start : start + 4]) for start in (0, 4, 8)]
+    np.testing.assert_array_equal(whole, np.concatenate(chunks, axis=1))
+    # Other boundaries are another GEMM shape, the same values within tolerance.
+    assert np.abs(predictor.member_probabilities(x, batch_size=256) - whole).max() <= TOLERANCE
+
+
+def test_nothing_is_built_per_batch_size():
+    ensemble = build_ensemble(zoo.small_vgg_ensemble(10, (3, 4, 4), 0.0625))
+    models = [member.model for member in ensemble.members]
+    x = np.random.default_rng(6).normal(size=(48, 3, 4, 4)).astype(np.float32)
+    out = np.empty((len(models), x.shape[0], 10), dtype=np.float32)
+    plan = InferencePlan(models)
+    for n in range(1, x.shape[0] + 1):
+        plan.probabilities(x[:n], 256, out[:, :n])
+    # What is held is what the largest batch needs (rounded up to a power of
+    # two), not something per size seen ...
+    assert plan.capacity == 64
+    steps, held = plan._steps, plan.scratch.nbytes
+    fresh = InferencePlan(models)
+    fresh.probabilities(x, 256, out)
+    assert fresh.scratch.nbytes == held
+    # ... and smaller batches afterwards bind nothing again.
+    for n in (1, 5, 48):
+        plan.probabilities(x[:n], 256, out[:, :n])
+    assert plan._steps is steps and plan.scratch.nbytes == held
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 8), (2, 5, 7), (3, 1, 1), (13,)])
+def test_the_bits_do_not_depend_on_what_was_served_before(shape):
+    """"Pool == single process, bitwise, on the same rows" compares a worker
+    that has served other sizes with a cold predictor: the capacity the
+    buffers were bound at (their row pitch) must not reach the arithmetic."""
+    if len(shape) == 1:
+        specs = zoo.mlp_family(3, input_features=shape[0], num_classes=5, base_width=8, seed=0)
+    else:
+        specs = zoo.small_vgg_ensemble(10, shape, 0.0625)
+    ensemble = build_ensemble(specs, seed=7)
+    x = np.random.default_rng(7).normal(size=(64,) + shape).astype(np.float32)
+    warm = EnsemblePredictor(ensemble)
+    warm.member_probabilities(x)
+    for n in (1, 2, 7, 8, 9, 17, 33, 64):
+        cold = EnsemblePredictor(ensemble).member_probabilities(x[:n])
+        np.testing.assert_array_equal(warm.member_probabilities(x[:n]), cold)
+
+
+# --------------------------------------------------------------------------
+# reload(): the new generation whole, or the old one untouched
+# --------------------------------------------------------------------------
+
+
+def _conv_run(seed: int):
+    spec = dict(BENCHMARK_SPEC, approach="bagging", trainer={}, seed=seed)
+    spec["dataset"] = dict(BENCHMARK_SPEC["dataset"], train_samples=64, test_samples=16)
+    spec["training"] = dict(BENCHMARK_SPEC["training"], max_epochs=1, min_epochs=1)
+    return run_experiment(spec)
+
+
+@pytest.fixture(scope="module")
+def two_generations(tmp_path_factory):
+    """A store whose generation 0 is promoted and whose generation 1 (other
+    weights) is written but not promoted, plus a probe batch."""
+    first, second = _conv_run(seed=1), _conv_run(seed=2)
+    bare = tmp_path_factory.mktemp("lowering") / "bare"
+    save_ensemble_run(first.run, bare)
+    return bare, second.run, first.dataset.x_test
+
+
+@pytest.fixture
+def store(two_generations, tmp_path):
+    bare, second_run, probe = two_generations
+    root = tmp_path / "store"
+    shutil.copytree(bare, root)
+    store = ArtifactStore.open(root)
+    assert store.add_generation(second_run, parent_generation=0) == 1
+    return store, probe
+
+
+def test_reload_equals_a_fresh_load(store):
+    store, probe = store
+    predictor = EnsemblePredictor.load(store.root)
+    before = predictor.predict_proba(probe)
+    store.promote(1)
+    assert predictor.reload() == 1
+    fresh = EnsemblePredictor.load(store.root)
+    after = predictor.predict_proba(probe)
+    np.testing.assert_array_equal(after, fresh.predict_proba(probe))
+    assert np.abs(after - before).max() > 100 * TOLERANCE  # other weights, really
+    assert predictor.info() == fresh.info()
+    graph = fresh.ensemble.predict_proba(probe)
+    assert np.abs(after - graph).max() <= TOLERANCE
+
+
+@pytest.mark.parametrize("failure", ["weights", "warmup"])
+def test_failed_reload_leaves_the_old_generation_serving(store, failure, monkeypatch):
+    store, probe = store
+    predictor = EnsemblePredictor.load(store.root)
+    ensemble, before, info = predictor.ensemble, predictor.predict_proba(probe), predictor.info()
+    if failure == "weights":
+        # A member file whose arrays do not fit the member's architecture.
+        member = sorted((store.generation_path(1) / "members").glob("*.npz"))[0]
+        with np.load(member) as arrays:
+            broken = {name: arrays[name][..., :1] for name in arrays.files}
+        np.savez(member, **broken)
+        expected = (ValueError, KeyError)
+    else:
+        monkeypatch.setattr(
+            EnsemblePredictor, "warmup", lambda self: (_ for _ in ()).throw(MemoryError("warm"))
+        )
+        expected = MemoryError
+    store.promote(1)
+    with pytest.raises(expected):
+        predictor.reload()
+    assert predictor.generation == 0 and predictor.ensemble is ensemble
+    assert predictor.info() == info
+    np.testing.assert_array_equal(predictor.predict_proba(probe), before)

@@ -21,6 +21,7 @@ import pytest
 from repro.api import EnsemblePredictor, run_experiment
 from repro.core.artifact_store import ArtifactStore
 from repro.parallel import PoolPredictor
+from tests.procs import ColdReference
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +43,10 @@ def swap_store(saved_artifact, experiment_dict, tmp_path_factory):
 def refs(swap_store, serial_result):
     """Cold-start reference answers for both generations on one probe set."""
     probe = serial_result.dataset.x_test
-    ref0 = EnsemblePredictor.load(swap_store.root, generation=0).predict_proba(probe)
-    ref1 = EnsemblePredictor.load(swap_store.root, generation=1).predict_proba(probe)
+    ref0 = ColdReference(EnsemblePredictor.load(swap_store.root, generation=0), probe)
+    ref1 = ColdReference(EnsemblePredictor.load(swap_store.root, generation=1), probe)
     # The generations must actually disagree, or "old-or-new" proves nothing.
-    assert not np.array_equal(ref0, ref1)
+    assert not np.array_equal(ref0[:], ref1[:])
     return probe, ref0, ref1
 
 
@@ -111,7 +112,7 @@ def _swap_under_fire(swap_store, refs, max_wait_ms):
         assert pool.healthz()["generation"] == 1
         assert pool.healthz()["status"] == "ok"
         # Post-swap the pool answers purely from the new generation.
-        np.testing.assert_array_equal(pool.predict_proba(probe), ref1)
+        np.testing.assert_array_equal(pool.predict_proba(probe), ref1[:])
         with pool._lock:
             assert pool._requests == {}
             assert [slot.load for slot in pool._slots] == [0, 0]

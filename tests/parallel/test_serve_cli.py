@@ -167,6 +167,16 @@ def test_serve_rejects_malformed_requests(server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post(url, {})
     assert excinfo.value.code == 400
+    # A flag that is not a JSON boolean is refused, not coerced: "false" is a
+    # non-empty string, and used to ask for probabilities.
+    with urllib.request.urlopen(url + "/info", timeout=30) as response:
+        shape = json.loads(response.read())["input_shape"]
+    row = np.zeros([1] + shape).tolist()
+    for flag, value in (("proba", "false"), ("proba", 1), ("async", "false"), ("async", None)):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(url, {"inputs": row, flag: value})
+        assert excinfo.value.code == 400, (flag, value)
+    assert "predictions" in _post(url, {"inputs": row, "proba": False, "async": False})
 
 
 def _http_400s(url, path):

@@ -9,6 +9,33 @@ import time
 from pathlib import Path
 from typing import Iterable, List, Set, Tuple
 
+import numpy as np
+
+
+class ColdReference:
+    """What one single-process predictor answers for slices of one probe set:
+    ``reference[a:b]`` is its ``predict_proba(probe[a:b])``, computed on
+    exactly those rows.  A served probability is a function of the batch it
+    was computed in (one GEMM per layer for the whole batch), so "bitwise the
+    single-process answer" always means: on the same rows."""
+
+    def __init__(self, predictor, probe):
+        self.predictor = predictor
+        self.probe = probe
+
+    def __getitem__(self, rows: slice):
+        return self.predictor.predict_proba(self.probe[rows])
+
+
+def assert_serves_the_graph(served: np.ndarray, graph: np.ndarray) -> None:
+    """A predictor's (or pool's) probabilities against what the layer graph
+    computes from the same weights: the lowered plan rounds differently, so
+    within the plan's tolerance (``tests/nn/test_lowering.py``) and with the
+    same labels — that they happen to be equal for some model is not relied
+    on."""
+    np.testing.assert_allclose(served, graph, rtol=0, atol=1e-5)
+    np.testing.assert_array_equal(served.argmax(axis=1), graph.argmax(axis=1))
+
 
 def _stat_fields(pid: int) -> List[str]:
     """``/proc/<pid>/stat`` after the command name: state, ppid, ..."""
