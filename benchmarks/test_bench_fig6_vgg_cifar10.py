@@ -59,9 +59,12 @@ def _assert_large_vgg_shape(scenario):
     error_curve = scenario["error_curves"]["average"]
     # Ensembling helps: the full ensemble is no worse than a single network.
     assert error_curve[-1] <= error_curve[0] + 1.0
-    # Measured training time: MotherNets grows more slowly than both baselines.
-    mothernets_curve = scenario["time_curves"]["mothernets"]
-    full_data_curve = scenario["time_curves"]["full_data"]
+    # Training cost grows more slowly under MotherNets than from scratch — in
+    # cumulative ledger work units: the measured seconds of the report's (b)
+    # panel differ by a few percent between two such runs, which a noisy
+    # neighbour can flip.
+    mothernets_curve = scenario["work_curves"]["mothernets"]
+    full_data_curve = scenario["work_curves"]["full_data"]
     assert mothernets_curve[-1] < full_data_curve[-1]
     marginal_mothernets = mothernets_curve[-1] - mothernets_curve[0]
     marginal_full_data = full_data_curve[-1] - full_data_curve[0]

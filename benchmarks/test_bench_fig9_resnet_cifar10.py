@@ -84,7 +84,8 @@ def test_bench_fig9_resnet_cifar10(benchmark, paper_expectations):
     # --- training-run shape ---------------------------------------------------
     error_curve = scenario["error_curves"]["average"]
     assert error_curve[-1] <= error_curve[0] + 1.0
-    assert scenario["time_curves"]["mothernets"][-1] < scenario["time_curves"]["full_data"][-1]
+    # In ledger work units, not the report's measured seconds (fig6 says why).
+    assert scenario["work_curves"]["mothernets"][-1] < scenario["work_curves"]["full_data"][-1]
     assert projected_speedup > 1.5
     # Oracle error never increases with more members.
     oracle = scenario["oracle_curve"]

@@ -7,8 +7,9 @@ from-scratch baseline member, a snapshot cycle — is described by one
 :class:`EnsembleTrainer` supplies the rest of the single pipeline: a runner
 that takes the run as a dependency graph of :class:`TaskNode` records and executes
 it in list order in this process or, critical path first, on one
-:mod:`repro.parallel` pool (``TrainingConfig.workers`` only chooses *where*
-a task runs), and the one place a trained network is booked into the
+:mod:`repro.parallel` pool of ``workers`` lanes — this process's own thread
+plus ``workers - 1`` spawned ones — (``TrainingConfig.workers`` only chooses
+*where* a task runs), and the one place a trained network is booked into the
 :class:`~repro.core.cost_model.CostLedger` and the training metrics.
 Because a task record fully determines its fit, members are bitwise
 identical run to run, in-process to pool and first try to retry (under
@@ -84,7 +85,8 @@ def record_training_cost(approach: str, phase: str, seconds: float) -> None:
 class MemberTask:
     """The complete description of one network to train — everything
     :func:`fit_task` needs besides the training set; picklable, so the same
-    record runs in this process or travels to a :mod:`repro.parallel` worker.
+    record runs in this process (in-process runs, a pool's lane 0) or travels
+    to a :mod:`repro.parallel` worker.
 
     ``init_weights`` (when given) are installed over a ``seed``-initialised
     model — this is how hatched members travel: the trainer hatches from the
@@ -318,12 +320,14 @@ class EnsembleTrainer:
         This is the only in-process-vs-pool decision.  With
         ``min(config.workers, len(nodes)) <= 1`` the nodes run here in list
         order — the bitwise oracle.  Otherwise one ``ParallelExecutor`` (under
-        ``config``'s task deadline and retry budget) serves the whole run: a
-        node is submitted, with its :func:`critical_path` priority, the moment
-        its dependencies have landed, and a result releases the nodes it
-        unblocked before it reaches ``node.done`` — the journal write overlaps
-        worker compute and a crash still loses only the in-flight fits.
-        ``make_task`` always runs here (hatching) and is timed into the fit.
+        ``config``'s task deadline and retry budget) serves the whole run on
+        that many lanes, of which lane 0 is a thread of this process and the
+        rest are spawned workers: a node is submitted, with its
+        :func:`critical_path` priority, the moment its dependencies have
+        landed, and a result releases the nodes it unblocked before it reaches
+        ``node.done`` — the journal write overlaps the lanes' compute and a
+        crash still loses only the in-flight fits.  ``make_task`` always runs
+        here, on the loop's thread (hatching), and is timed into the fit.
 
         Only a pool records makespans: its wall window, partitioned where each
         phase's last node landed, so they sum to the time actually waited
@@ -359,7 +363,7 @@ class EnsembleTrainer:
         phase_end: Dict[str, float] = {}
 
         def release() -> Iterator[MemberTask]:
-            # Lazy: the pool offers each task to a worker before the next is made.
+            # Lazy: the pool offers each task to a lane before the next is made.
             for node in runnable(waiting, landed, priority):
                 waiting.remove(node)
                 running.append(node)

@@ -79,16 +79,18 @@ class TrainingConfig:
     shuffle: bool = True
     schedule: Optional[LearningRateSchedule] = None
     loss: str = "softmax_cross_entropy"
-    # Number of worker processes used by the *ensemble* trainers to fit
-    # independent members concurrently (repro.parallel).  1 = the serial
-    # in-process path; the single-network Trainer below never forks.
+    # Number of lanes — fits running at a time — the *ensemble* trainers'
+    # pool has (repro.parallel): the calling process fits on one of them, so
+    # ``workers - 1`` processes are spawned.  1 = the serial in-process
+    # path; the single-network Trainer below never forks.
     workers: int = 1
     # Fault tolerance of the parallel path (ignored when workers == 1): a
-    # member task that exceeds ``task_timeout`` seconds in its worker is
-    # treated as hung (the worker is SIGKILLed and evicted), and a failed
-    # task — worker crash, hang, or in-worker exception — is retried up to
-    # ``max_task_retries`` times on a respawned pool slot.  Retried tasks
-    # are bitwise identical to fault-free runs (training is fully seeded).
+    # member task that exceeds ``task_timeout`` seconds on its lane is
+    # treated as hung (a worker is SIGKILLed, evicted and respawned; the
+    # caller's own lane is retired), and a failed task — worker crash, hang,
+    # or an exception inside the fit — is retried up to ``max_task_retries``
+    # times.  Retried tasks are bitwise identical to fault-free runs
+    # (training is fully seeded).
     task_timeout: float = 900.0
     max_task_retries: int = 2
 

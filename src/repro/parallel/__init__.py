@@ -6,8 +6,10 @@ on fresh private queues, ready, evict, bounded backoff, respawn, shutdown —
 is written once; :mod:`repro.parallel.worker` holds the one worker loop):
 
 * **Training** — :class:`ParallelExecutor` runs :class:`MemberTask` fits on
-  one persistent worker pool per run, highest priority first, accepting the
-  follow-up tasks a finished fit unblocks (the trainers' dependency graph).
+  one persistent pool of ``workers`` lanes per run — lane 0 a thread of the
+  calling process, the rest spawned workers — highest priority first,
+  accepting the follow-up tasks a finished fit unblocks (the trainers'
+  dependency graph).
   The training set is published once through POSIX shared memory (:class:`SharedDataset`;
   workers get zero-copy ``np.ndarray`` views), every worker's BLAS pool is
   capped before its numpy import

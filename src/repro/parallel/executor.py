@@ -1,70 +1,87 @@
-"""Fault-tolerant process-based parallel training of ensemble members.
+"""Fault-tolerant parallel training of ensemble members.
 
 :class:`ParallelExecutor` is the engine behind ``TrainingConfig(workers=N)``:
-one persistent, ``spawn``-safe pool of worker processes per training run.
-The workers attach the training set through shared memory exactly once (see
-:mod:`repro.parallel.shared_data`), fit
-:class:`~repro.core.trainer.MemberTask` records with the same
-:func:`~repro.core.trainer.fit_task` the trainers call in-process, and ship
-back :class:`~repro.core.trainer.TrainedNetwork` records.  It runs whatever is
-submitted, highest ``priority`` first, and a result may submit follow-up tasks:
-that is all the pool sees of the trainers' dependency graph (``_run_tasks``).
+one persistent pool of ``N`` *lanes* per training run, each fitting one
+:class:`~repro.core.trainer.MemberTask` at a time with the same
+:func:`~repro.core.trainer.fit_task` the trainers call in-process.  **Lane 0
+is the calling process** — the one that already holds numpy, ``repro`` and the
+training set: a daemon thread (:class:`_CallerLane`) that fits on the caller's
+own arrays and hands its :class:`~repro.core.trainer.TrainedNetwork` over as
+an object.  Lanes ``1..N-1`` are ``spawn``-safe worker processes that attach
+the training set through shared memory exactly once (see
+:mod:`repro.parallel.shared_data`) and ship their networks back packed.  So
+``workers=2`` starts one process, not two, and the first task starts the
+moment :meth:`~ParallelExecutor.train` does instead of after an interpreter
+boot.  The pool runs whatever is submitted, highest ``priority`` first, and a
+result may submit follow-up tasks: that is all it sees of the trainers'
+dependency graph (``_run_tasks``).
 
 Key properties
 --------------
 
 * **Deterministic** — a task record fully determines its fit and outcomes
   come back in submission order.  With matching BLAS thread counts the trained
-  members are *bitwise* identical run to run, in-process to pool, and
-  fault-free to retried-after-a-crash.
+  members are *bitwise* identical run to run, in-process to pool, lane to lane
+  and fault-free to retried-after-a-crash.
 * **No oversubscription** — worker start-up happens inside
   :func:`~repro.utils.parallel.blas_thread_limit`, so every worker's BLAS
   pool is capped (``BLAS_THREADS_PER_WORKER``, one thread) before numpy is
-  imported.
+  imported.  Lane 0 computes on the caller's BLAS pool as it is.
+* **One scheduler** — every lane fills a slot of one
+  :class:`~repro.parallel.supervision.SlotTable` (the supervision core the
+  serving pool runs on as well) and reports into its one ``poll`` wait set;
+  the single-threaded :meth:`~ParallelExecutor.train` loop dispatches,
+  retries, evicts and respawns between polls and never blocks on a fit —
+  lane 0's included.
 * **Fault-tolerant** — a worker crash (SIGKILL, OOM kill, segfault), hang
-  (wedged syscall, infinite loop), or in-process exception does not kill the
-  run.  The workers fill the slots of a
-  :class:`~repro.parallel.supervision.SlotTable` — the same supervision core
-  the serving pool runs on: spawn on fresh private queues, evict, bounded
-  exponential backoff, respawn — which the single-threaded :meth:`train` loop
-  drives between polls.  What is the executor's own is *detection* and what
-  happens to the task: a failed :class:`~repro.core.trainer.MemberTask` is
+  (wedged syscall, infinite loop), or an exception inside any lane's fit does
+  not kill the run: a failed :class:`~repro.core.trainer.MemberTask` is
   retried up to ``max_task_retries`` times, then the run fails with a
-  :class:`RuntimeError` naming the member.  Three signals evict a worker:
+  :class:`RuntimeError` naming the member.  Three signals evict a lane:
 
-  - **process death** — ``Process.is_alive()`` turning false;
+  - **process death** — ``Process.is_alive()`` turning false (lane 0 cannot
+    die alone: it ends with the run's own process);
   - **per-task deadline** — a task running longer than ``task_timeout``
-    seconds marks its worker wedged (a hung worker cannot be asked nicely: it
-    is SIGKILLed).  Tasks only go to slots that are ``ready`` (data set
-    attached), so the clock never runs while an interpreter is still booting;
+    seconds marks its lane wedged.  A hung worker cannot be asked nicely: it
+    is SIGKILLed and respawned under bounded exponential backoff.  A thread
+    cannot be killed at all: lane 0 is *retired* — never dispatched to again,
+    never respawned — and its task retried on a process lane; whichever
+    answer lands first wins.  Tasks only go to slots that are ``ready`` (data
+    set attached), so the clock never runs while an interpreter is booting;
   - **heartbeat loss** — each worker's daemon heartbeat thread pings every
     ``HEARTBEAT_INTERVAL`` seconds; a silent-but-alive process (SIGSTOP,
     scheduler starvation) past ``HEARTBEAT_TIMEOUT`` is treated as wedged.
+    Lane 0 needs none: if the caller is not scheduled, neither is the loop.
 
   A worker that returns a result is healthy again: its next eviction starts
   the backoff over.
-* **Makespan accounting** — :meth:`train` returns the critical-path wall
-  clock of the whole run next to the per-member in-worker seconds, so cost
-  ledgers can report both "total compute" and "time you actually waited".
+* **Makespan accounting** — :meth:`~ParallelExecutor.train` returns the
+  critical-path wall clock of the whole run next to the per-member fit
+  seconds, so cost ledgers can report both "total compute" and "time you
+  actually waited".
 * **Streaming results** — as each task finishes (in completion order)
-  :meth:`train` first asks ``follow_up`` for the tasks the result unblocked
-  and dispatches, then calls ``on_outcome``, which is how checkpointing
-  journals networks to disk *during* the run without idling a worker.  The
-  ``train.worker_ready`` / ``task_dispatched`` / ``task_finished`` events are
-  the run's per-worker timeline.
+  :meth:`~ParallelExecutor.train` first asks ``follow_up`` for the tasks the
+  result unblocked and dispatches, then calls ``on_outcome``, which is how
+  checkpointing journals networks to disk *during* the run without idling a
+  lane.  The ``train.worker_ready`` / ``task_dispatched`` / ``task_finished``
+  events are the run's per-lane timeline (``worker`` is the lane number; lane
+  0 announces itself with ``boot_seconds`` 0).
 """
 
 from __future__ import annotations
 
 import heapq
 import multiprocessing as mp
+import queue
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.trainer import MemberTask, TrainedNetwork
+from repro.core.trainer import MemberTask, TrainedNetwork, fit_task
 from repro.nn.serialization import unpack_model_state
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
@@ -81,18 +98,19 @@ logger = get_logger("parallel.executor")
 # fault-tolerance lifecycle (retries, evictions, respawns, heartbeat misses).
 _metrics = get_registry()
 _TASKS_TOTAL = _metrics.counter(
-    "repro_parallel_tasks_total", "Member-training tasks completed on worker pools."
+    "repro_parallel_tasks_total", "Member-training tasks completed on training pools."
 )
 _TASK_SECONDS = _metrics.counter(
     "repro_parallel_task_seconds_total",
-    "Summed in-worker training seconds of completed pool tasks.",
+    "Summed in-lane training seconds of completed pool tasks.",
 )
 _LAST_MAKESPAN = _metrics.gauge(
     "repro_parallel_last_makespan_seconds",
     "Critical-path wall clock of the most recent parallel training batch.",
 )
 _POOL_WORKERS = _metrics.gauge(
-    "repro_parallel_pool_workers", "Worker processes of the most recent training pool."
+    "repro_parallel_pool_workers",
+    "Lanes (concurrent fits, the caller's included) of the most recent training pool.",
 )
 _TASK_RETRIES = _metrics.counter(
     "repro_training_task_retries_total",
@@ -126,35 +144,117 @@ HEARTBEAT_TIMEOUT = 60.0
 #: First respawn delay of an evicted slot; doubles per consecutive eviction up
 #: to the supervision core's cap, and a returned result starts it over.
 RESTART_BACKOFF = 0.25
-#: How long one scheduler round waits for worker messages.
+#: How long one scheduler round waits for lane messages.
 POLL_INTERVAL = 0.1
 
 
 @dataclass
 class _Dispatch:
-    """Parent-side record of one task currently running on a worker."""
+    """Loop-side record of one task currently running on a lane."""
 
     task_index: int
     attempt: int
-    deadline: float  # monotonic time after which the worker counts as hung
+    deadline: float  # monotonic time after which the lane counts as hung
+
+
+def _pop_live(pending: List[Tuple[float, int]], outcomes: Sequence[object]) -> Optional[int]:
+    """Pop the most urgent task index still unanswered off the ``pending``
+    heap, or ``None`` once it is empty.  An index a late straggler already
+    answered is skipped *here*, so it never costs the lane asking its turn."""
+    while pending:
+        _, task_index = heapq.heappop(pending)
+        if outcomes[task_index] is None:
+            return task_index
+    return None
+
+
+def _died(slot: Slot) -> bool:
+    """Whether the slot's worker process is gone (lane 0 has none to lose)."""
+    return slot.process is not None and not slot.process.is_alive()
+
+
+class _CallerLane:
+    """Lane 0: a daemon thread of the calling process, seen through the two
+    queue ends a worker process has.
+
+    ``tasks`` takes the ``(task_index, attempt, task)`` items a worker's
+    request queue takes (``None`` ends the thread) and the lane itself is the
+    slot's *result queue*: ``SlotTable.poll`` waits on ``_reader`` and drains
+    ``get_nowait()`` exactly as it does a ``multiprocessing.Queue``, so lane 0
+    wakes the same wait the workers do.  Nothing is pickled — a message is an
+    object in a deque, the pipe only carries one wake-up byte for it.
+
+    What a worker has and this has not: no ``fire("train")`` (a train fault
+    can only ever kill a replaceable worker), no heartbeat, no registry
+    snapshot (the fit counts straight into the caller's registry) and no way
+    to be killed — :meth:`close` makes it deliver nothing more and leave after
+    the fit it is in, if any.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.tasks: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._reader, self._writer = mp.Pipe(duplex=False)
+        self._messages: deque = deque()
+        self._lock = threading.Lock()  # closing vs posting
+        self._closed = False
+        self._thread = threading.Thread(
+            target=self._run, args=(x, y), name="repro-train-0", daemon=True
+        )
+        self._thread.start()
+
+    def _run(self, x: np.ndarray, y: np.ndarray) -> None:
+        for task_index, attempt, task in iter(self.tasks.get, None):
+            if self._closed:
+                return
+            try:
+                message = ("result", 0, (task_index, attempt, fit_task(task, x, y), None))
+            except Exception as exc:
+                message = ("error", 0, (task_index, attempt, f"{type(exc).__name__}: {exc}"))
+            with self._lock:
+                if self._closed:
+                    return
+                self._messages.append(message)
+                self._writer.send_bytes(b"\0")
+
+    def get_nowait(self):
+        """The next posted message; ``queue.Empty`` when there is none."""
+        if not self._reader.poll():
+            raise queue.Empty
+        self._reader.recv_bytes()
+        return self._messages.popleft()
+
+    def close(self) -> None:
+        """Stop the lane (idempotent): a fit under way runs to its end — a
+        thread cannot be killed — but is delivered nowhere."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._reader.close()
+            self._writer.close()
+        self.tasks.put(None)
 
 
 class ParallelExecutor:
-    """Persistent spawn-based worker pool over a shared-memory dataset.
+    """Persistent training pool: the caller's lane plus spawned workers over a
+    shared-memory dataset.
 
     Parameters
     ----------
     data:
-        The arrays to publish once for all workers — the trainers pass
-        ``{"x": x_train, "y": y_train}``.
+        The arrays to train on — the trainers pass ``{"x": x_train, "y":
+        y_train}``.  Lane 0 fits on these very arrays; they are published
+        once for the worker processes.
     workers:
-        Number of worker processes.
+        Number of lanes, i.e. fits running at a time: the calling process is
+        one of them, so ``workers - 1`` processes are spawned.
     task_timeout:
-        Per-task deadline in seconds.  A worker that exceeds it is treated
-        as wedged: SIGKILLed, evicted, respawned, and its task retried.
+        Per-task deadline in seconds.  A lane that exceeds it is treated as
+        wedged and its task retried: a worker is SIGKILLed, evicted and
+        respawned, lane 0 is retired for the rest of the pool's life.
     max_task_retries:
-        How many times a failed task (crash, hang, in-worker exception) is
-        re-enqueued before the run fails with an error naming the member.
+        How many times a failed task (crash, hang, exception inside the fit)
+        is re-enqueued before the run fails with an error naming the member.
     """
 
     def __init__(
@@ -173,7 +273,11 @@ class ParallelExecutor:
         self.workers = int(workers)
         self.task_timeout = float(task_timeout)
         self.max_task_retries = int(max_task_retries)
+        self._data = data
         self._shared = SharedDataset(data)
+        # Slot i is lane i.  Slot 0 never gets a process: `_start_lane` fills
+        # it with the caller's thread, and the table only ever spawns, evicts
+        # and stops the others.
         self._table = SlotTable(
             mp.get_context("spawn"),
             [Slot(worker_id) for worker_id in range(self.workers)],
@@ -181,6 +285,7 @@ class ParallelExecutor:
             "repro-train",
             backoff=RESTART_BACKOFF,
         )
+        self._lane: Optional[_CallerLane] = None
         self._last_beat: Dict[int, float] = {}  # worker -> when it last said anything
         self._started = False
         if self.workers * BLAS_THREADS_PER_WORKER > cpu_count():
@@ -193,6 +298,21 @@ class ParallelExecutor:
             )
 
     # ---------------------------------------------------------------- pool
+    def _start_lane(self) -> None:
+        """Fill slot 0 with the caller's own thread: ready at once."""
+        slot = self._table.slots[0]
+        self._lane = _CallerLane(self._data["x"], self._data["y"])
+        slot.request_queue, slot.result_queue, slot.state = self._lane.tasks, self._lane, "ready"
+        log_event("train.worker_ready", worker=0, boot_seconds=0.0)
+
+    def _close_lane(self) -> None:
+        """Take lane 0 out of the wait set for good (see ``_CallerLane.close``)."""
+        if self._lane is not None:
+            slot = self._table.slots[0]
+            slot.request_queue = slot.result_queue = None
+            slot.state = "down"
+            self._lane.close()
+
     def _spawn_worker(self, slot: Slot) -> None:
         # The env cap must surround process creation: spawn children inherit
         # the environment at exec time and size their BLAS pools from it when
@@ -204,19 +324,24 @@ class ParallelExecutor:
         self._last_beat[slot.worker_id] = slot.spawned_at
 
     def _evict_worker(self, slot: Slot, reason: str, member: Optional[str]) -> None:
-        """Take a dead or wedged worker out of rotation and schedule respawn."""
-        exitcode, backoff = self._table.evict(slot)
+        """Take a dead or wedged lane out of rotation: a worker is killed and
+        scheduled for respawn, lane 0 (a thread cannot be killed) is retired —
+        ``down`` with nothing scheduled, so never dispatched to again."""
+        if slot.process is None:
+            slot.state, exitcode, backoff = "down", None, None
+        else:
+            exitcode, backoff = self._table.evict(slot)
         if _metrics.enabled:
             _WORKER_EVICTIONS.labels(reason).inc()
             if reason == "heartbeat":
                 _HEARTBEAT_MISSES.inc()
         logger.error(
-            "training worker %d evicted (%s, exit code %s)%s; respawning in %.2fs",
+            "training lane %d evicted (%s, exit code %s)%s; %s",
             slot.worker_id,
             reason,
             exitcode,
             f" while training {member!r}" if member else "",
-            backoff,
+            "retired" if backoff is None else f"respawning in {backoff:.2f}s",
         )
         log_event(
             "train.worker_evicted",
@@ -224,7 +349,7 @@ class ParallelExecutor:
             reason=reason,
             exitcode=exitcode,
             member=member,
-            restart_in_seconds=round(backoff, 3),
+            restart_in_seconds=None if backoff is None else round(backoff, 3),
         )
 
     # ---------------------------------------------------------------- run
@@ -236,19 +361,22 @@ class ParallelExecutor:
     ) -> Tuple[List[TrainedNetwork], float]:
         """Train every task; returns ``(networks_in_submission_order, makespan)``.
 
-        ``makespan`` is the parent-side wall clock from first submission to
-        last result — the critical path of the run, as opposed to the sum of
-        the per-network ``TrainedNetwork.seconds``.  Pending tasks go to
-        workers highest ``MemberTask.priority`` first, ties in submission
-        order.  Per result, in completion order, ``follow_up(task_index,
-        network)`` yields the tasks that join the run because of it (their
-        indices continue the submission order) and only then
-        ``on_outcome(task_index, network)`` fires — the checkpoint-journal
-        hook; an exception from either aborts the run.
+        ``makespan`` is the caller's wall clock from first submission to last
+        result — the critical path of the run, as opposed to the sum of the
+        per-network ``TrainedNetwork.seconds``.  Pending tasks go to free
+        lanes highest ``MemberTask.priority`` first, ties in submission
+        order; lane 0 — the caller, ready before any worker has booted —
+        stands first, so the head of the critical path starts at once.  Per
+        result, in completion order, ``follow_up(task_index, network)`` yields
+        the tasks that join the run because of it (their indices continue the
+        submission order) and only then ``on_outcome(task_index, network)``
+        fires — the checkpoint-journal hook; an exception from either aborts
+        the run.
         """
         try:
             if not self._started:
-                for slot in self._table.slots:
+                self._start_lane()
+                for slot in self._table.slots[1:]:
                     self._spawn_worker(slot)
                 self._started = True
             start = time.perf_counter()
@@ -273,17 +401,17 @@ class ParallelExecutor:
                 dispatch_pending()
 
             def dispatch_pending() -> None:
-                # Only to workers that reported ready: a task's deadline
-                # starts here, never while its worker is still booting.
+                # Only to lanes that are ready: a task's deadline starts
+                # here, never while its worker is still booting.
                 for slot in self._table.slots:
                     if not pending:
                         break
                     worker_id = slot.worker_id
-                    if worker_id in busy or slot.state != "ready" or not slot.process.is_alive():
+                    if worker_id in busy or slot.state != "ready" or _died(slot):
                         continue
-                    _, task_index = heapq.heappop(pending)
-                    if outcomes[task_index] is not None:
-                        continue  # a late straggler already answered it
+                    task_index = _pop_live(pending, outcomes)
+                    if task_index is None:
+                        break
                     task, attempt = submitted[task_index], attempts[task_index]
                     now = time.monotonic()
                     slot.request_queue.put((task_index, attempt, task))
@@ -329,7 +457,7 @@ class ParallelExecutor:
             for task in tasks:
                 submit(task)
             while done < len(submitted):
-                # 1. Dispatch pending tasks to idle, ready workers.
+                # 1. Dispatch pending tasks to idle, ready lanes.
                 dispatch_pending()
 
                 # 2. Collect messages (ready, results, errors, heartbeats).
@@ -346,9 +474,10 @@ class ParallelExecutor:
                         busy.pop(worker_id, None)
                         self._table.mark_healthy(slot)
                         if outcomes[task_index] is None:
-                            # The model crossed the process boundary packed
-                            # as plain data (worker._worker_main).
-                            outcome.model = unpack_model_state(outcome.model)
+                            if slot.process is not None:
+                                # The model crossed the process boundary packed
+                                # as plain data (worker._worker_main).
+                                outcome.model = unpack_model_state(outcome.model)
                             outcomes[task_index] = outcome
                             done += 1
                             if worker_metrics:
@@ -359,7 +488,7 @@ class ParallelExecutor:
                                 worker=worker_id,
                                 seconds=round(outcome.seconds, 4),
                             )
-                            # Keep the workers fed before anything slower:
+                            # Keep the lanes fed before anything slower:
                             # tasks this result unblocked, then the journal.
                             for task in (follow_up(task_index, outcome) if follow_up else ()):
                                 submit(task)
@@ -376,23 +505,32 @@ class ParallelExecutor:
 
                 now = time.monotonic()
 
-                # 3. Health checks: deaths, deadlines, heartbeat loss.
+                # 3. Health checks: deaths, deadlines, heartbeat loss — of
+                # which only the deadline can befall lane 0 (no process).
                 for slot in self._table.slots:
                     if slot.state == "down":
                         continue
                     worker_id = slot.worker_id
                     dispatch = busy.get(worker_id)
-                    if not slot.process.is_alive():
+                    if _died(slot):
                         reason = "died"
                     elif dispatch is not None and now >= dispatch.deadline:
                         reason = "deadline"
-                    elif now - self._last_beat[worker_id] > HEARTBEAT_TIMEOUT:
+                    elif (
+                        slot.process is not None
+                        and now - self._last_beat[worker_id] > HEARTBEAT_TIMEOUT
+                    ):
                         reason = "heartbeat"
                     else:
                         continue
                     member = None if dispatch is None else submitted[dispatch.task_index].name
                     self._evict_worker(slot, reason, member)
                     busy.pop(worker_id, None)
+                    if self.workers == 1:  # lane 0 was all there is: nothing can retry
+                        raise RuntimeError(
+                            f"training of member {member!r} outran its {self.task_timeout:g}s "
+                            "deadline on the pool's only lane, the calling process"
+                        )
                     if dispatch is not None and outcomes[dispatch.task_index] is None:
                         fail_or_retry(
                             dispatch.task_index,
@@ -418,6 +556,9 @@ class ParallelExecutor:
                     )
 
             makespan = time.perf_counter() - start
+            if self._table.slots[0].state == "down":
+                # Retired mid-run: what it still finishes belongs to no run.
+                self._close_lane()
         except BaseException:
             # A failed run must not hang the caller a second time: waiting
             # for stuck tasks could block forever, so kill the pool outright
@@ -430,7 +571,7 @@ class ParallelExecutor:
             _LAST_MAKESPAN.set(makespan)
             _POOL_WORKERS.set(self.workers)
         logger.info(
-            "trained %d members on %d workers: makespan %.2fs, member-seconds %.2fs"
+            "trained %d members on %d lanes: makespan %.2fs, member-seconds %.2fs"
             "%s",
             len(outcomes),
             self.workers,
@@ -442,6 +583,7 @@ class ParallelExecutor:
 
     # ------------------------------------------------------------- cleanup
     def _shutdown(self, graceful: bool) -> None:
+        self._close_lane()
         self._table.stop(self._table.slots, graceful=graceful)
         self._table.close()
         self._started = False

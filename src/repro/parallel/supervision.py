@@ -1,7 +1,11 @@
 """The one place that knows how a pool slot lives.
 
 A pool — the training executor's or the serving pool's — is a fixed number of
-*slots*, each filled by one ``spawn``-started worker process at a time.
+*slots*, each filled by one ``spawn``-started worker process at a time.  (A
+slot whose ``process`` stays ``None`` is filled by its owner instead — the
+executor's lane 0 is a thread of the calling process: ``poll`` reads its
+``result_queue`` like any other, ``stop`` passes it by, and the owner never
+hands it to ``spawn`` or ``evict``.)
 :class:`SlotTable` holds one :class:`Slot` record per worker and is the only
 code under ``repro.parallel`` that creates a queue or a process.  It is
 passive: no thread, no lock, no logging.  Its owner drives it — the executor
@@ -17,7 +21,8 @@ hands back (exit code, backoff) under its own event and metric names::
     (any but down) -> down evict(): died, wedged (killed here), failed to
                            start — the respawn is scheduled under backoff
     (any) -> down          stop(): drained and asked to exit (a rolled slot's
-                           old worker, pool shutdown) — nothing is scheduled
+                           old worker, pool shutdown) or, still starting,
+                           killed — nothing is scheduled
 
 ``evict`` schedules the respawn ``backoff_delay(failures)`` seconds out —
 ``base`` doubling per consecutive failure up to ``cap`` — and ``due`` lists the
@@ -178,12 +183,16 @@ class SlotTable:
         Graceful: each is sent the ``None`` sentinel — it finishes what is on
         its queue first — and gets ``timeout`` seconds before it is killed.
         Otherwise they are killed outright (the error path, where waiting for
-        in-flight work could block forever).
+        in-flight work could block forever) — and so is, either way, a worker
+        still ``starting``: owners dispatch to ``ready`` slots only, so it
+        holds no work and the sentinel would only be read once its whole boot
+        has been waited out.
         """
         live = [slot for slot in slots if slot.process is not None]
         for slot in live:
+            booting = slot.state == "starting"
             slot.state, slot.down_until = "down", None
-            if not graceful:
+            if booting or not graceful:
                 slot.process.kill()
             elif slot.process.is_alive():
                 try:

@@ -45,7 +45,8 @@ process boundary, never in ``fit_task``:
   never reset);
 * the :func:`repro.faults.fire` ``train`` injection point sits directly
   before the fit for chaos tests — free when ``REPRO_FAULTS`` is unset, and
-  absent from in-process fits, so a train fault can only ever kill a worker.
+  absent from in-process fits and from the executor's lane 0 (the calling
+  process fitting in a thread), so a train fault can only ever kill a worker.
 
 A serving worker answers the dispatches of
 :class:`~repro.parallel.serving.PoolPredictor` entry by entry

@@ -8,6 +8,7 @@ artifact (serving pool / CLI), or both.
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 
 import pytest
 
@@ -33,15 +34,52 @@ def shm_sweep():
 
 
 @pytest.fixture
+def on_event():
+    """``with on_event(name, action):`` runs ``action(fields)`` at every
+    ``name`` event while the block runs — for ``train.*`` events that is
+    inside the executor's ``train()`` loop, at the very point of the schedule
+    the event marks."""
+
+    @contextmanager
+    def hooked(name, action):
+        class Hook(logging.Handler):
+            def emit(self, record):
+                if record.repro_event == name:
+                    action(record.repro_fields)
+
+        events, hook = logging.getLogger(EVENTS_LOGGER_NAME), Hook()
+        events.addHandler(hook)
+        try:
+            yield
+        finally:
+            events.removeHandler(hook)
+
+    return hooked
+
+
+@pytest.fixture
+def lane0_parked(monkeypatch):
+    """Keep the calling process out of the training pool, so every task of a
+    ``workers=N`` run lands on one of its ``N - 1`` worker processes — where
+    ``REPRO_FAULTS`` train faults fire and signals can be sent.  Test-only:
+    slot 0 is simply never filled (it stays ``down`` with nothing scheduled,
+    like a retired lane); the library has no such switch."""
+    from repro.parallel.executor import ParallelExecutor
+
+    monkeypatch.setattr(ParallelExecutor, "_start_lane", lambda self: None)
+
+
+@pytest.fixture
 def train_events():
     """The structured events (``repro.obs.log_event``) emitted while the test
     runs, in order, as ``(event, fields)`` pairs — the same lines a
     ``--log-file`` would hold.
 
     On the way out it checks the invariant every pooled run must keep: a
-    ``train.task_dispatched`` only ever goes to a worker that has said
-    ``train.worker_ready`` since it was last (re)spawned, so no task deadline
-    runs while an interpreter is still booting.
+    ``train.task_dispatched`` only ever goes to a lane that has said
+    ``train.worker_ready`` since it was last (re)spawned — and not been
+    evicted or retired since — so no task deadline runs while an interpreter
+    is still booting.
     """
     records = []
 

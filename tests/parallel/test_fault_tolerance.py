@@ -6,7 +6,10 @@ statelessly, the finished ensemble is *bitwise* identical to a run where
 nothing failed.  A parent killed with ``kill -9`` resumes from the checkpoint
 journal without retraining finished members.  Faults come from the
 ``REPRO_FAULTS`` registry (``repro.faults``), the same mechanism the CI chaos
-job uses.
+job uses.  Train faults only ever fire inside worker processes, so these
+scenarios park the pool's lane 0 — the calling process — with the
+``lane0_parked`` fixture: every task then lands on a process.  What lane 0
+itself does under faults is ``test_caller_lane.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ MEMBERS = ["mlp-base", "mlp-var-001", "mlp-var-002", "mlp-var-003"]
 # In the *mothernets* conftest experiment the first two members equal their
 # cluster's MotherNet (empty hatching plan); mlp-var-002 and mlp-var-003 hatch
 # from mlp-base's fine-tuned weights.  On a pool every one of them — and the
-# MotherNets — is a worker task, the only place train faults can fire.
+# MotherNets — is a pool task; train faults fire on the process lanes only.
 WORKER_TRAINED_MEMBER = "mlp-var-002"
 
 
@@ -79,7 +82,9 @@ def scratch_serial(experiment_dict):
     return run_experiment(_scratch_config(experiment_dict)).run
 
 
-def test_sigkill_mid_member_retries_bitwise(experiment_dict, scratch_serial, monkeypatch):
+def test_sigkill_mid_member_retries_bitwise(
+    experiment_dict, scratch_serial, monkeypatch, lane0_parked
+):
     """A worker SIGKILLed mid-fit is evicted; the retried member is bitwise
     identical to the fault-free run (``attempt=0`` scopes the fault to the
     first attempt, so the retry survives)."""
@@ -95,7 +100,7 @@ def test_sigkill_mid_member_retries_bitwise(experiment_dict, scratch_serial, mon
 
 
 def test_hang_past_deadline_evicts_and_retries_bitwise(
-    experiment_dict, scratch_serial, monkeypatch
+    experiment_dict, scratch_serial, monkeypatch, lane0_parked
 ):
     """A worker wedged past ``task_timeout`` is SIGKILLed by the deadline
     check (its heartbeat thread keeps beating, so only the per-task deadline
@@ -119,12 +124,12 @@ def test_hang_past_deadline_evicts_and_retries_bitwise(
 
 
 def test_silent_worker_is_evicted_on_heartbeat_loss_and_retried_bitwise(
-    experiment_dict, scratch_serial, monkeypatch, train_events
+    experiment_dict, scratch_serial, monkeypatch, train_events, lane0_parked
 ):
     """SIGSTOP a worker the moment it is handed a task: the process stays
     alive and far inside its task deadline, only its heartbeat goes silent.
     The executor evicts it for exactly that (``reason="heartbeat"``), retries
-    the task elsewhere, and the ensemble is bitwise the fault-free run."""
+    the task on its successor, and the ensemble is bitwise the fault-free run."""
     from repro.parallel import executor
 
     monkeypatch.setattr(executor, "HEARTBEAT_INTERVAL", 0.2)
@@ -162,7 +167,7 @@ def test_silent_worker_is_evicted_on_heartbeat_loss_and_retried_bitwise(
 
 
 def test_mothernets_chaos_crash_matches_serial(
-    experiment_dict, serial_result, monkeypatch
+    experiment_dict, serial_result, monkeypatch, lane0_parked
 ):
     """The full MotherNets pipeline (cluster -> train -> hatch -> fine-tune)
     survives a crashed member worker bitwise, super-learner fit included."""
@@ -185,7 +190,7 @@ def test_mothernets_chaos_crash_matches_serial(
 
 @pytest.mark.parametrize("victim", ["mothernet-0", "mlp-base"])
 def test_crash_upstream_of_dependents_retries_bitwise(
-    experiment_dict, serial_result, monkeypatch, train_events, victim
+    experiment_dict, serial_result, monkeypatch, train_events, victim, lane0_parked
 ):
     """MotherNets and aliased members are pool citizens too: crash the first
     attempt of a network other members hatch from (cluster 0's MotherNet, or
@@ -215,7 +220,7 @@ def test_crash_upstream_of_dependents_retries_bitwise(
         assert events.index(("train.task_dispatched", dependent)) > landed
 
 
-def test_retries_exhausted_raises_naming_member(experiment_dict, monkeypatch):
+def test_retries_exhausted_raises_naming_member(experiment_dict, monkeypatch, lane0_parked):
     """A member that fails on every attempt surfaces a clear error naming it
     (no hang, no silent truncation of the ensemble)."""
     monkeypatch.setenv("REPRO_FAULTS", "train_error:member=mlp-var-003")
@@ -237,7 +242,7 @@ def test_in_process_fits_carry_no_train_fault_point(
     _assert_same_members(scratch_serial, run)
 
 
-def test_worker_metrics_merge_into_parent(experiment_dict):
+def test_worker_metrics_merge_into_parent(experiment_dict, lane0_parked):
     """Satellite (a): per-member metrics recorded inside worker processes
     (e.g. epoch counters) ship back with each trained network and accumulate in
     the parent registry."""
@@ -254,23 +259,29 @@ def test_worker_metrics_merge_into_parent(experiment_dict):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="procfs + /dev/shm")
-def test_parent_kill9_then_resume_skips_journaled_members(
-    experiment_dict, scratch_serial, tmp_path
-):
-    """kill -9 the training CLI mid-run: its workers — one of them wedged in
-    a fit — notice and leave by themselves, which lets the resource tracker
-    unlink the published data set; ``--resume`` then restores the journaled
-    members bitwise and only trains the remainder (acceptance criterion)."""
+def test_parent_kill9_then_resume_skips_journaled_members(experiment_dict, tmp_path):
+    """kill -9 the training CLI mid-run: its one worker — wedged in a fit —
+    notices and leaves by itself, which lets the resource tracker unlink the
+    published data set; ``--resume`` then restores the journaled members
+    bitwise and only trains the remainder (acceptance criterion)."""
     shm_before = shm_entries()
-    config = _scratch_config(experiment_dict, workers=2, task_timeout=600.0)
+    # Fits of ~0.6 s: the CLI's lane 0 cannot be parked from here, and on the
+    # conftest run it would fit all four members before the worker is up.
+    config = _scratch_config(
+        experiment_dict, max_epochs=40, min_epochs=40, convergence_patience=40, task_timeout=600.0
+    )
+    config["dataset"] = dict(config["dataset"], train_samples=8192)
+    serial = run_experiment(config).run
+    config["training"]["workers"] = 2
     spec_path = tmp_path / "exp.json"
     spec_path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "artifact"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
-    # The last member hangs far beyond the point where we kill the parent, so
-    # the run is guaranteed to still be alive once earlier members journaled.
-    env["REPRO_FAULTS"] = "train_hang:member=mlp-var-003:seconds=600"
+    # Whichever member reaches the worker hangs far beyond the point where we
+    # kill the parent (train faults fire in workers only), so the run is still
+    # alive once lane 0 has journaled the others.
+    env["REPRO_FAULTS"] = "train_hang:seconds=600"
 
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "train", "--config", str(spec_path),
@@ -293,7 +304,7 @@ def test_parent_kill9_then_resume_skips_journaled_members(
                 pytest.fail("no members journaled within 120s")
             time.sleep(0.05)
         children = child_pids(proc.pid)
-        assert len(children) >= 3  # two workers and the resource tracker
+        assert len(children) == 2  # the one worker and the resource tracker
         proc.kill()  # SIGKILL: no cleanup of any kind runs
         proc.wait(timeout=30)
         assert residue(children, shm_before, timeout=5.0) == ([], [])
@@ -329,7 +340,7 @@ def test_parent_kill9_then_resume_skips_journaled_members(
 
     # ...and the finished artifact is bitwise the fault-free ensemble, with
     # the journal discarded now that the manifest is the commit point.
-    _assert_same_members(scratch_serial, load_ensemble_run(out))
+    _assert_same_members(serial, load_ensemble_run(out))
     assert not (out / "checkpoint").exists()
 
 

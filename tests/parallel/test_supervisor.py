@@ -231,6 +231,7 @@ def test_slot_table_life_cycle_without_a_pool():
 
         table.spawn(slot, "last")
         assert next_message() == [("ready", 0, "last")]
+        slot.state = "ready"
         slot.request_queue.put("pending work is finished before the sentinel")
     finally:
         table.stop(table.slots)
@@ -239,6 +240,66 @@ def test_slot_table_life_cycle_without_a_pool():
     assert answered == [("result", 0, "pending work is finished before the sentinel")]
     assert slot.process.exitcode == 0 and slot.state == "down"
     assert slot.request_queue is None and slot.result_queue is None
+
+
+class _FakeProcess:
+    """What ``SlotTable.stop`` uses of a process, recording what it was told."""
+
+    def __init__(self):
+        self.calls = []
+        self.exitcode = None
+
+    def is_alive(self):
+        return self.exitcode is None
+
+    def kill(self):
+        self.calls.append("kill")
+        self.exitcode = -signal.SIGKILL
+
+    def join(self, timeout=None):
+        self.calls.append("join")
+        if "sentinel" in self.calls:
+            self.exitcode = 0
+
+
+class _FakeQueue:
+    def __init__(self, process):
+        self.process = process
+
+    def put(self, item):
+        assert item is None
+        self.process.calls.append("sentinel")
+
+    def close(self):
+        pass
+
+    join_thread = close
+
+
+@pytest.mark.parametrize(
+    "state, graceful, told",
+    [
+        ("ready", True, ["sentinel", "join"]),
+        ("draining", True, ["sentinel", "join"]),
+        # Owners dispatch to ready slots only: a booting worker holds no work,
+        # and the sentinel would wait out the rest of its boot.
+        ("starting", True, ["kill", "join"]),
+        ("starting", False, ["kill", "join"]),
+        ("ready", False, ["kill", "join"]),
+    ],
+)
+def test_stop_kills_a_worker_that_is_still_starting(state, graceful, told):
+    process = _FakeProcess()
+    slot = Slot(0, process=process, request_queue=_FakeQueue(process), state=state,
+                down_until=123.0)
+    owner_filled = Slot(1, state="ready")  # no process: not the table's to stop
+    table = SlotTable(None, [slot, owner_filled], echo_worker, "fake")
+    table.stop(table.slots, graceful=graceful)
+    assert process.calls == told
+    assert (slot.state, slot.down_until) == ("down", None)
+    assert owner_filled.state == "ready"
+    table.close()
+    assert slot.request_queue is None
 
 
 def test_pool_validation_of_supervisor_parameters(saved_artifact):
