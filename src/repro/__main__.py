@@ -14,9 +14,9 @@ configs and ``.npy`` tensors, with no Python required:
   self-healing multi-process worker pool; ``--mode queue`` publishes jobs on
   a partitioned broker answered by an autoscaled fleet of consumers;
 * ``repro fleet-worker --broker host:port --artifact artifact/`` — one fleet
-  consumer: attaches to a queue-mode front's broker and answers jobs through
-  its own worker pool (the front spawns these itself; run them by hand to
-  add capacity from other terminals or hosts);
+  consumer: attaches to a queue-mode front's broker and answers its leased
+  jobs one at a time with an in-process predictor (the front spawns these
+  itself; run them by hand to add capacity from other terminals or hosts);
 * ``repro inspect --artifact artifact/`` — summarise an artifact, including
   training phase makespans and per-member training-history summaries; for a
   generation-versioned store, also the lineage and promotion ledger;
@@ -103,7 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8765, help="TCP port (0 picks an ephemeral port)"
     )
-    serve.add_argument("--workers", type=int, default=2, help="worker processes")
+    serve.add_argument(
+        "--workers", type=int, default=None, help="pool worker processes (default 2; queue mode: 1)"
+    )
     serve.add_argument(
         "--method",
         default="average",
@@ -153,12 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--max-consumers", type=int, default=4, help="autoscaler's consumer cap"
-    )
-    fleet.add_argument(
-        "--consumer-workers",
-        type=int,
-        default=None,
-        help="pool workers per consumer (default: --workers)",
     )
     fleet.add_argument(
         "--visibility-timeout",
@@ -228,7 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "fleet-worker",
-        help="run one fleet consumer against a queue-mode serve front's broker",
+        help="run one fleet consumer (one process, one job at a time, in-process "
+        "predictor) against a queue-mode serve front's broker",
     )
     worker.add_argument(
         "--broker",
@@ -244,16 +241,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="stable consumer name (default: fleet-<pid>)",
     )
-    worker.add_argument("--workers", type=int, default=1, help="pool worker processes")
     worker.add_argument(
         "--method",
         default="average",
         help="default combination method: average | vote | super_learner",
     )
     worker.add_argument("--batch-size", type=int, default=256)
-    worker.add_argument(
-        "--max-batch", type=int, default=1024, help="micro-batch row cap per dispatch"
-    )
     worker.add_argument(
         "--metrics-interval",
         type=float,
@@ -412,6 +405,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.events import configure_logging, enable_events
     from repro.parallel.server import run_server
 
+    if args.workers is None:
+        args.workers = 1 if args.mode == "queue" else 2
+    if args.mode == "queue" and args.workers != 1:
+        raise ValueError("queue mode runs --workers 1: scale --min-consumers / --max-consumers")
     configure_logging(fmt=args.log_format, force=True, log_file=args.log_file)
     enable_events()
     if args.mode == "queue":
@@ -424,11 +421,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             method=args.method,
             min_consumers=args.min_consumers,
             max_consumers=args.max_consumers,
-            consumer_workers=(
-                args.workers if args.consumer_workers is None else args.consumer_workers
-            ),
             batch_size=args.batch_size,
-            max_batch=args.max_batch,
             spawn_local=not args.no_local_consumers,
             autoscale=not args.no_autoscale,
             autoscale_cooldown=args.autoscale_cooldown,
@@ -490,10 +483,8 @@ def _cmd_fleet_worker(args: argparse.Namespace) -> int:
         broker,
         args.artifact,
         consumer_id=consumer_id,
-        workers=args.workers,
         method=args.method,
         batch_size=args.batch_size,
-        max_batch=args.max_batch,
         metrics_interval=args.metrics_interval,
     ).start()
 
@@ -512,7 +503,6 @@ def _cmd_fleet_worker(args: argparse.Namespace) -> int:
                 "consumer": consumer_id,
                 "broker": f"{host}:{port}",
                 "pid": os.getpid(),
-                "workers": args.workers,
                 "artifact": str(args.artifact),
             }
         ),

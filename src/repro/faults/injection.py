@@ -10,14 +10,15 @@ Grammar
 Each spec is ``<point>_<action>`` followed by ``:key=value`` qualifiers:
 
 * ``point`` names the injection site: ``train`` (the training worker's
-  member entrypoint), ``serve`` (the serving worker's request loop),
-  ``serve_shm_write`` (the serving worker on the shm transport, *after*
-  inference but *before* the result is written to its arena slot — the
-  nastiest moment for a crash, since the dispatcher has regions reserved
-  for a descriptor that will never arrive), ``fleet_consume`` (a fleet
-  consumer after leasing a job, before inference — a crash strands the
-  leased job until the broker's visibility timeout redelivers it), or
-  ``fleet_ack`` (after inference, before the ack — a crash loses a
+  member entrypoint), ``serve`` (the serving pool worker's request loop —
+  pool mode only), ``serve_shm_write`` (the serving pool worker on the shm
+  transport, *after* inference but *before* the result is written to its
+  arena slot — the nastiest moment for a crash, since the dispatcher has
+  regions reserved for a descriptor that will never arrive; pool mode
+  only), ``fleet_consume`` (a fleet consumer after leasing a job, before
+  inference — a crash strands the leased job until the broker's visibility
+  timeout redelivers it; a hang wedges the consumer until the front kills
+  it), or ``fleet_ack`` (after inference, before the ack — a crash loses a
   *computed* result; at-least-once redelivery recomputes it elsewhere).
 * ``action`` is what happens when the spec fires:
 

@@ -11,9 +11,10 @@ at-least-once job broker:
   consumer dies mid-job; served cross-process via
   :func:`~repro.fleet.broker.serve_broker` / :func:`~repro.fleet.broker.connect_broker`;
 * **consumers** (:class:`~repro.fleet.consumer.FleetConsumer`, the
-  ``repro fleet-worker`` CLI) — each one runs the existing
-  :class:`~repro.parallel.serving.PoolPredictor` unchanged, so fleet
-  results stay bitwise identical to single-process serving.
+  ``repro fleet-worker`` CLI) — each one is a single serving lane that
+  answers one leased job at a time with its own in-process
+  :class:`~repro.api.predictor.EnsemblePredictor`, so fleet results stay
+  bitwise identical to single-process serving.
 
 Scaling policy lives in :class:`~repro.fleet.autoscaler.Autoscaler`:
 queue-depth + windowed-p99 signals, hysteresis, and cooldown.

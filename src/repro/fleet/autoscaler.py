@@ -14,7 +14,7 @@ Two mechanisms keep it from flapping:
   immediately justify shrinking back.
 * **Cooldown** — after any action the scaler holds still for
   ``cooldown_seconds``, long enough for the new capacity to show up in the
-  signals (a freshly spawned consumer takes seconds to warm its pool).
+  signals (a freshly spawned consumer takes seconds to load its predictor).
 
 The class is deliberately mechanism-free: it reads signals through a
 callable and acts through ``scale_up``/``scale_down`` callbacks, with an

@@ -190,6 +190,8 @@ class InProcBroker:
             i: None for i in range(self.partitions)
         }
         self._rotation: Dict[str, int] = {}
+        # Consumers the sweeper detached for silence, until take_reaped().
+        self._reaped: List[str] = []
         self._redeliveries = 0
         # Control channel: one monotonically-increasing revision, the latest
         # command (later posts supersede earlier ones — consumers converge on
@@ -262,9 +264,17 @@ class InProcBroker:
         del self._consumers[consumer_id]
         self._consumer_order.remove(consumer_id)
         self._rotation.pop(consumer_id, None)
+        if reason == "deadline":
+            self._reaped.append(consumer_id)
         self._rebalance()
         log_event("fleet.consumer_detached", consumer=consumer_id, reason=reason)
         self._cond.notify_all()
+
+    def take_reaped(self) -> List[str]:
+        """Consumers detached for missing ``consumer_deadline`` since the last call."""
+        with self._lock:
+            reaped, self._reaped = self._reaped, []
+            return reaped
 
     def _rebalance(self) -> None:
         """Round-robin partitions over attached consumers (lock held)."""
@@ -455,8 +465,8 @@ class InProcBroker:
     ) -> Optional[Tuple[int, Dict[str, Any]]]:
         """The current command if newer than ``after``, else ``None``.
 
-        Also refreshes the consumer's keepalive — a consumer stalled rolling
-        its pool through a swap is alive, not reap-worthy.
+        Also refreshes the consumer's keepalive — a consumer polling for
+        control between jobs is alive, not reap-worthy.
         """
         with self._cond:
             now = time.monotonic()

@@ -1,28 +1,29 @@
-"""Fleet consumer: lease prediction jobs, run them on a ``PoolPredictor``.
+"""Fleet consumer: lease prediction jobs, answer them in-process.
 
-One :class:`FleetConsumer` is one horizontal unit of serving capacity.  It
-attaches to the broker (in-process object or a
+One :class:`FleetConsumer` is one horizontal unit of serving capacity: one
+serving lane.  It attaches to the broker (in-process object or a
 :func:`~repro.fleet.broker.connect_broker` proxy — the loop cannot tell the
-difference), leases jobs from its assigned partitions, answers them through
-the *existing* multi-process :class:`~repro.parallel.serving.PoolPredictor`
-(shared-memory arenas, micro-batching, and the self-healing supervisor all
-reused unchanged), and acks each result back.  Results are therefore **bitwise
-identical** to a single-process ``EnsemblePredictor`` on the same rows — the
+difference), leases one job at a time from its assigned partitions, answers
+it with its own warm :class:`~repro.api.predictor.EnsemblePredictor` — loaded
+once, in this process: with one job in flight a worker pool could only add a
+process hop — and acks the result back.  Results are therefore **bitwise
+identical** to a single-process ``EnsemblePredictor`` on the same rows; the
 queue tier adds scheduling, never arithmetic.
 
 Fleet-wide observability: alongside each ack the consumer periodically ships
 a *delta* snapshot of its ``repro.obs`` registry (``metrics_interval``
 throttled, counters/histograms accumulate on merge), so the front's
-``/metrics`` aggregates request latency and pool-supervisor activity across
-every consumer in the fleet without scraping N processes.
+``/metrics`` aggregates consumer activity across the fleet without scraping
+N processes.
 
 Chaos hooks: ``repro.faults`` injection points ``fleet_consume`` (after the
 lease, before inference — a crash here strands a leased job, exercising
-visibility-timeout redelivery) and ``fleet_ack`` (after inference, before
-the ack — a crash here loses a *computed* result, the worst case for
-exactly-once pretenders; at-least-once redelivery recomputes it).  Context
-fields ``consumer``, ``job`` and ``attempt`` (0-based delivery index) are
-matchable as ``REPRO_FAULTS`` qualifiers.
+visibility-timeout redelivery; a hang wedges the consumer until the front
+kills it) and ``fleet_ack`` (after inference, before the ack — a crash here
+loses a *computed* result, the worst case for exactly-once pretenders;
+at-least-once redelivery recomputes it).  Context fields ``consumer``,
+``job`` and ``attempt`` (0-based delivery index) are matchable as
+``REPRO_FAULTS`` qualifiers.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from repro.api.predictor import EnsemblePredictor
 from repro.faults import fire
 from repro.fleet.broker import InProcBroker, Job
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
-from repro.parallel.serving import PoolPredictor
 from repro.utils.logging import get_logger
 
 logger = get_logger("fleet.consumer")
@@ -52,18 +53,19 @@ __all__ = ["FleetConsumer"]
 
 
 class FleetConsumer:
-    """Run one serving pool against broker partitions until stopped.
+    """Answer broker partitions with one in-process predictor until stopped.
 
     ``broker`` is an :class:`~repro.fleet.broker.InProcBroker` or anything
     that duck-types it — the in-process object in tests, a manager proxy in
     ``repro fleet-worker``.  ``close()`` drains first: the loop stops
     leasing, the in-flight job (if any) finishes and acks, then the consumer
-    detaches and the pool shuts down — the same mechanism a scale-down rides.
-    Artifact hot-swaps arrive as broker *control* messages: between jobs the
-    loop polls :meth:`~repro.fleet.broker.InProcBroker.get_control`, applies
-    ``{"op": "swap", ...}`` by rolling its own pool
-    (:meth:`~repro.parallel.serving.PoolPredictor.swap`), and acks the
-    revision so the front can tell when the fleet has converged.
+    detaches — the same mechanism a scale-down rides.  Artifact hot-swaps
+    arrive as broker *control* messages: between jobs the loop polls
+    :meth:`~repro.fleet.broker.InProcBroker.get_control`, applies
+    ``{"op": "swap", "generation": N}`` with
+    :meth:`~repro.api.predictor.EnsemblePredictor.reload` (a no-op when N is
+    already served; a failed reload leaves the old generation serving) and
+    acks the revision so the front can tell when the fleet has converged.
     """
 
     def __init__(
@@ -71,33 +73,21 @@ class FleetConsumer:
         broker: InProcBroker,
         artifact: Union[str, Path],
         consumer_id: str,
-        workers: int = 1,
         method: str = "average",
         batch_size: int = 256,
-        max_batch: int = 1024,
-        max_wait_ms: float = 2.0,
         lease_timeout: float = 0.5,
         metrics_interval: float = 1.0,
-        restart_workers: bool = True,
     ):
         self.consumer_id = str(consumer_id)
         self.broker = broker
         self.lease_timeout = float(lease_timeout)
         self.metrics_interval = float(metrics_interval)
-        self.pool = PoolPredictor(
-            artifact,
-            workers=workers,
-            method=method,
-            batch_size=batch_size,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            restart_workers=restart_workers,
-        )
+        self.predictor = EnsemblePredictor.load(artifact, method=method, batch_size=batch_size)
         self._stop = threading.Event()
         self._last_metrics_ship = 0.0
         # Highest broker control revision this consumer has applied (or
-        # deliberately skipped at start-up — the pool just loaded CURRENT, so
-        # a pre-existing swap command is already satisfied).
+        # deliberately skipped at start-up — the predictor just loaded
+        # CURRENT, so a pre-existing swap command is already satisfied).
         self._control_revision = 0
         self._thread = threading.Thread(
             target=self._run, name=f"repro-fleet-consumer-{consumer_id}", daemon=True
@@ -106,11 +96,11 @@ class FleetConsumer:
     def start(self) -> "FleetConsumer":
         self.broker.attach(self.consumer_id)
         try:
-            # Skip any control revision posted before we existed: our pool
-            # loaded the store's CURRENT pointer moments ago, so an older
-            # swap broadcast is already satisfied (an autoscaler replacement
-            # consumer must not redundantly roll its freshly-warm workers) —
-            # but it still needs acking or the front would wait on us.
+            # Skip any control revision posted before we existed: the
+            # predictor loaded the store's CURRENT pointer moments ago, so an
+            # older swap broadcast is already satisfied (an autoscaler
+            # replacement consumer must not redundantly reload) — but it
+            # still needs acking or the front would wait on us.
             status = self.broker.control_status()
             self._control_revision = int(status.get("revision", 0))
             if self._control_revision > 0:
@@ -148,8 +138,8 @@ class FleetConsumer:
         """Apply any control command posted since the last lease cycle.
 
         Runs between jobs, never mid-job: the job in flight finishes (and
-        acks its result computed on the *old* generation) before the pool
-        rolls, so no response ever mixes generations.
+        acks its result computed on the *old* generation) before the
+        predictor reloads, so no response ever mixes generations.
         """
         pending = self.broker.get_control(self.consumer_id, self._control_revision)
         if pending is None:
@@ -172,26 +162,24 @@ class FleetConsumer:
 
     def _apply_control(self, command: Dict[str, object]) -> None:
         op = command.get("op")
-        if op == "swap":
-            generation = command.get("generation")
-            summary = self.pool.swap(
-                generation=int(generation) if generation is not None else None
-            )
-            log_event(
-                "fleet.consumer_swapped",
-                consumer=self.consumer_id,
-                generation=summary["generation"],
-                workers_respawned=summary["workers_respawned"],
-            )
-        else:
+        if op != "swap":
             raise ValueError(f"unknown control op {op!r}")
+        generation = command.get("generation")
+        if generation is not None and int(generation) == self.predictor.generation:
+            return
+        self.predictor.reload(generation=None if generation is None else int(generation))
+        log_event(
+            "fleet.consumer_swapped",
+            consumer=self.consumer_id,
+            generation=self.predictor.generation,
+        )
 
     def _handle(self, job: Job) -> None:
         attempt = max(0, job.deliveries - 1)
         fire("fleet_consume", consumer=self.consumer_id, job=job.job_id, attempt=attempt)
         try:
             payload = job.payload
-            proba = self.pool.predict_proba(payload["x"], method=payload.get("method"))
+            proba = self.predictor.predict_proba(payload["x"], method=payload.get("method"))
         except Exception as exc:
             _CONSUMED.labels("error").inc()
             try:
@@ -236,9 +224,8 @@ class FleetConsumer:
 
     def close(self) -> None:
         """Drain and shut down (idempotent): stop leasing, finish the job in
-        flight, detach from the broker, close the pool."""
+        flight, detach from the broker."""
         if self._stop.is_set() and not self._thread.is_alive():
-            self.pool.close()
             return
         self._stop.set()
         if self._thread.is_alive():
@@ -247,7 +234,6 @@ class FleetConsumer:
             self.broker.detach(self.consumer_id)
         except (EOFError, ConnectionError, OSError):  # pragma: no cover
             pass
-        self.pool.close()
         log_event("fleet.consumer_stopped", consumer=self.consumer_id)
 
     def __enter__(self) -> "FleetConsumer":

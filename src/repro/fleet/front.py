@@ -13,15 +13,15 @@ local :class:`~repro.parallel.serving.PoolPredictor`.  It owns:
 * a **local consumer manager** that keeps ``desired`` consumer subprocesses
   (``repro fleet-worker`` against the loopback broker address) running —
   reconciling every ``reconcile_interval``: dead consumers are respawned,
-  surplus ones are SIGTERMed and drain gracefully;
+  wedged ones (reaped by the broker) are SIGKILLed first, surplus ones are
+  SIGTERMed and drain gracefully;
 * the **autoscaler** (:class:`~repro.fleet.autoscaler.Autoscaler`) steering
   ``desired`` between ``min_consumers`` and ``max_consumers`` from queue
   depth and windowed p99 job latency.
 
 Client calls (`submit` / `result` / `predict_proba`) are thread-safe; each
 blocks only on its own job's future.  Results are bitwise identical to a
-single-process ``EnsemblePredictor`` because the consumers run the proven
-``PoolPredictor`` path unchanged.
+single-process ``EnsemblePredictor`` because each consumer answers with one.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.fleet.autoscaler import Autoscaler, AutoscaleSignals
 from repro.fleet.broker import InProcBroker, serve_broker
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry, quantile_from_counts
-from repro.parallel.supervision import backoff_delay
 from repro.utils.logging import get_logger
 
 logger = get_logger("fleet.front")
@@ -84,7 +83,9 @@ class _LocalConsumer:
 class FleetFront:
     """Producer front over a partitioned broker plus managed consumers.
 
-    With ``spawn_local=False`` no consumer subprocesses are started (and the
+    A consumer is one serving lane (one process answering one job at a
+    time), so capacity is ``min_consumers``..``max_consumers``.  With
+    ``spawn_local=False`` no consumer subprocesses are started (and the
     autoscaler stays off) — the caller attaches its own consumers, in
     process or via the broker address; this is how the chaos tests drive
     externally-SIGKILLed `fleet-worker` processes.
@@ -102,7 +103,6 @@ class FleetFront:
         max_consumers: int = 4,
         consumer_workers: int = 1,
         batch_size: int = 256,
-        max_batch: int = 1024,
         spawn_local: bool = True,
         autoscale: bool = True,
         autoscale_cooldown: float = 10.0,
@@ -124,6 +124,10 @@ class FleetFront:
             raise ValueError("min_consumers must be at least 1")
         if max_consumers < min_consumers:
             raise ValueError("need min_consumers <= max_consumers")
+        # Accepted only as 1 because benchmarks/e2e/probes.py passes it; the
+        # parameter goes once a benchmark-only change stops passing it.
+        if consumer_workers != 1:
+            raise ValueError("consumer_workers must be 1; scale with min_consumers / max_consumers")
         # Like the pool: resolve the (possibly store-layout) path once, keep
         # the caller's root in self.path so swap() can re-resolve CURRENT.
         self.path = Path(artifact)
@@ -132,9 +136,7 @@ class FleetFront:
         self.method = method
         self.min_consumers = int(min_consumers)
         self.max_consumers = int(max_consumers)
-        self.consumer_workers = int(consumer_workers)
         self.batch_size = int(batch_size)
-        self.max_batch = int(max_batch)
         self.request_timeout = float(request_timeout)
         self.result_ttl = float(result_ttl)
         self.spawn_local = bool(spawn_local)
@@ -348,14 +350,10 @@ class FleetFront:
             str(self.path),
             "--consumer-id",
             consumer_id,
-            "--workers",
-            str(self.consumer_workers),
             "--method",
             self.method,
             "--batch-size",
             str(self.batch_size),
-            "--max-batch",
-            str(self.max_batch),
         ]
         if self._log_format is not None:
             argv += ["--log-format", self._log_format]
@@ -380,9 +378,10 @@ class FleetFront:
         # Only asked while a failure streak is open: it ends once the fleet
         # is whole again and every local consumer has attached.
         attached = set(self.broker.control_status()["consumers"]) if self._spawn_failures else ()
+        wedged = set(self.broker.take_reaped())
         with self._lock:
             desired = self._desired
-            # Prune exited processes; escalate draining stragglers.
+            # Prune exited processes; kill wedged ones and draining stragglers.
             survivors: List[_LocalConsumer] = []
             for consumer in self._local:
                 code = consumer.process.poll()
@@ -394,6 +393,9 @@ class FleetFront:
                         draining=consumer.draining,
                     )
                     if not consumer.draining:
+                        # Not at module level: fleet-worker must not load repro.parallel.
+                        from repro.parallel.supervision import backoff_delay
+
                         logger.warning(
                             "local consumer %s exited unexpectedly (code %s)",
                             consumer.consumer_id,
@@ -405,11 +407,15 @@ class FleetFront:
                         self._spawn_hold = now + backoff_delay(self._spawn_failures)
                         self._spawn_failures += 1
                     continue
-                if (
-                    consumer.draining
-                    and consumer.kill_at is not None
-                    and now > consumer.kill_at
-                ):  # pragma: no cover - drain wedged
+                if consumer.draining:
+                    if consumer.kill_at is not None and now > consumer.kill_at:
+                        consumer.process.kill()  # pragma: no cover - drain wedged
+                elif consumer.consumer_id in wedged:
+                    # Attached, then silent past the broker's deadline: hung in
+                    # a job already redelivered (a booting consumer never
+                    # attached, so is never reaped).  Killed, it exits on a
+                    # later tick and is relaunched under the spawn backoff.
+                    log_event("fleet.consumer_wedged", consumer=consumer.consumer_id)
                     consumer.process.kill()
                 survivors.append(consumer)
             self._local = survivors
@@ -479,12 +485,12 @@ class FleetFront:
         Re-resolves the front's artifact path (picking up the store's moved
         ``CURRENT`` pointer, or the explicit ``generation``), posts a
         ``{"op": "swap"}`` control message on the broker, and blocks until
-        every currently-attached consumer has acknowledged rolling its pool
-        — consumers keep leasing and answering jobs throughout, each
-        response computed entirely on one generation.  Consumers that attach
-        mid-swap (autoscaler replacements) load the new ``CURRENT`` directly
-        and ack without rolling.  Raises ``RuntimeError`` on a failed
-        consumer ack or on timeout.
+        every currently-attached consumer has acknowledged reloading its
+        predictor between two jobs — consumers keep leasing and answering
+        jobs throughout, each response computed entirely on one generation.
+        Consumers that attach mid-swap (autoscaler replacements) load the new
+        ``CURRENT`` directly and ack without reloading.  Raises
+        ``RuntimeError`` on a failed consumer ack or on timeout.
         """
         if self._closed:
             raise RuntimeError("FleetFront is closed")
@@ -581,7 +587,7 @@ class FleetFront:
 
     # ---------------------------------------------------------- health / info
     def wait_ready(self, timeout: float = 180.0) -> None:
-        """Block until ``min_consumers`` consumers are attached (pool-warm)."""
+        """Block until ``min_consumers`` consumers are attached (predictor-warm)."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if self.broker.consumer_count() >= self.min_consumers:

@@ -104,19 +104,26 @@ class SlotTable:
 
     def spawn(self, slot: Slot, *args) -> None:
         """(Re)start the slot's worker on fresh private queues, closing the
-        predecessor's; the slot is ``starting`` until its owner sees ``ready``."""
+        predecessor's; the slot is ``starting`` until its owner sees ``ready``.
+
+        A ``start()`` that raises propagates with the slot's process and
+        state as they were — ``slot.process`` only ever holds a started
+        process, so a later ``stop`` cannot trip over one that never ran and
+        mask the error.
+        """
         old_queues = (slot.request_queue, slot.result_queue)
         slot.request_queue, slot.result_queue = self._ctx.Queue(), self._ctx.Queue()
         for queue in old_queues:
             if queue is not None:
                 queue.close()
-        slot.process = self._ctx.Process(
+        process = self._ctx.Process(
             target=self._target,
             args=(slot.worker_id, *args, slot.request_queue, slot.result_queue),
             daemon=True,
             name=f"{self._name}-{slot.worker_id}",
         )
-        slot.process.start()
+        process.start()
+        slot.process = process
         slot.state, slot.down_until, slot.spawned_at = "starting", None, time.monotonic()
 
     def evict(self, slot: Slot, restart: bool = True) -> Tuple[Optional[int], float]:

@@ -1,7 +1,8 @@
-"""Chaos test for the queue tier: a fleet consumer is crash-injected
-(SIGKILL, no cleanup) mid-stream; the broker must redeliver its jobs to the
-surviving consumer and every request must be answered bitwise identically to
-the single-process predictor — zero dropped requests.
+"""Chaos tests for the queue tier: a fleet consumer is crash-injected
+(SIGKILL, no cleanup) mid-stream, or wedged mid-job; the broker must
+redeliver its jobs to the surviving consumer and every request must be
+answered bitwise identically to the single-process predictor — zero dropped
+requests.
 
 The consumers run as real ``repro fleet-worker`` subprocesses because the
 ``crash`` fault action kills its whole process, exactly like an OOM kill.
@@ -20,7 +21,8 @@ import pytest
 
 from repro.api import EnsemblePredictor
 from repro.fleet import FleetFront
-from tests.procs import child_pids, residue, shm_entries
+from repro.fleet.broker import _JOBS
+from tests.procs import child_pids, is_running, residue, shm_entries
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -44,8 +46,6 @@ def _spawn_worker(broker_address, artifact, consumer_id, faults=None):
             str(artifact),
             "--consumer-id",
             consumer_id,
-            "--workers",
-            "1",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
@@ -88,9 +88,9 @@ def test_consumer_crash_redelivers_with_zero_dropped_requests(
         while front.broker.consumer_count() < 2 and time.monotonic() < deadline:
             time.sleep(0.05)
         assert front.broker.consumer_count() == 2
-        chaos_children = child_pids(chaos.pid)  # its pool worker + resource tracker
-        assert len(chaos_children) == 2
-        shm_not_chaos = {name for name in shm_entries() if f"-{chaos.pid}-" not in name}
+        # A consumer is one process: no pool worker, no arena, no tracker.
+        assert child_pids(chaos.pid) == [] and child_pids(survivor.pid) == []
+        shm_before = shm_entries()
 
         # 16 jobs round-robin over 4 partitions: the chaos consumer owns two
         # of them, so it sees ~8 jobs and cannot survive the stream.
@@ -105,9 +105,8 @@ def test_consumer_crash_redelivers_with_zero_dropped_requests(
         # The crash actually happened and the broker actually redelivered.
         assert chaos.wait(timeout=30) == -signal.SIGKILL
         assert front.broker.redeliveries() >= 1
-        # The crashed consumer ran no cleanup: its pool worker has to notice
-        # the parent is gone and leave, and its arena goes with it.
-        assert residue(chaos_children, shm_not_chaos, timeout=5.0) == ([], [])
+        # The crashed consumer ran no cleanup and had nothing to clean.
+        assert not shm_entries() - shm_before
         stats = front.broker.stats()
         assert stats["depth"] == 0 and stats["inflight"] == 0
     finally:
@@ -150,3 +149,64 @@ def test_fleet_worker_drains_cleanly_on_sigterm(saved_artifact, serial_result):
             worker.kill()
             worker.wait(timeout=10)
         front.close()
+
+
+def test_a_wedged_local_consumer_is_killed_and_replaced(
+    saved_artifact, serial_result, monkeypatch
+):
+    """A local consumer hung mid-job holds no child to time out: the broker
+    detaches it once it misses its consumer deadline, the survivor answers
+    the redelivered job bitwise — once — and the front SIGKILLs the wedged
+    process and relaunches a successor in its place."""
+    # Inherited by the consumers the front spawns; only the first matches.
+    monkeypatch.setenv("REPRO_FAULTS", "fleet_consume_hang:consumer=local-0:seconds=600")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    reference = EnsemblePredictor.load(saved_artifact)
+    x = serial_result.dataset.x_test
+    completed = _JOBS.labels("completed").value
+    duplicates = _JOBS.labels("duplicate_ack").value
+    shm_before = shm_entries()
+    front = FleetFront(
+        saved_artifact,
+        partitions=2,
+        visibility_timeout=1.0,
+        min_consumers=2,
+        max_consumers=2,
+        autoscale=False,
+        reconcile_interval=0.1,
+    )
+    pids = []
+    try:
+        front.wait_ready(timeout=120)
+        with front._lock:
+            local = {c.consumer_id: c.process.pid for c in front._local}
+        wedged = local["local-0"]
+        pids = list(local.values())
+        assert [child_pids(pid) for pid in pids] == [[], []]
+
+        # Round-robin over both partitions: local-0 leases one job and hangs.
+        batches = [x[i * 4 : i * 4 + 4] for i in range(8)]
+        job_ids = [front.submit(batch) for batch in batches]
+        results = [front.result(job_id, timeout=120) for job_id in job_ids]
+        for batch, proba in zip(batches, results):
+            assert np.array_equal(proba, reference.predict_proba(batch))
+        assert front.broker.redeliveries() >= 1
+        assert _JOBS.labels("completed").value - completed == len(batches)
+        assert _JOBS.labels("duplicate_ack").value == duplicates
+
+        deadline = time.monotonic() + 60
+        while True:
+            fleet = front.local_consumers()
+            if (
+                wedged not in fleet["pids"]
+                and fleet["running"] == 2
+                and front.broker.consumer_count() == 2
+            ):
+                break
+            assert time.monotonic() < deadline, fleet
+            time.sleep(0.1)
+        assert not is_running(wedged)
+        pids += fleet["pids"]
+    finally:
+        front.close()
+    assert residue(pids, shm_before, timeout=5.0) == ([], [])

@@ -1,11 +1,11 @@
-"""Zero-downtime hot-swap in queue mode: a fleet control broadcast rolls
-every consumer's pool while client traffic keeps flowing.
+"""Zero-downtime hot-swap in queue mode: a fleet control broadcast reloads
+every consumer's predictor between jobs while client traffic keeps flowing.
 
 Same kill-style guarantee as ``tests/parallel/test_hot_swap.py``, one tier
 up: during :meth:`FleetFront.swap` no request is dropped and every response
 is bitwise-equal to a cold-started predictor on either the old or the new
-generation — never a mix within one request — across *multiple* consumer
-processes converging at their own pace.
+generation — never a mix within one request — across *multiple* consumers
+converging at their own pace.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ def test_fleet_swap_under_fire_converges_all_consumers(swap_store, refs):
             front.broker,
             swap_store.root,
             consumer_id=f"c{i}",
-            workers=1,
             metrics_interval=3600.0,
         ).start()
         for i in range(2)
@@ -122,7 +121,7 @@ def test_fleet_swap_under_fire_converges_all_consumers(swap_store, refs):
         assert front.info()["generation"] == 1
         assert front.healthz()["generation"] == 1
         for consumer in consumers:
-            assert consumer.pool.generation == 1
+            assert consumer.predictor.generation == 1
         status = front.broker.control_status()
         assert {"c0", "c1"} <= set(status["acks"])
         assert all(ack["ok"] for ack in status["acks"].values())
@@ -153,7 +152,7 @@ def test_fleet_swap_without_pointer_move_is_a_noop(swap_store):
 def test_consumer_attaching_late_acks_without_rolling(swap_store, refs):
     """A consumer that joins after a swap broadcast loads the promoted
     CURRENT at construction, so it acks the pending control revision on
-    start() instead of rolling a pool that is already on the right
+    start() instead of reloading a predictor that is already on the right
     generation (the front would otherwise wait on it forever)."""
     probe, _, ref1 = refs
     swap_store.promote(1)
@@ -166,19 +165,65 @@ def test_consumer_attaching_late_acks_without_rolling(swap_store, refs):
             front.broker,
             swap_store.root,
             consumer_id="late",
-            workers=1,
             metrics_interval=3600.0,
-        ).start()
+        )
+        loaded = consumer.predictor._served
+        consumer.start()
         try:
             acks = front.broker.control_status()["acks"]
             assert acks["late"]["revision"] == revision
             assert acks["late"]["ok"] is True
-            assert consumer.pool.generation == 1
-            assert consumer.pool.info()["swaps"] == 0  # never rolled
             np.testing.assert_array_equal(
                 front.predict_proba(probe[:8], timeout=60), ref1[:8]
             )
+            # Its lease loop has polled the control channel since: still the
+            # generation it was built with, never reloaded.
+            assert consumer.predictor.generation == 1
+            assert consumer.predictor._served is loaded
         finally:
             consumer.close()
     finally:
+        front.close()
+
+
+def _ack_of(front, consumer_id, command):
+    """Post ``command`` and wait for ``consumer_id``'s ack of it."""
+    revision = front.broker.post_control(command)
+    deadline = time.monotonic() + 60
+    while True:
+        ack = front.broker.control_status()["acks"].get(consumer_id)
+        if ack is not None and ack["revision"] == revision:
+            return ack
+        assert time.monotonic() < deadline, f"{consumer_id} never acked {command}"
+        time.sleep(0.02)
+
+
+def test_swap_to_the_served_generation_is_a_noop_and_a_failed_one_keeps_serving(
+    swap_store, refs
+):
+    """A swap onto the generation a consumer already serves acks without
+    reloading; one it cannot load is refused in its ack, and the generation
+    it served before keeps answering, bitwise."""
+    probe, ref0, _ = refs
+    swap_store.promote(0)
+    front = FleetFront(
+        swap_store.root, partitions=1, spawn_local=False, autoscale=False
+    )
+    consumer = FleetConsumer(
+        front.broker, swap_store.root, consumer_id="c", metrics_interval=3600.0
+    ).start()
+    loaded = consumer.predictor._served
+    try:
+        assert _ack_of(front, "c", {"op": "swap", "generation": 0})["ok"] is True
+        assert consumer.predictor._served is loaded
+
+        ack = _ack_of(front, "c", {"op": "swap", "generation": 7})
+        assert ack["ok"] is False and "FileNotFoundError" in ack["detail"]
+        assert consumer.predictor.generation == 0
+        assert consumer.predictor._served is loaded
+        np.testing.assert_array_equal(
+            front.predict_proba(probe[:8], timeout=60), ref0[:8]
+        )
+    finally:
+        consumer.close()
         front.close()

@@ -1,9 +1,12 @@
 """FleetFront against an in-process consumer: bitwise parity with the
 single-process predictor, sync and async result paths, and validation."""
 
+import multiprocessing as mp
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,6 @@ def fleet(saved_artifact):
         front.broker,
         saved_artifact,
         consumer_id="inproc",
-        workers=1,
         metrics_interval=3600.0,
     ).start()
     yield front
@@ -51,6 +53,39 @@ def test_predict_proba_bitwise_equals_single_process(fleet, reference, serial_re
         fleet.predict(x[:16], method="vote", timeout=60),
         reference.predict(x[:16], method="vote"),
     )
+
+
+@pytest.mark.parametrize("method", ["average", "vote", "super_learner"])
+def test_every_method_bitwise_equals_single_process(fleet, reference, serial_result, method):
+    x = serial_result.dataset.x_test[:24]
+    assert np.array_equal(
+        fleet.predict_proba(x, method=method, timeout=60),
+        reference.predict_proba(x, method=method),
+    )
+
+
+def test_a_consumer_is_one_process(fleet, serial_result):
+    """The consumer answers in the calling process: no pool, so no child."""
+    fleet.predict_proba(serial_result.dataset.x_test[:4], timeout=60)
+    assert mp.active_children() == []
+
+
+def test_a_consumer_does_not_load_the_serving_pool():
+    """What a fleet-worker imports leaves the pool, the shm transport and the
+    supervision core (all of ``repro.parallel``) unloaded."""
+    code = (
+        "import sys, repro.fleet.broker, repro.fleet.consumer; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.parallel')))"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    assert loaded.strip() == "[]"
 
 
 def test_async_submit_poll_lifecycle(fleet, reference, serial_result):
@@ -100,6 +135,8 @@ def test_constructor_rejects_bad_configuration(saved_artifact):
         FleetFront(saved_artifact, min_consumers=3, max_consumers=1, spawn_local=False)
     with pytest.raises(ValueError):
         FleetFront(saved_artifact, method="nonsense", spawn_local=False)
+    with pytest.raises(ValueError, match="min_consumers / max_consumers"):
+        FleetFront(saved_artifact, consumer_workers=2, spawn_local=False)
 
 
 def test_broker_full_submit_cleans_up_its_entry(saved_artifact):

@@ -181,6 +181,16 @@ def test_fleet_metrics_exposed_on_the_front(server):
     assert 'repro_fleet_consumed_jobs_total{status="ok"}' in body
 
 
+def test_queue_mode_refuses_more_than_one_worker(saved_artifact, capsys):
+    """A consumer is one serving lane: asking queue mode for a wider one is
+    an error that names the knob that adds capacity, before anything starts."""
+    from repro.__main__ import main
+
+    argv = ["serve", "--artifact", str(saved_artifact), "--mode", "queue", "--port", "0"]
+    assert main(argv + ["--workers", "2"]) == 1
+    assert "--min-consumers / --max-consumers" in capsys.readouterr().err
+
+
 def test_queue_serve_shuts_down_cleanly_on_sigterm(server):
     proc, _ = server
     assert proc.poll() is None

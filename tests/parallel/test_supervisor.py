@@ -7,15 +7,16 @@ import multiprocessing as mp
 import os
 import signal
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.api import EnsemblePredictor
-from repro.parallel import PoolPredictor
+from repro.parallel import ParallelExecutor, PoolPredictor
 from repro.parallel.supervision import Slot, SlotTable, backoff_delay
-from tests.procs import echo_worker
+from tests.procs import echo_worker, shm_entries
 
 
 def _wait_for(predicate, timeout, interval=0.05):
@@ -300,6 +301,32 @@ def test_stop_kills_a_worker_that_is_still_starting(state, graceful, told):
     assert owner_filled.state == "ready"
     table.close()
     assert slot.request_queue is None
+
+
+def test_a_worker_that_cannot_start_raises_its_own_error(saved_artifact, monkeypatch):
+    """``Process.start`` failing (a script without a ``__main__`` guard, no
+    fork left) must reach the caller as itself — not as the ``can only join a
+    started process`` of a cleanup that trips over the unstarted process —
+    and leave no thread, process or ``/dev/shm`` entry behind, from either
+    owner of a slot table."""
+    from multiprocessing.context import SpawnProcess
+
+    def refuse(self):
+        raise OSError("cannot start a worker here")
+
+    threads_before = set(threading.enumerate())
+    shm_before = shm_entries()
+    monkeypatch.setattr(SpawnProcess, "start", refuse)
+    with pytest.raises(OSError, match="cannot start a worker here"):
+        PoolPredictor(saved_artifact, workers=2)
+    data = {"x": np.zeros((8, 3), dtype=np.float32), "y": np.zeros(8, dtype=np.int64)}
+    with pytest.raises(OSError, match="cannot start a worker here"):
+        ParallelExecutor(data, workers=2).train([])
+    assert mp.active_children() == []
+    assert _wait_for(lambda: set(threading.enumerate()) <= threads_before, timeout=10.0), (
+        set(threading.enumerate()) - threads_before
+    )
+    assert shm_entries() == shm_before
 
 
 def test_pool_validation_of_supervisor_parameters(saved_artifact):
