@@ -123,11 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "requests while every worker is busy (never waited on an idle pool)",
     )
     serve.add_argument(
-        "--no-restart",
-        action="store_true",
-        help="disable the pool supervisor's automatic worker respawn",
-    )
-    serve.add_argument(
         "--log-format",
         choices=("json", "text"),
         default="json",
@@ -446,7 +441,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
-            restart_workers=not args.no_restart,
         )
     # run_server closes the backend, however it ends.
     return run_server(
@@ -457,7 +451,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         method=args.method,
-        restart_workers=not args.no_restart,
     )
 
 

@@ -9,17 +9,15 @@ Grammar
 
 Each spec is ``<point>_<action>`` followed by ``:key=value`` qualifiers:
 
-* ``point`` names the injection site: ``train`` (the training worker's
-  member entrypoint), ``serve`` (the serving pool worker's request loop —
-  pool mode only), ``serve_shm_write`` (the serving pool worker on the shm
-  transport, *after* inference but *before* the result is written to its
-  arena slot — the nastiest moment for a crash, since the dispatcher has
-  regions reserved for a descriptor that will never arrive; pool mode
-  only), ``fleet_consume`` (a fleet consumer after leasing a job, before
-  inference — a crash strands the leased job until the broker's visibility
-  timeout redelivers it; a hang wedges the consumer until the front kills
-  it), or ``fleet_ack`` (after inference, before the ack — a crash loses a
-  *computed* result; at-least-once redelivery recomputes it elsewhere).
+* ``point`` names the injection site, one of :data:`POINTS`: ``train``
+  (the training worker's member entrypoint), ``serve`` (the serving pool
+  worker's request loop — pool mode only), ``fleet_consume`` (a fleet
+  consumer after leasing a job, before inference — a crash strands the
+  leased job until the broker's visibility timeout redelivers it; a hang
+  wedges the consumer until the front kills it), or ``fleet_ack`` (after
+  inference, before the ack — a crash loses a *computed* result;
+  at-least-once redelivery recomputes it elsewhere).  Any other point is
+  refused, so a misspelt fault fails loudly instead of never firing.
 * ``action`` is what happens when the spec fires:
 
   - ``crash`` — the process SIGKILLs itself (indistinguishable from an OOM
@@ -66,6 +64,7 @@ from repro.utils.logging import get_logger
 logger = get_logger("faults")
 
 ENV_VAR = "REPRO_FAULTS"
+POINTS = ("train", "serve", "fleet_consume", "fleet_ack")
 ACTIONS = ("crash", "hang", "error")
 
 __all__ = [
@@ -74,6 +73,7 @@ __all__ = [
     "FaultError",
     "FaultSpec",
     "InjectedFault",
+    "POINTS",
     "active_plan",
     "fire",
     "parse_faults",
@@ -139,6 +139,11 @@ def parse_faults(value: str) -> List[FaultSpec]:
             raise FaultError(
                 f"bad fault name {name!r}: expected <point>_<action> with action "
                 f"in {'/'.join(ACTIONS)}"
+            )
+        if point not in POINTS:
+            raise FaultError(
+                f"unknown fault point {point!r} in {name!r}: expected one of "
+                f"{'/'.join(POINTS)}"
             )
         qualifiers: Dict[str, str] = {}
         after = 0

@@ -25,17 +25,17 @@ is written once; :mod:`repro.parallel.worker` holds the one worker loop):
   and respawned under bounded backoff; a hot-swap is a supervised roll).
   Exposed over HTTP by ``python -m repro serve``
   (:func:`repro.parallel.server.run_server`), including Prometheus
-  ``GET /metrics`` and a degrading ``GET /healthz``.  The data plane has
-  one wire format: every entry of a dispatch travels as a reference into the
-  worker's shared-memory arena (:class:`ShmArena`) or, when the arena cannot
-  place it, inline; ``transport="pickle"`` is the all-inline case of the same
-  code — a pool without arenas, kept as the tests' and the benchmark's
-  reference.
+  ``GET /metrics`` and a degrading ``GET /healthz``.  A dispatch entry's
+  rows travel as a reference into the worker's shared-memory arena
+  (:class:`ShmArena`) or, when the arena cannot place them, inline; results
+  always come back inline as raw bytes.  ``transport="pickle"`` is the
+  all-inline case of the same code — a pool without arenas, kept as the
+  tests' and the benchmark's reference.
 """
 
 from repro.parallel.executor import MemberTask, ParallelExecutor
 from repro.parallel.shared_data import AttachedDataset, SharedArrayMeta, SharedDataset
-from repro.parallel.shm_transport import ArenaMeta, ShmArena
+from repro.parallel.shm_transport import ShmArena
 from repro.parallel.serving import PoolPredictor
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "SharedDataset",
     "AttachedDataset",
     "SharedArrayMeta",
-    "ArenaMeta",
     "ShmArena",
     "MemberTask",
     "PoolPredictor",

@@ -327,7 +327,6 @@ def run_server(
     port: int = 8765,
     workers: int = 2,
     method: str = "average",
-    restart_workers: bool = True,
     startup_timeout: float = 180.0,
 ) -> int:
     """Serve ``backend`` over HTTP until SIGINT/SIGTERM; returns the process
@@ -339,11 +338,10 @@ def run_server(
     Prints one machine-readable JSON line (``{"event": "serving", ...}``)
     once the backend is warm and the socket is bound — with ``--port 0``
     this is how callers learn the ephemeral port (and, in queue mode, the
-    broker address fleet workers attach to).  ``artifact``, ``workers``,
-    ``method`` and ``restart_workers`` are only reported, there and in the
-    ``serve.started`` event.  Lifecycle transitions (start, worker
-    death/respawn, stop) are structured events on the log the caller
-    configured.
+    broker address fleet workers attach to).  ``artifact``, ``workers`` and
+    ``method`` are only reported, there and in the ``serve.started`` event.
+    Lifecycle transitions (start, worker death/respawn, stop) are structured
+    events on the log the caller configured.
 
     A queue-mode front that spawns its own consumers gets up to
     ``startup_timeout`` seconds for ``min_consumers`` of them to attach
@@ -399,7 +397,6 @@ def run_server(
         mode=mode,
         workers=workers,
         artifact=str(artifact),
-        restart_workers=restart_workers,
     )
     try:
         server.serve_forever(poll_interval=0.2)

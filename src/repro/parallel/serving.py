@@ -41,10 +41,10 @@ stopping the supervisor first — cannot race a spawn.
 
 * *Self-healing.*  A dead worker, or one holding a dispatch past
   ``dispatch_timeout`` (wedged: it is SIGKILLed), is evicted: its in-flight
-  requests fail promptly and — when ``restart_workers`` is on (the default) —
-  the slot is respawned from the artifact directory under the core's bounded
-  exponential backoff (``restart_backoff`` doubling per consecutive failed
-  attempt up to ``restart_backoff_max``; reaching ``ready`` starts it over).
+  requests fail promptly and the slot is respawned from the artifact
+  directory under the core's bounded exponential backoff
+  (``restart_backoff`` doubling per consecutive failed attempt up to
+  ``restart_backoff_max``; reaching ``ready`` starts it over).
   :meth:`healthz` reports ``degraded`` while capacity is reduced and returns
   to ``ok`` once the respawned worker has its predictor warm again; every
   transition is a structured event (``serve.worker_died`` /
@@ -61,24 +61,23 @@ stopping the supervisor first — cannot race a spawn.
   (:mod:`repro.parallel.worker`), so a SIGKILLed server leaves no orphan
   pinning its ``/dev/shm`` segments.
 
-Wire format (one, whatever the transport): a dispatch is ``(generation,
-entries)`` with one entry per request, and every entry names its rows either
-as a reference ``(offset, shape, dtype)`` into the worker's shared-memory
-arena (:class:`~repro.parallel.shm_transport.ShmArena`) — the rows were
-copied there once, the queue carries about a hundred bytes — or as the array
-itself, *inline*; its probabilities come back the same two ways, into a
-result region reserved at dispatch or inline (:func:`~repro.parallel.worker.
-answer_entry`), and the collector copies them out and frees both regions with
-the reply, so clients always get ordinary owned arrays.  An entry goes inline
-exactly when its reservation fails — a request bigger than the whole arena, a
-ring momentarily full — each half on its own, nothing already reserved is
-rolled back, and no request is ever refused for size.  ``transport="pickle"``
-is the all-inline case of the same code: a pool that owns no arena, kept
+Data plane: a dispatch is a list of ``(request_id, rows, method)`` entries,
+one per request.  Each entry names its rows either as a reference ``(offset,
+shape, dtype)`` into the worker's shared-memory arena
+(:class:`~repro.parallel.shm_transport.ShmArena`) — the rows were copied
+there once, the queue carries about a hundred bytes — or as the array itself,
+*inline*, when the arena cannot place them (a request bigger than the whole
+arena, an arena momentarily full); no request is ever refused for size.  The
+probabilities come back inline as raw bytes (:func:`~repro.parallel.worker.
+answer_entry`) and the collector rebuilds one owned array per reply.  A
+region belongs to its request: it is recorded on the request at dispatch and
+freed when the request resolves, whichever way.  ``transport="pickle"`` is
+the all-inline case of the same code: a pool that owns no arena, kept
 constructible as the bitwise oracle of the tests and the baseline the
-benchmark times the arenas against.  Like its queues, a worker's arena is
-private and lives exactly as long as the worker: every spawn retires the old
-one wholesale (unlinked and closed) and gives the successor a fresh
-generation, so a SIGKILL mid-slot-write can never wedge the dispatcher or leak
+benchmark times the arenas against.  Like its queues, a worker's arena lives
+exactly as long as the worker: every spawn retires the old one wholesale
+(unlinked and closed), which reclaims whatever regions a dead worker's
+requests still held, so a SIGKILL can never wedge the dispatcher or leak
 ``/dev/shm`` segments.
 """
 
@@ -104,7 +103,7 @@ from repro.core.artifact_store import ARTIFACT_GENERATION, served_artifact
 from repro.core.ensemble import resolve_combination_method
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
-from repro.parallel.shm_transport import RESULT_ITEMSIZE, ShmArena
+from repro.parallel.shm_transport import ShmArena
 from repro.parallel.supervision import Slot, SlotTable
 from repro.parallel.worker import _serving_worker_main
 from repro.utils.logging import get_logger
@@ -167,21 +166,15 @@ _WORKER_HANGS = _metrics.counter(
 _TRANSPORT_BYTES = _metrics.counter(
     "repro_serve_transport_bytes_total",
     "Bytes crossing the parent<->worker queues, by the pool's transport and "
-    "direction: references cost their pickled size, inline tensors their "
-    "bytes on top.",
+    "direction: row references cost their pickled size, inline rows their "
+    "bytes on top; results are always inline.",
     ("transport", "direction"),
 )
 _TRANSPORT_FALLBACKS = _metrics.counter(
     "repro_serve_transport_fallbacks_total",
-    "Halves of a dispatch entry (its rows, its result) that found no room in "
-    "the worker's arena and travelled inline instead.",
+    "Dispatch entries whose rows found no room in the worker's arena and "
+    "travelled inline instead.",
     ("reason",),
-)
-_TRANSPORT_PHASE = _metrics.histogram(
-    "repro_serve_transport_phase_seconds",
-    "Transport phases: placing a dispatch's rows (request_copy), copying a "
-    "result out of the arena (response_copy).",
-    ("transport", "phase"),
 )
 _SWAPS = _metrics.counter(
     "repro_swap_total", "Artifact hot-swaps attempted by the pool.", ("status",)
@@ -225,6 +218,9 @@ class _Request:
     # Set together, under the pool lock, when the dispatcher claims a worker.
     worker_id: Optional[int] = None
     dispatched: float = 0.0
+    arena: Optional[ShmArena] = None
+    # Where the dispatcher placed the rows in ``arena``; freed on resolve.
+    rows_offset: Optional[int] = None
 
     @property
     def rows(self) -> int:
@@ -293,10 +289,6 @@ class PoolPredictor:
 
     Resilience parameters
     ---------------------
-    restart_workers:
-        When true (default), dead workers are automatically respawned from
-        the artifact directory; when false the pool only evicts them (the
-        pre-supervisor behaviour).
     restart_backoff / restart_backoff_max:
         Initial and maximum delay before respawning, doubling per consecutive
         failed attempt (a worker that reaches "ready" resets its backoff).
@@ -304,7 +296,7 @@ class PoolPredictor:
         How often the supervisor thread health-checks the workers.
     worker_wait:
         How long a dispatch waits for *some* worker to become available
-        before failing its requests, when respawn is enabled.
+        before failing its requests.
     dispatch_timeout:
         Per-dispatch deadline in seconds.  A worker holding a request in
         flight longer than this is treated as *wedged* (hung in a syscall,
@@ -315,16 +307,13 @@ class PoolPredictor:
     Transport parameters
     --------------------
     transport:
-        ``"shm"`` (default) gives every worker a shared-memory arena: rows
-        and probabilities travel as references into it, and only what the
-        arena cannot place travels inline.  ``"pickle"`` is the pool without
-        arenas — every entry inline through the same code — kept as the
-        reference the tests and the benchmark compare against; both produce
-        bitwise-identical predictions.
-    arena_slots:
-        Arena capacity in units of ``max_batch``-row dispatches.  A single
-        request larger than ``max_batch`` rows takes several slots' worth of
-        contiguous bytes; one that exceeds the whole arena travels inline.
+        ``"shm"`` (default) gives every worker a shared-memory arena sized
+        for four ``max_batch``-row dispatches: request rows travel as
+        references into it, and only rows the arena cannot place travel
+        inline.  ``"pickle"`` is the pool without arenas — every entry inline
+        through the same code — kept as the reference the tests and the
+        benchmark compare against; both produce bitwise-identical
+        predictions.  Results travel inline either way.
     """
 
     def __init__(
@@ -338,14 +327,12 @@ class PoolPredictor:
         warm: bool = True,
         request_timeout: float = 300.0,
         startup_timeout: float = 180.0,
-        restart_workers: bool = True,
         restart_backoff: float = 0.5,
         restart_backoff_max: float = 30.0,
         supervise_interval: float = 0.25,
         worker_wait: float = 60.0,
         dispatch_timeout: float = 120.0,
         transport: str = "shm",
-        arena_slots: int = 4,
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -363,8 +350,6 @@ class PoolPredictor:
                 f"unknown transport {transport!r}; valid choices: "
                 + ", ".join(repr(t) for t in TRANSPORTS)
             )
-        if arena_slots < 1:
-            raise ValueError("arena_slots must be positive")
 
         # Resolve the (possibly store-layout) artifact path once: workers
         # spawn from the concrete generation directory, while self.path keeps
@@ -382,8 +367,6 @@ class PoolPredictor:
         self.max_wait_ms = float(max_wait_ms)
         self.request_timeout = float(request_timeout)
         self.transport = transport
-        self.arena_slots = int(arena_slots)
-        self.restart_workers = bool(restart_workers)
         self.supervise_interval = float(supervise_interval)
         self.worker_wait = float(worker_wait)
         self.dispatch_timeout = float(dispatch_timeout)
@@ -478,26 +461,18 @@ class PoolPredictor:
 
     def _spawn(self, slot: _PoolSlot) -> None:
         """Start the slot's worker from the artifact the pool serves *now*,
-        on a fresh arena generation next to the table's fresh queues.
+        on a fresh arena next to the table's fresh queues.
 
-        The arena is replaced wholesale for the queues' reason: a SIGKILL
-        mid-slot-write leaves regions reserved for replies that will never
-        arrive.  The old generation is retired — unlinked and closed — on
-        the spot.  Supervisor thread only (and the constructor).
+        The arena is replaced wholesale for the queues' reason: a worker
+        that died with requests in flight leaves regions nobody will free.
+        The old one is retired — unlinked and closed — on the spot.
+        Supervisor thread only (and the constructor).
         """
         served = self._artifact
         if self.transport == "shm":
-            old_arena = slot.arena
-            slot.arena = ShmArena(
-                slot.worker_id,
-                max_batch=self.max_batch,
-                feature_size=prod(served.input_shape),
-                num_classes=served.num_classes,
-                slots=self.arena_slots,
-                generation=0 if old_arena is None else old_arena.generation + 1,
-            )
-            if old_arena is not None:
-                old_arena.retire()
+            if slot.arena is not None:
+                slot.arena.retire()
+            slot.arena = ShmArena(slot.worker_id, self.max_batch, prod(served.input_shape))
         slot.generation = served.generation
         self._table.spawn(
             slot,
@@ -505,7 +480,7 @@ class PoolPredictor:
             self.method,
             self.batch_size,
             self.warm,
-            slot.arena.meta if slot.arena is not None else None,
+            slot.arena.name if slot.arena is not None else None,
         )
 
     def _post(self) -> None:
@@ -536,7 +511,7 @@ class PoolPredictor:
             for request in group:
                 self._resolve(request.request_id, exception=error)
             return
-        item = self._build_dispatch(slot, group)
+        item = self._build_dispatch(group)
         # Counted before the worker can see the item, so a client that
         # has its answer also finds its dispatch in the metrics.
         if _metrics.enabled:
@@ -556,12 +531,12 @@ class PoolPredictor:
         :func:`dispatch_reason`, and otherwise sleeps until a request
         arrives, a worker goes idle or the group's deadline passes.  The
         worker is picked and claimed (its ``load`` raised, the requests
-        stamped with it) under the one lock hold: a slot the supervisor turns
-        ``draining`` or ``down`` — under the same lock — either already owns
-        the group, and answers it or has it failed with the rest of its
-        in-flight requests, or is never picked.  With respawn enabled a group
-        that finds no ready worker waits up to ``worker_wait`` for capacity
-        to come back before it gives up (``slot`` is ``None``).
+        stamped with it and its arena) under the one lock hold: a slot the
+        supervisor turns ``draining`` or ``down`` — under the same lock —
+        either already owns the group, and answers it or has it failed with
+        the rest of its in-flight requests, or is never picked.  A group that
+        finds no ready worker waits up to ``worker_wait`` for capacity to
+        come back before it gives up (``slot`` is ``None``).
         """
         group: List[_Request] = []
         rows = 0
@@ -596,91 +571,59 @@ class PoolPredictor:
                 if slot is not None:
                     for request in group:
                         request.worker_id, request.dispatched = slot.worker_id, now
+                        request.arena = slot.arena
                     slot.load += len(group)
                     self._next_worker = (slot.worker_id + 1) % self.workers
                     return group, rows, reason, slot
                 if give_up is None:
                     give_up = now + self.worker_wait
-                if self._closed or not self.restart_workers or now >= give_up:
+                if self._closed or now >= give_up:
                     return group, rows, reason, None
                 self._wake.wait(give_up - now)
 
     # ------------------------------------------------------------ data plane
-    def _build_dispatch(self, slot: _PoolSlot, group: List[_Request]) -> tuple:
-        """Encode a micro-batch for the slot's request queue (the format is
+    def _build_dispatch(self, group: List[_Request]) -> List[tuple]:
+        """Encode a micro-batch for the worker's request queue (the format is
         :func:`repro.parallel.worker.answer_entry`'s).
 
-        Each request's rows are written into the worker's arena and a result
-        region is reserved for its probabilities; a half the arena cannot
-        place (a ring momentarily full, a request bigger than the whole
-        arena, no arena at all on ``transport="pickle"``) travels inline
-        instead — on its own: what is already reserved stays reserved.
+        Each request's rows are written into the arena it was claimed with,
+        and the region is recorded on the request, which frees it when it
+        resolves; rows the arena cannot place (a request bigger than the
+        whole arena, an arena momentarily full, no arena at all on
+        ``transport="pickle"``) travel inline instead.
         """
-        arena = slot.arena
         entries: List[tuple] = []
-        with _TRANSPORT_PHASE.labels(self.transport, "request_copy").time():
-            for request in group:
-                rows, result_offset = request.x, None
-                result_capacity = request.rows * self.num_classes * RESULT_ITEMSIZE
-                if arena is not None:
-                    rows_offset = arena.write_request(rows)
-                    if rows_offset is not None:
-                        rows = (rows_offset, rows.shape, str(rows.dtype))
-                    else:
-                        _TRANSPORT_FALLBACKS.labels("request_ring_full").inc()
-                    result_offset = arena.alloc_result(result_capacity)
-                    if result_offset is None:
-                        _TRANSPORT_FALLBACKS.labels("result_ring_full").inc()
-                entries.append(
-                    (request.request_id, rows, request.method, result_offset, result_capacity)
-                )
-        item = (None if arena is None else arena.generation, entries)
+        for request in group:
+            rows = request.x
+            if request.arena is not None:
+                request.rows_offset = request.arena.write_request(rows)
+                if request.rows_offset is not None:
+                    rows = (request.rows_offset, rows.shape, str(rows.dtype))
+                else:
+                    _TRANSPORT_FALLBACKS.labels("request_ring_full").inc()
+            entries.append((request.request_id, rows, request.method))
         if _metrics.enabled:
-            _TRANSPORT_BYTES.labels(self.transport, "request").inc(_wire_nbytes(item))
-        return item
+            _TRANSPORT_BYTES.labels(self.transport, "request").inc(_wire_nbytes(entries))
+        return entries
 
-    def _collect_result(self, worker_id: int, payload: tuple) -> None:
-        """Resolve one dispatch's replies: copy each result out of the arena
-        (or take it as it came, inline), free the regions the reply names.
-
-        Replies from a *retired* arena generation (a worker that answered
-        after its death was already handled and its arena swapped) are
-        resolved for any still-waiting future but never touch the successor
-        arena's book-keeping — stale offsets must not free live regions.
-        """
-        generation, replies = payload
-        arena = self._slots[worker_id].arena
-        live = arena is not None and arena.generation == generation
+    def _collect_result(self, replies: List[tuple]) -> None:
+        """Resolve one dispatch's replies, each result rebuilt from its raw
+        bytes into one owned array."""
         if _metrics.enabled:
-            _TRANSPORT_BYTES.labels(self.transport, "response").inc(_wire_nbytes(payload))
-        for request_id, rows_offset, result_offset, proba, error in replies:
-            if isinstance(proba, tuple):  # a reference: written at result_offset
-                if not live:
-                    # Stale generation — the death handler already failed the
-                    # future; the retired arena was reclaimed wholesale.
-                    continue
-                try:
-                    with _TRANSPORT_PHASE.labels(self.transport, "response_copy").time():
-                        proba = arena.read_result(result_offset, *proba)
-                except RuntimeError as exc:
-                    # The arena was retired between the liveness check and the
-                    # copy (a concurrent respawn); the collector must outlive
-                    # any such race, and this future's client gets the same
-                    # worker-died story the death handler tells.
-                    error = f"serving worker {worker_id} arena retired mid-reply: {exc}"
-            if live:
-                arena.free_request(rows_offset)
-                arena.free_result(result_offset)
+            _TRANSPORT_BYTES.labels(self.transport, "response").inc(_wire_nbytes(replies))
+        for request_id, proba, error in replies:
             if error is not None:
                 self._resolve(request_id, exception=RuntimeError(error))
             else:
-                self._resolve(request_id, result=proba)
+                shape, dtype, data = proba
+                result = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+                self._resolve(request_id, result=result)
 
     def _collect_loop(self) -> None:
         while not self._stop_collector.is_set():
             for kind, worker_id, payload in self._table.poll(0.2):
                 if kind == "result":
-                    self._collect_result(worker_id, payload)
+                    self._collect_result(payload)
                 elif kind == "ready":
                     # The worker finished loading its predictor.
                     slot = self._slots[worker_id]
@@ -788,8 +731,7 @@ class PoolPredictor:
     def _evict(self, slot: _PoolSlot) -> None:
         """Take a dead worker out of dispatch, fail its in-flight requests,
         schedule its respawn."""
-        restart = self.restart_workers
-        exitcode, backoff = self._table.evict(slot, restart=restart)
+        exitcode, backoff = self._table.evict(slot)
         with self._lock:
             orphaned = [
                 request.request_id
@@ -798,18 +740,19 @@ class PoolPredictor:
             ]
         _WORKER_DEATHS.inc()
         logger.error(
-            "serving worker %d died (exit code %s); failing %d in-flight requests%s",
+            "serving worker %d died (exit code %s); failing %d in-flight requests, "
+            "respawning in %.1fs",
             slot.worker_id,
             exitcode,
             len(orphaned),
-            f", respawning in {backoff:.1f}s" if restart else "",
+            backoff,
         )
         log_event(
             "serve.worker_died",
             worker=slot.worker_id,
             exitcode=exitcode,
             inflight_failed=len(orphaned),
-            restart_in_seconds=backoff if restart else None,
+            restart_in_seconds=backoff,
         )
         error = RuntimeError(f"serving worker {slot.worker_id} died")
         for request_id in orphaned:
@@ -885,7 +828,7 @@ class PoolPredictor:
         rolled worker fails to load the new generation, on timeout (default
         ``startup_timeout`` per worker) or when the pool is closed meanwhile,
         and refuses generations whose input shape or class count differ from
-        the serving pool's (the shared-memory arenas are sized for them).
+        the serving pool's (the shared-memory arenas are sized for its rows).
         """
         if self._closed:
             raise RuntimeError("PoolPredictor is closed")
@@ -977,6 +920,8 @@ class PoolPredictor:
         }
 
     def _resolve(self, request_id: int, result=None, exception=None) -> None:
+        """Answer a request once — a late reply for one already failed finds
+        nothing — and free its arena region before its client sees it."""
         with self._lock:
             request = self._requests.pop(request_id, None)
             if request is not None and request.worker_id is not None:
@@ -986,8 +931,10 @@ class PoolPredictor:
                     self._wake.notify()
                     if slot.state == "draining":
                         self._post()
-        if request is None:  # pragma: no cover - duplicate/late reply
+        if request is None:
             return
+        if request.arena is not None:
+            request.arena.free_request(request.rows_offset)
         if exception is not None:
             request.future.set_exception(exception)
         else:
@@ -1069,7 +1016,6 @@ class PoolPredictor:
             "workers": self.workers,
             "generation": self.generation,
             "restarts": self._restarts_total,
-            "restart_workers": self.restart_workers,
         }
 
     def info(self) -> Dict[str, Any]:
@@ -1084,7 +1030,6 @@ class PoolPredictor:
             "alive_workers": self.alive_workers(),
             "worker_pids": [slot.process.pid for slot in self._slots],
             "restarts": self._restarts_total,
-            "restart_workers": self.restart_workers,
             "num_members": self.num_members,
             "num_classes": self.num_classes,
             "input_shape": list(self.input_shape),
@@ -1093,10 +1038,7 @@ class PoolPredictor:
             "max_wait_ms": self.max_wait_ms,
             "super_learner": self._artifact.has_super_learner,
             "transport": self.transport,
-            "arena_slots": self.arena_slots if self.transport == "shm" else None,
-            "arena_bytes_per_worker": (
-                arenas[0].total_bytes if arenas[0] is not None else None
-            ),
+            "arena_bytes_per_worker": arenas[0].capacity if arenas[0] is not None else None,
             "arenas": [arena.stats() if arena is not None else None for arena in arenas],
             "request_latency_seconds": _latency_quantiles(_REQUEST_LATENCY),
         }

@@ -126,12 +126,12 @@ class SlotTable:
         slot.process = process
         slot.state, slot.down_until, slot.spawned_at = "starting", None, time.monotonic()
 
-    def evict(self, slot: Slot, restart: bool = True) -> Tuple[Optional[int], float]:
+    def evict(self, slot: Slot) -> Tuple[Optional[int], float]:
         """Take a dead or wedged worker out of rotation; ``(exit code, backoff)``.
 
         A wedged worker cannot be asked nicely: if the process is still alive
-        it is SIGKILLed, as an operator (or the OOM killer) would.  With
-        ``restart`` the respawn is scheduled ``backoff`` seconds out.
+        it is SIGKILLed, as an operator (or the OOM killer) would.  The
+        respawn is scheduled ``backoff`` seconds out.
         """
         process = slot.process
         if process.is_alive():
@@ -140,7 +140,7 @@ class SlotTable:
         backoff = backoff_delay(slot.failures, self._backoff, self._backoff_max)
         slot.failures += 1
         slot.state = "down"
-        slot.down_until = time.monotonic() + backoff if restart else None
+        slot.down_until = time.monotonic() + backoff
         return process.exitcode, backoff
 
     def due(self, now: float) -> List[Slot]:

@@ -51,8 +51,8 @@ process boundary, never in ``fit_task``:
 A serving worker answers the dispatches of
 :class:`~repro.parallel.serving.PoolPredictor` entry by entry
 (:func:`answer_entry`): an entry's rows are a reference into the worker's
-shared-memory arena or the array itself, and its probabilities go back the
-same two ways.
+shared-memory arena or the array itself, and its probabilities go back as raw
+bytes.
 """
 
 from __future__ import annotations
@@ -126,40 +126,25 @@ def _run_worker(
         tear_down()
 
 
-def answer_entry(predictor, arena_buf, entry: tuple, worker_id: int = 0) -> tuple:
+def answer_entry(predictor, arena_buf, entry: tuple) -> tuple:
     """Answer one entry of a serving dispatch; plain function of its inputs.
 
-    ``entry`` is ``(request_id, rows, method, result_offset,
-    result_capacity)``.  ``rows`` is the array itself or a reference
-    ``(offset, shape, dtype)`` into ``arena_buf`` (the worker's arena
-    mapping), on whose bytes the predictor then runs directly.  The reply is
-    ``(request_id, rows_offset, result_offset, proba, error)`` — both offsets
-    echoed, so the reply alone says which regions it releases.  ``proba`` is
-    ``(shape, dtype)`` once the probabilities are written at
-    ``result_offset``, the array itself when no region was reserved
-    (``result_offset`` is ``None``) or the reservation is too narrow for
-    them, and ``None`` next to an ``error`` string.
+    ``entry`` is ``(request_id, rows, method)``; ``rows`` is the array itself
+    or a reference ``(offset, shape, dtype)`` into ``arena_buf`` (the
+    worker's arena mapping), on whose bytes the predictor then runs directly.
+    The reply is ``(request_id, proba, error)``: ``proba`` is ``(shape,
+    dtype, raw bytes)`` — bytes, not an array, so neither side pays numpy's
+    pickle reconstruction — and ``None`` next to an ``error`` string.
     """
-    request_id, rows, method, result_offset, result_capacity = entry
-    rows_offset = None
+    request_id, rows, method = entry
     try:
         if isinstance(rows, tuple):
-            rows_offset, shape, dtype = rows
-            rows = np.ndarray(shape, dtype=np.dtype(dtype), buffer=arena_buf, offset=rows_offset)
+            offset, shape, dtype = rows
+            rows = np.ndarray(shape, dtype=np.dtype(dtype), buffer=arena_buf, offset=offset)
         proba = predictor.predict_proba(rows, method=method)
-        if result_offset is not None and proba.nbytes <= result_capacity:
-            # Chaos-test injection point ("serve_shm_write"): die or wedge
-            # mid-slot-write — the dispatcher must survive a result region
-            # that never gets its reply.
-            fire("serve_shm_write", worker=worker_id)
-            out = np.ndarray(
-                proba.shape, dtype=proba.dtype, buffer=arena_buf, offset=result_offset
-            )
-            np.copyto(out, proba, casting="no")
-            proba = (proba.shape, str(proba.dtype))
-        return (request_id, rows_offset, result_offset, proba, None)
+        return (request_id, (proba.shape, str(proba.dtype), proba.tobytes()), None)
     except Exception as exc:
-        return (request_id, rows_offset, result_offset, None, f"{type(exc).__name__}: {exc}")
+        return (request_id, None, f"{type(exc).__name__}: {exc}")
 
 
 def _serving_worker_main(
@@ -168,18 +153,16 @@ def _serving_worker_main(
     method: str,
     batch_size: int,
     warm: bool,
-    arena_meta,
+    arena_name,
     request_queue,
     result_queue,
 ) -> None:
     """Serving-pool worker: load the artifact once, answer dispatches.
 
-    A dispatch is ``(generation, entries)`` and is answered with ``("result",
-    worker_id, (generation, replies))``, one :func:`answer_entry` reply per
-    entry; ``generation`` names the arena the references point into and is
-    echoed so the pool can tell a reply that outlived its arena.
-    ``arena_meta`` is ``None`` for a pool that owns no arena: every entry
-    then arrives, and is answered, inline.
+    A dispatch is a list of entries and is answered with ``("result",
+    worker_id, replies)``, one :func:`answer_entry` reply per entry.
+    ``arena_name`` is ``None`` for a pool that owns no arena: every entry then
+    arrives inline.
     """
 
     def set_up():
@@ -189,16 +172,15 @@ def _serving_worker_main(
         predictor = EnsemblePredictor.load(
             artifact, method=method, batch_size=batch_size, warm=warm
         )
-        arena = attach_segment(arena_meta.name) if arena_meta is not None else None
+        arena = attach_segment(arena_name) if arena_name is not None else None
         arena_buf = arena.buf if arena is not None else None
 
-        def handle(item) -> None:
+        def handle(entries) -> None:
             # Chaos-test injection point ("serve"): crash or wedge this worker
             # with a request group in flight — free when REPRO_FAULTS is unset.
             fire("serve", worker=worker_id)
-            generation, entries = item
-            replies = [answer_entry(predictor, arena_buf, entry, worker_id) for entry in entries]
-            result_queue.put(("result", worker_id, (generation, replies)))
+            replies = [answer_entry(predictor, arena_buf, entry) for entry in entries]
+            result_queue.put(("result", worker_id, replies))
 
         def tear_down() -> None:
             if arena is not None:

@@ -14,6 +14,7 @@ from repro.faults import (
     parse_faults,
     reset_plan,
 )
+from repro.faults.injection import POINTS
 
 
 @pytest.fixture(autouse=True)
@@ -60,6 +61,16 @@ def test_parse_allows_empty_segments_and_whitespace():
 def test_parse_rejects_malformed_specs(bad):
     with pytest.raises(FaultError):
         parse_faults(bad)
+
+
+@pytest.mark.parametrize("misspelt", ["serve_shm_write_crash", "fleet_consme_crash"])
+def test_parse_rejects_unknown_points(misspelt):
+    """A point nothing fires would give a chaos run a false pass: refused."""
+    with pytest.raises(FaultError, match="unknown fault point"):
+        parse_faults(f"train_error,{misspelt}:times=1")
+    for point in POINTS:
+        (spec,) = parse_faults(f"{point}_crash")
+        assert spec.point == point
 
 
 # ----------------------------------------------------------------- matching

@@ -397,7 +397,7 @@ def test_serving_pool_evicts_hung_worker(saved_artifact, serial_result, monkeypa
 
 
 # --------------------------------------------------------------------------
-# serving pool, shm transport: crash/hang mid-slot-write
+# serving pool, shm transport: crash/hang with rows in the arena
 # --------------------------------------------------------------------------
 
 
@@ -412,14 +412,13 @@ def _wait_until_ok(pool, timeout=60.0):
 def test_shm_worker_crash_mid_slot_write_recovers(
     saved_artifact, serial_result, monkeypatch, shm_sweep
 ):
-    """SIGKILL the worker *between* inference and the result slot write — the
-    nastiest shm moment: the dispatcher holds regions reserved for a
-    descriptor that will never arrive.  The pool must fail the request
-    promptly, retire the dead arena (new generation, no /dev/shm leak) and
-    serve bitwise-correct answers from the respawn."""
+    """SIGKILL the worker while its dispatch's rows sit in an arena region
+    that only the answer would have released.  The pool must fail the
+    request promptly, retire the dead arena (a fresh one for the respawn, no
+    /dev/shm leak) and serve bitwise-correct answers from the respawn."""
     from repro.parallel.serving import PoolPredictor
 
-    monkeypatch.setenv("REPRO_FAULTS", "serve_shm_write_crash:times=1")
+    monkeypatch.setenv("REPRO_FAULTS", "serve_crash:times=1")
     x = serial_result.dataset.x_test[:8]
     expected = serial_result.ensemble.predict_proba(x)
 
@@ -431,7 +430,7 @@ def test_shm_worker_crash_mid_slot_write_recovers(
         supervise_interval=0.05,
         request_timeout=120.0,
     ) as pool:
-        assert pool.info()["arenas"][0]["generation"] == 0
+        first_arena = pool._slots[0].arena
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="worker 0"):
             pool.predict_proba(x)
@@ -441,26 +440,26 @@ def test_shm_worker_crash_mid_slot_write_recovers(
         _wait_until_ok(pool)
         info = pool.info()
         assert info["transport"] == "shm"
-        # The respawn swapped in a fresh arena generation with nothing
-        # reserved — the regions stranded by the crash died with gen 0.
+        # The respawn swapped in a fresh arena with nothing reserved — the
+        # region stranded by the crash died with the old one.
+        assert pool._slots[0].arena is not first_arena
         arena = info["arenas"][0]
-        assert arena["generation"] >= 1
         assert arena["inflight_dispatches"] == 0
         assert arena["request_used_bytes"] == 0
         assert_serves_the_graph(pool.predict_proba(x), expected)
         assert pool.healthz()["restarts"] >= 1
-    # shm_sweep asserts the retired generation left no /dev/shm residue.
+    # shm_sweep asserts the retired arena left no /dev/shm residue.
 
 
 def test_shm_worker_hang_mid_slot_write_is_evicted(
     saved_artifact, serial_result, monkeypatch, shm_sweep
 ):
-    """A worker wedged mid-slot-write past ``dispatch_timeout`` is SIGKILLed
-    by the supervisor and replaced — same deadline contract as the pickle
-    path, now covering the arena write."""
+    """A worker wedged past ``dispatch_timeout`` with rows in its arena is
+    SIGKILLed by the supervisor and replaced — same deadline contract as the
+    pickle path, arena and all."""
     from repro.parallel.serving import PoolPredictor
 
-    monkeypatch.setenv("REPRO_FAULTS", "serve_shm_write_hang:times=1:seconds=60")
+    monkeypatch.setenv("REPRO_FAULTS", "serve_hang:times=1:seconds=60")
     hangs_before = _counter("repro_serve_worker_hangs_total")
     x = serial_result.dataset.x_test[:8]
     expected = serial_result.ensemble.predict_proba(x)
@@ -474,6 +473,7 @@ def test_shm_worker_hang_mid_slot_write_is_evicted(
         supervise_interval=0.05,
         request_timeout=120.0,
     ) as pool:
+        first_arena = pool._slots[0].arena
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="worker 0 died"):
             pool.predict_proba(x)
@@ -482,5 +482,6 @@ def test_shm_worker_hang_mid_slot_write_is_evicted(
         assert _counter("repro_serve_worker_hangs_total") >= hangs_before + 1
 
         _wait_until_ok(pool)
-        assert pool.info()["arenas"][0]["generation"] >= 1
+        assert pool._slots[0].arena is not first_arena
+        assert pool.info()["arenas"][0]["request_used_bytes"] == 0
         assert_serves_the_graph(pool.predict_proba(x), expected)

@@ -162,36 +162,34 @@ def test_pool_rejects_bad_construction(saved_artifact):
 
 
 def test_dead_worker_fails_requests_promptly_without_respawn(
-    saved_artifact, serial_result
+    saved_artifact, serial_result, monkeypatch
 ):
-    """With the supervisor's respawn disabled, killing the only worker must
-    fail subsequent requests quickly (health-based eviction), not stall until
-    request_timeout — the pre-supervisor contract, still available via
-    ``restart_workers=False``.  (Respawn behaviour is covered in
-    test_supervisor.py.)"""
+    """Kill the only worker while it holds a request (wedged there by a
+    ``serve_hang`` fault): the request fails as soon as the supervisor sees
+    the death — not after ``request_timeout``, and without waiting for the
+    respawn (which test_supervisor.py covers)."""
+    monkeypatch.setenv("REPRO_FAULTS", "serve_hang:times=1:seconds=60")
     predictor = PoolPredictor(
         saved_artifact,
         workers=1,
         max_wait_ms=0.0,
         request_timeout=60.0,
-        restart_workers=False,
         supervise_interval=0.05,
     )
+    monkeypatch.delenv("REPRO_FAULTS")  # the respawn serves normally
     try:
         x = serial_result.dataset.x_test[:4]
-        predictor.predict(x)  # pool is warm and round-tripping
-        predictor._slots[0].process.kill()
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="died|alive"):
-            predictor.predict_proba(x)
-        assert time.monotonic() - start < 30.0
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and predictor.healthz()["status"] != "down":
-            time.sleep(0.05)
-        health = predictor.healthz()
-        assert health["status"] == "down"
-        assert health["alive_workers"] == 0
-        assert health["restarts"] == 0
+        with ThreadPoolExecutor(max_workers=1) as client:
+            answer = client.submit(predictor.predict_proba, x)
+            deadline = time.monotonic() + 30.0
+            while predictor._slots[0].load == 0:
+                assert time.monotonic() < deadline, "the request was never dispatched"
+                time.sleep(0.01)
+            predictor._slots[0].process.kill()
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="worker 0 died"):
+                answer.result(timeout=60.0)
+            assert time.monotonic() - start < 30.0
         with predictor._lock:
             assert predictor._requests == {}
     finally:

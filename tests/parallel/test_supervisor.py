@@ -114,35 +114,6 @@ def test_single_worker_pool_survives_kill_and_serves_during_recovery(
     _assert_no_residue(processes)
 
 
-def test_restart_disabled_evicts_but_does_not_respawn(saved_artifact, serial_result):
-    """restart_workers=False keeps the old capacity-loss semantics: the dead
-    worker is evicted (degraded health) and never replaced."""
-    pool = PoolPredictor(
-        saved_artifact,
-        workers=2,
-        max_wait_ms=1.0,
-        restart_workers=False,
-        supervise_interval=0.05,
-    )
-    x = serial_result.dataset.x_test[:8]
-    try:
-        pool._slots[1].process.kill()
-        pool._slots[1].process.join(timeout=10)
-        assert _wait_for(lambda: pool.healthz()["status"] == "degraded", timeout=10.0)
-        # Give a would-be respawn plenty of time, then confirm none happened.
-        time.sleep(1.0)
-        health = pool.healthz()
-        assert health["status"] == "degraded"
-        assert health["alive_workers"] == 1
-        assert health["restarts"] == 0
-        # The surviving worker keeps serving.
-        assert pool.predict(x).shape == (8,)
-    finally:
-        processes = [slot.process for slot in pool._slots]
-        pool.close()
-    _assert_no_residue(processes)
-
-
 def test_repeated_kills_bounded_backoff_and_recovery(saved_artifact, serial_result):
     """Kill the same worker twice: the supervisor keeps respawning (backoff
     grows but stays bounded) and the pool ends at full capacity."""
@@ -224,11 +195,9 @@ def test_slot_table_life_cycle_without_a_pool():
         # Consecutive failures double the delay up to the cap ...
         assert table.evict(slot)[1] == 0.4
         assert table.evict(slot)[1] == 0.5
-        # ... a worker that proved itself starts it over, and without
-        # restart the slot is never due.
+        # ... and a worker that proved itself starts it over.
         table.mark_healthy(slot)
-        assert table.evict(slot, restart=False)[1] == 0.2
-        assert slot.down_until is None and table.due(time.monotonic() + 3600) == []
+        assert table.evict(slot)[1] == 0.2
 
         table.spawn(slot, "last")
         assert next_message() == [("ready", 0, "last")]

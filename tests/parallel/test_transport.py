@@ -1,11 +1,13 @@
-"""Serving data plane: one wire format, arena references or inline.
+"""Serving data plane: request rows by arena reference or inline, results
+inline as raw bytes.
 
 The contract: a pool with arenas (``transport="shm"``) answers **bitwise
 identically** to the all-inline pool (``transport="pickle"``, the oracle) and
 to the single-process ``EnsemblePredictor`` — including requests larger than
 ``max_batch``, larger than the whole arena (they travel inline) and concurrent
-client threads — while moving orders of magnitude fewer bytes through the
-worker queues.  Results are ordinary owned arrays on both.
+client threads — while moving orders of magnitude fewer request bytes through
+the worker queues.  Results are ordinary owned arrays on both, and every
+request frees its own arena region when it resolves.
 """
 
 import os
@@ -19,6 +21,7 @@ import pytest
 from repro.api import EnsemblePredictor
 from repro.obs.metrics import get_registry
 from repro.parallel import PoolPredictor
+from repro.parallel.serving import _PoolSlot, _Request
 from repro.parallel.shm_transport import ALIGNMENT, ShmArena, _RegionAllocator
 from repro.parallel.worker import answer_entry
 from tests.procs import shm_entries
@@ -34,9 +37,7 @@ def _counter(name: str, *labels: str) -> float:
 
 
 def _fallbacks() -> float:
-    return _counter("repro_serve_transport_fallbacks_total", "request_ring_full") + _counter(
-        "repro_serve_transport_fallbacks_total", "result_ring_full"
-    )
+    return _counter("repro_serve_transport_fallbacks_total", "request_ring_full")
 
 
 @pytest.fixture(scope="module")
@@ -79,10 +80,8 @@ def test_shm_handles_requests_larger_than_max_batch(
     """A single request bigger than ``max_batch`` coalesces several slots'
     worth of contiguous arena bytes — still zero fallbacks, still bitwise."""
     fallbacks_before = _fallbacks()
-    x = serial_result.dataset.x_test  # 64 rows >> max_batch=8
-    with PoolPredictor(
-        saved_artifact, workers=1, transport="shm", max_batch=8, arena_slots=16
-    ) as pool:
+    x = serial_result.dataset.x_test  # 64 rows = the whole arena at max_batch=16
+    with PoolPredictor(saved_artifact, workers=1, transport="shm", max_batch=16) as pool:
         np.testing.assert_array_equal(
             pool.predict_proba(x), reference.predict_proba(x)
         )
@@ -94,10 +93,8 @@ def test_shm_oversized_request_falls_back_to_pickle(
 ):
     """A request that cannot fit the whole arena travels inline —
     transparently, counted, still bitwise."""
-    x = serial_result.dataset.x_test  # 64 rows; arena sized for ~2
-    with PoolPredictor(
-        saved_artifact, workers=1, transport="shm", max_batch=2, arena_slots=1
-    ) as pool:
+    x = serial_result.dataset.x_test  # 64 rows; arena sized for ~8
+    with PoolPredictor(saved_artifact, workers=1, transport="shm", max_batch=2) as pool:
         before = _counter(
             "repro_serve_transport_fallbacks_total", "request_ring_full"
         )
@@ -135,7 +132,7 @@ def test_transports_under_concurrent_clients(
 def test_results_own_their_data_and_are_writable(
     saved_artifact, serial_result, transport, shm_sweep
 ):
-    """A result is copied out of the arena once, at reply time: the client
+    """A result is rebuilt from its raw bytes once, at reply time: the client
     gets an ordinary owned, writable array whatever the transport, and the
     arena holds nothing for it afterwards."""
     x = serial_result.dataset.x_test[:4]
@@ -147,15 +144,16 @@ def test_results_own_their_data_and_are_writable(
         np.testing.assert_array_equal(pool.predict_proba(x), expected)
         for arena in pool.info()["arenas"]:
             if arena is not None:
-                assert arena["request_used_bytes"] == arena["result_used_bytes"] == 0
+                assert arena["request_used_bytes"] == 0
 
 
 def test_transport_bytes_counters_populated(
     saved_artifact, serial_result, shm_sweep
 ):
-    """Both directions of ``repro_serve_transport_bytes_total`` move, and the
-    shm descriptors are far smaller than the pickle tensors for the same
-    traffic (``parallel.ipc_bytes_per_request_b256`` measures it end to end)."""
+    """Both directions of ``repro_serve_transport_bytes_total`` move, the shm
+    row references are far smaller than the pickled rows for the same traffic
+    (``parallel.ipc_bytes_per_request_b256`` measures it end to end), and the
+    results cost the same on both: they are inline either way."""
     x = serial_result.dataset.x_test
 
     def deltas(transport):
@@ -177,24 +175,27 @@ def test_transport_bytes_counters_populated(
     assert shm_req > 0 and shm_res > 0
     assert pickle_req >= x.nbytes
     assert pickle_req > shm_req
-    assert pickle_res > shm_res
+    assert pickle_res == shm_res
 
 
 def test_info_reports_transport_and_arena_occupancy(saved_artifact, shm_sweep):
     with PoolPredictor(saved_artifact, workers=2, transport="shm") as pool:
         info = pool.info()
         assert info["transport"] == "shm"
-        assert info["arena_slots"] == 4
         assert info["arena_bytes_per_worker"] > 0
         assert len(info["arenas"]) == 2
         for arena in info["arenas"]:
-            assert arena["generation"] == 0
-            assert arena["request_capacity_bytes"] > 0
+            # The arena carries request rows, nothing else.
+            assert set(arena) == {
+                "request_capacity_bytes",
+                "request_used_bytes",
+                "inflight_dispatches",
+            }
+            assert arena["request_capacity_bytes"] == info["arena_bytes_per_worker"]
             assert arena["inflight_dispatches"] == 0
     with PoolPredictor(saved_artifact, workers=1, transport="pickle") as pool:
         info = pool.info()
         assert info["transport"] == "pickle"
-        assert info["arena_slots"] is None
         assert info["arena_bytes_per_worker"] is None
         assert info["arenas"] == [None]
 
@@ -202,8 +203,6 @@ def test_info_reports_transport_and_arena_occupancy(saved_artifact, shm_sweep):
 def test_pool_rejects_bad_transport(saved_artifact):
     with pytest.raises(ValueError, match="transport"):
         PoolPredictor(saved_artifact, transport="carrier-pigeon")
-    with pytest.raises(ValueError, match="arena_slots"):
-        PoolPredictor(saved_artifact, transport="shm", arena_slots=0)
 
 
 # --------------------------------------------------------------------------
@@ -289,23 +288,66 @@ def test_region_allocator_double_free_is_ignored():
 
 def test_arena_retire_unlinks_and_closes(shm_sweep):
     """One lifetime rule: ``retire()`` unlinks the name and closes the
-    mapping in one step, and nothing is placed or read afterwards."""
-    arena = ShmArena(0, max_batch=4, feature_size=3, num_classes=2, slots=2)
+    mapping in one step, and nothing is placed afterwards."""
+    arena = ShmArena(0, max_batch=4, feature_size=3)
     rows = np.arange(6, dtype=np.float64).reshape(2, 3)
     offset = arena.write_request(rows)
-    result_offset = arena.alloc_result(64)
-    assert offset is not None and result_offset is not None
-    np.testing.assert_array_equal(arena.read_result(offset, (2, 3), "float64"), rows)
-    name = arena.meta.name
+    assert offset is not None
+    placed = np.ndarray((2, 3), np.float64, buffer=arena._segment.buf, offset=offset)
+    np.testing.assert_array_equal(placed, rows)
+    del placed
     arena.retire()
     if sys.platform.startswith("linux"):
-        assert name not in os.listdir("/dev/shm")
+        assert arena.name not in os.listdir("/dev/shm")
     assert arena._segment.buf is None  # the mapping is closed, not parked
     assert arena.write_request(rows) is None
-    assert arena.alloc_result(16) is None
-    with pytest.raises(RuntimeError, match="retired"):
-        arena.read_result(result_offset, (2, 2), "float64")
     arena.retire()  # idempotent
+
+
+def _bare_pool() -> PoolPredictor:
+    """A pool's request book-keeping without its threads or processes."""
+    pool = object.__new__(PoolPredictor)
+    pool.transport = "shm"
+    pool._lock = threading.Lock()
+    pool._wake = threading.Condition(pool._lock)
+    pool._slots = [_PoolSlot(0, state="ready")]
+    pool._requests = {}
+    return pool
+
+
+def test_a_request_frees_its_region_and_a_late_reply_frees_nothing(shm_sweep):
+    """A region belongs to its request.  Failing the request (its worker
+    died) releases the region; the next request reuses it; and the dead
+    worker's late reply for the failed one — it names no offset — frees
+    nothing and raises nothing."""
+    pool = _bare_pool()
+    arena = ShmArena(0, max_batch=4, feature_size=3)
+    rows = np.arange(6, dtype=np.float64).reshape(2, 3)
+    try:
+        failed = _Request(7, rows, "average", worker_id=0, arena=arena)
+        failed.rows_offset = arena.write_request(rows)
+        pool._requests[7] = failed
+        pool._slots[0].load = 1
+        pool._resolve(7, exception=RuntimeError("serving worker 0 died"))
+        assert arena.stats()["request_used_bytes"] == 0
+        assert pool._slots[0].load == 0
+        with pytest.raises(RuntimeError, match="died"):
+            failed.future.result(timeout=0)
+
+        live = _Request(8, rows, "average", worker_id=0, arena=arena)
+        live.rows_offset = arena.write_request(rows)
+        assert live.rows_offset == failed.rows_offset  # the region was reused
+        pool._requests[8] = live
+        pool._slots[0].load = 1
+        held = arena.stats()["request_used_bytes"]
+        assert held > 0
+
+        late = np.zeros((2, 4), np.float32)
+        pool._collect_result([(7, (late.shape, str(late.dtype), late.tobytes()), None)])
+        assert arena.stats()["request_used_bytes"] == held
+        assert pool._slots[0].load == 1 and not live.future.done()
+    finally:
+        arena.retire()
 
 
 # --------------------------------------------------------------------------
@@ -315,9 +357,8 @@ def test_arena_retire_unlinks_and_closes(shm_sweep):
 
 
 def test_answer_entry_mixes_references_and_inline(reference, serial_result):
-    """One dispatch, every combination: rows by reference or inline, result
-    into a reserved region, inline because none was reserved, inline because
-    the reservation is too narrow — and a failing entry spoils no other."""
+    """Rows by reference or inline; the probabilities come back as raw
+    bytes, never as an array — and a failing entry spoils no other."""
     x = serial_result.dataset.x_test
     buf = bytearray(8192)
 
@@ -325,62 +366,46 @@ def test_answer_entry_mixes_references_and_inline(reference, serial_result):
         np.ndarray(rows.shape, rows.dtype, buffer=buf, offset=offset)[...] = rows
         return (offset, rows.shape, str(rows.dtype))
 
-    def reply_of(entry):
-        return answer_entry(reference, buf, entry)
+    def answered(reply):
+        request_id, (shape, dtype, data), error = reply
+        assert type(data) is bytes and error is None
+        return request_id, np.frombuffer(data, dtype=dtype).reshape(shape)
 
-    def written(offset, shape, dtype):
-        return np.ndarray(shape, np.dtype(dtype), buffer=buf, offset=offset)
-
-    # rows by reference, result written into its region
-    request_id, rows_offset, result_offset, proba, error = reply_of(
-        (1, place(x[:5], 0), "average", 4096, 5 * 4 * 8)
-    )
-    assert (request_id, rows_offset, result_offset, error) == (1, 0, 4096, None)
-    np.testing.assert_array_equal(written(4096, *proba), reference.predict_proba(x[:5]))
-    # rows inline, result written into its region
-    _, rows_offset, result_offset, proba, error = reply_of((2, x[5:8], "vote", 4608, 3 * 4 * 8))
-    assert (rows_offset, result_offset, error) == (None, 4608, None)
-    np.testing.assert_array_equal(
-        written(4608, *proba), reference.predict_proba(x[5:8], method="vote")
-    )
-    # one row by reference, reservation too narrow: the result comes inline,
-    # the offsets still come back so both regions are released
-    _, rows_offset, result_offset, proba, error = reply_of(
-        (3, place(x[8:9], 1024), "average", 5120, 1)
-    )
-    assert (rows_offset, result_offset, error) == (1024, 5120, None)
-    np.testing.assert_array_equal(proba, reference.predict_proba(x[8:9]))
-    # all inline: what every entry of a transport="pickle" pool looks like
-    _, rows_offset, result_offset, proba, error = reply_of((4, x[9:10], "average", None, 0))
-    assert (rows_offset, result_offset, error) == (None, None, None)
-    np.testing.assert_array_equal(proba, reference.predict_proba(x[9:10]))
-    # an entry that fails names its regions too, and carries no result
-    reply = reply_of((5, place(x[:2], 2048), "no-such-method", 6144, 64))
-    assert reply[:4] == (5, 2048, 6144, None) and "no-such-method" in reply[4]
+    # rows by reference
+    request_id, proba = answered(answer_entry(reference, buf, (1, place(x[:5], 0), "average")))
+    assert request_id == 1
+    np.testing.assert_array_equal(proba, reference.predict_proba(x[:5]))
+    # rows inline: what every entry of a transport="pickle" pool looks like
+    request_id, proba = answered(answer_entry(reference, buf, (2, x[5:8], "vote")))
+    assert request_id == 2
+    np.testing.assert_array_equal(proba, reference.predict_proba(x[5:8], method="vote"))
+    # an entry that fails carries no result
+    reply = answer_entry(reference, buf, (5, place(x[:2], 2048), "no-such-method"))
+    assert reply[:2] == (5, None) and "no-such-method" in reply[2]
 
 
-@pytest.mark.parametrize("arena_slots", [1, 4])
+@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("max_batch", [1, 2, 8])
 def test_pool_shape_sweep_matches_reference_on_both_transports(
-    saved_artifact, reference, serial_result, max_batch, arena_slots, shm_sweep
+    saved_artifact, reference, serial_result, max_batch, workers, shm_sweep
 ):
-    """Concurrent requests of 1-64 rows against small arenas: some exceed
-    ``max_batch``, some the whole arena, some meet a full ring.  Whatever
-    mix of references and inline entries that makes, every answer is bitwise
-    the reference's, a fallback is counted exactly where a half of an entry
-    went inline, and every region is free again once the replies are in."""
+    """Concurrent requests of 1-64 rows against small arenas, on one worker
+    or spread over four: some exceed ``max_batch``, some the whole arena,
+    some meet a full arena.  Whatever mix of references and inline entries
+    that makes, every answer is bitwise the reference's, a fallback is
+    counted exactly where an entry's rows went inline, and every region of
+    every worker's arena is free again once the replies are in."""
     x = serial_result.dataset.x_test
-    rng = np.random.default_rng(100 * max_batch + arena_slots)
+    rng = np.random.default_rng(100 * max_batch)
     sizes = [1, 64] + [int(n) for n in rng.integers(1, 65, size=rng.integers(0, 5))]
     segments_before = shm_entries()
 
     for transport in ("shm", "pickle"):
         with PoolPredictor(
             saved_artifact,
-            workers=1,
+            workers=workers,
             transport=transport,
             max_batch=max_batch,
-            arena_slots=arena_slots,
             max_wait_ms=1.0,
         ) as pool:
             assert (shm_entries() != segments_before) == (transport == "shm")
@@ -388,12 +413,10 @@ def test_pool_shape_sweep_matches_reference_on_both_transports(
             inline = []
             build = pool._build_dispatch
 
-            def spy(slot, group):
-                item = build(slot, group)
-                for _, rows, _, result_offset, _ in item[1]:
-                    inline.append(isinstance(rows, np.ndarray))
-                    inline.append(result_offset is None)
-                return item
+            def spy(group):
+                entries = build(group)
+                inline.extend(isinstance(rows, np.ndarray) for _, rows, _ in entries)
+                return entries
 
             pool._build_dispatch = spy
             fallbacks_before = _fallbacks()
@@ -407,13 +430,16 @@ def test_pool_shape_sweep_matches_reference_on_both_transports(
                 answers = list(clients.map(call, sizes))
             for rows, answer in zip(sizes, answers):
                 assert np.array_equal(answer, reference.predict_proba(x[:rows]))
-            assert len(inline) == 2 * len(sizes)
+            assert len(inline) == len(sizes)
             if transport == "shm":
                 assert _fallbacks() - fallbacks_before == sum(inline)
-                arena = pool.info()["arenas"][0]
+                arenas = pool.info()["arenas"]
+                assert len(arenas) == workers
                 # 64 rows of 12 float64 features never fit these arenas
-                assert arena["request_capacity_bytes"] < x.nbytes and sum(inline) >= 1
-                assert arena["request_used_bytes"] == arena["result_used_bytes"] == 0
+                assert sum(inline) >= 1
+                for arena in arenas:
+                    assert arena["request_capacity_bytes"] < x.nbytes
+                    assert arena["request_used_bytes"] == 0
             else:
                 assert all(inline) and _fallbacks() == fallbacks_before
         assert shm_entries() == segments_before
