@@ -12,7 +12,7 @@ configs and ``.npy`` tensors, with no Python required:
   ``GET /metrics``; structured JSON event logs on stderr; stops cleanly on
   SIGINT/SIGTERM).  ``--mode pool`` (default) answers from a local
   self-healing multi-process worker pool; ``--mode queue`` publishes jobs on
-  a partitioned broker answered by an autoscaled fleet of consumers;
+  a one-queue broker answered by an autoscaled fleet of consumers;
 * ``repro fleet-worker --broker host:port --artifact artifact/`` — one fleet
   consumer: attaches to a queue-mode front's broker and answers its leased
   jobs one at a time with an in-process predictor (the front spawns these
@@ -142,9 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "horizontal consumer fleet",
     )
     fleet = serve.add_argument_group("queue mode (--mode queue)")
-    fleet.add_argument(
-        "--partitions", type=int, default=4, help="broker partitions (queue mode)"
-    )
     fleet.add_argument(
         "--min-consumers", type=int, default=1, help="minimum fleet consumers"
     )
@@ -411,7 +408,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         backend = FleetFront(
             args.artifact,
-            partitions=args.partitions,
             visibility_timeout=args.visibility_timeout,
             method=args.method,
             min_consumers=args.min_consumers,

@@ -1,14 +1,14 @@
 """Queue-backed horizontal serving tier (``repro serve --mode queue``).
 
-The fleet splits serving into three roles connected by a partitioned,
+The fleet splits serving into three roles connected by a one-queue,
 at-least-once job broker:
 
 * **front** (:class:`~repro.fleet.front.FleetFront`) — validates requests,
   publishes prediction jobs, resolves result futures, manages local
   consumer subprocesses, and autoscales them;
-* **broker** (:class:`~repro.fleet.broker.InProcBroker`) — bounded
-  partitions, round-robin assignment, visibility-timeout redelivery when a
-  consumer dies mid-job; served cross-process via
+* **broker** (:class:`~repro.fleet.broker.InProcBroker`) — one bounded
+  FIFO queue any consumer leases the oldest job from, visibility-timeout
+  redelivery when a consumer dies mid-job; served cross-process via
   :func:`~repro.fleet.broker.serve_broker` / :func:`~repro.fleet.broker.connect_broker`;
 * **consumers** (:class:`~repro.fleet.consumer.FleetConsumer`, the
   ``repro fleet-worker`` CLI) — each one is a single serving lane that

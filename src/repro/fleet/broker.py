@@ -1,27 +1,26 @@
-"""Partitioned job broker for the horizontal serving tier (stdlib only).
+"""Job broker for the horizontal serving tier (stdlib only).
 
 The queue-mode serving front (:class:`~repro.fleet.front.FleetFront`) does
 not hand prediction requests to a local worker pool directly; it publishes
 them onto a **broker** and lets consumer workers — in this process, in other
 processes on this host, or on other hosts — lease, execute, and acknowledge
-them.  The broker is Kafka-shaped (partitions, round-robin publishing,
-consumer assignment, at-least-once delivery): :class:`InProcBroker` is a
-dependency-free stdlib implementation built on bounded deques and one
-condition variable, served to out-of-process consumers through
-``multiprocessing.managers`` (see :func:`serve_broker` /
-:func:`connect_broker`).
+them.  The broker is one bounded FIFO queue that any attached consumer
+leases from: :class:`InProcBroker` is a dependency-free stdlib
+implementation built on one deque and one condition variable, served to
+out-of-process consumers through ``multiprocessing.managers`` (see
+:func:`serve_broker` / :func:`connect_broker`).
 
 Delivery semantics — **at-least-once**:
 
-* ``publish`` appends a job to a partition chosen round-robin (bounded:
-  :class:`BrokerFull` when every partition is at capacity — backpressure the
-  HTTP front turns into a 503 rather than buffering unboundedly).
-* ``lease`` hands a consumer the oldest job from one of its *assigned*
-  partitions and starts a **visibility timeout**; a job not acked before the
-  timeout is assumed lost with its consumer and is requeued at the front of
-  its partition (``repro_fleet_redeliveries_total``).  A SIGKILL'd consumer
-  therefore delays its in-flight jobs by at most one visibility window — it
-  never loses them.
+* ``publish`` appends a job to the queue (bounded: :class:`BrokerFull` when
+  it is at capacity — backpressure the HTTP front turns into a 503 rather
+  than buffering unboundedly).
+* ``lease`` hands whichever consumer asks the oldest queued job and starts a
+  **visibility timeout**; a job not acked before the timeout is assumed lost
+  with its consumer and is requeued at the head of the queue
+  (``repro_fleet_redeliveries_total``).  A SIGKILL'd consumer therefore
+  delays its in-flight jobs by at most one visibility window — it never
+  loses them.
 * ``ack`` completes a job with its result.  Because a slow-but-alive
   consumer's lease can expire and the job be redelivered, the same job can
   be executed twice; the first ack wins and later acks (and the requeued
@@ -31,13 +30,12 @@ Delivery semantics — **at-least-once**:
   total deliveries the job completes with an error instead of looping
   forever.
 
-Partition **assignment** is round-robin over attached consumers and
-rebalances on every attach/detach.  Consumers that stop calling in (no
-lease/ack within ``consumer_deadline`` seconds, their in-flight leases
-expired) are reaped and their partitions reassigned, so a dead consumer's
-*queued* jobs are picked up by survivors too, not just its in-flight ones.
-A reaped consumer that was merely slow re-attaches implicitly on its next
-lease call.
+No job belongs to a consumer until it is leased, so no consumer idles
+while work waits.  Consumers that stop calling in (no lease/ack within
+``consumer_deadline`` seconds) are detached and reported by
+:meth:`InProcBroker.take_reaped`, which is how the front tells a wedged
+consumer from a busy one.  A reaped consumer that was merely slow
+re-attaches implicitly on its next lease call.
 
 The background sweeper thread drives both clocks (lease expiry, consumer
 expiry); everything else happens inside the calling thread under one broker
@@ -52,7 +50,7 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.managers import BaseManager
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -65,8 +63,7 @@ logger = get_logger("fleet.broker")
 _metrics = get_registry()
 _QUEUE_DEPTH = _metrics.gauge(
     "repro_fleet_queue_depth",
-    "Jobs waiting (not leased) in each broker partition.",
-    ("partition",),
+    "Jobs waiting (not leased) in the broker queue.",
 )
 _REDELIVERIES = _metrics.counter(
     "repro_fleet_redeliveries_total",
@@ -92,7 +89,7 @@ __all__ = [
 
 
 class BrokerFull(RuntimeError):
-    """Every partition is at capacity; the caller should shed load."""
+    """The queue is at capacity; the caller should shed load."""
 
 
 @dataclass
@@ -107,7 +104,6 @@ class Job:
 
     job_id: str
     payload: Any
-    partition: int
     enqueued: float
     deliveries: int = 0
 
@@ -134,7 +130,7 @@ class _Lease:
 
 
 class InProcBroker:
-    """Stdlib in-process broker: bounded deques + one condition variable.
+    """Stdlib in-process broker: one bounded deque + one condition variable.
 
     Lives in the serving front's process; out-of-process consumers reach it
     through a ``multiprocessing.managers`` proxy (every proxy call executes
@@ -144,28 +140,29 @@ class InProcBroker:
 
     def __init__(
         self,
-        partitions: int = 4,
-        partition_capacity: int = 1024,
+        capacity: int = 4096,
         visibility_timeout: float = 30.0,
         max_deliveries: int = 5,
         consumer_deadline: Optional[float] = None,
         sweep_interval: float = 0.2,
+        partitions: int = 1,
     ):
-        if partitions < 1:
-            raise ValueError("broker needs at least one partition")
-        if partition_capacity < 1:
-            raise ValueError("partition_capacity must be positive")
+        # Accepted only as 1 because benchmarks/e2e/probes.py passes it; the
+        # parameter goes once a benchmark-only change stops passing it.
+        if partitions != 1:
+            raise ValueError("partitions must be 1; the broker is one queue")
+        if capacity < 1:
+            raise ValueError("capacity must be positive")
         if visibility_timeout <= 0:
             raise ValueError("visibility_timeout must be positive")
         if max_deliveries < 1:
             raise ValueError("max_deliveries must be at least 1")
-        self.partitions = int(partitions)
-        self.partition_capacity = int(partition_capacity)
+        self.capacity = int(capacity)
         self.visibility_timeout = float(visibility_timeout)
         self.max_deliveries = int(max_deliveries)
         # A consumer that has not called in for this long is presumed dead
-        # and its partitions are reassigned; default scales with (but never
-        # below) the visibility window so both clocks tell one story.
+        # and is detached; default scales with (but never below) the
+        # visibility window so both clocks tell one story.
         self.consumer_deadline = (
             float(consumer_deadline)
             if consumer_deadline is not None
@@ -174,22 +171,15 @@ class InProcBroker:
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._queues: List[Deque[Job]] = [deque() for _ in range(self.partitions)]
-        self._publish_counter = 0
+        self._queue: Deque[Job] = deque()
         self._inflight: Dict[str, _Lease] = {}
         # Jobs acked (or failed) whose CompletedJob the front has not drained
         # yet, in completion order; _finished_ids dedupes late acks and makes
         # lease() drop requeued duplicates of already-completed jobs.
         self._completed: Deque[CompletedJob] = deque()
         self._finished_ids: Dict[str, float] = {}
-        # consumer_id -> last time it called in; attach order drives the
-        # round-robin partition assignment (partition i -> consumer i % n).
+        # consumer_id -> last time it called in, in attach order.
         self._consumers: Dict[str, float] = {}
-        self._consumer_order: List[str] = []
-        self._assignment: Dict[int, Optional[str]] = {
-            i: None for i in range(self.partitions)
-        }
-        self._rotation: Dict[str, int] = {}
         # Consumers the sweeper detached for silence, until take_reaped().
         self._reaped: List[str] = []
         self._redeliveries = 0
@@ -212,47 +202,39 @@ class InProcBroker:
 
     # -------------------------------------------------------------- producer
     def publish(self, payload: Any, job_id: Optional[str] = None) -> str:
-        """Enqueue a job round-robin; raises :class:`BrokerFull` when no
-        partition has room.  ``job_id`` may be supplied by the caller (the
-        front does, so it can register a result future *before* any consumer
-        can possibly answer)."""
+        """Enqueue a job; raises :class:`BrokerFull` when the queue is at
+        capacity.  ``job_id`` may be supplied by the caller (the front does,
+        so it can register a result future *before* any consumer can
+        possibly answer)."""
         job_id = job_id if job_id is not None else secrets.token_hex(8)
         with self._cond:
             if self._closed:
                 raise RuntimeError("broker is closed")
-            for step in range(self.partitions):
-                partition = (self._publish_counter + step) % self.partitions
-                if len(self._queues[partition]) < self.partition_capacity:
-                    break
-            else:
-                raise BrokerFull(
-                    f"all {self.partitions} partitions are at capacity "
-                    f"({self.partition_capacity} jobs each)"
-                )
-            self._publish_counter += 1
-            job = Job(
-                job_id=job_id,
-                payload=payload,
-                partition=partition,
-                enqueued=time.monotonic(),
-            )
-            self._queues[partition].append(job)
-            self._set_depth(partition)
+            if len(self._queue) >= self.capacity:
+                raise BrokerFull(f"the broker queue is at capacity ({self.capacity} jobs)")
+            self._queue.append(Job(job_id=job_id, payload=payload, enqueued=time.monotonic()))
+            self._set_depth()
             _JOBS.labels("published").inc()
             self._cond.notify_all()
             return job_id
 
     # -------------------------------------------------------------- consumers
-    def attach(self, consumer_id: str) -> List[int]:
-        """Register a consumer and return its assigned partitions."""
+    def attach(self, consumer_id: str) -> None:
+        """Register a consumer (``lease`` does so implicitly too)."""
         with self._cond:
-            now = time.monotonic()
-            if consumer_id not in self._consumers:
-                self._consumer_order.append(consumer_id)
-                log_event("fleet.consumer_attached", consumer=consumer_id)
-            self._consumers[consumer_id] = now
-            self._rebalance()
-            return self._assigned_partitions(consumer_id)
+            self._attach_locked(consumer_id, time.monotonic())
+
+    def _attach_locked(self, consumer_id: str, now: float) -> None:
+        fresh = consumer_id not in self._consumers
+        self._consumers[consumer_id] = now
+        if fresh:
+            log_event("fleet.consumer_attached", consumer=consumer_id)
+            _CONSUMERS.set(len(self._consumers))
+
+    def _touch(self, consumer_id: str) -> None:
+        """Keepalive from an attached consumer (lock held)."""
+        if consumer_id in self._consumers:
+            self._consumers[consumer_id] = time.monotonic()
 
     def detach(self, consumer_id: str) -> None:
         with self._cond:
@@ -262,11 +244,9 @@ class InProcBroker:
         if consumer_id not in self._consumers:
             return
         del self._consumers[consumer_id]
-        self._consumer_order.remove(consumer_id)
-        self._rotation.pop(consumer_id, None)
+        _CONSUMERS.set(len(self._consumers))
         if reason == "deadline":
             self._reaped.append(consumer_id)
-        self._rebalance()
         log_event("fleet.consumer_detached", consumer=consumer_id, reason=reason)
         self._cond.notify_all()
 
@@ -276,41 +256,19 @@ class InProcBroker:
             reaped, self._reaped = self._reaped, []
             return reaped
 
-    def _rebalance(self) -> None:
-        """Round-robin partitions over attached consumers (lock held)."""
-        consumers = self._consumer_order
-        for partition in range(self.partitions):
-            self._assignment[partition] = (
-                consumers[partition % len(consumers)] if consumers else None
-            )
-        _CONSUMERS.set(len(consumers))
-
-    def _assigned_partitions(self, consumer_id: str) -> List[int]:
-        return [
-            partition
-            for partition, owner in self._assignment.items()
-            if owner == consumer_id
-        ]
-
     def lease(self, consumer_id: str, timeout: float = 1.0) -> Optional[Job]:
-        """Oldest job from one of the consumer's partitions, or ``None``.
+        """The oldest queued job, or ``None``.
 
         Blocks up to ``timeout`` for work.  An unknown consumer (never
         attached, or reaped while slow) is attached implicitly, so a
-        consumer that went quiet long enough to lose its partitions heals by
-        simply calling ``lease`` again.
+        consumer that went quiet long enough to be detached heals by simply
+        calling ``lease`` again.
         """
         deadline = time.monotonic() + max(0.0, float(timeout))
         with self._cond:
             while not self._closed:
                 now = time.monotonic()
-                if consumer_id not in self._consumers:
-                    if consumer_id not in self._consumer_order:
-                        self._consumer_order.append(consumer_id)
-                        log_event("fleet.consumer_attached", consumer=consumer_id)
-                    self._consumers[consumer_id] = now
-                    self._rebalance()
-                self._consumers[consumer_id] = now
+                self._attach_locked(consumer_id, now)
                 job = self._take_job(consumer_id, now)
                 if job is not None:
                     return job
@@ -321,32 +279,23 @@ class InProcBroker:
             return None
 
     def _take_job(self, consumer_id: str, now: float) -> Optional[Job]:
-        """Pop the next deliverable job from the consumer's partitions
-        (lock held); rotates the starting partition for fairness."""
-        assigned = self._assigned_partitions(consumer_id)
-        if not assigned:
-            return None
-        start = self._rotation.get(consumer_id, 0)
-        for step in range(len(assigned)):
-            partition = assigned[(start + step) % len(assigned)]
-            queue = self._queues[partition]
-            while queue:
-                job = queue.popleft()
-                if job.job_id in self._finished_ids:
-                    # A requeued duplicate of a job another delivery already
-                    # completed — drop it silently (first ack won).
-                    continue
-                self._set_depth(partition)
-                self._rotation[consumer_id] = (start + step + 1) % len(assigned)
-                job.deliveries += 1
-                self._inflight[job.job_id] = _Lease(
-                    job=job,
-                    consumer_id=consumer_id,
-                    deadline=now + self.visibility_timeout,
-                )
-                _JOBS.labels("leased").inc()
-                return job
-            self._set_depth(partition)
+        """Pop the next deliverable job off the queue (lock held)."""
+        while self._queue:
+            job = self._queue.popleft()
+            if job.job_id in self._finished_ids:
+                # A requeued duplicate of a job another delivery already
+                # completed — drop it silently (first ack won).
+                continue
+            self._set_depth()
+            job.deliveries += 1
+            self._inflight[job.job_id] = _Lease(
+                job=job,
+                consumer_id=consumer_id,
+                deadline=now + self.visibility_timeout,
+            )
+            _JOBS.labels("leased").inc()
+            return job
+        self._set_depth()
         return None
 
     def ack(
@@ -358,9 +307,7 @@ class InProcBroker:
     ) -> bool:
         """Complete a job with its result; ``False`` for a late duplicate."""
         with self._cond:
-            now = time.monotonic()
-            if consumer_id in self._consumers:
-                self._consumers[consumer_id] = now
+            self._touch(consumer_id)
             if job_id in self._finished_ids:
                 _JOBS.labels("duplicate_ack").inc()
                 return False
@@ -381,24 +328,22 @@ class InProcBroker:
         """Return a failed job for redelivery (or fail it for good once
         ``max_deliveries`` is spent)."""
         with self._cond:
-            if consumer_id in self._consumers:
-                self._consumers[consumer_id] = time.monotonic()
+            self._touch(consumer_id)
             lease = self._inflight.pop(job_id, None)
             if lease is None:
                 return
             self._requeue(lease.job, error=error)
 
     def _remove_queued(self, job_id: str) -> Optional[Job]:
-        for partition, queue in enumerate(self._queues):
-            for job in queue:
-                if job.job_id == job_id:
-                    queue.remove(job)
-                    self._set_depth(partition)
-                    return job
+        for job in self._queue:
+            if job.job_id == job_id:
+                self._queue.remove(job)
+                self._set_depth()
+                return job
         return None
 
     def _requeue(self, job: Job, error: str) -> None:
-        """Redeliver (front of the partition, oldest first) or give up."""
+        """Redeliver (head of the queue, next to lease) or give up."""
         if job.deliveries >= self.max_deliveries:
             self._finish(
                 job,
@@ -410,8 +355,8 @@ class InProcBroker:
                 metrics=None,
             )
             return
-        self._queues[job.partition].appendleft(job)
-        self._set_depth(job.partition)
+        self._queue.appendleft(job)
+        self._set_depth()
         _JOBS.labels("requeued").inc()
         self._cond.notify_all()
 
@@ -469,9 +414,7 @@ class InProcBroker:
         control between jobs is alive, not reap-worthy.
         """
         with self._cond:
-            now = time.monotonic()
-            if consumer_id in self._consumers:
-                self._consumers[consumer_id] = now
+            self._touch(consumer_id)
             if self._control_command is None or self._control_revision <= after:
                 return None
             return self._control_revision, dict(self._control_command)
@@ -481,8 +424,7 @@ class InProcBroker:
     ) -> None:
         """Record one consumer's outcome for a control revision."""
         with self._cond:
-            if consumer_id in self._consumers:
-                self._consumers[consumer_id] = time.monotonic()
+            self._touch(consumer_id)
             if revision != self._control_revision:
                 return  # superseded; only the newest revision is tracked
             self._control_acks[consumer_id] = {
@@ -513,7 +455,7 @@ class InProcBroker:
                     consumer_id: dict(ack)
                     for consumer_id, ack in self._control_acks.items()
                 },
-                "consumers": list(self._consumer_order),
+                "consumers": list(self._consumers),
             }
 
     # ----------------------------------------------------------------- front
@@ -566,11 +508,12 @@ class InProcBroker:
                 deliveries=lease.job.deliveries,
             )
             self._requeue(lease.job, error="visibility timeout expired")
-        # 2. Silent consumers: reassign their partitions to survivors.
+        # 2. Silent consumers: detach them (the front kills and replaces
+        #    its own through take_reaped).
         for consumer_id, last_seen in list(self._consumers.items()):
             if now - last_seen > self.consumer_deadline:
                 logger.warning(
-                    "consumer %s silent for %.1fs; reassigning its partitions",
+                    "consumer %s silent for %.1fs; detaching it",
                     consumer_id,
                     now - last_seen,
                 )
@@ -583,13 +526,13 @@ class InProcBroker:
                 del self._finished_ids[job_id]
 
     # ------------------------------------------------------------- introspection
-    def _set_depth(self, partition: int) -> None:
-        _QUEUE_DEPTH.labels(str(partition)).set(len(self._queues[partition]))
+    def _set_depth(self) -> None:
+        _QUEUE_DEPTH.set(len(self._queue))
 
     def depth(self) -> int:
-        """Jobs waiting (not leased, not finished) across all partitions."""
+        """Jobs waiting (not leased, not finished)."""
         with self._lock:
-            return sum(len(queue) for queue in self._queues)
+            return len(self._queue)
 
     def consumer_count(self) -> int:
         with self._lock:
@@ -600,29 +543,21 @@ class InProcBroker:
             return self._redeliveries
 
     def stats(self) -> Dict[str, Any]:
-        """JSON-friendly broker snapshot for ``/info`` and ``fleet-status``."""
+        """JSON-friendly broker snapshot for ``/info``."""
         with self._lock:
-            now = time.monotonic()
-            oldest: Optional[float] = None
-            for queue in self._queues:
-                if queue:
-                    age = now - queue[0].enqueued
-                    oldest = age if oldest is None else max(oldest, age)
+            # A redelivered job goes back to the head, so the head is not
+            # always the oldest.
+            oldest = min((job.enqueued for job in self._queue), default=None)
             return {
-                "partitions": self.partitions,
-                "partition_capacity": self.partition_capacity,
+                "capacity": self.capacity,
                 "visibility_timeout_seconds": self.visibility_timeout,
                 "max_deliveries": self.max_deliveries,
-                "depth": sum(len(queue) for queue in self._queues),
-                "depth_per_partition": [len(queue) for queue in self._queues],
-                "oldest_job_age_seconds": oldest,
+                "depth": len(self._queue),
+                "oldest_job_age_seconds": None if oldest is None else time.monotonic() - oldest,
                 "inflight": len(self._inflight),
                 "redeliveries": self._redeliveries,
                 "control_revision": self._control_revision,
-                "consumers": {
-                    consumer_id: self._assigned_partitions(consumer_id)
-                    for consumer_id in self._consumer_order
-                },
+                "consumers": list(self._consumers),
             }
 
     # ------------------------------------------------------------- lifecycle
@@ -636,15 +571,14 @@ class InProcBroker:
             for lease in list(self._inflight.values()):
                 self._finish(lease.job, result=None, error=error, metrics=None)
             self._inflight.clear()
-            for partition, queue in enumerate(self._queues):
-                while queue:
-                    self._finish(queue.popleft(), result=None, error=error, metrics=None)
-                self._set_depth(partition)
+            while self._queue:
+                self._finish(self._queue.popleft(), result=None, error=error, metrics=None)
+            self._set_depth()
             self._cond.notify_all()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"InProcBroker(partitions={self.partitions}, "
+            f"InProcBroker(capacity={self.capacity}, "
             f"visibility_timeout={self.visibility_timeout})"
         )
 

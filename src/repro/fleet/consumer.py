@@ -3,7 +3,7 @@
 One :class:`FleetConsumer` is one horizontal unit of serving capacity: one
 serving lane.  It attaches to the broker (in-process object or a
 :func:`~repro.fleet.broker.connect_broker` proxy — the loop cannot tell the
-difference), leases one job at a time from its assigned partitions, answers
+difference), leases the broker's oldest queued job, one at a time, answers
 it with its own warm :class:`~repro.api.predictor.EnsemblePredictor` — loaded
 once, in this process: with one job in flight a worker pool could only add a
 process hop — and acks the result back.  Results are therefore **bitwise
@@ -53,7 +53,7 @@ __all__ = ["FleetConsumer"]
 
 
 class FleetConsumer:
-    """Answer broker partitions with one in-process predictor until stopped.
+    """Answer broker jobs with one in-process predictor until stopped.
 
     ``broker`` is an :class:`~repro.fleet.broker.InProcBroker` or anything
     that duck-types it — the in-process object in tests, a manager proxy in

@@ -58,8 +58,10 @@ _JOB_LATENCY = _metrics.histogram(
 
 __all__ = ["FleetFront"]
 
-#: How long a fetched-by-poll result is retained before the sweep drops it.
-DEFAULT_RESULT_TTL = 120.0
+#: How long a completed result waits to be fetched before the sweep drops it.
+RESULT_TTL = 120.0
+#: How long ``result`` / ``predict_proba`` wait when the caller names no timeout.
+REQUEST_TIMEOUT = 300.0
 
 
 @dataclass
@@ -81,7 +83,7 @@ class _LocalConsumer:
 
 
 class FleetFront:
-    """Producer front over a partitioned broker plus managed consumers.
+    """Producer front over a one-queue broker plus managed consumers.
 
     A consumer is one serving lane (one process answering one job at a
     time), so capacity is ``min_consumers``..``max_consumers``.  With
@@ -94,10 +96,7 @@ class FleetFront:
     def __init__(
         self,
         artifact: Union[str, Path],
-        partitions: int = 4,
-        partition_capacity: int = 1024,
         visibility_timeout: float = 30.0,
-        max_deliveries: int = 5,
         method: str = "average",
         min_consumers: int = 1,
         max_consumers: int = 4,
@@ -114,8 +113,6 @@ class FleetFront:
         host: str = "127.0.0.1",
         fleet_port: int = 0,
         fleet_authkey: str = "repro-fleet",
-        request_timeout: float = 300.0,
-        result_ttl: float = DEFAULT_RESULT_TTL,
         reconcile_interval: float = 0.5,
         log_format: Optional[str] = None,
         log_file: Optional[Union[str, Path]] = None,
@@ -137,19 +134,12 @@ class FleetFront:
         self.min_consumers = int(min_consumers)
         self.max_consumers = int(max_consumers)
         self.batch_size = int(batch_size)
-        self.request_timeout = float(request_timeout)
-        self.result_ttl = float(result_ttl)
         self.spawn_local = bool(spawn_local)
         self._log_format = log_format
         self._log_file = log_file
         self._fleet_authkey = fleet_authkey
 
-        self.broker = InProcBroker(
-            partitions=partitions,
-            partition_capacity=partition_capacity,
-            visibility_timeout=visibility_timeout,
-            max_deliveries=max_deliveries,
-        )
+        self.broker = InProcBroker(visibility_timeout=visibility_timeout)
         self.broker_address, self._stop_broker_server = serve_broker(
             self.broker, host=host, port=fleet_port, authkey=fleet_authkey
         )
@@ -199,11 +189,10 @@ class FleetFront:
                 interval=autoscale_interval,
             ).start()
         logger.info(
-            "fleet front for %s: broker %s:%d, %d partitions, consumers %d..%d",
+            "fleet front for %s: broker %s:%d, consumers %d..%d",
             artifact,
             self.broker_address[0],
             self.broker_address[1],
-            partitions,
             self.min_consumers,
             self.max_consumers,
         )
@@ -256,7 +245,7 @@ class FleetFront:
         if entry is None:
             raise KeyError(f"unknown job id {job_id!r}")
         try:
-            result = entry.future.result(timeout=timeout or self.request_timeout)
+            result = entry.future.result(timeout=timeout or REQUEST_TIMEOUT)
         finally:
             with self._lock:
                 self._entries.pop(job_id, None)
@@ -311,7 +300,7 @@ class FleetFront:
                     entry.done = True
                     entry.result = job.result
                     entry.error = job.error
-                    entry.expires = now + self.result_ttl
+                    entry.expires = now + RESULT_TTL
                 if job.error is not None:
                     entry.future.set_exception(RuntimeError(job.error))
                 else:

@@ -7,7 +7,7 @@ endpoint surface:
 * ``--mode pool`` (default) — a local
   :class:`~repro.parallel.serving.PoolPredictor`;
 * ``--mode queue`` — a :class:`~repro.fleet.front.FleetFront`: requests are
-  published as jobs on a partitioned broker and answered by
+  published as jobs on a one-queue broker and answered by
   ``repro fleet-worker`` consumers (local subprocesses managed and
   autoscaled by the front, plus any externally attached ones).
 
@@ -20,7 +20,7 @@ Endpoints
   ``min_consumers``); ``down`` (HTTP 503) means nothing can answer.  Queue
   mode includes queue depth and redelivery counts.
 * ``GET /info`` — the backend's ``info()`` (worker pids and restart counts
-  in pool mode; broker/partition stats, consumer fleet, and autoscaler state
+  in pool mode; broker queue stats, consumer fleet, and autoscaler state
   in queue mode) plus ``uptime_seconds``.
 * ``GET /metrics`` — Prometheus text exposition of the process-wide metrics
   registry: request counters and latency histograms, dispatch batch sizes,
@@ -31,7 +31,8 @@ Endpoints
   ``{"probabilities": [[...], ...]}`` when ``proba`` is true.  Outputs are
   bitwise identical to a single-process ``EnsemblePredictor`` on the same
   batch.  In queue mode, ``"async": true`` returns ``202 {"job_id": ...}``
-  immediately instead of blocking.
+  immediately instead of blocking, and a full broker queue answers ``503``
+  (sync or async) — load to shed, not a malformed request (``400``).
 * ``GET /result/<job_id>`` (queue mode) — poll an async job: ``200`` with
   the result once done (the result is consumed), ``202`` while pending,
   ``404`` for unknown/expired ids.
@@ -148,6 +149,13 @@ class _Server(ThreadingHTTPServer):
 
 def _make_handler(pool, mode: str, started_at: float):
     queue_mode = mode == "queue"
+    # A full broker queue is shed load (503), not a malformed request (400).
+    # Pool mode sheds nothing, and leaves the fleet package unimported.
+    shed: tuple = ()
+    if queue_mode:
+        from repro.fleet.broker import BrokerFull
+
+        shed = (BrokerFull,)
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -310,6 +318,8 @@ def _make_handler(pool, mode: str, started_at: float):
                     else:
                         labels = pool.predict(x, method=method)
                         self._reply(200, {"predictions": labels.tolist()})
+                except shed as exc:
+                    self._reply(503, {"error": str(exc)})
                 except (ValueError, TypeError, RuntimeError, json.JSONDecodeError) as exc:
                     self._reply(400, {"error": str(exc)})
 

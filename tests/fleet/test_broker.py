@@ -1,6 +1,8 @@
-"""Unit tests for the in-process partitioned broker: delivery semantics,
-partition assignment, redelivery clocks, and the cross-process manager."""
+"""Unit tests for the in-process one-queue broker: delivery semantics,
+lease order across consumers, redelivery clocks, and the cross-process
+manager."""
 
+import sys
 import threading
 import time
 
@@ -17,8 +19,7 @@ from repro.fleet.broker import (
 @pytest.fixture
 def broker():
     b = InProcBroker(
-        partitions=4,
-        partition_capacity=8,
+        capacity=32,
         visibility_timeout=0.4,
         max_deliveries=3,
         consumer_deadline=30.0,
@@ -54,9 +55,10 @@ def test_publish_lease_ack_roundtrip(broker):
 
 
 def test_publish_round_robins_partitions(broker):
-    for _ in range(8):
-        broker.publish({"x": 0})
-    assert broker.stats()["depth_per_partition"] == [2, 2, 2, 2]
+    """Jobs are leased in publish order, whichever consumer asks."""
+    published = [broker.publish({"i": i}) for i in range(6)]
+    askers = ["c1", "c2", "c3", "c3", "c1", "c2"]
+    assert [broker.lease(c, timeout=0.0).job_id for c in askers] == published
 
 
 def test_publish_caller_supplied_job_id(broker):
@@ -64,11 +66,11 @@ def test_publish_caller_supplied_job_id(broker):
 
 
 def test_broker_full_backpressure(broker):
-    for _ in range(4 * 8):
+    for _ in range(broker.capacity):
         broker.publish({})
     with pytest.raises(BrokerFull):
         broker.publish({})
-    # A full partition is skipped when another has room.
+    # A leased job makes room.
     broker.attach("c1")
     job = broker.lease("c1", timeout=1.0)
     broker.ack("c1", job.job_id, result=None)
@@ -76,11 +78,58 @@ def test_broker_full_backpressure(broker):
 
 
 def test_attach_rebalances_round_robin(broker):
-    assert broker.attach("c1") == [0, 1, 2, 3]
-    assert broker.attach("c2") == [1, 3]
-    assert broker.stats()["consumers"] == {"c1": [0, 2], "c2": [1, 3]}
+    """Attach and detach change the consumers list; a consumer that just
+    attached leases at once."""
+    broker.attach("c1")
+    broker.attach("c2")
+    assert broker.stats()["consumers"] == ["c1", "c2"]
     broker.detach("c1")
-    assert broker.stats()["consumers"] == {"c2": [0, 1, 2, 3]}
+    assert broker.stats()["consumers"] == ["c2"]
+    job_id = broker.publish({})
+    broker.attach("c3")
+    assert broker.stats()["consumers"] == ["c2", "c3"]
+    assert broker.lease("c3", timeout=0.0).job_id == job_id
+
+
+def test_every_consumer_leases_while_jobs_are_queued():
+    """Five consumers on a default broker all lease while jobs are queued."""
+    broker = InProcBroker()
+    try:
+        consumers = [f"c{i}" for i in range(5)]
+        for consumer in consumers:
+            broker.attach(consumer)
+        for i in range(10):
+            broker.publish({"i": i})
+        leased = {c: broker.lease(c, timeout=0.2) for c in consumers}
+        assert all(job is not None for job in leased.values()), leased
+        assert broker.depth() == 5
+    finally:
+        broker.close()
+
+
+def test_an_idle_consumer_takes_the_next_job_while_another_is_busy():
+    """No head-of-line wait: while c0 holds a lease, an idle c1 leases every
+    queued job at once, whichever job the publish order put next."""
+    broker = InProcBroker()
+    try:
+        broker.attach("c0")
+        broker.attach("c1")
+        published = [broker.publish({"i": i}) for i in range(3)]
+        held = broker.lease("c0", timeout=0.0)
+        assert held.job_id == published[0]
+        for job_id in published[1:]:
+            job = broker.lease("c1", timeout=0.0)
+            assert job is not None and job.job_id == job_id
+            assert broker.ack("c1", job.job_id, result=None) is True
+        assert broker.stats()["inflight"] == 1  # c0 still holds its lease
+    finally:
+        broker.close()
+
+
+def test_partitions_is_accepted_only_as_one():
+    InProcBroker(partitions=1).close()
+    with pytest.raises(ValueError, match="one queue"):
+        InProcBroker(partitions=4)
 
 
 def test_lease_attaches_unknown_consumer_implicitly(broker):
@@ -106,10 +155,43 @@ def test_visibility_timeout_redelivers_unacked_job(broker):
     assert [c.job_id for c in done] == [job_id]
 
 
+def test_concurrent_consumers_complete_every_job_once():
+    """Six consumer threads on one queue, switching often: every job is
+    leased and completed exactly once, and none is left behind."""
+    broker = InProcBroker()
+    published = {broker.publish({"i": i}) for i in range(300)}
+    acked = []
+
+    def consume(consumer_id):
+        while True:
+            job = broker.lease(consumer_id, timeout=0.2)
+            if job is None:
+                return
+            acked.append((job.job_id, broker.ack(consumer_id, job.job_id, result=None)))
+
+    threads = [threading.Thread(target=consume, args=(f"c{i}",)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(acked) == sorted((job_id, True) for job_id in published)
+        done = broker.poll_completed(timeout=1.0)
+        assert sorted(c.job_id for c in done) == sorted(published)
+        stats = broker.stats()
+        assert stats["depth"] == 0 and stats["inflight"] == 0
+    finally:
+        sys.setswitchinterval(interval)
+        broker.close()
+
+
 def test_dead_consumer_partitions_reassigned_to_survivor():
+    """A dead consumer's in-flight job redelivers to the survivor, and the
+    dead one is reaped; its queued jobs were never its own."""
     broker = InProcBroker(
-        partitions=4,
-        partition_capacity=32,
         visibility_timeout=0.3,
         consumer_deadline=0.5,
         sweep_interval=0.05,
@@ -119,8 +201,8 @@ def test_dead_consumer_partitions_reassigned_to_survivor():
         broker.attach("alive")
         published = {broker.publish({"i": i}) for i in range(8)}
         # "dead" leases one job and never calls in again: its in-flight job
-        # must redeliver (visibility timeout) and its queued partitions must
-        # reassign to "alive" (consumer deadline).
+        # must redeliver (visibility timeout) and "dead" must be detached
+        # (consumer deadline).
         assert broker.lease("dead", timeout=1.0) is not None
         completed = {}
         deadline = time.monotonic() + 15.0
@@ -133,7 +215,13 @@ def test_dead_consumer_partitions_reassigned_to_survivor():
         assert set(completed) == published
         assert all(c.error is None for c in completed.values())
         assert broker.redeliveries() >= 1
-        assert broker.consumer_count() == 1  # "dead" was reaped
+        # The survivor drains the queue before the deadline reaps "dead";
+        # wait for the reap, with "alive" still calling in.
+        assert _wait_for(
+            lambda: broker.lease("alive", timeout=0.0) is None
+            and broker.stats()["consumers"] == ["alive"]
+        )
+        assert broker.take_reaped() == ["dead"]
     finally:
         broker.close()
 
@@ -190,16 +278,15 @@ def test_stats_reports_depth_and_oldest_age(broker):
     time.sleep(0.05)
     stats = broker.stats()
     assert stats["depth"] == 1
-    assert sum(stats["depth_per_partition"]) == 1
+    assert stats["capacity"] == 32
     assert stats["oldest_job_age_seconds"] >= 0.05
     assert stats["inflight"] == 0
 
 
 def test_close_fails_queued_and_inflight_jobs(broker):
     broker.attach("c1")
-    queued = broker.publish({})
     leased = broker.publish({})
-    # Lease until we hold one of the two (partition order is not ours).
+    queued = broker.publish({})
     job = broker.lease("c1", timeout=1.0)
     broker.close()
     done = {c.job_id: c for c in broker.poll_completed(timeout=1.0)}
@@ -207,7 +294,7 @@ def test_close_fails_queued_and_inflight_jobs(broker):
     assert all("broker closed" in c.error for c in done.values())
     with pytest.raises(RuntimeError):
         broker.publish({})
-    assert job is not None
+    assert job is not None and job.job_id == leased
 
 
 def test_served_broker_roundtrip_through_manager_proxy(broker):
@@ -222,7 +309,7 @@ def test_served_broker_roundtrip_through_manager_proxy(broker):
         # The completion landed in the *served* broker object.
         done = broker.poll_completed(timeout=1.0)
         assert [c.result for c in done] == [[1, 2, 3]]
-        assert proxy.stats()["consumers"] == {"remote": [0, 1, 2, 3]}
+        assert proxy.stats()["consumers"] == ["remote"]
     finally:
         stop()
 

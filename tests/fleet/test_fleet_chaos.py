@@ -66,7 +66,6 @@ def test_consumer_crash_redelivers_with_zero_dropped_requests(
 
     front = FleetFront(
         saved_artifact,
-        partitions=4,
         visibility_timeout=1.5,
         spawn_local=False,
         autoscale=False,
@@ -92,8 +91,8 @@ def test_consumer_crash_redelivers_with_zero_dropped_requests(
         assert child_pids(chaos.pid) == [] and child_pids(survivor.pid) == []
         shm_before = shm_entries()
 
-        # 16 jobs round-robin over 4 partitions: the chaos consumer owns two
-        # of them, so it sees ~8 jobs and cannot survive the stream.
+        # 16 jobs on one queue both consumers lease from: the chaos consumer
+        # sees ~8 of them, so it cannot survive the stream.
         batches = [x[i * 4 : i * 4 + 4] for i in range(16)]
         job_ids = [front.submit(batch) for batch in batches]
         results = [front.result(job_id, timeout=120) for job_id in job_ids]
@@ -124,12 +123,7 @@ def test_consumer_crash_redelivers_with_zero_dropped_requests(
 
 
 def test_fleet_worker_drains_cleanly_on_sigterm(saved_artifact, serial_result):
-    front = FleetFront(
-        saved_artifact,
-        partitions=2,
-        spawn_local=False,
-        autoscale=False,
-    )
+    front = FleetFront(saved_artifact, spawn_local=False, autoscale=False)
     worker = None
     try:
         worker = _spawn_worker(front.broker_address, saved_artifact, "drainer")
@@ -168,7 +162,6 @@ def test_a_wedged_local_consumer_is_killed_and_replaced(
     shm_before = shm_entries()
     front = FleetFront(
         saved_artifact,
-        partitions=2,
         visibility_timeout=1.0,
         min_consumers=2,
         max_consumers=2,
@@ -184,7 +177,7 @@ def test_a_wedged_local_consumer_is_killed_and_replaced(
         pids = list(local.values())
         assert [child_pids(pid) for pid in pids] == [[], []]
 
-        # Round-robin over both partitions: local-0 leases one job and hangs.
+        # Both consumers lease from the one queue: local-0 takes a job and hangs.
         batches = [x[i * 4 : i * 4 + 4] for i in range(8)]
         job_ids = [front.submit(batch) for batch in batches]
         results = [front.result(job_id, timeout=120) for job_id in job_ids]

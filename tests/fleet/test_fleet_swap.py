@@ -50,7 +50,6 @@ def test_fleet_swap_under_fire_converges_all_consumers(swap_store, refs):
     swap_store.promote(0)
     front = FleetFront(
         swap_store.root,
-        partitions=2,
         spawn_local=False,
         autoscale=False,
         min_consumers=1,
@@ -138,7 +137,7 @@ def test_fleet_swap_under_fire_converges_all_consumers(swap_store, refs):
 def test_fleet_swap_without_pointer_move_is_a_noop(swap_store):
     swap_store.promote(0)
     front = FleetFront(
-        swap_store.root, partitions=1, spawn_local=False, autoscale=False
+        swap_store.root, spawn_local=False, autoscale=False
     )
     try:
         result = front.swap()
@@ -157,7 +156,7 @@ def test_consumer_attaching_late_acks_without_rolling(swap_store, refs):
     probe, _, ref1 = refs
     swap_store.promote(1)
     front = FleetFront(
-        swap_store.root, partitions=1, spawn_local=False, autoscale=False
+        swap_store.root, spawn_local=False, autoscale=False
     )
     try:
         revision = front.broker.post_control({"op": "swap", "generation": 1})
@@ -207,7 +206,7 @@ def test_swap_to_the_served_generation_is_a_noop_and_a_failed_one_keeps_serving(
     probe, ref0, _ = refs
     swap_store.promote(0)
     front = FleetFront(
-        swap_store.root, partitions=1, spawn_local=False, autoscale=False
+        swap_store.root, spawn_local=False, autoscale=False
     )
     consumer = FleetConsumer(
         front.broker, swap_store.root, consumer_id="c", metrics_interval=3600.0

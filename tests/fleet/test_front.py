@@ -22,7 +22,6 @@ def fleet(saved_artifact):
     consumer sharing the broker object directly."""
     front = FleetFront(
         saved_artifact,
-        partitions=2,
         spawn_local=False,
         autoscale=False,
         min_consumers=1,
@@ -140,13 +139,8 @@ def test_constructor_rejects_bad_configuration(saved_artifact):
 
 
 def test_broker_full_submit_cleans_up_its_entry(saved_artifact):
-    front = FleetFront(
-        saved_artifact,
-        partitions=1,
-        partition_capacity=1,
-        spawn_local=False,
-        autoscale=False,
-    )
+    front = FleetFront(saved_artifact, spawn_local=False, autoscale=False)
+    front.broker.capacity = 1
     try:
         x = np.zeros((1, 12))
         kept = front.submit(x)  # no consumer attached: stays queued
@@ -166,8 +160,8 @@ def test_healthz_and_info_reflect_the_fleet(fleet):
     assert health["consumers"] == 1
     info = fleet.info()
     assert info["mode"] == "queue"
-    assert info["queue"]["partitions"] == 2
-    assert isinstance(info["queue"]["depth_per_partition"], list)
+    assert info["queue"]["capacity"] == 4096
+    assert info["queue"]["consumers"] == ["inproc"]
     assert info["consumers"] == 1
     assert info["local_consumers"] is None  # spawn_local=False
     assert info["autoscaler"] is None

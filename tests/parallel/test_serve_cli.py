@@ -366,6 +366,34 @@ def test_accepted_connections_have_tcp_nodelay():
     assert len(nodelay) == 1 and nodelay[0] != 0
 
 
+def test_a_full_broker_queue_answers_503_not_400():
+    """Shed load is the server's state, not a malformed request: a full
+    broker queue answers 503 on sync and async predicts alike."""
+    from repro.fleet import BrokerFull
+
+    class Full(_FakePool):
+        def _shed(self, *args, **kwargs):
+            raise BrokerFull("the broker queue is at capacity (1 jobs)")
+
+        predict_proba = predict = submit = _shed
+
+    def status_of(url, payload):
+        try:
+            return 200, _post(url, payload, timeout=30)
+        except urllib.error.HTTPError as exc:
+            return exc.code, json.loads(exc.read())
+
+    rows = [[0.0] * 12]
+    with _serving_in_process(_make_handler(Full(), "queue", time.monotonic())) as url:
+        for payload in ({"inputs": rows}, {"inputs": rows, "proba": True}, {"inputs": rows, "async": True}):
+            status, reply = status_of(url, payload)
+            assert status == 503, payload
+            assert "at capacity" in reply["error"]
+        status, reply = status_of(url, {"proba": True})
+        assert status == 400
+        assert '"inputs"' in reply["error"]
+
+
 def test_handler_failure_is_one_event_carrying_the_traceback(train_events, capfd):
     class Broken(_FakePool):
         def healthz(self):
