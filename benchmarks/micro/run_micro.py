@@ -154,9 +154,10 @@ def bench_hot_swap(repeats: int) -> Dict:
     (``fast_seconds`` = steady p99) and inside the swap window
     (``reference_seconds`` = swap-window p99), so the harness's ``speedup``
     reads as the p99 degradation factor *during* a swap (~1x means swaps
-    are latency-invisible), plus the swap makespan (drain + respawn + warm
-    for all workers).  Latency during a roll is bounded by one worker's
-    respawn+warm time slice, so ``cpu_count`` is recorded with the result.
+    are latency-invisible), plus the swap makespan (each worker reloading
+    its predictor in place, one at a time).  A request queued behind a
+    reload waits for it, and the reload shares the CPUs with the clients,
+    so ``cpu_count`` is recorded with the result.
     """
     from repro.api import run_experiment, save_ensemble_run
     from repro.core.artifact_store import ArtifactStore
@@ -199,7 +200,8 @@ def bench_hot_swap(repeats: int) -> Dict:
     save_ensemble_run(result.run, root)
     store = ArtifactStore.open(root)
     # The candidate generation: identical weights are fine — the roll cost
-    # (drain, respawn, warm) is what's being measured, not the model delta.
+    # (each worker's load, lower and warm) is what's being measured, not the
+    # model delta.
     store.add_generation(result.run, parent_generation=0)
     x = result.dataset.x_test[: params["batch"]]
 

@@ -34,6 +34,12 @@ generation, per-member provenance (``hatched`` members came out of a trained
 MotherNet — the paper's cheap-refresh economics — versus ``retrained`` /
 ``initial`` members), and the promotion verdict of the shadow-evaluation
 gate (see :mod:`repro.api.retrain`).
+
+Hot-swap has one routine, :meth:`ServingTier.swap`, shared by the serving pool
+and the fleet front: every serving lane (a pool worker, a fleet consumer)
+reloads its predictor in place between two answers, and a tier only says how
+its lanes are told (``_roll``).  It lives here rather than in
+``repro.parallel`` because ``repro fleet-worker`` must not import that.
 """
 
 from __future__ import annotations
@@ -41,11 +47,13 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.core.ensemble import resolve_combination_method
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
 from repro.utils.atomic import atomic_write_text, fsync_dir
@@ -55,11 +63,22 @@ logger = get_logger("core.artifact_store")
 
 _metrics = get_registry()
 #: The generation currently *promoted* in the store this process touched
-#: last; the serving pool sets the same gauge to the generation it serves
+#: last; a serving tier sets the same gauge to the generation it serves
 #: after a swap, so in either process the gauge answers "which generation".
 ARTIFACT_GENERATION = _metrics.gauge(
     "repro_artifact_generation",
     "Artifact generation: promoted by retrain, served by a pool after swap.",
+)
+_SWAPS = _metrics.counter(
+    "repro_swap_total", "Artifact hot-swaps attempted by a serving tier.", ("status",)
+)
+_SWAP_WORKERS = _metrics.counter(
+    "repro_swap_workers_respawned_total",
+    "Serving lanes rolled onto a new artifact generation during swaps.",
+)
+_SWAP_SECONDS = _metrics.histogram(
+    "repro_swap_seconds",
+    "Swap makespan: target published to the last lane serving it.",
 )
 
 GEN_PREFIX = "gen-"
@@ -82,6 +101,7 @@ __all__ = [
     "LINEAGE_SCHEMA",
     "ResolvedArtifact",
     "ServedArtifact",
+    "ServingTier",
     "resolve_artifact",
     "served_artifact",
 ]
@@ -224,6 +244,133 @@ def served_artifact(
             f"differ from the serving {serving.input_shape} / {serving.num_classes}"
         )
     return served
+
+
+class ServingTier:
+    """What the serving pool and the fleet front share: the artifact
+    generation they serve and the one routine that swaps it.
+
+    A tier calls ``__init__`` once it has validated its own parameters,
+    implements ``predict_proba`` and ``close`` (which sets ``_closed``), and
+    supplies ``_roll(target, timeout)``: move every serving lane onto
+    ``target`` and return how many lanes it moved, or raise
+    ``RuntimeError``.  ``lanes`` names that count in the swap summary.
+    """
+
+    lanes = "workers_respawned"
+
+    def __init__(self, path: Union[str, Path], method: str):
+        # Resolved once: lanes load the concrete generation directory, while
+        # self.path keeps the caller's root so swap() can re-resolve CURRENT.
+        self.path = Path(path)
+        self._artifact = served_artifact(path)
+        resolve_combination_method(method, has_super_learner=self._artifact.has_super_learner)
+        self.method = method
+        self._closed = False
+        self._swap_lock = threading.Lock()  # admits one swap() at a time
+        self._swaps_total = 0
+
+    generation = property(lambda self: self._artifact.generation)
+    input_shape = property(lambda self: self._artifact.input_shape)
+    num_classes = property(lambda self: self._artifact.num_classes)
+    num_members = property(lambda self: self._artifact.num_members)
+    approach = property(lambda self: self._artifact.approach)
+
+    def _resolve_method(self, method: Optional[str]) -> str:
+        return resolve_combination_method(
+            method, default=self.method, has_super_learner=self._artifact.has_super_learner
+        )
+
+    def predict(self, x, method: Optional[str] = None, timeout: Optional[float] = None):
+        """Predicted class labels, shape ``(samples,)``."""
+        return self.predict_proba(x, method=method, timeout=timeout).argmax(axis=1)
+
+    def swap(
+        self, generation: Optional[int] = None, timeout: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """Move every serving lane onto another artifact generation, with no
+        downtime.
+
+        Re-resolves the path the tier was built with — for a store root
+        whatever ``CURRENT`` now points at, or the explicit ``generation`` —
+        publishes it (a lane that starts from here on loads it) and has each
+        lane reload its predictor in place between two answers: every
+        response comes entirely from one generation, never a mix.  A swap
+        onto what is already served is a ``noop``.
+
+        Raises ``RuntimeError`` if another swap is in progress, if a lane
+        fails to load the target, on timeout (the tier's default when
+        ``None``) or when the tier is closed meanwhile; the lanes already
+        moved are then rolled back, so the old generation keeps serving.
+        Generations whose input shape or class count differ from the served
+        one are refused (``ValueError``).
+        """
+        if self._closed:
+            raise RuntimeError(f"{type(self).__name__} is closed")
+        if not self._swap_lock.acquire(blocking=False):
+            raise RuntimeError("swap already in progress")
+        try:
+            return self._swap_locked(generation, timeout)
+        finally:
+            self._swap_lock.release()
+
+    def _swap_locked(self, generation: Optional[int], timeout: Optional[float]) -> Dict[str, Any]:
+        previous = self._artifact
+        target = served_artifact(self.path, generation, serving=previous)
+        summary = {
+            "status": "noop",
+            "generation": previous.generation,
+            "previous_generation": previous.generation,
+            self.lanes: 0,
+            "swap_seconds": 0.0,
+        }
+        if target.path == previous.path:
+            # CURRENT did not move (or the tier serves a bare directory).
+            return summary
+        start = time.monotonic()
+        moves = {"from_generation": previous.generation, "to_generation": target.generation}
+        log_event("swap.started", artifact=str(self.path), **moves)
+        self._artifact = target
+        try:
+            rolled = self._roll(target, timeout)
+        except RuntimeError as exc:
+            error = str(exc)
+            self._artifact = previous
+            if not self._closed:
+                try:
+                    self._roll(previous, timeout)
+                except RuntimeError as undo:
+                    error += (
+                        f"; rolling back to generation {previous.generation} "
+                        f"failed too: {undo}"
+                    )
+            _SWAPS.labels("error").inc()
+            log_event("swap.failed", error=error, **moves)
+            raise RuntimeError(error) from exc
+        elapsed = time.monotonic() - start
+        self._swaps_total += 1
+        _SWAPS.labels("ok").inc()
+        _SWAP_WORKERS.inc(rolled)
+        _SWAP_SECONDS.observe(elapsed)
+        ARTIFACT_GENERATION.set(target.generation)
+        log_event("swap.completed", lanes=rolled, seconds=elapsed, **moves)
+        logger.info(
+            "hot-swapped %s: generation %d -> %d (%d lanes rolled in %.2fs)",
+            self.path,
+            previous.generation,
+            target.generation,
+            rolled,
+            elapsed,
+        )
+        summary.update(status="ok", generation=target.generation, swap_seconds=elapsed)
+        summary[self.lanes] = rolled
+        return summary
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def _member_origins(manifest: Dict[str, Any], default: str) -> List[Dict[str, Any]]:

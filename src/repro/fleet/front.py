@@ -40,8 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.artifact_store import ARTIFACT_GENERATION, served_artifact
-from repro.core.ensemble import resolve_combination_method
+from repro.core.artifact_store import ServedArtifact, ServingTier
 from repro.fleet.autoscaler import Autoscaler, AutoscaleSignals
 from repro.fleet.broker import InProcBroker, serve_broker
 from repro.obs.events import log_event
@@ -82,7 +81,7 @@ class _LocalConsumer:
     kill_at: Optional[float] = None
 
 
-class FleetFront:
+class FleetFront(ServingTier):
     """Producer front over a one-queue broker plus managed consumers.
 
     A consumer is one serving lane (one process answering one job at a
@@ -92,6 +91,8 @@ class FleetFront:
     process or via the broker address; this is how the chaos tests drive
     externally-SIGKILLed `fleet-worker` processes.
     """
+
+    lanes = "consumers_acked"
 
     def __init__(
         self,
@@ -125,12 +126,7 @@ class FleetFront:
         # parameter goes once a benchmark-only change stops passing it.
         if consumer_workers != 1:
             raise ValueError("consumer_workers must be 1; scale with min_consumers / max_consumers")
-        # Like the pool: resolve the (possibly store-layout) path once, keep
-        # the caller's root in self.path so swap() can re-resolve CURRENT.
-        self.path = Path(artifact)
-        self._artifact = served_artifact(artifact)
-        resolve_combination_method(method, has_super_learner=self._artifact.has_super_learner)
-        self.method = method
+        super().__init__(artifact, method)
         self.min_consumers = int(min_consumers)
         self.max_consumers = int(max_consumers)
         self.batch_size = int(batch_size)
@@ -146,7 +142,6 @@ class FleetFront:
 
         self._lock = threading.Lock()
         self._entries: Dict[str, _JobEntry] = {}
-        self._closed = False
         self._stop = threading.Event()
         self._result_thread = threading.Thread(
             target=self._result_loop, name="repro-fleet-results", daemon=True
@@ -197,18 +192,7 @@ class FleetFront:
             self.max_consumers,
         )
 
-    generation = property(lambda self: self._artifact.generation)
-    input_shape = property(lambda self: self._artifact.input_shape)
-    num_classes = property(lambda self: self._artifact.num_classes)
-    num_members = property(lambda self: self._artifact.num_members)
-    approach = property(lambda self: self._artifact.approach)
-
     # ----------------------------------------------------------------- client
-    def _resolve_method(self, method: Optional[str]) -> str:
-        return resolve_combination_method(
-            method, default=self.method, has_super_learner=self._artifact.has_super_learner
-        )
-
     def submit(
         self,
         x: np.ndarray,
@@ -274,14 +258,6 @@ class FleetFront:
     ) -> np.ndarray:
         """Synchronous publish-and-wait; bitwise equal to the pool path."""
         return self.result(self.submit(x, method=method), timeout=timeout)
-
-    def predict(
-        self,
-        x: np.ndarray,
-        method: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> np.ndarray:
-        return self.predict_proba(x, method=method, timeout=timeout).argmax(axis=1)
 
     # ------------------------------------------------------------ result loop
     def _result_loop(self) -> None:
@@ -466,45 +442,19 @@ class FleetFront:
         )
 
     # -------------------------------------------------------------- hot swap
-    def swap(
-        self, generation: Optional[int] = None, timeout: float = 60.0
-    ) -> Dict[str, Any]:
-        """Converge the whole consumer fleet onto a new artifact generation.
+    def _roll(self, target: ServedArtifact, timeout: Optional[float]) -> int:
+        """Post a ``{"op": "swap"}`` control message on the broker and block
+        until every attached consumer has acknowledged it; returns how many
+        did.
 
-        Re-resolves the front's artifact path (picking up the store's moved
-        ``CURRENT`` pointer, or the explicit ``generation``), posts a
-        ``{"op": "swap"}`` control message on the broker, and blocks until
-        every currently-attached consumer has acknowledged reloading its
-        predictor between two jobs — consumers keep leasing and answering
-        jobs throughout, each response computed entirely on one generation.
-        Consumers that attach mid-swap (autoscaler replacements) load the new
-        ``CURRENT`` directly and ack without reloading.  Raises
-        ``RuntimeError`` on a failed consumer ack or on timeout.
+        Each consumer reloads its predictor between two jobs, so it keeps
+        answering throughout, every response on one generation.  Consumers
+        that attach meanwhile load the new ``CURRENT`` themselves and ack
+        without reloading (autoscaler spawns pass ``self.path``).  Waits
+        ``timeout`` seconds, 60 by default.
         """
-        if self._closed:
-            raise RuntimeError("FleetFront is closed")
-        previous = self._artifact
-        target = served_artifact(self.path, generation, serving=previous)
-        if target.path == previous.path:
-            return {
-                "status": "noop",
-                "generation": previous.generation,
-                "previous_generation": previous.generation,
-                "consumers_acked": 0,
-                "swap_seconds": 0.0,
-            }
-        start = time.monotonic()
-        deadline = start + float(timeout)
-        log_event(
-            "swap.started",
-            artifact=str(self.path),
-            mode="queue",
-            from_generation=previous.generation,
-            to_generation=target.generation,
-        )
-        # Future consumers (autoscaler spawns pass self.path) resolve the
-        # new CURRENT themselves; existing ones roll via the control channel.
-        self._artifact = target
+        timeout = 60.0 if timeout is None else float(timeout)
+        deadline = time.monotonic() + timeout
         revision = self.broker.post_control(
             {"op": "swap", "generation": target.generation}
         )
@@ -521,58 +471,18 @@ class FleetFront:
                 if not ack["ok"]
             ]
             if failed:
-                log_event(
-                    "swap.failed",
-                    mode="queue",
-                    to_generation=target.generation,
-                    errors=failed,
-                )
-                raise RuntimeError(
-                    "fleet swap failed on "
-                    + "; ".join(failed)
-                )
+                raise RuntimeError("fleet swap failed on " + "; ".join(failed))
             attached = set(status["consumers"])
             if attached and attached <= set(acks):
-                break
+                return len(acks)
             if time.monotonic() > deadline:
                 missing = sorted(attached - set(acks))
-                log_event(
-                    "swap.failed",
-                    mode="queue",
-                    to_generation=target.generation,
-                    errors=[f"timeout waiting for acks from {missing}"],
-                )
                 raise RuntimeError(
                     f"fleet swap timed out after {timeout:.0f}s waiting for "
                     f"consumers {missing} to acknowledge generation "
                     f"{target.generation}"
                 )
             time.sleep(0.05)
-        elapsed = time.monotonic() - start
-        ARTIFACT_GENERATION.set(target.generation)
-        log_event(
-            "swap.completed",
-            mode="queue",
-            from_generation=previous.generation,
-            to_generation=target.generation,
-            consumers=len(acks),
-            seconds=elapsed,
-        )
-        logger.info(
-            "fleet hot-swapped %s: generation %d -> %d (%d consumers in %.2fs)",
-            self.path,
-            previous.generation,
-            target.generation,
-            len(acks),
-            elapsed,
-        )
-        return {
-            "status": "ok",
-            "generation": target.generation,
-            "previous_generation": previous.generation,
-            "consumers_acked": len(acks),
-            "swap_seconds": elapsed,
-        }
 
     # ---------------------------------------------------------- health / info
     def wait_ready(self, timeout: float = 180.0) -> None:
@@ -669,9 +579,3 @@ class FleetFront:
             if not entry.future.done():
                 entry.future.set_exception(RuntimeError("FleetFront closed"))
         log_event("fleet.front_closed", artifact=str(self.path))
-
-    def __enter__(self) -> "FleetFront":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -22,7 +22,8 @@ is written once; :mod:`repro.parallel.worker` holds the one worker loop):
   a shared artifact directory, with request micro-batching,
   dispatch-when-idle to the least-loaded worker, and a supervisor thread
   that owns every process replacement (dead or wedged workers are evicted
-  and respawned under bounded backoff; a hot-swap is a supervised roll).
+  and respawned under bounded backoff; a hot-swap reloads each worker's
+  predictor in place).
   Exposed over HTTP by ``python -m repro serve``
   (:func:`repro.parallel.server.run_server`), including Prometheus
   ``GET /metrics`` and a degrading ``GET /healthz``.  A dispatch entry's

@@ -38,10 +38,12 @@ Endpoints
   ``404`` for unknown/expired ids.
 * ``POST /admin/swap`` — zero-downtime hot-swap onto a new artifact
   generation: body ``{}`` re-resolves the store's ``CURRENT`` pointer,
-  ``{"generation": N}`` pins an explicit generation.  Pool mode rolls the
-  workers one at a time; queue mode broadcasts a control message that every
-  attached fleet consumer applies and acknowledges.  ``409`` while another
-  swap is in progress.
+  ``{"generation": N}`` pins an explicit generation.  Every serving lane
+  reloads its predictor in place between two answers — pool workers one at
+  a time, fleet consumers on a broker control message they acknowledge.
+  ``400`` for a malformed body, an unknown generation or one whose shapes
+  differ; ``409`` while another swap is in progress; ``500`` when the swap
+  could not be carried out (it was rolled back: the old generation serves).
 
 Each HTTP connection is handled on its own thread
 (``ThreadingHTTPServer``); the pool's dispatcher coalesces concurrent
@@ -271,10 +273,8 @@ def _make_handler(pool, mode: str, started_at: float):
             except (json.JSONDecodeError, TypeError, ValueError, FileNotFoundError) as exc:
                 self._reply(400, {"error": str(exc)})
             except RuntimeError as exc:
-                if "already in progress" in str(exc):
-                    self._reply(409, {"error": str(exc)})
-                else:
-                    self._reply(400, {"error": str(exc)})
+                in_progress = "already in progress" in str(exc)
+                self._reply(409 if in_progress else 500, {"error": str(exc)})
             else:
                 self._reply(200, summary)
 

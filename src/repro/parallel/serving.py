@@ -30,13 +30,11 @@ single-process ``EnsemblePredictor`` would return for the same call.
 
 Worker life cycle: each worker fills one slot of a
 :class:`~repro.parallel.supervision.SlotTable` — the record holds its process,
-its private queues, its state (``starting | ready | draining | down``) and its
-backoff, plus the pool's arena, load and artifact generation — and **process
+its private queues, its state (``starting | ready | down``) and its backoff,
+plus the pool's arena, load and artifact generation — and **process
 replacement has exactly one owner, the supervisor thread**.  It wakes every
-``supervise_interval`` seconds to health-check, and at once when another
-thread posts a lifecycle fact under the pool lock (a ``ready`` / ``fatal``
-handshake, a draining slot's load reaching zero, a swap published, the pool
-closing); nothing else stops or spawns a worker, which is why ``close()`` —
+``supervise_interval`` seconds to health-check, and at once when the pool
+closes; nothing else stops or spawns a worker, which is why ``close()`` —
 stopping the supervisor first — cannot race a spawn.
 
 * *Self-healing.*  A dead worker, or one holding a dispatch past
@@ -50,13 +48,13 @@ stopping the supervisor first — cannot race a spawn.
   transition is a structured event (``serve.worker_died`` /
   ``serve.worker_hung`` / ``serve.worker_respawned`` / ``serve.worker_ready``)
   and counted in the ``repro_serve_*`` metrics.
-* *Hot-swap is a supervised replacement.*  :meth:`PoolPredictor.swap` only
-  validates the target, publishes it as the pool's artifact and waits; the
-  supervisor rolls one stale-generation slot at a time (``draining`` → load 0
-  → graceful stop → spawn from the target, no backoff → ``ready`` → next).
-  The dispatcher claims its worker under the same lock the supervisor flips
-  ``draining`` under, so a group either belongs to the old worker before the
-  drain check — and is answered on the old generation — or never reaches it.
+* *Hot-swap is a reload.*  :meth:`~repro.core.artifact_store.ServingTier.swap`
+  (shared with the fleet front) publishes the target and :meth:`PoolPredictor.
+  _roll` puts ``("reload", request_id, path)`` on one worker's queue at a
+  time: claimed, timed and failed like a dispatch, answered once the worker
+  has swapped its predictor in place.  The queue is FIFO, so whatever was
+  dispatched before the reload is answered on the old generation and
+  everything after on the new one; no process, queue or arena is replaced.
 * *Parent death.*  Workers watch their parent and exit when it is gone
   (:mod:`repro.parallel.worker`), so a SIGKILLed server leaves no orphan
   pinning its ``/dev/shm`` segments.
@@ -92,6 +90,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
@@ -99,8 +98,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.artifact_store import ARTIFACT_GENERATION, served_artifact
-from repro.core.ensemble import resolve_combination_method
+from repro.core.artifact_store import ServedArtifact, ServingTier
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
 from repro.parallel.shm_transport import ShmArena
@@ -176,18 +174,7 @@ _TRANSPORT_FALLBACKS = _metrics.counter(
     "travelled inline instead.",
     ("reason",),
 )
-_SWAPS = _metrics.counter(
-    "repro_swap_total", "Artifact hot-swaps attempted by the pool.", ("status",)
-)
-_SWAP_WORKERS = _metrics.counter(
-    "repro_swap_workers_respawned_total",
-    "Pool workers rolled onto a new artifact generation during swaps.",
-)
-_SWAP_SECONDS = _metrics.histogram(
-    "repro_swap_seconds",
-    "Swap makespan: first worker drained to last worker warm on the new "
-    "generation.",
-)
+
 
 def _wire_nbytes(message: object) -> int:
     """Pickled size of a queue message; the bytes of the tensors it carries
@@ -211,7 +198,7 @@ def _latency_quantiles(histogram) -> Dict[str, Optional[float]]:
 @dataclass
 class _Request:
     request_id: int
-    x: np.ndarray
+    x: Optional[np.ndarray]  # None for a reload
     method: str
     future: Future = field(default_factory=Future)
     enqueued: float = field(default_factory=time.monotonic)
@@ -234,21 +221,7 @@ class _PoolSlot(Slot):
 
     arena: Optional[ShmArena] = None
     load: int = 0  # its dispatched-but-unanswered requests (pool lock)
-    generation: int = 0  # the artifact generation its process loaded
-
-
-@dataclass
-class _Swap:
-    """A published hot-swap; the supervisor rolls the pool towards it.
-
-    ``rolling`` and ``rolled`` belong to the supervisor thread; ``done`` and
-    ``error`` are posted under the pool lock for the waiting ``swap()`` call.
-    """
-
-    rolling: Optional[_PoolSlot] = None
-    rolled: int = 0
-    done: bool = False
-    error: Optional[str] = None
+    generation: int = 0  # what its process loaded, or was last told to reload
 
 
 def dispatch_reason(
@@ -270,7 +243,7 @@ def dispatch_reason(
     return None
 
 
-class PoolPredictor:
+class PoolPredictor(ServingTier):
     """Serve one saved ensemble artifact from a pool of worker processes.
 
     Construct directly or via :meth:`load` (mirrors
@@ -336,7 +309,6 @@ class PoolPredictor:
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        resolve_combination_method(method, has_super_learner=True)
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
         if max_wait_ms < 0:
@@ -351,15 +323,7 @@ class PoolPredictor:
                 + ", ".join(repr(t) for t in TRANSPORTS)
             )
 
-        # Resolve the (possibly store-layout) artifact path once: workers
-        # spawn from the concrete generation directory, while self.path keeps
-        # the caller's root so swap() can re-resolve CURRENT later.
-        self.path = Path(path)
-        self._artifact = served_artifact(path)
-        resolve_combination_method(
-            method, has_super_learner=self._artifact.has_super_learner
-        )
-        self.method = method
+        super().__init__(path, method)
         self.workers = int(workers)
         self.batch_size = int(batch_size)
         self.warm = bool(warm)
@@ -384,18 +348,15 @@ class PoolPredictor:
             backoff_max=restart_backoff_max,
         )
         self._slots: List[_PoolSlot] = self._table.slots
-        self._closed = False
         self._lock = threading.Lock()
         # Two conditions on the one pool lock.  The dispatcher sleeps on
         # _wake: notified when a request is enqueued, when a worker's load
         # drops to zero or a worker turns ready, and by close().  The
-        # supervisor (and a waiting swap() or constructor) sleeps on
-        # _lifecycle: notified by _post() for lifecycle facts only — a
-        # ready/fatal handshake, a draining slot's load reaching zero, a
-        # swap published, finished or abandoned, close() — never per request.
+        # supervisor, the constructor and a swap waiting for a booting worker
+        # sleep on _lifecycle: notified by a ready/fatal handshake and by
+        # close() — never per request.
         self._wake = threading.Condition(self._lock)
         self._lifecycle = threading.Condition(self._lock)
-        self._facts_posted = False
         self._pending: Deque[_Request] = deque()
         # Every unanswered request, queued or dispatched; a dispatched one
         # names its worker, so a death fails exactly that worker's requests
@@ -404,9 +365,6 @@ class PoolPredictor:
         self._next_worker = 0  # round-robin tie-break; dispatcher thread only
         self._restarts_total = 0
         self._load_failure: Optional[str] = None  # last "fatal" handshake
-        self._swap: Optional[_Swap] = None  # published under _lock
-        self._swap_lock = threading.Lock()  # admits one swap() at a time
-        self._swaps_total = 0
         self._request_ids = itertools.count()
         self._stop_collector = threading.Event()
         self._dispatcher = threading.Thread(
@@ -447,12 +405,6 @@ class PoolPredictor:
             self.workers,
         )
 
-    generation = property(lambda self: self._artifact.generation)
-    input_shape = property(lambda self: self._artifact.input_shape)
-    num_classes = property(lambda self: self._artifact.num_classes)
-    num_members = property(lambda self: self._artifact.num_members)
-    approach = property(lambda self: self._artifact.approach)
-
     # ------------------------------------------------------------ factories
     @classmethod
     def load(cls, path: Union[str, Path], **kwargs) -> "PoolPredictor":
@@ -482,12 +434,6 @@ class PoolPredictor:
             self.warm,
             slot.arena.name if slot.arena is not None else None,
         )
-
-    def _post(self) -> None:
-        """Tell the supervisor (and whoever waits on it) that a lifecycle
-        fact changed; call with the pool lock held."""
-        self._facts_posted = True
-        self._lifecycle.notify_all()
 
     # ------------------------------------------------------- internal loops
     def _dispatch_loop(self) -> None:
@@ -531,10 +477,9 @@ class PoolPredictor:
         :func:`dispatch_reason`, and otherwise sleeps until a request
         arrives, a worker goes idle or the group's deadline passes.  The
         worker is picked and claimed (its ``load`` raised, the requests
-        stamped with it and its arena) under the one lock hold: a slot the
-        supervisor turns ``draining`` or ``down`` — under the same lock —
-        either already owns the group, and answers it or has it failed with
-        the rest of its in-flight requests, or is never picked.  A group that
+        stamped with it and its arena) under the one lock hold, so an
+        eviction that follows finds the group among the worker's in-flight
+        requests and fails it with them.  A group that
         finds no ready worker waits up to ``worker_wait`` for capacity to
         come back before it gives up (``slot`` is ``None``).
         """
@@ -608,12 +553,14 @@ class PoolPredictor:
 
     def _collect_result(self, replies: List[tuple]) -> None:
         """Resolve one dispatch's replies, each result rebuilt from its raw
-        bytes into one owned array."""
+        bytes into one owned array (a reload's reply carries none)."""
         if _metrics.enabled:
             _TRANSPORT_BYTES.labels(self.transport, "response").inc(_wire_nbytes(replies))
         for request_id, proba, error in replies:
             if error is not None:
                 self._resolve(request_id, exception=RuntimeError(error))
+            elif proba is None:
+                self._resolve(request_id)
             else:
                 shape, dtype, data = proba
                 result = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
@@ -633,7 +580,7 @@ class PoolPredictor:
                         slot.state = "ready"
                         self._table.mark_healthy(slot)
                         self._wake.notify()
-                        self._post()
+                        self._lifecycle.notify_all()
                     _WORKERS_ALIVE.set(self.alive_workers())
                     log_event("serve.worker_ready", worker=worker_id)
                     logger.info("serving worker %d is ready", worker_id)
@@ -651,35 +598,24 @@ class PoolPredictor:
                         self._load_failure = (
                             f"serving worker {worker_id} failed to load: {payload}"
                         )
-                        self._post()
+                        self._lifecycle.notify_all()
 
     # ------------------------------------------------------------ supervisor
     def _supervise_loop(self) -> None:
-        """The one owner of process replacement: evict, respawn, roll.
+        """The one owner of process replacement: evict and respawn.
 
-        Every other thread only posts facts under the pool lock
-        (:meth:`_post`).  This loop wakes for them, and every
-        ``supervise_interval`` seconds to health-check, until the pool is
+        Health-checks every ``supervise_interval`` seconds until the pool is
         closed — ``close()`` waits for it to end before it stops a single
         worker, so nothing can spawn behind a closed pool.
         """
         while True:
             with self._lock:
-                if not (self._facts_posted or self._closed):
+                if not self._closed:
                     self._lifecycle.wait(self.supervise_interval)
-                self._facts_posted = False
                 if self._closed:
                     return
-                swap = self._swap
-                if swap is None:
-                    for slot in self._slots:
-                        if slot.state == "draining":  # its swap was abandoned
-                            slot.state = "ready"
-                            self._wake.notify()
             try:
                 self._check_workers(time.monotonic())
-                if swap is not None:
-                    self._advance_swap(swap)
             except Exception:  # pragma: no cover - supervisor must survive
                 logger.exception("pool supervisor check failed")
             _WORKERS_ALIVE.set(self.alive_workers())
@@ -758,166 +694,69 @@ class PoolPredictor:
         for request_id in orphaned:
             self._resolve(request_id, exception=error)
 
-    def _advance_swap(self, swap: _Swap) -> None:
-        """Roll the pool towards the published artifact, one slot at a time.
-
-        A ``ready`` slot still on another generation turns ``draining`` (no
-        new dispatch can claim it); when its load reaches zero it is stopped
-        gracefully and spawned from the target directory without backoff; the
-        next slot only rolls once that successor is ``ready``.  A successor
-        that dies first fails the swap.  A slot that crashes on its own is
-        not rolled: it respawns — on the target — under its normal backoff.
-        """
-        target = self._artifact.generation
-        while not swap.done and swap.error is None:
-            slot = swap.rolling
-            if slot is None:
-                with self._lock:
-                    stale = [
-                        s for s in self._slots if s.state != "down" and s.generation != target
-                    ]
-                    slot = next((s for s in stale if s.state in ("ready", "draining")), None)
-                    if slot is not None:
-                        slot.state = "draining"
-                        swap.rolling = slot
-                    elif not stale:
-                        swap.done = True
-                        self._lifecycle.notify_all()
-                if slot is None:
-                    return  # finished, or the stale slots left are still starting
-            elif slot.state == "draining":
-                with self._lock:
-                    if slot.load > 0:
-                        return  # its last answer posts the next fact
-                self._table.stop([slot], timeout=30.0)
-                # Due at once: should this spawn fail (no room for the new
-                # arena), the next pass retries it like any other respawn.
-                slot.down_until = 0.0
-                self._spawn(slot)
-            elif slot.state == "starting":
-                return  # its ready handshake posts the next fact
-            else:
-                swap.rolling = None
-                if slot.state == "ready":
-                    swap.rolled += 1
-                    _SWAP_WORKERS.inc()
-                    log_event("swap.worker_rolled", worker=slot.worker_id, generation=target)
-                elif slot.generation == target:  # evicted before it said ready
-                    with self._lock:
-                        swap.error = (
-                            f"worker {slot.worker_id} failed to load generation "
-                            f"{target} during swap"
-                        )
-                        self._lifecycle.notify_all()
-
     # -------------------------------------------------------------- hot swap
-    def swap(
-        self, generation: Optional[int] = None, timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """Roll every worker onto a new artifact generation, zero-downtime.
+    def _roll(self, target: ServedArtifact, timeout: Optional[float]) -> int:
+        """Reload every worker's predictor onto ``target`` (already published
+        by :meth:`~repro.core.artifact_store.ServingTier.swap`), one worker at
+        a time; returns how many were reloaded.
 
-        Re-resolves the path the pool was constructed with — for a store
-        root that picks up whatever ``CURRENT`` now points at, or the
-        explicitly requested ``generation`` — publishes it as the pool's
-        artifact and waits while the supervisor rolls the workers onto it
-        (:meth:`_advance_swap`): in-flight requests complete on the old
-        generation, the pool never drops below ``workers - 1`` ready workers,
-        and every response comes entirely from one generation — never a mix.
-
-        Raises ``RuntimeError`` if another swap is already in progress, if a
-        rolled worker fails to load the new generation, on timeout (default
-        ``startup_timeout`` per worker) or when the pool is closed meanwhile,
-        and refuses generations whose input shape or class count differ from
-        the serving pool's (the shared-memory arenas are sized for its rows).
+        A reload is one more request on the worker's own queue, claimed like
+        a dispatch — the dispatcher prefers the other workers meanwhile, the
+        dispatch deadline and eviction apply — so FIFO order keeps every
+        answer on one generation.  A worker that is not ready is waited for
+        until it is, or until its respawn — which loads the target — begins.
         """
-        if self._closed:
-            raise RuntimeError("PoolPredictor is closed")
-        if not self._swap_lock.acquire(blocking=False):
-            raise RuntimeError("swap already in progress")
-        try:
-            return self._swap_locked(generation, timeout)
-        finally:
-            self._swap_lock.release()
-
-    def _swap_locked(
-        self, generation: Optional[int], timeout: Optional[float]
-    ) -> Dict[str, Any]:
-        previous = self._artifact
-        target = served_artifact(self.path, generation, serving=previous)
-        if target.path == previous.path:
-            # CURRENT did not move (or the pool serves a bare directory):
-            # nothing to roll, and the call stays idempotent.
-            return {
-                "status": "noop",
-                "generation": previous.generation,
-                "previous_generation": previous.generation,
-                "workers_respawned": 0,
-                "swap_seconds": 0.0,
-            }
-        start = time.monotonic()
-        log_event(
-            "swap.started",
-            artifact=str(self.path),
-            from_generation=previous.generation,
-            to_generation=target.generation,
+        deadline = time.monotonic() + (
+            self.startup_timeout * self.workers if timeout is None else timeout
         )
-        swap = _Swap()
-        with self._lock:
-            # Publishing points every spawn at the target from here on — a
-            # slot that crashes on its own mid-swap respawns on it too.
-            self._artifact, self._swap = target, swap
-            self._post()
-            self._lifecycle.wait_for(
-                lambda: swap.done or swap.error is not None or self._closed,
-                timeout=timeout if timeout is not None else self.startup_timeout * self.workers,
-            )
-            self._swap = None  # finished or abandoned: a draining slot serves on
-            self._post()
-            error = swap.error
-            if error is None and not swap.done:
+        timed_out = (
+            f"timed out rolling workers onto generation {target.generation} during swap"
+        )
+        rolled = 0
+        for slot in self._slots:
+            with self._lock:
+                while slot.generation != target.generation and not (
+                    slot.state == "ready" and slot.process.is_alive()
+                ):
+                    remaining = deadline - time.monotonic()
+                    if self._closed or remaining <= 0:
+                        break
+                    # A ready handshake wakes us; an eviction or a respawn
+                    # shows at the supervisor's pace.
+                    self._lifecycle.wait(min(remaining, self.supervise_interval))
+                if self._closed:
+                    raise RuntimeError("PoolPredictor closed during swap")
+                if slot.generation == target.generation:
+                    continue
+                if slot.state != "ready" or not slot.process.is_alive():
+                    raise RuntimeError(f"{timed_out} ({rolled} of {self.workers} rolled)")
+                reload = _Request(next(self._request_ids), None, "reload")
+                reload.worker_id, reload.dispatched = slot.worker_id, time.monotonic()
+                self._requests[reload.request_id] = reload
+                slot.load += 1
+                # From here the worker will end up on the target, whatever
+                # becomes of this call: a rollback must reload it.
+                slot.generation = target.generation
+            slot.request_queue.put(("reload", reload.request_id, str(target.path)))
+            try:
+                reload.future.result(timeout=max(0.0, deadline - time.monotonic()))
+                error = None
+            except FutureTimeout:
+                error = f"{timed_out} ({rolled} of {self.workers} rolled)"
+            except RuntimeError as exc:
                 error = (
-                    "PoolPredictor closed during swap"
-                    if self._closed
-                    else f"timed out rolling workers onto generation {target.generation} "
-                    f"during swap ({swap.rolled} of {self.workers} rolled)"
+                    f"worker {slot.worker_id} failed to load generation "
+                    f"{target.generation} during swap: {exc}"
                 )
-        if error is not None:
-            _SWAPS.labels("error").inc()
-            log_event(
-                "swap.failed",
-                from_generation=previous.generation,
-                to_generation=target.generation,
-                workers_rolled=swap.rolled,
-                error=error,
-            )
-            raise RuntimeError(error)
-        elapsed = time.monotonic() - start
-        self._swaps_total += 1
-        _SWAPS.labels("ok").inc()
-        _SWAP_SECONDS.observe(elapsed)
-        ARTIFACT_GENERATION.set(target.generation)
-        log_event(
-            "swap.completed",
-            from_generation=previous.generation,
-            to_generation=target.generation,
-            workers=swap.rolled,
-            seconds=elapsed,
-        )
-        logger.info(
-            "hot-swapped %s: generation %d -> %d (%d workers rolled in %.2fs)",
-            self.path,
-            previous.generation,
-            target.generation,
-            swap.rolled,
-            elapsed,
-        )
-        return {
-            "status": "ok",
-            "generation": target.generation,
-            "previous_generation": previous.generation,
-            "workers_respawned": swap.rolled,
-            "swap_seconds": elapsed,
-        }
+            # A worker that finished its reload while close() drained it
+            # still leaves a pool that serves nothing.
+            if self._closed:
+                raise RuntimeError("PoolPredictor closed during swap")
+            if error is not None:
+                raise RuntimeError(error)
+            rolled += 1
+            log_event("swap.worker_rolled", worker=slot.worker_id, generation=target.generation)
+        return rolled
 
     def _resolve(self, request_id: int, result=None, exception=None) -> None:
         """Answer a request once — a late reply for one already failed finds
@@ -929,8 +768,6 @@ class PoolPredictor:
                 slot.load -= 1
                 if slot.load == 0:
                     self._wake.notify()
-                    if slot.state == "draining":
-                        self._post()
         if request is None:
             return
         if request.arena is not None:
@@ -941,11 +778,6 @@ class PoolPredictor:
             request.future.set_result(result)
 
     # --------------------------------------------------------------- client
-    def _resolve_method(self, method: Optional[str]) -> str:
-        return resolve_combination_method(
-            method, default=self.method, has_super_learner=self._artifact.has_super_learner
-        )
-
     def predict_proba(
         self,
         x: np.ndarray,
@@ -979,15 +811,6 @@ class PoolPredictor:
             _REQUEST_ROWS.observe(x.shape[0])
             _REQUEST_LATENCY.observe(time.perf_counter() - start)
         return result
-
-    def predict(
-        self,
-        x: np.ndarray,
-        method: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> np.ndarray:
-        """Predicted class labels, shape ``(samples,)``."""
-        return self.predict_proba(x, method=method, timeout=timeout).argmax(axis=1)
 
     # ------------------------------------------------------------ lifecycle
     def alive_workers(self) -> int:
@@ -1053,7 +876,7 @@ class PoolPredictor:
             if self._closed:
                 return
             self._closed = True
-            self._post()
+            self._lifecycle.notify_all()
             self._wake.notify()
         # The owner first: once the supervisor has ended nothing spawns any
         # more, so every process stopped below stays stopped.
@@ -1082,12 +905,6 @@ class PoolPredictor:
             pass
         log_event("serve.pool_closed", artifact=str(self.path))
         logger.info("serving pool for %s shut down", self.path)
-
-    def __enter__(self) -> "PoolPredictor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -13,16 +13,15 @@ from its single-threaded ``train()`` loop, the serving pool from its supervisor
 thread — decides *when* a transition happens, and logs the facts the table
 hands back (exit code, backoff) under its own event and metric names::
 
-    down -> starting       spawn(): first start, a respawn once due(), or the
-                           successor of a slot rolled onto a new artifact
+    down -> starting       spawn(): first start, or a respawn once due()
     starting -> ready      the owner, on the worker's "ready" message
-    ready -> draining      the serving owner: no new dispatch, roll it next
-    draining -> ready      the serving owner: that swap was abandoned
     (any but down) -> down evict(): died, wedged (killed here), failed to
                            start — the respawn is scheduled under backoff
-    (any) -> down          stop(): drained and asked to exit (a rolled slot's
-                           old worker, pool shutdown) or, still starting,
-                           killed — nothing is scheduled
+    (any) -> down          stop(): drained and asked to exit (pool shutdown)
+                           or, still starting, killed — nothing is scheduled
+
+A worker that changes what it serves (a serving hot-swap) does so in place,
+between two items of its queue: no transition, no new process.
 
 ``evict`` schedules the respawn ``backoff_delay(failures)`` seconds out —
 ``base`` doubling per consecutive failure up to ``cap`` — and ``due`` lists the
@@ -68,7 +67,7 @@ class Slot:
     process: Any = None
     request_queue: Any = None  # owner writes, worker reads
     result_queue: Any = None  # worker writes, owner reads
-    state: str = "down"  # starting | ready | draining | down
+    state: str = "down"  # starting | ready | down
     down_until: Optional[float] = None  # monotonic respawn time; None: not scheduled
     failures: int = 0  # consecutive, since the owner last called mark_healthy
     spawned_at: float = 0.0

@@ -157,12 +157,15 @@ def _serving_worker_main(
     request_queue,
     result_queue,
 ) -> None:
-    """Serving-pool worker: load the artifact once, answer dispatches.
+    """Serving-pool worker: load the artifact, answer dispatches.
 
     A dispatch is a list of entries and is answered with ``("result",
     worker_id, replies)``, one :func:`answer_entry` reply per entry.
     ``arena_name`` is ``None`` for a pool that owns no arena: every entry then
-    arrives inline.
+    arrives inline.  ``("reload", request_id, path)`` swaps the predictor
+    onto another artifact directory in place — between two dispatches, so
+    no answer mixes generations — and is answered like a one-entry dispatch
+    without probabilities; a reload that fails keeps the old one serving.
     """
 
     def set_up():
@@ -175,11 +178,20 @@ def _serving_worker_main(
         arena = attach_segment(arena_name) if arena_name is not None else None
         arena_buf = arena.buf if arena is not None else None
 
-        def handle(entries) -> None:
-            # Chaos-test injection point ("serve"): crash or wedge this worker
-            # with a request group in flight — free when REPRO_FAULTS is unset.
-            fire("serve", worker=worker_id)
-            replies = [answer_entry(predictor, arena_buf, entry) for entry in entries]
+        def handle(item) -> None:
+            if isinstance(item, tuple):  # ("reload", request_id, path)
+                _, request_id, path = item
+                try:
+                    predictor.reload(path=path)
+                    replies = [(request_id, None, None)]
+                except Exception as exc:
+                    replies = [(request_id, None, f"{type(exc).__name__}: {exc}")]
+            else:
+                # Chaos-test injection point ("serve"): crash or wedge this
+                # worker with a request group in flight — free when
+                # REPRO_FAULTS is unset.
+                fire("serve", worker=worker_id)
+                replies = [answer_entry(predictor, arena_buf, entry) for entry in item]
             result_queue.put(("result", worker_id, replies))
 
         def tear_down() -> None:

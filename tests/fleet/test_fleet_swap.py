@@ -20,6 +20,7 @@ import pytest
 from repro.api import EnsemblePredictor, run_experiment
 from repro.core.artifact_store import ArtifactStore
 from repro.fleet import FleetConsumer, FleetFront
+from repro.obs.metrics import get_registry
 from tests.procs import ColdReference
 
 
@@ -103,6 +104,8 @@ def test_fleet_swap_under_fire_converges_all_consumers(swap_store, refs):
         for thread in threads:
             thread.start()
         time.sleep(0.4)  # traffic flowing on generation 0
+        swaps_ok = get_registry().get("repro_swap_total").labels("ok")
+        swaps_before = swaps_ok.value
         swap_store.promote(1)
         result = front.swap(timeout=120)
         time.sleep(0.4)  # traffic flowing on generation 1
@@ -115,6 +118,7 @@ def test_fleet_swap_under_fire_converges_all_consumers(swap_store, refs):
         assert result["previous_generation"] == 0
         assert result["generation"] == 1
         assert result["consumers_acked"] == 2
+        assert swaps_ok.value == swaps_before + 1
         assert counts["old"] > 0 and counts["new"] > 0, counts
         assert front.generation == 1
         assert front.info()["generation"] == 1
@@ -145,6 +149,86 @@ def test_fleet_swap_without_pointer_move_is_a_noop(swap_store):
         assert result["consumers_acked"] == 0
         assert front.generation == 0
     finally:
+        front.close()
+
+
+def test_a_second_swap_is_refused_while_one_runs(swap_store, monkeypatch):
+    """Queue mode holds the same one-swap lock as the pool: a swap issued
+    while another waits for its consumers is refused at once, and the first
+    still converges."""
+    reload = EnsemblePredictor.reload
+
+    def slow_reload(self, *args, **kwargs):
+        time.sleep(1.0)
+        return reload(self, *args, **kwargs)
+
+    monkeypatch.setattr(EnsemblePredictor, "reload", slow_reload)
+    swap_store.promote(0)
+    front = FleetFront(
+        swap_store.root, spawn_local=False, autoscale=False, max_consumers=2
+    )
+    consumers = [
+        FleetConsumer(
+            front.broker, swap_store.root, consumer_id=f"c{i}", metrics_interval=3600.0
+        ).start()
+        for i in range(2)
+    ]
+    outcome = {}
+
+    def first_swap():
+        try:
+            outcome["first"] = front.swap(generation=1, timeout=60)
+        except BaseException as exc:
+            outcome["first"] = exc
+
+    first = threading.Thread(target=first_swap)
+    try:
+        first.start()
+        time.sleep(0.2)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="already in progress"):
+            front.swap(generation=0)
+        assert time.monotonic() - started < 0.5
+        first.join(timeout=60)
+        assert not first.is_alive()
+        assert isinstance(outcome["first"], dict), outcome
+        assert outcome["first"]["status"] == "ok"
+        assert outcome["first"]["consumers_acked"] == 2
+        assert front.generation == 1
+    finally:
+        for consumer in consumers:
+            consumer.close()
+        front.close()
+
+
+def test_a_failed_swap_rolls_the_fleet_back(swap_store, refs, tmp_path):
+    """A generation one consumer cannot load fails the swap; the front
+    publishes the old one again and every consumer ends on it."""
+    probe, ref0, _ = refs
+    root = tmp_path / "store"
+    shutil.copytree(swap_store.root, root)
+    store = ArtifactStore(root)
+    store.promote(0)
+    front = FleetFront(root, spawn_local=False, autoscale=False, max_consumers=2)
+    consumers = [
+        FleetConsumer(front.broker, root, consumer_id=f"c{i}", metrics_interval=3600.0).start()
+        for i in range(2)
+    ]
+    try:
+        # Loadable for c0, which reloads; not for c1, which refuses.
+        def unreadable(**kwargs):
+            raise OSError("unreadable")
+
+        consumers[1].predictor.reload = unreadable
+        with pytest.raises(RuntimeError, match="c1: OSError: unreadable"):
+            front.swap(generation=1, timeout=60)
+        assert front.generation == 0
+        assert [consumer.predictor.generation for consumer in consumers] == [0, 0]
+        for _ in range(4):
+            np.testing.assert_array_equal(front.predict_proba(probe[:8], timeout=60), ref0[:8])
+    finally:
+        for consumer in consumers:
+            consumer.close()
         front.close()
 
 

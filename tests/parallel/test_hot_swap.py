@@ -21,7 +21,7 @@ import pytest
 from repro.api import EnsemblePredictor, run_experiment
 from repro.core.artifact_store import ArtifactStore
 from repro.parallel import PoolPredictor
-from tests.procs import ColdReference
+from tests.procs import ColdReference, shm_entries
 
 
 @pytest.fixture(scope="module")
@@ -129,9 +129,9 @@ def test_swap_under_fire_drops_nothing_and_mixes_nothing(
 def test_swap_under_fire_while_the_dispatcher_waits_for_an_idle_worker(
     swap_store, refs, shm_sweep
 ):
-    """Four clients on two workers, one of them draining: the dispatcher is
-    holding a group and waiting (window far above a request's work) when the
-    worker it would go to leaves and re-enters the ready set."""
+    """Four clients on two workers, one of them reloading: the dispatcher is
+    holding a group and waiting (window far above a request's work) while the
+    reload it would queue behind keeps that worker busy."""
     _swap_under_fire(swap_store, refs, max_wait_ms=40.0)
 
 
@@ -167,6 +167,81 @@ def test_swap_to_explicit_generation_and_back(swap_store, refs, shm_sweep):
         pool.close()
 
 
+def test_swap_keeps_every_worker_process_and_arena(swap_store, refs, shm_sweep):
+    """A swap reloads each worker's predictor in place: the same processes
+    on the same arenas serve the new generation, and no segment is made."""
+    probe, _, ref1 = refs
+    swap_store.promote(0)
+    pool = PoolPredictor(swap_store.root, workers=2, max_wait_ms=0.0)
+    try:
+        pids = pool.info()["worker_pids"]
+        arenas = [slot.arena.name for slot in pool._slots]
+        segments = shm_entries()
+        assert pool.swap(generation=1)["status"] == "ok"
+        assert pool.info()["worker_pids"] == pids
+        assert [slot.arena.name for slot in pool._slots] == arenas
+        assert shm_entries() == segments
+        np.testing.assert_array_equal(pool.predict_proba(probe[:8]), ref1[:8])
+    finally:
+        pool.close()
+
+
+def test_a_swap_waits_for_a_worker_that_is_being_respawned(swap_store, refs, shm_sweep):
+    """A worker evicted just before the swap is not skipped: the swap returns
+    once it is back — on the target — so every worker answers on the new
+    generation afterwards."""
+    probe, _, ref1 = refs
+    swap_store.promote(0)
+    pool = PoolPredictor(
+        swap_store.root, workers=2, max_wait_ms=0.0, restart_backoff=0.2,
+        supervise_interval=0.05,
+    )
+    try:
+        victim = pool._slots[1].process
+        victim.kill()
+        victim.join(timeout=10)
+        deadline = time.monotonic() + 30
+        while pool.healthz()["status"] == "ok":
+            assert time.monotonic() < deadline, "the kill was never noticed"
+            time.sleep(0.01)
+        assert pool.swap(generation=1)["status"] == "ok"
+        assert [slot.generation for slot in pool._slots] == [1, 1]
+        while pool.healthz()["status"] != "ok":
+            assert time.monotonic() < deadline, "the worker never came back"
+            time.sleep(0.01)
+        # Round-robin among idle workers: consecutive requests visit both.
+        for _ in range(4):
+            np.testing.assert_array_equal(pool.predict_proba(probe[:8]), ref1[:8])
+    finally:
+        pool.close()
+
+
+def test_a_failed_swap_keeps_the_old_generation_serving(
+    swap_store, refs, shm_sweep, tmp_path
+):
+    """A generation whose members cannot be loaded is refused by the worker
+    that tries: the swap raises, and the pool — one worker, the same process —
+    is healthy and answers on the generation it served before, bitwise."""
+    probe, ref0, _ = refs
+    root = tmp_path / "store"
+    shutil.copytree(swap_store.root, root)
+    store = ArtifactStore(root)
+    store.promote(0)
+    for member in (store.generation_path(1) / "members").glob("*.npz"):
+        member.write_bytes(b"not a zip archive")
+    pool = PoolPredictor(root, workers=1, max_wait_ms=0.0)
+    try:
+        pids = pool.info()["worker_pids"]
+        with pytest.raises(RuntimeError, match="failed to load generation 1"):
+            pool.swap(generation=1)
+        assert pool.generation == 0
+        assert pool.healthz()["status"] == "ok"
+        assert pool.info()["worker_pids"] == pids
+        np.testing.assert_array_equal(pool.predict_proba(probe[:8]), ref0[:8])
+    finally:
+        pool.close()
+
+
 def test_second_swap_is_refused_while_one_runs(swap_store, shm_sweep):
     swap_store.promote(0)
     pool = PoolPredictor(swap_store.root, workers=1, max_wait_ms=0.0)
@@ -194,18 +269,15 @@ def test_bare_directory_swap_is_a_noop(saved_artifact, shm_sweep):
 def test_close_during_a_rolling_swap_leaves_nothing_behind(
     swap_store, refs, shm_sweep, train_events, monkeypatch
 ):
-    """``close()`` while ``swap()`` waits for a busy worker to drain.  The
-    roll used to run on the caller's thread, so it could see the drained —
-    by ``close()`` stopped — worker, install fresh queues and a fresh arena
-    and spawn a successor *after* ``close()`` had returned: a live child and
-    a new segment behind a "closed" pool, and a ``swap()`` waiting out
-    ``startup_timeout x workers`` for a ``ready`` no collector would deliver.
-    With one owner for process replacement, stopped first, there is nothing
-    left to race — and the request in flight is still answered."""
+    """``close()`` while ``swap()`` waits for a reload queued behind a busy
+    worker's request.  ``close()`` drains the worker — it answers the request
+    and may even finish the reload — yet the swap must fail, promptly (no
+    ``startup_timeout x workers`` wait), and nothing may appear behind the
+    closed pool: no successor process, no new segment."""
     probe, ref0, _ = refs
     swap_store.promote(0)
     # The worker sits 2 s on its first request: time to start a swap and to
-    # close the pool while that swap is draining it.
+    # close the pool while the swap's reload waits behind that request.
     monkeypatch.setenv("REPRO_FAULTS", "serve_hang:times=1:seconds=2")
     pool = PoolPredictor(swap_store.root, workers=1, max_wait_ms=0.0)
     pids = pool.info()["worker_pids"]

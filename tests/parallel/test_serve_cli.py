@@ -394,6 +394,30 @@ def test_a_full_broker_queue_answers_503_not_400():
         assert '"inputs"' in reply["error"]
 
 
+def test_a_swap_the_server_could_not_carry_out_answers_500():
+    """A refused swap is the client's error (400) and one already running a
+    conflict (409); a swap the server tried and failed to carry out — rolled
+    back, the old generation serving — is the server's error (500)."""
+
+    class Failing(_FakePool):
+        def swap(self, generation=None):
+            raise self.error
+
+    backend = Failing()
+    cases = [
+        (ValueError("cannot hot-swap to generation 1: its input_shape differs"), 400),
+        (RuntimeError("swap already in progress"), 409),
+        (RuntimeError("worker 0 failed to load generation 1 during swap"), 500),
+    ]
+    with _serving_in_process(_make_handler(backend, "pool", time.monotonic())) as url:
+        for backend.error, expected in cases:
+            request = urllib.request.Request(url + "/admin/swap", data=b'{"generation": 1}')
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                urllib.request.urlopen(request, timeout=30)
+            assert refused.value.code == expected, backend.error
+            assert json.loads(refused.value.read()) == {"error": str(backend.error)}
+
+
 def test_handler_failure_is_one_event_carrying_the_traceback(train_events, capfd):
     class Broken(_FakePool):
         def healthz(self):

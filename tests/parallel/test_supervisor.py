@@ -250,7 +250,6 @@ class _FakeQueue:
     "state, graceful, told",
     [
         ("ready", True, ["sentinel", "join"]),
-        ("draining", True, ["sentinel", "join"]),
         # Owners dispatch to ready slots only: a booting worker holds no work,
         # and the sentinel would wait out the rest of its boot.
         ("starting", True, ["kill", "join"]),
