@@ -489,9 +489,6 @@ class ArtifactStore:
             )
         return generation
 
-    def current_path(self) -> Path:
-        return self.generation_path(self.current_generation())
-
     # --------------------------------------------------------------- lineage
     def lineage(self, generation: int) -> Optional[Dict[str, Any]]:
         lineage_path = self.generation_path(generation) / LINEAGE_NAME

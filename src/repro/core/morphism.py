@@ -256,33 +256,6 @@ def _apply_input_widening(
         raise ValueError(f"unknown consumer kind {kind!r}")
 
 
-def _consumer_names(model: Model, block_idx: int, layer_idx: int) -> List[str]:
-    """Structured names of the consumer layers (so they can be excluded from
-    the plain weight copy)."""
-    names: List[str] = []
-    block = model.conv_blocks[block_idx]
-    if layer_idx + 1 < len(block.units):
-        b, i = block_idx, layer_idx + 1
-    else:
-        b, i = None, None
-        for nb in range(block_idx + 1, len(model.conv_blocks)):
-            if model.conv_blocks[nb].units:
-                b, i = nb, 0
-                break
-    if b is not None:
-        unit = model.conv_blocks[b].units[i]
-        if isinstance(unit, ResidualUnit):
-            names.append(f"conv.{b}.{i}.res")
-        else:
-            names.append(f"conv.{b}.{i}.conv")
-        return names
-    if model.dense_units:
-        names.append("dense.0.dense")
-    else:
-        names.append("classifier")
-    return names
-
-
 # ---------------------------------------------------------------------------
 # Widening
 # ---------------------------------------------------------------------------

@@ -358,19 +358,12 @@ class FleetFront(ServingTier):
                         draining=consumer.draining,
                     )
                     if not consumer.draining:
-                        # Not at module level: fleet-worker must not load repro.parallel.
-                        from repro.parallel.supervision import backoff_delay
-
                         logger.warning(
                             "local consumer %s exited unexpectedly (code %s)",
                             consumer.consumer_id,
                             code,
                         )
-                        # A consumer that cannot start (unreadable generation,
-                        # bad broker address) must not be relaunched every
-                        # tick — an interpreter and a numpy import each time.
-                        self._spawn_hold = now + backoff_delay(self._spawn_failures)
-                        self._spawn_failures += 1
+                        self._hold_spawns(now)
                     continue
                 if consumer.draining:
                     if consumer.kill_at is not None and now > consumer.kill_at:
@@ -401,12 +394,28 @@ class FleetFront(ServingTier):
                 self._spawn_failures = 0
         # Spawns happen outside the lock (subprocess start is slow).
         for _ in range(max(0, shortfall)):
-            consumer = self._spawn_consumer()
+            try:
+                consumer = self._spawn_consumer()
+            except Exception:
+                with self._lock:
+                    self._hold_spawns(time.monotonic())
+                raise
             with self._lock:
                 if self._closed:
                     consumer.process.terminate()
                     return
                 self._local.append(consumer)
+
+    def _hold_spawns(self, now: float) -> None:
+        """Count a consumer that could not start (exited at once, or could
+        not even be launched) and hold further launches under the supervision
+        core's backoff — not one interpreter and numpy import per tick.
+        Under ``_lock``."""
+        # Not at module level: fleet-worker must not load repro.parallel.
+        from repro.parallel.supervision import backoff_delay
+
+        self._spawn_hold = now + backoff_delay(self._spawn_failures)
+        self._spawn_failures += 1
 
     def scale_up(self) -> None:
         with self._lock:

@@ -3,7 +3,8 @@
 Two halves share the same ``spawn``-safe multiprocessing substrate and one
 supervision core (:mod:`repro.parallel.supervision`: a worker's life — spawn
 on fresh private queues, ready, evict, bounded backoff, respawn, shutdown —
-is written once; :mod:`repro.parallel.worker` holds the one worker loop):
+is written once, and driven by each owner from one single-threaded loop;
+:mod:`repro.parallel.worker` holds the one worker loop):
 
 * **Training** — :class:`ParallelExecutor` runs :class:`MemberTask` fits on
   one persistent pool of ``workers`` lanes per run — lane 0 a thread of the
@@ -19,11 +20,10 @@ is written once; :mod:`repro.parallel.worker` holds the one worker loop):
   says; ``workers=N`` only moves their execution onto this pool.
 * **Serving** — :class:`PoolPredictor` answers concurrent predict requests
   from N worker processes that each warm-load one ``EnsemblePredictor`` from
-  a shared artifact directory, with request micro-batching,
-  dispatch-when-idle to the least-loaded worker, and a supervisor thread
-  that owns every process replacement (dead or wedged workers are evicted
-  and respawned under bounded backoff; a hot-swap reloads each worker's
-  predictor in place).
+  a shared artifact directory.  One loop thread collects the answers,
+  supervises the workers (dead or wedged ones are evicted and respawned under
+  bounded backoff) and dispatches coalesced micro-batches to the
+  least-loaded worker; a hot-swap reloads each worker's predictor in place.
   Exposed over HTTP by ``python -m repro serve``
   (:func:`repro.parallel.server.run_server`), including Prometheus
   ``GET /metrics`` and a degrading ``GET /healthz``.  A dispatch entry's

@@ -75,7 +75,6 @@ import multiprocessing as mp
 import queue
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -86,7 +85,7 @@ from repro.nn.serialization import unpack_model_state
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
 from repro.parallel.shared_data import SharedDataset
-from repro.parallel.supervision import Slot, SlotTable
+from repro.parallel.supervision import LocalQueue, Slot, SlotTable
 from repro.parallel.worker import _worker_main
 from repro.utils.logging import get_logger
 from repro.utils.parallel import blas_thread_limit, cpu_count
@@ -173,16 +172,15 @@ def _died(slot: Slot) -> bool:
     return slot.process is not None and not slot.process.is_alive()
 
 
-class _CallerLane:
+class _CallerLane(LocalQueue):
     """Lane 0: a daemon thread of the calling process, seen through the two
     queue ends a worker process has.
 
     ``tasks`` takes the ``(task_index, attempt, task)`` items a worker's
-    request queue takes (``None`` ends the thread) and the lane itself is the
-    slot's *result queue*: ``SlotTable.poll`` waits on ``_reader`` and drains
-    ``get_nowait()`` exactly as it does a ``multiprocessing.Queue``, so lane 0
-    wakes the same wait the workers do.  Nothing is pickled — a message is an
-    object in a deque, the pipe only carries one wake-up byte for it.
+    request queue takes (``None`` ends the thread) and the lane itself — a
+    :class:`~repro.parallel.supervision.LocalQueue` — is the slot's *result
+    queue*, so lane 0 wakes the same ``SlotTable.poll`` the workers do and
+    its network arrives as an object, nothing pickled.
 
     What a worker has and this has not: no ``fire("train")`` (a train fault
     can only ever kill a replaceable worker), no heartbeat, no registry
@@ -192,11 +190,8 @@ class _CallerLane:
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
+        super().__init__()
         self.tasks: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._reader, self._writer = mp.Pipe(duplex=False)
-        self._messages: deque = deque()
-        self._lock = threading.Lock()  # closing vs posting
-        self._closed = False
         self._thread = threading.Thread(
             target=self._run, args=(x, y), name="repro-train-0", daemon=True
         )
@@ -210,28 +205,13 @@ class _CallerLane:
                 message = ("result", 0, (task_index, attempt, fit_task(task, x, y), None))
             except Exception as exc:
                 message = ("error", 0, (task_index, attempt, f"{type(exc).__name__}: {exc}"))
-            with self._lock:
-                if self._closed:
-                    return
-                self._messages.append(message)
-                self._writer.send_bytes(b"\0")
-
-    def get_nowait(self):
-        """The next posted message; ``queue.Empty`` when there is none."""
-        if not self._reader.poll():
-            raise queue.Empty
-        self._reader.recv_bytes()
-        return self._messages.popleft()
+            if not self.put(message):
+                return
 
     def close(self) -> None:
         """Stop the lane (idempotent): a fit under way runs to its end — a
         thread cannot be killed — but is delivered nowhere."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._reader.close()
-            self._writer.close()
+        super().close()
         self.tasks.put(None)
 
 

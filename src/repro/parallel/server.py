@@ -46,7 +46,7 @@ Endpoints
   could not be carried out (it was rolled back: the old generation serves).
 
 Each HTTP connection is handled on its own thread
-(``ThreadingHTTPServer``); the pool's dispatcher coalesces concurrent
+(``ThreadingHTTPServer``); the pool's loop coalesces concurrent
 requests into micro-batches across those threads.
 
 Write path: every response this module builds leaves in **one write** —
@@ -85,6 +85,7 @@ from repro.obs.events import log_event
 from repro.obs.exposition import CONTENT_TYPE, render_prometheus
 from repro.obs.metrics import get_registry
 from repro.obs.process import update_process_metrics
+from repro.parallel.supervision import STARTUP_TIMEOUT
 from repro.utils.logging import get_logger
 
 logger = get_logger("parallel.server")
@@ -337,7 +338,6 @@ def run_server(
     port: int = 8765,
     workers: int = 2,
     method: str = "average",
-    startup_timeout: float = 180.0,
 ) -> int:
     """Serve ``backend`` over HTTP until SIGINT/SIGTERM; returns the process
     exit code.  The backend is the caller's to build — a
@@ -354,7 +354,7 @@ def run_server(
     events on the log the caller configured.
 
     A queue-mode front that spawns its own consumers gets up to
-    ``startup_timeout`` seconds for ``min_consumers`` of them to attach
+    ``STARTUP_TIMEOUT`` seconds for ``min_consumers`` of them to attach
     before readiness is announced; one served purely by external ``repro
     fleet-worker`` processes is announced at once.
     """
@@ -365,7 +365,7 @@ def run_server(
         if mode not in ("pool", "queue"):
             raise ValueError(f"unknown serve mode {mode!r}; expected 'pool' or 'queue'")
         if mode == "queue" and backend.spawn_local:
-            backend.wait_ready(timeout=startup_timeout)
+            backend.wait_ready(timeout=STARTUP_TIMEOUT)
         server = _Server((host, int(port)), _make_handler(backend, mode, started_at))
     except BaseException:
         backend.close()

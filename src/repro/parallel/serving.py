@@ -1,82 +1,68 @@
 """Multi-worker serving pool on top of the ensemble artifact format.
 
-:class:`PoolPredictor` closes the ROADMAP "multi-process serving" item: N
-worker processes each warm-load one :class:`~repro.api.predictor.EnsemblePredictor`
-from the *same* artifact directory, and a dispatcher coalesces incoming
-requests into micro-batches that are handed to the least-loaded ready worker.
-Client calls are thread-safe: any number of application threads can call
-:meth:`predict` / :meth:`predict_proba` concurrently; each call blocks only
-on its own future.
+:class:`PoolPredictor` runs N worker processes that each warm-load one
+:class:`~repro.api.predictor.EnsemblePredictor` from the *same* artifact
+directory, and hands coalesced micro-batches of requests to the least-loaded
+ready worker.  Any number of client threads can call :meth:`predict` /
+:meth:`predict_proba` at once; each call blocks only on its own future.
 
-Dispatch rule (:func:`dispatch_reason`): the dispatcher first takes whatever
-is *already* queued, without blocking, then ships the group as soon as
+**One loop.**  Everything between the clients and the workers happens on one
+thread, ``repro-serve-loop``, built like the training executor's ``train()``
+loop.  Each worker fills one slot of a
+:class:`~repro.parallel.supervision.SlotTable` (process, private queues,
+``starting | ready | down``, backoff; plus the pool's arena, load and artifact
+generation), and each pass waits once, in its ``poll``, on every worker's
+result queue plus a :class:`~repro.parallel.supervision.LocalQueue` that
+``predict_proba`` posts each request to; then it resolves replies and
+ready/fatal handshakes, health-checks every ``supervise_interval`` seconds
+until the pool is closed, and ships what :func:`dispatch_reason` says should
+ship: a group of queued requests goes as soon as
 
 (a) it holds ``max_batch`` rows (``full``), or
 (b) some ready worker has nothing in flight (``idle``), or
-(c) ``max_wait_ms`` has passed since the group's first request was enqueued
-    (``deadline``),
+(c) ``max_wait_ms`` has passed since its first request was enqueued
+    (``deadline``).
 
-sleeping in between until a request arrives or a worker goes idle.  Waiting
-therefore only ever happens under contention — every ready worker busy — where
-the time is spent coalescing instead of queueing behind a worker anyway; a
-lone request on an idle pool costs its work, not a timer.  ``max_wait_ms`` is
-the upper bound on that contended wait; ``0`` means never wait.
-
-Micro-batching semantics: coalescing groups *requests* into one IPC dispatch
-(amortising queue/pickle overhead); inside the worker each request still runs
-through ``EnsemblePredictor.predict_proba`` with its own rows and the
-configured ``batch_size``, so every answer is **bitwise identical** to what a
-single-process ``EnsemblePredictor`` would return for the same call.
-
-Worker life cycle: each worker fills one slot of a
-:class:`~repro.parallel.supervision.SlotTable` — the record holds its process,
-its private queues, its state (``starting | ready | down``) and its backoff,
-plus the pool's arena, load and artifact generation — and **process
-replacement has exactly one owner, the supervisor thread**.  It wakes every
-``supervise_interval`` seconds to health-check, and at once when the pool
-closes; nothing else stops or spawns a worker, which is why ``close()`` —
-stopping the supervisor first — cannot race a spawn.
+Waiting therefore only ever happens under contention — every ready worker
+busy — where the time is spent coalescing instead of queueing behind a worker
+anyway; a lone request on an idle pool costs its work, not a timer.  Inside the
+worker each request still runs through ``EnsemblePredictor.predict_proba`` with
+its own rows, so every answer is **bitwise identical** to what a
+single-process ``EnsemblePredictor`` returns for the same call.  Only the loop
+spawns or stops a worker, so ``close()`` — which lets the loop stop them on
+its way out — cannot race a spawn.
 
 * *Self-healing.*  A dead worker, or one holding a dispatch past
   ``dispatch_timeout`` (wedged: it is SIGKILLed), is evicted: its in-flight
-  requests fail promptly and the slot is respawned from the artifact
-  directory under the core's bounded exponential backoff
-  (``restart_backoff`` doubling per consecutive failed attempt up to
-  ``restart_backoff_max``; reaching ``ready`` starts it over).
-  :meth:`healthz` reports ``degraded`` while capacity is reduced and returns
-  to ``ok`` once the respawned worker has its predictor warm again; every
-  transition is a structured event (``serve.worker_died`` /
-  ``serve.worker_hung`` / ``serve.worker_respawned`` / ``serve.worker_ready``)
-  and counted in the ``repro_serve_*`` metrics.
+  requests fail promptly and the slot is respawned under the core's bounded
+  exponential backoff (``restart_backoff`` doubling per consecutive failed
+  attempt — a process that cannot even start counts — up to
+  ``restart_backoff_max``; reaching ``ready`` starts it over).  :meth:`healthz`
+  reports ``degraded`` until the respawn is warm; every transition is a
+  structured event (``serve.worker_died`` / ``_hung`` / ``_respawned`` /
+  ``_spawn_failed`` / ``_ready``) and counted in the ``repro_serve_*`` metrics.
 * *Hot-swap is a reload.*  :meth:`~repro.core.artifact_store.ServingTier.swap`
-  (shared with the fleet front) publishes the target and :meth:`PoolPredictor.
-  _roll` puts ``("reload", request_id, path)`` on one worker's queue at a
-  time: claimed, timed and failed like a dispatch, answered once the worker
-  has swapped its predictor in place.  The queue is FIFO, so whatever was
-  dispatched before the reload is answered on the old generation and
-  everything after on the new one; no process, queue or arena is replaced.
+  publishes the target and :meth:`PoolPredictor._roll`, in the swapping
+  thread, puts ``("reload", request_id, path)`` on one worker's queue at a
+  time: claimed under the pool lock like a dispatch, timed and failed like
+  one.  The queue is FIFO, so whatever was dispatched before the reload is
+  answered on the old generation and everything after on the new one; no
+  process, queue or arena is replaced.
 * *Parent death.*  Workers watch their parent and exit when it is gone
   (:mod:`repro.parallel.worker`), so a SIGKILLed server leaves no orphan
   pinning its ``/dev/shm`` segments.
 
-Data plane: a dispatch is a list of ``(request_id, rows, method)`` entries,
-one per request.  Each entry names its rows either as a reference ``(offset,
-shape, dtype)`` into the worker's shared-memory arena
-(:class:`~repro.parallel.shm_transport.ShmArena`) — the rows were copied
-there once, the queue carries about a hundred bytes — or as the array itself,
-*inline*, when the arena cannot place them (a request bigger than the whole
-arena, an arena momentarily full); no request is ever refused for size.  The
-probabilities come back inline as raw bytes (:func:`~repro.parallel.worker.
-answer_entry`) and the collector rebuilds one owned array per reply.  A
-region belongs to its request: it is recorded on the request at dispatch and
-freed when the request resolves, whichever way.  ``transport="pickle"`` is
-the all-inline case of the same code: a pool that owns no arena, kept
-constructible as the bitwise oracle of the tests and the baseline the
-benchmark times the arenas against.  Like its queues, a worker's arena lives
-exactly as long as the worker: every spawn retires the old one wholesale
-(unlinked and closed), which reclaims whatever regions a dead worker's
-requests still held, so a SIGKILL can never wedge the dispatcher or leak
-``/dev/shm`` segments.
+Data plane: a dispatch is a list of ``(request_id, rows, method)`` entries.
+Each names its rows either as a reference ``(offset, shape, dtype)`` into the
+worker's shared-memory arena (:class:`~repro.parallel.shm_transport.ShmArena`;
+the rows were copied there once) or, when the arena cannot place them, as the
+array itself, *inline*; no request is ever refused for size.  Probabilities
+come back inline as raw bytes (:func:`~repro.parallel.worker.answer_entry`).
+A region belongs to its request and is freed when the request resolves,
+whichever way.  ``transport="pickle"`` is the all-inline case of the same code,
+kept as the tests' bitwise oracle and the benchmark's baseline.  A worker's
+arena lives exactly as long as the worker: every spawn retires the old one
+wholesale, reclaiming whatever regions a dead worker's requests still held.
 """
 
 from __future__ import annotations
@@ -94,7 +80,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -102,18 +88,21 @@ from repro.core.artifact_store import ServedArtifact, ServingTier
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
 from repro.parallel.shm_transport import ShmArena
-from repro.parallel.supervision import Slot, SlotTable
+from repro.parallel.supervision import STARTUP_TIMEOUT, LocalQueue, Slot, SlotTable
 from repro.parallel.worker import _serving_worker_main
 from repro.utils.logging import get_logger
 
 TRANSPORTS = ("shm", "pickle")
+#: How long a closing pool waits for its in-flight answers before it kills
+#: the workers still holding some.
+_DRAIN_TIMEOUT = 10.0
 
 logger = get_logger("parallel.serving")
 
 # Serving telemetry (repro.obs).  Request counters/latency are observed in
 # the client-facing predict path (the parent process — exactly what the HTTP
-# front scrapes); dispatch histograms in the dispatcher thread; worker
-# lifecycle counters in the supervisor.
+# front scrapes); dispatch histograms and worker lifecycle counters in the
+# loop thread.
 _metrics = get_registry()
 _REQUESTS = _metrics.counter(
     "repro_serve_requests_total", "Predict requests answered by the pool.", ("status",)
@@ -138,7 +127,7 @@ _DISPATCHES = _metrics.counter(
 _DISPATCH_WAIT = _metrics.histogram(
     "repro_serve_dispatch_wait_seconds",
     "Per request: enqueued by the client thread to handed to a worker "
-    "(coalescing wait plus the dispatcher's own work).",
+    "(coalescing wait plus the loop's own work).",
 )
 _DISPATCH_ROWS = _metrics.histogram(
     "repro_serve_dispatch_rows",
@@ -202,11 +191,11 @@ class _Request:
     method: str
     future: Future = field(default_factory=Future)
     enqueued: float = field(default_factory=time.monotonic)
-    # Set together, under the pool lock, when the dispatcher claims a worker.
+    # Set together, under the pool lock, when the loop claims a worker.
     worker_id: Optional[int] = None
     dispatched: float = 0.0
     arena: Optional[ShmArena] = None
-    # Where the dispatcher placed the rows in ``arena``; freed on resolve.
+    # Where the loop placed the rows in ``arena``; freed on resolve.
     rows_offset: Optional[int] = None
 
     @property
@@ -266,14 +255,14 @@ class PoolPredictor(ServingTier):
         Initial and maximum delay before respawning, doubling per consecutive
         failed attempt (a worker that reaches "ready" resets its backoff).
     supervise_interval:
-        How often the supervisor thread health-checks the workers.
+        How often the loop health-checks the workers.
     worker_wait:
-        How long a dispatch waits for *some* worker to become available
-        before failing its requests.
+        How long a request waits for *some* worker to become available
+        before it fails.
     dispatch_timeout:
         Per-dispatch deadline in seconds.  A worker holding a request in
         flight longer than this is treated as *wedged* (hung in a syscall,
-        looping, SIGSTOPped): the supervisor SIGKILLs it, fails its in-flight
+        looping, SIGSTOPped): the loop SIGKILLs it, fails its in-flight
         requests promptly, and respawns it like any other dead worker.
         ``0`` disables hang detection (the pre-deadline behaviour).
 
@@ -297,9 +286,7 @@ class PoolPredictor(ServingTier):
         batch_size: int = 256,
         max_batch: int = 1024,
         max_wait_ms: float = 2.0,
-        warm: bool = True,
         request_timeout: float = 300.0,
-        startup_timeout: float = 180.0,
         restart_backoff: float = 0.5,
         restart_backoff_max: float = 30.0,
         supervise_interval: float = 0.25,
@@ -326,7 +313,6 @@ class PoolPredictor(ServingTier):
         super().__init__(path, method)
         self.workers = int(workers)
         self.batch_size = int(batch_size)
-        self.warm = bool(warm)
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
         self.request_timeout = float(request_timeout)
@@ -334,11 +320,11 @@ class PoolPredictor(ServingTier):
         self.supervise_interval = float(supervise_interval)
         self.worker_wait = float(worker_wait)
         self.dispatch_timeout = float(dispatch_timeout)
-        self.startup_timeout = float(startup_timeout)
 
         # One record per worker (process, queues, state, backoff, arena,
-        # load): every field but ``load`` is written by the supervisor thread
-        # only, and ``state`` and ``load`` change under the pool lock.
+        # load): only the loop thread spawns, evicts and stops, and ``state``,
+        # ``load`` and ``generation`` change under the pool lock — a swap
+        # claims workers from its own thread.
         self._table = SlotTable(
             mp.get_context("spawn"),
             [_PoolSlot(worker_id) for worker_id in range(self.workers)],
@@ -349,46 +335,33 @@ class PoolPredictor(ServingTier):
         )
         self._slots: List[_PoolSlot] = self._table.slots
         self._lock = threading.Lock()
-        # Two conditions on the one pool lock.  The dispatcher sleeps on
-        # _wake: notified when a request is enqueued, when a worker's load
-        # drops to zero or a worker turns ready, and by close().  The
-        # supervisor, the constructor and a swap waiting for a booting worker
-        # sleep on _lifecycle: notified by a ready/fatal handshake and by
-        # close() — never per request.
-        self._wake = threading.Condition(self._lock)
+        # The constructor and a swap waiting for a booting worker sleep on
+        # it: notified by a ready/fatal handshake and by close().
         self._lifecycle = threading.Condition(self._lock)
-        self._pending: Deque[_Request] = deque()
+        # The loop's in-process end of its wait set: predict_proba posts
+        # ("request", None, request), close() a wake-up.
+        self._inbox = LocalQueue()
         # Every unanswered request, queued or dispatched; a dispatched one
         # names its worker, so a death fails exactly that worker's requests
         # and its dispatch time feeds the hung-worker deadline.
         self._requests: Dict[int, _Request] = {}
-        self._next_worker = 0  # round-robin tie-break; dispatcher thread only
+        self._next_worker = 0  # round-robin tie-break; loop thread only
         self._restarts_total = 0
         self._load_failure: Optional[str] = None  # last "fatal" handshake
         self._request_ids = itertools.count()
-        self._stop_collector = threading.Event()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
-        )
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="repro-serve-collect", daemon=True
-        )
-        self._supervisor = threading.Thread(
-            target=self._supervise_loop, name="repro-serve-supervise", daemon=True
-        )
-        for thread in (self._dispatcher, self._collector, self._supervisor):
-            thread.start()
+        self._loop = threading.Thread(target=self._run, name="repro-serve-loop", daemon=True)
         _WORKERS_CONFIGURED.set(self.workers)
         try:
             # All workers boot concurrently, each arena created before its
             # spawn; the pool is warm once every slot has said ready.
             for slot in self._slots:
                 self._spawn(slot)
+            self._loop.start()
             with self._lock:
                 warm = self._lifecycle.wait_for(
                     lambda: self._load_failure is not None
                     or all(slot.state == "ready" for slot in self._slots),
-                    timeout=self.startup_timeout,
+                    timeout=STARTUP_TIMEOUT,
                 )
                 failure = self._load_failure
             if failure is not None or not warm:
@@ -418,7 +391,7 @@ class PoolPredictor(ServingTier):
         The arena is replaced wholesale for the queues' reason: a worker
         that died with requests in flight leaves regions nobody will free.
         The old one is retired — unlinked and closed — on the spot.
-        Supervisor thread only (and the constructor).
+        Loop thread only (and the constructor, before the loop starts).
         """
         served = self._artifact
         if self.transport == "shm":
@@ -431,82 +404,97 @@ class PoolPredictor(ServingTier):
             str(served.path),
             self.method,
             self.batch_size,
-            self.warm,
             slot.arena.name if slot.arena is not None else None,
         )
 
-    # ------------------------------------------------------- internal loops
-    def _dispatch_loop(self) -> None:
-        while True:
-            taken = self._next_group()
-            if taken is None:
-                break
-            self._dispatch_group(*taken)
-            # Each _Request pins its input tensor: holding the last group
-            # across the idle wait keeps up to max_batch rows alive while the
-            # next request is parsed (+1 % peak RSS at 256-row requests).
-            taken = None
-
-    def _dispatch_group(
-        self, group: List[_Request], rows: int, reason: str, slot: Optional[_PoolSlot]
-    ) -> None:
-        """Ship one micro-batch to the worker claimed for it — or fail it,
-        if :meth:`_next_group` found none."""
-        if slot is None:
-            error = RuntimeError("no serving workers alive")
-            for request in group:
-                self._resolve(request.request_id, exception=error)
-            return
-        item = self._build_dispatch(group)
-        # Counted before the worker can see the item, so a client that
-        # has its answer also finds its dispatch in the metrics.
-        if _metrics.enabled:
-            _DISPATCHES.labels(reason).inc()
-            _DISPATCH_ROWS.observe(rows)
-            handed = time.monotonic()
-            for request in group:
-                _DISPATCH_WAIT.observe(handed - request.enqueued)
-        slot.request_queue.put(item)
-
-    def _next_group(self) -> Optional[Tuple[List[_Request], int, str, Optional[_PoolSlot]]]:
-        """Block until a micro-batch should ship and a worker is claimed for
-        it: ``(group, rows, reason, slot)``, or ``None`` once the pool is
-        closed and nothing is queued.
-
-        Takes what is already queued without blocking, asks
-        :func:`dispatch_reason`, and otherwise sleeps until a request
-        arrives, a worker goes idle or the group's deadline passes.  The
-        worker is picked and claimed (its ``load`` raised, the requests
-        stamped with it and its arena) under the one lock hold, so an
-        eviction that follows finds the group among the worker's in-flight
-        requests and fails it with them.  A group that
-        finds no ready worker waits up to ``worker_wait`` for capacity to
-        come back before it gives up (``slot`` is ``None``).
-        """
-        group: List[_Request] = []
-        rows = 0
-        give_up: Optional[float] = None
-        with self._wake:
+    # ------------------------------------------------------------- the loop
+    def _run(self) -> None:
+        """The pool's one thread: collect, supervise, dispatch — and once the
+        pool is closed, ship what is queued, collect what is in flight (for
+        up to ``_DRAIN_TIMEOUT`` seconds) and stop the workers."""
+        pending: Deque[_Request] = deque()
+        check_at = 0.0
+        drained_by: Optional[float] = None
+        timeout = 0.0
+        graceful = False
+        try:
             while True:
-                while self._pending and rows < self.max_batch:
-                    request = self._pending.popleft()
-                    group.append(request)
-                    rows += request.rows
-                if not group:
-                    if self._closed:
-                        return None
-                    self._wake.wait()
-                    continue
-                # A closing pool never waits.
-                max_wait = 0.0 if self._closed else self.max_wait_ms / 1000.0
+                self._collect(pending, timeout)
                 now = time.monotonic()
-                waited = now - group[0].enqueued
+                if now >= check_at:
+                    if not self._closed:
+                        self._supervise(now)
+                    check_at = now + self.supervise_interval
+                wait = self._dispatch(pending, now)
+                timeout = check_at - now if wait is None else min(wait, check_at - now)
+                if self._closed:
+                    drained_by = drained_by or now + _DRAIN_TIMEOUT
+                    graceful = not any(
+                        slot.load > 0 and slot.process.is_alive() for slot in self._slots
+                    )
+                    if graceful or now >= drained_by:
+                        break
+        finally:
+            self._shut_down(graceful)
+
+    def _collect(self, pending: Deque[_Request], timeout: float) -> None:
+        """One wait on the workers and the inbox; queue what the clients
+        posted, resolve what the workers answered."""
+        for kind, worker_id, payload in self._table.poll(timeout, self._inbox):
+            if kind == "request":
+                pending.append(payload)
+            elif kind == "result":
+                self._collect_result(payload)
+            elif kind == "ready":
+                slot = self._slots[worker_id]
+                with self._lock:
+                    if slot.state != "starting":
+                        continue  # stale: the slot was evicted meanwhile
+                    slot.state = "ready"
+                    self._table.mark_healthy(slot)
+                    self._lifecycle.notify_all()
+                _WORKERS_ALIVE.set(self.alive_workers())
+                log_event("serve.worker_ready", worker=worker_id)
+                logger.info("serving worker %d is ready", worker_id)
+            elif kind == "fatal":
+                # The worker failed to load and exited; the next health
+                # check finds the dead process and schedules the next attempt.
+                logger.error("serving worker %d failed to load: %s", worker_id, payload)
+                log_event("serve.worker_load_failed", worker=worker_id, error=str(payload))
+                with self._lock:
+                    self._load_failure = f"serving worker {worker_id} failed to load: {payload}"
+                    self._lifecycle.notify_all()
+
+    def _dispatch(self, pending: Deque[_Request], now: float) -> Optional[float]:
+        """Ship micro-batches off the head of ``pending`` while
+        :func:`dispatch_reason` says so — or fail them, if no worker is left
+        to take them; returns how long the head group may wait for its next
+        look, or ``None`` once nothing is pending.
+
+        The worker is picked and claimed (its ``load`` raised, the requests
+        stamped with it and its arena) under one hold of the pool lock — the
+        way :meth:`_roll` claims one from the swapping thread — so an
+        eviction that follows finds the group among the worker's in-flight
+        requests and fails it with them.  A group that finds no ready worker
+        waits up to ``worker_wait`` from its first request for capacity to
+        come back before it fails; a closing pool never waits.
+        """
+        while pending:
+            group: List[_Request] = []
+            rows = 0
+            for request in pending:
+                if rows >= self.max_batch:
+                    break
+                group.append(request)
+                rows += request.rows
+            max_wait = 0.0 if self._closed else self.max_wait_ms / 1000.0
+            waited = now - group[0].enqueued
+            with self._lock:
                 ready = [slot for slot in self._slots if slot.state == "ready"]
                 idle = any(slot.load == 0 for slot in ready)
                 reason = dispatch_reason(rows, self.max_batch, idle, waited, max_wait)
                 if reason is None:
-                    self._wake.wait(max_wait - waited)
-                    continue
+                    return max_wait - waited
                 # Fewest requests in flight first — the idle one when the
                 # reason is "idle" — round-robin among equals.
                 ready.sort(
@@ -519,12 +507,39 @@ class PoolPredictor(ServingTier):
                         request.arena = slot.arena
                     slot.load += len(group)
                     self._next_worker = (slot.worker_id + 1) % self.workers
-                    return group, rows, reason, slot
-                if give_up is None:
-                    give_up = now + self.worker_wait
-                if self._closed or now >= give_up:
-                    return group, rows, reason, None
-                self._wake.wait(give_up - now)
+            if slot is None and not self._closed and waited < self.worker_wait:
+                return self.worker_wait - waited
+            for _ in group:
+                pending.popleft()
+            if slot is None:
+                error = "PoolPredictor closed" if self._closed else "no serving workers alive"
+                for request in group:
+                    self._resolve(request.request_id, exception=RuntimeError(error))
+                continue
+            item = self._build_dispatch(group)
+            # Counted before the worker can see the item, so a client that
+            # has its answer also finds its dispatch in the metrics.
+            if _metrics.enabled:
+                _DISPATCHES.labels(reason).inc()
+                _DISPATCH_ROWS.observe(rows)
+                handed = time.monotonic()
+                for request in group:
+                    _DISPATCH_WAIT.observe(handed - request.enqueued)
+            slot.request_queue.put(item)
+        return None
+
+    def _shut_down(self, graceful: bool) -> None:
+        """Stop the workers — each answers what is on its queue first, unless
+        not ``graceful`` — resolve their last replies and release every
+        queue and arena."""
+        self._table.stop(self._slots, graceful=graceful)
+        self._collect(deque(), 0)
+        self._table.close()
+        self._inbox.close()
+        for slot in self._slots:
+            if slot.arena is not None:
+                slot.arena.retire()
+            slot.arena = None
 
     # ------------------------------------------------------------ data plane
     def _build_dispatch(self, group: List[_Request]) -> List[tuple]:
@@ -566,67 +581,16 @@ class PoolPredictor(ServingTier):
                 result = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
                 self._resolve(request_id, result=result)
 
-    def _collect_loop(self) -> None:
-        while not self._stop_collector.is_set():
-            for kind, worker_id, payload in self._table.poll(0.2):
-                if kind == "result":
-                    self._collect_result(payload)
-                elif kind == "ready":
-                    # The worker finished loading its predictor.
-                    slot = self._slots[worker_id]
-                    with self._lock:
-                        if slot.state != "starting":
-                            continue  # stale: the slot was evicted meanwhile
-                        slot.state = "ready"
-                        self._table.mark_healthy(slot)
-                        self._wake.notify()
-                        self._lifecycle.notify_all()
-                    _WORKERS_ALIVE.set(self.alive_workers())
-                    log_event("serve.worker_ready", worker=worker_id)
-                    logger.info("serving worker %d is ready", worker_id)
-                elif kind == "fatal":
-                    # The worker failed to load and exited; the supervisor
-                    # will notice the dead process and schedule the next
-                    # attempt.
-                    logger.error(
-                        "serving worker %d failed to load: %s", worker_id, payload
-                    )
-                    log_event(
-                        "serve.worker_load_failed", worker=worker_id, error=str(payload)
-                    )
-                    with self._lock:
-                        self._load_failure = (
-                            f"serving worker {worker_id} failed to load: {payload}"
-                        )
-                        self._lifecycle.notify_all()
-
-    # ------------------------------------------------------------ supervisor
-    def _supervise_loop(self) -> None:
-        """The one owner of process replacement: evict and respawn.
-
-        Health-checks every ``supervise_interval`` seconds until the pool is
-        closed — ``close()`` waits for it to end before it stops a single
-        worker, so nothing can spawn behind a closed pool.
-        """
-        while True:
-            with self._lock:
-                if not self._closed:
-                    self._lifecycle.wait(self.supervise_interval)
-                if self._closed:
-                    return
-            try:
-                self._check_workers(time.monotonic())
-            except Exception:  # pragma: no cover - supervisor must survive
-                logger.exception("pool supervisor check failed")
-            _WORKERS_ALIVE.set(self.alive_workers())
-
-    def _check_workers(self, now: float) -> None:
+    # ------------------------------------------------------------ supervision
+    def _supervise(self, now: float) -> None:
         """Evict dead and wedged workers, respawn the slots that are due.
 
         A wedged worker (hung in a syscall, looping, SIGSTOPped) holding a
         dispatch past ``dispatch_timeout`` still has a live process, so its
         clients would burn the whole request timeout; evicting it SIGKILLs it
-        and fails them promptly, like any other death.
+        and fails them promptly, like any other death.  A respawn whose
+        process cannot even start is a failed attempt of its own: the table
+        puts the next one further out under the same backoff.
         """
         wedged = set()
         if self.dispatch_timeout > 0:
@@ -656,13 +620,31 @@ class PoolPredictor(ServingTier):
                 )
             self._evict(slot)
         for slot in self._table.due(now):
-            self._spawn(slot)
+            try:
+                self._spawn(slot)
+            except Exception as exc:
+                retry_in = slot.down_until - time.monotonic()
+                logger.error(
+                    "serving worker %d could not be started (%s); retrying in %.1fs",
+                    slot.worker_id,
+                    exc,
+                    retry_in,
+                )
+                log_event(
+                    "serve.worker_spawn_failed",
+                    worker=slot.worker_id,
+                    attempt=slot.failures,
+                    error=f"{type(exc).__name__}: {exc}",
+                    restart_in_seconds=round(retry_in, 3),
+                )
+                continue
             self._restarts_total += 1
             _WORKER_RESTARTS.inc()
             logger.info(
                 "respawned serving worker %d (attempt %d)", slot.worker_id, slot.failures
             )
             log_event("serve.worker_respawned", worker=slot.worker_id, attempt=slot.failures)
+        _WORKERS_ALIVE.set(self.alive_workers())
 
     def _evict(self, slot: _PoolSlot) -> None:
         """Take a dead worker out of dispatch, fail its in-flight requests,
@@ -701,13 +683,13 @@ class PoolPredictor(ServingTier):
         a time; returns how many were reloaded.
 
         A reload is one more request on the worker's own queue, claimed like
-        a dispatch — the dispatcher prefers the other workers meanwhile, the
+        a dispatch — the loop prefers the other workers meanwhile, the
         dispatch deadline and eviction apply — so FIFO order keeps every
         answer on one generation.  A worker that is not ready is waited for
         until it is, or until its respawn — which loads the target — begins.
         """
         deadline = time.monotonic() + (
-            self.startup_timeout * self.workers if timeout is None else timeout
+            STARTUP_TIMEOUT * self.workers if timeout is None else timeout
         )
         timed_out = (
             f"timed out rolling workers onto generation {target.generation} during swap"
@@ -722,7 +704,7 @@ class PoolPredictor(ServingTier):
                     if self._closed or remaining <= 0:
                         break
                     # A ready handshake wakes us; an eviction or a respawn
-                    # shows at the supervisor's pace.
+                    # shows at the loop's health-check pace.
                     self._lifecycle.wait(min(remaining, self.supervise_interval))
                 if self._closed:
                     raise RuntimeError("PoolPredictor closed during swap")
@@ -764,10 +746,7 @@ class PoolPredictor(ServingTier):
         with self._lock:
             request = self._requests.pop(request_id, None)
             if request is not None and request.worker_id is not None:
-                slot = self._slots[request.worker_id]
-                slot.load -= 1
-                if slot.load == 0:
-                    self._wake.notify()
+                self._slots[request.worker_id].load -= 1
         if request is None:
             return
         if request.arena is not None:
@@ -791,17 +770,18 @@ class PoolPredictor(ServingTier):
         """
         start = time.perf_counter()
         try:
-            if self._closed:
-                raise RuntimeError("PoolPredictor is closed")
             from repro.api.predictor import validate_batch
 
             x = validate_batch(x, self.input_shape)
             resolved = self._resolve_method(method)
             request = _Request(next(self._request_ids), x, resolved)
-            with self._wake:
+            # Registered under the lock that close() sets _closed under: a
+            # request either fails here or is answered or failed by close().
+            with self._lock:
+                if self._closed:
+                    raise RuntimeError("PoolPredictor closed")
                 self._requests[request.request_id] = request
-                self._pending.append(request)
-                self._wake.notify()
+            self._inbox.put(("request", None, request))
             result = request.future.result(timeout=timeout or self.request_timeout)
         except BaseException:
             _REQUESTS_ERROR.inc()
@@ -867,42 +847,28 @@ class PoolPredictor(ServingTier):
         }
 
     def close(self) -> None:
-        """Stop the supervisor and dispatcher, drain the workers, fail
-        pending requests.
+        """Close the pool: the loop ships what is queued, collects what is in
+        flight and stops the workers; whatever is still unanswered then fails.
 
-        Idempotent; after it returns no child process of the pool is alive.
+        Idempotent; after it returns no child process, thread or arena of the
+        pool is left.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._lifecycle.notify_all()
-            self._wake.notify()
-        # The owner first: once the supervisor has ended nothing spawns any
-        # more, so every process stopped below stays stopped.
-        self._supervisor.join(timeout=60)
-        self._dispatcher.join(timeout=10)
-        self._table.stop(self._slots)
-        self._stop_collector.set()
-        self._collector.join(timeout=10)
-        self._table.close()
+        if self._loop.ident is None:  # the constructor failed before starting it
+            self._shut_down(graceful=False)
+        else:
+            self._inbox.put(("close", None, None))
+            self._loop.join()
         with self._lock:
             leftovers = list(self._requests.values())
             self._requests.clear()
-            self._pending.clear()
-            for slot in self._slots:
-                slot.load = 0
         for request in leftovers:
-            if not request.future.done():
-                request.future.set_exception(RuntimeError("PoolPredictor closed"))
-        for slot in self._slots:
-            if slot.arena is not None:
-                slot.arena.retire()
-            slot.arena = None
-        try:
-            atexit.unregister(self.close)
-        except Exception:  # pragma: no cover
-            pass
+            request.future.set_exception(RuntimeError("PoolPredictor closed"))
+        atexit.unregister(self.close)
         log_event("serve.pool_closed", artifact=str(self.path))
         logger.info("serving pool for %s shut down", self.path)
 

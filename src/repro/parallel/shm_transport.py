@@ -4,21 +4,20 @@ Shipping a request batch *through* a worker's queue means pickling the rows,
 a kernel-side pipe copy and an unpickle.  :class:`ShmArena` takes those bytes
 off the queue: each serving worker owns one POSIX shared-memory segment
 (created through the :mod:`repro.parallel.shared_data` machinery), the
-dispatcher copies a request's rows into it **once**, and the worker runs
+pool's loop copies a request's rows into it **once**, and the worker runs
 ``predict_proba`` directly on a zero-copy view of them.  The queue carries a
 reference ``(offset, shape, dtype)`` — about a hundred bytes whatever the
 batch size.  Rows the arena cannot place right now travel inline in the same
 message, and probabilities always come back inline as raw bytes (see
 :mod:`repro.parallel.serving`).
 
-A region belongs to its request: the dispatcher reserves it, the pool frees
-it when it resolves that request.  The shared memory needs no lock — the
-dispatcher is its only writer and the queue sequences the worker's read
-after the write.  The parent-side *bookkeeping* (which byte ranges are in
-flight) is guarded by an ordinary ``threading.Lock`` inside
-:class:`_RegionAllocator`, and one more in the arena keeps a copy in from
-overlapping :meth:`ShmArena.retire`; no worker ever touches either, so a
-SIGKILLed worker cannot leave them held.
+A region belongs to its request: the pool's loop reserves it at dispatch and
+frees it when it resolves that request.  The shared memory needs no lock — the
+loop is its only writer — and the only thread that retires an arena — and
+the queue sequences the worker's read after the write.  The parent-side
+*bookkeeping* (which byte ranges are in flight) is guarded by an ordinary
+``threading.Lock`` inside :class:`_RegionAllocator`, which no worker ever
+touches, so a SIGKILLed worker cannot leave it held.
 
 An arena lives as long as its worker.  A worker killed with rows in flight
 corrupts nothing the parent trusts: its requests are failed on death, and the
@@ -54,8 +53,8 @@ class _RegionAllocator:
     """First-fit free-list allocator over ``[base, base + capacity)``.
 
     One region per request, so the call rate is low; a plain interval free
-    list with neighbour coalescing is plenty.  The dispatcher allocates and
-    whichever thread resolves the request frees, hence the lock.
+    list with neighbour coalescing is plenty.  The pool's loop allocates and
+    frees; the lock keeps a concurrent :meth:`stats` reading whole numbers.
     """
 
     def __init__(self, base: int, capacity: int):
@@ -136,9 +135,6 @@ class ShmArena:
         self._segment = create_segment(self.capacity, tag=f"arena-w{worker_id}")
         self.name = self._segment.name
         self._regions = _RegionAllocator(0, self.capacity)
-        # Held across every copy into the mapping, and by retire(): the
-        # mapping is never closed under a view of it.
-        self._lock = threading.Lock()
         self._retired = False
 
     def stats(self) -> Dict[str, int]:
@@ -153,17 +149,16 @@ class ShmArena:
         """Reserve a region and copy one request's rows into it — the single
         copy the arena costs.  Returns the region's offset, or ``None`` when
         nothing fits (or the arena is retired): those rows travel inline."""
-        with self._lock:
-            if self._retired:
-                return None
-            offset = self._regions.alloc(array.nbytes)
-            if offset is not None:
-                view = np.ndarray(
-                    array.shape, dtype=array.dtype, buffer=self._segment.buf, offset=offset
-                )
-                np.copyto(view, array, casting="no")
-                del view
-            return offset
+        if self._retired:
+            return None
+        offset = self._regions.alloc(array.nbytes)
+        if offset is not None:
+            view = np.ndarray(
+                array.shape, dtype=array.dtype, buffer=self._segment.buf, offset=offset
+            )
+            np.copyto(view, array, casting="no")
+            del view  # the mapping cannot close under a view of it
+        return offset
 
     def free_request(self, offset: Optional[int]) -> bool:
         return self._regions.free(offset)
@@ -171,12 +166,11 @@ class ShmArena:
     def retire(self) -> None:
         """Tear the arena down with its worker: unlink the ``/dev/shm`` name
         and close the mapping.  Idempotent; nothing is placed afterwards."""
-        with self._lock:
-            if self._retired:
-                return
-            self._retired = True
-            try:
-                self._segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-            self._segment.close()
+        if self._retired:
+            return
+        self._retired = True
+        try:
+            self._segment.unlink()
+        except FileNotFoundError:  # pragma: no cover - already unlinked
+            pass
+        self._segment.close()

@@ -8,10 +8,11 @@ executor's lane 0 is a thread of the calling process: ``poll`` reads its
 hands it to ``spawn`` or ``evict``.)
 :class:`SlotTable` holds one :class:`Slot` record per worker and is the only
 code under ``repro.parallel`` that creates a queue or a process.  It is
-passive: no thread, no lock, no logging.  Its owner drives it — the executor
-from its single-threaded ``train()`` loop, the serving pool from its supervisor
-thread — decides *when* a transition happens, and logs the facts the table
-hands back (exit code, backoff) under its own event and metric names::
+passive: no thread, no lock, no logging.  Its owner drives it from one
+single-threaded loop — the executor's ``train()``, the serving pool's
+``repro-serve-loop`` thread — decides *when* a transition happens, and logs
+the facts the table hands back (exit code, backoff) under its own event and
+metric names::
 
     down -> starting       spawn(): first start, or a respawn once due()
     starting -> ready      the owner, on the worker's "ready" message
@@ -24,21 +25,28 @@ A worker that changes what it serves (a serving hot-swap) does so in place,
 between two items of its queue: no transition, no new process.
 
 ``evict`` schedules the respawn ``backoff_delay(failures)`` seconds out —
-``base`` doubling per consecutive failure up to ``cap`` — and ``due`` lists the
-slots whose wait is over; ``mark_healthy`` ends a failure streak (the executor
-calls it on a returned result, the serving pool on ``ready``).  Every spawn
-puts the worker on *fresh private* queues: a SIGKILL can land while the
-predecessor holds one of its queue locks and leave it acquired forever, and
-whatever is still on the old queues belongs to work the owner already failed
-or rescheduled.  Private queues also mean each lock only ever has one process
-on each side, so a crash poisons one slot, never the pool; ``poll``
-multiplexes the result side with ``multiprocessing.connection.wait``.
+``base`` doubling per consecutive failure up to ``cap`` — and so does a
+``spawn`` whose ``start()`` raises; ``due`` lists the slots whose wait is
+over; ``mark_healthy`` ends a failure streak (the executor calls it on a
+returned result, the serving pool on ``ready``).  Every spawn puts the worker
+on *fresh private* queues: a SIGKILL can land while the predecessor holds one
+of its queue locks and leave it acquired forever, and whatever is still on
+the old queues belongs to work the owner already failed or rescheduled.
+Private queues also mean each lock only ever has one process on each side, so
+a crash poisons one slot, never the pool.  ``poll`` multiplexes the result
+side with ``multiprocessing.connection.wait``, together with any
+:class:`LocalQueue` — the one in-process queue end, which threads of the
+owner's own process post to (the executor's lane 0, the serving pool's
+clients) — so the owner's loop waits in exactly one place.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import queue as thread_queue
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _mp_wait
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
@@ -47,6 +55,8 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 #: each consecutive failure doubles that, up to ``RESTART_BACKOFF_MAX``.
 RESTART_BACKOFF = 0.5
 RESTART_BACKOFF_MAX = 30.0
+#: How long an owner waits for its workers to say ready when it starts.
+STARTUP_TIMEOUT = 180.0
 
 
 def backoff_delay(
@@ -73,14 +83,56 @@ class Slot:
     spawned_at: float = 0.0
 
 
+class LocalQueue:
+    """A queue end whose writers are threads of this process, read by
+    :meth:`SlotTable.poll` exactly like a worker's result queue: it waits on
+    ``_reader`` and drains ``get_nowait()``.
+
+    Nothing is pickled — a message is an object in a deque, and the pipe
+    carries one wake-up byte for it.  :meth:`put` after :meth:`close` is
+    dropped (and says so), so a writer racing the owner's shutdown never
+    raises.
+    """
+
+    def __init__(self):
+        self._reader, self._writer = mp.Pipe(duplex=False)
+        self._messages: deque = deque()
+        self._lock = threading.Lock()  # closing vs posting
+        self._closed = False
+
+    def put(self, message) -> bool:
+        """Post ``message``; ``False`` if the queue is already closed."""
+        with self._lock:
+            if self._closed:
+                return False
+            self._messages.append(message)
+            self._writer.send_bytes(b"\0")
+        return True
+
+    def get_nowait(self):
+        """The next posted message; ``queue.Empty`` when there is none."""
+        if not self._reader.poll():
+            raise thread_queue.Empty
+        self._reader.recv_bytes()
+        return self._messages.popleft()
+
+    def close(self) -> None:
+        """Stop taking messages (idempotent); unread ones are dropped."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._reader.close()
+            self._writer.close()
+
+
 class SlotTable:
     """Slot records plus the few operations that change a worker's process.
 
     ``target(worker_id, *args, request_queue, result_queue)`` is the worker
     main function (module-level: it is pickled by reference), ``args`` what
-    :meth:`spawn` is given.  Not thread-safe by itself: one thread owns
-    ``spawn`` / ``evict`` / ``stop`` / ``close``; ``poll`` may run on another
-    (it tolerates queues replaced under it).
+    :meth:`spawn` is given.  Not thread-safe: its owner drives it from one
+    thread, the owner's loop.
     """
 
     def __init__(
@@ -105,10 +157,11 @@ class SlotTable:
         """(Re)start the slot's worker on fresh private queues, closing the
         predecessor's; the slot is ``starting`` until its owner sees ``ready``.
 
-        A ``start()`` that raises propagates with the slot's process and
-        state as they were — ``slot.process`` only ever holds a started
-        process, so a later ``stop`` cannot trip over one that never ran and
-        mask the error.
+        A ``start()`` that raises is a failed attempt: the next one is
+        scheduled under backoff, as after an eviction, and the error
+        propagates with the slot's process and state as they were —
+        ``slot.process`` only ever holds a started process, so a later
+        ``stop`` cannot trip over one that never ran and mask the error.
         """
         old_queues = (slot.request_queue, slot.result_queue)
         slot.request_queue, slot.result_queue = self._ctx.Queue(), self._ctx.Queue()
@@ -121,7 +174,11 @@ class SlotTable:
             daemon=True,
             name=f"{self._name}-{slot.worker_id}",
         )
-        process.start()
+        try:
+            process.start()
+        except BaseException:
+            self._schedule(slot)
+            raise
         slot.process = process
         slot.state, slot.down_until, slot.spawned_at = "starting", None, time.monotonic()
 
@@ -136,11 +193,15 @@ class SlotTable:
         if process.is_alive():
             process.kill()
             process.join(timeout=10)
+        slot.state = "down"
+        return process.exitcode, self._schedule(slot)
+
+    def _schedule(self, slot: Slot) -> float:
+        """Count a failure and put the slot's next start ``backoff`` out."""
         backoff = backoff_delay(slot.failures, self._backoff, self._backoff_max)
         slot.failures += 1
-        slot.state = "down"
         slot.down_until = time.monotonic() + backoff
-        return process.exitcode, backoff
+        return backoff
 
     def due(self, now: float) -> List[Slot]:
         """The evicted slots whose backoff has run out."""
@@ -155,24 +216,14 @@ class SlotTable:
         """The worker proved itself: its next failure starts the backoff over."""
         slot.failures = 0
 
-    def poll(self, timeout: float) -> List[tuple]:
-        """Whatever ``(kind, worker_id, payload)`` messages the workers sent,
-        waiting up to ``timeout`` seconds for the first.
-
-        Queues swapped out by a concurrent respawn surface as closed readers
-        and are skipped — the next call picks up their replacements.
-        """
-        snapshot = {
-            slot.result_queue._reader: slot.result_queue
-            for slot in self.slots
-            if slot.result_queue is not None
-        }
-        try:
-            readable = _mp_wait(list(snapshot), timeout=timeout)
-        except OSError:  # pragma: no cover - reader closed mid-wait (respawn)
-            return []
+    def poll(self, timeout: float, *ends: LocalQueue) -> List[tuple]:
+        """Whatever ``(kind, worker_id, payload)`` messages the workers — and
+        the owner's own ``ends`` — sent, waiting up to ``timeout`` seconds for
+        the first."""
+        queues = [slot.result_queue for slot in self.slots if slot.result_queue is not None]
+        snapshot = {queue._reader: queue for queue in (*queues, *ends)}
         messages: List[tuple] = []
-        for reader in readable:
+        for reader in _mp_wait(list(snapshot), timeout=timeout):
             queue = snapshot[reader]
             while True:
                 try:

@@ -152,7 +152,6 @@ def _serving_worker_main(
     artifact: str,
     method: str,
     batch_size: int,
-    warm: bool,
     arena_name,
     request_queue,
     result_queue,
@@ -172,9 +171,7 @@ def _serving_worker_main(
         from repro.api.predictor import EnsemblePredictor
         from repro.parallel.shared_data import attach_segment
 
-        predictor = EnsemblePredictor.load(
-            artifact, method=method, batch_size=batch_size, warm=warm
-        )
+        predictor = EnsemblePredictor.load(artifact, method=method, batch_size=batch_size)
         arena = attach_segment(arena_name) if arena_name is not None else None
         arena_buf = arena.buf if arena is not None else None
 

@@ -86,9 +86,6 @@ class WallClockAccumulator:
     def total(self) -> float:
         return float(sum(self.totals.values()))
 
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self.totals)
-
     def merge(self, other: "WallClockAccumulator") -> "WallClockAccumulator":
         merged = WallClockAccumulator(dict(self.totals))
         for key, value in other.totals.items():

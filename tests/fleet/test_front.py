@@ -229,3 +229,25 @@ def test_a_consumer_that_cannot_start_is_relaunched_under_backoff(
         front.close()
         for process in doomed:
             process.wait(timeout=10)
+
+
+def test_a_consumer_launch_that_raises_holds_the_next_launch(saved_artifact, monkeypatch):
+    """A launch that raises (no fork left, no interpreter) is held under the
+    same backoff as a consumer that exits at once — not retried on every
+    reconcile tick (~40 launches in these 2 s)."""
+    launches = []
+
+    def refuse(self):
+        launches.append(time.monotonic())
+        raise OSError("cannot launch a consumer here")
+
+    monkeypatch.setattr(FleetFront, "_spawn_consumer", refuse)
+    front = FleetFront(
+        saved_artifact, min_consumers=1, max_consumers=1, reconcile_interval=0.05
+    )
+    try:
+        time.sleep(2.0)
+    finally:
+        front.close()
+    assert 1 <= len(launches) <= 4, launches
+    assert front._spawn_failures == len(launches)

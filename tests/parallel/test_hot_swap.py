@@ -272,7 +272,7 @@ def test_close_during_a_rolling_swap_leaves_nothing_behind(
     """``close()`` while ``swap()`` waits for a reload queued behind a busy
     worker's request.  ``close()`` drains the worker — it answers the request
     and may even finish the reload — yet the swap must fail, promptly (no
-    ``startup_timeout x workers`` wait), and nothing may appear behind the
+    ``STARTUP_TIMEOUT x workers`` wait), and nothing may appear behind the
     closed pool: no successor process, no new segment."""
     probe, ref0, _ = refs
     swap_store.promote(0)

@@ -2,7 +2,10 @@
 safety under concurrent clients, the dispatch-when-idle rule, and clean
 worker shutdown."""
 
+import itertools
 import multiprocessing as mp
+import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -211,3 +214,77 @@ def test_pool_close_is_clean_and_final(saved_artifact, serial_result, shm_sweep)
     with pytest.raises(RuntimeError):
         predictor.predict(x)
     predictor.close()  # idempotent
+
+
+def _wait_for(predicate, timeout, interval=0.05):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_live_pool_runs_one_thread(saved_artifact, reference, serial_result, workers):
+    """Collecting, supervising and dispatching all happen on one thread: a
+    serving pool adds ``repro-serve-loop`` and nothing else but
+    multiprocessing's queue feeders, and ``close()`` takes every one away."""
+    before = set(threading.enumerate())
+    pool = PoolPredictor(saved_artifact, workers=workers, max_wait_ms=1.0)
+    try:
+        x = serial_result.dataset.x_test[:4]
+        np.testing.assert_array_equal(pool.predict_proba(x), reference.predict_proba(x))
+        names = sorted(thread.name for thread in set(threading.enumerate()) - before)
+        assert [name for name in names if name != "QueueFeederThread"] == [
+            "repro-serve-loop"
+        ], names
+    finally:
+        pool.close()
+    assert _wait_for(lambda: set(threading.enumerate()) <= before, timeout=10.0), (
+        set(threading.enumerate()) - before
+    )
+
+
+def test_close_under_concurrent_clients_answers_or_fails_every_call(
+    saved_artifact, reference, serial_result, shm_sweep
+):
+    """Eight threads call ``predict_proba`` back to back while another closes
+    the pool: each call is answered bitwise or fails with "PoolPredictor
+    closed" within seconds — none is left to wait out ``request_timeout``."""
+    pool = PoolPredictor(saved_artifact, workers=2, max_wait_ms=1.0, request_timeout=30.0)
+    x = serial_result.dataset.x_test
+    start = threading.Barrier(9)
+
+    def client(tid):
+        calls = []
+        start.wait()
+        for i in itertools.count():
+            first = (tid * 7 + i) % 40
+            rows = x[first : first + 1 + i % 3]
+            began = time.monotonic()
+            try:
+                out = pool.predict_proba(rows)
+            except RuntimeError as exc:
+                calls.append((str(exc), time.monotonic() - began))
+                return calls
+            ok = np.array_equal(out, reference.predict_proba(rows))
+            calls.append((ok, time.monotonic() - began))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the clients, the loop and close() finely
+    try:
+        with ThreadPoolExecutor(max_workers=8) as clients:
+            futures = [clients.submit(client, tid) for tid in range(8)]
+            start.wait()
+            time.sleep(0.3)
+            pool.close()
+            outcomes = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for calls in outcomes:
+        *answered, (error, _) = calls
+        assert "PoolPredictor closed" in error, error
+        assert all(ok is True for ok, _ in answered)
+        assert max(seconds for _, seconds in calls) < 10.0
+    assert sum(len(calls) - 1 for calls in outcomes) > 0  # the race had clients in flight

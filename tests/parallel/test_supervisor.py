@@ -297,6 +297,39 @@ def test_a_worker_that_cannot_start_raises_its_own_error(saved_artifact, monkeyp
     assert shm_entries() == shm_before
 
 
+def test_a_respawn_that_cannot_start_backs_off(saved_artifact, monkeypatch, train_events):
+    """A respawn whose process cannot start is a failed attempt like a
+    death: the next one waits ``restart_backoff`` doubling per attempt — not
+    one health check (it used to be retried every ``supervise_interval``, a
+    fresh arena and a logged traceback each time) — and each failure is a
+    ``serve.worker_spawn_failed`` event."""
+    from multiprocessing.context import SpawnProcess
+
+    attempts = []
+
+    def refuse(self):
+        attempts.append(time.monotonic())
+        raise OSError("cannot start a worker here")
+
+    pool = PoolPredictor(saved_artifact, workers=1, restart_backoff=0.1, supervise_interval=0.05)
+    try:
+        monkeypatch.setattr(SpawnProcess, "start", refuse)
+        victim = pool._slots[0].process
+        victim.kill()
+        victim.join(timeout=10)
+        assert _wait_for(lambda: len(attempts) >= 4, timeout=20.0), attempts
+    finally:
+        pool.close()
+    gaps = [later - earlier for earlier, later in zip(attempts, attempts[1:])]
+    assert all(gap >= 0.1 * 2 ** (k + 1) for k, gap in enumerate(gaps)), gaps
+    # The death was failure 1; every attempt since is one more.
+    assert pool._slots[0].failures == 1 + len(attempts)
+    failed = [fields for event, fields in train_events if event == "serve.worker_spawn_failed"]
+    assert len(failed) == len(attempts)
+    assert [round(fields["restart_in_seconds"], 1) for fields in failed[:3]] == [0.2, 0.4, 0.8]
+    assert failed[0]["error"] == "OSError: cannot start a worker here"
+
+
 def test_pool_validation_of_supervisor_parameters(saved_artifact):
     with pytest.raises(ValueError):
         PoolPredictor(saved_artifact, restart_backoff=0.0)

@@ -309,7 +309,6 @@ def _bare_pool() -> PoolPredictor:
     pool = object.__new__(PoolPredictor)
     pool.transport = "shm"
     pool._lock = threading.Lock()
-    pool._wake = threading.Condition(pool._lock)
     pool._slots = [_PoolSlot(0, state="ready")]
     pool._requests = {}
     return pool
