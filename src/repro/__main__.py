@@ -12,11 +12,13 @@ configs and ``.npy`` tensors, with no Python required:
   ``GET /metrics``; structured JSON event logs on stderr; stops cleanly on
   SIGINT/SIGTERM).  ``--mode pool`` (default) answers from a local
   self-healing multi-process worker pool; ``--mode queue`` publishes jobs on
-  a one-queue broker answered by an autoscaled fleet of consumers;
+  a one-queue broker answered by an autoscaled fleet of consumers, the first
+  of which is a thread of the front itself;
 * ``repro fleet-worker --broker host:port --artifact artifact/`` — one fleet
   consumer: attaches to a queue-mode front's broker and answers its leased
   jobs one at a time with an in-process predictor (the front spawns these
-  itself; run them by hand to add capacity from other terminals or hosts);
+  itself beyond its own consumer 0; run them by hand to add capacity from
+  other terminals or hosts);
 * ``repro inspect --artifact artifact/`` — summarise an artifact, including
   training phase makespans and per-member training-history summaries; for a
   generation-versioned store, also the lineage and promotion ledger;
@@ -143,10 +145,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet = serve.add_argument_group("queue mode (--mode queue)")
     fleet.add_argument(
-        "--min-consumers", type=int, default=1, help="minimum fleet consumers"
+        "--min-consumers",
+        type=int,
+        default=1,
+        help="minimum fleet consumers, counting the front's own consumer 0 "
+        "(front-0): 1 runs no consumer subprocess at all",
     )
     fleet.add_argument(
-        "--max-consumers", type=int, default=4, help="autoscaler's consumer cap"
+        "--max-consumers",
+        type=int,
+        default=4,
+        help="autoscaler's consumer cap (front-0 included)",
     )
     fleet.add_argument(
         "--visibility-timeout",
@@ -210,8 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--no-local-consumers",
         action="store_true",
-        help="do not spawn local fleet workers; serve only externally "
-        "attached ones (disables the autoscaler)",
+        help="run no consumer in or beside the front (no front-0, no local "
+        "fleet workers); serve only externally attached ones (disables the "
+        "autoscaler)",
     )
 
     worker = sub.add_parser(

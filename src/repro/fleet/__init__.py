@@ -4,8 +4,9 @@ The fleet splits serving into three roles connected by a one-queue,
 at-least-once job broker:
 
 * **front** (:class:`~repro.fleet.front.FleetFront`) — validates requests,
-  publishes prediction jobs, resolves result futures, manages local
-  consumer subprocesses, and autoscales them;
+  publishes prediction jobs, resolves result futures, is consumer 0 itself
+  (``front-0``, a consumer thread on the broker object: no socket hop), and
+  manages and autoscales the other consumers as local subprocesses;
 * **broker** (:class:`~repro.fleet.broker.InProcBroker`) — one bounded
   FIFO queue any consumer leases the oldest job from, visibility-timeout
   redelivery when a consumer dies mid-job; served cross-process via

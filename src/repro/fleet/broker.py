@@ -326,12 +326,15 @@ class InProcBroker:
 
     def nack(self, consumer_id: str, job_id: str, error: str) -> None:
         """Return a failed job for redelivery (or fail it for good once
-        ``max_deliveries`` is spent)."""
+        ``max_deliveries`` is spent).  Only the lease holder can: a consumer
+        whose lease expired meanwhile gives back nothing — the job is queued
+        again or leased to another consumer already."""
         with self._cond:
             self._touch(consumer_id)
-            lease = self._inflight.pop(job_id, None)
-            if lease is None:
+            lease = self._inflight.get(job_id)
+            if lease is None or lease.consumer_id != consumer_id:
                 return
+            del self._inflight[job_id]
             self._requeue(lease.job, error=error)
 
     def _remove_queued(self, job_id: str) -> Optional[Job]:

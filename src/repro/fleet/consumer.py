@@ -14,7 +14,9 @@ Fleet-wide observability: alongside each ack the consumer periodically ships
 a *delta* snapshot of its ``repro.obs`` registry (``metrics_interval``
 throttled, counters/histograms accumulate on merge), so the front's
 ``/metrics`` aggregates consumer activity across the fleet without scraping
-N processes.
+N processes.  A consumer running inside the front's own process (the front's
+``front-0``) shares that registry and ships nothing:
+``metrics_interval=math.inf``.
 
 Chaos hooks: ``repro.faults`` injection points ``fleet_consume`` (after the
 lease, before inference — a crash here strands a leased job, exercising
@@ -221,6 +223,18 @@ class FleetConsumer:
     def alive(self) -> bool:
         """True while the lease loop is still serving (broker reachable)."""
         return self._thread.is_alive() and not self._stop.is_set()
+
+    def retire(self) -> None:
+        """Stop leasing and detach *without* waiting for the job in flight.
+
+        What a wedged consumer thread gets instead of the SIGKILL a wedged
+        process gets: a thread cannot be killed.  Its job was already
+        redelivered; if it ever acks, that ack is a duplicate the broker
+        drops (first ack wins), and the thread then ends.
+        """
+        self._stop.set()
+        self.broker.detach(self.consumer_id)
+        log_event("fleet.consumer_retired", consumer=self.consumer_id)
 
     def close(self) -> None:
         """Drain and shut down (idempotent): stop leasing, finish the job in

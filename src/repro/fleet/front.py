@@ -10,14 +10,21 @@ local :class:`~repro.parallel.serving.PoolPredictor`.  It owns:
   observes the end-to-end job latency histogram, stores results for the
   poll API (``/result/<id>``), and merges the consumers' shipped
   ``repro.obs`` snapshots so ``/metrics`` aggregates the fleet;
-* a **local consumer manager** that keeps ``desired`` consumer subprocesses
-  (``repro fleet-worker`` against the loopback broker address) running —
-  reconciling every ``reconcile_interval``: dead consumers are respawned,
-  wedged ones (reaped by the broker) are SIGKILLed first, surplus ones are
-  SIGTERMed and drain gracefully;
+* **consumer 0**, ``front-0``: an ordinary
+  :class:`~repro.fleet.consumer.FleetConsumer` on a thread of this process,
+  leasing from the broker *object* — no pickling, no socket hop, no process
+  to boot.  It shares the front's metrics registry, so it ships no deltas;
+* a **local consumer manager** that keeps the other ``desired - 1``
+  consumers running as subprocesses (``repro fleet-worker`` against the
+  loopback broker address) — reconciling every ``reconcile_interval``: dead
+  consumers are respawned, wedged ones (reaped by the broker) are SIGKILLed
+  first, surplus ones are SIGTERMed and drain gracefully.  A wedged
+  ``front-0`` cannot be killed: it is *retired* (stopped from leasing,
+  detached; a late ack is a dropped duplicate) and a subprocess takes its
+  place under the same spawn backoff;
 * the **autoscaler** (:class:`~repro.fleet.autoscaler.Autoscaler`) steering
-  ``desired`` between ``min_consumers`` and ``max_consumers`` from queue
-  depth and windowed p99 job latency.
+  ``desired`` — ``front-0`` included — between ``min_consumers`` and
+  ``max_consumers`` from queue depth and windowed p99 job latency.
 
 Client calls (`submit` / `result` / `predict_proba`) are thread-safe; each
 blocks only on its own job's future.  Results are bitwise identical to a
@@ -26,6 +33,7 @@ single-process ``EnsemblePredictor`` because each consumer answers with one.
 
 from __future__ import annotations
 
+import math
 import os
 import secrets
 import signal
@@ -43,6 +51,7 @@ import numpy as np
 from repro.core.artifact_store import ServedArtifact, ServingTier
 from repro.fleet.autoscaler import Autoscaler, AutoscaleSignals
 from repro.fleet.broker import InProcBroker, serve_broker
+from repro.fleet.consumer import FleetConsumer
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry, quantile_from_counts
 from repro.utils.logging import get_logger
@@ -84,12 +93,17 @@ class _LocalConsumer:
 class FleetFront(ServingTier):
     """Producer front over a one-queue broker plus managed consumers.
 
-    A consumer is one serving lane (one process answering one job at a
-    time), so capacity is ``min_consumers``..``max_consumers``.  With
-    ``spawn_local=False`` no consumer subprocesses are started (and the
-    autoscaler stays off) — the caller attaches its own consumers, in
-    process or via the broker address; this is how the chaos tests drive
+    A consumer is one serving lane (one job at a time), so capacity is
+    ``min_consumers``..``max_consumers``.  The front is consumer 0: with
+    ``spawn_local=True`` it answers on a ``front-0`` thread and runs the
+    other ``desired - 1`` consumers as subprocesses, so
+    ``min_consumers=max_consumers=1`` starts no child at all.  With
+    ``spawn_local=False`` it runs no consumer of any kind (and the
+    autoscaler stays off) — the caller attaches its own, in process or via
+    the broker address; this is how the chaos tests drive
     externally-SIGKILLed `fleet-worker` processes.
+
+    A constructor that raises leaves nothing running.
     """
 
     lanes = "consumers_acked"
@@ -135,20 +149,9 @@ class FleetFront(ServingTier):
         self._log_file = log_file
         self._fleet_authkey = fleet_authkey
 
-        self.broker = InProcBroker(visibility_timeout=visibility_timeout)
-        self.broker_address, self._stop_broker_server = serve_broker(
-            self.broker, host=host, port=fleet_port, authkey=fleet_authkey
-        )
-
         self._lock = threading.Lock()
         self._entries: Dict[str, _JobEntry] = {}
         self._stop = threading.Event()
-        self._result_thread = threading.Thread(
-            target=self._result_loop, name="repro-fleet-results", daemon=True
-        )
-        self._result_thread.start()
-
-        # ---------------------------------------------- local consumer fleet
         self._local: List[_LocalConsumer] = []
         self._desired = self.min_consumers if self.spawn_local else 0
         self._spawned = 0
@@ -156,21 +159,19 @@ class FleetFront(ServingTier):
         # which they hold further spawns (the supervision core's backoff).
         self._spawn_failures = 0
         self._spawn_hold = 0.0
-        self._reconcile_thread: Optional[threading.Thread] = None
-        if self.spawn_local:
-            self._reconcile_thread = threading.Thread(
-                target=self._reconcile_loop,
-                args=(float(reconcile_interval),),
-                name="repro-fleet-reconcile",
-                daemon=True,
-            )
-            self._reconcile_thread.start()
-
-        # -------------------------------------------------------- autoscaler
         self._latency_window_counts = _JOB_LATENCY.bucket_counts()
+        # Everything close() stops, absent until started.
+        self.broker: Optional[InProcBroker] = None
+        self._stop_broker_server = None
+        self._result_thread: Optional[threading.Thread] = None
+        self._front_consumer: Optional[FleetConsumer] = None
+        self._reconcile_thread: Optional[threading.Thread] = None
         self.autoscaler: Optional[Autoscaler] = None
+
+        # Built (and so validated) before anything starts; started last.
+        autoscaler = None
         if self.spawn_local and autoscale and self.max_consumers > self.min_consumers:
-            self.autoscaler = Autoscaler(
+            autoscaler = Autoscaler(
                 min_consumers=self.min_consumers,
                 max_consumers=self.max_consumers,
                 get_signals=self._signals,
@@ -182,7 +183,40 @@ class FleetFront(ServingTier):
                 down_p99_seconds=down_p99_seconds,
                 cooldown_seconds=autoscale_cooldown,
                 interval=autoscale_interval,
-            ).start()
+            )
+        try:
+            self.broker = InProcBroker(visibility_timeout=visibility_timeout)
+            self.broker_address, self._stop_broker_server = serve_broker(
+                self.broker, host=host, port=fleet_port, authkey=fleet_authkey
+            )
+            self._result_thread = threading.Thread(
+                target=self._result_loop, name="repro-fleet-results", daemon=True
+            )
+            self._result_thread.start()
+            if self.spawn_local:
+                # Consumer 0: this process's own lane on the broker object.
+                # It shares this registry, so it must never ship
+                # snapshot-and-reset deltas (math.inf: it never does).
+                self._front_consumer = FleetConsumer(
+                    self.broker,
+                    self.path,
+                    consumer_id="front-0",
+                    method=self.method,
+                    batch_size=self.batch_size,
+                    metrics_interval=math.inf,
+                ).start()
+                self._reconcile_thread = threading.Thread(
+                    target=self._reconcile_loop,
+                    args=(float(reconcile_interval),),
+                    name="repro-fleet-reconcile",
+                    daemon=True,
+                )
+                self._reconcile_thread.start()
+            if autoscaler is not None:
+                self.autoscaler = autoscaler.start()
+        except BaseException:
+            self.close()
+            raise
         logger.info(
             "fleet front for %s: broker %s:%d, consumers %d..%d",
             artifact,
@@ -345,7 +379,19 @@ class FleetFront(ServingTier):
         attached = set(self.broker.control_status()["consumers"]) if self._spawn_failures else ()
         wedged = set(self.broker.take_reaped())
         with self._lock:
-            desired = self._desired
+            front = self._front_consumer
+            if front is not None and front.consumer_id in wedged:
+                # Consumer 0 went silent past the broker's deadline: hung
+                # mid-job (its job already redelivered) or its thread ended on
+                # an exception.  A thread cannot be SIGKILLed: it stops
+                # leasing and is detached, and a subprocess takes its place
+                # under the backoff a killed consumer's successor waits out.
+                log_event("fleet.consumer_wedged", consumer=front.consumer_id)
+                front.retire()
+                self._front_consumer = None
+                self._hold_spawns(now)
+            # Consumer 0 answers in this process; subprocesses fill the rest.
+            desired = self._desired - (self._front_consumer is not None)
             # Prune exited processes; kill wedged ones and draining stragglers.
             survivors: List[_LocalConsumer] = []
             for consumer in self._local:
@@ -426,10 +472,15 @@ class FleetFront(ServingTier):
             self._desired = max(self.min_consumers, self._desired - 1)
 
     def local_consumers(self) -> Dict[str, Any]:
+        """The consumers this front runs: ``desired`` and ``running`` count
+        ``front-0`` (``front``, ``None`` once retired) with the subprocesses;
+        ``pids`` lists the subprocesses only."""
         with self._lock:
+            front = self._front_consumer
             return {
                 "desired": self._desired,
-                "running": sum(1 for c in self._local if not c.draining),
+                "front": None if front is None else front.consumer_id,
+                "running": (front is not None) + sum(1 for c in self._local if not c.draining),
                 "draining": sum(1 for c in self._local if c.draining),
                 "pids": [c.process.pid for c in self._local if not c.draining],
             }
@@ -554,7 +605,10 @@ class FleetFront(ServingTier):
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Stop scaling, drain local consumers, fail anything unresolved."""
+        """Stop scaling, drain local consumers, fail anything unresolved.
+
+        Also what a constructor that raises calls: it stops whatever had
+        started.  A retired ``front-0`` thread is not waited for."""
         with self._lock:
             if self._closed:
                 return
@@ -567,9 +621,12 @@ class FleetFront(ServingTier):
         with self._lock:
             local = list(self._local)
             self._local = []
+            front, self._front_consumer = self._front_consumer, None
         for consumer in local:
             if consumer.process.poll() is None:
                 consumer.process.send_signal(signal.SIGTERM)
+        if front is not None:
+            front.close()  # drains while the subprocesses drain
         deadline = time.monotonic() + 60.0
         for consumer in local:
             remaining = max(0.1, deadline - time.monotonic())
@@ -578,9 +635,12 @@ class FleetFront(ServingTier):
             except subprocess.TimeoutExpired:  # pragma: no cover - wedged drain
                 consumer.process.kill()
                 consumer.process.wait(timeout=10)
-        self.broker.close()
-        self._result_thread.join(timeout=10)
-        self._stop_broker_server()
+        if self.broker is not None:
+            self.broker.close()
+        if self._result_thread is not None:
+            self._result_thread.join(timeout=10)
+        if self._stop_broker_server is not None:
+            self._stop_broker_server()
         with self._lock:
             entries = list(self._entries.values())
             self._entries.clear()

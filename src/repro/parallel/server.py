@@ -7,9 +7,9 @@ endpoint surface:
 * ``--mode pool`` (default) — a local
   :class:`~repro.parallel.serving.PoolPredictor`;
 * ``--mode queue`` — a :class:`~repro.fleet.front.FleetFront`: requests are
-  published as jobs on a one-queue broker and answered by
-  ``repro fleet-worker`` consumers (local subprocesses managed and
-  autoscaled by the front, plus any externally attached ones).
+  published as jobs on a one-queue broker and answered by consumers — the
+  front's own ``front-0`` thread, ``repro fleet-worker`` subprocesses the
+  front manages and autoscales, plus any externally attached ones.
 
 Endpoints
 ---------
@@ -32,7 +32,9 @@ Endpoints
   bitwise identical to a single-process ``EnsemblePredictor`` on the same
   batch.  In queue mode, ``"async": true`` returns ``202 {"job_id": ...}``
   immediately instead of blocking, and a full broker queue answers ``503``
-  (sync or async) — load to shed, not a malformed request (``400``).
+  (sync or async) — load to shed, not a malformed request (``400``).  A
+  predict the backend did not answer within its request timeout answers
+  ``504``, and the connection stays open for the next request.
 * ``GET /result/<job_id>`` (queue mode) — poll an async job: ``200`` with
   the result once done (the result is consumed), ``202`` while pending,
   ``404`` for unknown/expired ids.
@@ -321,6 +323,10 @@ def _make_handler(pool, mode: str, started_at: float):
                         self._reply(200, {"predictions": labels.tolist()})
                 except shed as exc:
                     self._reply(503, {"error": str(exc)})
+                except TimeoutError:
+                    # The backend's request timeout ran out: the server's
+                    # failure to answer in time, on a connection still fine.
+                    self._reply(504, {"error": "no answer within the backend's request timeout"})
                 except (ValueError, TypeError, RuntimeError, json.JSONDecodeError) as exc:
                     self._reply(400, {"error": str(exc)})
 

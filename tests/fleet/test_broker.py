@@ -242,6 +242,22 @@ def test_nack_redelivers_then_fails_after_max_deliveries(broker):
     assert "boom" in done[0].error
 
 
+def test_a_nack_after_the_lease_expired_gives_back_nothing(broker):
+    """Only the lease holder can return a job: a consumer whose lease ran out
+    (the job went to another) once cancelled the other's lease with its
+    nack — a needless third execution, or a spent ``max_deliveries`` that
+    failed a job the other consumer was about to answer."""
+    job_id = broker.publish({"n": 1})
+    assert broker.lease("slow", timeout=1.0).job_id == job_id
+    assert _wait_for(lambda: broker.stats()["inflight"] == 0)  # visibility ran out
+    assert broker.lease("fast", timeout=1.0).job_id == job_id
+    broker.nack("slow", job_id, "boom")
+    assert broker.stats()["inflight"] == 1 and broker.depth() == 0
+    assert broker.ack("fast", job_id, result="answer") is True
+    (done,) = broker.poll_completed(timeout=1.0)
+    assert done.result == "answer" and done.error is None and done.deliveries == 2
+
+
 def test_duplicate_execution_first_ack_wins(broker):
     broker.attach("c1")
     broker.attach("c2")

@@ -1,0 +1,201 @@
+"""Model-based test of the one-queue broker: Hypothesis drives random
+interleavings of publish, lease, ack, nack, the visibility/consumer-deadline
+sweep (on an injected clock) and ``take_reaped`` — including the late ack of
+a consumer that was reaped meanwhile, which is what a retired ``front-0``
+sends if its hang ever ends — against a plain-Python model of at-least-once,
+first-ack-wins delivery.
+
+Invariants after every step: no job is lost (each is queued, leased or
+finished, exactly one of them), none completes twice, none is delivered more
+than ``max_deliveries`` times, and every duplicate ack is counted.
+"""
+
+from __future__ import annotations
+
+import time
+import types
+from collections import Counter
+from unittest import mock
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from repro.fleet import broker as broker_module
+from repro.fleet.broker import _JOBS, BrokerFull, InProcBroker
+
+CAPACITY = 6
+VISIBILITY = 1.0
+MAX_DELIVERIES = 3
+#: The broker's default consumer deadline for this visibility timeout.
+CONSUMER_DEADLINE = max(2.0, 2.0 * VISIBILITY)
+CONSUMERS = ("front-0", "local-0")
+
+
+class BrokerMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        # The broker reads its clock as time.monotonic(); this one moves only
+        # when a rule says so (the sweeper thread sees it too, and a sweep at
+        # an unmoved clock finds nothing the last explicit one did not).
+        self.now = time.monotonic()
+        clock = types.SimpleNamespace(monotonic=lambda: self.now, sleep=time.sleep)
+        self._clock = mock.patch.object(broker_module, "time", clock)
+        self._clock.start()
+        self.broker = InProcBroker(
+            capacity=CAPACITY, visibility_timeout=VISIBILITY, max_deliveries=MAX_DELIVERIES
+        )
+        self.duplicate_base = _JOBS.labels("duplicate_ack").value
+        # The model.
+        self.published = 0
+        self.queued = set()
+        self.inflight = {}  # job -> (consumer, deadline)
+        self.deliveries = Counter()
+        self.finished = {}  # job -> "ok" | "error"
+        self.held = set()  # (consumer, job) leased and not yet answered by it
+        self.last_seen = {}  # attached consumer -> last call
+        self.reaped = []
+        self.redeliveries = 0
+        self.duplicates = 0
+        self.completions = Counter()
+
+    def teardown(self):
+        self.broker.close()
+        self._clock.stop()
+
+    # ----------------------------------------------------------- model steps
+    def _touch(self, consumer):
+        if consumer in self.last_seen:
+            self.last_seen[consumer] = self.now
+
+    def _requeue(self, job):
+        if self.deliveries[job] >= MAX_DELIVERIES:
+            self.finished[job] = "error"
+        else:
+            self.queued.add(job)
+
+    # ----------------------------------------------------------------- rules
+    @rule()
+    def publish(self):
+        job = f"job-{self.published}"
+        if len(self.queued) >= CAPACITY:
+            try:
+                self.broker.publish({"n": self.published}, job_id=job)
+            except BrokerFull:
+                return
+            raise AssertionError("a full queue took a job")
+        self.broker.publish({"n": self.published}, job_id=job)
+        self.published += 1
+        self.queued.add(job)
+
+    @rule(consumer=st.sampled_from(CONSUMERS))
+    def lease(self, consumer):
+        leased = self.broker.lease(consumer, timeout=0.0)
+        self.last_seen[consumer] = self.now  # a lease attaches implicitly
+        if not self.queued:
+            assert leased is None
+            return
+        assert leased is not None and leased.job_id in self.queued
+        job = leased.job_id
+        self.queued.remove(job)
+        self.deliveries[job] += 1
+        assert leased.deliveries == self.deliveries[job]
+        self.inflight[job] = (consumer, self.now + VISIBILITY)
+        self.held.add((consumer, job))
+
+    def _ack(self, consumer, job):
+        self.held.discard((consumer, job))
+        first = job not in self.finished
+        assert self.broker.ack(consumer, job, result=consumer) is first
+        self._touch(consumer)
+        if first:
+            # Leased by anyone, or back in the queue: this ack completes it.
+            self.inflight.pop(job, None)
+            self.queued.discard(job)
+            self.finished[job] = "ok"
+        else:
+            self.duplicates += 1
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def ack(self, data):
+        self._ack(*data.draw(st.sampled_from(sorted(self.held))))
+
+    @precondition(lambda self: any(c not in self.last_seen for c, _ in self.held))
+    @rule(data=st.data())
+    def late_ack_from_a_reaped_consumer(self, data):
+        late = sorted((c, j) for c, j in self.held if c not in self.last_seen)
+        self._ack(*data.draw(st.sampled_from(late)))
+
+    @precondition(lambda self: self.held)
+    @rule(data=st.data())
+    def nack(self, data):
+        consumer, job = data.draw(st.sampled_from(sorted(self.held)))
+        self.held.discard((consumer, job))
+        self.broker.nack(consumer, job, "boom")
+        self._touch(consumer)
+        # Only the lease holder gives a job back; a stale nack changes nothing.
+        if self.inflight.get(job, (None,))[0] == consumer:
+            del self.inflight[job]
+            self._requeue(job)
+
+    @rule(seconds=st.sampled_from([0.3, 1.1, 2.5]))
+    def sweep(self, seconds):
+        self.now += seconds
+        with self.broker._cond:
+            self.broker._sweep_locked(self.now)
+        for job, (_, deadline) in sorted(self.inflight.items()):
+            if self.now > deadline:
+                del self.inflight[job]
+                self.redeliveries += 1
+                self._requeue(job)
+        for consumer, seen in sorted(self.last_seen.items()):
+            if self.now - seen > CONSUMER_DEADLINE:
+                del self.last_seen[consumer]
+                self.reaped.append(consumer)
+
+    @rule()
+    def take_reaped(self):
+        assert sorted(self.broker.take_reaped()) == sorted(self.reaped)
+        self.reaped = []
+
+    # ------------------------------------------------------------ invariants
+    @invariant()
+    def every_job_is_somewhere_and_done_at_most_once(self):
+        for completed in self.broker.poll_completed(timeout=0.0):
+            self.completions[completed.job_id] += 1
+            assert (completed.error is None) == (self.finished[completed.job_id] == "ok")
+            assert completed.deliveries <= MAX_DELIVERIES
+        assert all(count == 1 for count in self.completions.values())
+        assert set(self.completions) == set(self.finished)
+        queued = [job.job_id for job in self.broker._queue]
+        assert len(queued) == len(set(queued))
+        assert set(queued) == self.queued
+        assert {j: lease.consumer_id for j, lease in self.broker._inflight.items()} == {
+            j: consumer for j, (consumer, _) in self.inflight.items()
+        }
+        for n in range(self.published):
+            job = f"job-{n}"
+            places = (job in self.queued) + (job in self.inflight) + (job in self.finished)
+            assert places == 1, job
+
+    @invariant()
+    def deliveries_are_bounded(self):
+        assert all(count <= MAX_DELIVERIES for count in self.deliveries.values())
+        leased = list(self.broker._queue) + [lease.job for lease in self.broker._inflight.values()]
+        assert all(job.deliveries <= MAX_DELIVERIES for job in leased)
+
+    @invariant()
+    def counters_match(self):
+        assert _JOBS.labels("duplicate_ack").value - self.duplicate_base == self.duplicates
+        assert self.broker.redeliveries() == self.redeliveries
+        assert set(self.broker.stats()["consumers"]) == set(self.last_seen)
+
+
+BrokerMachine.TestCase.settings = settings(
+    max_examples=300,
+    stateful_step_count=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+test_broker_matches_its_model = BrokerMachine.TestCase

@@ -5,7 +5,9 @@ answered bitwise identically to the single-process predictor — zero dropped
 requests.
 
 The consumers run as real ``repro fleet-worker`` subprocesses because the
-``crash`` fault action kills its whole process, exactly like an OOM kill.
+``crash`` fault action kills its whole process, exactly like an OOM kill —
+which is also why every fault here names its consumer: an unqualified crash
+would fire in the front's own consumer, ``front-0``, and kill the front.
 """
 
 import json
@@ -149,11 +151,82 @@ def test_a_wedged_local_consumer_is_killed_and_replaced(
     saved_artifact, serial_result, monkeypatch
 ):
     """A local consumer hung mid-job holds no child to time out: the broker
-    detaches it once it misses its consumer deadline, the survivor answers
+    detaches it once it misses its consumer deadline, the survivors answer
     the redelivered job bitwise — once — and the front SIGKILLs the wedged
-    process and relaunches a successor in its place."""
-    # Inherited by the consumers the front spawns; only the first matches.
-    monkeypatch.setenv("REPRO_FAULTS", "fleet_consume_hang:consumer=local-0:seconds=600")
+    process and relaunches a successor in its place.  Three consumers:
+    ``front-0`` in the front's process and two subprocesses."""
+    # Inherited by the consumers the front spawns; local-0 wedges.  Every
+    # other consumer (front-0 too: it reads this process's plan) holds each
+    # job 0.3 s, so the in-process front-0 cannot drain the queue before
+    # local-0 leases a job — with 8 jobs and 3 consumers, local-0 gets one.
+    monkeypatch.setenv(
+        "REPRO_FAULTS",
+        "fleet_consume_hang:consumer=local-0:seconds=600,fleet_consume_hang:seconds=0.3",
+    )
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    reference = EnsemblePredictor.load(saved_artifact)
+    x = serial_result.dataset.x_test
+    completed = _JOBS.labels("completed").value
+    duplicates = _JOBS.labels("duplicate_ack").value
+    shm_before = shm_entries()
+    front = FleetFront(
+        saved_artifact,
+        visibility_timeout=1.0,
+        min_consumers=3,
+        max_consumers=3,
+        autoscale=False,
+        reconcile_interval=0.1,
+    )
+    pids = []
+    try:
+        front.wait_ready(timeout=120)
+        with front._lock:
+            local = {c.consumer_id: c.process.pid for c in front._local}
+        wedged = local["local-0"]
+        pids = list(local.values())
+        assert [child_pids(pid) for pid in pids] == [[], []]
+
+        # All consumers lease from the one queue: local-0 takes a job and hangs.
+        batches = [x[i * 4 : i * 4 + 4] for i in range(8)]
+        job_ids = [front.submit(batch) for batch in batches]
+        results = [front.result(job_id, timeout=120) for job_id in job_ids]
+        for batch, proba in zip(batches, results):
+            assert np.array_equal(proba, reference.predict_proba(batch))
+        assert front.broker.redeliveries() >= 1
+        assert _JOBS.labels("completed").value - completed == len(batches)
+        assert _JOBS.labels("duplicate_ack").value == duplicates
+
+        deadline = time.monotonic() + 60
+        while True:
+            fleet = front.local_consumers()
+            if (
+                wedged not in fleet["pids"]
+                and fleet["running"] == 3
+                and front.broker.consumer_count() == 3
+            ):
+                break
+            assert time.monotonic() < deadline, fleet
+            time.sleep(0.1)
+        assert not is_running(wedged)
+        pids += fleet["pids"]
+    finally:
+        front.close()
+    assert residue(pids, shm_before, timeout=5.0) == ([], [])
+
+
+def test_a_wedged_front_consumer_is_retired_and_replaced(
+    saved_artifact, serial_result, monkeypatch
+):
+    """``front-0`` hung mid-job is a thread, not a process to SIGKILL: once
+    the broker detaches it for silence the front retires it (no more
+    leases) and launches a subprocess in its place, while the survivor
+    answers the redelivered job bitwise — once."""
+    # front-0 (this process) wedges; the spawned consumers hold each job
+    # 0.3 s, so they cannot drain the queue before front-0 leases a job.
+    monkeypatch.setenv(
+        "REPRO_FAULTS",
+        "fleet_consume_hang:consumer=front-0:seconds=600,fleet_consume_hang:seconds=0.3",
+    )
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     reference = EnsemblePredictor.load(saved_artifact)
     x = serial_result.dataset.x_test
@@ -171,13 +244,7 @@ def test_a_wedged_local_consumer_is_killed_and_replaced(
     pids = []
     try:
         front.wait_ready(timeout=120)
-        with front._lock:
-            local = {c.consumer_id: c.process.pid for c in front._local}
-        wedged = local["local-0"]
-        pids = list(local.values())
-        assert [child_pids(pid) for pid in pids] == [[], []]
-
-        # Both consumers lease from the one queue: local-0 takes a job and hangs.
+        pids = front.local_consumers()["pids"]
         batches = [x[i * 4 : i * 4 + 4] for i in range(8)]
         job_ids = [front.submit(batch) for batch in batches]
         results = [front.result(job_id, timeout=120) for job_id in job_ids]
@@ -191,15 +258,19 @@ def test_a_wedged_local_consumer_is_killed_and_replaced(
         while True:
             fleet = front.local_consumers()
             if (
-                wedged not in fleet["pids"]
+                fleet["front"] is None
                 and fleet["running"] == 2
+                and len(fleet["pids"]) == 2
                 and front.broker.consumer_count() == 2
             ):
                 break
             assert time.monotonic() < deadline, fleet
             time.sleep(0.1)
-        assert not is_running(wedged)
-        pids += fleet["pids"]
+        assert "front-0" not in front.broker.stats()["consumers"]
+        pids = fleet["pids"]
+        assert [child_pids(pid) for pid in pids] == [[], []]
+        # The fleet keeps answering without consumer 0.
+        assert np.array_equal(front.predict_proba(x[:4], timeout=60), reference.predict_proba(x[:4]))
     finally:
         front.close()
     assert residue(pids, shm_before, timeout=5.0) == ([], [])

@@ -310,3 +310,22 @@ def test_swap_to_the_served_generation_is_a_noop_and_a_failed_one_keeps_serving(
     finally:
         consumer.close()
         front.close()
+
+
+def test_front_0_swaps_like_any_consumer(swap_store, refs):
+    """The front's own consumer polls the control channel and acks like a
+    subprocess consumer: a swap of a one-consumer front moves front-0."""
+    probe, ref0, ref1 = refs
+    swap_store.promote(0)
+    front = FleetFront(swap_store.root, min_consumers=1, max_consumers=1)
+    try:
+        front.wait_ready(timeout=10)
+        assert np.array_equal(front.predict_proba(probe[:8], timeout=60), ref0[:8])
+        swap_store.promote(1)
+        result = front.swap()
+        assert result["status"] == "ok" and result["consumers_acked"] == 1
+        assert front.generation == 1
+        assert np.array_equal(front.predict_proba(probe[:8], timeout=60), ref1[:8])
+    finally:
+        front.close()
+        swap_store.promote(0)

@@ -1,10 +1,12 @@
 """FleetFront against an in-process consumer: bitwise parity with the
-single-process predictor, sync and async result paths, and validation."""
+single-process predictor, sync and async result paths, and validation; the
+front as consumer 0 (``front-0``) and the subprocesses it adds beside it."""
 
 import multiprocessing as mp
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -12,8 +14,13 @@ import numpy as np
 import pytest
 
 from repro.api import EnsemblePredictor
-from repro.fleet import BrokerFull, FleetConsumer, FleetFront
+from repro.fleet import BrokerFull, FleetConsumer, FleetFront, connect_broker
+from repro.fleet import front as front_module
+from repro.fleet.autoscaler import Autoscaler
+from repro.fleet.consumer import _CONSUMED
 from repro.fleet.front import _LocalConsumer
+from repro.obs.exposition import render_prometheus
+from tests.procs import child_pids, is_running
 
 
 @pytest.fixture(scope="module")
@@ -212,8 +219,9 @@ def test_a_consumer_that_cannot_start_is_relaunched_under_backoff(
 
     real_spawn = FleetFront._spawn_consumer
     monkeypatch.setattr(FleetFront, "_spawn_consumer", spawn_doomed)
+    # Two consumers: front-0 answers in this process, the other is launched.
     front = FleetFront(
-        saved_artifact, min_consumers=1, max_consumers=1, reconcile_interval=0.05
+        saved_artifact, min_consumers=2, max_consumers=2, reconcile_interval=0.05
     )
     try:
         time.sleep(3.0)
@@ -224,7 +232,7 @@ def test_a_consumer_that_cannot_start_is_relaunched_under_backoff(
         while front._spawn_failures and time.monotonic() < deadline:
             time.sleep(0.05)
         assert front._spawn_failures == 0
-        assert front.local_consumers()["running"] == 1
+        assert front.local_consumers()["running"] == 2
     finally:
         front.close()
         for process in doomed:
@@ -243,7 +251,7 @@ def test_a_consumer_launch_that_raises_holds_the_next_launch(saved_artifact, mon
 
     monkeypatch.setattr(FleetFront, "_spawn_consumer", refuse)
     front = FleetFront(
-        saved_artifact, min_consumers=1, max_consumers=1, reconcile_interval=0.05
+        saved_artifact, min_consumers=2, max_consumers=2, reconcile_interval=0.05
     )
     try:
         time.sleep(2.0)
@@ -251,3 +259,161 @@ def test_a_consumer_launch_that_raises_holds_the_next_launch(saved_artifact, mon
         front.close()
     assert 1 <= len(launches) <= 4, launches
     assert front._spawn_failures == len(launches)
+
+
+def _wait_for(condition, timeout, what):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.05)
+
+
+def test_the_front_is_consumer_0_and_starts_no_child(saved_artifact, reference, serial_result):
+    """min = max = 1: the front's own ``front-0`` thread is the whole fleet —
+    no subprocess, no socket hop — and it answers every method bitwise."""
+    children = set(child_pids(os.getpid()))
+    with FleetFront(saved_artifact, min_consumers=1, max_consumers=1) as front:
+        front.wait_ready(timeout=10)
+        assert front.healthz()["status"] == "ok"
+        assert front.broker.stats()["consumers"] == ["front-0"]
+        x = serial_result.dataset.x_test[:24]
+        for method in ("average", "vote", "super_learner"):
+            assert np.array_equal(
+                front.predict_proba(x, method=method, timeout=60),
+                reference.predict_proba(x, method=method),
+            )
+        assert np.array_equal(front.predict_proba(x[:1], timeout=60), reference.predict_proba(x[:1]))
+        assert front.local_consumers() == {
+            "desired": 1,
+            "front": "front-0",
+            "running": 1,
+            "draining": 0,
+            "pids": [],
+        }
+        time.sleep(1.2)  # a couple of reconcile ticks: still nothing launched
+        assert set(child_pids(os.getpid())) <= children
+    assert set(child_pids(os.getpid())) <= children
+
+
+def test_a_second_consumer_is_the_one_fleet_worker_child(
+    saved_artifact, reference, serial_result
+):
+    children = set(child_pids(os.getpid()))
+    with FleetFront(saved_artifact, min_consumers=2, max_consumers=2) as front:
+        front.wait_ready(timeout=120)
+        local = front.local_consumers()
+        assert local["running"] == 2 and local["front"] == "front-0"
+        assert len(local["pids"]) == 1
+        assert set(child_pids(os.getpid())) - children == set(local["pids"])
+        cmdline = Path(f"/proc/{local['pids'][0]}/cmdline").read_bytes().split(b"\0")
+        assert b"fleet-worker" in cmdline
+        assert sorted(front.broker.stats()["consumers"]) == ["front-0", "local-0"]
+        batches = [serial_result.dataset.x_test[i * 4 : i * 4 + 4] for i in range(8)]
+        job_ids = [front.submit(batch) for batch in batches]
+        for batch, job_id in zip(batches, job_ids):
+            assert np.array_equal(front.result(job_id, timeout=60), reference.predict_proba(batch))
+
+
+def test_scaling_up_adds_subprocesses_up_to_max_minus_one(saved_artifact):
+    with FleetFront(
+        saved_artifact, min_consumers=1, max_consumers=3, autoscale=False, reconcile_interval=0.05
+    ) as front:
+        for _ in range(4):
+            front.scale_up()
+        assert front.local_consumers()["desired"] == 3
+        _wait_for(lambda: front.broker.consumer_count() == 3, 120, "never 3 consumers")
+        local = front.local_consumers()
+        assert local["running"] == 3 and len(local["pids"]) == 2
+        for _ in range(4):
+            front.scale_down()
+        _wait_for(
+            lambda: front.local_consumers()["running"] == 1
+            and front.local_consumers()["draining"] == 0,
+            60,
+            "subprocesses never drained",
+        )
+        assert front.local_consumers()["pids"] == []
+        assert front.broker.stats()["consumers"] == ["front-0"]
+
+
+def test_a_constructor_that_raises_leaves_nothing_running(saved_artifact, monkeypatch):
+    """Refused configuration is refused before anything starts; a failure
+    once everything runs closes it all — threads, the broker socket, the
+    launched consumer and ``front-0``."""
+    served, launched = [], []
+    real_serve, real_spawn = front_module.serve_broker, FleetFront._spawn_consumer
+
+    def recording_serve(*args, **kwargs):
+        address, stop = real_serve(*args, **kwargs)
+        served.append(address)
+        return address, stop
+
+    def recording_spawn(self):
+        consumer = real_spawn(self)
+        launched.append(consumer.process)
+        return consumer
+
+    monkeypatch.setattr(front_module, "serve_broker", recording_serve)
+    monkeypatch.setattr(FleetFront, "_spawn_consumer", recording_spawn)
+    threads = set(threading.enumerate())
+    children = set(child_pids(os.getpid()))
+
+    with pytest.raises(ValueError, match="hysteresis"):
+        FleetFront(
+            saved_artifact, min_consumers=1, max_consumers=2, up_queue_depth=1, down_queue_depth=2
+        )
+    assert served == [] and launched == []
+    assert set(threading.enumerate()) <= threads
+
+    def failing_start(self):
+        deadline = time.monotonic() + 30
+        while not launched and time.monotonic() < deadline:
+            time.sleep(0.05)
+        raise RuntimeError("autoscaler could not start")
+
+    monkeypatch.setattr(Autoscaler, "start", failing_start)
+    with pytest.raises(RuntimeError, match="could not start"):
+        FleetFront(saved_artifact, min_consumers=2, max_consumers=3, reconcile_interval=0.05)
+    assert len(served) == 1 and len(launched) == 1
+    assert not is_running(launched[0].pid)
+    with pytest.raises(OSError):
+        connect_broker(served[0])
+    _wait_for(
+        lambda: set(threading.enumerate()) <= threads, 10, "threads outlived the front"
+    )
+    assert set(child_pids(os.getpid())) <= children
+
+
+def _counter_samples(exposition):
+    """Every sample of every counter family in a Prometheus exposition."""
+    families, samples = set(), {}
+    for line in exposition.splitlines():
+        if line.startswith("# TYPE ") and line.endswith(" counter"):
+            families.add(line.split()[2])
+        elif line and not line.startswith("#"):
+            name, _, value = line.rpartition(" ")
+            if name.split("{")[0] in families:
+                samples[name] = float(value)
+    return samples
+
+
+def test_metrics_counters_stay_monotonic_across_scrapes(saved_artifact, serial_result):
+    """``front-0`` shares the front's registry: shipping snapshot-and-reset
+    deltas as a subprocess consumer does would zero the front's counters
+    between two scrapes and merge them back in twice."""
+    x = serial_result.dataset.x_test[:1]
+    ok = _CONSUMED.labels("ok")
+    with FleetFront(saved_artifact, min_consumers=1, max_consumers=1) as front:
+        front.wait_ready(timeout=10)
+        answered = ok.value
+        for _ in range(3):
+            front.predict_proba(x, timeout=60)
+        first = _counter_samples(render_prometheus())
+        time.sleep(1.2)  # past a subprocess consumer's metrics interval
+        for _ in range(3):
+            front.predict_proba(x, timeout=60)
+        second = _counter_samples(render_prometheus())
+    assert ok.value - answered == 6
+    assert first and set(first) <= set(second)
+    dropped = {name: (first[name], second[name]) for name in first if second[name] < first[name]}
+    assert not dropped

@@ -1,6 +1,6 @@
 """End-to-end ``python -m repro serve --mode queue``: the HTTP front over
-the broker + a local consumer subprocess, sync and async request paths,
-queue-aware health/info, and clean SIGTERM shutdown."""
+the broker and its own consumer 0 (``front-0``), sync and async request
+paths, queue-aware health/info, and clean SIGTERM shutdown."""
 
 import json
 import os
@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.api import EnsemblePredictor
+from tests.procs import child_pids
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -162,7 +163,8 @@ def test_info_reports_uptime_and_queue_stats(server):
 
 
 def test_fleet_metrics_exposed_on_the_front(server):
-    """Consumer-side series (shipped with acks) and broker series must both
+    """Consumer-side series (counted by front-0 in the front's own registry,
+    shipped with acks by subprocess consumers) and broker series must both
     appear in the front's /metrics exposition."""
     _, banner = server
     _post(banner["url"], {"inputs": [[0.0] * 12]})
@@ -176,7 +178,7 @@ def test_fleet_metrics_exposed_on_the_front(server):
     assert "repro_fleet_consumers 1" in body
     assert "# TYPE repro_fleet_redeliveries_total counter" in body
     assert "repro_fleet_job_latency_seconds_count" in body
-    # Shipped from the consumer process and merged at the front:
+    # Counted by the consumer that answered:
     assert 'repro_fleet_consumed_jobs_total{status="ok"}' in body
 
 
@@ -195,5 +197,42 @@ def test_queue_serve_shuts_down_cleanly_on_sigterm(server):
     assert proc.poll() is None
     proc.send_signal(signal.SIGTERM)
     out, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert json.loads(out.strip().splitlines()[-1]) == {"event": "stopped"}
+
+
+def test_one_consumer_is_the_front_alone(saved_artifact, serial_result):
+    """``--min-consumers 1 --max-consumers 1``: the front answers every
+    request itself — no child process — bitwise, and every answer is counted
+    once in ``repro_fleet_consumed_jobs_total{status="ok"}``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_FAULTS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--artifact", str(saved_artifact),
+         "--mode", "queue", "--port", "0", "--min-consumers", "1", "--max-consumers", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=env,
+    )
+    try:
+        url = json.loads(proc.stdout.readline())["url"]
+        reference = EnsemblePredictor.load(saved_artifact)
+        x = serial_result.dataset.x_test
+        for i in range(20):
+            status, out = _post(url, {"inputs": x[i : i + 1].tolist(), "proba": True})
+            assert status == 200
+            assert np.array_equal(np.asarray(out["probabilities"]), reference.predict_proba(x[i : i + 1]))
+        assert child_pids(proc.pid) == []
+        status, info = _get(url + "/info")
+        assert info["local_consumers"]["pids"] == []
+        assert info["queue"]["consumers"] == ["front-0"]
+        with urllib.request.urlopen(url + "/metrics", timeout=30) as response:
+            body = response.read().decode("utf-8")
+        assert 'repro_fleet_consumed_jobs_total{status="ok"} 20' in body.splitlines()
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert json.loads(out.strip().splitlines()[-1]) == {"event": "stopped"}

@@ -394,6 +394,45 @@ def test_a_full_broker_queue_answers_503_not_400():
         assert '"inputs"' in reply["error"]
 
 
+@pytest.mark.parametrize("mode", ["pool", "queue"])
+def test_a_predict_past_the_request_timeout_answers_504(mode, train_events):
+    """A backend's request timeout raises ``TimeoutError`` — an ``OSError``
+    the handler once let escape, so the client got no response at all and
+    the log an ``http.handler_error``.  It is a 504 on a connection that
+    stays open for the next request."""
+    from concurrent.futures import Future
+
+    class Slow(_FakePool):
+        def predict_proba(self, x, method=None):
+            if x[0, 0] == 1.0:  # the backend's own timeout, as a pool or front meets it
+                Future().result(timeout=0.01)
+            return super().predict_proba(x, method)
+
+        def predict(self, x, method=None):
+            return self.predict_proba(x, method).argmax(axis=1)
+
+    def post(conn, payload):
+        conn.request("POST", "/predict", body=json.dumps(payload).encode("utf-8"))
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+
+    with _serving_in_process(_make_handler(Slow(), mode, time.monotonic())) as url:
+        conn = http.client.HTTPConnection(url[len("http://"):], timeout=30)
+        try:
+            status, reply = post(conn, {"inputs": [[1.0] * 12], "proba": True})
+            assert status == 504 and "timeout" in reply["error"]
+            sock = conn.sock
+            assert post(conn, {"inputs": [[1.0] * 12]})[0] == 504
+            assert post(conn, {"inputs": [[0.0] * 12], "proba": True}) == (
+                200,
+                {"probabilities": [[0.25] * 4]},
+            )
+            assert conn.sock is sock  # one connection throughout
+        finally:
+            conn.close()
+    assert not [fields for event, fields in train_events if event == "http.handler_error"]
+
+
 def test_a_swap_the_server_could_not_carry_out_answers_500():
     """A refused swap is the client's error (400) and one already running a
     conflict (409); a swap the server tried and failed to carry out — rolled
