@@ -78,6 +78,13 @@ _JOBS = _metrics.counter(
     ("event",),
 )
 
+
+def _merge(delta: Optional[Dict[str, Dict[str, object]]]) -> None:
+    """Fold a consumer's shipped registry delta into this process's."""
+    if delta is not None:
+        _metrics.merge_snapshot(delta)
+
+
 __all__ = [
     "BrokerFull",
     "CompletedJob",
@@ -117,9 +124,6 @@ class CompletedJob:
     error: Optional[str]
     deliveries: int
     enqueued: float
-    # Delta snapshot of the consumer's repro.obs registry (throttled; often
-    # None) — the front merges it so /metrics aggregates the whole fleet.
-    metrics: Optional[Dict[str, Dict[str, object]]] = None
 
 
 @dataclass
@@ -135,7 +139,9 @@ class InProcBroker:
     Lives in the serving front's process; out-of-process consumers reach it
     through a ``multiprocessing.managers`` proxy (every proxy call executes
     *here*, in a manager server thread, so the metrics it touches land in
-    the front's registry — exactly what ``/metrics`` scrapes).
+    the front's registry — exactly what ``/metrics`` scrapes).  So do the
+    registry deltas consumers ship with ``ack`` and ``detach``: merged on
+    arrival, so ``/metrics`` aggregates the whole fleet.
     """
 
     def __init__(
@@ -236,7 +242,11 @@ class InProcBroker:
         if consumer_id in self._consumers:
             self._consumers[consumer_id] = time.monotonic()
 
-    def detach(self, consumer_id: str) -> None:
+    def detach(
+        self, consumer_id: str, metrics: Optional[Dict[str, Dict[str, object]]] = None
+    ) -> None:
+        """Unregister a consumer; ``metrics`` is its parting registry delta."""
+        _merge(metrics)
         with self._cond:
             self._detach_locked(consumer_id, reason="detach")
 
@@ -305,7 +315,12 @@ class InProcBroker:
         result: Any,
         metrics: Optional[Dict[str, Dict[str, object]]] = None,
     ) -> bool:
-        """Complete a job with its result; ``False`` for a late duplicate."""
+        """Complete a job with its result; ``False`` for a late duplicate.
+
+        ``metrics`` (a registry delta) is merged first, duplicate or not: the
+        work was done, and the front's view is at least as fresh as the
+        results it serves."""
+        _merge(metrics)
         with self._cond:
             self._touch(consumer_id)
             if job_id in self._finished_ids:
@@ -321,7 +336,7 @@ class InProcBroker:
                 if job is None:
                     _JOBS.labels("duplicate_ack").inc()
                     return False
-            self._finish(job, result=result, error=None, metrics=metrics)
+            self._finish(job, result=result, error=None)
             return True
 
     def nack(self, consumer_id: str, job_id: str, error: str) -> None:
@@ -355,7 +370,6 @@ class InProcBroker:
                     f"job {job.job_id} failed after {job.deliveries} deliveries: "
                     f"{error}"
                 ),
-                metrics=None,
             )
             return
         self._queue.appendleft(job)
@@ -368,7 +382,6 @@ class InProcBroker:
         job: Job,
         result: Any,
         error: Optional[str],
-        metrics: Optional[Dict[str, Dict[str, object]]],
     ) -> None:
         """Record a terminal outcome and wake the front (lock held)."""
         self._finished_ids[job.job_id] = time.monotonic()
@@ -379,7 +392,6 @@ class InProcBroker:
                 error=error,
                 deliveries=job.deliveries,
                 enqueued=job.enqueued,
-                metrics=metrics,
             )
         )
         _JOBS.labels("completed" if error is None else "failed").inc()
@@ -572,10 +584,10 @@ class InProcBroker:
             self._closed = True
             error = "broker closed"
             for lease in list(self._inflight.values()):
-                self._finish(lease.job, result=None, error=error, metrics=None)
+                self._finish(lease.job, result=None, error=error)
             self._inflight.clear()
             while self._queue:
-                self._finish(self._queue.popleft(), result=None, error=error, metrics=None)
+                self._finish(self._queue.popleft(), result=None, error=error)
             self._set_depth()
             self._cond.notify_all()
 

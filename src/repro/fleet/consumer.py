@@ -12,11 +12,11 @@ queue tier adds scheduling, never arithmetic.
 
 Fleet-wide observability: alongside each ack the consumer periodically ships
 a *delta* snapshot of its ``repro.obs`` registry (``metrics_interval``
-throttled, counters/histograms accumulate on merge), so the front's
-``/metrics`` aggregates consumer activity across the fleet without scraping
-N processes.  A consumer running inside the front's own process (the front's
-``front-0``) shares that registry and ships nothing:
-``metrics_interval=math.inf``.
+throttled, counters/histograms accumulate on merge), and the rest with its
+detach when it stops, so the front's ``/metrics`` aggregates consumer
+activity across the fleet without scraping N processes.  A consumer running
+inside the front's own process (the front's ``front-0``) shares that
+registry and ships nothing: ``metrics_interval=math.inf``.
 
 Chaos hooks: ``repro.faults`` injection points ``fleet_consume`` (after the
 lease, before inference — a crash here strands a leased job, exercising
@@ -30,6 +30,7 @@ at-least-once redelivery recomputes it).  Context fields ``consumer``,
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from pathlib import Path
@@ -120,21 +121,34 @@ class FleetConsumer:
 
     # ------------------------------------------------------------------ loop
     def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                self._poll_control()
-                job = self.broker.lease(self.consumer_id, timeout=self.lease_timeout)
-            except (EOFError, ConnectionError, OSError):
-                # The broker (front) went away; nothing left to serve.
-                logger.warning(
-                    "consumer %s lost its broker connection; stopping",
-                    self.consumer_id,
-                )
-                self._stop.set()
-                return
-            if job is None:
-                continue
-            self._handle(job)
+        try:
+            while not self._stop.is_set():
+                try:
+                    self._poll_control()
+                    job = self.broker.lease(self.consumer_id, timeout=self.lease_timeout)
+                except (EOFError, ConnectionError, OSError):
+                    # The broker (front) went away; nothing left to serve.
+                    logger.warning(
+                        "consumer %s lost its broker connection; stopping",
+                        self.consumer_id,
+                    )
+                    self._stop.set()
+                    return
+                if job is None:
+                    continue
+                self._handle(job)
+        finally:
+            # Stopped (close, retire, a lost broker): leave, with the metrics
+            # not yet shipped — also after retire(), since a lease blocked
+            # when it detached us attached us again.  A loop that died on an
+            # exception stays attached until the broker reaps it for silence.
+            if self._stop.is_set():
+                try:
+                    self.broker.detach(
+                        self.consumer_id, metrics=self._ship_metrics(parting=True)
+                    )
+                except (EOFError, ConnectionError, OSError):
+                    pass
 
     def _poll_control(self) -> None:
         """Apply any control command posted since the last lease cycle.
@@ -192,27 +206,31 @@ class FleetConsumer:
                 self._stop.set()
             return
         fire("fleet_ack", consumer=self.consumer_id, job=job.job_id, attempt=attempt)
+        # Counted before the ack, as an error is before its nack: the delta
+        # shipped with this ack then already holds this job.
+        _CONSUMED.labels("ok").inc()
         try:
             self.broker.ack(
                 self.consumer_id, job.job_id, result=proba, metrics=self._ship_metrics()
             )
-            _CONSUMED.labels("ok").inc()
         except (EOFError, ConnectionError, OSError):  # pragma: no cover
             self._stop.set()
 
-    def _ship_metrics(self) -> Optional[Dict[str, Dict[str, object]]]:
-        """Throttled delta snapshot of this process's registry.
+    def _ship_metrics(self, parting: bool = False) -> Optional[Dict[str, Dict[str, object]]]:
+        """Throttled delta snapshot of this process's registry; unthrottled
+        when ``parting`` (the last one, shipped with the detach).
 
         Snapshot-then-reset makes each shipment a delta, so the front can
         merge counters/histograms without double counting; shipping with the
         ack (rather than on a side channel) means the front's view is always
-        at least as fresh as the results it serves.
+        at least as fresh as the results it serves.  ``metrics_interval=inf``
+        ships nothing, ever.
         """
         registry = get_registry()
-        if not registry.enabled:
+        if not registry.enabled or math.isinf(self.metrics_interval):
             return None
         now = time.monotonic()
-        if now - self._last_metrics_ship < self.metrics_interval:
+        if not parting and now - self._last_metrics_ship < self.metrics_interval:
             return None
         self._last_metrics_ship = now
         snapshot = registry.snapshot()
@@ -230,7 +248,8 @@ class FleetConsumer:
         What a wedged consumer thread gets instead of the SIGKILL a wedged
         process gets: a thread cannot be killed.  Its job was already
         redelivered; if it ever acks, that ack is a duplicate the broker
-        drops (first ack wins), and the thread then ends.
+        drops (first ack wins), and the thread then ends and detaches again
+        (a lease of its own may have re-attached it meanwhile).
         """
         self._stop.set()
         self.broker.detach(self.consumer_id)
@@ -238,7 +257,8 @@ class FleetConsumer:
 
     def close(self) -> None:
         """Drain and shut down (idempotent): stop leasing, finish the job in
-        flight, detach from the broker."""
+        flight, detach from the broker (the loop does, shipping its last
+        metrics; here only for a loop that never started or did not end)."""
         if self._stop.is_set() and not self._thread.is_alive():
             return
         self._stop.set()

@@ -7,9 +7,9 @@ local :class:`~repro.parallel.serving.PoolPredictor`.  It owns:
   ``multiprocessing.managers`` socket so `repro fleet-worker` processes on
   this or other hosts can attach;
 * a **result loop** that drains completed jobs, resolves waiting futures,
-  observes the end-to-end job latency histogram, stores results for the
-  poll API (``/result/<id>``), and merges the consumers' shipped
-  ``repro.obs`` snapshots so ``/metrics`` aggregates the fleet;
+  observes the end-to-end job latency histogram and stores results for the
+  poll API (``/result/<id>``) — the consumers' shipped ``repro.obs``
+  deltas are merged by the broker, in this process, as they arrive;
 * **consumer 0**, ``front-0``: an ordinary
   :class:`~repro.fleet.consumer.FleetConsumer` on a thread of this process,
   leasing from the broker *object* — no pickling, no socket hop, no process
@@ -295,13 +295,10 @@ class FleetFront(ServingTier):
 
     # ------------------------------------------------------------ result loop
     def _result_loop(self) -> None:
-        registry = get_registry()
         while not self._stop.is_set():
             completed = self.broker.poll_completed(timeout=0.2)
             now = time.monotonic()
             for job in completed:
-                if job.metrics is not None:
-                    registry.merge_snapshot(job.metrics)
                 _JOB_LATENCY.observe(max(0.0, now - job.enqueued))
                 with self._lock:
                     entry = self._entries.get(job.job_id)
@@ -473,14 +470,13 @@ class FleetFront(ServingTier):
 
     def local_consumers(self) -> Dict[str, Any]:
         """The consumers this front runs: ``desired`` and ``running`` count
-        ``front-0`` (``front``, ``None`` once retired) with the subprocesses;
-        ``pids`` lists the subprocesses only."""
+        ``front-0`` (until retired) with the subprocesses; ``pids`` lists
+        the subprocesses only."""
         with self._lock:
-            front = self._front_consumer
             return {
                 "desired": self._desired,
-                "front": None if front is None else front.consumer_id,
-                "running": (front is not None) + sum(1 for c in self._local if not c.draining),
+                "running": (self._front_consumer is not None)
+                + sum(1 for c in self._local if not c.draining),
                 "draining": sum(1 for c in self._local if c.draining),
                 "pids": [c.process.pid for c in self._local if not c.draining],
             }

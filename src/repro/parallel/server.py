@@ -77,6 +77,7 @@ import sys
 import threading
 import time
 import traceback
+from concurrent.futures import TimeoutError as FutureTimeout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Union
@@ -323,9 +324,11 @@ def _make_handler(pool, mode: str, started_at: float):
                         self._reply(200, {"predictions": labels.tolist()})
                 except shed as exc:
                     self._reply(503, {"error": str(exc)})
-                except TimeoutError:
+                except FutureTimeout:
                     # The backend's request timeout ran out: the server's
                     # failure to answer in time, on a connection still fine.
+                    # Not the builtin TimeoutError: that is the same class
+                    # only from Python 3.11 on.
                     self._reply(504, {"error": "no answer within the backend's request timeout"})
                 except (ValueError, TypeError, RuntimeError, json.JSONDecodeError) as exc:
                     self._reply(400, {"error": str(exc)})

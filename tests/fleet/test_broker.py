@@ -288,6 +288,30 @@ def test_ack_pulls_requeued_duplicate_out_of_the_queue(broker):
     assert len(broker.poll_completed(timeout=1.0)) == 1
 
 
+def test_shipped_metrics_merge_into_this_process_on_arrival(broker):
+    """A consumer's registry delta is merged where the broker lives, with
+    its ack — a late duplicate's too, the work was done — and with its
+    detach."""
+    from repro.obs.metrics import MetricsRegistry, get_registry
+
+    def delta(amount):
+        shipped = MetricsRegistry()
+        shipped.counter("repro_test_shipped_total", "Shipped in a test delta.").inc(amount)
+        return shipped.snapshot()
+
+    def merged():
+        return get_registry().counter("repro_test_shipped_total", "Shipped in a test delta.").value
+
+    before = merged()
+    job_id = broker.publish({})
+    broker.lease("c1", timeout=1.0)
+    assert broker.ack("c1", job_id, result=None, metrics=delta(2))
+    assert not broker.ack("c1", job_id, result=None, metrics=delta(3))
+    broker.detach("c1", metrics=delta(5))
+    assert merged() - before == 10
+    assert broker.stats()["consumers"] == []
+
+
 def test_stats_reports_depth_and_oldest_age(broker):
     assert broker.stats()["oldest_job_age_seconds"] is None
     broker.publish({})

@@ -10,6 +10,7 @@ converging at their own pace.
 
 from __future__ import annotations
 
+import math
 import shutil
 import threading
 import time
@@ -61,7 +62,7 @@ def test_fleet_swap_under_fire_converges_all_consumers(swap_store, refs):
             front.broker,
             swap_store.root,
             consumer_id=f"c{i}",
-            metrics_interval=3600.0,
+            metrics_interval=math.inf,
         ).start()
         for i in range(2)
     ]
@@ -169,7 +170,7 @@ def test_a_second_swap_is_refused_while_one_runs(swap_store, monkeypatch):
     )
     consumers = [
         FleetConsumer(
-            front.broker, swap_store.root, consumer_id=f"c{i}", metrics_interval=3600.0
+            front.broker, swap_store.root, consumer_id=f"c{i}", metrics_interval=math.inf
         ).start()
         for i in range(2)
     ]
@@ -211,7 +212,7 @@ def test_a_failed_swap_rolls_the_fleet_back(swap_store, refs, tmp_path):
     store.promote(0)
     front = FleetFront(root, spawn_local=False, autoscale=False, max_consumers=2)
     consumers = [
-        FleetConsumer(front.broker, root, consumer_id=f"c{i}", metrics_interval=3600.0).start()
+        FleetConsumer(front.broker, root, consumer_id=f"c{i}", metrics_interval=math.inf).start()
         for i in range(2)
     ]
     try:
@@ -248,7 +249,7 @@ def test_consumer_attaching_late_acks_without_rolling(swap_store, refs):
             front.broker,
             swap_store.root,
             consumer_id="late",
-            metrics_interval=3600.0,
+            metrics_interval=math.inf,
         )
         loaded = consumer.predictor._served
         consumer.start()
@@ -293,7 +294,7 @@ def test_swap_to_the_served_generation_is_a_noop_and_a_failed_one_keeps_serving(
         swap_store.root, spawn_local=False, autoscale=False
     )
     consumer = FleetConsumer(
-        front.broker, swap_store.root, consumer_id="c", metrics_interval=3600.0
+        front.broker, swap_store.root, consumer_id="c", metrics_interval=math.inf
     ).start()
     loaded = consumer.predictor._served
     try:

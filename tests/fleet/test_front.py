@@ -2,6 +2,7 @@
 single-process predictor, sync and async result paths, and validation; the
 front as consumer 0 (``front-0``) and the subprocesses it adds beside it."""
 
+import math
 import multiprocessing as mp
 import os
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api import EnsemblePredictor
-from repro.fleet import BrokerFull, FleetConsumer, FleetFront, connect_broker
+from repro.fleet import BrokerFull, FleetConsumer, FleetFront, InProcBroker, connect_broker
 from repro.fleet import front as front_module
 from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.consumer import _CONSUMED
@@ -34,13 +35,13 @@ def fleet(saved_artifact):
         min_consumers=1,
         max_consumers=1,
     )
-    # Long metrics_interval: in-process the consumer shares the front's
-    # registry, so the snapshot-and-reset shipping step must not fire.
+    # In-process the consumer shares the front's registry, so the
+    # snapshot-and-reset shipping step must never fire.
     consumer = FleetConsumer(
         front.broker,
         saved_artifact,
         consumer_id="inproc",
-        metrics_interval=3600.0,
+        metrics_interval=math.inf,
     ).start()
     yield front
     consumer.close()
@@ -285,7 +286,6 @@ def test_the_front_is_consumer_0_and_starts_no_child(saved_artifact, reference, 
         assert np.array_equal(front.predict_proba(x[:1], timeout=60), reference.predict_proba(x[:1]))
         assert front.local_consumers() == {
             "desired": 1,
-            "front": "front-0",
             "running": 1,
             "draining": 0,
             "pids": [],
@@ -302,8 +302,7 @@ def test_a_second_consumer_is_the_one_fleet_worker_child(
     with FleetFront(saved_artifact, min_consumers=2, max_consumers=2) as front:
         front.wait_ready(timeout=120)
         local = front.local_consumers()
-        assert local["running"] == 2 and local["front"] == "front-0"
-        assert len(local["pids"]) == 1
+        assert local["running"] == 2 and len(local["pids"]) == 1
         assert set(child_pids(os.getpid())) - children == set(local["pids"])
         cmdline = Path(f"/proc/{local['pids'][0]}/cmdline").read_bytes().split(b"\0")
         assert b"fleet-worker" in cmdline
@@ -417,3 +416,81 @@ def test_metrics_counters_stay_monotonic_across_scrapes(saved_artifact, serial_r
     assert first and set(first) <= set(second)
     dropped = {name: (first[name], second[name]) for name in first if second[name] < first[name]}
     assert not dropped
+
+
+def test_subprocess_consumers_metrics_reach_the_front_exactly(
+    saved_artifact, reference, serial_result, monkeypatch
+):
+    """Beside ``front-0``, which counts straight into this registry, a
+    ``fleet-worker`` ships its registry deltas: with an ack once a metrics
+    interval has passed, and the rest with its detach when it drains.  Either
+    way ``repro_fleet_consumed_jobs_total{status="ok"}`` at the front then
+    counts every answered job exactly once."""
+    # front-0 answers slowly, so the subprocess answers most of each burst.
+    monkeypatch.setenv("REPRO_FAULTS", "fleet_consume_hang:consumer=front-0:seconds=0.3")
+    ok = _CONSUMED.labels("ok")
+    x = serial_result.dataset.x_test
+    with FleetFront(
+        saved_artifact, min_consumers=1, max_consumers=2, autoscale=False, reconcile_interval=0.05
+    ) as front:
+        front.scale_up()
+        _wait_for(lambda: front.broker.consumer_count() == 2, 120, "local-0 never attached")
+        answered = ok.value
+        ackers = []
+        real_ack = front.broker.ack
+
+        def recording_ack(consumer_id, *args, **kwargs):
+            ackers.append(consumer_id)
+            return real_ack(consumer_id, *args, **kwargs)
+
+        # The manager's server thread looks the method up on every call.
+        monkeypatch.setattr(front.broker, "ack", recording_ack)
+
+        def burst():
+            batches = [x[i * 4 : i * 4 + 4] for i in range(8)]
+            job_ids = [front.submit(batch) for batch in batches]
+            for batch, job_id in zip(batches, job_ids):
+                assert np.array_equal(front.result(job_id, timeout=60), reference.predict_proba(batch))
+
+        burst()
+        assert "local-0" in ackers
+        # Past local-0's metrics interval, its next ack ships the window.
+        time.sleep(1.2)
+        shipped = len(ackers)
+        while ackers[-1:] != ["local-0"]:
+            assert len(ackers) - shipped < 20, ackers[shipped:]
+            assert np.array_equal(front.predict_proba(x[:1], timeout=60), reference.predict_proba(x[:1]))
+        assert ok.value - answered == len(ackers)
+
+        # A burst inside the interval ships nothing; draining local-0 ships it.
+        shipped = len(ackers)
+        burst()
+        assert "local-0" in ackers[shipped:]
+        front.scale_down()
+        _wait_for(
+            lambda: front.local_consumers() == {"desired": 1, "running": 1, "draining": 0, "pids": []},
+            60,
+            "local-0 never drained",
+        )
+        assert ok.value - answered == len(ackers)
+
+
+def test_a_consumer_retired_while_blocked_in_lease_leaves_the_broker(saved_artifact):
+    """``retire()`` detaches at once, and the detach wakes the consumer's
+    blocked ``lease`` — which attaches it again on its way out.  The loop
+    leaves the broker itself when it stops, so no ghost stays counted (nor
+    awaited by a swap) until the consumer deadline."""
+    broker = InProcBroker(visibility_timeout=30.0)
+    try:
+        consumer = FleetConsumer(
+            broker, saved_artifact, consumer_id="c", lease_timeout=0.5, metrics_interval=math.inf
+        ).start()
+        time.sleep(0.2)  # blocked in lease: the queue is empty
+        assert broker.stats()["consumers"] == ["c"]
+        consumer.retire()
+        consumer._thread.join(timeout=10)
+        assert not consumer._thread.is_alive()
+        assert broker.stats()["consumers"] == []
+        assert broker.consumer_count() == 0
+    finally:
+        broker.close()

@@ -396,7 +396,8 @@ def test_a_full_broker_queue_answers_503_not_400():
 
 @pytest.mark.parametrize("mode", ["pool", "queue"])
 def test_a_predict_past_the_request_timeout_answers_504(mode, train_events):
-    """A backend's request timeout raises ``TimeoutError`` — an ``OSError``
+    """A backend's request timeout raises ``concurrent.futures.TimeoutError``
+    (from Python 3.11 the builtin ``TimeoutError``, an ``OSError``) — which
     the handler once let escape, so the client got no response at all and
     the log an ``http.handler_error``.  It is a 504 on a connection that
     stays open for the next request."""
