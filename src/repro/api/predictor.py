@@ -35,8 +35,9 @@ def validate_batch(x: np.ndarray, input_shape: Tuple[int, ...]) -> np.ndarray:
     """Validate a predict input against the ensemble's per-sample shape.
 
     Accepts a batch ``(batch, *input_shape)`` or a single un-batched sample
-    ``input_shape`` (a batch axis is added); rejects empty batches and
-    non-numeric dtypes.  Shared by :class:`EnsemblePredictor` and the
+    ``input_shape`` (a batch axis is added); rejects empty batches,
+    non-numeric dtypes and values that are not finite (``NaN`` and the
+    infinities have no answer, and no JSON spelling either).  Shared by :class:`EnsemblePredictor` and the
     multi-process :class:`~repro.parallel.serving.PoolPredictor`, which
     validates in the dispatching process so malformed requests fail fast
     without a worker round-trip.
@@ -62,6 +63,8 @@ def validate_batch(x: np.ndarray, input_shape: Tuple[int, ...]) -> np.ndarray:
         )
     if x.shape[0] == 0:
         raise ValueError("cannot predict on an empty batch")
+    if not np.isfinite(x).all():
+        raise ValueError("input values must be finite (no NaN or infinity)")
     return x
 
 

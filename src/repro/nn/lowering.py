@@ -28,18 +28,35 @@ and :class:`InferencePlan` runs the stages of a whole ensemble:
   kernel, a hidden dense layer and a "same" convolution of a 1x1 image (only
   its centre tap ever meets a non-zero) need no ``cols``: the GEMM reads the
   activations directly.
-* **The first layer once.**  Every member sees the same input, so members
-  whose first stages have one geometry run them as one stage on their stacked
-  weights: one lookup, one GEMM, one epilogue.
-* **One scratch, nothing per batch size.**  Nothing is kept for a backward,
-  so every buffer comes from one :class:`~repro.nn.workspace.WorkspaceArena`
-  shared by all stages and members, and one ``cols`` buffer serves every
-  stage.  Buffers and tables are bound once (:meth:`InferencePlan._bind`) for
-  a *capacity* — the largest batch seen, rounded up to a power of two — and a
-  batch of ``n`` uses their first ``n`` images: ``table[:, :, :n]``, ``buffer[:,
-  :n * H * W]``.  A row's pitch is then the capacity's, not the batch's; the
-  arithmetic does not see it (``tests/nn/test_lowering.py`` holds a plan that
-  has served larger batches to the bits of a cold one).  A larger batch
+* **Members that share a shape share a call.**  Every member sees the same
+  images, so members whose first stages have one geometry run them as one
+  stage on their weights side by side: one lookup, one GEMM, one epilogue.
+  Below that, members whose stages at one depth have the same geometry and
+  weight shape run them as one *stack*: one ``take`` over their activation
+  rows, one batched ``matmul`` of ``(g, out, fan_in)`` weights, and one pool,
+  bias and ReLU over all ``g * out`` rows.  Members are ordered so that every
+  stack's rows are one block (:func:`_stacking_order`), so no activation is
+  ever copied.  A member leaves a stack where its shape diverges, and a stack
+  is cut where its ``cols`` would outgrow the widest any one member gathers,
+  so stacking does not grow the scratch.  Once a member is down to 1-pixel
+  activations (its *tail*: the dense layers, or every layer of a 1-pixel
+  input, which all members then read whole), the depth it got there at no
+  longer matters: the tails run a step at a time for every member at once,
+  from one buffer, so members that parted above meet in one stack again.  A
+  batched GEMM is the GEMMs it stands for, so a member gets the bits it gets
+  from a plan of its own.
+* **One scratch, one call list.**  Nothing is kept for a backward, so every
+  buffer comes from one :class:`~repro.nn.workspace.WorkspaceArena` shared by
+  all stages and members; one ``cols`` buffer serves every stage, and the
+  tails' two buffers live in it once nothing gathers any more.  Buffers and
+  tables are bound once (:meth:`InferencePlan._bind`) for a *capacity* — the
+  largest batch seen, rounded up to a power of two — and a batch of ``n``
+  uses their first ``n`` images: ``table[:, :, :n]``, ``buffer[:, :n * H *
+  W]``.  A row's pitch is then the capacity's, not the batch's; the
+  arithmetic does not see it.  What a batch of ``n`` runs is a flat list of
+  ``(function, args, kwargs)`` numpy calls on views of the scratch
+  (:meth:`InferencePlan._build`): built when ``n`` is not the last batch's
+  size and replaced by the next size's, never kept per size.  A larger batch
   rebinds, and the memory stays at what the largest batch needed.
 
 The plan is a snapshot of the weights at lowering time, and it is exact in
@@ -54,13 +71,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from functools import partial
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.layers import BatchNorm, Conv2D, Dense, MaxPool2D, ReLU, im2col
-from repro.nn.layers.activations import softmax
 from repro.nn.model import Model
 from repro.nn.workspace import WorkspaceArena
 
@@ -91,6 +107,10 @@ class Stage:
         return self.kernel > 1 or self.pool > 1
 
     @property
+    def pixels(self) -> int:
+        return self.height * self.width
+
+    @property
     def geometry(self) -> tuple:
         """Everything but the weights: what stages must share to be stacked."""
         return (self.channels, self.height, self.width, self.kernel, self.pool, self.reduce)
@@ -103,6 +123,10 @@ class LoweredModel:
     stages: Tuple[Stage, ...]
     head_weight: np.ndarray  # (features, classes)
     head_bias: np.ndarray  # (classes,)
+
+    def channels(self, depth: int) -> int:
+        """The channels stage ``depth`` leaves: its rows of an activation buffer."""
+        return self.stages[depth].weight.shape[0]
 
 
 def _fold(weight: np.ndarray, bias: Optional[np.ndarray], bn: Optional[BatchNorm]):
@@ -160,7 +184,8 @@ def lower_model(model) -> Optional[LoweredModel]:
     if model.global_pool is not None:
         if not stages:
             return None
-        stages[-1] = replace(stages[-1], reduce=True)
+        if height * width > 1:  # the mean of a 1-pixel image is the image
+            stages[-1] = replace(stages[-1], reduce=True)
     for unit in model.dense_units:
         if not isinstance(unit.relu, ReLU):
             return None
@@ -200,64 +225,178 @@ def _gather_table(capacity: int, height: int, width: int, kernel: int, pool: int
     return table.reshape(kernel * kernel, pool * pool, capacity, -1)
 
 
-class _BoundStage:
-    """A :class:`Stage` bound to its scratch at the plan's capacity: the
-    activation buffer it reads, the one it leaves its output in, and what it
-    needs in between.  Everything here is independent of the batch size;
-    :meth:`run` takes the views a batch of ``n`` needs."""
+#: An activation buffer of the plan's scratch (see the module docstring),
+#: ``(role, pixels)``: bound as ``(rows, capacity * pixels + 1)`` for the most
+#: rows any stage keeps in it.
+_Buffer = Tuple[str, int]
+#: Where each member's images end: its first 1-pixel activations, member
+#: after member in the plan's order.  The tails start from here.
+_ENTRY: _Buffer = ("entry", 1)
+#: The two buffers the tails alternate between.  No stage gathers after the
+#: images, so they live in ``cols``.
+_TAILS: Tuple[_Buffer, _Buffer] = (("tail0", 1), ("tail1", 1))
+#: One numpy call, ``function(*args, **kwargs)``, on views of the scratch.
+_Call = Tuple[Callable, tuple, dict]
+#: A record bound to the scratch: the calls a batch of ``n`` makes.
+_Calls = Callable[[int], List[_Call]]
 
-    __slots__ = ("stage", "bias", "source", "table", "cols", "product", "pooled", "reduced")
 
-    def __init__(self, stage: Stage, source: np.ndarray, buffer, table, cols):
-        self.stage = stage
-        self.bias = stage.bias[:, None]
-        self.source = source
-        self.table = table  # None: the GEMM reads ``source`` as it stands
-        self.cols = cols  # flat, for ``capacity`` images
-        out_channels, pixels = stage.weight.shape[0], stage.height * stage.width
-        self.product = buffer(out_channels, pixels)
-        self.pooled = self.reduced = None
-        if stage.pool > 1:
-            pixels //= stage.pool * stage.pool
-            self.pooled = buffer(out_channels, pixels)
-        if stage.reduce and pixels > 1:
-            self.reduced = buffer(out_channels, 1)
+@dataclass(frozen=True)
+class _Stack:
+    """One stage of ``g`` members run as one: the ``i``-th block of the
+    ``rows`` of ``source`` is member ``i``'s input, and its output is the
+    ``i``-th block of the last of ``buffers``, from row ``at`` on.  Any
+    buffers before that hold the GEMM's product and the pooled activations of
+    a stage that pools or reduces."""
 
-    @property
-    def result(self) -> np.ndarray:
-        """The activation buffer :meth:`run` leaves the stage's output in."""
-        for buffer in (self.reduced, self.pooled):
-            if buffer is not None:
-                return buffer
-        return self.product
+    stage: Stage  # the geometry; its weights are the first member's
+    weight: np.ndarray  # (g, out, fan_in); a stem: (1, every member's out, fan_in)
+    bias: np.ndarray  # (g * out, 1)
+    source: _Buffer
+    rows: slice
+    buffers: Tuple[_Buffer, ...]
+    at: int = 0
 
-    def run(self, n: int) -> None:
-        stage = self.stage
-        length = n * stage.height * stage.width
-        if self.table is None:
-            cols = self.source[:, :length]
+    @classmethod
+    def of(cls, stages: Sequence[Stage], stem: bool = False, **where) -> "_Stack":
+        """``stages``, one per member, stacked: a stem's weights side by
+        side (every member reads the same input), the others' one behind the
+        other."""
+        weights = [stage.weight for stage in stages]
+        weight = np.concatenate(weights)[None] if stem else np.stack(weights)
+        bias = np.concatenate([stage.bias for stage in stages])[:, None]
+        return cls(stages[0], weight, bias, **where)
+
+    def bind(self, buffers: Dict[_Buffer, np.ndarray], table, cols: np.ndarray) -> _Calls:
+        """The calls a batch of ``n`` makes, on ``buffers`` (and, for a
+        gathering stage, ``table`` and ``cols``) bound at one capacity."""
+        stage, weight, bias = self.stage, self.weight, self.bias
+        groups, _, fan_in = weight.shape
+        source = buffers[self.source][self.rows]
+        # Each member its own block of ``source``'s rows, or all of them the input.
+        stacked = groups > 1 and self.source[0] != "input"
+        if groups == 1:  # a plain GEMM: fewer views to take per batch size
+            weight = weight[0]
+        views = [buffers[key][: len(bias)] for key in self.buffers[:-1]]
+        views.append(buffers[self.buffers[-1]][self.at : self.at + len(bias)])
+        product = views[0]
+        pooled = views[1] if stage.pool > 1 else None
+        reduced = views[-1] if stage.reduce else None
+        pixels, windows = stage.height * stage.width, stage.pool * stage.pool
+
+        def calls(n: int) -> List[_Call]:
+            length = n * pixels
+            out = product[:, :length]
+            if table is None:
+                operand = source[:, :length]
+                steps = []
+            else:
+                # A strided slice unless the batch fills the capacity; ``take``
+                # then copies the indices, 1 / channels of what it goes on to move.
+                indices = table[:, :, :n]
+                operand = cols[: len(source) * indices.size]
+                # mode="clip" spares ``out=`` a bounds-checking temporary, as in Conv2D.
+                gathered = operand.reshape((len(source),) + indices.shape)
+                steps = [(source.take, (indices, 1), {"out": gathered, "mode": "clip"})]
+                if not stacked:
+                    operand = operand.reshape(fan_in, length)
+            if stacked:
+                operand = operand.reshape(groups, fan_in, length)
+            gemm = out if groups == 1 else out.reshape(groups, -1, length)
+            steps.append((np.matmul, (weight, operand), {"out": gemm}))
+            if pooled is not None:
+                planes = out.reshape(-1, windows, length // windows)
+                out = pooled[:, : length // windows]
+                steps.append((np.maximum.reduce, (planes,), {"axis": 1, "out": out}))
+            steps.append((np.add, (out, bias), {"out": out}))
+            steps.append((np.maximum, (out, _ZERO), {"out": out}))
+            if reduced is not None:
+                images = out.reshape(len(bias), n, -1)
+                steps.append((images.mean, (2,), {"out": reduced[:, :n]}))
+            return steps
+
+        return calls
+
+
+@dataclass(frozen=True)
+class _Head:
+    """The classifiers of the members at ``slots`` (of the plan's order), run
+    as one batched GEMM on the ``rows`` of ``source``."""
+
+    weight: np.ndarray  # (g, features, classes)
+    source: _Buffer
+    rows: slice
+    slots: slice
+
+    def bind(self, buffers: Dict[_Buffer, np.ndarray], logits: np.ndarray) -> _Calls:
+        groups, features, _ = self.weight.shape
+        source, logits = buffers[self.source][self.rows], logits[self.slots]
+
+        def calls(n: int) -> List[_Call]:
+            rows = source[:, :n].reshape(groups, features, n).transpose(0, 2, 1)
+            return [(np.matmul, (rows, self.weight), {"out": logits[:, :n]})]
+
+        return calls
+
+
+def _key(member: LoweredModel, depth: int) -> tuple:
+    """What members must share to run their stage ``depth`` as one stack:
+    the geometry and the weight's shape; past the last stage, the head's."""
+    if depth == len(member.stages):
+        return ("head", member.head_weight.shape)
+    stage = member.stages[depth]
+    return (stage.geometry, stage.weight.shape)
+
+
+def _tail(member: LoweredModel) -> int:
+    """The depth at which ``member``'s tail starts: its first stage that reads
+    1-pixel activations (its length if there is none)."""
+    return next(
+        (depth for depth, stage in enumerate(member.stages) if stage.pixels == 1),
+        len(member.stages),
+    )
+
+
+def _image_key(member: LoweredModel, depth: int) -> tuple:
+    """:func:`_key` above the tail, where a stem (every member reads its
+    input) needs only the geometry; the whole tail is one leaf."""
+    if depth == _tail(member):
+        return ("tail",)
+    key = _key(member, depth)
+    return key if depth else (key[0], None)
+
+
+def _tail_key(member: LoweredModel, step: int) -> tuple:
+    """:func:`_key` of the ``step``-th stage of the tail."""
+    return _key(member, _tail(member) + step)
+
+
+def _stacking_order(members, slots, key: Callable[[LoweredModel, int], tuple], depth: int = 0):
+    """``slots`` ordered so that the members of every stack ``key`` allows,
+    at every depth, are neighbours: grouped by their key at ``depth`` (in the
+    order ``slots`` are in), each group ordered the same way one depth down.
+    A key whose first item is a string is a leaf."""
+    groups: Dict[tuple, List[int]] = {}
+    for slot in slots:
+        groups.setdefault(key(members[slot], depth), []).append(slot)
+    return [
+        slot
+        for name, group in groups.items()
+        for slot in (
+            group if isinstance(name[0], str) else _stacking_order(members, group, key, depth + 1)
+        )
+    ]
+
+
+def _runs(slots: List[int]) -> List[List[int]]:
+    """``slots`` cut wherever the next one is not the next integer."""
+    runs = [[slots[0]]]
+    for slot in slots[1:]:
+        if slot == runs[-1][-1] + 1:
+            runs[-1].append(slot)
         else:
-            # A strided slice unless the batch fills the capacity; ``take``
-            # then copies the indices, 1 / channels of what it goes on to move.
-            table = self.table[:, :, :n]
-            cols = self.cols[: stage.channels * table.size]
-            # mode="clip" spares ``out=`` a bounds-checking temporary, as in Conv2D.
-            self.source.take(
-                table, 1, out=cols.reshape((stage.channels,) + table.shape), mode="clip"
-            )
-            cols = cols.reshape(-1, length)
-        out = self.product[:, :length]
-        np.matmul(stage.weight, cols, out=out)
-        if self.pooled is not None:
-            windows = stage.pool * stage.pool
-            length //= windows
-            planes = out.reshape(-1, windows, length)
-            out = self.pooled[:, :length]
-            np.maximum.reduce(planes, axis=1, out=out)
-        np.add(out, self.bias, out=out)
-        np.maximum(out, _ZERO, out=out)
-        if self.reduced is not None:
-            out.reshape(-1, n, length // n).mean(2, out=self.reduced[:, :n])
+            runs.append([slot])
+    return runs
 
 
 class InferencePlan:
@@ -273,40 +412,132 @@ class InferencePlan:
     def __init__(self, models: Sequence[object]):
         plans = [lower_model(model) for model in models]
         self.lowered: Tuple[int, ...] = tuple(i for i, p in enumerate(plans) if p is not None)
-        self._members: List[LoweredModel] = [plans[i] for i in self.lowered]
-        # Every member sees the same input: members (by position in
-        # ``_members``) whose first stages have one geometry run them as one
-        # stage on their stacked weights.
-        groups: Dict[tuple, List[int]] = {}
-        for slot, member in enumerate(self._members):
-            groups.setdefault(member.stages[0].geometry, []).append(slot)
-        self._groups: List[Tuple[Stage, List[int]]] = []
-        for slots in groups.values():
-            firsts = [self._members[slot].stages[0] for slot in slots]
-            stem = replace(
-                firsts[0],
-                weight=np.concatenate([stage.weight for stage in firsts]),
-                bias=np.concatenate([stage.bias for stage in firsts]),
-            )
-            self._groups.append((stem, slots))
-        self._rows = slice(None) if len(self.lowered) == len(models) else list(self.lowered)
-        if self._members:
-            first = self._members[0].stages[0]
-            self._image, self._pixels = (first.height, first.width), first.height * first.width
-            self._head_bias = np.stack([member.head_bias for member in self._members])[:, None, :]
-            # Elements per image of the largest ``cols`` any stage gathers.
-            self._widest = max(
-                (
-                    stage.weight.shape[1] * stage.height * stage.width
-                    for member in self._members
-                    for stage in member.stages
-                    if stage.gathers
-                ),
-                default=0,
-            )
+        order = _stacking_order(plans, list(self.lowered), _tail_key)
+        # ``_members`` (and the logits) in the tails' stacking order; ``_rows``
+        # puts them back at their positions in the ensemble.
+        self._members: List[LoweredModel] = [plans[i] for i in order]
+        self._rows = slice(None) if order == list(range(len(models))) else order
         self.scratch = WorkspaceArena()
         self.capacity = 0
         self._lock = threading.Lock()
+        if not self._members:
+            return
+        first = self._members[0].stages[0]
+        self._image, self._pixels = (first.height, first.width), first.pixels
+        self._head_bias = np.stack([member.head_bias for member in self._members])[:, None, :]
+        # Elements per image of the largest ``cols`` one member gathers: an
+        # image stack is cut where its own would be larger.
+        self._widest = max(
+            (
+                stage.weight.shape[1] * stage.pixels
+                for member in self._members
+                for stage in member.stages
+                if stage.gathers
+            ),
+            default=0,
+        )
+        self._input: _Buffer = ("input", self._pixels)
+        self._ops: List[object] = []  # _Stack and _Head records, in run order
+        if self._pixels == 1:  # no images: every stage is the tail's
+            self._plan_tails(self._input)
+        else:
+            # Where each member's rows of ``_ENTRY`` start.
+            self._entry = list(
+                accumulate((m.channels(_tail(m) - 1) for m in self._members), initial=0)
+            )
+            images = _stacking_order(self._members, range(len(self._members)), _image_key)
+            for stem in self._split(images, 0):
+                self._plan_images(stem, 0, self._input, slice(None))
+            self._plan_tails(_ENTRY)
+        self._n = 0  # the batch size ``_calls`` is built for
+
+    def _split(self, slots: List[int], depth: int) -> List[List[int]]:
+        """``slots``, neighbours in the images' order, cut into the stacks
+        that run their image stage ``depth``: one per key, cut again where a
+        gathering stack's ``cols`` would outgrow ``_widest``, and where the
+        members of a stack that writes ``_ENTRY`` are not neighbours there."""
+        groups: Dict[tuple, List[int]] = {}
+        for slot in slots:
+            groups.setdefault(_image_key(self._members[slot], depth), []).append(slot)
+        stacks = []
+        for group in groups.values():
+            member = self._members[group[0]]
+            stage, per = member.stages[depth], len(group)
+            if depth and stage.gathers:
+                per = max(1, self._widest // (stage.weight.shape[1] * stage.pixels))
+            for start in range(0, len(group), per):
+                chunk = group[start : start + per]
+                stacks += _runs(chunk) if _tail(member) == depth + 1 else [chunk]
+        return stacks
+
+    def _plan_images(self, slots: List[int], depth: int, source: _Buffer, rows: slice) -> None:
+        """Plan image stage ``depth`` of the members ``slots``, whose inputs
+        are the ``rows`` of ``source``, and everything below it down to
+        ``_ENTRY``."""
+        stages = [self._members[slot].stages[depth] for slot in slots]
+        stage = stages[0]
+        shapes = [stage.pixels]
+        if stage.pool > 1:
+            shapes.append(stage.pixels // (stage.pool * stage.pool))
+        if stage.reduce:
+            shapes.append(1)
+        enters = _tail(self._members[slots[0]]) == depth + 1
+        below = [] if enters else self._split(slots, depth + 1)
+        buffers, role = [], source[0]
+        for shape in shapes:
+            # Alternating, so that a stage never writes what it reads.
+            role = "act1" if role == "act0" else "act0"
+            buffers.append((role, shape))
+        if enters:
+            buffers[-1] = _ENTRY
+        elif len(below) > 1:
+            buffers[-1] = (f"live{depth}", shapes[-1])  # read by every stack below
+        at = self._entry[slots[0]] if enters else 0
+        where = dict(source=source, rows=rows, buffers=tuple(buffers), at=at)
+        self._ops.append(_Stack.of(stages, stem=not depth, **where))
+        row = 0
+        for stack in below:
+            span = slice(row, row + sum(self._members[slot].channels(depth) for slot in stack))
+            self._plan_images(stack, depth + 1, buffers[-1], span)
+            row = span.stop
+
+    def _plan_tails(self, source: _Buffer) -> None:
+        """Plan the tails a step at a time for every member at once: step ``t``
+        reads what step ``t - 1`` left in one buffer, members in the plan's
+        order, and neighbours with one key run as one stack, whichever image
+        stages they came from.  Step 0 reads ``source``: ``_ENTRY``, or the
+        input, which every member reads whole."""
+        layout, step = list(range(len(self._members))), 0
+        while layout:
+            target, below, row, at = _TAILS[step % 2], [], 0, 0
+            runs: List[Tuple[tuple, List[int]]] = []
+            for slot in layout:
+                key = _tail_key(self._members[slot], step)
+                last = runs[-1] if runs else (None, [])
+                # A head writes its members' logits: they must be neighbours there too.
+                if last[0] == key and (key[0] != "head" or slot == last[1][-1] + 1):
+                    last[1].append(slot)
+                else:
+                    runs.append((key, [slot]))
+            for key, run in runs:
+                members = [self._members[slot] for slot in run]
+                depths = [_tail(member) + step for member in members]
+                if source == self._input:
+                    span = slice(None)
+                else:
+                    height = sum(m.channels(d - 1) for m, d in zip(members, depths))
+                    span = slice(row, row + height)
+                    row = span.stop
+                if key[0] == "head":
+                    weight = np.stack([member.head_weight for member in members])
+                    self._ops.append(_Head(weight, source, span, slice(run[0], run[-1] + 1)))
+                    continue
+                stages = [m.stages[d] for m, d in zip(members, depths)]
+                stack = _Stack.of(stages, source=source, rows=span, buffers=(target,), at=at)
+                self._ops.append(stack)
+                at += len(stack.bias)
+                below += run
+            layout, source, step = below, target, step + 1
 
     def probabilities(self, x: np.ndarray, batch_size: int, out: np.ndarray) -> None:
         """Write the lowered members' class probabilities for ``x`` into their
@@ -320,59 +551,67 @@ class InferencePlan:
                 self._bind(1 << (largest - 1).bit_length())
             for start in range(0, x.shape[0], batch_size):
                 xb = x[start : start + batch_size]
-                n = xb.shape[0]
-                images = self._input[:, : n * self._pixels].reshape(-1, n, *self._image)
+                if xb.shape[0] != self._n:
+                    self._build(xb.shape[0])
+                images = self._images
                 np.copyto(images, np.moveaxis(xb, 0, 1).reshape(images.shape), casting="unsafe")
-                for step in self._steps:
-                    step(n)
-                logits = self._logits[:, :n]
-                np.add(logits, self._head_bias, out=logits)
-                out[self._rows, start : start + batch_size] = softmax(logits, axis=-1)
+                for function, args, kwargs in self._calls:
+                    function(*args, **kwargs)
+                out[self._rows, start : start + batch_size] = self._probabilities
 
     def _bind(self, capacity: int) -> None:
-        """Bind every stage to scratch for batches of up to ``capacity``: the
+        """Bind every record to scratch for batches of up to ``capacity``: the
         one thing the plan does again when a larger batch arrives."""
         self.scratch.clear()
+        rows = {self._input: self._members[0].stages[0].channels}
+        for op in self._ops:
+            if isinstance(op, _Stack):
+                *scratch, result = op.buffers
+                for key, height in [(key, 0) for key in scratch] + [(result, op.at)]:
+                    rows[key] = max(rows.get(key, 0), height + len(op.bias))
+        pitch, tails = capacity + 1, [rows.pop(key, 0) for key in _TAILS]
+        cols = self.scratch.get("cols", (max(capacity * self._widest, sum(tails) * pitch),), _DTYPE)
+        buffers = {
+            key: self.scratch.get(key[0], (height, capacity * key[1] + 1), _DTYPE, True)
+            for key, height in rows.items()
+        }
+        start = 0
+        for key, height in zip(_TAILS, tails):
+            buffers[key] = cols[start : start + height * pitch].reshape(height, pitch)
+            start += height * pitch
+        members, classes = len(self._members), self._head_bias.shape[-1]
+        self._logits = self.scratch.get("logits", (members, capacity, classes), _DTYPE)
+        self._norm = self.scratch.get("norm", (members, capacity, 1), _DTYPE)
         tables: Dict[tuple, np.ndarray] = {}
-        flip = [0]
+        self._bound: List[_Calls] = []
+        for op in self._ops:
+            if isinstance(op, _Head):
+                self._bound.append(op.bind(buffers, self._logits))
+                continue
+            table = None
+            if op.stage.gathers:
+                key = (op.stage.height, op.stage.width, op.stage.kernel, op.stage.pool)
+                if key not in tables:
+                    tables[key] = _gather_table(capacity, *key)
+                table = tables[key]
+            self._bound.append(op.bind(buffers, table, cols))
+        self._inputs = buffers[self._input]
+        self.capacity, self._n = capacity, 0
 
-        def buffer(channels: int, pixels: int, role: Optional[str] = None) -> np.ndarray:
-            # An activation buffer (see the module docstring).  Without a
-            # role the name alternates between two, so that a stage never
-            # writes the buffer it reads; a named one outlives later stages.
-            if role is None:
-                flip[0] ^= 1
-                role = f"act{flip[0]}"
-            return self.scratch.get(role, (channels, capacity * pixels + 1), _DTYPE, True)
-
-        def bind(stage: Stage, source: np.ndarray, role: Optional[str] = None) -> np.ndarray:
-            table = cols = None
-            if stage.gathers:
-                key = (stage.height, stage.width, stage.kernel, stage.pool)
-                table = tables.get(key)
-                if table is None:
-                    table = tables[key] = _gather_table(capacity, *key)
-                cols = self.scratch.get("cols", (capacity * self._widest,), _DTYPE)
-            bound = _BoundStage(stage, source, partial(buffer, role=role), table, cols)
-            self._steps.append(bound.run)
-            return bound.result
-
-        def head(features: np.ndarray, weight: np.ndarray, logits: np.ndarray):
-            return lambda n: np.matmul(features[:, :n].T, weight, out=logits[:n])
-
-        first = self._members[0].stages[0]
-        self._input = buffer(first.channels, first.height * first.width, "input")
-        classes = self._head_bias.shape[-1]
-        self._logits = self.scratch.get("logits", (len(self._members), capacity, classes), _DTYPE)
-        self._steps: List[Callable[[int], None]] = []
-        for index, (stem, slots) in enumerate(self._groups):
-            stacked = bind(stem, self._input, f"stem{index}")
-            row = 0
-            for slot in slots:
-                member = self._members[slot]
-                rows = slice(row, row + member.stages[0].weight.shape[0])
-                current, row = stacked[rows], rows.stop
-                for stage in member.stages[1:]:
-                    current = bind(stage, current)
-                self._steps.append(head(current, member.head_weight, self._logits[slot]))
-        self.capacity = capacity
+    def _build(self, n: int) -> None:
+        """The calls of a batch of ``n``: built when ``n`` is not the last
+        batch's size, and never kept for another."""
+        images = self._inputs[:, : n * self._pixels]
+        self._images = images.reshape(-1, n, *self._image)
+        calls = [call for bound in self._bound for call in bound(n)]
+        # The head's bias, then softmax in place.
+        logits, norm = self._logits[:, :n], self._norm[:, :n]
+        calls += [
+            (np.add, (logits, self._head_bias), {"out": logits}),
+            (np.maximum.reduce, (logits,), {"axis": 2, "keepdims": True, "out": norm}),
+            (np.subtract, (logits, norm), {"out": logits}),
+            (np.exp, (logits,), {"out": logits}),
+            (np.add.reduce, (logits,), {"axis": 2, "keepdims": True, "out": norm}),
+            (np.divide, (logits, norm), {"out": logits}),
+        ]
+        self._calls, self._probabilities, self._n = calls, logits, n

@@ -108,6 +108,13 @@ def test_cli_reports_errors_without_traceback(cli_workspace, tmp_path, capsys):
     code = main(["inspect", "--artifact", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # An input that is not finite.
+    x = np.load(inputs)[:2].copy()
+    x[1].flat[0] = np.nan
+    np.save(tmp_path / "nan.npy", x)
+    code = main(["predict", "--artifact", str(artifact), "--input", str(tmp_path / "nan.npy")])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_train_rejects_existing_artifact(cli_workspace, capsys):

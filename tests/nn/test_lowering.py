@@ -13,8 +13,10 @@ taken before bias and ReLU.  The contract these tests state:
 * what the plan does not cover (residual units, float64, the einsum engine, a
   stride) is answered by the graph, bit for bit;
 * a request longer than ``batch_size`` is cut where the graph cuts it;
-* nothing is built per batch size, and what a plan served before does not
-  reach the bits of what it serves next;
+* a member whose stages run stacked with other members' gets the bits of a
+  plan of its own;
+* nothing is built per batch size, what a plan served before does not reach
+  the bits of what it serves next, and stacking does not grow the scratch;
 * ``reload()`` leaves nothing of the old generation's folded weights behind,
   and a generation that fails to load or to warm leaves the old one serving.
 
@@ -120,6 +122,26 @@ def test_plan_matches_graph_within_tolerance(family, batch, seed):
     plan = plan_probabilities(ensemble, x)
     assert plan.dtype == graph.dtype and plan.shape == graph.shape
     assert np.abs(plan - graph).max() <= TOLERANCE
+
+
+@SETTINGS
+@given(family=zoo_families(), batch=st.sampled_from([1, 7, 256]), seed=st.integers(0, 1000))
+def test_stacking_changes_no_bit(family, batch, seed):
+    """A member whose stages run stacked with other members' gets the bits
+    it gets from a plan of its own, also from a plan that has served a
+    larger batch before."""
+    specs, shape = family
+    ensemble = build_ensemble(specs, seed)
+    models = [member.model for member in ensemble.members]
+    x = np.random.default_rng(seed).normal(size=(300,) + shape).astype(np.float32)
+    out = np.empty((len(models), x.shape[0], ensemble.num_classes), dtype=np.float32)
+    plan = InferencePlan(models)
+    plan.probabilities(x, 256, out)
+    plan.probabilities(x[:batch], 256, out[:, :batch])
+    for index, model in enumerate(models):
+        alone = np.empty((1, batch, ensemble.num_classes), dtype=np.float32)
+        InferencePlan([model]).probabilities(x[:batch], 256, alone)
+        np.testing.assert_array_equal(out[index, :batch], alone[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint8])
@@ -231,22 +253,43 @@ def test_long_request_is_chunked_at_batch_size():
 def test_nothing_is_built_per_batch_size():
     ensemble = build_ensemble(zoo.small_vgg_ensemble(10, (3, 4, 4), 0.0625))
     models = [member.model for member in ensemble.members]
-    x = np.random.default_rng(6).normal(size=(48, 3, 4, 4)).astype(np.float32)
+    x = np.random.default_rng(6).normal(size=(64, 3, 4, 4)).astype(np.float32)
     out = np.empty((len(models), x.shape[0], 10), dtype=np.float32)
     plan = InferencePlan(models)
-    for n in range(1, x.shape[0] + 1):
+    for n in range(1, 49):
         plan.probabilities(x[:n], 256, out[:, :n])
     # What is held is what the largest batch needs (rounded up to a power of
     # two), not something per size seen ...
     assert plan.capacity == 64
-    steps, held = plan._steps, plan.scratch.nbytes
+    bound, held = plan._bound, plan.scratch.nbytes
     fresh = InferencePlan(models)
-    fresh.probabilities(x, 256, out)
+    fresh.probabilities(x[:48], 256, out[:, :48])
     assert fresh.scratch.nbytes == held
-    # ... and smaller batches afterwards bind nothing again.
-    for n in (1, 5, 48):
+    # ... and a client cycling through the sizes binds nothing again: a size
+    # builds its call list in place of the last size's, and gets the bits of
+    # a cold plan.
+    for n in range(1, 65):
         plan.probabilities(x[:n], 256, out[:, :n])
-    assert plan._steps is steps and plan.scratch.nbytes == held
+        cold = np.empty_like(out[:, :n])
+        InferencePlan(models).probabilities(x[:n], 256, cold)
+        np.testing.assert_array_equal(out[:, :n], cold)
+        assert plan._n == n and plan._bound is bound and plan.scratch.nbytes == held
+
+
+#: ``plan.scratch.nbytes`` of the benchmark-shaped ensemble below, measured
+#: on the plan that stacked the stems only (before deeper stages of several
+#: members were stacked), at capacities 128 and 256.
+STEM_ONLY_SCRATCH = {128: 4_138_828, 256: 8_276_812}
+
+
+@pytest.mark.parametrize("capacity", sorted(STEM_ONLY_SCRATCH))
+def test_stacking_does_not_grow_the_scratch(capacity):
+    ensemble = build_ensemble(zoo.small_vgg_ensemble(10, (3, 8, 8), 0.0625))
+    plan = InferencePlan([member.model for member in ensemble.members])
+    out = np.empty((len(ensemble), capacity, 10), dtype=np.float32)
+    plan.probabilities(np.zeros((capacity, 3, 8, 8), dtype=np.float32), 256, out)
+    assert plan.capacity == capacity
+    assert plan.scratch.nbytes <= STEM_ONLY_SCRATCH[capacity]
 
 
 @pytest.mark.parametrize("shape", [(3, 8, 8), (2, 5, 7), (3, 1, 1), (13,)])

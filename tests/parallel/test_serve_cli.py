@@ -62,6 +62,16 @@ def _spawn_serve(saved_artifact, *extra):
     return proc, banner
 
 
+def _stop(proc):
+    if proc.poll() is None:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=10)
+
+
 @pytest.fixture(scope="module")
 def server(saved_artifact):
     proc, banner = _spawn_serve(saved_artifact, "--max-wait-ms", "1.0")
@@ -72,13 +82,21 @@ def server(saved_artifact):
         assert banner["mode"] == "pool"
         yield proc, banner["url"]
     finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-            try:
-                proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=10)
+        _stop(proc)
+
+
+@pytest.fixture(scope="module")
+def queue_server(saved_artifact):
+    """Queue mode with the front as its one consumer."""
+    proc, banner = _spawn_serve(
+        saved_artifact, "--mode", "queue", "--workers", "1",
+        "--min-consumers", "1", "--max-consumers", "1",
+    )
+    try:
+        assert banner["mode"] == "queue"
+        yield proc, banner["url"]
+    finally:
+        _stop(proc)
 
 
 def _post(url, payload, timeout=60):
@@ -177,6 +195,27 @@ def test_serve_rejects_malformed_requests(server):
             _post(url, {"inputs": row, flag: value})
         assert excinfo.value.code == 400, (flag, value)
     assert "predictions" in _post(url, {"inputs": row, "proba": False, "async": False})
+
+
+@pytest.mark.parametrize("proba", [True, False])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("mode", ["pool", "queue"])
+def test_non_finite_inputs_are_a_400(request, mode, token, proba):
+    """Python's ``json`` reads ``NaN``, ``Infinity`` and an overflowing
+    ``1e999`` as floats.  They used to be served: probabilities went back as
+    bare ``NaN`` tokens, which are not JSON, and labels as class 0."""
+    _, url = request.getfixturevalue("server" if mode == "pool" else "queue_server")
+    with urllib.request.urlopen(url + "/info", timeout=30) as response:
+        shape = json.loads(response.read())["input_shape"]
+    row = json.dumps(np.zeros([1] + shape).tolist()).replace("0.0", token, 1)
+    body = f'{{"inputs": {row}, "proba": {json.dumps(proba)}}}'.encode()
+    post = urllib.request.Request(
+        url + "/predict", data=body, headers={"Content-Type": "application/json"}
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(post, timeout=60)
+    assert excinfo.value.code == 400
+    assert "finite" in json.loads(excinfo.value.read())["error"]
 
 
 def _http_400s(url, path):
