@@ -35,7 +35,7 @@ and :class:`InferencePlan` runs the stages of a whole ensemble:
   weight shape run them as one *stack*: one ``take`` over their activation
   rows, one batched ``matmul`` of ``(g, out, fan_in)`` weights, and one pool,
   bias and ReLU over all ``g * out`` rows.  Members are ordered so that every
-  stack's rows are one block (:func:`_stacking_order`), so no activation is
+  stack's rows are one block (:mod:`repro.nn.stacking`), so no activation is
   ever copied.  A member leaves a stack where its shape diverges, and a stack
   is cut where its ``cols`` would outgrow the widest any one member gathers,
   so stacking does not grow the scratch.  Once a member is down to 1-pixel
@@ -71,17 +71,16 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.nn import stacking
 from repro.nn.layers import BatchNorm, Conv2D, Dense, MaxPool2D, ReLU, im2col
 from repro.nn.model import Model
 from repro.nn.workspace import WorkspaceArena
 
 _DTYPE = np.dtype(np.float32)
-_ZERO = np.zeros((), dtype=_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -225,180 +224,6 @@ def _gather_table(capacity: int, height: int, width: int, kernel: int, pool: int
     return table.reshape(kernel * kernel, pool * pool, capacity, -1)
 
 
-#: An activation buffer of the plan's scratch (see the module docstring),
-#: ``(role, pixels)``: bound as ``(rows, capacity * pixels + 1)`` for the most
-#: rows any stage keeps in it.
-_Buffer = Tuple[str, int]
-#: Where each member's images end: its first 1-pixel activations, member
-#: after member in the plan's order.  The tails start from here.
-_ENTRY: _Buffer = ("entry", 1)
-#: The two buffers the tails alternate between.  No stage gathers after the
-#: images, so they live in ``cols``.
-_TAILS: Tuple[_Buffer, _Buffer] = (("tail0", 1), ("tail1", 1))
-#: One numpy call, ``function(*args, **kwargs)``, on views of the scratch.
-_Call = Tuple[Callable, tuple, dict]
-#: A record bound to the scratch: the calls a batch of ``n`` makes.
-_Calls = Callable[[int], List[_Call]]
-
-
-@dataclass(frozen=True)
-class _Stack:
-    """One stage of ``g`` members run as one: the ``i``-th block of the
-    ``rows`` of ``source`` is member ``i``'s input, and its output is the
-    ``i``-th block of the last of ``buffers``, from row ``at`` on.  Any
-    buffers before that hold the GEMM's product and the pooled activations of
-    a stage that pools or reduces."""
-
-    stage: Stage  # the geometry; its weights are the first member's
-    weight: np.ndarray  # (g, out, fan_in); a stem: (1, every member's out, fan_in)
-    bias: np.ndarray  # (g * out, 1)
-    source: _Buffer
-    rows: slice
-    buffers: Tuple[_Buffer, ...]
-    at: int = 0
-
-    @classmethod
-    def of(cls, stages: Sequence[Stage], stem: bool = False, **where) -> "_Stack":
-        """``stages``, one per member, stacked: a stem's weights side by
-        side (every member reads the same input), the others' one behind the
-        other."""
-        weights = [stage.weight for stage in stages]
-        weight = np.concatenate(weights)[None] if stem else np.stack(weights)
-        bias = np.concatenate([stage.bias for stage in stages])[:, None]
-        return cls(stages[0], weight, bias, **where)
-
-    def bind(self, buffers: Dict[_Buffer, np.ndarray], table, cols: np.ndarray) -> _Calls:
-        """The calls a batch of ``n`` makes, on ``buffers`` (and, for a
-        gathering stage, ``table`` and ``cols``) bound at one capacity."""
-        stage, weight, bias = self.stage, self.weight, self.bias
-        groups, _, fan_in = weight.shape
-        source = buffers[self.source][self.rows]
-        # Each member its own block of ``source``'s rows, or all of them the input.
-        stacked = groups > 1 and self.source[0] != "input"
-        if groups == 1:  # a plain GEMM: fewer views to take per batch size
-            weight = weight[0]
-        views = [buffers[key][: len(bias)] for key in self.buffers[:-1]]
-        views.append(buffers[self.buffers[-1]][self.at : self.at + len(bias)])
-        product = views[0]
-        pooled = views[1] if stage.pool > 1 else None
-        reduced = views[-1] if stage.reduce else None
-        pixels, windows = stage.height * stage.width, stage.pool * stage.pool
-
-        def calls(n: int) -> List[_Call]:
-            length = n * pixels
-            out = product[:, :length]
-            if table is None:
-                operand = source[:, :length]
-                steps = []
-            else:
-                # A strided slice unless the batch fills the capacity; ``take``
-                # then copies the indices, 1 / channels of what it goes on to move.
-                indices = table[:, :, :n]
-                operand = cols[: len(source) * indices.size]
-                # mode="clip" spares ``out=`` a bounds-checking temporary, as in Conv2D.
-                gathered = operand.reshape((len(source),) + indices.shape)
-                steps = [(source.take, (indices, 1), {"out": gathered, "mode": "clip"})]
-                if not stacked:
-                    operand = operand.reshape(fan_in, length)
-            if stacked:
-                operand = operand.reshape(groups, fan_in, length)
-            gemm = out if groups == 1 else out.reshape(groups, -1, length)
-            steps.append((np.matmul, (weight, operand), {"out": gemm}))
-            if pooled is not None:
-                planes = out.reshape(-1, windows, length // windows)
-                out = pooled[:, : length // windows]
-                steps.append((np.maximum.reduce, (planes,), {"axis": 1, "out": out}))
-            steps.append((np.add, (out, bias), {"out": out}))
-            steps.append((np.maximum, (out, _ZERO), {"out": out}))
-            if reduced is not None:
-                images = out.reshape(len(bias), n, -1)
-                steps.append((images.mean, (2,), {"out": reduced[:, :n]}))
-            return steps
-
-        return calls
-
-
-@dataclass(frozen=True)
-class _Head:
-    """The classifiers of the members at ``slots`` (of the plan's order), run
-    as one batched GEMM on the ``rows`` of ``source``."""
-
-    weight: np.ndarray  # (g, features, classes)
-    source: _Buffer
-    rows: slice
-    slots: slice
-
-    def bind(self, buffers: Dict[_Buffer, np.ndarray], logits: np.ndarray) -> _Calls:
-        groups, features, _ = self.weight.shape
-        source, logits = buffers[self.source][self.rows], logits[self.slots]
-
-        def calls(n: int) -> List[_Call]:
-            rows = source[:, :n].reshape(groups, features, n).transpose(0, 2, 1)
-            return [(np.matmul, (rows, self.weight), {"out": logits[:, :n]})]
-
-        return calls
-
-
-def _key(member: LoweredModel, depth: int) -> tuple:
-    """What members must share to run their stage ``depth`` as one stack:
-    the geometry and the weight's shape; past the last stage, the head's."""
-    if depth == len(member.stages):
-        return ("head", member.head_weight.shape)
-    stage = member.stages[depth]
-    return (stage.geometry, stage.weight.shape)
-
-
-def _tail(member: LoweredModel) -> int:
-    """The depth at which ``member``'s tail starts: its first stage that reads
-    1-pixel activations (its length if there is none)."""
-    return next(
-        (depth for depth, stage in enumerate(member.stages) if stage.pixels == 1),
-        len(member.stages),
-    )
-
-
-def _image_key(member: LoweredModel, depth: int) -> tuple:
-    """:func:`_key` above the tail, where a stem (every member reads its
-    input) needs only the geometry; the whole tail is one leaf."""
-    if depth == _tail(member):
-        return ("tail",)
-    key = _key(member, depth)
-    return key if depth else (key[0], None)
-
-
-def _tail_key(member: LoweredModel, step: int) -> tuple:
-    """:func:`_key` of the ``step``-th stage of the tail."""
-    return _key(member, _tail(member) + step)
-
-
-def _stacking_order(members, slots, key: Callable[[LoweredModel, int], tuple], depth: int = 0):
-    """``slots`` ordered so that the members of every stack ``key`` allows,
-    at every depth, are neighbours: grouped by their key at ``depth`` (in the
-    order ``slots`` are in), each group ordered the same way one depth down.
-    A key whose first item is a string is a leaf."""
-    groups: Dict[tuple, List[int]] = {}
-    for slot in slots:
-        groups.setdefault(key(members[slot], depth), []).append(slot)
-    return [
-        slot
-        for name, group in groups.items()
-        for slot in (
-            group if isinstance(name[0], str) else _stacking_order(members, group, key, depth + 1)
-        )
-    ]
-
-
-def _runs(slots: List[int]) -> List[List[int]]:
-    """``slots`` cut wherever the next one is not the next integer."""
-    runs = [[slots[0]]]
-    for slot in slots[1:]:
-        if slot == runs[-1][-1] + 1:
-            runs[-1].append(slot)
-        else:
-            runs.append([slot])
-    return runs
-
-
 class InferencePlan:
     """The lowered members of an ensemble, run together.
 
@@ -412,137 +237,29 @@ class InferencePlan:
     def __init__(self, models: Sequence[object]):
         plans = [lower_model(model) for model in models]
         self.lowered: Tuple[int, ...] = tuple(i for i, p in enumerate(plans) if p is not None)
-        order = _stacking_order(plans, list(self.lowered), _tail_key)
-        # ``_members`` (and the logits) in the tails' stacking order; ``_rows``
-        # puts them back at their positions in the ensemble.
-        self._members: List[LoweredModel] = [plans[i] for i in order]
+        order = stacking.order(plans, self.lowered)
+        # The logits in the plan's order; ``_rows`` puts them back at their
+        # members' positions in the ensemble.
+        members = [plans[i] for i in order]
         self._rows = slice(None) if order == list(range(len(models))) else order
         self.scratch = WorkspaceArena()
         self.capacity = 0
         self._lock = threading.Lock()
-        if not self._members:
+        if not members:
             return
-        first = self._members[0].stages[0]
+        first = members[0].stages[0]
         self._image, self._pixels = (first.height, first.width), first.pixels
-        self._head_bias = np.stack([member.head_bias for member in self._members])[:, None, :]
-        # Elements per image of the largest ``cols`` one member gathers: an
-        # image stack is cut where its own would be larger.
-        self._widest = max(
-            (
-                stage.weight.shape[1] * stage.pixels
-                for member in self._members
-                for stage in member.stages
-                if stage.gathers
-            ),
-            default=0,
-        )
-        self._input: _Buffer = ("input", self._pixels)
-        self._ops: List[object] = []  # _Stack and _Head records, in run order
-        if self._pixels == 1:  # no images: every stage is the tail's
-            self._plan_tails(self._input)
-        else:
-            # Where each member's rows of ``_ENTRY`` start.
-            self._entry = list(
-                accumulate((m.channels(_tail(m) - 1) for m in self._members), initial=0)
-            )
-            images = _stacking_order(self._members, range(len(self._members)), _image_key)
-            for stem in self._split(images, 0):
-                self._plan_images(stem, 0, self._input, slice(None))
-            self._plan_tails(_ENTRY)
+        self._head_bias = np.stack([member.head_bias for member in members])[:, None, :]
+        self._widest = stacking.widest(members)
+        self._input: stacking.Buffer = ("input", self._pixels)
+        self._channels = first.channels
+        self._ops = stacking.plan(members, self._input)
         self._n = 0  # the batch size ``_calls`` is built for
-
-    def _split(self, slots: List[int], depth: int) -> List[List[int]]:
-        """``slots``, neighbours in the images' order, cut into the stacks
-        that run their image stage ``depth``: one per key, cut again where a
-        gathering stack's ``cols`` would outgrow ``_widest``, and where the
-        members of a stack that writes ``_ENTRY`` are not neighbours there."""
-        groups: Dict[tuple, List[int]] = {}
-        for slot in slots:
-            groups.setdefault(_image_key(self._members[slot], depth), []).append(slot)
-        stacks = []
-        for group in groups.values():
-            member = self._members[group[0]]
-            stage, per = member.stages[depth], len(group)
-            if depth and stage.gathers:
-                per = max(1, self._widest // (stage.weight.shape[1] * stage.pixels))
-            for start in range(0, len(group), per):
-                chunk = group[start : start + per]
-                stacks += _runs(chunk) if _tail(member) == depth + 1 else [chunk]
-        return stacks
-
-    def _plan_images(self, slots: List[int], depth: int, source: _Buffer, rows: slice) -> None:
-        """Plan image stage ``depth`` of the members ``slots``, whose inputs
-        are the ``rows`` of ``source``, and everything below it down to
-        ``_ENTRY``."""
-        stages = [self._members[slot].stages[depth] for slot in slots]
-        stage = stages[0]
-        shapes = [stage.pixels]
-        if stage.pool > 1:
-            shapes.append(stage.pixels // (stage.pool * stage.pool))
-        if stage.reduce:
-            shapes.append(1)
-        enters = _tail(self._members[slots[0]]) == depth + 1
-        below = [] if enters else self._split(slots, depth + 1)
-        buffers, role = [], source[0]
-        for shape in shapes:
-            # Alternating, so that a stage never writes what it reads.
-            role = "act1" if role == "act0" else "act0"
-            buffers.append((role, shape))
-        if enters:
-            buffers[-1] = _ENTRY
-        elif len(below) > 1:
-            buffers[-1] = (f"live{depth}", shapes[-1])  # read by every stack below
-        at = self._entry[slots[0]] if enters else 0
-        where = dict(source=source, rows=rows, buffers=tuple(buffers), at=at)
-        self._ops.append(_Stack.of(stages, stem=not depth, **where))
-        row = 0
-        for stack in below:
-            span = slice(row, row + sum(self._members[slot].channels(depth) for slot in stack))
-            self._plan_images(stack, depth + 1, buffers[-1], span)
-            row = span.stop
-
-    def _plan_tails(self, source: _Buffer) -> None:
-        """Plan the tails a step at a time for every member at once: step ``t``
-        reads what step ``t - 1`` left in one buffer, members in the plan's
-        order, and neighbours with one key run as one stack, whichever image
-        stages they came from.  Step 0 reads ``source``: ``_ENTRY``, or the
-        input, which every member reads whole."""
-        layout, step = list(range(len(self._members))), 0
-        while layout:
-            target, below, row, at = _TAILS[step % 2], [], 0, 0
-            runs: List[Tuple[tuple, List[int]]] = []
-            for slot in layout:
-                key = _tail_key(self._members[slot], step)
-                last = runs[-1] if runs else (None, [])
-                # A head writes its members' logits: they must be neighbours there too.
-                if last[0] == key and (key[0] != "head" or slot == last[1][-1] + 1):
-                    last[1].append(slot)
-                else:
-                    runs.append((key, [slot]))
-            for key, run in runs:
-                members = [self._members[slot] for slot in run]
-                depths = [_tail(member) + step for member in members]
-                if source == self._input:
-                    span = slice(None)
-                else:
-                    height = sum(m.channels(d - 1) for m, d in zip(members, depths))
-                    span = slice(row, row + height)
-                    row = span.stop
-                if key[0] == "head":
-                    weight = np.stack([member.head_weight for member in members])
-                    self._ops.append(_Head(weight, source, span, slice(run[0], run[-1] + 1)))
-                    continue
-                stages = [m.stages[d] for m, d in zip(members, depths)]
-                stack = _Stack.of(stages, source=source, rows=span, buffers=(target,), at=at)
-                self._ops.append(stack)
-                at += len(stack.bias)
-                below += run
-            layout, source, step = below, target, step + 1
 
     def probabilities(self, x: np.ndarray, batch_size: int, out: np.ndarray) -> None:
         """Write the lowered members' class probabilities for ``x`` into their
         rows of ``out``, ``batch_size`` samples at a time."""
-        if not self._members:
+        if not self.lowered:
             return
         with self._lock:
             largest = min(batch_size, x.shape[0])
@@ -563,29 +280,29 @@ class InferencePlan:
         """Bind every record to scratch for batches of up to ``capacity``: the
         one thing the plan does again when a larger batch arrives."""
         self.scratch.clear()
-        rows = {self._input: self._members[0].stages[0].channels}
+        rows = {self._input: self._channels}
         for op in self._ops:
-            if isinstance(op, _Stack):
+            if isinstance(op, stacking.Stack):
                 *scratch, result = op.buffers
                 for key, height in [(key, 0) for key in scratch] + [(result, op.at)]:
-                    rows[key] = max(rows.get(key, 0), height + len(op.bias))
-        pitch, tails = capacity + 1, [rows.pop(key, 0) for key in _TAILS]
+                    rows[key] = max(rows.get(key, 0), height + len(op.stage.bias))
+        pitch, tails = capacity + 1, [rows.pop(key, 0) for key in stacking.TAILS]
         cols = self.scratch.get("cols", (max(capacity * self._widest, sum(tails) * pitch),), _DTYPE)
         buffers = {
             key: self.scratch.get(key[0], (height, capacity * key[1] + 1), _DTYPE, True)
             for key, height in rows.items()
         }
         start = 0
-        for key, height in zip(_TAILS, tails):
+        for key, height in zip(stacking.TAILS, tails):
             buffers[key] = cols[start : start + height * pitch].reshape(height, pitch)
             start += height * pitch
-        members, classes = len(self._members), self._head_bias.shape[-1]
+        members, _, classes = self._head_bias.shape
         self._logits = self.scratch.get("logits", (members, capacity, classes), _DTYPE)
         self._norm = self.scratch.get("norm", (members, capacity, 1), _DTYPE)
         tables: Dict[tuple, np.ndarray] = {}
-        self._bound: List[_Calls] = []
+        self._bound: List[stacking.Calls] = []
         for op in self._ops:
-            if isinstance(op, _Head):
+            if isinstance(op, stacking.Head):
                 self._bound.append(op.bind(buffers, self._logits))
                 continue
             table = None
