@@ -107,7 +107,13 @@ class Stage:
 
     @property
     def pixels(self) -> int:
+        """Pixels of one input image."""
         return self.height * self.width
+
+    @property
+    def window(self) -> tuple:
+        """What the stage's gather table depends on."""
+        return (self.height, self.width, self.kernel, self.pool)
 
     @property
     def geometry(self) -> tuple:
@@ -254,7 +260,7 @@ class InferencePlan:
         self._input: stacking.Buffer = ("input", self._pixels)
         self._channels = first.channels
         self._ops = stacking.plan(members, self._input)
-        self._n = 0  # the batch size ``_calls`` is built for
+        self._bound = self._run = None  # see _bind and _build
 
     def probabilities(self, x: np.ndarray, batch_size: int, out: np.ndarray) -> None:
         """Write the lowered members' class probabilities for ``x`` into their
@@ -268,18 +274,26 @@ class InferencePlan:
                 self._bind(1 << (largest - 1).bit_length())
             for start in range(0, x.shape[0], batch_size):
                 xb = x[start : start + batch_size]
-                if xb.shape[0] != self._n:
-                    self._build(xb.shape[0])
-                images = self._images
+                if self._run is None or self._run[0] != xb.shape[0]:
+                    self._run = self._build(xb.shape[0])
+                _, images, calls, probabilities = self._run
                 np.copyto(images, np.moveaxis(xb, 0, 1).reshape(images.shape), casting="unsafe")
-                for function, args, kwargs in self._calls:
+                for function, args, kwargs in calls:
                     function(*args, **kwargs)
-                out[self._rows, start : start + batch_size] = self._probabilities
+                out[self._rows, start : start + batch_size] = probabilities
 
     def _bind(self, capacity: int) -> None:
         """Bind every record to scratch for batches of up to ``capacity``: the
         one thing the plan does again when a larger batch arrives."""
+        # Nothing bound at the old capacity outlives it, and the tables (an
+        # im2col of the positions each) are built before the scratch is there.
+        self._bound = self._run = None
         self.scratch.clear()
+        tables: Dict[tuple, np.ndarray] = {}
+        for op in self._ops:
+            if isinstance(op, stacking.Stack) and op.stage.gathers:
+                if op.stage.window not in tables:
+                    tables[op.stage.window] = _gather_table(capacity, *op.stage.window)
         rows = {self._input: self._channels}
         for op in self._ops:
             if isinstance(op, stacking.Stack):
@@ -297,32 +311,27 @@ class InferencePlan:
             buffers[key] = cols[start : start + height * pitch].reshape(height, pitch)
             start += height * pitch
         members, _, classes = self._head_bias.shape
-        self._logits = self.scratch.get("logits", (members, capacity, classes), _DTYPE)
-        self._norm = self.scratch.get("norm", (members, capacity, 1), _DTYPE)
-        tables: Dict[tuple, np.ndarray] = {}
-        self._bound: List[stacking.Calls] = []
-        for op in self._ops:
-            if isinstance(op, stacking.Head):
-                self._bound.append(op.bind(buffers, self._logits))
-                continue
-            table = None
-            if op.stage.gathers:
-                key = (op.stage.height, op.stage.width, op.stage.kernel, op.stage.pool)
-                if key not in tables:
-                    tables[key] = _gather_table(capacity, *key)
-                table = tables[key]
-            self._bound.append(op.bind(buffers, table, cols))
-        self._inputs = buffers[self._input]
-        self.capacity, self._n = capacity, 0
+        logits = self.scratch.get("logits", (members, capacity, classes), _DTYPE)
+        norm = self.scratch.get("norm", (members, capacity, 1), _DTYPE)
+        records = [
+            op.bind(buffers, logits)
+            if isinstance(op, stacking.Head)
+            else op.bind(buffers, tables.get(op.stage.window), cols)
+            for op in self._ops
+        ]
+        self._bound = (buffers[self._input], logits, norm, records)
+        self.capacity = capacity
 
-    def _build(self, n: int) -> None:
-        """The calls of a batch of ``n``: built when ``n`` is not the last
-        batch's size, and never kept for another."""
-        images = self._inputs[:, : n * self._pixels]
-        self._images = images.reshape(-1, n, *self._image)
-        calls = [call for bound in self._bound for call in bound(n)]
+    def _build(self, n: int) -> tuple:
+        """``(n, images, calls, probabilities)``: the calls of a batch of
+        ``n``, built when ``n`` is not the last batch's size and never kept
+        for another, the view its images go into and the one its
+        probabilities come out of."""
+        inputs, logits, norm, records = self._bound
+        images = inputs[:, : n * self._pixels].reshape(-1, n, *self._image)
+        calls = [call for record in records for call in record(n)]
         # The head's bias, then softmax in place.
-        logits, norm = self._logits[:, :n], self._norm[:, :n]
+        logits, norm = logits[:, :n], norm[:, :n]
         calls += [
             (np.add, (logits, self._head_bias), {"out": logits}),
             (np.maximum.reduce, (logits,), {"axis": 2, "keepdims": True, "out": norm}),
@@ -331,4 +340,4 @@ class InferencePlan:
             (np.add.reduce, (logits,), {"axis": 2, "keepdims": True, "out": norm}),
             (np.divide, (logits, norm), {"out": logits}),
         ]
-        self._calls, self._probabilities, self._n = calls, logits, n
+        return n, images, calls, logits

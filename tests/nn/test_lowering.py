@@ -273,7 +273,7 @@ def test_nothing_is_built_per_batch_size():
         cold = np.empty_like(out[:, :n])
         InferencePlan(models).probabilities(x[:n], 256, cold)
         np.testing.assert_array_equal(out[:, :n], cold)
-        assert plan._n == n and plan._bound is bound and plan.scratch.nbytes == held
+        assert plan._run[0] == n and plan._bound is bound and plan.scratch.nbytes == held
 
 
 #: ``plan.scratch.nbytes`` of the benchmark-shaped ensemble below, measured
