@@ -37,10 +37,11 @@ def validate_batch(x: np.ndarray, input_shape: Tuple[int, ...]) -> np.ndarray:
     Accepts a batch ``(batch, *input_shape)`` or a single un-batched sample
     ``input_shape`` (a batch axis is added); rejects empty batches,
     non-numeric dtypes and values that are not finite (``NaN`` and the
-    infinities have no answer, and no JSON spelling either).  Shared by :class:`EnsemblePredictor` and the
-    multi-process :class:`~repro.parallel.serving.PoolPredictor`, which
-    validates in the dispatching process so malformed requests fail fast
-    without a worker round-trip.
+    infinities have no answer, and no JSON spelling either).  Shared by
+    :class:`EnsemblePredictor` and the multi-process
+    :class:`~repro.parallel.serving.PoolPredictor`, which validates in the
+    dispatching process so malformed requests fail fast without a worker
+    round-trip.
     """
     if not isinstance(x, np.ndarray):
         x = np.asarray(x)

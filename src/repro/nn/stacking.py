@@ -234,6 +234,8 @@ def plan(members: Sequence[LoweredModel], source: Buffer) -> List[object]:
 
 
 class _Planner:
+    """One walk over the members, appending their records to ``ops``."""
+
     def __init__(self, members: Sequence[LoweredModel], source: Buffer):
         self.members, self.widest, self.ops = members, widest(members), []
         if source[1] == 1:  # no images: every stage is the tail's
