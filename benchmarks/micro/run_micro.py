@@ -148,7 +148,7 @@ def bench_metrics_overhead(repeats: int) -> Dict:
 def bench_hot_swap(repeats: int) -> Dict:
     """Serving-latency cost of a zero-downtime generation hot-swap.
 
-    A two-worker shm pool serves a steady client loop while
+    A two-worker pool serves a steady client loop while
     ``PoolPredictor.swap()`` rolls both workers onto a freshly-promoted
     generation.  Reports client-observed p50/p99 in steady state
     (``fast_seconds`` = steady p99) and inside the swap window

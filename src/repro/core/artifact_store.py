@@ -218,8 +218,8 @@ def served_artifact(
     facts off its manifest.
 
     ``serving`` is what a live pool or fleet serves now: a hot-swap target
-    whose input shape or class count differ from it is refused — request
-    validation and the shared-memory arenas are sized for the serving shapes.
+    whose input shape or class count differ from it is refused — clients and
+    request validation expect the serving shapes.
     """
     from repro.api.artifacts import read_manifest
 

@@ -26,17 +26,13 @@ is written once, and driven by each owner from one single-threaded loop;
   least-loaded worker; a hot-swap reloads each worker's predictor in place.
   Exposed over HTTP by ``python -m repro serve``
   (:func:`repro.parallel.server.run_server`), including Prometheus
-  ``GET /metrics`` and a degrading ``GET /healthz``.  A dispatch entry's
-  rows travel as a reference into the worker's shared-memory arena
-  (:class:`ShmArena`) or, when the arena cannot place them, inline; results
-  always come back inline as raw bytes.  ``transport="pickle"`` is the
-  all-inline case of the same code — a pool without arenas, kept as the
-  tests' and the benchmark's reference.
+  ``GET /metrics`` and a degrading ``GET /healthz``.  Request rows travel
+  inline on each worker's queue and results come back inline as raw bytes;
+  serving makes no shared-memory segment.
 """
 
 from repro.parallel.executor import MemberTask, ParallelExecutor
 from repro.parallel.shared_data import AttachedDataset, SharedArrayMeta, SharedDataset
-from repro.parallel.shm_transport import ShmArena
 from repro.parallel.serving import PoolPredictor
 
 __all__ = [
@@ -44,7 +40,6 @@ __all__ = [
     "SharedDataset",
     "AttachedDataset",
     "SharedArrayMeta",
-    "ShmArena",
     "MemberTask",
     "PoolPredictor",
 ]

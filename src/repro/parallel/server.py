@@ -34,7 +34,10 @@ Endpoints
   immediately instead of blocking, and a full broker queue answers ``503``
   (sync or async) — load to shed, not a malformed request (``400``).  A
   predict the backend did not answer within its request timeout answers
-  ``504``, and the connection stays open for the next request.
+  ``504``, and the connection stays open for the next request.  A
+  ``Content-Length`` over :data:`MAX_BODY_BYTES` (64 MiB) answers ``413``
+  here and on ``/admin/swap``, without reading the body, and closes the
+  connection.
 * ``GET /result/<job_id>`` (queue mode) — poll an async job: ``200`` with
   the result once done (the result is consumed), ``202`` while pending,
   ``404`` for unknown/expired ids.
@@ -105,6 +108,11 @@ _HTTP_LATENCY = _metrics.histogram(
 #: so arbitrary probe paths cannot blow up the label cardinality.  Every
 #: ``/result/<job_id>`` poll collapses into the single "/result" label.
 _KNOWN_PATHS = ("/predict", "/admin/swap", "/info", "/healthz", "/metrics")
+
+#: Largest request body read, in bytes; a longer ``Content-Length`` answers
+#: 413.  ``rfile.read(n)`` reserves ``n`` bytes before the first one arrives,
+#: and a 1024-row request of the benchmark's shape is ~4 MB of JSON.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 def _log_connection_failure(exc: BaseException, path: Optional[str]) -> None:
@@ -250,10 +258,11 @@ def _make_handler(pool, mode: str, started_at: float):
                 )
 
         def _read_body(self) -> Optional[bytes]:
-            """The request body — or ``None``, having answered 400, when
+            """The request body — or ``None``, having answered 400 when
             ``Content-Length`` is not a non-negative integer (``read(-1)``
-            would block this thread until the peer hangs up).  That
-            connection is closed: where its body ends is unknown."""
+            would block this thread until the peer hangs up) and 413 when it
+            exceeds :data:`MAX_BODY_BYTES`.  Either way the connection is
+            closed, its body unread."""
             try:
                 length = int(self.headers.get("Content-Length", "0"))
                 if length < 0:
@@ -261,6 +270,12 @@ def _make_handler(pool, mode: str, started_at: float):
             except ValueError:
                 self.close_connection = True
                 self._reply(400, {"error": "Content-Length must be a non-negative integer"})
+                return None
+            if length > MAX_BODY_BYTES:
+                self.close_connection = True
+                self._reply(
+                    413, {"error": f"request body over the {MAX_BODY_BYTES}-byte limit"}
+                )
                 return None
             return self.rfile.read(length)
 

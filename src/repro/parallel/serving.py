@@ -10,7 +10,7 @@ ready worker.  Any number of client threads can call :meth:`predict` /
 thread, ``repro-serve-loop``, built like the training executor's ``train()``
 loop.  Each worker fills one slot of a
 :class:`~repro.parallel.supervision.SlotTable` (process, private queues,
-``starting | ready | down``, backoff; plus the pool's arena, load and artifact
+``starting | ready | down``, backoff; plus the pool's load and artifact
 generation), and each pass waits once, in its ``poll``, on every worker's
 result queue plus a :class:`~repro.parallel.supervision.LocalQueue` that
 ``predict_proba`` posts each request to; then it resolves replies and
@@ -47,22 +47,15 @@ its way out — cannot race a spawn.
   time: claimed under the pool lock like a dispatch, timed and failed like
   one.  The queue is FIFO, so whatever was dispatched before the reload is
   answered on the old generation and everything after on the new one; no
-  process, queue or arena is replaced.
+  process or queue is replaced.
 * *Parent death.*  Workers watch their parent and exit when it is gone
-  (:mod:`repro.parallel.worker`), so a SIGKILLed server leaves no orphan
-  pinning its ``/dev/shm`` segments.
+  (:mod:`repro.parallel.worker`), so a SIGKILLed server leaves no orphan.
 
-Data plane: a dispatch is a list of ``(request_id, rows, method)`` entries.
-Each names its rows either as a reference ``(offset, shape, dtype)`` into the
-worker's shared-memory arena (:class:`~repro.parallel.shm_transport.ShmArena`;
-the rows were copied there once) or, when the arena cannot place them, as the
-array itself, *inline*; no request is ever refused for size.  Probabilities
-come back inline as raw bytes (:func:`~repro.parallel.worker.answer_entry`).
-A region belongs to its request and is freed when the request resolves,
-whichever way.  ``transport="pickle"`` is the all-inline case of the same code,
-kept as the tests' bitwise oracle and the benchmark's baseline.  A worker's
-arena lives exactly as long as the worker: every spawn retires the old one
-wholesale, reclaiming whatever regions a dead worker's requests still held.
+Data plane: a dispatch is a list of ``(request_id, rows, method)`` entries,
+each carrying its request's rows inline on the worker's queue; no request is
+ever refused for size.  Probabilities come back inline as raw bytes
+(:func:`~repro.parallel.worker.answer_entry`).  Nothing outlives a request
+but its answer, so a dead worker strands nothing the pool must reclaim.
 """
 
 from __future__ import annotations
@@ -78,7 +71,6 @@ from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
-from math import prod
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Union
 
@@ -87,12 +79,10 @@ import numpy as np
 from repro.core.artifact_store import ServedArtifact, ServingTier
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
-from repro.parallel.shm_transport import ShmArena
 from repro.parallel.supervision import STARTUP_TIMEOUT, LocalQueue, Slot, SlotTable
 from repro.parallel.worker import _serving_worker_main
 from repro.utils.logging import get_logger
 
-TRANSPORTS = ("shm", "pickle")
 #: How long a closing pool waits for its in-flight answers before it kills
 #: the workers still holding some.
 _DRAIN_TIMEOUT = 10.0
@@ -152,17 +142,12 @@ _WORKER_HANGS = _metrics.counter(
 )
 _TRANSPORT_BYTES = _metrics.counter(
     "repro_serve_transport_bytes_total",
-    "Bytes crossing the parent<->worker queues, by the pool's transport and "
-    "direction: row references cost their pickled size, inline rows their "
-    "bytes on top; results are always inline.",
-    ("transport", "direction"),
+    "Bytes crossing the parent<->worker queues (pickled messages plus the "
+    "rows and results they carry inline), by direction.",
+    ("direction",),
 )
-_TRANSPORT_FALLBACKS = _metrics.counter(
-    "repro_serve_transport_fallbacks_total",
-    "Dispatch entries whose rows found no room in the worker's arena and "
-    "travelled inline instead.",
-    ("reason",),
-)
+_REQUEST_BYTES = _TRANSPORT_BYTES.labels("request")
+_RESPONSE_BYTES = _TRANSPORT_BYTES.labels("response")
 
 
 def _wire_nbytes(message: object) -> int:
@@ -194,9 +179,6 @@ class _Request:
     # Set together, under the pool lock, when the loop claims a worker.
     worker_id: Optional[int] = None
     dispatched: float = 0.0
-    arena: Optional[ShmArena] = None
-    # Where the loop placed the rows in ``arena``; freed on resolve.
-    rows_offset: Optional[int] = None
 
     @property
     def rows(self) -> int:
@@ -208,7 +190,6 @@ class _PoolSlot(Slot):
     """A serving worker's slot: the supervision record plus what the pool
     keeps per worker."""
 
-    arena: Optional[ShmArena] = None
     load: int = 0  # its dispatched-but-unanswered requests (pool lock)
     generation: int = 0  # what its process loaded, or was last told to reload
 
@@ -266,16 +247,7 @@ class PoolPredictor(ServingTier):
         requests promptly, and respawns it like any other dead worker.
         ``0`` disables hang detection (the pre-deadline behaviour).
 
-    Transport parameters
-    --------------------
-    transport:
-        ``"shm"`` (default) gives every worker a shared-memory arena sized
-        for four ``max_batch``-row dispatches: request rows travel as
-        references into it, and only rows the arena cannot place travel
-        inline.  ``"pickle"`` is the pool without arenas — every entry inline
-        through the same code — kept as the reference the tests and the
-        benchmark compare against; both produce bitwise-identical
-        predictions.  Results travel inline either way.
+    ``transport`` takes ``"pickle"`` only: rows and results travel inline.
     """
 
     def __init__(
@@ -292,7 +264,7 @@ class PoolPredictor(ServingTier):
         supervise_interval: float = 0.25,
         worker_wait: float = 60.0,
         dispatch_timeout: float = 120.0,
-        transport: str = "shm",
+        transport: str = "pickle",
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -304,11 +276,10 @@ class PoolPredictor(ServingTier):
             raise ValueError("supervise_interval must be positive")
         if dispatch_timeout < 0:
             raise ValueError("dispatch_timeout must be non-negative (0 disables)")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; valid choices: "
-                + ", ".join(repr(t) for t in TRANSPORTS)
-            )
+        # Accepted only as "pickle" because benchmarks/e2e/probes.py passes
+        # it; the parameter goes once a benchmark-only change stops passing it.
+        if transport != "pickle":
+            raise ValueError(f"unknown transport {transport!r}; the pool has only 'pickle'")
 
         super().__init__(path, method)
         self.workers = int(workers)
@@ -316,13 +287,12 @@ class PoolPredictor(ServingTier):
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
         self.request_timeout = float(request_timeout)
-        self.transport = transport
         self.supervise_interval = float(supervise_interval)
         self.worker_wait = float(worker_wait)
         self.dispatch_timeout = float(dispatch_timeout)
 
-        # One record per worker (process, queues, state, backoff, arena,
-        # load): only the loop thread spawns, evicts and stops, and ``state``,
+        # One record per worker (process, queues, state, backoff, load):
+        # only the loop thread spawns, evicts and stops, and ``state``,
         # ``load`` and ``generation`` change under the pool lock — a swap
         # claims workers from its own thread.
         self._table = SlotTable(
@@ -352,8 +322,8 @@ class PoolPredictor(ServingTier):
         self._loop = threading.Thread(target=self._run, name="repro-serve-loop", daemon=True)
         _WORKERS_CONFIGURED.set(self.workers)
         try:
-            # All workers boot concurrently, each arena created before its
-            # spawn; the pool is warm once every slot has said ready.
+            # All workers boot concurrently; the pool is warm once every slot
+            # has said ready.
             for slot in self._slots:
                 self._spawn(slot)
             self._loop.start()
@@ -385,27 +355,11 @@ class PoolPredictor(ServingTier):
         return cls(path, **kwargs)
 
     def _spawn(self, slot: _PoolSlot) -> None:
-        """Start the slot's worker from the artifact the pool serves *now*,
-        on a fresh arena next to the table's fresh queues.
-
-        The arena is replaced wholesale for the queues' reason: a worker
-        that died with requests in flight leaves regions nobody will free.
-        The old one is retired — unlinked and closed — on the spot.
-        Loop thread only (and the constructor, before the loop starts).
-        """
+        """Start the slot's worker from the artifact the pool serves *now*.
+        Loop thread only (and the constructor, before the loop starts)."""
         served = self._artifact
-        if self.transport == "shm":
-            if slot.arena is not None:
-                slot.arena.retire()
-            slot.arena = ShmArena(slot.worker_id, self.max_batch, prod(served.input_shape))
         slot.generation = served.generation
-        self._table.spawn(
-            slot,
-            str(served.path),
-            self.method,
-            self.batch_size,
-            slot.arena.name if slot.arena is not None else None,
-        )
+        self._table.spawn(slot, str(served.path), self.method, self.batch_size)
 
     # ------------------------------------------------------------- the loop
     def _run(self) -> None:
@@ -472,7 +426,7 @@ class PoolPredictor(ServingTier):
         look, or ``None`` once nothing is pending.
 
         The worker is picked and claimed (its ``load`` raised, the requests
-        stamped with it and its arena) under one hold of the pool lock — the
+        stamped with it) under one hold of the pool lock — the
         way :meth:`_roll` claims one from the swapping thread — so an
         eviction that follows finds the group among the worker's in-flight
         requests and fails it with them.  A group that finds no ready worker
@@ -504,7 +458,6 @@ class PoolPredictor(ServingTier):
                 if slot is not None:
                     for request in group:
                         request.worker_id, request.dispatched = slot.worker_id, now
-                        request.arena = slot.arena
                     slot.load += len(group)
                     self._next_worker = (slot.worker_id + 1) % self.workers
             if slot is None and not self._closed and waited < self.worker_wait:
@@ -531,46 +484,27 @@ class PoolPredictor(ServingTier):
     def _shut_down(self, graceful: bool) -> None:
         """Stop the workers — each answers what is on its queue first, unless
         not ``graceful`` — resolve their last replies and release every
-        queue and arena."""
+        queue."""
         self._table.stop(self._slots, graceful=graceful)
         self._collect(deque(), 0)
         self._table.close()
         self._inbox.close()
-        for slot in self._slots:
-            if slot.arena is not None:
-                slot.arena.retire()
-            slot.arena = None
 
     # ------------------------------------------------------------ data plane
     def _build_dispatch(self, group: List[_Request]) -> List[tuple]:
-        """Encode a micro-batch for the worker's request queue (the format is
-        :func:`repro.parallel.worker.answer_entry`'s).
-
-        Each request's rows are written into the arena it was claimed with,
-        and the region is recorded on the request, which frees it when it
-        resolves; rows the arena cannot place (a request bigger than the
-        whole arena, an arena momentarily full, no arena at all on
-        ``transport="pickle"``) travel inline instead.
-        """
-        entries: List[tuple] = []
-        for request in group:
-            rows = request.x
-            if request.arena is not None:
-                request.rows_offset = request.arena.write_request(rows)
-                if request.rows_offset is not None:
-                    rows = (request.rows_offset, rows.shape, str(rows.dtype))
-                else:
-                    _TRANSPORT_FALLBACKS.labels("request_ring_full").inc()
-            entries.append((request.request_id, rows, request.method))
+        """Encode a micro-batch for the worker's request queue, every
+        request's rows inline (the format is
+        :func:`repro.parallel.worker.answer_entry`'s)."""
+        entries = [(request.request_id, request.x, request.method) for request in group]
         if _metrics.enabled:
-            _TRANSPORT_BYTES.labels(self.transport, "request").inc(_wire_nbytes(entries))
+            _REQUEST_BYTES.inc(_wire_nbytes(entries))
         return entries
 
     def _collect_result(self, replies: List[tuple]) -> None:
         """Resolve one dispatch's replies, each result rebuilt from its raw
         bytes into one owned array (a reload's reply carries none)."""
         if _metrics.enabled:
-            _TRANSPORT_BYTES.labels(self.transport, "response").inc(_wire_nbytes(replies))
+            _RESPONSE_BYTES.inc(_wire_nbytes(replies))
         for request_id, proba, error in replies:
             if error is not None:
                 self._resolve(request_id, exception=RuntimeError(error))
@@ -741,16 +675,14 @@ class PoolPredictor(ServingTier):
         return rolled
 
     def _resolve(self, request_id: int, result=None, exception=None) -> None:
-        """Answer a request once — a late reply for one already failed finds
-        nothing — and free its arena region before its client sees it."""
+        """Answer a request once: a late reply for one already failed finds
+        nothing."""
         with self._lock:
             request = self._requests.pop(request_id, None)
             if request is not None and request.worker_id is not None:
                 self._slots[request.worker_id].load -= 1
         if request is None:
             return
-        if request.arena is not None:
-            request.arena.free_request(request.rows_offset)
         if exception is not None:
             request.future.set_exception(exception)
         else:
@@ -823,7 +755,6 @@ class PoolPredictor(ServingTier):
 
     def info(self) -> Dict[str, Any]:
         """JSON-friendly description of the pool (CLI ``serve`` /info)."""
-        arenas = [slot.arena for slot in self._slots]
         return {
             "artifact": str(self.path),
             "approach": self.approach,
@@ -840,9 +771,6 @@ class PoolPredictor(ServingTier):
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_ms,
             "super_learner": self._artifact.has_super_learner,
-            "transport": self.transport,
-            "arena_bytes_per_worker": arenas[0].capacity if arenas[0] is not None else None,
-            "arenas": [arena.stats() if arena is not None else None for arena in arenas],
             "request_latency_seconds": _latency_quantiles(_REQUEST_LATENCY),
         }
 
@@ -850,8 +778,8 @@ class PoolPredictor(ServingTier):
         """Close the pool: the loop ships what is queued, collects what is in
         flight and stops the workers; whatever is still unanswered then fails.
 
-        Idempotent; after it returns no child process, thread or arena of the
-        pool is left.
+        Idempotent; after it returns no child process or thread of the pool
+        is left.
         """
         with self._lock:
             if self._closed:

@@ -83,29 +83,6 @@ def _attach_without_tracking():
         resource_tracker.register = original
 
 
-def create_segment(nbytes: int, tag: str) -> shared_memory.SharedMemory:
-    """Create an owned raw segment under the repro naming convention.
-
-    The caller is the publisher: it must eventually ``close()`` *and*
-    ``unlink()`` the segment (the leak tests sweep ``/dev/shm`` for
-    ``SEGMENT_PREFIX`` residue).  ``tag`` disambiguates segments created by
-    the same process (e.g. per-worker serving arenas).
-    """
-    name = f"{SEGMENT_PREFIX}-{os.getpid()}-{tag}-{secrets.token_hex(4)}"
-    return shared_memory.SharedMemory(create=True, size=max(1, int(nbytes)), name=name)
-
-
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing segment without registering it for tracker cleanup.
-
-    Mirrors the attach side of :class:`AttachedDataset`: the attacher must
-    ``close()`` its mapping on exit but never ``unlink`` — the publisher owns
-    the name.
-    """
-    with _attach_without_tracking():
-        return shared_memory.SharedMemory(name=name)
-
-
 class SharedDataset:
     """Publisher-side handle: arrays copied once into named shared memory."""
 

@@ -71,7 +71,7 @@ def backoff_delay(
 @dataclass
 class Slot:
     """One worker's condition.  Owners subclass it for what else they keep
-    per worker (the serving pool: arena, load, artifact generation)."""
+    per worker (the serving pool: load, artifact generation)."""
 
     worker_id: int
     process: Any = None

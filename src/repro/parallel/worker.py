@@ -50,9 +50,8 @@ process boundary, never in ``fit_task``:
 
 A serving worker answers the dispatches of
 :class:`~repro.parallel.serving.PoolPredictor` entry by entry
-(:func:`answer_entry`): an entry's rows are a reference into the worker's
-shared-memory arena or the array itself, and its probabilities go back as raw
-bytes.
+(:func:`answer_entry`): an entry carries its rows inline, and its
+probabilities go back as raw bytes.
 """
 
 from __future__ import annotations
@@ -62,8 +61,6 @@ import os
 import threading
 from multiprocessing.connection import wait as _mp_wait
 from typing import Callable, Dict, Tuple
-
-import numpy as np
 
 from repro.core.trainer import fit_task
 from repro.faults import fire
@@ -126,21 +123,16 @@ def _run_worker(
         tear_down()
 
 
-def answer_entry(predictor, arena_buf, entry: tuple) -> tuple:
+def answer_entry(predictor, entry: tuple) -> tuple:
     """Answer one entry of a serving dispatch; plain function of its inputs.
 
-    ``entry`` is ``(request_id, rows, method)``; ``rows`` is the array itself
-    or a reference ``(offset, shape, dtype)`` into ``arena_buf`` (the
-    worker's arena mapping), on whose bytes the predictor then runs directly.
-    The reply is ``(request_id, proba, error)``: ``proba`` is ``(shape,
-    dtype, raw bytes)`` — bytes, not an array, so neither side pays numpy's
-    pickle reconstruction — and ``None`` next to an ``error`` string.
+    ``entry`` is ``(request_id, rows, method)``.  The reply is
+    ``(request_id, proba, error)``: ``proba`` is ``(shape, dtype, raw
+    bytes)`` — bytes, not an array, so neither side pays numpy's pickle
+    reconstruction — and ``None`` next to an ``error`` string.
     """
     request_id, rows, method = entry
     try:
-        if isinstance(rows, tuple):
-            offset, shape, dtype = rows
-            rows = np.ndarray(shape, dtype=np.dtype(dtype), buffer=arena_buf, offset=offset)
         proba = predictor.predict_proba(rows, method=method)
         return (request_id, (proba.shape, str(proba.dtype), proba.tobytes()), None)
     except Exception as exc:
@@ -152,7 +144,6 @@ def _serving_worker_main(
     artifact: str,
     method: str,
     batch_size: int,
-    arena_name,
     request_queue,
     result_queue,
 ) -> None:
@@ -160,20 +151,16 @@ def _serving_worker_main(
 
     A dispatch is a list of entries and is answered with ``("result",
     worker_id, replies)``, one :func:`answer_entry` reply per entry.
-    ``arena_name`` is ``None`` for a pool that owns no arena: every entry then
-    arrives inline.  ``("reload", request_id, path)`` swaps the predictor
-    onto another artifact directory in place — between two dispatches, so
-    no answer mixes generations — and is answered like a one-entry dispatch
-    without probabilities; a reload that fails keeps the old one serving.
+    ``("reload", request_id, path)`` swaps the predictor onto another
+    artifact directory in place — between two dispatches, so no answer mixes
+    generations — and is answered like a one-entry dispatch without
+    probabilities; a reload that fails keeps the old one serving.
     """
 
     def set_up():
         from repro.api.predictor import EnsemblePredictor
-        from repro.parallel.shared_data import attach_segment
 
         predictor = EnsemblePredictor.load(artifact, method=method, batch_size=batch_size)
-        arena = attach_segment(arena_name) if arena_name is not None else None
-        arena_buf = arena.buf if arena is not None else None
 
         def handle(item) -> None:
             if isinstance(item, tuple):  # ("reload", request_id, path)
@@ -188,17 +175,10 @@ def _serving_worker_main(
                 # worker with a request group in flight — free when
                 # REPRO_FAULTS is unset.
                 fire("serve", worker=worker_id)
-                replies = [answer_entry(predictor, arena_buf, entry) for entry in item]
+                replies = [answer_entry(predictor, entry) for entry in item]
             result_queue.put(("result", worker_id, replies))
 
-        def tear_down() -> None:
-            if arena is not None:
-                try:
-                    arena.close()
-                except Exception:  # pragma: no cover - views torn down with us
-                    pass
-
-        return handle, tear_down
+        return handle, lambda: None
 
     _run_worker(worker_id, request_queue, result_queue, set_up)
 

@@ -78,7 +78,7 @@ def test_a_consumer_is_one_process(fleet, serial_result):
 
 
 def test_a_consumer_does_not_load_the_serving_pool():
-    """What a fleet-worker imports leaves the pool, the shm transport and the
+    """What a fleet-worker imports leaves the pool, its transport and the
     supervision core (all of ``repro.parallel``) unloaded."""
     code = (
         "import sys, repro.fleet.broker, repro.fleet.consumer; "

@@ -21,11 +21,9 @@ from tests.procs import shm_entries
 def shm_sweep():
     """Assert the test leaves no *new* ``repro-shm`` residue in ``/dev/shm``.
 
-    Snapshot-based rather than demanding an empty directory, because
-    long-lived module fixtures (e.g. a shared serving pool on the shm
-    transport) legitimately hold arena segments for their whole lifetime;
-    only segments the test itself created and failed to clean up count as
-    leaks.
+    Snapshot-based rather than demanding an empty directory, so a segment
+    some other live fixture holds is not blamed on this test; only segments
+    the test itself created and failed to clean up count as leaks.
     """
     before = shm_entries()
     yield

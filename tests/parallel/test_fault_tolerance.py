@@ -31,7 +31,7 @@ import pytest
 from repro.api import load_ensemble_run, run_experiment
 from repro.obs.events import EVENTS_LOGGER_NAME
 from repro.obs.metrics import get_registry
-from tests.procs import assert_serves_the_graph, child_pids, residue, shm_entries
+from tests.procs import child_pids, residue, shm_entries
 
 # Member names produced by the conftest mlp family (count=4, seed=1).
 MEMBERS = ["mlp-base", "mlp-var-001", "mlp-var-002", "mlp-var-003"]
@@ -356,20 +356,30 @@ def test_resume_refused_without_flag(experiment_dict, tmp_path):
 
 
 # --------------------------------------------------------------------------
-# serving pool: hung-worker eviction
+# serving pool: a worker crashed or wedged with a dispatch in flight
 # --------------------------------------------------------------------------
 
 
-def test_serving_pool_evicts_hung_worker(saved_artifact, serial_result, monkeypatch):
+def _wait_until_ok(pool, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while pool.healthz()["status"] != "ok":
+        if time.monotonic() > deadline:
+            pytest.fail(f"pool never recovered: {pool.healthz()}")
+        time.sleep(0.1)
+
+
+def test_serving_pool_evicts_hung_worker(saved_artifact, serial_result, monkeypatch, shm_sweep):
     """A serving worker wedged past ``dispatch_timeout`` is SIGKILLed, its
     in-flight request fails promptly (not after the full request timeout),
-    and the respawned worker serves correct answers again."""
+    and the respawned worker answers bitwise what a single-process predictor
+    answers."""
+    from repro.api import EnsemblePredictor
     from repro.parallel.serving import PoolPredictor
 
     monkeypatch.setenv("REPRO_FAULTS", "serve_hang:times=1:seconds=60")
     hangs_before = _counter("repro_serve_worker_hangs_total")
     x = serial_result.dataset.x_test[:8]
-    expected = serial_result.ensemble.predict(x)
+    expected = EnsemblePredictor.load(saved_artifact).predict_proba(x)
 
     with PoolPredictor(
         saved_artifact,
@@ -387,50 +397,32 @@ def test_serving_pool_evicts_hung_worker(saved_artifact, serial_result, monkeypa
         monkeypatch.delenv("REPRO_FAULTS")
         assert _counter("repro_serve_worker_hangs_total") >= hangs_before + 1
 
-        deadline = time.monotonic() + 60
-        while pool.healthz()["status"] != "ok":
-            if time.monotonic() > deadline:
-                pytest.fail(f"pool never recovered: {pool.healthz()}")
-            time.sleep(0.1)
-        np.testing.assert_array_equal(pool.predict(x), expected)
+        _wait_until_ok(pool)
+        np.testing.assert_array_equal(pool.predict_proba(x), expected)
         assert pool.healthz()["restarts"] >= 1
 
 
-# --------------------------------------------------------------------------
-# serving pool, shm transport: crash/hang with rows in the arena
-# --------------------------------------------------------------------------
-
-
-def _wait_until_ok(pool, timeout=60.0):
-    deadline = time.monotonic() + timeout
-    while pool.healthz()["status"] != "ok":
-        if time.monotonic() > deadline:
-            pytest.fail(f"pool never recovered: {pool.healthz()}")
-        time.sleep(0.1)
-
-
-def test_shm_worker_crash_mid_slot_write_recovers(
+def test_serving_worker_crash_mid_dispatch_recovers(
     saved_artifact, serial_result, monkeypatch, shm_sweep
 ):
-    """SIGKILL the worker while its dispatch's rows sit in an arena region
-    that only the answer would have released.  The pool must fail the
-    request promptly, retire the dead arena (a fresh one for the respawn, no
-    /dev/shm leak) and serve bitwise-correct answers from the respawn."""
+    """SIGKILL the worker while it holds a dispatch: the pool must fail the
+    request promptly, respawn the worker and serve answers bitwise equal to
+    a single-process predictor's from the respawn."""
+    from repro.api import EnsemblePredictor
     from repro.parallel.serving import PoolPredictor
 
     monkeypatch.setenv("REPRO_FAULTS", "serve_crash:times=1")
     x = serial_result.dataset.x_test[:8]
-    expected = serial_result.ensemble.predict_proba(x)
+    expected = EnsemblePredictor.load(saved_artifact).predict_proba(x)
 
     with PoolPredictor(
         saved_artifact,
         workers=1,
-        transport="shm",
         restart_backoff=0.5,
         supervise_interval=0.05,
         request_timeout=120.0,
     ) as pool:
-        first_arena = pool._slots[0].arena
+        first = pool._slots[0].process
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="worker 0"):
             pool.predict_proba(x)
@@ -438,42 +430,38 @@ def test_shm_worker_crash_mid_slot_write_recovers(
         monkeypatch.delenv("REPRO_FAULTS")
 
         _wait_until_ok(pool)
-        info = pool.info()
-        assert info["transport"] == "shm"
-        # The respawn swapped in a fresh arena with nothing reserved — the
-        # region stranded by the crash died with the old one.
-        assert pool._slots[0].arena is not first_arena
-        arena = info["arenas"][0]
-        assert arena["inflight_dispatches"] == 0
-        assert arena["request_used_bytes"] == 0
-        assert_serves_the_graph(pool.predict_proba(x), expected)
+        assert pool._slots[0].process is not first
+        with pool._lock:
+            assert pool._requests == {} and pool._slots[0].load == 0
+        np.testing.assert_array_equal(pool.predict_proba(x), expected)
         assert pool.healthz()["restarts"] >= 1
-    # shm_sweep asserts the retired arena left no /dev/shm residue.
 
 
 def test_shm_worker_hang_mid_slot_write_is_evicted(
     saved_artifact, serial_result, monkeypatch, shm_sweep
 ):
-    """A worker wedged past ``dispatch_timeout`` with rows in its arena is
-    SIGKILLed by the supervisor and replaced — same deadline contract as the
-    pickle path, arena and all."""
+    """A worker wedged past ``dispatch_timeout`` while it holds a dispatch
+    (its rows travel inline in the queue entry; no shared-memory slot is
+    involved) is SIGKILLed by a fast supervisor and replaced: the request
+    fails promptly, the pool keeps no trace of it and the respawn answers
+    bitwise like a single-process predictor."""
+    from repro.api import EnsemblePredictor
     from repro.parallel.serving import PoolPredictor
 
     monkeypatch.setenv("REPRO_FAULTS", "serve_hang:times=1:seconds=60")
     hangs_before = _counter("repro_serve_worker_hangs_total")
     x = serial_result.dataset.x_test[:8]
-    expected = serial_result.ensemble.predict_proba(x)
+    expected = EnsemblePredictor.load(saved_artifact).predict_proba(x)
 
     with PoolPredictor(
         saved_artifact,
         workers=1,
-        transport="shm",
         dispatch_timeout=1.0,
         restart_backoff=0.5,
         supervise_interval=0.05,
         request_timeout=120.0,
     ) as pool:
-        first_arena = pool._slots[0].arena
+        first = pool._slots[0].process
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="worker 0 died"):
             pool.predict_proba(x)
@@ -482,6 +470,8 @@ def test_shm_worker_hang_mid_slot_write_is_evicted(
         assert _counter("repro_serve_worker_hangs_total") >= hangs_before + 1
 
         _wait_until_ok(pool)
-        assert pool._slots[0].arena is not first_arena
-        assert pool.info()["arenas"][0]["request_used_bytes"] == 0
-        assert_serves_the_graph(pool.predict_proba(x), expected)
+        assert pool._slots[0].process is not first
+        with pool._lock:
+            assert pool._requests == {} and pool._slots[0].load == 0
+        np.testing.assert_array_equal(pool.predict_proba(x), expected)
+        assert pool.healthz()["restarts"] >= 1

@@ -167,19 +167,17 @@ def test_swap_to_explicit_generation_and_back(swap_store, refs, shm_sweep):
         pool.close()
 
 
-def test_swap_keeps_every_worker_process_and_arena(swap_store, refs, shm_sweep):
+def test_swap_keeps_every_worker_process(swap_store, refs, shm_sweep):
     """A swap reloads each worker's predictor in place: the same processes
-    on the same arenas serve the new generation, and no segment is made."""
+    serve the new generation, and no segment is made."""
     probe, _, ref1 = refs
     swap_store.promote(0)
     pool = PoolPredictor(swap_store.root, workers=2, max_wait_ms=0.0)
     try:
         pids = pool.info()["worker_pids"]
-        arenas = [slot.arena.name for slot in pool._slots]
         segments = shm_entries()
         assert pool.swap(generation=1)["status"] == "ok"
         assert pool.info()["worker_pids"] == pids
-        assert [slot.arena.name for slot in pool._slots] == arenas
         assert shm_entries() == segments
         np.testing.assert_array_equal(pool.predict_proba(probe[:8]), ref1[:8])
     finally:
@@ -294,7 +292,7 @@ def test_close_during_a_rolling_swap_leaves_nothing_behind(
     try:
         request.start()
         deadline = time.monotonic() + 30
-        while pool.info()["arenas"][0]["inflight_dispatches"] != 1:
+        while pool._slots[0].load != 1:
             assert time.monotonic() < deadline, "request never dispatched"
             time.sleep(0.005)
         swap.start()
@@ -309,6 +307,6 @@ def test_close_during_a_rolling_swap_leaves_nothing_behind(
     assert isinstance(outcome["swap"], RuntimeError), outcome
     np.testing.assert_array_equal(outcome["answer"], ref0[:4])
     # Nothing was spawned once close() had begun: no successor process (the
-    # slot still names the original worker), no arena of one (shm_sweep).
+    # slot still names the original worker), no segment (shm_sweep).
     assert pool.info()["worker_pids"] == pids
     assert [p for p in mp.active_children() if p.name.startswith("repro-serve")] == []

@@ -200,8 +200,7 @@ def test_dead_worker_fails_requests_promptly_without_respawn(
 
 
 def test_pool_close_is_clean_and_final(saved_artifact, serial_result, shm_sweep):
-    # shm_sweep: this predictor's arena segments must be gone after close()
-    # (the module-scoped pool fixture legitimately keeps its own alive).
+    # shm_sweep: the pool leaves no /dev/shm segment behind.
     predictor = PoolPredictor(saved_artifact, workers=2)
     x = serial_result.dataset.x_test[:4]
     predictor.predict(x)

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api import EnsemblePredictor
-from repro.parallel.server import _make_handler, _Server
+from repro.parallel.server import MAX_BODY_BYTES, _make_handler, _Server
 from tests.procs import child_pids, residue, shm_entries
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -218,11 +218,28 @@ def test_non_finite_inputs_are_a_400(request, mode, token, proba):
     assert "finite" in json.loads(excinfo.value.read())["error"]
 
 
-def _http_400s(url, path):
+def _http_replies(url, path, code="400"):
     with urllib.request.urlopen(url + "/metrics", timeout=30) as response:
         page = response.read().decode()
-    sample = f'repro_http_requests_total{{path="{path}",code="400"}} '
+    sample = f'repro_http_requests_total{{path="{path}",code="{code}"}} '
     return sum(float(line[len(sample):]) for line in page.splitlines() if line.startswith(sample))
+
+
+def _head_only_post(url, path, length):
+    """Send a POST head declaring ``Content-Length: length`` and no body; the
+    reply, read until the server hangs up (within 2 s, or the read fails)."""
+    host, port = url[len("http://") :].split(":")
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: {host}\r\nContent-Length: {length}\r\n\r\n".encode()
+        )
+        sock.settimeout(2.0)  # answered promptly, although we never hang up
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return reply  # the server closed the connection
+            reply += chunk
 
 
 @pytest.mark.parametrize("length", ["-1", "many"])
@@ -234,25 +251,34 @@ def test_bad_content_length_is_refused_before_reading(server, path, length):
     without reading, and hang up itself — it cannot know where that body
     ends."""
     _, url = server
-    host, port = url.rsplit("/", 1)[1].split(":")
-    refused_before = _http_400s(url, path)
-    with socket.create_connection((host, int(port)), timeout=30) as sock:
-        sock.sendall(
-            f"POST {path} HTTP/1.1\r\nHost: {host}\r\nContent-Length: {length}\r\n\r\n".encode()
-        )
-        sock.settimeout(2.0)  # answered promptly, although we never hang up
-        reply = b""
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break  # the server closed the connection
-            reply += chunk
+    refused_before = _http_replies(url, path)
+    reply = _head_only_post(url, path, length)
     assert reply.startswith(b"HTTP/1.1 400 "), reply[:80]
     assert b"Content-Length must be" in reply
-    assert _http_400s(url, path) == refused_before + 1
+    assert _http_replies(url, path) == refused_before + 1
     # ...and the next request, on a fresh connection, is served.
     with urllib.request.urlopen(url + "/healthz", timeout=30) as response:
         assert json.loads(response.read())["status"] in ("ok", "degraded")
+
+
+@pytest.mark.parametrize("length", [10**12, MAX_BODY_BYTES + 1])
+@pytest.mark.parametrize("mode", ["pool", "queue"])
+def test_an_oversized_body_is_a_413(request, mode, length):
+    """``rfile.read(n)`` reserves ``n`` bytes before the first one arrives: a
+    ``Content-Length`` of 10**12 used to end in a ``MemoryError`` and an
+    empty reply, and any length that fit was reserved up front.  Past
+    ``MAX_BODY_BYTES`` the server answers 413 without reading the body,
+    hangs up, and goes on serving."""
+    _, url = request.getfixturevalue("server" if mode == "pool" else "queue_server")
+    refused_before = _http_replies(url, "/predict", "413")
+    reply = _head_only_post(url, "/predict", length)
+    assert reply.startswith(b"HTTP/1.1 413 "), reply[:80]
+    assert b"limit" in reply
+    assert _http_replies(url, "/predict", "413") == refused_before + 1
+    with urllib.request.urlopen(url + "/info", timeout=30) as response:
+        shape = json.loads(response.read())["input_shape"]
+    out = _post(url, {"inputs": np.zeros([2] + shape).tolist(), "proba": True})
+    assert len(out["probabilities"]) == 2
 
 
 @pytest.mark.parametrize("body", [b"[1,2,3]", b"3", b'"x"'])
@@ -264,7 +290,7 @@ def test_json_body_that_is_not_an_object_is_a_400(server, path, body):
     the keep-alive connection goes on to serve the next one."""
     _, url = server
     host, port = url[len("http://") :].split(":")
-    refused_before = _http_400s(url, path)
+    refused_before = _http_replies(url, path)
     conn = http.client.HTTPConnection(host, int(port), timeout=30)
     try:
         conn.request("POST", path, body=body, headers={"Content-Type": "application/json"})
@@ -278,7 +304,7 @@ def test_json_body_that_is_not_an_object_is_a_400(server, path, body):
         assert health.status == 200 and json.loads(health.read())["status"] in ("ok", "degraded")
     finally:
         conn.close()
-    assert _http_400s(url, path) == refused_before + 1
+    assert _http_replies(url, path) == refused_before + 1
 
 
 def _timed_post(conn, body):
@@ -631,15 +657,15 @@ def test_serve_shuts_down_cleanly_on_sigterm(saved_artifact):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="procfs + /dev/shm")
 def test_workers_and_arenas_do_not_outlive_a_sigkilled_server(saved_artifact):
     """kill -9 the server: it runs no cleanup, so its pool workers must notice
-    the parent is gone and leave — and with them gone the resource tracker
-    unlinks both arenas.  Left to themselves they would sit in
-    ``request_queue.get()`` under PID 1 forever, pinning ``/dev/shm``."""
+    the parent is gone and leave.  Left to themselves they would sit in
+    ``request_queue.get()`` under PID 1 forever.  The pool ships rows inline:
+    no ``repro-shm`` entry appears at any point."""
     shm_before = shm_entries()
     proc, banner = _spawn_serve(saved_artifact)
     try:
         with urllib.request.urlopen(banner["url"] + "/info", timeout=30) as response:
             worker_pids = json.loads(response.read())["worker_pids"]
-        assert len(worker_pids) == 2 and len(shm_entries() - shm_before) == 2
+        assert len(worker_pids) == 2 and shm_entries() == shm_before
         children = child_pids(proc.pid)
         assert set(worker_pids) < set(children)  # the resource tracker is the third
         proc.kill()
