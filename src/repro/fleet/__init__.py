@@ -6,7 +6,8 @@ at-least-once job broker:
 * **front** (:class:`~repro.fleet.front.FleetFront`) — validates requests,
   publishes prediction jobs, resolves result futures, is consumer 0 itself
   (``front-0``, a consumer thread on the broker object: no socket hop), and
-  manages and autoscales the other consumers as local subprocesses;
+  manages and autoscales the other consumers as local subprocesses — all
+  from one loop thread, which also drives the broker's clocks;
 * **broker** (:class:`~repro.fleet.broker.InProcBroker`) — one bounded
   FIFO queue any consumer leases the oldest job from, visibility-timeout
   redelivery when a consumer dies mid-job; served cross-process via

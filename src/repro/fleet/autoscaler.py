@@ -20,13 +20,13 @@ The class is deliberately mechanism-free: it reads signals through a
 callable and acts through ``scale_up``/``scale_down`` callbacks, with an
 injectable clock — :meth:`tick` is therefore unit-testable with synthetic
 bursts, and the serving front wires the same object to its real broker and
-consumer manager.  :meth:`start` runs the tick on a background thread.
+consumer manager.  It runs no thread: the front's one loop calls :meth:`tick`
+every ``interval`` seconds.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
@@ -69,7 +69,8 @@ class Autoscaler:
     per-consumer backlog exceeds ``up_queue_depth`` *or* the windowed p99
     exceeds ``up_p99_seconds``; scale-down requires the backlog at or below
     ``down_queue_depth`` *and* the p99 below ``down_p99_seconds`` (an empty
-    window counts as cold).  One action per tick, never inside the cooldown.
+    window counts as cold).  One action per tick, never inside the cooldown;
+    ``interval`` is how often the owner ticks it.
     """
 
     def __init__(
@@ -116,8 +117,6 @@ class Autoscaler:
         # Cold start: allow an action on the very first tick.
         self._last_action_at: Optional[float] = None
         self._last_action: Optional[str] = None
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------ core
     def tick(self) -> Optional[str]:
@@ -183,23 +182,3 @@ class Autoscaler:
             "down_p99_seconds": self.down_p99_seconds,
             "last_action": self._last_action,
         }
-
-    # ------------------------------------------------------------- lifecycle
-    def start(self) -> "Autoscaler":
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-fleet-autoscale", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.tick()
-            except Exception:  # pragma: no cover - scaler must survive
-                logger.exception("autoscaler tick failed")
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=10)

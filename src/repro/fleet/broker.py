@@ -37,10 +37,12 @@ while work waits.  Consumers that stop calling in (no lease/ack within
 consumer from a busy one.  A reaped consumer that was merely slow
 re-attaches implicitly on its next lease call.
 
-The background sweeper thread drives both clocks (lease expiry, consumer
-expiry); everything else happens inside the calling thread under one broker
-lock — call rates are request-scale, not row-scale, so a single lock is
-plenty.
+The broker is passive: it starts no thread.  Its owner drives both clocks
+(lease expiry, consumer expiry) by calling :meth:`InProcBroker.sweep`
+periodically — the front's one loop does, every ``reconcile_interval`` — the
+way the serving pool's loop drives its ``SlotTable``.  Everything happens
+inside the calling thread under one broker lock — call rates are
+request-scale, not row-scale, so a single lock is plenty.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import secrets
 import socket
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from multiprocessing.managers import BaseManager
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -150,7 +152,6 @@ class InProcBroker:
         visibility_timeout: float = 30.0,
         max_deliveries: int = 5,
         consumer_deadline: Optional[float] = None,
-        sweep_interval: float = 0.2,
         partitions: int = 1,
     ):
         # Accepted only as 1 because benchmarks/e2e/probes.py passes it; the
@@ -180,13 +181,15 @@ class InProcBroker:
         self._queue: Deque[Job] = deque()
         self._inflight: Dict[str, _Lease] = {}
         # Jobs acked (or failed) whose CompletedJob the front has not drained
-        # yet, in completion order; _finished_ids dedupes late acks and makes
-        # lease() drop requeued duplicates of already-completed jobs.
+        # yet, in completion order; _finished_ids (job id -> finish time, in
+        # completion order too, so a sweep pops stale ids off its front)
+        # dedupes late acks and makes lease() drop requeued duplicates of
+        # already-completed jobs.
         self._completed: Deque[CompletedJob] = deque()
-        self._finished_ids: Dict[str, float] = {}
+        self._finished_ids: "OrderedDict[str, float]" = OrderedDict()
         # consumer_id -> last time it called in, in attach order.
         self._consumers: Dict[str, float] = {}
-        # Consumers the sweeper detached for silence, until take_reaped().
+        # Consumers a sweep detached for silence, until take_reaped().
         self._reaped: List[str] = []
         self._redeliveries = 0
         # Control channel: one monotonically-increasing revision, the latest
@@ -197,14 +200,7 @@ class InProcBroker:
         self._control_command: Optional[Dict[str, Any]] = None
         self._control_acks: Dict[str, Dict[str, Any]] = {}
         self._closed = False
-
-        self._sweeper = threading.Thread(
-            target=self._sweep_loop,
-            args=(float(sweep_interval),),
-            name="repro-fleet-broker-sweep",
-            daemon=True,
-        )
-        self._sweeper.start()
+        self._woken = False
 
     # -------------------------------------------------------------- producer
     def publish(self, payload: Any, job_id: Optional[str] = None) -> str:
@@ -475,70 +471,72 @@ class InProcBroker:
 
     # ----------------------------------------------------------------- front
     def poll_completed(self, timeout: float = 0.2) -> List[CompletedJob]:
-        """Drain finished jobs (the front's result loop calls this)."""
+        """Drain finished jobs, waiting up to ``timeout`` for the first one
+        or a :meth:`wake` (the front's loop calls this)."""
         deadline = time.monotonic() + max(0.0, float(timeout))
         with self._cond:
-            while not self._completed and not self._closed:
+            while not self._completed and not self._closed and not self._woken:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 self._cond.wait(min(remaining, 0.25))
+            self._woken = False
             drained = list(self._completed)
             self._completed.clear()
             return drained
 
-    # --------------------------------------------------------------- sweeper
-    def _sweep_loop(self, interval: float) -> None:
-        while True:
-            time.sleep(interval)
-            with self._cond:
-                if self._closed:
-                    return
-                try:
-                    self._sweep_locked(time.monotonic())
-                except Exception:  # pragma: no cover - sweeper must survive
-                    logger.exception("broker sweep failed")
+    def wake(self) -> None:
+        """End the current (or the next) :meth:`poll_completed` wait now."""
+        with self._cond:
+            self._woken = True
+            self._cond.notify_all()
 
-    def _sweep_locked(self, now: float) -> None:
-        # 1. Expired leases: the consumer holding the job is presumed dead
-        #    (or wedged past the visibility window); redeliver.
-        expired = [
-            lease for lease in self._inflight.values() if now > lease.deadline
-        ]
-        for lease in expired:
-            del self._inflight[lease.job.job_id]
-            self._redeliveries += 1
-            _REDELIVERIES.inc()
-            logger.warning(
-                "job %s visibility timeout expired on consumer %s (delivery %d); "
-                "redelivering",
-                lease.job.job_id,
-                lease.consumer_id,
-                lease.job.deliveries,
-            )
-            log_event(
-                "fleet.job_redelivered",
-                job=lease.job.job_id,
-                consumer=lease.consumer_id,
-                deliveries=lease.job.deliveries,
-            )
-            self._requeue(lease.job, error="visibility timeout expired")
-        # 2. Silent consumers: detach them (the front kills and replaces
-        #    its own through take_reaped).
-        for consumer_id, last_seen in list(self._consumers.items()):
-            if now - last_seen > self.consumer_deadline:
+    # ----------------------------------------------------------------- clocks
+    def sweep(self) -> None:
+        """Advance both clocks once: redeliver expired leases, detach silent
+        consumers, forget finished ids past any duplicate.  The broker runs no
+        thread; its owner calls this every few tenths of a second."""
+        with self._cond:
+            if self._closed:
+                return
+            now = time.monotonic()
+            # 1. Expired leases: the consumer holding the job is presumed dead
+            #    (or wedged past the visibility window); redeliver.
+            expired = [lease for lease in self._inflight.values() if now > lease.deadline]
+            for lease in expired:
+                del self._inflight[lease.job.job_id]
+                self._redeliveries += 1
+                _REDELIVERIES.inc()
                 logger.warning(
-                    "consumer %s silent for %.1fs; detaching it",
-                    consumer_id,
-                    now - last_seen,
+                    "job %s visibility timeout expired on consumer %s (delivery %d); "
+                    "redelivering",
+                    lease.job.job_id,
+                    lease.consumer_id,
+                    lease.job.deliveries,
                 )
-                self._detach_locked(consumer_id, reason="deadline")
-        # 3. Prune the finished-id dedupe set: anything older than one full
-        #    delivery cycle can no longer have a duplicate in flight.
-        horizon = now - (self.max_deliveries + 1) * self.visibility_timeout
-        for job_id, finished_at in list(self._finished_ids.items()):
-            if finished_at < horizon:
-                del self._finished_ids[job_id]
+                log_event(
+                    "fleet.job_redelivered",
+                    job=lease.job.job_id,
+                    consumer=lease.consumer_id,
+                    deliveries=lease.job.deliveries,
+                )
+                self._requeue(lease.job, error="visibility timeout expired")
+            # 2. Silent consumers: detach them (the front kills and replaces
+            #    its own through take_reaped).
+            for consumer_id, last_seen in list(self._consumers.items()):
+                if now - last_seen > self.consumer_deadline:
+                    logger.warning(
+                        "consumer %s silent for %.1fs; detaching it",
+                        consumer_id,
+                        now - last_seen,
+                    )
+                    self._detach_locked(consumer_id, reason="deadline")
+            # 3. Prune the finished-id dedupe set: anything older than one full
+            #    delivery cycle can no longer have a duplicate in flight.  It is
+            #    in completion order, so the stale ids are a prefix.
+            horizon = now - (self.max_deliveries + 1) * self.visibility_timeout
+            while self._finished_ids and next(iter(self._finished_ids.values())) < horizon:
+                self._finished_ids.popitem(last=False)
 
     # ------------------------------------------------------------- introspection
     def _set_depth(self) -> None:
@@ -577,7 +575,7 @@ class InProcBroker:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Fail everything still queued/in flight and stop the sweeper."""
+        """Fail everything still queued or in flight."""
         with self._cond:
             if self._closed:
                 return
@@ -620,21 +618,26 @@ def serve_broker(
     """Expose ``broker`` on ``host:port`` (0 picks an ephemeral port).
 
     Returns ``((host, port), stop)`` — ``stop()`` shuts the listener down.
-    The server threads are daemons; ``authkey`` must match what consumers
-    pass to :func:`connect_broker` (loopback + shared key is the intended
-    deployment; put a real transport in front of it for untrusted networks).
+    One daemon thread, ``repro-fleet-broker-accept``, accepts connections
+    (plus one per connection serving its calls); ``authkey`` must match what
+    consumers pass to :func:`connect_broker` (loopback + shared key is the
+    intended deployment; put a real transport in front of it for untrusted
+    networks).
     """
     server = _BrokerManager(address=(host, int(port)), authkey=authkey.encode()).get_server()
     # The class registers the typeid once; *which* broker a server hands out
     # is that server's own, so two fronts in one process never share one.
     server.registry = {"get_broker": (lambda: broker, *server.registry["get_broker"][1:])}
+    # Set by serve_forever, which is not run: it only waits on a thread of
+    # its own, and on its way out points sys.stdout / sys.stderr back at
+    # sys.__stdout__ / sys.__stderr__, replacing the caller's streams.
+    server.stop_event = threading.Event()
 
-    def _accept_until_stopped() -> None:
+    def accept_until_stopped() -> None:
         # The stdlib accepter, except that it ends with the server: that one
         # retries accept() forever (its process is expected to exit), and on
         # our closed listener that is a busy loop convoying the GIL for every
         # other thread of a process that lives on.
-        threading.current_thread().name = "repro-fleet-broker-accept"
         while not server.stop_event.is_set():
             try:
                 conn = server.listener.accept()
@@ -642,27 +645,12 @@ def serve_broker(
                 continue
             threading.Thread(target=server.handle_request, args=(conn,), daemon=True).start()
 
-    server.accepter = _accept_until_stopped
-
-    def _serve() -> None:
-        try:
-            server.serve_forever()
-        except SystemExit:
-            # serve_forever leaves via sys.exit(0) when the stop event is
-            # set; in our daemon thread that is a clean shutdown, not an
-            # error worth propagating.
-            pass
-
-    thread = threading.Thread(
-        target=_serve, name="repro-fleet-broker-server", daemon=True
-    )
-    thread.start()
+    threading.Thread(
+        target=accept_until_stopped, name="repro-fleet-broker-accept", daemon=True
+    ).start()
 
     def stop() -> None:
-        try:
-            server.stop_event.set()
-        except AttributeError:  # pragma: no cover - stdlib internals moved
-            pass
+        server.stop_event.set()
         # Closing a listener does not wake a thread blocked in accept() on
         # it; one throwaway connection does.
         try:

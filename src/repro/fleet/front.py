@@ -1,30 +1,35 @@
 """Queue-backed serving front: publish prediction jobs, collect results.
 
 :class:`FleetFront` is what ``repro serve --mode queue`` builds instead of a
-local :class:`~repro.parallel.serving.PoolPredictor`.  It owns:
+local :class:`~repro.parallel.serving.PoolPredictor`.  It owns three threads:
 
-* the **broker** (:class:`~repro.fleet.broker.InProcBroker`), served over a
+* ``repro-fleet-broker-accept``, serving the passive (threadless)
+  :class:`~repro.fleet.broker.InProcBroker` over a
   ``multiprocessing.managers`` socket so `repro fleet-worker` processes on
-  this or other hosts can attach;
-* a **result loop** that drains completed jobs, resolves waiting futures,
-  observes the end-to-end job latency histogram and stores results for the
-  poll API (``/result/<id>``) — the consumers' shipped ``repro.obs``
-  deltas are merged by the broker, in this process, as they arrive;
+  this or other hosts can attach — their shipped ``repro.obs`` deltas are
+  merged by the broker, in this process, as they arrive;
 * **consumer 0**, ``front-0``: an ordinary
-  :class:`~repro.fleet.consumer.FleetConsumer` on a thread of this process,
-  leasing from the broker *object* — no pickling, no socket hop, no process
-  to boot.  It shares the front's metrics registry, so it ships no deltas;
-* a **local consumer manager** that keeps the other ``desired - 1``
-  consumers running as subprocesses (``repro fleet-worker`` against the
-  loopback broker address) — reconciling every ``reconcile_interval``: dead
-  consumers are respawned, wedged ones (reaped by the broker) are SIGKILLed
-  first, surplus ones are SIGTERMed and drain gracefully.  A wedged
-  ``front-0`` cannot be killed: it is *retired* (stopped from leasing,
-  detached; a late ack is a dropped duplicate) and a subprocess takes its
-  place under the same spawn backoff;
-* the **autoscaler** (:class:`~repro.fleet.autoscaler.Autoscaler`) steering
-  ``desired`` — ``front-0`` included — between ``min_consumers`` and
-  ``max_consumers`` from queue depth and windowed p99 job latency.
+  :class:`~repro.fleet.consumer.FleetConsumer` leasing from the broker
+  *object* — no pickling, no socket hop, no process to boot.  It shares the
+  front's metrics registry, so it ships no deltas;
+* **one loop**, ``repro-fleet-loop``, built like the serving pool's
+  ``repro-serve-loop``: it waits in the broker's ``poll_completed`` until
+  the next step is due and resolves completed jobs' futures (observing the
+  job latency histogram, keeping results for ``/result/<id>``).  Every
+  ``reconcile_interval`` it sweeps the broker (lease and consumer expiry),
+  expires unfetched results and reconciles the consumers; every
+  ``autoscale_interval`` it ticks the
+  :class:`~repro.fleet.autoscaler.Autoscaler`, which steers ``desired`` —
+  ``front-0`` included — between ``min_consumers`` and ``max_consumers``.
+  A step that raises is logged; delivery goes on.
+
+Only the loop spawns, kills and drains the other ``desired - 1`` consumers,
+``repro fleet-worker`` subprocesses on the loopback broker address: dead
+ones are respawned, wedged ones (reaped by the broker) SIGKILLed first,
+surplus ones SIGTERMed to drain; ``close()`` has the loop drain them all, so
+it cannot race a spawn.  A wedged ``front-0`` cannot be killed: it is
+*retired* (stopped from leasing, detached; a late ack is a dropped
+duplicate) and a subprocess takes its place under the same spawn backoff.
 
 Client calls (`submit` / `result` / `predict_proba`) are thread-safe; each
 blocks only on its own job's future.  Results are bitwise identical to a
@@ -44,13 +49,13 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.artifact_store import ServedArtifact, ServingTier
 from repro.fleet.autoscaler import Autoscaler, AutoscaleSignals
-from repro.fleet.broker import InProcBroker, serve_broker
+from repro.fleet.broker import CompletedJob, InProcBroker, serve_broker
 from repro.fleet.consumer import FleetConsumer
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry, quantile_from_counts
@@ -66,7 +71,7 @@ _JOB_LATENCY = _metrics.histogram(
 
 __all__ = ["FleetFront"]
 
-#: How long a completed result waits to be fetched before the sweep drops it.
+#: How long a completed result waits to be fetched before the loop drops it.
 RESULT_TTL = 120.0
 #: How long ``result`` / ``predict_proba`` wait when the caller names no timeout.
 REQUEST_TIMEOUT = 300.0
@@ -128,7 +133,7 @@ class FleetFront(ServingTier):
         host: str = "127.0.0.1",
         fleet_port: int = 0,
         fleet_authkey: str = "repro-fleet",
-        reconcile_interval: float = 0.5,
+        reconcile_interval: float = 0.2,
         log_format: Optional[str] = None,
         log_file: Optional[Union[str, Path]] = None,
     ):
@@ -148,10 +153,10 @@ class FleetFront(ServingTier):
         self._log_format = log_format
         self._log_file = log_file
         self._fleet_authkey = fleet_authkey
+        self._reconcile_interval = float(reconcile_interval)
 
         self._lock = threading.Lock()
         self._entries: Dict[str, _JobEntry] = {}
-        self._stop = threading.Event()
         self._local: List[_LocalConsumer] = []
         self._desired = self.min_consumers if self.spawn_local else 0
         self._spawned = 0
@@ -160,18 +165,16 @@ class FleetFront(ServingTier):
         self._spawn_failures = 0
         self._spawn_hold = 0.0
         self._latency_window_counts = _JOB_LATENCY.bucket_counts()
-        # Everything close() stops, absent until started.
+        # What close() stops: absent, or not started, until the constructor starts it.
         self.broker: Optional[InProcBroker] = None
         self._stop_broker_server = None
-        self._result_thread: Optional[threading.Thread] = None
         self._front_consumer: Optional[FleetConsumer] = None
-        self._reconcile_thread: Optional[threading.Thread] = None
-        self.autoscaler: Optional[Autoscaler] = None
+        self._loop = threading.Thread(target=self._run, name="repro-fleet-loop", daemon=True)
 
-        # Built (and so validated) before anything starts; started last.
-        autoscaler = None
+        # Built (and so validated) before anything starts.
+        self.autoscaler: Optional[Autoscaler] = None
         if self.spawn_local and autoscale and self.max_consumers > self.min_consumers:
-            autoscaler = Autoscaler(
+            self.autoscaler = Autoscaler(
                 min_consumers=self.min_consumers,
                 max_consumers=self.max_consumers,
                 get_signals=self._signals,
@@ -189,14 +192,12 @@ class FleetFront(ServingTier):
             self.broker_address, self._stop_broker_server = serve_broker(
                 self.broker, host=host, port=fleet_port, authkey=fleet_authkey
             )
-            self._result_thread = threading.Thread(
-                target=self._result_loop, name="repro-fleet-results", daemon=True
-            )
-            self._result_thread.start()
             if self.spawn_local:
                 # Consumer 0: this process's own lane on the broker object.
                 # It shares this registry, so it must never ship
-                # snapshot-and-reset deltas (math.inf: it never does).
+                # snapshot-and-reset deltas (math.inf: it never does).  Built
+                # (its predictor loaded) before the loop starts, so the loop
+                # counts it from its first reconcile; it starts leasing last.
                 self._front_consumer = FleetConsumer(
                     self.broker,
                     self.path,
@@ -204,16 +205,10 @@ class FleetFront(ServingTier):
                     method=self.method,
                     batch_size=self.batch_size,
                     metrics_interval=math.inf,
-                ).start()
-                self._reconcile_thread = threading.Thread(
-                    target=self._reconcile_loop,
-                    args=(float(reconcile_interval),),
-                    name="repro-fleet-reconcile",
-                    daemon=True,
                 )
-                self._reconcile_thread.start()
-            if autoscaler is not None:
-                self.autoscaler = autoscaler.start()
+            self._loop.start()
+            if self._front_consumer is not None:
+                self._front_consumer.start()
         except BaseException:
             self.close()
             raise
@@ -263,7 +258,9 @@ class FleetFront(ServingTier):
         if entry is None:
             raise KeyError(f"unknown job id {job_id!r}")
         try:
-            result = entry.future.result(timeout=timeout or REQUEST_TIMEOUT)
+            result = entry.future.result(
+                timeout=REQUEST_TIMEOUT if timeout is None else timeout
+            )
         finally:
             with self._lock:
                 self._entries.pop(job_id, None)
@@ -293,28 +290,53 @@ class FleetFront(ServingTier):
         """Synchronous publish-and-wait; bitwise equal to the pool path."""
         return self.result(self.submit(x, method=method), timeout=timeout)
 
-    # ------------------------------------------------------------ result loop
-    def _result_loop(self) -> None:
-        while not self._stop.is_set():
-            completed = self.broker.poll_completed(timeout=0.2)
-            now = time.monotonic()
-            for job in completed:
-                _JOB_LATENCY.observe(max(0.0, now - job.enqueued))
-                with self._lock:
-                    entry = self._entries.get(job.job_id)
-                    if entry is None:
-                        continue
-                    entry.done = True
-                    entry.result = job.result
-                    entry.error = job.error
-                    entry.expires = now + RESULT_TTL
-                if job.error is not None:
-                    entry.future.set_exception(RuntimeError(job.error))
-                else:
-                    entry.future.set_result(job.result)
-            self._sweep_entries(now)
+    # --------------------------------------------------------------- the loop
+    def _run(self) -> None:
+        """The front's one thread: deliver completed jobs as they arrive and
+        run each housekeeping step when it is due — and once the front is
+        closed, drain the consumers and deliver what they answered."""
+        steps: List[Tuple[Callable[[], Any], float]] = [
+            (self.broker.sweep, self._reconcile_interval),
+            (self._expire_results, self._reconcile_interval),
+        ]
+        if self.spawn_local:
+            steps.append((self._reconcile, self._reconcile_interval))
+        if self.autoscaler is not None:
+            steps.append((self.autoscaler.tick, self.autoscaler.interval))
+        due = [0.0] * len(steps)
+        try:
+            while not self._closed:
+                now = time.monotonic()
+                for index, (step, interval) in enumerate(steps):
+                    if now >= due[index]:
+                        due[index] = now + interval
+                        try:
+                            step()
+                        except Exception:
+                            logger.exception("fleet front step %s failed", step.__name__)
+                self._deliver(self.broker.poll_completed(timeout=min(due) - time.monotonic()))
+        finally:
+            self._shut_down()
 
-    def _sweep_entries(self, now: float) -> None:
+    def _deliver(self, completed: List[CompletedJob]) -> None:
+        now = time.monotonic()
+        for job in completed:
+            _JOB_LATENCY.observe(max(0.0, now - job.enqueued))
+            with self._lock:
+                entry = self._entries.get(job.job_id)
+                if entry is None:
+                    continue
+                entry.done = True
+                entry.result = job.result
+                entry.error = job.error
+                entry.expires = now + RESULT_TTL
+            if job.error is not None:
+                entry.future.set_exception(RuntimeError(job.error))
+            else:
+                entry.future.set_result(job.result)
+
+    def _expire_results(self) -> None:
+        now = time.monotonic()
         with self._lock:
             expired = [
                 job_id
@@ -323,6 +345,30 @@ class FleetFront(ServingTier):
             ]
             for job_id in expired:
                 del self._entries[job_id]
+
+    def _shut_down(self) -> None:
+        """Drain the local consumers — the subprocesses on SIGTERM while
+        ``front-0`` finishes its job — close the broker (failing whatever is
+        left) and deliver the last answers.  A retired ``front-0`` thread is
+        not waited for."""
+        with self._lock:
+            local, self._local = self._local, []
+            front, self._front_consumer = self._front_consumer, None
+        for consumer in local:
+            if consumer.process.poll() is None:
+                consumer.process.send_signal(signal.SIGTERM)
+        if front is not None:
+            front.close()  # drains while the subprocesses drain
+        deadline = time.monotonic() + 60.0
+        for consumer in local:
+            remaining = max(0.1, deadline - time.monotonic())
+            try:
+                consumer.process.wait(timeout=remaining)
+            except subprocess.TimeoutExpired:  # pragma: no cover - wedged drain
+                consumer.process.kill()
+                consumer.process.wait(timeout=10)
+        self.broker.close()
+        self._deliver(self.broker.poll_completed(timeout=0.0))
 
     # ------------------------------------------------------ local consumers
     def _spawn_consumer(self) -> _LocalConsumer:
@@ -361,13 +407,6 @@ class FleetFront(ServingTier):
         log_event("fleet.consumer_spawned", consumer=consumer_id, pid=process.pid)
         logger.info("spawned local consumer %s (pid %d)", consumer_id, process.pid)
         return _LocalConsumer(consumer_id=consumer_id, process=process)
-
-    def _reconcile_loop(self, interval: float) -> None:
-        while not self._stop.wait(interval):
-            try:
-                self._reconcile()
-            except Exception:  # pragma: no cover - manager must survive
-                logger.exception("consumer reconcile failed")
 
     def _reconcile(self) -> None:
         now = time.monotonic()
@@ -444,9 +483,6 @@ class FleetFront(ServingTier):
                     self._hold_spawns(time.monotonic())
                 raise
             with self._lock:
-                if self._closed:
-                    consumer.process.terminate()
-                    return
                 self._local.append(consumer)
 
     def _hold_spawns(self, now: float) -> None:
@@ -604,37 +640,16 @@ class FleetFront(ServingTier):
         """Stop scaling, drain local consumers, fail anything unresolved.
 
         Also what a constructor that raises calls: it stops whatever had
-        started.  A retired ``front-0`` thread is not waited for."""
+        started.  The loop does the draining, woken at once."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
-        self._stop.set()
-        if self._reconcile_thread is not None:
-            self._reconcile_thread.join(timeout=10)
-        with self._lock:
-            local = list(self._local)
-            self._local = []
-            front, self._front_consumer = self._front_consumer, None
-        for consumer in local:
-            if consumer.process.poll() is None:
-                consumer.process.send_signal(signal.SIGTERM)
-        if front is not None:
-            front.close()  # drains while the subprocesses drain
-        deadline = time.monotonic() + 60.0
-        for consumer in local:
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                consumer.process.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:  # pragma: no cover - wedged drain
-                consumer.process.kill()
-                consumer.process.wait(timeout=10)
-        if self.broker is not None:
-            self.broker.close()
-        if self._result_thread is not None:
-            self._result_thread.join(timeout=10)
+        if self._loop.is_alive():
+            self.broker.wake()
+            self._loop.join()
+        elif self.broker is not None:
+            self._shut_down()
         if self._stop_broker_server is not None:
             self._stop_broker_server()
         with self._lock:

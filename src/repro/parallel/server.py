@@ -46,9 +46,10 @@ Endpoints
   ``{"generation": N}`` pins an explicit generation.  Every serving lane
   reloads its predictor in place between two answers — pool workers one at
   a time, fleet consumers on a broker control message they acknowledge.
-  ``400`` for a malformed body, an unknown generation or one whose shapes
-  differ; ``409`` while another swap is in progress; ``500`` when the swap
-  could not be carried out (it was rolled back: the old generation serves).
+  ``400`` for a malformed body, a generation that is not a JSON integer, an
+  unknown generation or one whose shapes differ; ``409`` while another swap
+  is in progress; ``500`` when the swap could not be carried out (it was
+  rolled back: the old generation serves).
 
 Each HTTP connection is handled on its own thread
 (``ThreadingHTTPServer``); the pool's loop coalesces concurrent
@@ -286,8 +287,10 @@ def _make_handler(pool, mode: str, started_at: float):
             try:
                 body = _json_object(raw)
                 generation = body.get("generation")
-                if generation is not None:
-                    generation = int(generation)
+                # int() would make true and 1.7 generation 1 (a JSON true is
+                # a bool, an int subclass).
+                if generation is not None and type(generation) is not int:
+                    raise ValueError(f'"generation" must be an integer, got {generation!r}')
                 summary = pool.swap(generation=generation)
             except (json.JSONDecodeError, TypeError, ValueError, FileNotFoundError) as exc:
                 self._reply(400, {"error": str(exc)})

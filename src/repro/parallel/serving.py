@@ -714,7 +714,9 @@ class PoolPredictor(ServingTier):
                     raise RuntimeError("PoolPredictor closed")
                 self._requests[request.request_id] = request
             self._inbox.put(("request", None, request))
-            result = request.future.result(timeout=timeout or self.request_timeout)
+            result = request.future.result(
+                timeout=self.request_timeout if timeout is None else timeout
+            )
         except BaseException:
             _REQUESTS_ERROR.inc()
             raise

@@ -9,8 +9,13 @@ chaos, and CLI tests all serve it (and compare against the single-process
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.api import run_experiment, save_ensemble_run
+
+# CI's fleet-smoke job runs test_broker_model.py under this profile: ten times
+# the examples of a plain run (its MAX_EXAMPLES).
+settings.register_profile("broker-model-10x", max_examples=3000)
 
 
 def fleet_experiment_dict(**overrides):

@@ -1,13 +1,16 @@
 """Unit tests for the in-process one-queue broker: delivery semantics,
-lease order across consumers, redelivery clocks, and the cross-process
-manager."""
+lease order across consumers, redelivery clocks (driven by explicit
+``sweep()`` calls on an injected clock: the broker runs no thread), and the
+cross-process manager."""
 
 import sys
 import threading
 import time
+import types
 
 import pytest
 
+from repro.fleet import broker as broker_module
 from repro.fleet.broker import (
     BrokerFull,
     InProcBroker,
@@ -16,26 +19,43 @@ from repro.fleet.broker import (
 )
 
 
+class _Clock:
+    """The broker's clock, ``offset`` seconds ahead of the real one: a test
+    moves it forward by hand, and a blocking wait still ends."""
+
+    def __init__(self):
+        self.offset = 0.0
+
+    def monotonic(self):
+        return time.monotonic() + self.offset
+
+    def advance(self, seconds):
+        self.offset += seconds
+
+
 @pytest.fixture
-def broker():
+def clock(monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr(broker_module, "time", types.SimpleNamespace(monotonic=clock.monotonic))
+    return clock
+
+
+@pytest.fixture
+def broker(clock):
     b = InProcBroker(
         capacity=32,
-        visibility_timeout=0.4,
+        visibility_timeout=10.0,
         max_deliveries=3,
         consumer_deadline=30.0,
-        sweep_interval=0.05,
     )
     yield b
     b.close()
 
 
-def _wait_for(predicate, timeout=10.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
+def _expire_leases(broker, clock):
+    """Move past the visibility window and sweep: every lease runs out."""
+    clock.advance(broker.visibility_timeout + 1.0)
+    broker.sweep()
 
 
 def test_publish_lease_ack_roundtrip(broker):
@@ -54,7 +74,7 @@ def test_publish_lease_ack_roundtrip(broker):
     assert done[0].deliveries == 1
 
 
-def test_publish_round_robins_partitions(broker):
+def test_jobs_lease_in_publish_order_whoever_asks(broker):
     """Jobs are leased in publish order, whichever consumer asks."""
     published = [broker.publish({"i": i}) for i in range(6)]
     askers = ["c1", "c2", "c3", "c3", "c1", "c2"]
@@ -77,7 +97,7 @@ def test_broker_full_backpressure(broker):
     broker.publish({})  # no longer raises
 
 
-def test_attach_rebalances_round_robin(broker):
+def test_attach_and_detach_update_the_consumer_list(broker):
     """Attach and detach change the consumers list; a consumer that just
     attached leases at once."""
     broker.attach("c1")
@@ -139,14 +159,19 @@ def test_lease_attaches_unknown_consumer_implicitly(broker):
     assert broker.consumer_count() == 1
 
 
-def test_visibility_timeout_redelivers_unacked_job(broker):
+def test_visibility_timeout_redelivers_unacked_job(broker, clock):
     broker.attach("c1")
     job_id = broker.publish({"n": 1})
     first = broker.lease("c1", timeout=1.0)
     assert first.deliveries == 1
-    # Never ack: the sweeper must requeue it after the visibility window.
-    assert _wait_for(lambda: broker.redeliveries() >= 1)
-    second = broker.lease("c1", timeout=2.0)
+    # Never acked: a sweep inside the visibility window keeps the lease, the
+    # first one past it requeues the job.
+    clock.advance(broker.visibility_timeout / 2)
+    broker.sweep()
+    assert broker.redeliveries() == 0 and broker.stats()["inflight"] == 1
+    _expire_leases(broker, clock)
+    assert broker.redeliveries() == 1
+    second = broker.lease("c1", timeout=0.0)
     assert second is not None
     assert second.job_id == job_id
     assert second.deliveries == 2
@@ -188,40 +213,37 @@ def test_concurrent_consumers_complete_every_job_once():
         broker.close()
 
 
-def test_dead_consumer_partitions_reassigned_to_survivor():
+def test_a_dead_consumers_job_goes_to_the_survivor_and_the_dead_one_is_reaped(clock):
     """A dead consumer's in-flight job redelivers to the survivor, and the
     dead one is reaped; its queued jobs were never its own."""
-    broker = InProcBroker(
-        visibility_timeout=0.3,
-        consumer_deadline=0.5,
-        sweep_interval=0.05,
-    )
+    broker = InProcBroker(visibility_timeout=3.0, consumer_deadline=5.0)
     try:
         broker.attach("dead")
         broker.attach("alive")
-        published = {broker.publish({"i": i}) for i in range(8)}
-        # "dead" leases one job and never calls in again: its in-flight job
-        # must redeliver (visibility timeout) and "dead" must be detached
-        # (consumer deadline).
-        assert broker.lease("dead", timeout=1.0) is not None
-        completed = {}
-        deadline = time.monotonic() + 15.0
-        while len(completed) < len(published) and time.monotonic() < deadline:
-            job = broker.lease("alive", timeout=0.2)
-            if job is not None:
-                broker.ack("alive", job.job_id, result=job.payload["i"])
-            for done in broker.poll_completed(timeout=0.05):
-                completed[done.job_id] = done
-        assert set(completed) == published
-        assert all(c.error is None for c in completed.values())
-        assert broker.redeliveries() >= 1
-        # The survivor drains the queue before the deadline reaps "dead";
-        # wait for the reap, with "alive" still calling in.
-        assert _wait_for(
-            lambda: broker.lease("alive", timeout=0.0) is None
-            and broker.stats()["consumers"] == ["alive"]
-        )
+        published = [broker.publish({"i": i}) for i in range(8)]
+        # "dead" leases one job and never calls in again; "alive" answers
+        # everything else.
+        held = broker.lease("dead", timeout=0.0)
+        while (job := broker.lease("alive", timeout=0.0)) is not None:
+            assert broker.ack("alive", job.job_id, result=job.payload["i"])
+        assert broker.stats()["inflight"] == 1
+        # Past the visibility window the held job is requeued; "dead" is
+        # still within its consumer deadline.
+        clock.advance(4.0)
+        broker.sweep()
+        assert broker.redeliveries() == 1
+        assert broker.stats()["consumers"] == ["dead", "alive"]
+        job = broker.lease("alive", timeout=0.0)
+        assert job.job_id == held.job_id and job.deliveries == 2
+        assert broker.ack("alive", job.job_id, result=job.payload["i"])
+        # Past the deadline only the silent one is detached.
+        clock.advance(2.0)
+        broker.sweep()
+        assert broker.stats()["consumers"] == ["alive"]
         assert broker.take_reaped() == ["dead"]
+        completed = broker.poll_completed(timeout=0.0)
+        assert sorted(c.job_id for c in completed) == sorted(published)
+        assert all(c.error is None for c in completed)
     finally:
         broker.close()
 
@@ -242,14 +264,15 @@ def test_nack_redelivers_then_fails_after_max_deliveries(broker):
     assert "boom" in done[0].error
 
 
-def test_a_nack_after_the_lease_expired_gives_back_nothing(broker):
+def test_a_nack_after_the_lease_expired_gives_back_nothing(broker, clock):
     """Only the lease holder can return a job: a consumer whose lease ran out
     (the job went to another) once cancelled the other's lease with its
     nack — a needless third execution, or a spent ``max_deliveries`` that
     failed a job the other consumer was about to answer."""
     job_id = broker.publish({"n": 1})
     assert broker.lease("slow", timeout=1.0).job_id == job_id
-    assert _wait_for(lambda: broker.stats()["inflight"] == 0)  # visibility ran out
+    _expire_leases(broker, clock)
+    assert broker.stats()["inflight"] == 0
     assert broker.lease("fast", timeout=1.0).job_id == job_id
     broker.nack("slow", job_id, "boom")
     assert broker.stats()["inflight"] == 1 and broker.depth() == 0
@@ -258,15 +281,16 @@ def test_a_nack_after_the_lease_expired_gives_back_nothing(broker):
     assert done.result == "answer" and done.error is None and done.deliveries == 2
 
 
-def test_duplicate_execution_first_ack_wins(broker):
+def test_duplicate_execution_first_ack_wins(broker, clock):
     broker.attach("c1")
     broker.attach("c2")
     job_id = broker.publish({}, job_id="dup")
     holder = broker.lease("c1", timeout=1.0) or broker.lease("c2", timeout=1.0)
     assert holder.job_id == "dup"
     # Lease expires; the job is redelivered and a second consumer runs it too.
-    assert _wait_for(lambda: broker.redeliveries() >= 1)
-    second = broker.lease("c1", timeout=2.0) or broker.lease("c2", timeout=2.0)
+    _expire_leases(broker, clock)
+    assert broker.redeliveries() == 1
+    second = broker.lease("c2", timeout=0.0)
     assert second.job_id == "dup"
     assert broker.ack("c2", job_id, result="second-execution") is True
     assert broker.ack("c1", job_id, result="slow-first-execution") is False
@@ -275,13 +299,14 @@ def test_duplicate_execution_first_ack_wins(broker):
     assert done[0].result == "second-execution"
 
 
-def test_ack_pulls_requeued_duplicate_out_of_the_queue(broker):
+def test_ack_pulls_requeued_duplicate_out_of_the_queue(broker, clock):
     broker.attach("c1")
     job_id = broker.publish({})
     broker.lease("c1", timeout=1.0)
     # Visibility expires: the job goes back on the queue while the original
     # (slow, not dead) consumer is still computing it.
-    assert _wait_for(lambda: broker.redeliveries() >= 1)
+    _expire_leases(broker, clock)
+    assert broker.depth() == 1
     assert broker.ack("c1", job_id, result="done") is True
     # The requeued duplicate must not be handed out afterwards.
     assert broker.lease("c1", timeout=0.2) is None

@@ -7,7 +7,14 @@ first-ack-wins delivery.
 
 Invariants after every step: no job is lost (each is queued, leased or
 finished, exactly one of them), none completes twice, none is delivered more
-than ``max_deliveries`` times, and every duplicate ack is counted.
+than ``max_deliveries`` times, and every duplicate ack is counted.  After a
+sweep the broker remembers exactly the finished jobs a duplicate could still
+follow.
+
+The broker runs no thread, so a run is deterministic for its seed.  CI runs
+this file once more under the ``broker-model-10x`` Hypothesis profile
+(``--hypothesis-profile=broker-model-10x``, registered in ``conftest.py``):
+ten times the examples of a plain run.
 """
 
 from __future__ import annotations
@@ -30,16 +37,19 @@ MAX_DELIVERIES = 3
 #: The broker's default consumer deadline for this visibility timeout.
 CONSUMER_DEADLINE = max(2.0, 2.0 * VISIBILITY)
 CONSUMERS = ("front-0", "local-0")
+#: How long the broker remembers a finished job: one full delivery cycle.
+DEDUPE_HORIZON = (MAX_DELIVERIES + 1) * VISIBILITY
+#: Examples per run: this, or the loaded profile's budget when that is larger.
+MAX_EXAMPLES = 300
 
 
 class BrokerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         # The broker reads its clock as time.monotonic(); this one moves only
-        # when a rule says so (the sweeper thread sees it too, and a sweep at
-        # an unmoved clock finds nothing the last explicit one did not).
+        # when a rule says so.
         self.now = time.monotonic()
-        clock = types.SimpleNamespace(monotonic=lambda: self.now, sleep=time.sleep)
+        clock = types.SimpleNamespace(monotonic=lambda: self.now)
         self._clock = mock.patch.object(broker_module, "time", clock)
         self._clock.start()
         self.broker = InProcBroker(
@@ -52,6 +62,7 @@ class BrokerMachine(RuleBasedStateMachine):
         self.inflight = {}  # job -> (consumer, deadline)
         self.deliveries = Counter()
         self.finished = {}  # job -> "ok" | "error"
+        self.finished_at = {}  # job -> model clock when it finished
         self.held = set()  # (consumer, job) leased and not yet answered by it
         self.last_seen = {}  # attached consumer -> last call
         self.reaped = []
@@ -68,9 +79,13 @@ class BrokerMachine(RuleBasedStateMachine):
         if consumer in self.last_seen:
             self.last_seen[consumer] = self.now
 
+    def _finish(self, job, outcome):
+        self.finished[job] = outcome
+        self.finished_at[job] = self.now
+
     def _requeue(self, job):
         if self.deliveries[job] >= MAX_DELIVERIES:
-            self.finished[job] = "error"
+            self._finish(job, "error")
         else:
             self.queued.add(job)
 
@@ -112,7 +127,7 @@ class BrokerMachine(RuleBasedStateMachine):
             # Leased by anyone, or back in the queue: this ack completes it.
             self.inflight.pop(job, None)
             self.queued.discard(job)
-            self.finished[job] = "ok"
+            self._finish(job, "ok")
         else:
             self.duplicates += 1
 
@@ -142,8 +157,7 @@ class BrokerMachine(RuleBasedStateMachine):
     @rule(seconds=st.sampled_from([0.3, 1.1, 2.5]))
     def sweep(self, seconds):
         self.now += seconds
-        with self.broker._cond:
-            self.broker._sweep_locked(self.now)
+        self.broker.sweep()
         for job, (_, deadline) in sorted(self.inflight.items()):
             if self.now > deadline:
                 del self.inflight[job]
@@ -153,6 +167,8 @@ class BrokerMachine(RuleBasedStateMachine):
             if self.now - seen > CONSUMER_DEADLINE:
                 del self.last_seen[consumer]
                 self.reaped.append(consumer)
+        remembered = {j for j, at in self.finished_at.items() if at >= self.now - DEDUPE_HORIZON}
+        assert set(self.broker._finished_ids) == remembered
 
     @rule()
     def take_reaped(self):
@@ -193,7 +209,7 @@ class BrokerMachine(RuleBasedStateMachine):
 
 
 BrokerMachine.TestCase.settings = settings(
-    max_examples=300,
+    max_examples=max(MAX_EXAMPLES, settings.default.max_examples),
     stateful_step_count=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],

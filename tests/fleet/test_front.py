@@ -2,6 +2,7 @@
 single-process predictor, sync and async result paths, and validation; the
 front as consumer 0 (``front-0``) and the subprocesses it adds beside it."""
 
+import io
 import math
 import multiprocessing as mp
 import os
@@ -17,7 +18,6 @@ import pytest
 from repro.api import EnsemblePredictor
 from repro.fleet import BrokerFull, FleetConsumer, FleetFront, InProcBroker, connect_broker
 from repro.fleet import front as front_module
-from repro.fleet.autoscaler import Autoscaler
 from repro.fleet.consumer import _CONSUMED
 from repro.fleet.front import _LocalConsumer
 from repro.obs.exposition import render_prometheus
@@ -240,10 +240,13 @@ def test_a_consumer_that_cannot_start_is_relaunched_under_backoff(
             process.wait(timeout=10)
 
 
-def test_a_consumer_launch_that_raises_holds_the_next_launch(saved_artifact, monkeypatch):
+def test_a_consumer_launch_that_raises_holds_the_next_launch(
+    saved_artifact, reference, serial_result, monkeypatch
+):
     """A launch that raises (no fork left, no interpreter) is held under the
     same backoff as a consumer that exits at once — not retried on every
-    reconcile tick (~40 launches in these 2 s)."""
+    reconcile tick (~40 launches in these 2 s).  The loop logs the failed
+    step and goes on delivering ``front-0``'s answers."""
     launches = []
 
     def refuse(self):
@@ -255,7 +258,13 @@ def test_a_consumer_launch_that_raises_holds_the_next_launch(saved_artifact, mon
         saved_artifact, min_consumers=2, max_consumers=2, reconcile_interval=0.05
     )
     try:
-        time.sleep(2.0)
+        x = serial_result.dataset.x_test[:8]
+        expected = reference.predict_proba(x)
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline:
+            assert np.array_equal(front.predict_proba(x, timeout=60), expected)
+            time.sleep(0.1)
+        assert front.local_consumers()["running"] == 1
     finally:
         front.close()
     assert 1 <= len(launches) <= 4, launches
@@ -365,12 +374,13 @@ def test_a_constructor_that_raises_leaves_nothing_running(saved_artifact, monkey
     assert set(threading.enumerate()) <= threads
 
     def failing_start(self):
+        # front-0 starts last, once the loop has launched local-0.
         deadline = time.monotonic() + 30
         while not launched and time.monotonic() < deadline:
             time.sleep(0.05)
-        raise RuntimeError("autoscaler could not start")
+        raise RuntimeError("front-0 could not start")
 
-    monkeypatch.setattr(Autoscaler, "start", failing_start)
+    monkeypatch.setattr(FleetConsumer, "start", failing_start)
     with pytest.raises(RuntimeError, match="could not start"):
         FleetFront(saved_artifact, min_consumers=2, max_consumers=3, reconcile_interval=0.05)
     assert len(served) == 1 and len(launched) == 1
@@ -494,3 +504,59 @@ def test_a_consumer_retired_while_blocked_in_lease_leaves_the_broker(saved_artif
         assert broker.consumer_count() == 0
     finally:
         broker.close()
+
+
+@pytest.mark.parametrize("max_consumers", [1, 2])
+def test_a_live_front_runs_one_loop(saved_artifact, reference, serial_result, max_consumers):
+    """Result delivery, the broker sweep, consumer reconciling and the
+    autoscaler (on when ``max > min``) all run on one thread: a front adds
+    ``repro-fleet-loop``, ``front-0`` and the broker's accept thread and
+    nothing else, and ``close()`` takes every one away without waiting out a
+    housekeeping period."""
+    before = set(threading.enumerate())
+    front = FleetFront(
+        saved_artifact,
+        min_consumers=1,
+        max_consumers=max_consumers,
+        reconcile_interval=30.0,
+        autoscale_interval=30.0,
+    )
+    try:
+        assert (front.autoscaler is not None) == (max_consumers > 1)
+        x = serial_result.dataset.x_test[:4]
+        np.testing.assert_array_equal(front.predict_proba(x, timeout=60), reference.predict_proba(x))
+        names = sorted(thread.name for thread in set(threading.enumerate()) - before)
+        assert names == [
+            "repro-fleet-broker-accept",
+            "repro-fleet-consumer-front-0",
+            "repro-fleet-loop",
+        ], names
+    finally:
+        start = time.monotonic()
+        front.close()
+        closing = time.monotonic() - start
+    assert closing < 5.0, closing
+    _wait_for(lambda: set(threading.enumerate()) <= before, 10, "threads outlived the front")
+
+
+def test_close_leaves_the_callers_stdout_and_stderr(saved_artifact, monkeypatch):
+    """The stdlib manager's ``serve_forever`` points ``sys.stdout`` and
+    ``sys.stderr`` back at ``sys.__stdout__`` / ``sys.__stderr__`` when it
+    stops; the broker's server does not run it."""
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    before = set(threading.enumerate())
+    FleetFront(saved_artifact, spawn_local=False, autoscale=False).close()
+    _wait_for(lambda: set(threading.enumerate()) <= before, 10, "threads outlived the front")
+    assert sys.stdout is out and sys.stderr is err
+
+
+def test_timeout_zero_does_not_wait(saved_artifact):
+    """``timeout=0`` means now, not the 300 s default."""
+    with FleetFront(saved_artifact, spawn_local=False, autoscale=False) as front:
+        job_id = front.submit(np.zeros((1, 12)))  # no consumer: stays pending
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            front.result(job_id, timeout=0)
+        assert time.monotonic() - start < 1.0

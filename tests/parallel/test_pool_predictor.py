@@ -215,6 +215,20 @@ def test_pool_close_is_clean_and_final(saved_artifact, serial_result, shm_sweep)
     predictor.close()  # idempotent
 
 
+def test_timeout_zero_does_not_wait(saved_artifact, serial_result, monkeypatch):
+    """``timeout=0`` means now, not ``request_timeout``: the worker holds
+    the request (a ``serve_hang`` fault), so it is still pending."""
+    monkeypatch.setenv("REPRO_FAULTS", "serve_hang:times=1:seconds=0.5")
+    pool = PoolPredictor(saved_artifact, workers=1, request_timeout=60.0)
+    try:
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            pool.predict_proba(serial_result.dataset.x_test[:1], timeout=0)
+        assert time.monotonic() - start < 0.4
+    finally:
+        pool.close()
+
+
 def _wait_for(predicate, timeout, interval=0.05):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:

@@ -523,6 +523,37 @@ def test_a_swap_the_server_could_not_carry_out_answers_500():
             assert json.loads(refused.value.read()) == {"error": str(backend.error)}
 
 
+@pytest.mark.parametrize("mode", ["pool", "queue"])
+def test_a_swap_generation_must_be_a_json_integer(mode):
+    """``int()`` used to turn ``true``, ``1.7`` or ``"1"`` into generation 1
+    and swap to it; anything but a JSON integer is a 400 and swaps nothing."""
+
+    class Recording(_FakePool):
+        def __init__(self):
+            self.swaps = []
+
+        def swap(self, generation=None):
+            self.swaps.append(generation)
+            return {"generation": generation}
+
+    def swap(url, body):
+        request = urllib.request.Request(url + "/admin/swap", data=body)
+        try:
+            with urllib.request.urlopen(request, timeout=30) as response:
+                return response.status
+        except urllib.error.HTTPError as refused:
+            return refused.code
+
+    backend = Recording()
+    with _serving_in_process(_make_handler(backend, mode, time.monotonic())) as url:
+        for value in (b"true", b"1.7", b"1.0", b'"1"', b"[1]"):
+            assert swap(url, b'{"generation": ' + value + b"}") == 400, value
+        assert backend.swaps == []
+        assert swap(url, b'{"generation": 2}') == 200
+        assert swap(url, b"{}") == 200
+    assert backend.swaps == [2, None]
+
+
 def test_handler_failure_is_one_event_carrying_the_traceback(train_events, capfd):
     class Broken(_FakePool):
         def healthz(self):
