@@ -6,26 +6,32 @@ them onto a **broker** and lets consumer workers — in this process, in other
 processes on this host, or on other hosts — lease, execute, and acknowledge
 them.  The broker is one bounded FIFO queue that any attached consumer
 leases from: :class:`InProcBroker` is a dependency-free stdlib
-implementation built on one deque and one condition variable, served to
-out-of-process consumers through ``multiprocessing.managers`` (see
-:func:`serve_broker` / :func:`connect_broker`).
+implementation built on one deque and one lock, served to out-of-process
+consumers through ``multiprocessing.managers`` (see :func:`serve_broker` /
+:func:`connect_broker`).
 
 Delivery semantics — **at-least-once**:
 
 * ``publish`` appends a job to the queue (bounded: :class:`BrokerFull` when
   it is at capacity — backpressure the HTTP front turns into a 503 rather
-  than buffering unboundedly).
+  than buffering unboundedly).  ``publish(..., lease_to=consumer)`` hands
+  the job straight to that consumer instead, already leased, when nothing
+  is queued and the consumer is attached, holds no lease and has applied
+  the newest control revision — how the front's caller thread answers a
+  request as ``front-0`` (otherwise the job is queued as usual).
 * ``lease`` hands whichever consumer asks the oldest queued job and starts a
   **visibility timeout**; a job not acked before the timeout is assumed lost
   with its consumer and is requeued at the head of the queue
   (``repro_fleet_redeliveries_total``).  A SIGKILL'd consumer therefore
   delays its in-flight jobs by at most one visibility window — it never
   loses them.
-* ``ack`` completes a job with its result.  Because a slow-but-alive
-  consumer's lease can expire and the job be redelivered, the same job can
-  be executed twice; the first ack wins and later acks (and the requeued
-  duplicate) are dropped.  Execution is idempotent here — predictions are
-  pure — so duplicates cost only compute.
+* ``ack`` completes a job with its result (``deliver=False``: the acking
+  caller keeps the result itself, and nothing is queued for the front's
+  loop).  Because a slow-but-alive consumer's lease can expire and the job
+  be redelivered, the same job can be executed twice; the first ack wins
+  and later acks (and the requeued duplicate) are dropped.  Execution is
+  idempotent here — predictions are pure — so duplicates cost only
+  compute.
 * ``nack`` requeues a failed job immediately; after ``max_deliveries``
   total deliveries the job completes with an error instead of looping
   forever.
@@ -36,6 +42,11 @@ while work waits.  Consumers that stop calling in (no lease/ack within
 :meth:`InProcBroker.take_reaped`, which is how the front tells a wedged
 consumer from a busy one.  A reaped consumer that was merely slow
 re-attaches implicitly on its next lease call.
+
+Two conditions share the one lock, so an event wakes only the threads that
+wait for it: ``work`` (publish, requeue, control, detach, close) wakes
+consumers blocked in ``lease``; ``done`` (a completed job, ``wake``, close)
+wakes the front's loop in ``poll_completed``.
 
 The broker is passive: it starts no thread.  Its owner drives both clocks
 (lease expiry, consumer expiry) by calling :meth:`InProcBroker.sweep`
@@ -54,7 +65,7 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from multiprocessing.managers import BaseManager
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
@@ -136,7 +147,7 @@ class _Lease:
 
 
 class InProcBroker:
-    """Stdlib in-process broker: one bounded deque + one condition variable.
+    """Stdlib in-process broker: one bounded deque under one lock.
 
     Lives in the serving front's process; out-of-process consumers reach it
     through a ``multiprocessing.managers`` proxy (every proxy call executes
@@ -177,7 +188,10 @@ class InProcBroker:
         )
 
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        # Consumers blocked in lease() wait on _work, the front's loop in
+        # poll_completed() on _done.
+        self._work = threading.Condition(self._lock)
+        self._done = threading.Condition(self._lock)
         self._queue: Deque[Job] = deque()
         self._inflight: Dict[str, _Lease] = {}
         # Jobs acked (or failed) whose CompletedJob the front has not drained
@@ -203,27 +217,60 @@ class InProcBroker:
         self._woken = False
 
     # -------------------------------------------------------------- producer
-    def publish(self, payload: Any, job_id: Optional[str] = None) -> str:
-        """Enqueue a job; raises :class:`BrokerFull` when the queue is at
-        capacity.  ``job_id`` may be supplied by the caller (the front does,
-        so it can register a result future *before* any consumer can
-        possibly answer)."""
+    def publish(
+        self, payload: Any, job_id: Optional[str] = None, lease_to: Optional[str] = None
+    ) -> Union[str, Job, None]:
+        """Enqueue a job and return its id; raises :class:`BrokerFull` when
+        the queue is at capacity.  ``job_id`` may be supplied by the caller
+        (the front does, so it can register a result future *before* any
+        consumer can possibly answer).
+
+        With ``lease_to``, the job is published already leased to that
+        consumer — and returned, to be answered by the caller — when nothing
+        is queued (FIFO holds), the consumer is attached, holds no lease and
+        has acked the newest control revision; no consumer is woken for it
+        (``repro_fleet_jobs_total{event="inline"}``).  Otherwise it is
+        queued as usual and ``None`` is returned.
+        """
         job_id = job_id if job_id is not None else secrets.token_hex(8)
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise RuntimeError("broker is closed")
+            now = time.monotonic()
+            job = Job(job_id=job_id, payload=payload, enqueued=now)
+            if lease_to is not None and self._leasable_inline(lease_to):
+                self._touch(lease_to)
+                job.deliveries = 1
+                self._inflight[job_id] = _Lease(
+                    job=job, consumer_id=lease_to, deadline=now + self.visibility_timeout
+                )
+                _JOBS.labels("published").inc()
+                _JOBS.labels("leased").inc()
+                _JOBS.labels("inline").inc()
+                return job
             if len(self._queue) >= self.capacity:
                 raise BrokerFull(f"the broker queue is at capacity ({self.capacity} jobs)")
-            self._queue.append(Job(job_id=job_id, payload=payload, enqueued=time.monotonic()))
+            self._queue.append(job)
             self._set_depth()
             _JOBS.labels("published").inc()
-            self._cond.notify_all()
-            return job_id
+            self._work.notify()
+            return None if lease_to is not None else job_id
+
+    def _leasable_inline(self, consumer_id: str) -> bool:
+        """May a job skip the queue onto ``consumer_id``? (lock held)"""
+        if self._queue or consumer_id not in self._consumers:
+            return False
+        if any(lease.consumer_id == consumer_id for lease in self._inflight.values()):
+            return False
+        if self._control_revision == 0:
+            return True
+        acked = self._control_acks.get(consumer_id)
+        return acked is not None and acked["revision"] == self._control_revision
 
     # -------------------------------------------------------------- consumers
     def attach(self, consumer_id: str) -> None:
         """Register a consumer (``lease`` does so implicitly too)."""
-        with self._cond:
+        with self._lock:
             self._attach_locked(consumer_id, time.monotonic())
 
     def _attach_locked(self, consumer_id: str, now: float) -> None:
@@ -243,7 +290,7 @@ class InProcBroker:
     ) -> None:
         """Unregister a consumer; ``metrics`` is its parting registry delta."""
         _merge(metrics)
-        with self._cond:
+        with self._lock:
             self._detach_locked(consumer_id, reason="detach")
 
     def _detach_locked(self, consumer_id: str, reason: str) -> None:
@@ -254,7 +301,7 @@ class InProcBroker:
         if reason == "deadline":
             self._reaped.append(consumer_id)
         log_event("fleet.consumer_detached", consumer=consumer_id, reason=reason)
-        self._cond.notify_all()
+        self._work.notify_all()
 
     def take_reaped(self) -> List[str]:
         """Consumers detached for missing ``consumer_deadline`` since the last call."""
@@ -271,7 +318,7 @@ class InProcBroker:
         calling ``lease`` again.
         """
         deadline = time.monotonic() + max(0.0, float(timeout))
-        with self._cond:
+        with self._work:
             while not self._closed:
                 now = time.monotonic()
                 self._attach_locked(consumer_id, now)
@@ -281,7 +328,7 @@ class InProcBroker:
                 remaining = deadline - now
                 if remaining <= 0:
                     return None
-                self._cond.wait(min(remaining, 0.25))
+                self._work.wait(min(remaining, 0.25))
             return None
 
     def _take_job(self, consumer_id: str, now: float) -> Optional[Job]:
@@ -310,14 +357,17 @@ class InProcBroker:
         job_id: str,
         result: Any,
         metrics: Optional[Dict[str, Dict[str, object]]] = None,
+        deliver: bool = True,
     ) -> bool:
         """Complete a job with its result; ``False`` for a late duplicate.
 
         ``metrics`` (a registry delta) is merged first, duplicate or not: the
         work was done, and the front's view is at least as fresh as the
-        results it serves."""
+        results it serves.  ``deliver=False`` records the job as finished
+        without queueing its :class:`CompletedJob` — the acking caller is the
+        one waiting for the result and already holds it."""
         _merge(metrics)
-        with self._cond:
+        with self._lock:
             self._touch(consumer_id)
             if job_id in self._finished_ids:
                 _JOBS.labels("duplicate_ack").inc()
@@ -332,7 +382,7 @@ class InProcBroker:
                 if job is None:
                     _JOBS.labels("duplicate_ack").inc()
                     return False
-            self._finish(job, result=result, error=None)
+            self._finish(job, result=result, error=None, deliver=deliver)
             return True
 
     def nack(self, consumer_id: str, job_id: str, error: str) -> None:
@@ -340,7 +390,7 @@ class InProcBroker:
         ``max_deliveries`` is spent).  Only the lease holder can: a consumer
         whose lease expired meanwhile gives back nothing — the job is queued
         again or leased to another consumer already."""
-        with self._cond:
+        with self._lock:
             self._touch(consumer_id)
             lease = self._inflight.get(job_id)
             if lease is None or lease.consumer_id != consumer_id:
@@ -371,16 +421,21 @@ class InProcBroker:
         self._queue.appendleft(job)
         self._set_depth()
         _JOBS.labels("requeued").inc()
-        self._cond.notify_all()
+        self._work.notify()
 
     def _finish(
         self,
         job: Job,
         result: Any,
         error: Optional[str],
+        deliver: bool = True,
     ) -> None:
-        """Record a terminal outcome and wake the front (lock held)."""
+        """Record a terminal outcome and, when it is to be delivered, wake the
+        front (lock held)."""
         self._finished_ids[job.job_id] = time.monotonic()
+        _JOBS.labels("completed" if error is None else "failed").inc()
+        if not deliver:
+            return
         self._completed.append(
             CompletedJob(
                 job_id=job.job_id,
@@ -390,8 +445,7 @@ class InProcBroker:
                 enqueued=job.enqueued,
             )
         )
-        _JOBS.labels("completed" if error is None else "failed").inc()
-        self._cond.notify_all()
+        self._done.notify_all()
 
     # --------------------------------------------------------------- control
     def post_control(self, command: Dict[str, Any]) -> int:
@@ -402,7 +456,7 @@ class InProcBroker:
         :meth:`control_status` until every attached consumer has acked.
         A newer post supersedes an unconsumed older one.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise RuntimeError("broker is closed")
             self._control_revision += 1
@@ -413,7 +467,7 @@ class InProcBroker:
                 revision=self._control_revision,
                 command=dict(command),
             )
-            self._cond.notify_all()
+            self._work.notify_all()
             return self._control_revision
 
     def get_control(
@@ -424,7 +478,7 @@ class InProcBroker:
         Also refreshes the consumer's keepalive — a consumer polling for
         control between jobs is alive, not reap-worthy.
         """
-        with self._cond:
+        with self._lock:
             self._touch(consumer_id)
             if self._control_command is None or self._control_revision <= after:
                 return None
@@ -433,8 +487,9 @@ class InProcBroker:
     def ack_control(
         self, consumer_id: str, revision: int, ok: bool, detail: Optional[str] = None
     ) -> None:
-        """Record one consumer's outcome for a control revision."""
-        with self._cond:
+        """Record one consumer's outcome for a control revision (nobody waits
+        on it: the front polls :meth:`control_status`)."""
+        with self._lock:
             self._touch(consumer_id)
             if revision != self._control_revision:
                 return  # superseded; only the newest revision is tracked
@@ -450,7 +505,6 @@ class InProcBroker:
                 ok=bool(ok),
                 detail=detail,
             )
-            self._cond.notify_all()
 
     def control_status(self) -> Dict[str, Any]:
         """Snapshot of the current control revision and its acks."""
@@ -474,12 +528,12 @@ class InProcBroker:
         """Drain finished jobs, waiting up to ``timeout`` for the first one
         or a :meth:`wake` (the front's loop calls this)."""
         deadline = time.monotonic() + max(0.0, float(timeout))
-        with self._cond:
+        with self._done:
             while not self._completed and not self._closed and not self._woken:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                self._cond.wait(min(remaining, 0.25))
+                self._done.wait(min(remaining, 0.25))
             self._woken = False
             drained = list(self._completed)
             self._completed.clear()
@@ -487,16 +541,16 @@ class InProcBroker:
 
     def wake(self) -> None:
         """End the current (or the next) :meth:`poll_completed` wait now."""
-        with self._cond:
+        with self._done:
             self._woken = True
-            self._cond.notify_all()
+            self._done.notify_all()
 
     # ----------------------------------------------------------------- clocks
     def sweep(self) -> None:
         """Advance both clocks once: redeliver expired leases, detach silent
         consumers, forget finished ids past any duplicate.  The broker runs no
         thread; its owner calls this every few tenths of a second."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             now = time.monotonic()
@@ -576,7 +630,7 @@ class InProcBroker:
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Fail everything still queued or in flight."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
@@ -587,7 +641,8 @@ class InProcBroker:
             while self._queue:
                 self._finish(self._queue.popleft(), result=None, error=error)
             self._set_depth()
-            self._cond.notify_all()
+            self._work.notify_all()
+            self._done.notify_all()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -601,7 +656,7 @@ class InProcBroker:
 # multiprocessing manager: the front serves its broker on a TCP socket and
 # `repro fleet-worker` processes connect with the shared authkey.  Every
 # proxy call runs inside the front's process, which is what keeps the broker
-# "in-process" (one condition variable, one metrics registry) while the
+# "in-process" (one lock, one metrics registry) while the
 # consumers scale out horizontally.
 
 

@@ -10,6 +10,14 @@ process hop — and acks the result back.  Results are therefore **bitwise
 identical** to a single-process ``EnsemblePredictor`` on the same rows; the
 queue tier adds scheduling, never arithmetic.
 
+A lane can be run by a second thread.  The front's own consumer,
+``front-0``, is also run by the thread of a sync request that finds the lane
+idle: it publishes its job leased to ``front-0`` and answers it through
+:meth:`FleetConsumer.answer`, the method the lease loop uses.  The
+consumer's ``lane`` lock admits one thread at a time — it is held while a
+job is answered and while a control message is applied — so the predictor
+never serves two calls at once and no answer mixes generations.
+
 Fleet-wide observability: alongside each ack the consumer periodically ships
 a *delta* snapshot of its ``repro.obs`` registry (``metrics_interval``
 throttled, counters/histograms accumulate on merge), and the rest with its
@@ -23,9 +31,10 @@ lease, before inference — a crash here strands a leased job, exercising
 visibility-timeout redelivery; a hang wedges the consumer until the front
 kills it) and ``fleet_ack`` (after inference, before the ack — a crash here
 loses a *computed* result, the worst case for exactly-once pretenders;
-at-least-once redelivery recomputes it).  Context fields ``consumer``,
-``job`` and ``attempt`` (0-based delivery index) are matchable as
-``REPRO_FAULTS`` qualifiers.
+at-least-once redelivery recomputes it).  An injected error at either point
+fails the job like a raising predictor: it is nacked.  Context fields
+``consumer``, ``job`` and ``attempt`` (0-based delivery index) are matchable
+as ``REPRO_FAULTS`` qualifiers.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ import threading
 import time
 from pathlib import Path
 from typing import Dict, Optional, Union
+
+import numpy as np
 
 from repro.api.predictor import EnsemblePredictor
 from repro.faults import fire
@@ -86,6 +97,9 @@ class FleetConsumer:
         self.lease_timeout = float(lease_timeout)
         self.metrics_interval = float(metrics_interval)
         self.predictor = EnsemblePredictor.load(artifact, method=method, batch_size=batch_size)
+        # One thread at a time: the lease loop, or a caller answering a job
+        # published leased to this consumer.
+        self.lane = threading.Lock()
         self._stop = threading.Event()
         self._last_metrics_ship = 0.0
         # Highest broker control revision this consumer has applied (or
@@ -122,9 +136,15 @@ class FleetConsumer:
     # ------------------------------------------------------------------ loop
     def _run(self) -> None:
         try:
-            while not self._stop.is_set():
+            while True:
                 try:
-                    self._poll_control()
+                    # Waiting for the lane while another thread answers also
+                    # stops the keepalives: a caller wedged in a forward
+                    # gets the lane reaped like a wedged loop would.
+                    with self.lane:
+                        if self._stop.is_set():
+                            return
+                        self._poll_control()
                     job = self.broker.lease(self.consumer_id, timeout=self.lease_timeout)
                 except (EOFError, ConnectionError, OSError):
                     # The broker (front) went away; nothing left to serve.
@@ -134,9 +154,9 @@ class FleetConsumer:
                     )
                     self._stop.set()
                     return
-                if job is None:
-                    continue
-                self._handle(job)
+                if job is not None:
+                    with self.lane:
+                        self.answer(job)
         finally:
             # Stopped (close, retire, a lost broker): leave, with the metrics
             # not yet shipped — also after retire(), since a lease blocked
@@ -190,12 +210,20 @@ class FleetConsumer:
             generation=self.predictor.generation,
         )
 
-    def _handle(self, job: Job) -> None:
+    def answer(self, job: Job, deliver: bool = True) -> Optional[np.ndarray]:
+        """Answer one job leased to this consumer and ack it; returns the
+        probabilities, or ``None`` when the job failed and was nacked.
+
+        The caller holds :attr:`lane`.  ``deliver=False`` is for a caller
+        that answers its own request: the broker records the job as finished
+        and queues nothing for the front's loop.
+        """
         attempt = max(0, job.deliveries - 1)
-        fire("fleet_consume", consumer=self.consumer_id, job=job.job_id, attempt=attempt)
         try:
+            fire("fleet_consume", consumer=self.consumer_id, job=job.job_id, attempt=attempt)
             payload = job.payload
             proba = self.predictor.predict_proba(payload["x"], method=payload.get("method"))
+            fire("fleet_ack", consumer=self.consumer_id, job=job.job_id, attempt=attempt)
         except Exception as exc:
             _CONSUMED.labels("error").inc()
             try:
@@ -204,17 +232,21 @@ class FleetConsumer:
                 )
             except (EOFError, ConnectionError, OSError):  # pragma: no cover
                 self._stop.set()
-            return
-        fire("fleet_ack", consumer=self.consumer_id, job=job.job_id, attempt=attempt)
+            return None
         # Counted before the ack, as an error is before its nack: the delta
         # shipped with this ack then already holds this job.
         _CONSUMED.labels("ok").inc()
         try:
             self.broker.ack(
-                self.consumer_id, job.job_id, result=proba, metrics=self._ship_metrics()
+                self.consumer_id,
+                job.job_id,
+                result=proba,
+                metrics=self._ship_metrics(),
+                deliver=deliver,
             )
         except (EOFError, ConnectionError, OSError):  # pragma: no cover
             self._stop.set()
+        return proba
 
     def _ship_metrics(self, parting: bool = False) -> Optional[Dict[str, Dict[str, object]]]:
         """Throttled delta snapshot of this process's registry; unthrottled

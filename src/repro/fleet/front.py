@@ -11,7 +11,10 @@ local :class:`~repro.parallel.serving.PoolPredictor`.  It owns three threads:
 * **consumer 0**, ``front-0``: an ordinary
   :class:`~repro.fleet.consumer.FleetConsumer` leasing from the broker
   *object* — no pickling, no socket hop, no process to boot.  It shares the
-  front's metrics registry, so it ships no deltas;
+  front's metrics registry, so it ships no deltas.  A second thread can
+  run its lane: a sync :meth:`FleetFront.predict_proba` that finds it idle
+  and nothing queued publishes its job already leased to ``front-0`` and
+  answers it on the calling thread (see that method) — no thread is woken;
 * **one loop**, ``repro-fleet-loop``, built like the serving pool's
   ``repro-serve-loop``: it waits in the broker's ``poll_completed`` until
   the next step is due and resolves completed jobs' futures (observing the
@@ -32,8 +35,9 @@ it cannot race a spawn.  A wedged ``front-0`` cannot be killed: it is
 duplicate) and a subprocess takes its place under the same spawn backoff.
 
 Client calls (`submit` / `result` / `predict_proba`) are thread-safe; each
-blocks only on its own job's future.  Results are bitwise identical to a
-single-process ``EnsemblePredictor`` because each consumer answers with one.
+blocks only on its own job's future (or, answered inline, on its own
+forward).  Results are bitwise identical to a single-process
+``EnsemblePredictor`` because each consumer answers with one.
 """
 
 from __future__ import annotations
@@ -233,23 +237,37 @@ class FleetFront(ServingTier):
         The result future is registered *before* the publish, so a consumer
         can never answer a job the front does not yet know about.
         """
+        job_id, payload = self._register(x, method, want_proba)
+        self._publish(job_id, payload)
+        return job_id
+
+    def _register(
+        self, x: np.ndarray, method: Optional[str], want_proba: bool = True
+    ) -> Tuple[str, Dict[str, Any]]:
+        """Validate a request and register its result future; returns the
+        job id and the payload to publish."""
         if self._closed:
             raise RuntimeError("FleetFront is closed")
         from repro.api.predictor import validate_batch
 
-        x = validate_batch(x, self.input_shape)
-        resolved = self._resolve_method(method)
+        payload = {
+            "x": validate_batch(x, self.input_shape),
+            "method": self._resolve_method(method),
+        }
         job_id = secrets.token_hex(8)
-        entry = _JobEntry(want_proba=want_proba)
         with self._lock:
-            self._entries[job_id] = entry
+            self._entries[job_id] = _JobEntry(want_proba=want_proba)
+        return job_id, payload
+
+    def _publish(self, job_id: str, payload: Dict[str, Any], lease_to: Optional[str] = None):
+        """``broker.publish`` for a registered job; one that raises is
+        unregistered."""
         try:
-            self.broker.publish({"x": x, "method": resolved}, job_id=job_id)
+            return self.broker.publish(payload, job_id=job_id, lease_to=lease_to)
         except BaseException:
             with self._lock:
                 self._entries.pop(job_id, None)
             raise
-        return job_id
 
     def result(self, job_id: str, timeout: Optional[float] = None) -> np.ndarray:
         """Block until ``job_id`` completes; returns the probabilities."""
@@ -287,8 +305,37 @@ class FleetFront(ServingTier):
         method: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> np.ndarray:
-        """Synchronous publish-and-wait; bitwise equal to the pool path."""
-        return self.result(self.submit(x, method=method), timeout=timeout)
+        """Synchronous publish-and-wait; bitwise equal to the pool path.
+
+        When ``front-0``'s lane is free and nothing is queued, the calling
+        thread runs the lane: the job is published leased to
+        ``front-0`` and answered here, through the method ``front-0``'s own
+        thread uses, and its ack wakes nobody.  Any other case — a busy lane,
+        queued work, a swap ``front-0`` has not applied, no (or a retired)
+        ``front-0``, a failed answer (nacked, so redelivered) — waits for the
+        job's future as :meth:`submit` / :meth:`result` do.
+
+        Given up for this: a forward that wedges on the calling thread is not
+        redelivered to it, and ``timeout`` does not bound it.  The call
+        returns when that forward does; meanwhile the broker reaps the lane
+        and the loop retires ``front-0`` and starts a subprocess in its place.
+        """
+        job_id, payload = self._register(x, method)
+        front = self._front_consumer
+        if front is None or not front.lane.acquire(blocking=False):
+            self._publish(job_id, payload)
+            return self.result(job_id, timeout=timeout)
+        try:
+            job = self._publish(job_id, payload, lease_to=front.consumer_id)
+            proba = None if job is None else front.answer(job, deliver=False)
+        finally:
+            front.lane.release()
+        if proba is None:
+            return self.result(job_id, timeout=timeout)
+        _JOB_LATENCY.observe(max(0.0, time.monotonic() - job.enqueued))
+        with self._lock:
+            self._entries.pop(job_id, None)
+        return proba
 
     # --------------------------------------------------------------- the loop
     def _run(self) -> None:

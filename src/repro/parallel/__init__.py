@@ -6,7 +6,8 @@ on fresh private queues, ready, evict, bounded backoff, respawn, shutdown —
 is written once, and driven by each owner from one single-threaded loop;
 :mod:`repro.parallel.worker` holds the one worker loop):
 
-* **Training** — :class:`ParallelExecutor` runs :class:`MemberTask` fits on
+* **Training** — :class:`ParallelExecutor` runs
+  :class:`~repro.core.trainer.MemberTask` fits on
   one persistent pool of ``workers`` lanes per run — lane 0 a thread of the
   calling process, the rest spawned workers — highest priority first,
   accepting the follow-up tasks a finished fit unblocks (the trainers'
@@ -31,7 +32,7 @@ is written once, and driven by each owner from one single-threaded loop;
   serving makes no shared-memory segment.
 """
 
-from repro.parallel.executor import MemberTask, ParallelExecutor
+from repro.parallel.executor import ParallelExecutor
 from repro.parallel.shared_data import AttachedDataset, SharedArrayMeta, SharedDataset
 from repro.parallel.serving import PoolPredictor
 
@@ -40,6 +41,5 @@ __all__ = [
     "SharedDataset",
     "AttachedDataset",
     "SharedArrayMeta",
-    "MemberTask",
     "PoolPredictor",
 ]

@@ -352,7 +352,10 @@ def _make_handler(pool, mode: str, started_at: float):
                     self._reply(400, {"error": str(exc)})
 
         def log_message(self, fmt, *args):  # pragma: no cover - quiet server
-            logger.debug("%s - %s", self.address_string(), fmt % args)
+            # send_response calls this for every response: format nothing
+            # unless DEBUG is on.
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug("%s - %s", self.address_string(), fmt % args)
 
     return Handler
 

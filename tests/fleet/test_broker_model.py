@@ -1,15 +1,21 @@
 """Model-based test of the one-queue broker: Hypothesis drives random
-interleavings of publish, lease, ack, nack, the visibility/consumer-deadline
-sweep (on an injected clock) and ``take_reaped`` — including the late ack of
-a consumer that was reaped meanwhile, which is what a retired ``front-0``
-sends if its hang ever ends — against a plain-Python model of at-least-once,
-first-ack-wins delivery.
+interleavings of publish, publish leased to a consumer (``lease_to``, how
+the front's caller thread answers as ``front-0``), lease, ack, nack, control
+posts and acks, the visibility/consumer-deadline sweep (on an injected
+clock) and ``take_reaped`` — including the late ack of a consumer that was
+reaped meanwhile, which is what a retired ``front-0`` sends if its hang ever
+ends — against a plain-Python model of at-least-once, first-ack-wins
+delivery.
 
 Invariants after every step: no job is lost (each is queued, leased or
 finished, exactly one of them), none completes twice, none is delivered more
-than ``max_deliveries`` times, and every duplicate ack is counted.  After a
-sweep the broker remembers exactly the finished jobs a duplicate could still
-follow.
+than ``max_deliveries`` times, and every duplicate ack is counted.  A job is
+published leased only onto an empty queue, only to an attached consumer that
+holds no lease and has acked the newest control revision; a job finished by
+the caller that answered it inline (``ack(deliver=False)``) is never
+delivered again, neither leased nor drained by ``poll_completed``.  After a
+sweep the broker remembers exactly the finished jobs a duplicate could
+still follow.
 
 The broker runs no thread, so a run is deterministic for its seed.  CI runs
 this file once more under the ``broker-model-10x`` Hypothesis profile
@@ -64,6 +70,10 @@ class BrokerMachine(RuleBasedStateMachine):
         self.finished = {}  # job -> "ok" | "error"
         self.finished_at = {}  # job -> model clock when it finished
         self.held = set()  # (consumer, job) leased and not yet answered by it
+        self.inline = set()  # the held pairs published leased (lease_to)
+        self.undelivered = set()  # finished by an inline ack: never drained
+        self.revision = 0  # newest control revision
+        self.control_acked = {}  # consumer -> control revision it acked last
         self.last_seen = {}  # attached consumer -> last call
         self.reaped = []
         self.redeliveries = 0
@@ -104,6 +114,50 @@ class BrokerMachine(RuleBasedStateMachine):
         self.queued.add(job)
 
     @rule(consumer=st.sampled_from(CONSUMERS))
+    def publish_leased_to(self, consumer):
+        job = f"job-{self.published}"
+        leasable = (
+            not self.queued
+            and consumer in self.last_seen
+            and all(holder != consumer for holder, _ in self.inflight.values())
+            and (self.revision == 0 or self.control_acked.get(consumer) == self.revision)
+        )
+        if not leasable and len(self.queued) >= CAPACITY:
+            try:
+                self.broker.publish({"n": self.published}, job_id=job, lease_to=consumer)
+            except BrokerFull:
+                return
+            raise AssertionError("a full queue took a job")
+        leased = self.broker.publish({"n": self.published}, job_id=job, lease_to=consumer)
+        self.published += 1
+        if not leasable:
+            # Queued like any job, behind the ones already waiting.
+            assert leased is None
+            assert self.broker._queue[-1].job_id == job
+            self.queued.add(job)
+            return
+        assert leased is not None and leased.job_id == job and leased.deliveries == 1
+        self._touch(consumer)
+        self.deliveries[job] = 1
+        self.inflight[job] = (consumer, self.now + VISIBILITY)
+        self.held.add((consumer, job))
+        self.inline.add((consumer, job))
+
+    @rule()
+    def post_control(self):
+        self.revision += 1
+        assert self.broker.post_control({"op": "swap"}) == self.revision
+
+    @rule(consumer=st.sampled_from(CONSUMERS), stale=st.booleans())
+    def ack_control(self, consumer, stale):
+        # An ack of a superseded revision is ignored.
+        revision = self.revision - 1 if stale else self.revision
+        self.broker.ack_control(consumer, revision, True)
+        self._touch(consumer)
+        if not stale:
+            self.control_acked[consumer] = revision
+
+    @rule(consumer=st.sampled_from(CONSUMERS))
     def lease(self, consumer):
         leased = self.broker.lease(consumer, timeout=0.0)
         self.last_seen[consumer] = self.now  # a lease attaches implicitly
@@ -119,15 +173,20 @@ class BrokerMachine(RuleBasedStateMachine):
         self.held.add((consumer, job))
 
     def _ack(self, consumer, job):
+        # The inline caller holds its answer: nothing to deliver.
+        deliver = (consumer, job) not in self.inline
         self.held.discard((consumer, job))
+        self.inline.discard((consumer, job))
         first = job not in self.finished
-        assert self.broker.ack(consumer, job, result=consumer) is first
+        assert self.broker.ack(consumer, job, result=consumer, deliver=deliver) is first
         self._touch(consumer)
         if first:
             # Leased by anyone, or back in the queue: this ack completes it.
             self.inflight.pop(job, None)
             self.queued.discard(job)
             self._finish(job, "ok")
+            if not deliver:
+                self.undelivered.add(job)
         else:
             self.duplicates += 1
 
@@ -147,6 +206,7 @@ class BrokerMachine(RuleBasedStateMachine):
     def nack(self, data):
         consumer, job = data.draw(st.sampled_from(sorted(self.held)))
         self.held.discard((consumer, job))
+        self.inline.discard((consumer, job))
         self.broker.nack(consumer, job, "boom")
         self._touch(consumer)
         # Only the lease holder gives a job back; a stale nack changes nothing.
@@ -179,11 +239,12 @@ class BrokerMachine(RuleBasedStateMachine):
     @invariant()
     def every_job_is_somewhere_and_done_at_most_once(self):
         for completed in self.broker.poll_completed(timeout=0.0):
+            assert completed.job_id not in self.undelivered
             self.completions[completed.job_id] += 1
             assert (completed.error is None) == (self.finished[completed.job_id] == "ok")
             assert completed.deliveries <= MAX_DELIVERIES
         assert all(count == 1 for count in self.completions.values())
-        assert set(self.completions) == set(self.finished)
+        assert set(self.completions) == set(self.finished) - self.undelivered
         queued = [job.job_id for job in self.broker._queue]
         assert len(queued) == len(set(queued))
         assert set(queued) == self.queued

@@ -15,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api import EnsemblePredictor
-from repro.fleet import FleetFront
+from repro.fleet import FleetConsumer, FleetFront
 from repro.fleet.broker import _JOBS
 from tests.procs import child_pids, is_running, residue, shm_entries
 
@@ -267,6 +268,80 @@ def test_a_wedged_front_consumer_is_retired_and_replaced(
         assert [child_pids(pid) for pid in pids] == [[], []]
         # The fleet keeps answering without consumer 0.
         assert np.array_equal(front.predict_proba(x[:4], timeout=60), reference.predict_proba(x[:4]))
+    finally:
+        front.close()
+    assert residue(pids, shm_before, timeout=5.0) == ([], [])
+
+
+def test_a_sync_call_wedged_on_its_own_thread_returns_while_the_lane_is_replaced(
+    saved_artifact, serial_result, monkeypatch
+):
+    """What inline answering gives up: a sync call that ``front-0``'s idle
+    lane answers on the caller's thread is not redelivered *to that caller*
+    if its forward wedges — it returns, bitwise, when its own forward does.
+    Meanwhile nothing else waits on it: ``front-0``'s thread stops calling
+    in (it waits for the lane), the broker reaps the lane and redelivers the
+    job, the front retires ``front-0`` and a subprocess takes its place, and
+    requests queued meanwhile are answered by it."""
+    hang = 8.0
+    monkeypatch.setenv("REPRO_FAULTS", f"fleet_consume_hang:consumer=front-0:seconds={hang}")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    answered = []
+    real_answer = FleetConsumer.answer
+
+    def recording_answer(self, job, deliver=True):
+        answered.append((self.consumer_id, threading.current_thread().name))
+        return real_answer(self, job, deliver=deliver)
+
+    monkeypatch.setattr(FleetConsumer, "answer", recording_answer)
+    reference = EnsemblePredictor.load(saved_artifact)
+    x = serial_result.dataset.x_test
+    inline = _JOBS.labels("inline").value
+    shm_before = shm_entries()
+    front = FleetFront(
+        saved_artifact,
+        visibility_timeout=1.0,
+        min_consumers=1,
+        max_consumers=1,
+        autoscale=False,
+        reconcile_interval=0.1,
+    )
+    pids = []
+    try:
+        front.wait_ready(timeout=10)
+        outcome = {}
+
+        def call():
+            outcome["proba"] = front.predict_proba(x[:4], timeout=60)
+
+        caller = threading.Thread(target=call, name="wedged-caller")
+        started = time.monotonic()
+        caller.start()
+        deadline = started + 60
+        while "front-0" in front.broker.stats()["consumers"] or front._front_consumer is not None:
+            assert time.monotonic() < deadline, front.broker.stats()
+            time.sleep(0.05)
+        # Retired while the call is still in its own forward.
+        assert caller.is_alive() and time.monotonic() - started < hang
+        assert answered == [("front-0", "wedged-caller")]
+        assert _JOBS.labels("inline").value == inline + 1
+        # Queued meanwhile: answered by the replacement, not by front-0.
+        batches = [x[4 + i : 6 + i] for i in range(3)]
+        job_ids = [front.submit(batch) for batch in batches]
+        for batch, job_id in zip(batches, job_ids):
+            assert np.array_equal(front.result(job_id, timeout=120), reference.predict_proba(batch))
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert np.array_equal(outcome["proba"], reference.predict_proba(x[:4]))
+        assert front.broker.redeliveries() >= 1
+        fleet = front.local_consumers()
+        assert fleet["running"] == len(fleet["pids"]) == 1
+        pids = fleet["pids"]
+        # No front-0 any more: sync calls queue for the subprocess.
+        proba = front.predict_proba(x[:4], timeout=60)
+        assert np.array_equal(proba, reference.predict_proba(x[:4]))
+        assert _JOBS.labels("inline").value == inline + 1
+        assert answered == [("front-0", "wedged-caller")]
     finally:
         front.close()
     assert residue(pids, shm_before, timeout=5.0) == ([], [])

@@ -330,3 +330,42 @@ def test_front_0_swaps_like_any_consumer(swap_store, refs):
     finally:
         front.close()
         swap_store.promote(0)
+
+
+def test_a_pending_swap_is_applied_before_the_next_inline_answer(swap_store, refs, monkeypatch):
+    """A sync call answers on its own thread only once ``front-0`` has
+    applied the newest swap (which it does under its lane lock, between two
+    answers): until then calls queue — ``front-0``'s thread may still answer
+    them on the old generation — and the first inline answer after the post
+    is the new generation's.  Every answer is one generation's, bitwise."""
+    probe, ref0, ref1 = refs
+    swap_store.promote(0)
+    answered = []  # (thread, generation served) per answer, as it starts
+    real_answer = FleetConsumer.answer
+
+    def recording_answer(self, job, deliver=True):
+        answered.append((threading.current_thread().name, self.predictor.generation))
+        return real_answer(self, job, deliver=deliver)
+
+    monkeypatch.setattr(FleetConsumer, "answer", recording_answer)
+    caller = threading.current_thread().name
+    front = FleetFront(swap_store.root, min_consumers=1, max_consumers=1)
+    try:
+        front.wait_ready(timeout=10)
+        np.testing.assert_array_equal(front.predict_proba(probe[:2], timeout=60), ref0[:2])
+        assert answered == [(caller, 0)]
+        swap_store.promote(1)
+        revision = front.broker.post_control({"op": "swap", "generation": 1})
+        for _ in range(200):
+            out = front.predict_proba(probe[:2], timeout=60)
+            thread, generation = answered[-1]
+            np.testing.assert_array_equal(out, (ref0, ref1)[generation][:2])
+            if thread == caller:
+                break
+            assert thread == "repro-fleet-consumer-front-0"
+            time.sleep(0.01)
+        assert (thread, generation) == (caller, 1), answered
+        assert front.broker.control_status()["acks"]["front-0"]["revision"] == revision
+    finally:
+        front.close()
+        swap_store.promote(0)

@@ -1,6 +1,8 @@
 """FleetFront against an in-process consumer: bitwise parity with the
 single-process predictor, sync and async result paths, and validation; the
-front as consumer 0 (``front-0``) and the subprocesses it adds beside it."""
+front as consumer 0 (``front-0``) and the subprocesses it adds beside it; a
+sync call answered on its own thread when ``front-0`` is idle, and every
+case that queues instead."""
 
 import io
 import math
@@ -18,6 +20,7 @@ import pytest
 from repro.api import EnsemblePredictor
 from repro.fleet import BrokerFull, FleetConsumer, FleetFront, InProcBroker, connect_broker
 from repro.fleet import front as front_module
+from repro.fleet.broker import _JOBS
 from repro.fleet.consumer import _CONSUMED
 from repro.fleet.front import _LocalConsumer
 from repro.obs.exposition import render_prometheus
@@ -51,6 +54,25 @@ def fleet(saved_artifact):
 @pytest.fixture(scope="module")
 def reference(saved_artifact):
     return EnsemblePredictor.load(saved_artifact)
+
+
+@pytest.fixture
+def answers(monkeypatch):
+    """``(consumer, job id, thread name)`` of every job an in-process
+    consumer answers, in answer order."""
+    record = []
+    real_answer = FleetConsumer.answer
+
+    def recording_answer(self, job, deliver=True):
+        record.append((self.consumer_id, job.job_id, threading.current_thread().name))
+        return real_answer(self, job, deliver=deliver)
+
+    monkeypatch.setattr(FleetConsumer, "answer", recording_answer)
+    return record
+
+
+def _jobs(event):
+    return _JOBS.labels(event).value
 
 
 def test_predict_proba_bitwise_equals_single_process(fleet, reference, serial_result):
@@ -465,11 +487,14 @@ def test_subprocess_consumers_metrics_reach_the_front_exactly(
         burst()
         assert "local-0" in ackers
         # Past local-0's metrics interval, its next ack ships the window.
+        # Queued one at a time (a sync predict_proba would be answered
+        # inline by front-0 every time).
         time.sleep(1.2)
         shipped = len(ackers)
         while ackers[-1:] != ["local-0"]:
             assert len(ackers) - shipped < 20, ackers[shipped:]
-            assert np.array_equal(front.predict_proba(x[:1], timeout=60), reference.predict_proba(x[:1]))
+            job_id = front.submit(x[:1])
+            assert np.array_equal(front.result(job_id, timeout=60), reference.predict_proba(x[:1]))
         assert ok.value - answered == len(ackers)
 
         # A burst inside the interval ships nothing; draining local-0 ships it.
@@ -560,3 +585,104 @@ def test_timeout_zero_does_not_wait(saved_artifact):
         with pytest.raises(TimeoutError):
             front.result(job_id, timeout=0)
         assert time.monotonic() - start < 1.0
+
+
+def test_sequential_sync_calls_are_answered_on_the_callers_thread(
+    saved_artifact, reference, serial_result, answers
+):
+    """An idle ``front-0`` with nothing queued: each sync call publishes its
+    job leased to ``front-0`` and answers it itself — ``front-0``'s thread
+    answers none, and the loop is not woken for any — bitwise, every method
+    and size.  The inline jobs count as published, leased and completed."""
+    x = serial_result.dataset.x_test
+    calls = [(x[i : i + 1 + i % 3], ("average", "vote", "super_learner")[i % 3]) for i in range(30)]
+    with FleetFront(saved_artifact, min_consumers=1, max_consumers=1) as front:
+        front.wait_ready(timeout=10)
+        before = {event: _jobs(event) for event in ("inline", "published", "leased", "completed")}
+        observed = front_module._JOB_LATENCY.count
+        woken = []
+        real_deliver = front._deliver
+        front._deliver = lambda completed: (woken.extend(completed), real_deliver(completed))
+        for rows, method in calls:
+            np.testing.assert_array_equal(
+                front.predict_proba(rows, method=method, timeout=60),
+                reference.predict_proba(rows, method=method),
+            )
+        assert woken == []
+        # The front observed each job's latency itself.
+        assert front_module._JOB_LATENCY.count - observed == 30
+        with front._lock:
+            assert front._entries == {}
+        assert front.broker.stats()["inflight"] == 0
+    assert {event: _jobs(event) - before[event] for event in before} == dict.fromkeys(before, 30)
+    assert [consumer for consumer, _, _ in answers] == ["front-0"] * 30
+    assert {thread for _, _, thread in answers} == {threading.current_thread().name}
+
+
+def test_an_external_consumer_front_answers_nothing_inline(
+    fleet, reference, serial_result, answers
+):
+    """``spawn_local=False``: no ``front-0``, so every sync call is queued
+    and answered by the attached consumer's thread."""
+    inline = _jobs("inline")
+    x = serial_result.dataset.x_test[:3]
+    for _ in range(3):
+        np.testing.assert_array_equal(
+            fleet.predict_proba(x, timeout=60), reference.predict_proba(x)
+        )
+    assert _jobs("inline") == inline
+    assert [(consumer, thread) for consumer, _, thread in answers] == [
+        ("inproc", "repro-fleet-consumer-inproc")
+    ] * 3
+
+
+def test_callers_that_find_the_lane_busy_queue_behind_it_in_order(
+    saved_artifact, reference, serial_result, answers
+):
+    """While ``front-0``'s lane is busy, sync calls publish onto the queue
+    like any job, and ``front-0``'s thread answers them oldest first; a call
+    that finds jobs queued queues behind them too."""
+    x = serial_result.dataset.x_test
+    with FleetFront(saved_artifact, min_consumers=1, max_consumers=1) as front:
+        front.wait_ready(timeout=10)
+        lane = front._front_consumer.lane
+        inline = _jobs("inline")
+        results, published = {}, []
+        real_publish = front.broker.publish
+
+        def recording_publish(payload, job_id=None, lease_to=None):
+            published.append(job_id)
+            return real_publish(payload, job_id=job_id, lease_to=lease_to)
+
+        front.broker.publish = recording_publish
+
+        def call(i):
+            results[i] = front.predict_proba(x[i : i + 1], timeout=60)
+
+        threads = []
+        with lane:  # another thread is answering
+            for i in range(4):
+                threads.append(threading.Thread(target=call, args=(i,)))
+                threads[-1].start()
+                _wait_for(lambda: len(published) > i, 10, f"call {i} never published")
+            _wait_for(
+                lambda: front.broker.depth() + front.broker.stats()["inflight"] == 4,
+                10,
+                "calls not queued",
+            )
+            # No call waits for the lane, and none goes ahead of a queued one.
+            extra = {"x": x[:1], "method": "average"}
+            assert front.broker.publish(extra, job_id="extra", lease_to="front-0") is None
+        for thread in threads:
+            thread.join(timeout=60)
+        _wait_for(lambda: len(answers) == 5, 10, "the extra job was never answered")
+        assert _jobs("inline") == inline
+        assert [job_id for _, job_id, _ in answers] == published
+        assert {thread for _, _, thread in answers} == {"repro-fleet-consumer-front-0"}
+        for i in range(4):
+            np.testing.assert_array_equal(results[i], reference.predict_proba(x[i : i + 1]))
+        # Idle again: the next call is the caller's own.
+        np.testing.assert_array_equal(
+            front.predict_proba(x[:2], timeout=60), reference.predict_proba(x[:2])
+        )
+        assert _jobs("inline") == inline + 1
