@@ -250,12 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument("--batch-size", type=int, default=256)
     worker.add_argument(
-        "--metrics-interval",
-        type=float,
-        default=1.0,
-        help="minimum seconds between metrics snapshots shipped to the front",
-    )
-    worker.add_argument(
         "--log-format",
         choices=("json", "text"),
         default="json",
@@ -484,7 +478,6 @@ def _cmd_fleet_worker(args: argparse.Namespace) -> int:
         consumer_id=consumer_id,
         method=args.method,
         batch_size=args.batch_size,
-        metrics_interval=args.metrics_interval,
     ).start()
 
     stop = threading.Event()

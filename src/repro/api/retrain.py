@@ -18,7 +18,7 @@ natural deployment loop is *retrain continuously, promote conservatively*:
 
 Promotion moves the store's atomic ``CURRENT`` pointer, which is exactly
 what the serving tier's hot-swap re-resolves — ``POST /admin/swap`` on the
-HTTP front, :meth:`PoolPredictor.swap`, or a fleet control broadcast — so
+HTTP front, :meth:`PoolPredictor.swap` or :meth:`FleetFront.swap` — so
 the retrain loop never touches a server directly.
 
 ``python -m repro retrain`` drives this module from the CLI: ``--once`` for

@@ -16,9 +16,9 @@ Delivery semantics — **at-least-once**:
   it is at capacity — backpressure the HTTP front turns into a 503 rather
   than buffering unboundedly).  ``publish(..., lease_to=consumer)`` hands
   the job straight to that consumer instead, already leased, when nothing
-  is queued and the consumer is attached, holds no lease and has applied
-  the newest control revision — how the front's caller thread answers a
-  request as ``front-0`` (otherwise the job is queued as usual).
+  is queued and the consumer is attached, holds no lease and serves the
+  target generation — how the front's caller thread answers a request as
+  ``front-0`` (otherwise the job is queued as usual).
 * ``lease`` hands whichever consumer asks the oldest queued job and starts a
   **visibility timeout**; a job not acked before the timeout is assumed lost
   with its consumer and is requeued at the head of the queue
@@ -36,6 +36,20 @@ Delivery semantics — **at-least-once**:
   total deliveries the job completes with an error instead of looping
   forever.
 
+Which generation the fleet serves is one piece of broker state, the
+**target**: the artifact generation every consumer must serve, set by the
+front (:meth:`InProcBroker.set_target`, at start-up and for each swap; a
+bare broker has none).  Next to it the broker keeps each consumer's
+*reported* generation (:meth:`~InProcBroker.attach`, then
+:meth:`~InProcBroker.report` after every reload) and, for the current
+target only, the load failure a consumer reported.  ``lease`` returns the
+next thing a consumer must do: the target generation while the consumer
+serves another one and has not failed to load it — a consumer moves
+between two jobs, so no answer mixes generations, and one that joins late
+converges like the rest — otherwise the oldest job.  Setting a target wakes
+every waiting ``lease`` and clears the failures; the front waits until
+every attached consumer reports the target, or one reports a failure.
+
 No job belongs to a consumer until it is leased, so no consumer idles
 while work waits.  Consumers that stop calling in (no lease/ack within
 ``consumer_deadline`` seconds) are detached and reported by
@@ -44,7 +58,7 @@ consumer from a busy one.  A reaped consumer that was merely slow
 re-attaches implicitly on its next lease call.
 
 Two conditions share the one lock, so an event wakes only the threads that
-wait for it: ``work`` (publish, requeue, control, detach, close) wakes
+wait for it: ``work`` (publish, requeue, a new target, detach, close) wakes
 consumers blocked in ``lease``; ``done`` (a completed job, ``wake``, close)
 wakes the front's loop in ``poll_completed``.
 
@@ -206,13 +220,12 @@ class InProcBroker:
         # Consumers a sweep detached for silence, until take_reaped().
         self._reaped: List[str] = []
         self._redeliveries = 0
-        # Control channel: one monotonically-increasing revision, the latest
-        # command (later posts supersede earlier ones — consumers converge on
-        # the newest state, which is all a swap needs), and per-consumer acks
-        # for the current revision.
-        self._control_revision = 0
-        self._control_command: Optional[Dict[str, Any]] = None
-        self._control_acks: Dict[str, Dict[str, Any]] = {}
+        # The generation every consumer must serve (None: no target), the one
+        # each attached consumer reported (None until it has), and the load
+        # failures reported for the current target.
+        self._target: Optional[int] = None
+        self._generations: Dict[str, Optional[int]] = {}
+        self._failures: Dict[str, str] = {}
         self._closed = False
         self._woken = False
 
@@ -228,7 +241,7 @@ class InProcBroker:
         With ``lease_to``, the job is published already leased to that
         consumer — and returned, to be answered by the caller — when nothing
         is queued (FIFO holds), the consumer is attached, holds no lease and
-        has acked the newest control revision; no consumer is woken for it
+        serves the target generation; no consumer is woken for it
         (``repro_fleet_jobs_total{event="inline"}``).  Otherwise it is
         queued as usual and ``None`` is returned.
         """
@@ -262,23 +275,49 @@ class InProcBroker:
             return False
         if any(lease.consumer_id == consumer_id for lease in self._inflight.values()):
             return False
-        if self._control_revision == 0:
-            return True
-        acked = self._control_acks.get(consumer_id)
-        return acked is not None and acked["revision"] == self._control_revision
+        return self._target is None or self._generations[consumer_id] == self._target
 
     # -------------------------------------------------------------- consumers
-    def attach(self, consumer_id: str) -> None:
-        """Register a consumer (``lease`` does so implicitly too)."""
+    def attach(self, consumer_id: str, generation: Optional[int] = None) -> None:
+        """Register a consumer serving ``generation`` — ``lease`` attaches
+        implicitly too, with the generation unknown until the consumer
+        reports one.  A re-attach starts afresh: no earlier load failure
+        counts."""
         with self._lock:
             self._attach_locked(consumer_id, time.monotonic())
+            self._generations[consumer_id] = generation
+            self._failures.pop(consumer_id, None)
 
     def _attach_locked(self, consumer_id: str, now: float) -> None:
         fresh = consumer_id not in self._consumers
         self._consumers[consumer_id] = now
         if fresh:
+            self._generations[consumer_id] = None
             log_event("fleet.consumer_attached", consumer=consumer_id)
             _CONSUMERS.set(len(self._consumers))
+
+    def report(
+        self, consumer_id: str, generation: int, target: int, error: Optional[str] = None
+    ) -> None:
+        """Record the generation an attached consumer serves after it was
+        handed ``target``; with ``error``, that it could not load it — kept
+        while ``target`` is still the target, and until then the consumer
+        leases jobs on the generation it has.  A detached consumer's report
+        changes nothing."""
+        with self._lock:
+            if consumer_id not in self._consumers:
+                return
+            self._touch(consumer_id)
+            self._generations[consumer_id] = generation
+            if error is not None and target == self._target:
+                self._failures[consumer_id] = error
+            log_event(
+                "fleet.consumer_reported",
+                consumer=consumer_id,
+                generation=generation,
+                target=target,
+                error=error,
+            )
 
     def _touch(self, consumer_id: str) -> None:
         """Keepalive from an attached consumer (lock held)."""
@@ -297,6 +336,8 @@ class InProcBroker:
         if consumer_id not in self._consumers:
             return
         del self._consumers[consumer_id]
+        del self._generations[consumer_id]
+        self._failures.pop(consumer_id, None)
         _CONSUMERS.set(len(self._consumers))
         if reason == "deadline":
             self._reaped.append(consumer_id)
@@ -309,19 +350,27 @@ class InProcBroker:
             reaped, self._reaped = self._reaped, []
             return reaped
 
-    def lease(self, consumer_id: str, timeout: float = 1.0) -> Optional[Job]:
-        """The oldest queued job, or ``None``.
+    def lease(self, consumer_id: str, timeout: float = 1.0) -> Union[Job, int, None]:
+        """The next thing ``consumer_id`` must do: the target generation (an
+        ``int``) while it serves another one and has not failed to load it,
+        else the oldest queued job; ``None`` when there is neither.
 
-        Blocks up to ``timeout`` for work.  An unknown consumer (never
-        attached, or reaped while slow) is attached implicitly, so a
-        consumer that went quiet long enough to be detached heals by simply
-        calling ``lease`` again.
+        Blocks up to ``timeout`` for either; a new target ends the wait at
+        once.  An unknown consumer (never attached, or reaped while slow) is
+        attached implicitly, so a consumer that went quiet long enough to be
+        detached heals by simply calling ``lease`` again.
         """
         deadline = time.monotonic() + max(0.0, float(timeout))
         with self._work:
             while not self._closed:
                 now = time.monotonic()
                 self._attach_locked(consumer_id, now)
+                if (
+                    self._target is not None
+                    and self._generations[consumer_id] != self._target
+                    and consumer_id not in self._failures
+                ):
+                    return self._target
                 job = self._take_job(consumer_id, now)
                 if job is not None:
                     return job
@@ -447,81 +496,19 @@ class InProcBroker:
         )
         self._done.notify_all()
 
-    # --------------------------------------------------------------- control
-    def post_control(self, command: Dict[str, Any]) -> int:
-        """Broadcast a command to the fleet; returns its revision.
-
-        Consumers observe it through :meth:`get_control` on their next lease
-        cycle and report back with :meth:`ack_control`; the front polls
-        :meth:`control_status` until every attached consumer has acked.
-        A newer post supersedes an unconsumed older one.
-        """
+    # ---------------------------------------------------------------- target
+    def set_target(self, generation: int) -> None:
+        """Make ``generation`` the one every consumer must serve: each is
+        handed it by its next :meth:`lease` (a waiting one wakes now) and
+        reports back with :meth:`report`.  The load failures reported for
+        the previous target are forgotten."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("broker is closed")
-            self._control_revision += 1
-            self._control_command = dict(command)
-            self._control_acks = {}
-            log_event(
-                "fleet.control_posted",
-                revision=self._control_revision,
-                command=dict(command),
-            )
+            self._target = int(generation)
+            self._failures.clear()
+            log_event("fleet.target_set", generation=self._target)
             self._work.notify_all()
-            return self._control_revision
-
-    def get_control(
-        self, consumer_id: str, after: int
-    ) -> Optional[Tuple[int, Dict[str, Any]]]:
-        """The current command if newer than ``after``, else ``None``.
-
-        Also refreshes the consumer's keepalive — a consumer polling for
-        control between jobs is alive, not reap-worthy.
-        """
-        with self._lock:
-            self._touch(consumer_id)
-            if self._control_command is None or self._control_revision <= after:
-                return None
-            return self._control_revision, dict(self._control_command)
-
-    def ack_control(
-        self, consumer_id: str, revision: int, ok: bool, detail: Optional[str] = None
-    ) -> None:
-        """Record one consumer's outcome for a control revision (nobody waits
-        on it: the front polls :meth:`control_status`)."""
-        with self._lock:
-            self._touch(consumer_id)
-            if revision != self._control_revision:
-                return  # superseded; only the newest revision is tracked
-            self._control_acks[consumer_id] = {
-                "revision": revision,
-                "ok": bool(ok),
-                "detail": detail,
-            }
-            log_event(
-                "fleet.control_acked",
-                consumer=consumer_id,
-                revision=revision,
-                ok=bool(ok),
-                detail=detail,
-            )
-
-    def control_status(self) -> Dict[str, Any]:
-        """Snapshot of the current control revision and its acks."""
-        with self._lock:
-            return {
-                "revision": self._control_revision,
-                "command": (
-                    dict(self._control_command)
-                    if self._control_command is not None
-                    else None
-                ),
-                "acks": {
-                    consumer_id: dict(ack)
-                    for consumer_id, ack in self._control_acks.items()
-                },
-                "consumers": list(self._consumers),
-            }
 
     # ----------------------------------------------------------------- front
     def poll_completed(self, timeout: float = 0.2) -> List[CompletedJob]:
@@ -623,8 +610,10 @@ class InProcBroker:
                 "oldest_job_age_seconds": None if oldest is None else time.monotonic() - oldest,
                 "inflight": len(self._inflight),
                 "redeliveries": self._redeliveries,
-                "control_revision": self._control_revision,
+                "target_generation": self._target,
                 "consumers": list(self._consumers),
+                "consumer_generations": dict(self._generations),
+                "target_failures": dict(self._failures),
             }
 
     # ------------------------------------------------------------- lifecycle

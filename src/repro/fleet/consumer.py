@@ -15,16 +15,26 @@ A lane can be run by a second thread.  The front's own consumer,
 idle: it publishes its job leased to ``front-0`` and answers it through
 :meth:`FleetConsumer.answer`, the method the lease loop uses.  The
 consumer's ``lane`` lock admits one thread at a time — it is held while a
-job is answered and while a control message is applied — so the predictor
-never serves two calls at once and no answer mixes generations.
+job is answered and while the predictor reloads — so the predictor never
+serves two calls at once and no answer mixes generations.
 
-Fleet-wide observability: alongside each ack the consumer periodically ships
-a *delta* snapshot of its ``repro.obs`` registry (``metrics_interval``
-throttled, counters/histograms accumulate on merge), and the rest with its
-detach when it stops, so the front's ``/metrics`` aggregates consumer
-activity across the fleet without scraping N processes.  A consumer running
-inside the front's own process (the front's ``front-0``) shares that
-registry and ships nothing: ``metrics_interval=math.inf``.
+Which generation to serve is the broker's *target*.  The consumer reports
+the generation it loaded when it attaches; from then on its one broker call
+per cycle, ``lease``, hands it either a job or — while it serves another
+generation and has not failed to load the target — the target generation,
+which it loads between two jobs and reports back (a failed load reports the
+error and keeps the old generation serving).  A consumer that joins late,
+on whatever ``CURRENT`` it loaded, is moved onto the target before its first
+job.
+
+Fleet-wide observability: a consumer on a broker proxy (``repro
+fleet-worker``) ships a *delta* snapshot of its ``repro.obs`` registry with
+an ack at most every :data:`METRICS_INTERVAL` seconds (counters/histograms
+accumulate on merge), and the rest with its detach when it stops, so the
+front's ``/metrics`` aggregates consumer activity across the fleet without
+scraping N processes.  A consumer on the broker object itself — the front's
+``front-0``, or any in-process one — shares the front's registry and ships
+nothing.
 
 Chaos hooks: ``repro.faults`` injection points ``fleet_consume`` (after the
 lease, before inference — a crash here strands a leased job, exercising
@@ -65,6 +75,11 @@ _CONSUMED = _metrics.counter(
 
 __all__ = ["FleetConsumer"]
 
+#: Longest wait in one ``lease`` call before the loop checks for a stop.
+LEASE_TIMEOUT = 0.5
+#: Least seconds between two registry deltas a proxy consumer ships.
+METRICS_INTERVAL = 1.0
+
 
 class FleetConsumer:
     """Answer broker jobs with one in-process predictor until stopped.
@@ -73,13 +88,11 @@ class FleetConsumer:
     that duck-types it — the in-process object in tests, a manager proxy in
     ``repro fleet-worker``.  ``close()`` drains first: the loop stops
     leasing, the in-flight job (if any) finishes and acks, then the consumer
-    detaches — the same mechanism a scale-down rides.  Artifact hot-swaps
-    arrive as broker *control* messages: between jobs the loop polls
-    :meth:`~repro.fleet.broker.InProcBroker.get_control`, applies
-    ``{"op": "swap", "generation": N}`` with
-    :meth:`~repro.api.predictor.EnsemblePredictor.reload` (a no-op when N is
-    already served; a failed reload leaves the old generation serving) and
-    acks the revision so the front can tell when the fleet has converged.
+    detaches — the same mechanism a scale-down rides.  A hot-swap arrives
+    as a target generation from ``lease``: the loop moves the predictor onto
+    it with :meth:`~repro.api.predictor.EnsemblePredictor.reload` and
+    reports the outcome (:meth:`~repro.fleet.broker.InProcBroker.report`),
+    so the front can tell when the fleet has converged.
     """
 
     def __init__(
@@ -89,46 +102,26 @@ class FleetConsumer:
         consumer_id: str,
         method: str = "average",
         batch_size: int = 256,
-        lease_timeout: float = 0.5,
-        metrics_interval: float = 1.0,
     ):
         self.consumer_id = str(consumer_id)
         self.broker = broker
-        self.lease_timeout = float(lease_timeout)
-        self.metrics_interval = float(metrics_interval)
+        # On the broker object the front's registry is this one: a shipped
+        # snapshot-and-reset delta would count everything twice.
+        self.metrics_interval = (
+            math.inf if isinstance(broker, InProcBroker) else METRICS_INTERVAL
+        )
         self.predictor = EnsemblePredictor.load(artifact, method=method, batch_size=batch_size)
         # One thread at a time: the lease loop, or a caller answering a job
         # published leased to this consumer.
         self.lane = threading.Lock()
         self._stop = threading.Event()
         self._last_metrics_ship = 0.0
-        # Highest broker control revision this consumer has applied (or
-        # deliberately skipped at start-up — the predictor just loaded
-        # CURRENT, so a pre-existing swap command is already satisfied).
-        self._control_revision = 0
         self._thread = threading.Thread(
             target=self._run, name=f"repro-fleet-consumer-{consumer_id}", daemon=True
         )
 
     def start(self) -> "FleetConsumer":
-        self.broker.attach(self.consumer_id)
-        try:
-            # Skip any control revision posted before we existed: the
-            # predictor loaded the store's CURRENT pointer moments ago, so an
-            # older swap broadcast is already satisfied (an autoscaler
-            # replacement consumer must not redundantly reload) — but it
-            # still needs acking or the front would wait on us.
-            status = self.broker.control_status()
-            self._control_revision = int(status.get("revision", 0))
-            if self._control_revision > 0:
-                self.broker.ack_control(
-                    self.consumer_id,
-                    self._control_revision,
-                    True,
-                    detail="joined on current generation",
-                )
-        except (AttributeError, EOFError, ConnectionError, OSError):
-            pass  # pragma: no cover - broker without a control channel
+        self.broker.attach(self.consumer_id, generation=self.predictor.generation)
         self._thread.start()
         log_event("fleet.consumer_started", consumer=self.consumer_id)
         return self
@@ -144,8 +137,13 @@ class FleetConsumer:
                     with self.lane:
                         if self._stop.is_set():
                             return
-                        self._poll_control()
-                    job = self.broker.lease(self.consumer_id, timeout=self.lease_timeout)
+                    work = self.broker.lease(self.consumer_id, timeout=LEASE_TIMEOUT)
+                    if work is not None:
+                        with self.lane:
+                            if isinstance(work, Job):
+                                self.answer(work)
+                            else:
+                                self._load(work)
                 except (EOFError, ConnectionError, OSError):
                     # The broker (front) went away; nothing left to serve.
                     logger.warning(
@@ -154,9 +152,6 @@ class FleetConsumer:
                     )
                     self._stop.set()
                     return
-                if job is not None:
-                    with self.lane:
-                        self.answer(job)
         finally:
             # Stopped (close, retire, a lost broker): leave, with the metrics
             # not yet shipped — also after retire(), since a lease blocked
@@ -170,44 +165,24 @@ class FleetConsumer:
                 except (EOFError, ConnectionError, OSError):
                     pass
 
-    def _poll_control(self) -> None:
-        """Apply any control command posted since the last lease cycle.
-
-        Runs between jobs, never mid-job: the job in flight finishes (and
-        acks its result computed on the *old* generation) before the
-        predictor reloads, so no response ever mixes generations.
-        """
-        pending = self.broker.get_control(self.consumer_id, self._control_revision)
-        if pending is None:
-            return
-        revision, command = pending
-        self._control_revision = revision
-        ok, detail = True, None
-        try:
-            self._apply_control(command)
-        except Exception as exc:
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-            logger.error(
-                "consumer %s failed control revision %d (%s): %s",
-                self.consumer_id,
-                revision,
-                command,
-                detail,
-            )
-        self.broker.ack_control(self.consumer_id, revision, ok, detail=detail)
-
-    def _apply_control(self, command: Dict[str, object]) -> None:
-        op = command.get("op")
-        if op != "swap":
-            raise ValueError(f"unknown control op {op!r}")
-        generation = command.get("generation")
-        if generation is not None and int(generation) == self.predictor.generation:
-            return
-        self.predictor.reload(generation=None if generation is None else int(generation))
-        log_event(
-            "fleet.consumer_swapped",
-            consumer=self.consumer_id,
-            generation=self.predictor.generation,
+    def _load(self, target: int) -> None:
+        """Move the predictor onto the ``target`` generation and report the
+        outcome (the caller holds :attr:`lane`: between two jobs, never mid
+        job).  A target already served reports without reloading; one that
+        fails to load reports the error and the old generation keeps
+        serving."""
+        error = None
+        if target != self.predictor.generation:
+            try:
+                self.predictor.reload(generation=target)
+                log_event("fleet.consumer_swapped", consumer=self.consumer_id, generation=target)
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                logger.error(
+                    "consumer %s failed to load generation %d: %s", self.consumer_id, target, error
+                )
+        self.broker.report(
+            self.consumer_id, self.predictor.generation, target=target, error=error
         )
 
     def answer(self, job: Job, deliver: bool = True) -> Optional[np.ndarray]:
@@ -255,8 +230,8 @@ class FleetConsumer:
         Snapshot-then-reset makes each shipment a delta, so the front can
         merge counters/histograms without double counting; shipping with the
         ack (rather than on a side channel) means the front's view is always
-        at least as fresh as the results it serves.  ``metrics_interval=inf``
-        ships nothing, ever.
+        at least as fresh as the results it serves.  A consumer on the broker
+        object (``metrics_interval`` infinite) ships nothing, ever.
         """
         registry = get_registry()
         if not registry.enabled or math.isinf(self.metrics_interval):

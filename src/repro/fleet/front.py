@@ -85,10 +85,7 @@ REQUEST_TIMEOUT = 300.0
 class _JobEntry:
     future: Future = field(default_factory=Future)
     want_proba: bool = True
-    done: bool = False
-    result: Optional[np.ndarray] = None
-    error: Optional[str] = None
-    expires: Optional[float] = None
+    expires: float = math.inf  # set when the result arrives
 
 
 @dataclass
@@ -193,22 +190,21 @@ class FleetFront(ServingTier):
             )
         try:
             self.broker = InProcBroker(visibility_timeout=visibility_timeout)
+            self.broker.set_target(self.generation)
             self.broker_address, self._stop_broker_server = serve_broker(
                 self.broker, host=host, port=fleet_port, authkey=fleet_authkey
             )
             if self.spawn_local:
-                # Consumer 0: this process's own lane on the broker object.
-                # It shares this registry, so it must never ship
-                # snapshot-and-reset deltas (math.inf: it never does).  Built
-                # (its predictor loaded) before the loop starts, so the loop
-                # counts it from its first reconcile; it starts leasing last.
+                # Consumer 0: this process's own lane on the broker object
+                # (sharing this registry, it ships no metrics).  Built (its
+                # predictor loaded) before the loop starts, so the loop counts
+                # it from its first reconcile; it starts leasing last.
                 self._front_consumer = FleetConsumer(
                     self.broker,
                     self.path,
                     consumer_id="front-0",
                     method=self.method,
                     batch_size=self.batch_size,
-                    metrics_interval=math.inf,
                 )
             self._loop.start()
             if self._front_consumer is not None:
@@ -294,10 +290,13 @@ class FleetFront(ServingTier):
             entry = self._entries.get(job_id)
             if entry is None:
                 return "unknown", None, None, True
-            if not entry.done:
+            if not entry.future.done():
                 return "pending", None, None, entry.want_proba
             del self._entries[job_id]
-            return "done", entry.result, entry.error, entry.want_proba
+        error = entry.future.exception()
+        if error is not None:
+            return "done", None, str(error), entry.want_proba
+        return "done", entry.future.result(), None, entry.want_proba
 
     def predict_proba(
         self,
@@ -311,9 +310,9 @@ class FleetFront(ServingTier):
         thread runs the lane: the job is published leased to
         ``front-0`` and answered here, through the method ``front-0``'s own
         thread uses, and its ack wakes nobody.  Any other case — a busy lane,
-        queued work, a swap ``front-0`` has not applied, no (or a retired)
-        ``front-0``, a failed answer (nacked, so redelivered) — waits for the
-        job's future as :meth:`submit` / :meth:`result` do.
+        queued work, a target generation ``front-0`` does not serve yet, no
+        (or a retired) ``front-0``, a failed answer (nacked, so redelivered)
+        — waits for the job's future as :meth:`submit` / :meth:`result` do.
 
         Given up for this: a forward that wedges on the calling thread is not
         redelivered to it, and ``timeout`` does not bound it.  The call
@@ -373,9 +372,6 @@ class FleetFront(ServingTier):
                 entry = self._entries.get(job.job_id)
                 if entry is None:
                     continue
-                entry.done = True
-                entry.result = job.result
-                entry.error = job.error
                 entry.expires = now + RESULT_TTL
             if job.error is not None:
                 entry.future.set_exception(RuntimeError(job.error))
@@ -388,7 +384,7 @@ class FleetFront(ServingTier):
             expired = [
                 job_id
                 for job_id, entry in self._entries.items()
-                if entry.done and entry.expires is not None and now > entry.expires
+                if entry.future.done() and now > entry.expires
             ]
             for job_id in expired:
                 del self._entries[job_id]
@@ -459,7 +455,7 @@ class FleetFront(ServingTier):
         now = time.monotonic()
         # Only asked while a failure streak is open: it ends once the fleet
         # is whole again and every local consumer has attached.
-        attached = set(self.broker.control_status()["consumers"]) if self._spawn_failures else ()
+        attached = set(self.broker.stats()["consumers"]) if self._spawn_failures else ()
         wedged = set(self.broker.take_reaped())
         with self._lock:
             front = self._front_consumer
@@ -582,46 +578,37 @@ class FleetFront(ServingTier):
 
     # -------------------------------------------------------------- hot swap
     def _roll(self, target: ServedArtifact, timeout: Optional[float]) -> int:
-        """Post a ``{"op": "swap"}`` control message on the broker and block
-        until every attached consumer has acknowledged it; returns how many
-        did.
+        """Make ``target`` the broker's target generation and block until
+        every attached consumer serves it; returns how many do.
 
-        Each consumer reloads its predictor between two jobs, so it keeps
-        answering throughout, every response on one generation.  Consumers
-        that attach meanwhile load the new ``CURRENT`` themselves and ack
-        without reloading (autoscaler spawns pass ``self.path``).  Waits
-        ``timeout`` seconds, 60 by default.
+        Each consumer's next lease — a waiting one wakes at once — hands it
+        the target, and it reloads its predictor between two jobs, so it
+        keeps answering throughout, every response on one generation.  A
+        consumer that attaches meanwhile, on whatever ``CURRENT`` it loaded,
+        is moved the same way before its first job.  Raises when a consumer
+        reports that it cannot load the target, or after ``timeout``
+        seconds, 60 by default.
         """
         timeout = 60.0 if timeout is None else float(timeout)
         deadline = time.monotonic() + timeout
-        revision = self.broker.post_control(
-            {"op": "swap", "generation": target.generation}
-        )
+        self.broker.set_target(target.generation)
         while True:
-            status = self.broker.control_status()
-            acks = {
-                consumer_id: ack
-                for consumer_id, ack in status["acks"].items()
-                if ack["revision"] == revision
-            }
-            failed = [
-                f"{consumer_id}: {ack['detail']}"
-                for consumer_id, ack in acks.items()
-                if not ack["ok"]
-            ]
-            if failed:
-                raise RuntimeError("fleet swap failed on " + "; ".join(failed))
-            attached = set(status["consumers"])
-            if attached and attached <= set(acks):
-                return len(acks)
+            stats = self.broker.stats()
+            if stats["target_failures"]:
+                raise RuntimeError(
+                    "fleet swap failed on "
+                    + "; ".join(f"{c}: {error}" for c, error in stats["target_failures"].items())
+                )
+            generations = stats["consumer_generations"]
+            behind = sorted(c for c, g in generations.items() if g != target.generation)
+            if generations and not behind:
+                return len(generations)
             if time.monotonic() > deadline:
-                missing = sorted(attached - set(acks))
                 raise RuntimeError(
                     f"fleet swap timed out after {timeout:.0f}s waiting for "
-                    f"consumers {missing} to acknowledge generation "
-                    f"{target.generation}"
+                    f"consumers {behind} to serve generation {target.generation}"
                 )
-            time.sleep(0.05)
+            time.sleep(0.02)
 
     # ---------------------------------------------------------- health / info
     def wait_ready(self, timeout: float = 180.0) -> None:

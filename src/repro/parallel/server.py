@@ -45,7 +45,7 @@ Endpoints
   generation: body ``{}`` re-resolves the store's ``CURRENT`` pointer,
   ``{"generation": N}`` pins an explicit generation.  Every serving lane
   reloads its predictor in place between two answers — pool workers one at
-  a time, fleet consumers on a broker control message they acknowledge.
+  a time, fleet consumers once the broker's target generation moves.
   ``400`` for a malformed body, a generation that is not a JSON integer, an
   unknown generation or one whose shapes differ; ``409`` while another swap
   is in progress; ``500`` when the swap could not be carried out (it was

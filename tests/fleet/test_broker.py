@@ -14,6 +14,7 @@ from repro.fleet import broker as broker_module
 from repro.fleet.broker import (
     BrokerFull,
     InProcBroker,
+    Job,
     connect_broker,
     serve_broker,
 )
@@ -144,6 +145,67 @@ def test_an_idle_consumer_takes_the_next_job_while_another_is_busy():
         assert broker.stats()["inflight"] == 1  # c0 still holds its lease
     finally:
         broker.close()
+
+
+def test_a_waiting_lease_returns_the_target_as_soon_as_it_is_set(broker):
+    """A consumer blocked in ``lease`` on an empty queue is handed a new
+    target at once, not when its wait runs out."""
+    broker.attach("c", generation=0)
+    returned = {}
+
+    def wait():
+        returned["work"] = broker.lease("c", timeout=2.0)
+        returned["at"] = time.monotonic()
+
+    waiter = threading.Thread(target=wait)
+    waiter.start()
+    time.sleep(0.2)  # blocked in lease
+    assert "work" not in returned
+    set_at = time.monotonic()
+    broker.set_target(1)
+    waiter.join(timeout=5)
+    assert returned["work"] == 1
+    assert returned["at"] - set_at < 0.2
+
+
+def test_a_consumer_loads_the_target_before_it_leases_a_job(broker):
+    """A job waits until its consumer reports the target; a consumer that
+    joins on another generation, or with none known, is moved first."""
+    job_id = broker.publish({})
+    broker.attach("c", generation=0)
+    assert broker.lease("c", timeout=0.0).job_id == job_id  # no target: jobs only
+    broker.ack("c", job_id, result=None)
+    job_id = broker.publish({})
+    broker.set_target(1)
+    assert broker.lease("c", timeout=0.0) == 1
+    assert broker.lease("newcomer", timeout=0.0) == 1
+    assert broker.stats()["consumer_generations"] == {"c": 0, "newcomer": None}
+    broker.report("c", 1, target=1)
+    assert broker.lease("c", timeout=0.0).job_id == job_id
+    assert broker.stats()["consumer_generations"] == {"c": 1, "newcomer": None}
+
+
+def test_a_consumer_that_cannot_load_the_target_serves_jobs_until_the_next_one(broker):
+    """A reported load failure holds for the current target only: the
+    consumer leases jobs on the generation it has, is never sent an inline
+    job, and is moved again once a new target is set."""
+    broker.attach("c", generation=0)
+    broker.set_target(1)
+    broker.report("c", 0, target=2, error="stale")  # a target no longer set: ignored
+    assert broker.stats()["target_failures"] == {}
+    broker.report("c", 0, target=1, error="OSError: unreadable")
+    assert broker.stats()["target_failures"] == {"c": "OSError: unreadable"}
+    job_id = broker.publish({})
+    assert broker.lease("c", timeout=0.0).job_id == job_id
+    broker.ack("c", job_id, result=None)
+    assert broker.publish({}, lease_to="c") is None  # queued, not leased inline
+    broker.set_target(2)
+    assert broker.stats()["target_failures"] == {}
+    assert broker.lease("c", timeout=0.0) == 2
+    broker.report("c", 2, target=2)
+    queued = broker.lease("c", timeout=0.0)
+    broker.ack("c", queued.job_id, result=None)
+    assert isinstance(broker.publish({}, lease_to="c"), Job)
 
 
 def test_partitions_is_accepted_only_as_one():

@@ -1,21 +1,25 @@
 """Model-based test of the one-queue broker: Hypothesis drives random
 interleavings of publish, publish leased to a consumer (``lease_to``, how
-the front's caller thread answers as ``front-0``), lease, ack, nack, control
-posts and acks, the visibility/consumer-deadline sweep (on an injected
-clock) and ``take_reaped`` — including the late ack of a consumer that was
-reaped meanwhile, which is what a retired ``front-0`` sends if its hang ever
-ends — against a plain-Python model of at-least-once, first-ack-wins
-delivery.
+the front's caller thread answers as ``front-0``), attach, lease, ack, nack,
+setting the target generation, consumers' generation reports (loads that
+worked or failed, for the current target or a replaced one), the
+visibility/consumer-deadline sweep (on an injected clock) and
+``take_reaped`` — including the late ack of a consumer that was reaped
+meanwhile, which is what a retired ``front-0`` sends if its hang ever ends
+— against a plain-Python model of at-least-once, first-ack-wins delivery.
 
 Invariants after every step: no job is lost (each is queued, leased or
 finished, exactly one of them), none completes twice, none is delivered more
-than ``max_deliveries`` times, and every duplicate ack is counted.  A job is
-published leased only onto an empty queue, only to an attached consumer that
-holds no lease and has acked the newest control revision; a job finished by
-the caller that answered it inline (``ack(deliver=False)``) is never
-delivered again, neither leased nor drained by ``poll_completed``.  After a
-sweep the broker remembers exactly the finished jobs a duplicate could
-still follow.
+than ``max_deliveries`` times, and every duplicate ack is counted.  No job
+is leased to a consumer that serves another generation than the target and
+has not failed to load it — that consumer is handed the target instead.
+Setting a target clears the reported failures, and the broker's target,
+reported generations and failures match the model's.  A job is published
+leased (``lease_to``) only onto an empty queue, only to an attached consumer
+that holds no lease and serves the target; a job finished by the caller
+that answered it inline (``ack(deliver=False)``) is never delivered again,
+neither leased nor drained by ``poll_completed``.  After a sweep the broker
+remembers exactly the finished jobs a duplicate could still follow.
 
 The broker runs no thread, so a run is deterministic for its seed.  CI runs
 this file once more under the ``broker-model-10x`` Hypothesis profile
@@ -35,7 +39,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.fleet import broker as broker_module
-from repro.fleet.broker import _JOBS, BrokerFull, InProcBroker
+from repro.fleet.broker import _JOBS, BrokerFull, InProcBroker, Job
 
 CAPACITY = 6
 VISIBILITY = 1.0
@@ -43,6 +47,7 @@ MAX_DELIVERIES = 3
 #: The broker's default consumer deadline for this visibility timeout.
 CONSUMER_DEADLINE = max(2.0, 2.0 * VISIBILITY)
 CONSUMERS = ("front-0", "local-0")
+GENERATIONS = (0, 1, 2)
 #: How long the broker remembers a finished job: one full delivery cycle.
 DEDUPE_HORIZON = (MAX_DELIVERIES + 1) * VISIBILITY
 #: Examples per run: this, or the loaded profile's budget when that is larger.
@@ -72,8 +77,9 @@ class BrokerMachine(RuleBasedStateMachine):
         self.held = set()  # (consumer, job) leased and not yet answered by it
         self.inline = set()  # the held pairs published leased (lease_to)
         self.undelivered = set()  # finished by an inline ack: never drained
-        self.revision = 0  # newest control revision
-        self.control_acked = {}  # consumer -> control revision it acked last
+        self.target = None  # the generation every consumer must serve
+        self.generations = {}  # attached consumer -> generation it reported
+        self.failed = set()  # attached consumers that failed to load the target
         self.last_seen = {}  # attached consumer -> last call
         self.reaped = []
         self.redeliveries = 0
@@ -88,6 +94,19 @@ class BrokerMachine(RuleBasedStateMachine):
     def _touch(self, consumer):
         if consumer in self.last_seen:
             self.last_seen[consumer] = self.now
+
+    def _attach(self, consumer):
+        if consumer not in self.last_seen:
+            self.generations[consumer] = None  # unknown until it reports
+        self.last_seen[consumer] = self.now
+
+    def _must_move(self, consumer):
+        """Is ``consumer`` to load the target before it may lease a job?"""
+        return (
+            self.target is not None
+            and self.generations[consumer] != self.target
+            and consumer not in self.failed
+        )
 
     def _finish(self, job, outcome):
         self.finished[job] = outcome
@@ -120,7 +139,7 @@ class BrokerMachine(RuleBasedStateMachine):
             not self.queued
             and consumer in self.last_seen
             and all(holder != consumer for holder, _ in self.inflight.values())
-            and (self.revision == 0 or self.control_acked.get(consumer) == self.revision)
+            and self.target in (None, self.generations[consumer])
         )
         if not leasable and len(self.queued) >= CAPACITY:
             try:
@@ -143,28 +162,49 @@ class BrokerMachine(RuleBasedStateMachine):
         self.held.add((consumer, job))
         self.inline.add((consumer, job))
 
-    @rule()
-    def post_control(self):
-        self.revision += 1
-        assert self.broker.post_control({"op": "swap"}) == self.revision
+    @rule(consumer=st.sampled_from(CONSUMERS), generation=st.sampled_from(GENERATIONS))
+    def attach(self, consumer, generation):
+        # A (re-)attach reports the generation loaded and starts afresh.
+        self.broker.attach(consumer, generation=generation)
+        self._attach(consumer)
+        self.generations[consumer] = generation
+        self.failed.discard(consumer)
 
-    @rule(consumer=st.sampled_from(CONSUMERS), stale=st.booleans())
-    def ack_control(self, consumer, stale):
-        # An ack of a superseded revision is ignored.
-        revision = self.revision - 1 if stale else self.revision
-        self.broker.ack_control(consumer, revision, True)
+    @rule(generation=st.sampled_from(GENERATIONS))
+    def set_target(self, generation):
+        self.broker.set_target(generation)
+        self.target = generation
+        self.failed.clear()
+
+    @rule(
+        consumer=st.sampled_from(CONSUMERS),
+        generation=st.sampled_from(GENERATIONS),
+        handed=st.sampled_from(GENERATIONS),
+        failed=st.booleans(),
+    )
+    def report(self, consumer, generation, handed, failed):
+        # ``handed`` is the target the consumer was handed: the current one
+        # or one replaced since, whose failure no longer counts.
+        self.broker.report(consumer, generation, target=handed, error="boom" if failed else None)
+        if consumer not in self.last_seen:
+            return  # a detached consumer's report changes nothing
         self._touch(consumer)
-        if not stale:
-            self.control_acked[consumer] = revision
+        self.generations[consumer] = generation
+        if failed and handed == self.target:
+            self.failed.add(consumer)
 
     @rule(consumer=st.sampled_from(CONSUMERS))
     def lease(self, consumer):
         leased = self.broker.lease(consumer, timeout=0.0)
-        self.last_seen[consumer] = self.now  # a lease attaches implicitly
+        self._attach(consumer)  # a lease attaches implicitly
+        if self._must_move(consumer):
+            # No job for a consumer on another generation: the target first.
+            assert type(leased) is int and leased == self.target, leased
+            return
         if not self.queued:
             assert leased is None
             return
-        assert leased is not None and leased.job_id in self.queued
+        assert isinstance(leased, Job) and leased.job_id in self.queued
         job = leased.job_id
         self.queued.remove(job)
         self.deliveries[job] += 1
@@ -226,6 +266,8 @@ class BrokerMachine(RuleBasedStateMachine):
         for consumer, seen in sorted(self.last_seen.items()):
             if self.now - seen > CONSUMER_DEADLINE:
                 del self.last_seen[consumer]
+                del self.generations[consumer]
+                self.failed.discard(consumer)
                 self.reaped.append(consumer)
         remembered = {j for j, at in self.finished_at.items() if at >= self.now - DEDUPE_HORIZON}
         assert set(self.broker._finished_ids) == remembered
@@ -261,6 +303,13 @@ class BrokerMachine(RuleBasedStateMachine):
         assert all(count <= MAX_DELIVERIES for count in self.deliveries.values())
         leased = list(self.broker._queue) + [lease.job for lease in self.broker._inflight.values()]
         assert all(job.deliveries <= MAX_DELIVERIES for job in leased)
+
+    @invariant()
+    def target_state_matches_the_model(self):
+        stats = self.broker.stats()
+        assert stats["target_generation"] == self.target
+        assert stats["consumer_generations"] == self.generations
+        assert set(stats["target_failures"]) == self.failed <= set(self.last_seen)
 
     @invariant()
     def counters_match(self):

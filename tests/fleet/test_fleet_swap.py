@@ -1,5 +1,6 @@
-"""Zero-downtime hot-swap in queue mode: a fleet control broadcast reloads
-every consumer's predictor between jobs while client traffic keeps flowing.
+"""Zero-downtime hot-swap in queue mode: the broker's target generation
+moves, and every consumer reloads its predictor between two jobs while
+client traffic keeps flowing.
 
 Same kill-style guarantee as ``tests/parallel/test_hot_swap.py``, one tier
 up: during :meth:`FleetFront.swap` no request is dropped and every response
@@ -10,8 +11,8 @@ converging at their own pace.
 
 from __future__ import annotations
 
-import math
 import shutil
+import statistics
 import threading
 import time
 
@@ -58,12 +59,7 @@ def test_fleet_swap_under_fire_converges_all_consumers(swap_store, refs):
         max_consumers=2,
     )
     consumers = [
-        FleetConsumer(
-            front.broker,
-            swap_store.root,
-            consumer_id=f"c{i}",
-            metrics_interval=math.inf,
-        ).start()
+        FleetConsumer(front.broker, swap_store.root, consumer_id=f"c{i}").start()
         for i in range(2)
     ]
     try:
@@ -126,9 +122,10 @@ def test_fleet_swap_under_fire_converges_all_consumers(swap_store, refs):
         assert front.healthz()["generation"] == 1
         for consumer in consumers:
             assert consumer.predictor.generation == 1
-        status = front.broker.control_status()
-        assert {"c0", "c1"} <= set(status["acks"])
-        assert all(ack["ok"] for ack in status["acks"].values())
+        stats = front.broker.stats()
+        assert stats["target_generation"] == 1
+        assert stats["consumer_generations"] == {"c0": 1, "c1": 1}
+        assert stats["target_failures"] == {}
         # Post-swap the whole fleet answers purely from the new generation.
         np.testing.assert_array_equal(
             front.predict_proba(probe, timeout=60), ref1[:]
@@ -169,9 +166,7 @@ def test_a_second_swap_is_refused_while_one_runs(swap_store, monkeypatch):
         swap_store.root, spawn_local=False, autoscale=False, max_consumers=2
     )
     consumers = [
-        FleetConsumer(
-            front.broker, swap_store.root, consumer_id=f"c{i}", metrics_interval=math.inf
-        ).start()
+        FleetConsumer(front.broker, swap_store.root, consumer_id=f"c{i}").start()
         for i in range(2)
     ]
     outcome = {}
@@ -212,7 +207,7 @@ def test_a_failed_swap_rolls_the_fleet_back(swap_store, refs, tmp_path):
     store.promote(0)
     front = FleetFront(root, spawn_local=False, autoscale=False, max_consumers=2)
     consumers = [
-        FleetConsumer(front.broker, root, consumer_id=f"c{i}", metrics_interval=math.inf).start()
+        FleetConsumer(front.broker, root, consumer_id=f"c{i}").start()
         for i in range(2)
     ]
     try:
@@ -233,88 +228,106 @@ def test_a_failed_swap_rolls_the_fleet_back(swap_store, refs, tmp_path):
         front.close()
 
 
-def test_consumer_attaching_late_acks_without_rolling(swap_store, refs):
-    """A consumer that joins after a swap broadcast loads the promoted
-    CURRENT at construction, so it acks the pending control revision on
-    start() instead of reloading a predictor that is already on the right
-    generation (the front would otherwise wait on it forever)."""
-    probe, _, ref1 = refs
+def test_a_late_consumer_serves_the_pinned_generation_not_current(swap_store, refs):
+    """``CURRENT`` is 1 and the fleet was swapped to generation 0: a consumer
+    that joins now loads 1, and its first lease moves it onto 0 before it
+    answers anything — every answer is generation 0's, bitwise.  A consumer
+    that joins on the target already (the first one here) never reloads."""
+    probe, ref0, ref1 = refs
     swap_store.promote(1)
-    front = FleetFront(
-        swap_store.root, spawn_local=False, autoscale=False
-    )
+    front = FleetFront(swap_store.root, spawn_local=False, autoscale=False)
+    first = FleetConsumer(front.broker, swap_store.root, consumer_id="first").start()
+    loaded = first.predictor._served
+    late = None
     try:
-        revision = front.broker.post_control({"op": "swap", "generation": 1})
-        consumer = FleetConsumer(
-            front.broker,
-            swap_store.root,
-            consumer_id="late",
-            metrics_interval=math.inf,
-        )
-        loaded = consumer.predictor._served
-        consumer.start()
-        try:
-            acks = front.broker.control_status()["acks"]
-            assert acks["late"]["revision"] == revision
-            assert acks["late"]["ok"] is True
+        np.testing.assert_array_equal(front.predict_proba(probe[:8], timeout=60), ref1[:8])
+        assert first.predictor._served is loaded
+        assert front.swap(generation=0, timeout=60)["status"] == "ok"
+        first.close()
+        late = FleetConsumer(front.broker, swap_store.root, consumer_id="late")
+        assert late.predictor.generation == 1
+        late.start()
+        for start in range(0, 40, 8):
             np.testing.assert_array_equal(
-                front.predict_proba(probe[:8], timeout=60), ref1[:8]
+                front.predict_proba(probe[start : start + 8], timeout=60),
+                ref0[start : start + 8],
             )
-            # Its lease loop has polled the control channel since: still the
-            # generation it was built with, never reloaded.
-            assert consumer.predictor.generation == 1
-            assert consumer.predictor._served is loaded
-        finally:
-            consumer.close()
+        assert late.predictor.generation == 0
+        assert front.broker.stats()["consumer_generations"] == {"late": 0}
     finally:
+        first.close()
+        if late is not None:
+            late.close()
         front.close()
+        swap_store.promote(0)
 
 
-def _ack_of(front, consumer_id, command):
-    """Post ``command`` and wait for ``consumer_id``'s ack of it."""
-    revision = front.broker.post_control(command)
+def test_a_late_consumer_serves_the_fronts_generation_when_current_moved(swap_store, refs):
+    """``CURRENT`` moved to 1 with no swap: the front still serves 0, and so
+    does a consumer that loads 1 when it joins."""
+    probe, ref0, _ = refs
+    swap_store.promote(0)
+    front = FleetFront(swap_store.root, spawn_local=False, autoscale=False)
+    consumer = None
+    try:
+        swap_store.promote(1)
+        consumer = FleetConsumer(front.broker, swap_store.root, consumer_id="late").start()
+        for start in range(0, 40, 8):
+            np.testing.assert_array_equal(
+                front.predict_proba(probe[start : start + 8], timeout=60),
+                ref0[start : start + 8],
+            )
+        assert consumer.predictor.generation == front.generation == 0
+    finally:
+        if consumer is not None:
+            consumer.close()
+        front.close()
+        swap_store.promote(0)
+
+
+def _wait_for_stats(front, predicate, what):
+    """Wait until the broker's ``stats()`` satisfy ``predicate``."""
     deadline = time.monotonic() + 60
-    while True:
-        ack = front.broker.control_status()["acks"].get(consumer_id)
-        if ack is not None and ack["revision"] == revision:
-            return ack
-        assert time.monotonic() < deadline, f"{consumer_id} never acked {command}"
+    while not predicate(front.broker.stats()):
+        assert time.monotonic() < deadline, what
         time.sleep(0.02)
 
 
 def test_swap_to_the_served_generation_is_a_noop_and_a_failed_one_keeps_serving(
     swap_store, refs
 ):
-    """A swap onto the generation a consumer already serves acks without
-    reloading; one it cannot load is refused in its ack, and the generation
-    it served before keeps answering, bitwise."""
+    """A target a consumer already serves asks nothing of it: no reload.  One
+    it cannot load is reported as its failure, and the generation it served
+    before keeps answering, bitwise."""
     probe, ref0, _ = refs
     swap_store.promote(0)
     front = FleetFront(
         swap_store.root, spawn_local=False, autoscale=False
     )
-    consumer = FleetConsumer(
-        front.broker, swap_store.root, consumer_id="c", metrics_interval=math.inf
-    ).start()
+    consumer = FleetConsumer(front.broker, swap_store.root, consumer_id="c").start()
     loaded = consumer.predictor._served
     try:
-        assert _ack_of(front, "c", {"op": "swap", "generation": 0})["ok"] is True
+        front.broker.set_target(0)
+        np.testing.assert_array_equal(front.predict_proba(probe[:8], timeout=60), ref0[:8])
+        assert front.broker.stats()["consumer_generations"] == {"c": 0}
         assert consumer.predictor._served is loaded
 
-        ack = _ack_of(front, "c", {"op": "swap", "generation": 7})
-        assert ack["ok"] is False and "FileNotFoundError" in ack["detail"]
+        front.broker.set_target(7)
+        _wait_for_stats(front, lambda stats: "c" in stats["target_failures"], "c never reported")
+        assert "FileNotFoundError" in front.broker.stats()["target_failures"]["c"]
         assert consumer.predictor.generation == 0
         assert consumer.predictor._served is loaded
         np.testing.assert_array_equal(
             front.predict_proba(probe[:8], timeout=60), ref0[:8]
         )
+        assert front.broker.stats()["consumer_generations"] == {"c": 0}
     finally:
         consumer.close()
         front.close()
 
 
 def test_front_0_swaps_like_any_consumer(swap_store, refs):
-    """The front's own consumer polls the control channel and acks like a
+    """The front's own consumer is handed the target and reports like a
     subprocess consumer: a swap of a one-consumer front moves front-0."""
     probe, ref0, ref1 = refs
     swap_store.promote(0)
@@ -333,11 +346,12 @@ def test_front_0_swaps_like_any_consumer(swap_store, refs):
 
 
 def test_a_pending_swap_is_applied_before_the_next_inline_answer(swap_store, refs, monkeypatch):
-    """A sync call answers on its own thread only once ``front-0`` has
-    applied the newest swap (which it does under its lane lock, between two
-    answers): until then calls queue — ``front-0``'s thread may still answer
-    them on the old generation — and the first inline answer after the post
-    is the new generation's.  Every answer is one generation's, bitwise."""
+    """A sync call answers on its own thread only while ``front-0`` serves
+    the broker's target generation (it reloads under its lane lock, between
+    two answers): once the target moves, calls queue — ``front-0``'s thread
+    may still answer them on the old generation — and the first inline
+    answer is the new generation's.  Every answer is one generation's,
+    bitwise."""
     probe, ref0, ref1 = refs
     swap_store.promote(0)
     answered = []  # (thread, generation served) per answer, as it starts
@@ -355,7 +369,7 @@ def test_a_pending_swap_is_applied_before_the_next_inline_answer(swap_store, ref
         np.testing.assert_array_equal(front.predict_proba(probe[:2], timeout=60), ref0[:2])
         assert answered == [(caller, 0)]
         swap_store.promote(1)
-        revision = front.broker.post_control({"op": "swap", "generation": 1})
+        front.broker.set_target(1)
         for _ in range(200):
             out = front.predict_proba(probe[:2], timeout=60)
             thread, generation = answered[-1]
@@ -365,7 +379,26 @@ def test_a_pending_swap_is_applied_before_the_next_inline_answer(swap_store, ref
             assert thread == "repro-fleet-consumer-front-0"
             time.sleep(0.01)
         assert (thread, generation) == (caller, 1), answered
-        assert front.broker.control_status()["acks"]["front-0"]["revision"] == revision
+        assert front.broker.stats()["consumer_generations"]["front-0"] == 1
+    finally:
+        front.close()
+        swap_store.promote(0)
+
+
+def test_a_swap_on_an_idle_front_does_not_wait_out_a_lease(swap_store):
+    """An idle ``front-0`` waits in ``lease``: a new target ends that wait at
+    once, so a swap takes about one reload, not the rest of a lease wait."""
+    swap_store.promote(0)
+    front = FleetFront(swap_store.root, min_consumers=1, max_consumers=1)
+    try:
+        front.wait_ready(timeout=10)
+        seconds = []
+        for generation in (1, 0, 1, 0, 1):
+            time.sleep(0.05)  # front-0 back in its lease wait
+            result = front.swap(generation=generation, timeout=60)
+            assert result["status"] == "ok" and result["generation"] == generation, result
+            seconds.append(result["swap_seconds"])
+        assert statistics.median(seconds) <= 0.15, seconds
     finally:
         front.close()
         swap_store.promote(0)

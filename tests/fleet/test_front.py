@@ -38,14 +38,10 @@ def fleet(saved_artifact):
         min_consumers=1,
         max_consumers=1,
     )
-    # In-process the consumer shares the front's registry, so the
+    # On the broker object the consumer shares the front's registry, so the
     # snapshot-and-reset shipping step must never fire.
-    consumer = FleetConsumer(
-        front.broker,
-        saved_artifact,
-        consumer_id="inproc",
-        metrics_interval=math.inf,
-    ).start()
+    consumer = FleetConsumer(front.broker, saved_artifact, consumer_id="inproc").start()
+    assert math.isinf(consumer.metrics_interval)
     yield front
     consumer.close()
     front.close()
@@ -517,9 +513,7 @@ def test_a_consumer_retired_while_blocked_in_lease_leaves_the_broker(saved_artif
     awaited by a swap) until the consumer deadline."""
     broker = InProcBroker(visibility_timeout=30.0)
     try:
-        consumer = FleetConsumer(
-            broker, saved_artifact, consumer_id="c", lease_timeout=0.5, metrics_interval=math.inf
-        ).start()
+        consumer = FleetConsumer(broker, saved_artifact, consumer_id="c").start()
         time.sleep(0.2)  # blocked in lease: the queue is empty
         assert broker.stats()["consumers"] == ["c"]
         consumer.retire()
