@@ -29,6 +29,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["numpy"],
+    install_requires=["numpy", "orjson"],
     entry_points={"console_scripts": ["repro = repro.__main__:main"]},
 )

@@ -311,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--data-seed-step",
         type=int,
         default=1,
-        help="dataset-seed increment per cycle (simulates fresh data)",
+        help="dataset-seed increment per generation written (simulates fresh data)",
     )
     retrain.add_argument(
         "--log-file",

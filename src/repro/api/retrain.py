@@ -217,8 +217,11 @@ def retrain_loop(
 ) -> list:
     """Run retrain cycles until ``max_cycles`` (or ``stop.is_set()``).
 
-    Each cycle's data seed is the spec's dataset seed plus ``cycle_index *
-    data_seed_step`` (1-based), so cycles are deterministic and distinct.
+    Each cycle's data seed is the spec's dataset seed plus ``generation *
+    data_seed_step``, where ``generation`` is the one the cycle writes, so
+    cycles are deterministic and distinct — also across processes: a second
+    ``repro retrain --once`` on a store draws the next seed, not the first
+    one again.
     ``stop`` is any object with ``is_set()`` — a ``threading.Event`` — for
     embedding the loop in a service.  Returns the list of
     :class:`RetrainReport`.
@@ -232,7 +235,8 @@ def retrain_loop(
         if stop is not None and stop.is_set():
             break
         cycle += 1
-        data_seed = base_seed + cycle * int(data_seed_step)
+        generation = max(store.generations(), default=-1) + 1
+        data_seed = base_seed + generation * int(data_seed_step)
         try:
             reports.append(
                 retrain_cycle(

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.api import retrain_cycle, retrain_loop, save_ensemble_run
@@ -66,6 +67,26 @@ def test_loop_runs_deterministic_distinct_seeds(store, tiny_spec):
     base_seed = dict(tiny_spec.dataset)["seed"]
     assert [report.data_seed for report in reports] == [base_seed + 1, base_seed + 2]
     assert store.current_generation() == 2
+
+
+def test_loops_in_turn_draw_the_next_seed(store, tiny_spec, tiny_result):
+    """Each call is a fresh loop, as each ``repro retrain --once`` is a fresh
+    process: its seed follows the generation it writes, so the second call
+    does not redraw the first call's data and rewrite its generation."""
+    from repro.api import EnsemblePredictor
+
+    for _ in range(2):
+        retrain_loop(store, tiny_spec, max_cycles=1, max_error_delta=100.0)
+    base_seed = dict(tiny_spec.dataset)["seed"]
+    assert [store.lineage(g)["gate"]["data_seed"] for g in (1, 2)] == [
+        base_seed + 1,
+        base_seed + 2,
+    ]
+    x = tiny_result.dataset.x_test
+    first, second = (
+        EnsemblePredictor.load(store.generation_path(g)).predict_proba(x) for g in (1, 2)
+    )
+    assert not np.array_equal(first, second)
 
 
 def test_cli_retrain_once(tiny_result, tmp_path, experiment_dict):

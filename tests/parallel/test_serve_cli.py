@@ -218,6 +218,56 @@ def test_non_finite_inputs_are_a_400(request, mode, token, proba):
     assert "finite" in json.loads(excinfo.value.read())["error"]
 
 
+def _keepalive_exchange(url, body):
+    """POST ``body`` to /predict, then GET /healthz on the same connection:
+    ``(status, reply)`` of the POST once the connection proved usable."""
+    host, port = url[len("http://") :].split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=60)
+    try:
+        conn.request("POST", "/predict", body=body, headers={"Content-Type": "application/json"})
+        sock = conn.sock
+        response = conn.getresponse()
+        status, reply = response.status, json.loads(response.read())
+        conn.request("GET", "/healthz")
+        assert conn.sock is sock  # http.client would have reopened a closed connection
+        health = conn.getresponse()
+        assert health.status == 200 and json.loads(health.read())["status"] in ("ok", "degraded")
+    finally:
+        conn.close()
+    return status, reply
+
+
+@pytest.mark.parametrize("proba", [True, False])
+@pytest.mark.parametrize("token", ['"0.5"', "true", "false", "null", "{}"])
+@pytest.mark.parametrize("mode", ["pool", "queue"])
+def test_non_numeric_inputs_are_a_400(request, mode, token, proba):
+    """numpy parses a JSON string and casts a boolean: ``"0.5"`` and ``true``
+    among the inputs used to be served as 0.5 and 1.0, and ``null`` answered
+    a 400 that blamed a non-finite value."""
+    _, url = request.getfixturevalue("server" if mode == "pool" else "queue_server")
+    with urllib.request.urlopen(url + "/info", timeout=30) as response:
+        shape = json.loads(response.read())["input_shape"]
+    row = json.dumps(np.full([1] + shape, 0.25).tolist()).replace("0.25", token, 1)
+    body = f'{{"inputs": {row}, "proba": {json.dumps(proba)}}}'.encode()
+    status, reply = _keepalive_exchange(url, body)
+    assert status == 400
+    assert "non-numeric" in reply["error"]
+
+
+@pytest.mark.parametrize("mode", ["pool", "queue"])
+def test_an_integer_past_the_float64_range_is_a_400(request, mode):
+    """A 401-digit integer is a JSON number no float64 holds: converting it
+    raised ``OverflowError`` past the handler's ``except`` clauses, so the
+    client lost its connection and the log got an ``http.handler_error``."""
+    _, url = request.getfixturevalue("server" if mode == "pool" else "queue_server")
+    with urllib.request.urlopen(url + "/info", timeout=30) as response:
+        shape = json.loads(response.read())["input_shape"]
+    row = json.dumps(np.zeros([1] + shape).tolist()).replace("0.0", "1" + "0" * 400, 1)
+    status, reply = _keepalive_exchange(url, f'{{"inputs": {row}}}'.encode())
+    assert status == 400
+    assert "finite" in reply["error"]
+
+
 def _http_replies(url, path, code="400"):
     with urllib.request.urlopen(url + "/metrics", timeout=30) as response:
         page = response.read().decode()
