@@ -5,59 +5,69 @@ needs, BatchNorm is four passes of its own over the activations, and a
 convolution over ``N`` images is ``N`` small GEMMs.  Serving needs none of
 that.  :func:`lower_model` reads a trained model once and returns what an
 inference pass actually computes — a list of :class:`Stage` records, each
-``relu(W @ cols + b)`` with BatchNorm already folded into ``W`` and ``b`` —
+``relu(cols @ W + b)`` with BatchNorm already folded into ``W`` and ``b`` —
 and :class:`InferencePlan` runs the stages of a whole ensemble:
 
 * **BatchNorm folded at load.**  ``gamma (W x + b - mean) / sqrt(var + eps) +
   beta`` is ``(s W) x + (s (b - mean) + beta)`` with ``s = gamma / sqrt(var +
   eps)``; the products are taken in float64 and cast once.
-* **Channel-major activations.**  An activation buffer is ``(C, capacity * H
-  * W + 1)``: one row per channel, the batch's images one after the other from
-  column 0, and a last column — the *zero slot* — that is zero from allocation
-  and never written.  A convolution over the whole batch is then *one* ``W(O,
-  C k k) @ cols(C k k, N H W)`` GEMM whose output is the next stage's input as
-  it stands: bias and ReLU are applied to it in place.
-* **``cols`` by one lookup.**  One ``take`` along the rows of the input buffer
-  through an index table (:func:`_gather_table`: ``im2col`` of the positions,
-  as ``Conv2D``'s ``_patch_table`` is) builds ``cols``; a tap that falls on
-  the padding reads the zero slot, so there is no padded copy of anything.  A
+* **Pixel-major activations, member after member.**  An activation buffer
+  is its members' blocks one after another, each ``(1 + capacity * H * W,
+  C)``: a row per pixel holding its ``C`` channels, the batch's images one
+  after the other from row 1, and row 0 — the *zero row*.  A convolution of
+  ``g`` members over the whole batch is then *one* batched ``cols(g, 1 + N H
+  W, k k C) @ W(g, k k C, out)`` GEMM (the weights are folded and transposed
+  once, here) whose output is the next stage's input blocks as they stand:
+  bias and ReLU are applied to it in place, broadcast along the channels.
+* **``cols`` by one lookup.**  One ``take`` along the pixel axis of the input
+  blocks through an index table (:func:`_gather_table`: ``im2col`` of the
+  pixel positions, as ``Conv2D``'s ``_patch_table`` is) builds ``cols``, so
+  one index moves a pixel's ``C`` channels.  A tap that falls on the padding
+  reads the zero row, so there is no padded copy of anything.  The table's
+  own first row reads the zero row at every tap, so the GEMM writes its
+  output blocks' zero rows itself (bias and ReLU skip them): a stage that
+  gathers finds zero rows where the stage before it put them, whatever other
+  stacks — other widths, other block boundaries — wrote into that buffer.  A
   stage that is max-pooled lists the ``p * p`` window positions first in its
-  table, so the GEMM's output is ``p * p`` contiguous planes and pooling is an
-  elementwise maximum of them — taken *before* bias and ReLU, which commute
-  with it (both monotone) and then touch a quarter of the elements.  A 1x1
-  kernel, a hidden dense layer and a "same" convolution of a 1x1 image (only
-  its centre tap ever meets a non-zero) need no ``cols``: the GEMM reads the
-  activations directly.
+  table, each window's run of rows led by a zero row of its own, so the
+  GEMM's output is ``p * p`` contiguous runs and pooling is an elementwise
+  maximum of them — taken *before* bias and ReLU, which commute with it (both
+  monotone) and then touch a quarter of the elements.  Global average pooling
+  is a mean over the pixel axis.  A 1x1 kernel, a hidden dense layer and a
+  "same" convolution of a 1x1 image (only its centre tap ever meets a
+  non-zero) need no ``cols``: the GEMM reads the activations directly.
 * **Members that share a shape share a call.**  Every member sees the same
   images, so members whose first stages have one geometry run them as one
-  stage on their weights side by side: one lookup, one GEMM, one epilogue.
-  Below that, members whose stages at one depth have the same geometry and
-  weight shape run them as one *stack*: one ``take`` over their activation
-  rows, one batched ``matmul`` of ``(g, out, fan_in)`` weights, and one pool,
-  bias and ReLU over all ``g * out`` rows.  Members are ordered so that every
-  stack's rows are one block (:mod:`repro.nn.stacking`), so no activation is
-  ever copied.  A member leaves a stack where its shape diverges, and a stack
-  is cut where its ``cols`` would outgrow the widest any one member gathers,
-  so stacking does not grow the scratch.  Once a member is down to 1-pixel
-  activations (its *tail*: the dense layers, or every layer of a 1-pixel
-  input, which all members then read whole), the depth it got there at no
-  longer matters: the tails run a step at a time for every member at once,
-  from one buffer, so members that parted above meet in one stack again.  A
-  batched GEMM is the GEMMs it stands for, so a member gets the bits it gets
-  from a plan of its own.
+  stage: one lookup, then one broadcast batched GEMM and one epilogue per run
+  of members with one stem width.  Below that, members whose stages at one
+  depth have the same geometry and weight shape run them as one *stack*: one
+  ``take`` over their blocks, one batched ``matmul`` of ``(g, fan_in, out)``
+  weights, and one pool, bias and ReLU over all ``g`` blocks.  Members are
+  ordered so that every stack's blocks are neighbours in one buffer
+  (:mod:`repro.nn.stacking`), so no activation is ever copied.  A member
+  leaves a stack where its shape diverges, and a stack is cut where its
+  ``cols`` would outgrow the widest any one member gathers, so stacking does
+  not grow the scratch.  Once a member is down to 1-pixel activations (its
+  *tail*: the dense layers, or every layer of a 1-pixel input, which all
+  members then read whole), the depth it got there at no longer matters: the
+  tails run a step at a time for every member at once, from one buffer, so
+  members that parted above meet in one stack again, and their heads are
+  ``(g, n, C) @ (g, C, classes)``.  A batched GEMM is the GEMMs it stands
+  for, so a member gets the bits it gets from a plan of its own.
 * **One scratch, one call list.**  Nothing is kept for a backward, so every
   buffer comes from one :class:`~repro.nn.workspace.WorkspaceArena` shared by
   all stages and members; one ``cols`` buffer serves every stage, and the
   tails' two buffers live in it once nothing gathers any more.  Buffers and
   tables are bound once (:meth:`InferencePlan._bind`) for a *capacity* — the
   largest batch seen, rounded up to a power of two — and a batch of ``n``
-  uses their first ``n`` images: ``table[:, :, :n]``, ``buffer[:, :n * H *
-  W]``.  A row's pitch is then the capacity's, not the batch's; the
-  arithmetic does not see it.  What a batch of ``n`` runs is a flat list of
-  ``(function, args, kwargs)`` numpy calls on views of the scratch
-  (:meth:`InferencePlan._build`): built when ``n`` is not the last batch's
-  size and replaced by the next size's, never kept per size.  A larger batch
-  rebinds, and the memory stays at what the largest batch needed.
+  uses their first ``n`` images: ``table[:, : 1 + n * H * W / (p * p)]``,
+  ``blocks[:, : 1 + n * H * W]``.  A block's pitch is then the capacity's,
+  not the batch's; the arithmetic does not see it.  What a batch of ``n``
+  runs is a flat list of ``(function, args, kwargs)`` numpy calls on views of
+  the scratch (:meth:`InferencePlan._build`): built when ``n`` is not the
+  last batch's size and replaced by the next size's, never kept per size.  A
+  larger batch rebinds, and the memory stays at what the largest batch
+  needed.
 
 The plan is a snapshot of the weights at lowering time, and it is exact in
 real arithmetic, not in floating point: probabilities differ from the graph's
@@ -85,12 +95,12 @@ _DTYPE = np.dtype(np.float32)
 
 @dataclass(frozen=True)
 class Stage:
-    """``relu(weight @ cols + bias)`` on ``channels`` x ``height`` x ``width``
+    """``relu(cols @ weight + bias)`` on ``channels`` x ``height`` x ``width``
     images under a ``kernel`` x ``kernel`` "same" window, then ``pool`` x
     ``pool`` max-pooling and, for ``reduce``, the mean over what is left of
     the image."""
 
-    weight: np.ndarray  # (out, channels * kernel * kernel), BatchNorm folded in
+    weight: np.ndarray  # (kernel * kernel * channels, out), BatchNorm folded in
     bias: np.ndarray  # (out,)
     channels: int
     height: int
@@ -104,6 +114,11 @@ class Stage:
         """Whether ``cols`` has to be built; if not, the GEMM reads the
         activations as they stand."""
         return self.kernel > 1 or self.pool > 1
+
+    @property
+    def fan_in(self) -> int:
+        """Rows of ``weight``: a pixel's taps, channel by channel."""
+        return self.weight.shape[0]
 
     @property
     def pixels(self) -> int:
@@ -131,19 +146,19 @@ class LoweredModel:
 
     def channels(self, depth: int) -> int:
         """The channels stage ``depth`` leaves: its rows of an activation buffer."""
-        return self.stages[depth].weight.shape[0]
+        return self.stages[depth].weight.shape[1]
 
 
 def _fold(weight: np.ndarray, bias: Optional[np.ndarray], bn: Optional[BatchNorm]):
-    """``(out, fan_in)`` weight and bias with ``bn``'s inference transform
+    """``(fan_in, out)`` weight and bias with ``bn``'s inference transform
     folded in; float64 throughout, cast once."""
     weight = weight.astype(np.float64)
-    bias = np.zeros(weight.shape[0]) if bias is None else bias.astype(np.float64)
+    bias = np.zeros(weight.shape[1]) if bias is None else bias.astype(np.float64)
     if bn is not None:
         scale = bn.params["gamma"].astype(np.float64) / np.sqrt(
             bn.state["running_var"].astype(np.float64) + bn.eps
         )
-        weight *= scale[:, None]
+        weight *= scale
         bias = (bias - bn.state["running_mean"]) * scale + bn.params["beta"]
     return np.ascontiguousarray(weight, dtype=_DTYPE), bias.astype(_DTYPE)
 
@@ -172,10 +187,10 @@ def lower_model(model) -> Optional[LoweredModel]:
             kernel, k = conv.params["W"], conv.kernel_size
             if height == width == 1:
                 # Every other tap multiplies the zero border.
-                kernel, k = kernel[:, :, k // 2, k // 2], 1
-            weight, bias = _fold(
-                kernel.reshape(conv.out_channels, -1), conv.params.get("b"), unit.bn
-            )
+                kernel, k = kernel[:, :, k // 2 : k // 2 + 1, k // 2 : k // 2 + 1], 1
+            # (out, channels, k, k) -> rows in the order of a pixel's cols: tap, channel.
+            kernel = kernel.transpose(2, 3, 1, 0).reshape(-1, conv.out_channels)
+            weight, bias = _fold(kernel, conv.params.get("b"), unit.bn)
             stages.append(Stage(weight, bias, channels, height, width, k))
             channels = conv.out_channels
         if block.pool is not None:
@@ -194,7 +209,7 @@ def lower_model(model) -> Optional[LoweredModel]:
     for unit in model.dense_units:
         if not isinstance(unit.relu, ReLU):
             return None
-        weight, bias = _fold(unit.dense.params["W"].T, unit.dense.params["b"], unit.bn)
+        weight, bias = _fold(unit.dense.params["W"], unit.dense.params["b"], unit.bn)
         stages.append(Stage(weight, bias, channels, 1, 1))
         channels = unit.dense.out_features
     if not stages or not isinstance(model.classifier, Dense):
@@ -207,27 +222,27 @@ def lower_model(model) -> Optional[LoweredModel]:
 
 
 def _gather_table(capacity: int, height: int, width: int, kernel: int, pool: int) -> np.ndarray:
-    """Where each element of one channel's whole-batch ``cols`` sits in that
-    channel's row of the input buffer, as ``(k * k, p * p, capacity, H * W /
-    (p * p))``: :func:`im2col` of the positions themselves.
+    """Which pixel of a member's block of the input buffer each row of
+    ``cols`` reads at each tap, as ``(p * p, 1 + capacity * H * W / (p * p),
+    k * k)``: :func:`im2col` of the positions themselves.
 
-    The positions are an index image per batch slot — ``(slot * H + row) * W +
-    col`` inside, the zero slot ``capacity * H * W`` on the padding border —
-    so the columns come out image by image, row-major; they are then put
-    behind the position within the ``pool`` x ``pool`` window.  A batch of
-    ``n`` reads ``table[:, :, :n]``: nothing in it depends on ``n``.
+    The positions are an index image per batch slot — ``1 + (slot * H + row)
+    * W + col`` inside, the zero row ``0`` on the padding border — so the
+    rows come out image by image, row-major; they are then put behind the
+    position within the ``pool`` x ``pool`` window, and each window's run
+    starts with a row that reads the zero row at every tap.  A batch of ``n``
+    reads ``table[:, : 1 + n * H * W / (p * p)]``: nothing in it depends on
+    ``n``.
     """
-    pad, pixels = kernel // 2, height * width
-    positions = np.full(
-        (capacity, 1, height + 2 * pad, width + 2 * pad), capacity * pixels, dtype=np.intp
-    )
-    positions[:, 0, pad : pad + height, pad : pad + width] = np.arange(capacity * pixels).reshape(
-        capacity, height, width
-    )
+    pad, pixels, windows = kernel // 2, height * width, pool * pool
+    positions = np.zeros((capacity, 1, height + 2 * pad, width + 2 * pad), dtype=np.intp)
+    positions[:, 0, pad : pad + height, pad : pad + width] = np.arange(
+        1, 1 + capacity * pixels
+    ).reshape(capacity, height, width)
     table = im2col(positions, (kernel, kernel), 1, 0)
     table = table.reshape(capacity, kernel * kernel, height // pool, pool, width // pool, pool)
-    table = np.ascontiguousarray(table.transpose(1, 3, 5, 0, 2, 4))
-    return table.reshape(kernel * kernel, pool * pool, capacity, -1)
+    table = table.transpose(3, 5, 0, 2, 4, 1).reshape(windows, -1, kernel * kernel)
+    return np.concatenate([np.zeros((windows, 1, kernel * kernel), dtype=np.intp), table], axis=1)
 
 
 class InferencePlan:
@@ -254,11 +269,9 @@ class InferencePlan:
         if not members:
             return
         first = members[0].stages[0]
-        self._image, self._pixels = (first.height, first.width), first.pixels
+        self._image = (first.channels, first.height, first.width)
         self._head_bias = np.stack([member.head_bias for member in members])[:, None, :]
-        self._widest = stacking.widest(members)
-        self._input: stacking.Buffer = ("input", self._pixels)
-        self._channels = first.channels
+        self._input: stacking.Buffer = ("input", first.pixels)
         self._ops = stacking.plan(members, self._input)
         self._bound = self._run = None  # see _bind and _build
 
@@ -277,7 +290,8 @@ class InferencePlan:
                 if self._run is None or self._run[0] != xb.shape[0]:
                     self._run = self._build(xb.shape[0])
                 _, images, calls, probabilities = self._run
-                np.copyto(images, np.moveaxis(xb, 0, 1).reshape(images.shape), casting="unsafe")
+                pixels = np.moveaxis(xb.reshape(-1, *self._image), 1, -1)
+                np.copyto(images, pixels, casting="unsafe")
                 for function, args, kwargs in calls:
                     function(*args, **kwargs)
                 out[self._rows, start : start + batch_size] = probabilities
@@ -289,37 +303,35 @@ class InferencePlan:
         # im2col of the positions each) are built before the scratch is there.
         self._bound = self._run = None
         self.scratch.clear()
+        stacks = [op for op in self._ops if isinstance(op, stacking.Stack)]
         tables: Dict[tuple, np.ndarray] = {}
-        for op in self._ops:
-            if isinstance(op, stacking.Stack) and op.stage.gathers:
-                if op.stage.window not in tables:
-                    tables[op.stage.window] = _gather_table(capacity, *op.stage.window)
-        rows = {self._input: self._channels}
-        for op in self._ops:
-            if isinstance(op, stacking.Stack):
-                *scratch, result = op.buffers
-                for key, height in [(key, 0) for key in scratch] + [(result, op.at)]:
-                    rows[key] = max(rows.get(key, 0), height + len(op.stage.bias))
-        pitch, tails = capacity + 1, [rows.pop(key, 0) for key in stacking.TAILS]
-        cols = self.scratch.get("cols", (max(capacity * self._widest, sum(tails) * pitch),), _DTYPE)
+        for op in stacks:
+            if op.stage.gathers and op.stage.window not in tables:
+                tables[op.stage.window] = _gather_table(capacity, *op.stage.window)
+        channels = self._image[0]
+        sizes = {self._input: channels * stacking.pitch(self._input, capacity)}
+        for op in stacks:
+            for key, size in op.extents(capacity):
+                sizes[key] = max(sizes.get(key, 0), size)
+        tails = [sizes.pop(key, 0) for key in stacking.TAILS]
+        gathered = max((op.gathered(capacity) for op in stacks), default=0)
+        cols = self.scratch.get("cols", (max(gathered, sum(tails)),), _DTYPE)
         buffers = {
-            key: self.scratch.get(key[0], (height, capacity * key[1] + 1), _DTYPE, True)
-            for key, height in rows.items()
+            key: self.scratch.get(f"{key[0]}/{key[1]}", (size,), _DTYPE, True)
+            for key, size in sizes.items()
         }
-        start = 0
-        for key, height in zip(stacking.TAILS, tails):
-            buffers[key] = cols[start : start + height * pitch].reshape(height, pitch)
-            start += height * pitch
+        buffers.update(zip(stacking.TAILS, np.split(cols[: sum(tails)], [tails[0]])))
         members, _, classes = self._head_bias.shape
         logits = self.scratch.get("logits", (members, capacity, classes), _DTYPE)
         norm = self.scratch.get("norm", (members, capacity, 1), _DTYPE)
         records = [
-            op.bind(buffers, logits)
+            op.bind(buffers, logits, capacity)
             if isinstance(op, stacking.Head)
-            else op.bind(buffers, tables.get(op.stage.window), cols)
+            else op.bind(buffers, tables.get(op.stage.window), cols, capacity)
             for op in self._ops
         ]
-        self._bound = (buffers[self._input], logits, norm, records)
+        inputs = buffers[self._input].reshape(-1, channels)
+        self._bound = (inputs, logits, norm, records)
         self.capacity = capacity
 
     def _build(self, n: int) -> tuple:
@@ -328,7 +340,9 @@ class InferencePlan:
         for another, the view its images go into and the one its
         probabilities come out of."""
         inputs, logits, norm, records = self._bound
-        images = inputs[:, : n * self._pixels].reshape(-1, n, *self._image)
+        channels, height, width = self._image
+        # Row 0 is the input's zero row: never written.
+        images = inputs[1 : 1 + n * height * width].reshape(n, height, width, channels)
         calls = [call for record in records for call in record(n)]
         # The head's bias, then softmax in place.
         logits, norm = logits[:, :n], norm[:, :n]

@@ -6,8 +6,12 @@ lowering module's "Members that share a shape share a call") and returns the
 records the plan binds and runs, in run order: :class:`Stack` (one stage of
 ``g`` members) and :class:`Head` (their classifiers).
 
-* :func:`order` puts the members in an order in which every stack's rows are
-  one block of one buffer, so no activation is ever copied.
+* :func:`order` puts the members in an order in which every stack's members
+  are neighbours in one buffer, so no activation is ever copied.  A buffer is
+  its members' blocks one after another (:func:`blocks`), each ``(pitch,
+  channels)``, pixel-major; a record names its part of a buffer by rows —
+  channels, summed over the members before it — which :func:`blocks` turns
+  into the ``(g, pitch, channels)`` view it runs on.
 * :func:`plan` walks the image stages as a tree — members part where their
   stages' shapes do, and a gathering stack is cut where its ``cols`` would
   outgrow :func:`widest` — each branch leaving its members' first 1-pixel
@@ -17,8 +21,8 @@ records the plan binds and runs, in run order: :class:`Stack` (one stage of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import accumulate
+from dataclasses import dataclass
+from itertools import accumulate, groupby
 from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -28,8 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _ZERO = np.zeros((), dtype=np.float32)
 
-#: An activation buffer of the plan's scratch, ``(role, pixels)``: bound as
-#: ``(rows, capacity * pixels + 1)`` for the most rows any record keeps in it.
+#: An activation buffer of the plan's scratch, ``(role, pixels)``: bound flat,
+#: for the most rows (channels, summed over members) any record keeps in it,
+#: each row :func:`pitch` elements.
 Buffer = Tuple[str, int]
 #: Where each member's images end: its first 1-pixel activations, member
 #: after member in the plan's order.  The tails start from here.
@@ -43,6 +48,21 @@ Call = Tuple[Callable, tuple, dict]
 Calls = Callable[[int], List[Call]]
 
 
+def pitch(buffer: Buffer, capacity: int, windows: int = 1) -> int:
+    """Rows of one member's block of ``buffer`` at ``capacity``: a zero row
+    per pooling window, then ``capacity`` images of ``buffer[1]`` pixels."""
+    return windows + capacity * buffer[1]
+
+
+def blocks(buffer: np.ndarray, rows: int, span: slice, channels: int) -> np.ndarray:
+    """The members' blocks of ``channels`` channels that take the ``span``
+    rows of a flat ``buffer`` (channels, summed over members), as ``(g,
+    rows, channels)``: member after member, pixel after pixel.  A ``span``
+    of ``slice(None)`` is one block that every member reads."""
+    start, stop = span.start or 0, channels if span.stop is None else span.stop
+    return buffer[start * rows : stop * rows].reshape(-1, rows, channels)
+
+
 @dataclass(frozen=True)
 class Stack:
     """One stage of ``g`` members run as one: the ``i``-th block of the
@@ -52,73 +72,114 @@ class Stack:
     GEMM's product and the pooled activations of a stage that pools or
     reduces."""
 
-    #: The members' stage, their weights stacked: ``weight`` ``(g, out,
-    #: fan_in)`` (a stem's: ``(1, every member's out, fan_in)``), ``bias``
-    #: ``(g * out, 1)``.
+    #: The first member's stage: the geometry every member shares.
     stage: Stage
+    #: ``(weight, bias)`` per run of members with one weight shape, in
+    #: member order: ``weight`` ``(g, fan_in, out)``, ``bias`` ``(g, 1,
+    #: pixels * out)``, repeated for each pixel of an output image, so that
+    #: adding it runs a whole image at a time.  Only a stem (every member
+    #: reads the same input) has more than one: one per stem width.
+    parts: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     source: Buffer
     rows: slice
     buffers: Tuple[Buffer, ...]
     at: int = 0
 
     @classmethod
-    def of(cls, stages: Sequence[Stage], stem: bool = False, **where) -> "Stack":
-        """``stages``, one per member, stacked: a stem's weights side by
-        side (every member reads the same input), the others' one behind the
-        other.  One member's are views of its own."""
-        weights, biases = [stage.weight for stage in stages], [stage.bias for stage in stages]
-        if len(stages) == 1:
-            weight, bias = weights[0][None], biases[0]
-        else:
-            weight = np.concatenate(weights)[None] if stem else np.stack(weights)
-            bias = np.concatenate(biases)
-        return cls(replace(stages[0], weight=weight, bias=bias[:, None]), **where)
+    def of(cls, stages: Sequence[Stage], **where) -> "Stack":
+        """``stages``, one per member, stacked: one ``(g, fan_in, out)``
+        weight per run of neighbours with one weight shape.  One member's
+        weight is a view of its own."""
+        first, parts = stages[0], []
+        pixels = first.pixels // (first.pool * first.pool)
+        for _, run in groupby(stages, key=lambda stage: stage.weight.shape):
+            run = list(run)
+            if len(run) == 1:
+                weight = run[0].weight[None]
+            else:
+                weight = np.stack([stage.weight for stage in run])
+            bias = np.stack([np.tile(stage.bias, pixels) for stage in run])[:, None]
+            parts.append((weight, bias))
+        return cls(first, tuple(parts), **where)
 
-    def bind(self, buffers: Dict[Buffer, np.ndarray], table, cols: np.ndarray) -> Calls:
+    @property
+    def channels(self) -> int:
+        """Rows the stack writes in each of its buffers: its members' outputs."""
+        return sum(weight.shape[0] * weight.shape[2] for weight, _ in self.parts)
+
+    def pitches(self, capacity: int) -> List[int]:
+        """The block rows of each of ``buffers`` at ``capacity``: a pooling
+        stage's product has a zero row per window."""
+        windows = self.stage.pool * self.stage.pool
+        return [
+            pitch(key, capacity, windows if i == 0 else 1) for i, key in enumerate(self.buffers)
+        ]
+
+    def extents(self, capacity: int) -> List[Tuple[Buffer, int]]:
+        """How many elements of each of ``buffers`` the stack uses at ``capacity``."""
+        ends = [self.channels] * (len(self.buffers) - 1) + [self.at + self.channels]
+        pitches = self.pitches(capacity)
+        return [(key, end * rows) for key, end, rows in zip(self.buffers, ends, pitches)]
+
+    def gathered(self, capacity: int) -> int:
+        """Elements of ``cols`` the stack fills at ``capacity`` (0: none)."""
+        stage = self.stage
+        if not stage.gathers:
+            return 0
+        # One block read per member, or one that every member reads.
+        read = stage.channels if self.rows == slice(None) else self.rows.stop - self.rows.start
+        return read * pitch(self.source, capacity, stage.pool * stage.pool) * stage.kernel**2
+
+    def bind(
+        self, buffers: Dict[Buffer, np.ndarray], table, cols: np.ndarray, capacity: int
+    ) -> Calls:
         """The calls a batch of ``n`` makes, on ``buffers`` (and, for a
-        gathering stage, ``table`` and ``cols``) bound at one capacity."""
-        stage, weight, bias = self.stage, self.stage.weight, self.stage.bias
-        groups, _, fan_in = weight.shape
-        source = buffers[self.source][self.rows]
-        stacked = groups > 1 and self.rows != slice(None)
-        if groups == 1:  # a plain GEMM: fewer views to take per batch size
-            weight = weight[0]
-        views = [buffers[key][: len(bias)] for key in self.buffers[:-1]]
-        views.append(buffers[self.buffers[-1]][self.at : self.at + len(bias)])
-        product = views[0]
-        pooled = views[1] if stage.pool > 1 else None
-        reduced = views[-1] if stage.reduce else None
-        pixels, windows = stage.pixels, stage.pool * stage.pool
+        gathering stage, ``table`` and ``cols``) bound at ``capacity``."""
+        stage = self.stage
+        windows = stage.pool * stage.pool
+        rows = pitch(self.source, capacity)
+        source = blocks(buffers[self.source], rows, self.rows, stage.channels)
+        pitches, parts, row = self.pitches(capacity), [], 0
+        for weight, bias in self.parts:
+            height = weight.shape[0] * weight.shape[2]
+            starts = [row] * (len(self.buffers) - 1) + [self.at + row]
+            views = [
+                blocks(buffers[key], size, slice(start, start + height), weight.shape[2])
+                for key, size, start in zip(self.buffers, pitches, starts)
+            ]
+            parts.append((weight, bias, views))
+            row += height
 
         def calls(n: int) -> List[Call]:
-            length = n * pixels
-            out = product[:, :length]
+            # The zero rows, then the images: a pooling stage's cols and
+            # product are one such run per window.
+            length = windows + n * stage.pixels
             if table is None:
-                operand = source[:, :length]
-                steps = []
+                operand, steps = source[:, :length], []
             else:
-                # A strided slice unless the batch fills the capacity; ``take``
-                # then copies the indices, 1 / channels of what it goes on to move.
-                indices = table[:, :, :n]
-                operand = cols[: len(source) * indices.size]
+                # A strided slice unless the batch fills the capacity or the
+                # stage does not pool; ``take`` then copies the indices.
+                indices = table[:, : length // windows]
+                gathered = cols[: len(source) * indices.size * stage.channels]
+                gathered = gathered.reshape(source.shape[:1] + indices.shape + source.shape[2:])
                 # mode="clip" spares ``out=`` a bounds-checking temporary, as in Conv2D.
-                gathered = operand.reshape((len(source),) + indices.shape)
                 steps = [(source.take, (indices, 1), {"out": gathered, "mode": "clip"})]
-                if not stacked:
-                    operand = operand.reshape(fan_in, length)
-            if stacked:
-                operand = operand.reshape(groups, fan_in, length)
-            gemm = out if groups == 1 else out.reshape(groups, -1, length)
-            steps.append((np.matmul, (weight, operand), {"out": gemm}))
-            if pooled is not None:
-                planes = out.reshape(-1, windows, length // windows)
-                out = pooled[:, : length // windows]
-                steps.append((np.maximum.reduce, (planes,), {"axis": 1, "out": out}))
-            steps.append((np.add, (out, bias), {"out": out}))
-            steps.append((np.maximum, (out, _ZERO), {"out": out}))
-            if reduced is not None:
-                images = out.reshape(len(bias), n, -1)
-                steps.append((images.mean, (2,), {"out": reduced[:, :n]}))
+                operand = gathered.reshape(len(source), length, -1)
+            for weight, bias, (product, *rest) in parts:
+                # The zero rows of ``operand`` are zero, so are the product's.
+                out = product[:, :length]
+                steps.append((np.matmul, (operand, weight), {"out": out}))
+                if windows > 1:
+                    planes = out.reshape(len(out), windows, -1, out.shape[2])
+                    out = rest[0][:, : length // windows]
+                    steps.append((np.maximum.reduce, (planes,), {"axis": 1, "out": out}))
+                # Image after image, (g, n, pixels * out).
+                images = out[:, 1:].reshape(len(out), n, -1)
+                steps.append((np.add, (images, bias), {"out": images}))
+                steps.append((np.maximum, (images, _ZERO), {"out": images}))
+                if stage.reduce:
+                    pixels = images.reshape(len(out), n, -1, out.shape[2])
+                    steps.append((pixels.mean, (2,), {"out": rest[-1][:, 1 : n + 1]}))
             return steps
 
         return calls
@@ -134,13 +195,13 @@ class Head:
     rows: slice
     slots: slice
 
-    def bind(self, buffers: Dict[Buffer, np.ndarray], logits: np.ndarray) -> Calls:
-        groups, features, _ = self.weight.shape
-        source, logits = buffers[self.source][self.rows], logits[self.slots]
+    def bind(self, buffers: Dict[Buffer, np.ndarray], logits: np.ndarray, capacity: int) -> Calls:
+        rows = pitch(self.source, capacity)
+        source = blocks(buffers[self.source], rows, self.rows, self.weight.shape[1])
+        logits = logits[self.slots]
 
         def calls(n: int) -> List[Call]:
-            rows = source[:, :n].reshape(groups, features, n).transpose(0, 2, 1)
-            return [(np.matmul, (rows, self.weight), {"out": logits[:, :n]})]
+            return [(np.matmul, (source[:, 1 : n + 1], self.weight), {"out": logits[:, :n]})]
 
         return calls
 
@@ -217,7 +278,7 @@ def widest(members: Sequence[LoweredModel]) -> int:
     image stack is cut where its own would be larger."""
     return max(
         (
-            stage.weight.shape[1] * stage.pixels
+            stage.fan_in * stage.pixels
             for member in members
             for stage in member.stages
             if stage.gathers
@@ -260,7 +321,7 @@ class _Planner:
             member = self.members[group[0]]
             stage, per = member.stages[depth], len(group)
             if depth and stage.gathers:
-                per = max(1, self.widest // (stage.weight.shape[1] * stage.pixels))
+                per = max(1, self.widest // (stage.fan_in * stage.pixels))
             for start in range(0, len(group), per):
                 chunk = group[start : start + per]
                 stacks += _runs(chunk) if _tail(member) == depth + 1 else [chunk]
@@ -290,7 +351,7 @@ class _Planner:
             buffers[-1] = (f"live{depth}", shapes[-1])  # read by every stack below
         at = self.entry[slots[0]] if enters else 0
         where = dict(source=source, rows=rows, buffers=tuple(buffers), at=at)
-        self.ops.append(Stack.of(stages, stem=not depth, **where))
+        self.ops.append(Stack.of(stages, **where))
         row = 0
         for stack in below:
             span = slice(row, row + sum(self.members[slot].channels(depth) for slot in stack))
@@ -331,6 +392,6 @@ class _Planner:
                 stages = [m.stages[d] for m, d in zip(members, depths)]
                 stack = Stack.of(stages, source=source, rows=span, buffers=(target,), at=at)
                 self.ops.append(stack)
-                at += len(stack.stage.bias)
+                at += stack.channels
                 below += run
             layout, source, step, whole = below, target, step + 1, False

@@ -675,6 +675,16 @@ def test_callers_that_find_the_lane_busy_queue_behind_it_in_order(
         assert {thread for _, _, thread in answers} == {"repro-fleet-consumer-front-0"}
         for i in range(4):
             np.testing.assert_array_equal(results[i], reference.predict_proba(x[i : i + 1]))
+
+        def idle():
+            # ``answers`` records a job as its answer starts, so the fifth
+            # can be on record while front-0 still holds the lane for it.
+            if not lane.acquire(blocking=False):
+                return False
+            lane.release()
+            return front.broker.stats()["inflight"] == 0
+
+        _wait_for(idle, 10, "front-0 never let go of its lane")
         # Idle again: the next call is the caller's own.
         np.testing.assert_array_equal(
             front.predict_proba(x[:2], timeout=60), reference.predict_proba(x[:2])

@@ -17,6 +17,9 @@ taken before bias and ReLU.  The contract these tests state:
   plan of its own;
 * nothing is built per batch size, what a plan served before does not reach
   the bits of what it serves next, and stacking does not grow the scratch;
+* one gather index moves a pixel's channels, and a 1-row pass makes no more
+  numpy calls than the channel-major plan did, but for a stem width's own
+  GEMM and epilogue;
 * ``reload()`` leaves nothing of the old generation's folded weights behind,
   and a generation that fails to load or to warm leaves the old one serving.
 
@@ -41,6 +44,7 @@ from repro.core.ensemble import Ensemble, EnsembleMember
 from repro.nn import Model
 from repro.nn.layers import BatchNorm
 from repro.nn.lowering import InferencePlan, lower_model
+from repro.nn.stacking import Stack
 from tests.nn.test_training_bits import BENCHMARK_SPEC, GOLDEN, environment_fingerprint
 
 #: Largest absolute difference between a plan and a graph probability.
@@ -290,6 +294,61 @@ def test_stacking_does_not_grow_the_scratch(capacity):
     plan.probabilities(np.zeros((capacity, 3, 8, 8), dtype=np.float32), 256, out)
     assert plan.capacity == capacity
     assert plan.scratch.nbytes <= STEM_ONLY_SCRATCH[capacity]
+
+
+#: Numpy calls of a 1-row pass of the benchmark-shaped ensemble below,
+#: measured on the channel-major plan, whose stem was one GEMM for every
+#: member.
+CHANNEL_MAJOR_CALLS = 142
+#: What a stem width of its own adds: its GEMM, bias and ReLU.
+STEM_GROUP_CALLS = 3
+
+
+def test_a_one_row_pass_makes_no_more_calls_than_the_channel_major_plan():
+    ensemble = build_ensemble(zoo.small_vgg_ensemble(10, (3, 8, 8), 0.0625))
+    plan = InferencePlan([member.model for member in ensemble.members])
+    out = np.empty((len(ensemble), 1, 10), dtype=np.float32)
+    plan.probabilities(np.zeros((1, 3, 8, 8), dtype=np.float32), 256, out)
+    stem = plan._ops[0]
+    assert [weight.shape[2] for weight, _ in stem.parts] == [4, 8]  # two stem widths
+    assert len(plan._run[2]) <= CHANNEL_MAJOR_CALLS + STEM_GROUP_CALLS * (len(stem.parts) - 1)
+
+
+@pytest.mark.parametrize("batch", [256, 7])
+def test_one_gather_index_moves_a_pixels_channels(batch):
+    """A gathering stack's table holds one index per (window, image, pixel,
+    tap), plus each window's zero row, and ``take`` moves a pixel's
+    channels per index: ``cols.size / channels`` of them per block read."""
+    ensemble = build_ensemble(zoo.small_vgg_ensemble(10, (3, 8, 8), 0.0625))
+    plan = InferencePlan([member.model for member in ensemble.members])
+    out = np.empty((len(ensemble), 256, 10), dtype=np.float32)
+    x = np.zeros((256, 3, 8, 8), dtype=np.float32)
+    plan.probabilities(x, 256, out)
+    plan.probabilities(x[:batch], 256, out[:, :batch])
+    gathering = [op for op in plan._ops if isinstance(op, Stack) and op.stage.gathers]
+    takes = [call for call in plan._run[2] if getattr(call[0], "__name__", "") == "take"]
+    assert len(takes) == len(gathering) > 0
+    for op, (take, (indices, axis), kwargs) in zip(gathering, takes):
+        stage, source, cols = op.stage, take.__self__, kwargs["out"]
+        windows = stage.pool * stage.pool
+        assert axis == 1 and source.shape[1:] == (1 + 256 * stage.pixels, stage.channels)
+        assert indices.size == (windows + batch * stage.pixels) * stage.kernel**2
+        assert cols.size / stage.channels == len(source) * indices.size
+        assert cols.shape[-1] == stage.channels
+
+
+def test_zero_rows_survive_stacks_of_other_widths():
+    """Stacks of 4- and 8-channel members write one buffer with other block
+    boundaries; each stage that gathers still reads zeros on the padding,
+    also on a second full batch."""
+    ensemble = build_ensemble(zoo.small_vgg_ensemble(10, (3, 8, 8), 0.0625), seed=11)
+    x = np.random.default_rng(11).normal(size=(256, 3, 8, 8)).astype(np.float32)
+    graph = ensemble.predict_proba_all(x)
+    plan = InferencePlan([member.model for member in ensemble.members])
+    out = np.empty_like(graph)
+    for _ in range(2):
+        plan.probabilities(x, 256, out)
+        assert np.abs(out - graph).max() <= TOLERANCE
 
 
 @pytest.mark.parametrize("shape", [(3, 8, 8), (2, 5, 7), (3, 1, 1), (13,)])
