@@ -9,12 +9,17 @@ combination method.  Loading lowers every member the inference plan covers
 batch, one scratch) and serves through that; the layer graph's
 :meth:`~repro.core.ensemble.Ensemble.predict_proba_all` stays the numerical
 reference and serves the members the plan does not cover, bit for bit.
+A batch of more than :data:`~repro.nn.lowering.SHARD_ROWS` rows runs as
+shards on the predictor's ``inference_threads`` threads (its lane's share of
+the cores; all of them for a predictor nobody divides): the shards depend on
+the row count alone, so the bits do not depend on the thread count.
+``close()`` stops the helper threads.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +32,10 @@ from repro.core.ensemble import (
 )
 from repro.core.trainer import EnsembleTrainingRun
 from repro.utils.logging import get_logger
+from repro.utils.parallel import lane_threads
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.nn.lowering import ShardThreads
 
 logger = get_logger("api.predictor")
 
@@ -96,14 +105,16 @@ class _Served:
             *(getattr(member.model, "dtype", None) or np.float64 for member in members)
         )
 
-    def member_probabilities(self, x: np.ndarray, batch_size: int) -> np.ndarray:
+    def member_probabilities(
+        self, x: np.ndarray, batch_size: int, threads: ShardThreads
+    ) -> np.ndarray:
         """``(members, samples, classes)``: the lowered members through the
-        plan, the others through the graph."""
+        plan, its shards on ``threads``, the others through the graph."""
         if not self.plan.lowered:
             return self.ensemble.predict_proba_all(x, batch_size=batch_size)
         shape = (len(self.ensemble), x.shape[0], self.ensemble.num_classes)
         out = np.empty(shape, dtype=self.dtype)
-        self.plan.probabilities(x, batch_size, out)
+        self.plan.probabilities(x, batch_size, out, threads)
         if self.graph is not None:
             out[self.rest] = self.graph.predict_proba_all(x, batch_size=batch_size)
         return out
@@ -115,7 +126,9 @@ class EnsemblePredictor:
     Construct with :meth:`load` (from a saved artifact) or :meth:`from_run`
     (from an in-memory training run).  All members are held in memory; every
     ``predict`` call is a single batched pass over the input shared by all
-    members.
+    members, its shards on up to ``threads`` threads (default: every usable
+    core).  ``close()`` it — or use it as a context manager — to stop the
+    helper threads.
     """
 
     def __init__(
@@ -124,6 +137,7 @@ class EnsemblePredictor:
         method: str = "average",
         batch_size: int = 256,
         metadata: Optional[Dict[str, Any]] = None,
+        threads: Optional[int] = None,
     ):
         if method not in COMBINATION_METHODS:
             raise ValueError(
@@ -132,7 +146,10 @@ class EnsemblePredictor:
             )
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
+        from repro.nn.lowering import ShardThreads  # as in _Served
+
         self._served = _Served(ensemble)
+        self._threads = ShardThreads(lane_threads(1) if threads is None else threads)
         self.method = method
         self.batch_size = int(batch_size)
         self.metadata = dict(metadata or {})
@@ -159,6 +176,11 @@ class EnsemblePredictor:
         """Positions of the members served through the inference plan."""
         return self._served.plan.lowered
 
+    @property
+    def inference_threads(self) -> int:
+        """Threads a batch's shards run on, the calling one included."""
+        return self._threads.count
+
     # ------------------------------------------------------------- factories
     @classmethod
     def load(
@@ -168,6 +190,7 @@ class EnsemblePredictor:
         batch_size: int = 256,
         warm: bool = True,
         generation: Optional[int] = None,
+        threads: Optional[int] = None,
     ) -> "EnsemblePredictor":
         """Load an ensemble artifact directory saved by
         :func:`repro.api.save_ensemble_run`.
@@ -181,7 +204,7 @@ class EnsemblePredictor:
         ``path`` may be a bare artifact directory (implicit generation 0) or
         an :class:`~repro.core.artifact_store.ArtifactStore` root, in which
         case the promoted generation — or the explicitly requested
-        ``generation`` — is loaded.
+        ``generation`` — is loaded.  ``threads`` is as for the constructor.
         """
         resolved = resolve_artifact(path, generation=generation)
         manifest = read_manifest(resolved.path)
@@ -203,6 +226,7 @@ class EnsemblePredictor:
             method=method,
             batch_size=batch_size,
             metadata=metadata,
+            threads=threads,
         )
         predictor.generation = resolved.generation
         predictor.source_path = Path(path)
@@ -267,7 +291,7 @@ class EnsemblePredictor:
     def warmup(self) -> None:
         """Run a single dummy batch so every lazily built buffer exists."""
         dummy = np.zeros((1,) + self.input_shape, dtype=np.float32)
-        self._served.member_probabilities(dummy, 1)
+        self._served.member_probabilities(dummy, 1, self._threads)
 
     def predict_proba(
         self,
@@ -284,7 +308,7 @@ class EnsemblePredictor:
             has_super_learner=served.ensemble.super_learner_weights is not None,
             subject="ensemble",
         )
-        probs = served.member_probabilities(x, batch_size or self.batch_size)
+        probs = served.member_probabilities(x, batch_size or self.batch_size, self._threads)
         return served.ensemble.combine(probs, method)
 
     def predict(
@@ -300,7 +324,7 @@ class EnsemblePredictor:
         """Raw per-member probabilities, shape ``(members, samples, classes)``."""
         served = self._served
         x = validate_batch(x, served.input_shape)
-        return served.member_probabilities(x, batch_size or self.batch_size)
+        return served.member_probabilities(x, batch_size or self.batch_size, self._threads)
 
     # ------------------------------------------------------------ inspection
     def info(self) -> Dict[str, Any]:
@@ -323,6 +347,18 @@ class EnsemblePredictor:
             "super_learner": self.ensemble.super_learner_weights is not None,
             **{k: v for k, v in self.metadata.items() if v is not None},
         }
+
+    # ------------------------------------------------------------- lifecycle
+    def close(self) -> None:
+        """Stop the helper threads (idempotent); the predictor still answers,
+        every shard on the calling thread."""
+        self._threads.close()
+
+    def __enter__(self) -> "EnsemblePredictor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -84,6 +84,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
 from repro.utils.logging import get_logger
+from repro.utils.parallel import lane_threads
 
 logger = get_logger("fleet.broker")
 
@@ -169,6 +170,10 @@ class InProcBroker:
     the front's registry — exactly what ``/metrics`` scrapes).  So do the
     registry deltas consumers ship with ``ack`` and ``detach``: merged on
     arrival, so ``/metrics`` aggregates the whole fleet.
+
+    ``inference_threads`` is what a consumer reads before it loads: the
+    threads its forwards may run on, one lane's share of the host's cores
+    (default: all of them).
     """
 
     def __init__(
@@ -178,6 +183,7 @@ class InProcBroker:
         max_deliveries: int = 5,
         consumer_deadline: Optional[float] = None,
         partitions: int = 1,
+        inference_threads: Optional[int] = None,
     ):
         # Accepted only as 1 because benchmarks/e2e/probes.py passes it; the
         # parameter goes once a benchmark-only change stops passing it.
@@ -192,6 +198,9 @@ class InProcBroker:
         self.capacity = int(capacity)
         self.visibility_timeout = float(visibility_timeout)
         self.max_deliveries = int(max_deliveries)
+        self._inference_threads = (
+            lane_threads(1) if inference_threads is None else int(inference_threads)
+        )
         # A consumer that has not called in for this long is presumed dead
         # and is detached; default scales with (but never below) the
         # visibility window so both clocks tell one story.
@@ -343,6 +352,10 @@ class InProcBroker:
             self._reaped.append(consumer_id)
         log_event("fleet.consumer_detached", consumer=consumer_id, reason=reason)
         self._work.notify_all()
+
+    def inference_threads(self) -> int:
+        """The threads one consumer's forwards may run on."""
+        return self._inference_threads
 
     def take_reaped(self) -> List[str]:
         """Consumers detached for missing ``consumer_deadline`` since the last call."""

@@ -110,7 +110,13 @@ class FleetConsumer:
         self.metrics_interval = (
             math.inf if isinstance(broker, InProcBroker) else METRICS_INTERVAL
         )
-        self.predictor = EnsemblePredictor.load(artifact, method=method, batch_size=batch_size)
+        # A lane's forwards run on the share of the cores the broker names.
+        self.predictor = EnsemblePredictor.load(
+            artifact,
+            method=method,
+            batch_size=batch_size,
+            threads=broker.inference_threads(),
+        )
         # One thread at a time: the lease loop, or a caller answering a job
         # published leased to this consumer.
         self.lane = threading.Lock()
@@ -153,6 +159,7 @@ class FleetConsumer:
                     self._stop.set()
                     return
         finally:
+            self.predictor.close()
             # Stopped (close, retire, a lost broker): leave, with the metrics
             # not yet shipped — also after retire(), since a lease blocked
             # when it detached us attached us again.  A loop that died on an
@@ -271,6 +278,7 @@ class FleetConsumer:
         self._stop.set()
         if self._thread.is_alive():
             self._thread.join(timeout=60)
+        self.predictor.close()
         try:
             self.broker.detach(self.consumer_id)
         except (EOFError, ConnectionError, OSError):  # pragma: no cover

@@ -64,6 +64,7 @@ from repro.fleet.consumer import FleetConsumer
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry, quantile_from_counts
 from repro.utils.logging import get_logger
+from repro.utils.parallel import lane_threads
 
 logger = get_logger("fleet.front")
 
@@ -189,7 +190,11 @@ class FleetFront(ServingTier):
                 interval=autoscale_interval,
             )
         try:
-            self.broker = InProcBroker(visibility_timeout=visibility_timeout)
+            # Every consumer is a lane: its forwards get a share of the cores.
+            self.broker = InProcBroker(
+                visibility_timeout=visibility_timeout,
+                inference_threads=lane_threads(self.max_consumers),
+            )
             self.broker.set_target(self.generation)
             self.broker_address, self._stop_broker_server = serve_broker(
                 self.broker, host=host, port=fleet_port, authkey=fleet_authkey
@@ -648,6 +653,7 @@ class FleetFront(ServingTier):
 
     def info(self) -> Dict[str, Any]:
         """JSON-friendly description for the ``/info`` endpoint."""
+        queue = self.broker.stats()
         return {
             "artifact": str(self.path),
             "approach": self.approach,
@@ -659,8 +665,11 @@ class FleetFront(ServingTier):
             "method": self.method,
             "super_learner": self._artifact.has_super_learner,
             "broker_address": list(self.broker_address),
-            "queue": self.broker.stats(),
+            "queue": queue,
             "consumers": self.broker.consumer_count(),
+            "inference_threads": {
+                consumer: self.broker.inference_threads() for consumer in queue["consumers"]
+            },
             "local_consumers": self.local_consumers() if self.spawn_local else None,
             "autoscaler": self.autoscaler.state() if self.autoscaler else None,
             "job_latency_seconds": {

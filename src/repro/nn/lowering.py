@@ -68,6 +68,35 @@ and :class:`InferencePlan` runs the stages of a whole ensemble:
   last batch's size and replaced by the next size's, never kept per size.  A
   larger batch rebinds, and the memory stays at what the largest batch
   needed.
+* **One request, several cores.**  Run through a :class:`ShardThreads`, a
+  batch of more than :data:`SHARD_ROWS` rows is cut into ``ceil(rows /
+  SHARD_ROWS)`` near-equal contiguous shards (:func:`shard_slices`).  Each
+  shard is bound like a batch of its own — buffers and call list of its own,
+  for ``min(capacity, SHARD_ROWS)`` rows, the gather tables shared — and
+  writes its own rows of ``out``.  The calling thread runs shard 0, helper
+  threads ``repro-infer-<k>`` the others.  The cut depends on the row count
+  alone, so the bits do not depend on how many threads ran it: a shard's bits
+  are those of the same rows served as a request of their own.  Splitting
+  costs no scratch (two 128-row shards hold what one 256-row batch held,
+  plus their zero rows) and, run on one thread, no time.  A plan run without
+  a ``ShardThreads`` runs each batch whole.  The crossover that sets
+  ``SHARD_ROWS`` (benchmark artifact, 2 vCPUs, BLAS on one thread, median
+  ms of 60 interleaved calls; "whole" is one batch on one thread)::
+
+      rows   whole   S=32 1t/2t    S=64 1t/2t    S=128 1t/2t
+        64    3.15   3.41 / 3.17   3.05 / 3.09   3.20 / 3.20
+        96    4.62   5.35 / 4.73   4.97 / 3.89   4.45 / 4.42
+       128    6.17   6.83 / 5.58   6.12 / 4.23   6.06 / 5.99
+       192    9.20  10.92 / 8.56   9.16 / 6.93   8.79 / 5.30
+       256   11.48  13.78 /11.69  11.97 / 7.91  11.52 / 7.08
+
+  Below ~64 rows a shard's fixed cost (its ~145 calls, the hand-off to a
+  helper) eats what a second core gives; 128-row shards are best where the
+  benchmark's requests are.  A lane runs on its share of the usable cores,
+  ``max(1, cpu_count() // lanes)``
+  (:func:`repro.utils.parallel.lane_threads`): a serving pool's workers split
+  them, as do a fleet's ``max_consumers`` consumers, and a predictor nobody
+  divides owns them all.
 
 The plan is a snapshot of the weights at lowering time, and it is exact in
 real arithmetic, not in floating point: probabilities differ from the graph's
@@ -79,9 +108,12 @@ everything that trains never come here — and a model the plan does not cover
 
 from __future__ import annotations
 
+import queue
 import threading
+import weakref
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,6 +123,9 @@ from repro.nn.model import Model
 from repro.nn.workspace import WorkspaceArena
 
 _DTYPE = np.dtype(np.float32)
+#: A batch run through :class:`ShardThreads` of more rows than this runs as
+#: ``ceil(rows / SHARD_ROWS)`` shards (see "One request, several cores").
+SHARD_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -245,6 +280,103 @@ def _gather_table(capacity: int, height: int, width: int, kernel: int, pool: int
     return np.concatenate([np.zeros((windows, 1, kernel * kernel), dtype=np.intp), table], axis=1)
 
 
+def shard_slices(rows: int, limit: int) -> List[slice]:
+    """``ceil(rows / limit)`` contiguous runs of ``rows`` rows, near-equal:
+    the first ``rows % count`` of them one row longer."""
+    count = -(-rows // limit)
+    size, extra = divmod(rows, count)
+    bounds = [k * size + min(k, extra) for k in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _release(inboxes: List["queue.SimpleQueue"]) -> None:
+    """End the helpers reading ``inboxes`` once they have run what they hold."""
+    for inbox in inboxes:
+        inbox.put(None)
+    inboxes.clear()
+
+
+def _serve_shards(inbox: "queue.SimpleQueue") -> None:
+    """A helper thread of :class:`ShardThreads`: run each batch of shards it
+    is handed and report on that batch's ``done`` queue; ``None`` ends it."""
+    while True:
+        item = inbox.get()
+        if item is None:
+            return
+        tasks, done = item
+        try:
+            for task in tasks:
+                task()
+        except BaseException as exc:  # handed to the caller, which raises it
+            done.put(exc)
+        else:
+            done.put(None)
+
+
+class ShardThreads:
+    """The threads a request's shards run on: the calling thread and up to
+    ``count - 1`` helpers, ``repro-infer-1`` ..., each started the first time
+    a batch has a shard for it.  Shard ``i`` runs on thread ``i % count`` (0
+    is the caller), in scratch of its own, so the thread never reaches the
+    bits.  :meth:`close` stops the helpers — so does dropping the last
+    reference — and a batch run after it runs every shard on the calling
+    thread.
+    """
+
+    def __init__(self, count: int):
+        if count < 1:
+            raise ValueError("an inference lane needs at least one thread")
+        self.count = int(count)
+        self._inboxes: List[queue.SimpleQueue] = []
+        self._helpers: List[threading.Thread] = []
+        self._lock = threading.Lock()  # starting and handing out vs close()
+        self._closed = False
+        weakref.finalize(self, _release, self._inboxes)
+
+    def run(self, tasks: Sequence[Callable[[], None]]) -> None:
+        """Run every task and return once all have, raising the first error."""
+        lanes = min(self.count, len(tasks))
+        done: queue.SimpleQueue = queue.SimpleQueue()
+        with self._lock:
+            if self._closed:
+                lanes = 1
+            while len(self._helpers) < lanes - 1:
+                inbox: queue.SimpleQueue = queue.SimpleQueue()
+                helper = threading.Thread(
+                    target=_serve_shards,
+                    args=(inbox,),
+                    name=f"repro-infer-{len(self._helpers) + 1}",
+                    daemon=True,
+                )
+                helper.start()
+                self._inboxes.append(inbox)
+                self._helpers.append(helper)
+            for lane in range(1, lanes):
+                self._inboxes[lane - 1].put((tasks[lane::lanes], done))
+        error: Optional[BaseException] = None
+        try:
+            for task in tasks[::lanes]:
+                task()
+        except BaseException as exc:
+            error = exc
+        # Every helper's shards write this request's scratch: wait for all.
+        for _ in range(lanes - 1):
+            failure = done.get()
+            error = error or failure
+        if error is not None:
+            raise error
+
+    def close(self) -> None:
+        """Stop the helpers once they have run what they were handed
+        (idempotent)."""
+        with self._lock:
+            self._closed = True
+            helpers, self._helpers = self._helpers, []
+            _release(self._inboxes)
+        for helper in helpers:
+            helper.join()
+
+
 class InferencePlan:
     """The lowered members of an ensemble, run together.
 
@@ -264,8 +396,13 @@ class InferencePlan:
         members = [plans[i] for i in order]
         self._rows = slice(None) if order == list(range(len(models))) else order
         self.scratch = WorkspaceArena()
-        self.capacity = 0
+        # The largest batch the scratch holds, and the rows of one shard's
+        # part of it (see _bind).
+        self.capacity = self._shard_capacity = 0
         self._lock = threading.Lock()
+        # Per shard: its bound records, and the call list of its last size.
+        self._bound: List[tuple] = []
+        self._runs: List[Optional[tuple]] = []
         if not members:
             return
         first = members[0].stages[0]
@@ -273,41 +410,79 @@ class InferencePlan:
         self._head_bias = np.stack([member.head_bias for member in members])[:, None, :]
         self._input: stacking.Buffer = ("input", first.pixels)
         self._ops = stacking.plan(members, self._input)
-        self._bound = self._run = None  # see _bind and _build
 
-    def probabilities(self, x: np.ndarray, batch_size: int, out: np.ndarray) -> None:
+    @property
+    def _run(self) -> Optional[tuple]:
+        """Shard 0's call list: all a batch that is one shard runs."""
+        return self._runs[0] if self._runs else None
+
+    def probabilities(
+        self,
+        x: np.ndarray,
+        batch_size: int,
+        out: np.ndarray,
+        threads: Optional[ShardThreads] = None,
+    ) -> None:
         """Write the lowered members' class probabilities for ``x`` into their
-        rows of ``out``, ``batch_size`` samples at a time."""
+        rows of ``out``, ``batch_size`` samples at a time.
+
+        With ``threads``, a batch of more than :data:`SHARD_ROWS` rows runs
+        as :func:`shard_slices` on them; without, each batch is one shard."""
         if not self.lowered:
             return
         with self._lock:
             largest = min(batch_size, x.shape[0])
-            if largest > self.capacity:
+            capacity = self.capacity
+            if largest > capacity:
                 # Doubling: a client walking up the sizes rebinds a few times.
-                self._bind(1 << (largest - 1).bit_length())
+                capacity = 1 << (largest - 1).bit_length()
+            limit = capacity if threads is None else min(capacity, SHARD_ROWS)
+            if (capacity, limit) != (self.capacity, self._shard_capacity):
+                self._bind(capacity, limit)
             for start in range(0, x.shape[0], batch_size):
-                xb = x[start : start + batch_size]
-                if self._run is None or self._run[0] != xb.shape[0]:
-                    self._run = self._build(xb.shape[0])
-                _, images, calls, probabilities = self._run
-                pixels = np.moveaxis(xb.reshape(-1, *self._image), 1, -1)
-                np.copyto(images, pixels, casting="unsafe")
-                for function, args, kwargs in calls:
-                    function(*args, **kwargs)
-                out[self._rows, start : start + batch_size] = probabilities
+                xb, ob = x[start : start + batch_size], out[:, start : start + batch_size]
+                if xb.shape[0] <= limit:
+                    self._run_shard(0, xb, ob)
+                else:
+                    shards = enumerate(shard_slices(xb.shape[0], limit))
+                    threads.run([partial(self._run_shard, k, xb[r], ob[:, r]) for k, r in shards])
 
-    def _bind(self, capacity: int) -> None:
-        """Bind every record to scratch for batches of up to ``capacity``: the
-        one thing the plan does again when a larger batch arrives."""
+    def _run_shard(self, k: int, xb: np.ndarray, out: np.ndarray) -> None:
+        """Shard ``k`` of a batch: ``xb``'s probabilities into ``out``'s
+        lowered rows, in the shard's own scratch."""
+        run = self._runs[k]
+        if run is None or run[0] != xb.shape[0]:
+            run = self._runs[k] = self._build(self._bound[k], xb.shape[0])
+        _, images, calls, probabilities = run
+        pixels = np.moveaxis(xb.reshape(-1, *self._image), 1, -1)
+        np.copyto(images, pixels, casting="unsafe")
+        for function, args, kwargs in calls:
+            function(*args, **kwargs)
+        out[self._rows] = probabilities
+
+    def _bind(self, capacity: int, limit: int) -> None:
+        """Bind every record to scratch for batches of up to ``capacity`` in
+        shards of up to ``limit`` rows — ``ceil(capacity / limit)`` of them,
+        each with buffers of its own: the one thing the plan does again when a
+        larger batch arrives."""
         # Nothing bound at the old capacity outlives it, and the tables (an
-        # im2col of the positions each) are built before the scratch is there.
-        self._bound = self._run = None
+        # im2col of the positions each, read by every shard) are built
+        # before the scratch is there.
+        self._bound, self._runs = [], []
         self.scratch.clear()
-        stacks = [op for op in self._ops if isinstance(op, stacking.Stack)]
         tables: Dict[tuple, np.ndarray] = {}
-        for op in stacks:
-            if op.stage.gathers and op.stage.window not in tables:
-                tables[op.stage.window] = _gather_table(capacity, *op.stage.window)
+        for op in self._ops:
+            if isinstance(op, stacking.Stack) and op.stage.gathers and op.stage.window not in tables:
+                tables[op.stage.window] = _gather_table(limit, *op.stage.window)
+        count = -(-capacity // limit)
+        self._bound = [self._bind_shard(f"{k}:", limit, tables) for k in range(count)]
+        self._runs = [None] * count
+        self.capacity, self._shard_capacity = capacity, limit
+
+    def _bind_shard(self, prefix: str, capacity: int, tables: Dict[tuple, np.ndarray]) -> tuple:
+        """``(inputs, logits, norm, records)`` of one shard of ``capacity``
+        rows, its buffers the scratch's under ``prefix``."""
+        stacks = [op for op in self._ops if isinstance(op, stacking.Stack)]
         channels = self._image[0]
         sizes = {self._input: channels * stacking.pitch(self._input, capacity)}
         for op in stacks:
@@ -315,15 +490,15 @@ class InferencePlan:
                 sizes[key] = max(sizes.get(key, 0), size)
         tails = [sizes.pop(key, 0) for key in stacking.TAILS]
         gathered = max((op.gathered(capacity) for op in stacks), default=0)
-        cols = self.scratch.get("cols", (max(gathered, sum(tails)),), _DTYPE)
+        cols = self.scratch.get(prefix + "cols", (max(gathered, sum(tails)),), _DTYPE)
         buffers = {
-            key: self.scratch.get(f"{key[0]}/{key[1]}", (size,), _DTYPE, True)
+            key: self.scratch.get(f"{prefix}{key[0]}/{key[1]}", (size,), _DTYPE, True)
             for key, size in sizes.items()
         }
         buffers.update(zip(stacking.TAILS, np.split(cols[: sum(tails)], [tails[0]])))
         members, _, classes = self._head_bias.shape
-        logits = self.scratch.get("logits", (members, capacity, classes), _DTYPE)
-        norm = self.scratch.get("norm", (members, capacity, 1), _DTYPE)
+        logits = self.scratch.get(prefix + "logits", (members, capacity, classes), _DTYPE)
+        norm = self.scratch.get(prefix + "norm", (members, capacity, 1), _DTYPE)
         records = [
             op.bind(buffers, logits, capacity)
             if isinstance(op, stacking.Head)
@@ -331,15 +506,14 @@ class InferencePlan:
             for op in self._ops
         ]
         inputs = buffers[self._input].reshape(-1, channels)
-        self._bound = (inputs, logits, norm, records)
-        self.capacity = capacity
+        return inputs, logits, norm, records
 
-    def _build(self, n: int) -> tuple:
-        """``(n, images, calls, probabilities)``: the calls of a batch of
-        ``n``, built when ``n`` is not the last batch's size and never kept
-        for another, the view its images go into and the one its
-        probabilities come out of."""
-        inputs, logits, norm, records = self._bound
+    def _build(self, bound: tuple, n: int) -> tuple:
+        """``(n, images, calls, probabilities)``: the calls of a shard of
+        ``n`` rows on its ``bound`` records, built when ``n`` is not the
+        shard's last size and never kept for another, the view its images go
+        into and the one its probabilities come out of."""
+        inputs, logits, norm, records = bound
         channels, height, width = self._image
         # Row 0 is the input's zero row: never written.
         images = inputs[1 : 1 + n * height * width].reshape(n, height, width, channels)

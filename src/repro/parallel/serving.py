@@ -82,6 +82,7 @@ from repro.obs.metrics import get_registry
 from repro.parallel.supervision import STARTUP_TIMEOUT, LocalQueue, Slot, SlotTable
 from repro.parallel.worker import _serving_worker_main
 from repro.utils.logging import get_logger
+from repro.utils.parallel import lane_threads
 
 #: How long a closing pool waits for its in-flight answers before it kills
 #: the workers still holding some.
@@ -290,6 +291,8 @@ class PoolPredictor(ServingTier):
         self.supervise_interval = float(supervise_interval)
         self.worker_wait = float(worker_wait)
         self.dispatch_timeout = float(dispatch_timeout)
+        # Each worker is one lane: its forwards get its share of the cores.
+        self.inference_threads = lane_threads(self.workers)
 
         # One record per worker (process, queues, state, backoff, load):
         # only the loop thread spawns, evicts and stops, and ``state``,
@@ -359,7 +362,9 @@ class PoolPredictor(ServingTier):
         Loop thread only (and the constructor, before the loop starts)."""
         served = self._artifact
         slot.generation = served.generation
-        self._table.spawn(slot, str(served.path), self.method, self.batch_size)
+        self._table.spawn(
+            slot, str(served.path), self.method, self.batch_size, self.inference_threads
+        )
 
     # ------------------------------------------------------------- the loop
     def _run(self) -> None:
@@ -384,7 +389,7 @@ class PoolPredictor(ServingTier):
                 if self._closed:
                     drained_by = drained_by or now + _DRAIN_TIMEOUT
                     graceful = not any(
-                        slot.load > 0 and slot.process.is_alive() for slot in self._slots
+                        slot.load > 0 and slot.alive for slot in self._slots
                     )
                     if graceful or now >= drained_by:
                         break
@@ -454,7 +459,7 @@ class PoolPredictor(ServingTier):
                 ready.sort(
                     key=lambda s: (s.load, (s.worker_id - self._next_worker) % self.workers)
                 )
-                slot = next((s for s in ready if s.process.is_alive()), None)
+                slot = next((s for s in ready if s.alive), None)
                 if slot is not None:
                     for request in group:
                         request.worker_id, request.dispatched = slot.worker_id, now
@@ -538,7 +543,7 @@ class PoolPredictor(ServingTier):
         for slot in self._slots:
             if slot.state == "down":
                 continue
-            if slot.process.is_alive():
+            if slot.alive:
                 if slot.worker_id not in wedged:
                     continue
                 _WORKER_HANGS.inc()
@@ -632,7 +637,7 @@ class PoolPredictor(ServingTier):
         for slot in self._slots:
             with self._lock:
                 while slot.generation != target.generation and not (
-                    slot.state == "ready" and slot.process.is_alive()
+                    slot.state == "ready" and slot.alive
                 ):
                     remaining = deadline - time.monotonic()
                     if self._closed or remaining <= 0:
@@ -644,7 +649,7 @@ class PoolPredictor(ServingTier):
                     raise RuntimeError("PoolPredictor closed during swap")
                 if slot.generation == target.generation:
                     continue
-                if slot.state != "ready" or not slot.process.is_alive():
+                if slot.state != "ready" or not slot.alive:
                     raise RuntimeError(f"{timed_out} ({rolled} of {self.workers} rolled)")
                 reload = _Request(next(self._request_ids), None, "reload")
                 reload.worker_id, reload.dispatched = slot.worker_id, time.monotonic()
@@ -730,8 +735,8 @@ class PoolPredictor(ServingTier):
     def alive_workers(self) -> int:
         """Workers that are loaded *and* whose process is alive right now."""
         with self._lock:
-            ready = [slot.process for slot in self._slots if slot.state == "ready"]
-        return sum(process.is_alive() for process in ready)
+            ready = [slot for slot in self._slots if slot.state == "ready"]
+        return sum(slot.alive for slot in ready)
 
     def healthz(self) -> Dict[str, Any]:
         """Health summary for the ``/healthz`` endpoint.
@@ -765,6 +770,7 @@ class PoolPredictor(ServingTier):
             "workers": self.workers,
             "alive_workers": self.alive_workers(),
             "worker_pids": [slot.process.pid for slot in self._slots],
+            "inference_threads": [self.inference_threads] * self.workers,
             "restarts": self._restarts_total,
             "num_members": self.num_members,
             "num_classes": self.num_classes,

@@ -82,6 +82,18 @@ class Slot:
     failures: int = 0  # consecutive, since the owner last called mark_healthy
     spawned_at: float = 0.0
 
+    @property
+    def alive(self) -> bool:
+        """Whether the slot's process is running, read off its sentinel.
+
+        This never reaps the process, so any thread may ask.
+        ``Process.is_alive()`` may not be asked from two threads: both call
+        ``waitpid``, and for the one that loses the race the reaped child
+        reads as running (``ECHILD``).  A pool's health check would then count
+        a dead worker as alive.
+        """
+        return self.process is not None and not _mp_wait([self.process.sentinel], 0)
+
 
 class LocalQueue:
     """A queue end whose writers are threads of this process, read by
@@ -190,7 +202,7 @@ class SlotTable:
         respawn is scheduled ``backoff`` seconds out.
         """
         process = slot.process
-        if process.is_alive():
+        if slot.alive:
             process.kill()
             process.join(timeout=10)
         slot.state = "down"

@@ -144,10 +144,12 @@ def _serving_worker_main(
     artifact: str,
     method: str,
     batch_size: int,
+    threads: int,
     request_queue,
     result_queue,
 ) -> None:
-    """Serving-pool worker: load the artifact, answer dispatches.
+    """Serving-pool worker: load the artifact, answer dispatches, each
+    forward's shards on up to ``threads`` threads (the lane's cores).
 
     A dispatch is a list of entries and is answered with ``("result",
     worker_id, replies)``, one :func:`answer_entry` reply per entry.
@@ -160,7 +162,9 @@ def _serving_worker_main(
     def set_up():
         from repro.api.predictor import EnsemblePredictor
 
-        predictor = EnsemblePredictor.load(artifact, method=method, batch_size=batch_size)
+        predictor = EnsemblePredictor.load(
+            artifact, method=method, batch_size=batch_size, threads=threads
+        )
 
         def handle(item) -> None:
             if isinstance(item, tuple):  # ("reload", request_id, path)
@@ -178,7 +182,7 @@ def _serving_worker_main(
                 replies = [answer_entry(predictor, entry) for entry in item]
             result_queue.put(("result", worker_id, replies))
 
-        return handle, lambda: None
+        return handle, predictor.close
 
     _run_worker(worker_id, request_queue, result_queue, set_up)
 

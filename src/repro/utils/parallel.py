@@ -48,6 +48,12 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def lane_threads(lanes: int) -> int:
+    """The threads one of ``lanes`` serving lanes may run a forward on: its
+    share of the usable cores, at least one."""
+    return max(1, cpu_count() // lanes)
+
+
 @contextmanager
 def blas_thread_limit(threads: int) -> Iterator[None]:
     """Cap the BLAS thread pool of *subsequently spawned* processes.

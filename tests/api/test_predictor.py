@@ -1,5 +1,7 @@
 """Tests for the EnsemblePredictor serving facade."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,42 @@ def test_info_is_json_friendly(predictor):
     assert info["approach"] == "mothernets"
     assert len(info["members"]) == 3
     json.dumps(info)  # must not raise
+
+
+def _rows(x, rows):
+    """``rows`` samples of ``x``, repeated as often as it takes."""
+    return np.resize(x, (rows,) + x.shape[1:])
+
+
+def test_the_thread_count_does_not_reach_the_bits(artifact, tiny_result):
+    """One shard or several, 1, 2 or 3 threads: the same bits, also after a
+    reload()."""
+    predictors = [EnsemblePredictor.load(artifact, threads=n) for n in (1, 2, 3)]
+    assert predictors[0].lowered  # the plan's shards, not the graph
+    try:
+        for _ in range(2):
+            for rows in (1, 128, 129, 300):
+                x = _rows(tiny_result.dataset.x_test, rows)
+                for batch_size in (7, 256):
+                    one, *more = [p.predict_proba(x, batch_size=batch_size) for p in predictors]
+                    for answer in more:
+                        np.testing.assert_array_equal(answer, one)
+            for predictor in predictors:
+                predictor.reload()
+    finally:
+        for predictor in predictors:
+            predictor.close()
+
+
+def test_close_stops_the_helper_threads(artifact, tiny_result):
+    def helpers():
+        return [t.name for t in threading.enumerate() if t not in before and "infer" in t.name]
+
+    before = threading.enumerate()
+    with EnsemblePredictor.load(artifact, threads=2) as predictor:
+        assert predictor.inference_threads == 2
+        predictor.predict_proba(_rows(tiny_result.dataset.x_test, 1))
+        assert helpers() == []
+        predictor.predict_proba(_rows(tiny_result.dataset.x_test, 256))
+        assert helpers() == ["repro-infer-1"]
+    assert helpers() == []

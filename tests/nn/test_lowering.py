@@ -20,6 +20,10 @@ taken before bias and ReLU.  The contract these tests state:
 * one gather index moves a pixel's channels, and a 1-row pass makes no more
   numpy calls than the channel-major plan did, but for a stem width's own
   GEMM and epilogue;
+* a predictor's batch of more than ``SHARD_ROWS`` rows answers as its shards
+  do, each a batch of its own, so 1, 2 and 3 threads give the same bits, also
+  after ``reload()``; a 1-row pass starts no thread, and ``close()`` leaves
+  none;
 * ``reload()`` leaves nothing of the old generation's folded weights behind,
   and a generation that fails to load or to warm leaves the old one serving.
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -43,7 +48,7 @@ from repro.core.artifact_store import ArtifactStore
 from repro.core.ensemble import Ensemble, EnsembleMember
 from repro.nn import Model
 from repro.nn.layers import BatchNorm
-from repro.nn.lowering import InferencePlan, lower_model
+from repro.nn.lowering import SHARD_ROWS, InferencePlan, ShardThreads, lower_model, shard_slices
 from repro.nn.stacking import Stack
 from tests.nn.test_training_bits import BENCHMARK_SPEC, GOLDEN, environment_fingerprint
 
@@ -370,6 +375,108 @@ def test_the_bits_do_not_depend_on_what_was_served_before(shape):
 
 
 # --------------------------------------------------------------------------
+# Shards and threads: the bits depend on the row count alone
+# --------------------------------------------------------------------------
+
+#: Around one and two shards' worth, and a request of many.
+SHARD_TEST_ROWS = (1, 127, 128, 129, 255, 256, 300, 1000)
+
+
+def helper_threads(before=()):
+    """The live ``repro-infer-*`` threads that were not in ``before``."""
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-infer-") and thread not in before
+    ]
+
+
+def test_shards_are_near_equal_contiguous_runs():
+    assert shard_slices(1, 128) == [slice(0, 1)]
+    assert shard_slices(128, 128) == [slice(0, 128)]
+    assert shard_slices(129, 128) == [slice(0, 65), slice(65, 129)]
+    assert shard_slices(256, 128) == [slice(0, 128), slice(128, 256)]
+    for rows in SHARD_TEST_ROWS:
+        shards = shard_slices(rows, SHARD_ROWS)
+        sizes = [part.stop - part.start for part in shards]
+        assert len(shards) == -(-rows // SHARD_ROWS) and max(sizes) <= SHARD_ROWS
+        assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
+        assert shards[0].start == 0 and shards[-1].stop == rows
+        assert all(a.stop == b.start for a, b in zip(shards, shards[1:]))
+
+
+@pytest.mark.parametrize("batch_size", [7, 256])
+def test_the_bits_do_not_depend_on_the_thread_count(batch_size):
+    ensemble = build_ensemble(zoo.small_vgg_ensemble(10, (3, 8, 8), 0.0625), seed=3)
+    x = np.random.default_rng(3).normal(size=(1000, 3, 8, 8)).astype(np.float32)
+    predictors = [EnsemblePredictor(ensemble, batch_size=batch_size, threads=n) for n in (1, 2, 3)]
+    try:
+        for rows in SHARD_TEST_ROWS:
+            one, *more = [p.member_probabilities(x[:rows]) for p in predictors]
+            for answer in more:
+                np.testing.assert_array_equal(answer, one)
+            assert np.abs(one - ensemble.predict_proba_all(x[:rows])).max() <= TOLERANCE
+    finally:
+        for predictor in predictors:
+            predictor.close()
+
+
+def test_a_batch_answers_as_its_shards_do():
+    """Two threads on a 256-row batch give the bits of its two 128-row
+    halves, each served as a request of its own."""
+    ensemble = build_ensemble(zoo.small_vgg_ensemble(10, (3, 8, 8), 0.0625), seed=5)
+    x = np.random.default_rng(5).normal(size=(256, 3, 8, 8)).astype(np.float32)
+    with EnsemblePredictor(ensemble, threads=2) as predictor:
+        halves = [predictor.member_probabilities(x[rows]) for rows in shard_slices(256, 128)]
+        np.testing.assert_array_equal(
+            predictor.member_probabilities(x), np.concatenate(halves, axis=1)
+        )
+
+
+def test_a_one_row_pass_starts_no_thread_and_keeps_its_call_list():
+    ensemble = build_ensemble(zoo.small_vgg_ensemble(10, (3, 8, 8), 0.0625))
+    x = np.zeros((1, 3, 8, 8), dtype=np.float32)
+    bare = InferencePlan([member.model for member in ensemble.members])
+    bare.probabilities(x, 256, np.empty((len(ensemble), 1, 10), dtype=np.float32))
+    before = threading.enumerate()
+    with EnsemblePredictor(ensemble, threads=3) as predictor:
+        predictor.predict_proba(x)
+        assert helper_threads(before) == []
+        assert len(predictor._served.plan._run[2]) == len(bare._run[2])
+
+
+def test_close_leaves_no_helper_thread():
+    ensemble = build_ensemble(zoo.small_vgg_ensemble(10, (3, 8, 8), 0.0625))
+    x = np.random.default_rng(8).normal(size=(300, 3, 8, 8)).astype(np.float32)
+    before = threading.enumerate()
+    # One batch of three shards.
+    predictor = EnsemblePredictor(ensemble, batch_size=300, threads=3)
+    answer = predictor.member_probabilities(x)
+    assert sorted(t.name for t in helper_threads(before)) == ["repro-infer-1", "repro-infer-2"]
+    predictor.close()
+    assert helper_threads(before) == []
+    # A closed predictor still answers, every shard on the calling thread.
+    np.testing.assert_array_equal(predictor.member_probabilities(x), answer)
+    assert helper_threads(before) == []
+
+
+def test_a_shard_that_raises_fails_its_request_not_the_threads():
+    threads = ShardThreads(2)
+    ran = []
+
+    def fail():
+        raise RuntimeError("shard 1")
+
+    try:
+        with pytest.raises(RuntimeError, match="shard 1"):
+            threads.run([lambda: ran.append(0), fail])
+        threads.run([lambda: ran.append(0), lambda: ran.append(1)])
+        assert sorted(ran) == [0, 0, 1]
+    finally:
+        threads.close()
+
+
+# --------------------------------------------------------------------------
 # reload(): the new generation whole, or the old one untouched
 # --------------------------------------------------------------------------
 
@@ -439,3 +546,22 @@ def test_failed_reload_leaves_the_old_generation_serving(store, failure, monkeyp
     assert predictor.generation == 0 and predictor.ensemble is ensemble
     assert predictor.info() == info
     np.testing.assert_array_equal(predictor.predict_proba(probe), before)
+
+
+def test_after_reload_the_bits_still_do_not_depend_on_the_thread_count(store):
+    store, probe = store
+    x = np.resize(probe, (300,) + probe.shape[1:])
+    predictors = [EnsemblePredictor.load(store.root, threads=n) for n in (1, 2, 3)]
+    try:
+        for predictor in predictors:
+            predictor.predict_proba(x)  # the helpers start on generation 0
+        store.promote(1)
+        for predictor in predictors:
+            assert predictor.reload() == 1
+        for batch_size in (7, 256):
+            one, *more = [p.predict_proba(x, batch_size=batch_size) for p in predictors]
+            for answer in more:
+                np.testing.assert_array_equal(answer, one)
+    finally:
+        for predictor in predictors:
+            predictor.close()

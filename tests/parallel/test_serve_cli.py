@@ -24,6 +24,7 @@ import pytest
 
 from repro.api import EnsemblePredictor
 from repro.parallel.server import MAX_BODY_BYTES, _make_handler, _Server
+from repro.utils.parallel import cpu_count
 from tests.procs import child_pids, residue, shm_entries
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -146,6 +147,26 @@ def test_serve_round_trip_concurrent(server, saved_artifact, serial_result):
 
     labels = _post(url, {"inputs": x[:10].tolist(), "method": "vote"})
     assert labels["predictions"] == reference.predict(x[:10], method="vote").tolist()
+
+
+@pytest.mark.parametrize("mode", ["pool", "queue"])
+def test_info_shows_each_lanes_inference_threads(request, mode, saved_artifact, serial_result):
+    """A lane's forwards run on its share of the cores — a pool worker's is
+    cpu_count() // workers, a consumer's cpu_count() // max_consumers — and a
+    request of several shards answers with the bits of a one-thread predictor."""
+    _, url = request.getfixturevalue("server" if mode == "pool" else "queue_server")
+    with urllib.request.urlopen(url + "/info", timeout=30) as response:
+        info = json.loads(response.read())
+    if mode == "pool":
+        assert info["inference_threads"] == [max(1, cpu_count() // 2)] * 2
+    else:
+        assert info["inference_threads"] == {"front-0": cpu_count()}
+    x = serial_result.dataset.x_test
+    x = np.resize(x, (300,) + x.shape[1:])
+    with EnsemblePredictor.load(saved_artifact, threads=1) as reference:
+        expected = reference.predict_proba(x)
+    out = _post(url, {"inputs": x.tolist(), "proba": True})
+    np.testing.assert_array_equal(np.asarray(out["probabilities"]), expected)
 
 
 def test_serve_metrics_endpoint_exposes_prometheus_text(server):

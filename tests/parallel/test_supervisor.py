@@ -139,6 +139,24 @@ def test_repeated_kills_bounded_backoff_and_recovery(saved_artifact, serial_resu
     _assert_no_residue(processes)
 
 
+def test_a_worker_another_thread_reaped_reads_dead():
+    """Liveness is read off the process sentinel.  ``Process.is_alive()`` of
+    a child another thread has just reaped reads *alive* (its ``waitpid``
+    gets ``ECHILD``): the pool's loop and a caller joining a killed worker
+    raced so, and ``healthz()`` said "ok" before the respawn was counted."""
+    process = mp.get_context("fork").Process(target=time.sleep, args=(60,), daemon=True)
+    process.start()
+    slot = Slot(0, process=process, state="ready")
+    try:
+        assert slot.alive
+        process.kill()
+        os.waitpid(process.pid, 0)  # the other thread's reap
+        assert process.is_alive()  # the stdlib's reading of ECHILD
+        assert not slot.alive
+    finally:
+        process._popen.returncode = -signal.SIGKILL  # reaped: nothing left to wait for
+
+
 def test_backoff_schedule_is_bounded():
     """The per-attempt backoff doubles from restart_backoff and saturates at
     restart_backoff_max (the 'bounded restart backoff' contract)."""
