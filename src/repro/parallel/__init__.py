@@ -1,9 +1,9 @@
 """Process-based parallel execution layer for training and serving.
 
-Two halves share the same ``spawn``-safe multiprocessing substrate and one
-supervision core (:mod:`repro.parallel.supervision`: a worker's life — spawn
-on fresh private queues, ready, evict, bounded backoff, respawn, shutdown —
-is written once, and driven by each owner from one single-threaded loop;
+Two halves share one supervision core (:mod:`repro.parallel.supervision`: a
+worker's life — a plain child process started on fresh private pipes, ready,
+evict, bounded backoff, respawn, shutdown — is written once, and driven by
+each owner from one single-threaded loop that never blocks on a pipe;
 :mod:`repro.parallel.worker` holds the one worker loop):
 
 * **Training** — :class:`ParallelExecutor` runs
@@ -28,8 +28,9 @@ is written once, and driven by each owner from one single-threaded loop;
   Exposed over HTTP by ``python -m repro serve``
   (:func:`repro.parallel.server.run_server`), including Prometheus
   ``GET /metrics`` and a degrading ``GET /healthz``.  Request rows travel
-  inline on each worker's queue and results come back inline as raw bytes;
-  serving makes no shared-memory segment.
+  inline on each worker's request pipe and results come back inline as raw
+  bytes; serving makes no shared-memory segment and runs no resource
+  tracker.
 """
 
 from repro.parallel.executor import ParallelExecutor

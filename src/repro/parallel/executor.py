@@ -7,7 +7,7 @@ one persistent pool of ``N`` *lanes* per training run, each fitting one
 is the calling process** — the one that already holds numpy, ``repro`` and the
 training set: a daemon thread (:class:`_CallerLane`) that fits on the caller's
 own arrays and hands its :class:`~repro.core.trainer.TrainedNetwork` over as
-an object.  Lanes ``1..N-1`` are ``spawn``-safe worker processes that attach
+an object.  Lanes ``1..N-1`` are worker processes that attach
 the training set through shared memory exactly once (see
 :mod:`repro.parallel.shared_data`) and ship their networks back packed.  So
 ``workers=2`` starts one process, not two, and the first task starts the
@@ -39,7 +39,7 @@ Key properties
   retried up to ``max_task_retries`` times, then the run fails with a
   :class:`RuntimeError` naming the member.  Three signals evict a lane:
 
-  - **process death** — ``Process.is_alive()`` turning false (lane 0 cannot
+  - **process death** — the worker's pidfd turning readable (lane 0 cannot
     die alone: it ends with the run's own process);
   - **per-task deadline** — a task running longer than ``task_timeout``
     seconds marks its lane wedged.  A hung worker cannot be asked nicely: it
@@ -71,7 +71,6 @@ Key properties
 from __future__ import annotations
 
 import heapq
-import multiprocessing as mp
 import queue
 import threading
 import time
@@ -173,14 +172,14 @@ def _died(slot: Slot) -> bool:
 
 
 class _CallerLane(LocalQueue):
-    """Lane 0: a daemon thread of the calling process, seen through the two
-    queue ends a worker process has.
+    """Lane 0: a daemon thread of the calling process, seen through the
+    channel a worker process has.
 
-    ``tasks`` takes the ``(task_index, attempt, task)`` items a worker's
-    request queue takes (``None`` ends the thread) and the lane itself — a
-    :class:`~repro.parallel.supervision.LocalQueue` — is the slot's *result
-    queue*, so lane 0 wakes the same ``SlotTable.poll`` the workers do and
-    its network arrives as an object, nothing pickled.
+    :meth:`send` takes the ``(task_index, attempt, task)`` items a worker's
+    request pipe takes (``None`` ends the thread) and the lane itself — a
+    :class:`~repro.parallel.supervision.LocalQueue` — is what the slot's
+    results come back on, so lane 0 wakes the same ``SlotTable.poll`` the
+    workers do and its network arrives as an object, nothing pickled.
 
     What a worker has and this has not: no ``fire("train")`` (a train fault
     can only ever kill a replaceable worker), no heartbeat, no registry
@@ -207,6 +206,11 @@ class _CallerLane(LocalQueue):
                 message = ("error", 0, (task_index, attempt, f"{type(exc).__name__}: {exc}"))
             if not self.put(message):
                 return
+
+    def send(self, message) -> int:
+        """Hand the lane a task (``None``: leave); nothing is encoded."""
+        self.tasks.put(message)
+        return 0
 
     def close(self) -> None:
         """Stop the lane (idempotent): a fit under way runs to its end — a
@@ -259,7 +263,6 @@ class ParallelExecutor:
         # it with the caller's thread, and the table only ever spawns, evicts
         # and stops the others.
         self._table = SlotTable(
-            mp.get_context("spawn"),
             [Slot(worker_id) for worker_id in range(self.workers)],
             _worker_main,
             "repro-train",
@@ -282,20 +285,19 @@ class ParallelExecutor:
         """Fill slot 0 with the caller's own thread: ready at once."""
         slot = self._table.slots[0]
         self._lane = _CallerLane(self._data["x"], self._data["y"])
-        slot.request_queue, slot.result_queue, slot.state = self._lane.tasks, self._lane, "ready"
+        slot.channel, slot.state = self._lane, "ready"
         log_event("train.worker_ready", worker=0, boot_seconds=0.0)
 
     def _close_lane(self) -> None:
         """Take lane 0 out of the wait set for good (see ``_CallerLane.close``)."""
         if self._lane is not None:
             slot = self._table.slots[0]
-            slot.request_queue = slot.result_queue = None
-            slot.state = "down"
+            slot.channel, slot.state = None, "down"
             self._lane.close()
 
     def _spawn_worker(self, slot: Slot) -> None:
-        # The env cap must surround process creation: spawn children inherit
-        # the environment at exec time and size their BLAS pools from it when
+        # The env cap must surround process creation: workers inherit the
+        # environment at exec time and size their BLAS pools from it when
         # they import numpy.
         with blas_thread_limit(BLAS_THREADS_PER_WORKER):
             self._table.spawn(
@@ -394,7 +396,7 @@ class ParallelExecutor:
                         break
                     task, attempt = submitted[task_index], attempts[task_index]
                     now = time.monotonic()
-                    slot.request_queue.put((task_index, attempt, task))
+                    self._table.send(slot, (task_index, attempt, task))
                     busy[worker_id] = _Dispatch(task_index, attempt, now + self.task_timeout)
                     log_event(
                         "train.task_dispatched",

@@ -9,10 +9,10 @@ ready worker.  Any number of client threads can call :meth:`predict` /
 **One loop.**  Everything between the clients and the workers happens on one
 thread, ``repro-serve-loop``, built like the training executor's ``train()``
 loop.  Each worker fills one slot of a
-:class:`~repro.parallel.supervision.SlotTable` (process, private queues,
+:class:`~repro.parallel.supervision.SlotTable` (process, private pipes,
 ``starting | ready | down``, backoff; plus the pool's load and artifact
 generation), and each pass waits once, in its ``poll``, on every worker's
-result queue plus a :class:`~repro.parallel.supervision.LocalQueue` that
+result pipe plus a :class:`~repro.parallel.supervision.LocalQueue` that
 ``predict_proba`` posts each request to; then it resolves replies and
 ready/fatal handshakes, health-checks every ``supervise_interval`` seconds
 until the pool is closed, and ships what :func:`dispatch_reason` says should
@@ -43,17 +43,17 @@ its way out — cannot race a spawn.
   ``_spawn_failed`` / ``_ready``) and counted in the ``repro_serve_*`` metrics.
 * *Hot-swap is a reload.*  :meth:`~repro.core.artifact_store.ServingTier.swap`
   publishes the target and :meth:`PoolPredictor._roll`, in the swapping
-  thread, puts ``("reload", request_id, path)`` on one worker's queue at a
-  time: claimed under the pool lock like a dispatch, timed and failed like
-  one.  The queue is FIFO, so whatever was dispatched before the reload is
-  answered on the old generation and everything after on the new one; no
-  process or queue is replaced.
+  thread, claims one worker at a time under the pool lock like a dispatch
+  and has the loop send it ``("reload", request_id, path)``, timed and failed
+  like a dispatch.  The request pipe is FIFO, so whatever was dispatched
+  before the reload is answered on the old generation and everything after on
+  the new one; no process or pipe is replaced.
 * *Parent death.*  Workers watch their parent and exit when it is gone
   (:mod:`repro.parallel.worker`), so a SIGKILLed server leaves no orphan.
 
 Data plane: a dispatch is a list of ``(request_id, rows, method)`` entries,
-each carrying its request's rows inline on the worker's queue; no request is
-ever refused for size.  Probabilities come back inline as raw bytes
+each carrying its request's rows inline on the worker's request pipe; no
+request is ever refused for size.  Probabilities come back inline as raw bytes
 (:func:`~repro.parallel.worker.answer_entry`).  Nothing outlives a request
 but its answer, so a dead worker strands nothing the pool must reclaim.
 """
@@ -63,8 +63,6 @@ from __future__ import annotations
 import atexit
 import itertools
 import math
-import multiprocessing as mp
-import pickle
 import threading
 import time
 from collections import deque
@@ -143,22 +141,13 @@ _WORKER_HANGS = _metrics.counter(
 )
 _TRANSPORT_BYTES = _metrics.counter(
     "repro_serve_transport_bytes_total",
-    "Bytes crossing the parent<->worker queues (pickled messages plus the "
-    "rows and results they carry inline), by direction.",
+    "Bytes of the dispatch and result frames crossing the parent<->worker "
+    "pipes (pickled messages plus the rows and results they carry inline), "
+    "by direction.",
     ("direction",),
 )
 _REQUEST_BYTES = _TRANSPORT_BYTES.labels("request")
 _RESPONSE_BYTES = _TRANSPORT_BYTES.labels("response")
-
-
-def _wire_nbytes(message: object) -> int:
-    """Pickled size of a queue message; the bytes of the tensors it carries
-    inline are counted out of band, not copied."""
-    buffers: List[pickle.PickleBuffer] = []
-    head = pickle.dumps(
-        message, protocol=pickle.HIGHEST_PROTOCOL, buffer_callback=buffers.append
-    )
-    return len(head) + sum(memoryview(buffer).nbytes for buffer in buffers)
 
 
 def _latency_quantiles(histogram) -> Dict[str, Optional[float]]:
@@ -219,7 +208,7 @@ class PoolPredictor(ServingTier):
 
     Construct directly or via :meth:`load` (mirrors
     ``EnsemblePredictor.load``).  Always ``close()`` the pool — or use it as a
-    context manager — so worker processes and queues shut down promptly; an
+    context manager — so worker processes and pipes shut down promptly; an
     ``atexit`` hook covers forgotten pools.
 
     Dispatch parameters (see :func:`dispatch_reason`)
@@ -294,12 +283,11 @@ class PoolPredictor(ServingTier):
         # Each worker is one lane: its forwards get its share of the cores.
         self.inference_threads = lane_threads(self.workers)
 
-        # One record per worker (process, queues, state, backoff, load):
-        # only the loop thread spawns, evicts and stops, and ``state``,
-        # ``load`` and ``generation`` change under the pool lock — a swap
-        # claims workers from its own thread.
+        # One record per worker (process, pipes, state, backoff, load):
+        # only the loop thread spawns, evicts, stops and writes to a worker,
+        # and ``state``, ``load`` and ``generation`` change under the pool
+        # lock — a swap claims workers from its own thread.
         self._table = SlotTable(
-            mp.get_context("spawn"),
             [_PoolSlot(worker_id) for worker_id in range(self.workers)],
             _serving_worker_main,
             "repro-serve",
@@ -312,7 +300,8 @@ class PoolPredictor(ServingTier):
         # it: notified by a ready/fatal handshake and by close().
         self._lifecycle = threading.Condition(self._lock)
         # The loop's in-process end of its wait set: predict_proba posts
-        # ("request", None, request), close() a wake-up.
+        # ("request", None, request), _roll ("send", worker_id, (process,
+        # reload)), close() a wake-up.
         self._inbox = LocalQueue()
         # Every unanswered request, queued or dispatched; a dispatched one
         # names its worker, so a death fails exactly that worker's requests
@@ -399,10 +388,21 @@ class PoolPredictor(ServingTier):
     def _collect(self, pending: Deque[_Request], timeout: float) -> None:
         """One wait on the workers and the inbox; queue what the clients
         posted, resolve what the workers answered."""
-        for kind, worker_id, payload in self._table.poll(timeout, self._inbox):
+        for message in self._table.poll(timeout, self._inbox):
+            kind, worker_id, payload = message
             if kind == "request":
                 pending.append(payload)
+            elif kind == "send":
+                process, item = payload
+                slot = self._slots[worker_id]
+                # A reload meant for a worker that was evicted meanwhile has
+                # already failed with it; its successor loads the target.
+                if slot.process is process and slot.channel is not None:
+                    self._table.send(slot, item)
             elif kind == "result":
+                # Counted before its answers resolve, so a client that has
+                # its answer also finds its bytes in the metrics.
+                _RESPONSE_BYTES.inc(message.nbytes)
                 self._collect_result(payload)
             elif kind == "ready":
                 slot = self._slots[worker_id]
@@ -474,7 +474,6 @@ class PoolPredictor(ServingTier):
                 for request in group:
                     self._resolve(request.request_id, exception=RuntimeError(error))
                 continue
-            item = self._build_dispatch(group)
             # Counted before the worker can see the item, so a client that
             # has its answer also finds its dispatch in the metrics.
             if _metrics.enabled:
@@ -483,33 +482,25 @@ class PoolPredictor(ServingTier):
                 handed = time.monotonic()
                 for request in group:
                     _DISPATCH_WAIT.observe(handed - request.enqueued)
-            slot.request_queue.put(item)
+            # Every request's rows inline (the format is
+            # repro.parallel.worker.answer_entry's).
+            entries = [(request.request_id, request.x, request.method) for request in group]
+            _REQUEST_BYTES.inc(self._table.send(slot, entries))
         return None
 
     def _shut_down(self, graceful: bool) -> None:
-        """Stop the workers — each answers what is on its queue first, unless
+        """Stop the workers — each answers what it was sent first, unless
         not ``graceful`` — resolve their last replies and release every
-        queue."""
+        pipe."""
         self._table.stop(self._slots, graceful=graceful)
         self._collect(deque(), 0)
         self._table.close()
         self._inbox.close()
 
     # ------------------------------------------------------------ data plane
-    def _build_dispatch(self, group: List[_Request]) -> List[tuple]:
-        """Encode a micro-batch for the worker's request queue, every
-        request's rows inline (the format is
-        :func:`repro.parallel.worker.answer_entry`'s)."""
-        entries = [(request.request_id, request.x, request.method) for request in group]
-        if _metrics.enabled:
-            _REQUEST_BYTES.inc(_wire_nbytes(entries))
-        return entries
-
     def _collect_result(self, replies: List[tuple]) -> None:
         """Resolve one dispatch's replies, each result rebuilt from its raw
         bytes into one owned array (a reload's reply carries none)."""
-        if _metrics.enabled:
-            _RESPONSE_BYTES.inc(_wire_nbytes(replies))
         for request_id, proba, error in replies:
             if error is not None:
                 self._resolve(request_id, exception=RuntimeError(error))
@@ -621,10 +612,11 @@ class PoolPredictor(ServingTier):
         by :meth:`~repro.core.artifact_store.ServingTier.swap`), one worker at
         a time; returns how many were reloaded.
 
-        A reload is one more request on the worker's own queue, claimed like
+        A reload is one more request on the worker's own pipe, claimed like
         a dispatch — the loop prefers the other workers meanwhile, the
-        dispatch deadline and eviction apply — so FIFO order keeps every
-        answer on one generation.  A worker that is not ready is waited for
+        dispatch deadline and eviction apply — and sent by the loop, the one
+        thread that writes to workers, so FIFO order keeps every answer on one
+        generation.  A worker that is not ready is waited for
         until it is, or until its respawn — which loads the target — begins.
         """
         deadline = time.monotonic() + (
@@ -658,7 +650,8 @@ class PoolPredictor(ServingTier):
                 # From here the worker will end up on the target, whatever
                 # becomes of this call: a rollback must reload it.
                 slot.generation = target.generation
-            slot.request_queue.put(("reload", reload.request_id, str(target.path)))
+                message = ("reload", reload.request_id, str(target.path))
+                self._inbox.put(("send", slot.worker_id, (slot.process, message)))
             try:
                 reload.future.result(timeout=max(0.0, deadline - time.monotonic()))
                 error = None

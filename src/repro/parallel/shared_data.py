@@ -59,11 +59,11 @@ def _attach_without_tracking():
 
     ``SharedMemory(name=...)`` registers the segment with the attaching
     process's resource tracker (until Python 3.13's ``track=False``), which
-    is wrong for non-owners: a tracker that outlives its attacher "cleans
-    up" by unlinking the name — destroying the publisher's segment — or, for
-    spawn children sharing the publisher's tracker, produces spurious
-    KeyError noise at shutdown.  Only the publisher's own creation-time
-    registration should stand.
+    is wrong for non-owners: a worker would start a tracker of its own, and
+    a tracker that outlives its attacher "cleans up" by unlinking the name —
+    destroying the publisher's segment.  Only the publisher's own
+    creation-time registration should stand: its tracker unlinks what a
+    killed publisher left behind.
     """
     try:
         from multiprocessing import resource_tracker

@@ -1,22 +1,28 @@
 """Worker-process side of the parallel engine (training *and* serving).
 
-Everything here runs inside ``spawn``-started worker processes, so it is all
-module-level (picklable by reference).  There is **one worker loop**,
-:func:`_run_worker` — the mirror image of the parent-side supervision core
-(:mod:`repro.parallel.supervision`):
+Everything here runs inside worker processes that
+:class:`~repro.parallel.supervision.SlotTable` starts as ``python -c LAUNCHER
+NAME REQUEST_FD RESULT_FD LIFELINE_FD``: the launcher reads the first frame
+on the request pipe — the owner's ``sys.path`` and the pickled worker main
+function with its arguments, so every main is module-level (pickled by
+reference) — and hands it to :func:`main`.
+There is **one worker loop**, :func:`_run_worker` — the mirror image of the
+parent-side supervision core:
 
 1. set up; then announce ``("ready", worker_id, None)`` — only then does the
    owner hand the worker anything, so no deadline ever runs while an
    interpreter is still booting — or ``("fatal", worker_id, reason)`` and exit;
-2. ``get`` an item off the private request queue, handle it, reply on the
-   private result queue; one item at a time, ``None`` ends the loop.  Queue
-   locks are never shared across workers, so a SIGKILL mid-operation poisons
-   only this worker's queues, which its owner replaces at respawn;
-3. throughout, **exit when the parent is gone**: a daemon thread waits on the
-   parent's sentinel and calls ``os._exit``, whatever the main thread is doing
+2. ``get`` an item off the private request pipe, handle it, ``put`` the reply
+   on the private result pipe; one item at a time, ``None`` ends the loop.
+   Each message is one length-prefixed pickle frame
+   (:func:`~repro.parallel.supervision.encode`), written on the thread that
+   made it — no feeder thread — and under a lock, so a training worker's
+   heartbeat thread never splits a reply;
+3. throughout, **exit when the parent is gone**: a daemon thread blocks on
+   the *lifeline*, a pipe whose only write end the owner holds, and calls
+   ``os._exit`` once it reads EOF, whatever the main thread is doing
    (blocked in ``get``, mid-fit, mid-inference).  A SIGKILLed parent runs no
-   cleanup; workers that outlived it would pin its shared-memory segments
-   through the inherited resource-tracker pipe forever.
+   cleanup; workers that outlived it would sit on their pipes forever.
 
 :func:`_worker_main` (training) and :func:`_serving_worker_main` (serving)
 each give that loop a set-up and a handle function.
@@ -56,45 +62,83 @@ probabilities go back as raw bytes.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
+import pickle
 import threading
-from multiprocessing.connection import wait as _mp_wait
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.core.trainer import fit_task
 from repro.faults import fire
 from repro.nn.serialization import pack_model_state
 from repro.obs.metrics import get_registry
 from repro.parallel.shared_data import AttachedDataset, SharedArrayMeta
+from repro.parallel.supervision import FrameReader, encode
 from repro.utils.parallel import apply_blas_thread_cap
 
 
-def _exit_when_parent_dies() -> None:
+class _Requests:
+    """The worker's end of its request pipe: :meth:`get` blocks for the next
+    item; ``None`` once the owner has closed the pipe."""
+
+    def __init__(self, fd: int):
+        self._reader = FrameReader(fd)
+
+    def get(self):
+        try:
+            return self._reader.read()[0]
+        except EOFError:
+            return None
+
+
+class _Results:
+    """The worker's end of its result pipe: :meth:`put` writes one whole
+    frame, on the calling thread, under a lock the heartbeat shares."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+        self._lock = threading.Lock()
+
+    def put(self, message) -> None:
+        frame = encode(message)
+        with self._lock:
+            while frame:
+                frame = frame[os.write(self._fd, frame) :]
+
+
+def _exit_when_parent_dies(lifeline: int) -> None:
     """Daemon watcher: leave the moment the parent process is gone.
 
-    A SIGKILLed parent runs no cleanup, and a worker blocked in
-    ``request_queue.get()`` (or mid-fit) would outlive it forever, pinning its
-    shared-memory segments through the inherited resource-tracker pipe.  The
-    parent's sentinel turns readable when it dies; ``os._exit`` ends this
-    process whatever its main thread is doing, and once the last worker is
-    gone the resource tracker unlinks what the parent left in ``/dev/shm``.
+    A SIGKILLed parent runs no cleanup, and a worker blocked on its request
+    pipe (or mid-fit) would outlive it forever.  The owner never writes to the
+    lifeline and holds its only write end, so the read returns EOF exactly
+    when the owner is gone; ``os._exit`` then ends this process whatever its
+    main thread is doing.
     """
-    parent = mp.parent_process()
-    if parent is None:  # pragma: no cover - not started by multiprocessing
-        return
 
     def watch() -> None:
-        _mp_wait([parent.sentinel])
+        os.read(lifeline, 1)
         os._exit(1)
 
     threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
+def main(argv: Sequence[str], payload: bytes) -> None:
+    """``NAME REQUEST_FD RESULT_FD LIFELINE_FD``: watch the lifeline, unpickle
+    ``payload`` — ``(target, args)``, off the bootstrap frame — and run
+    ``target(*args, requests, results)`` on the pipes."""
+    request_fd, result_fd, lifeline = (int(fd) for fd in argv[1:4])
+    _exit_when_parent_dies(lifeline)
+    target, args = pickle.loads(payload)
+    try:
+        target(*args, _Requests(request_fd), _Results(result_fd))
+    except BrokenPipeError:  # the owner dropped its end: nobody to answer
+        pass
+
+
 def _run_worker(
     worker_id: int,
-    request_queue,
-    result_queue,
+    requests: _Requests,
+    results: _Results,
     set_up: Callable[[], Tuple[Callable[[object], None], Callable[[], None]]],
 ) -> None:
     """The one worker loop, for training and serving workers alike.
@@ -102,22 +146,17 @@ def _run_worker(
     ``set_up()`` does whatever must succeed before the worker can take work
     and returns ``(handle, tear_down)``.  Then: announce ``("ready",
     worker_id, None)`` — or ``("fatal", worker_id, reason)`` and exit if
-    set-up raised — and ``handle`` every item off the private request queue,
-    one at a time, until the ``None`` sentinel.  Throughout, the worker exits
-    on its own when its parent is gone (:func:`_exit_when_parent_dies`).
+    set-up raised — and ``handle`` every item off the private request pipe,
+    one at a time, until the ``None`` sentinel.
     """
-    _exit_when_parent_dies()
     try:
         handle, tear_down = set_up()
-        result_queue.put(("ready", worker_id, None))
+        results.put(("ready", worker_id, None))
     except BaseException as exc:  # pragma: no cover - startup failure path
-        result_queue.put(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
+        results.put(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
         return
     try:
-        while True:
-            item = request_queue.get()
-            if item is None:
-                break
+        for item in iter(requests.get, None):
             handle(item)
     finally:
         tear_down()
@@ -145,8 +184,8 @@ def _serving_worker_main(
     method: str,
     batch_size: int,
     threads: int,
-    request_queue,
-    result_queue,
+    requests: _Requests,
+    results: _Results,
 ) -> None:
     """Serving-pool worker: load the artifact, answer dispatches, each
     forward's shards on up to ``threads`` threads (the lane's cores).
@@ -180,19 +219,21 @@ def _serving_worker_main(
                 # REPRO_FAULTS is unset.
                 fire("serve", worker=worker_id)
                 replies = [answer_entry(predictor, entry) for entry in item]
-            result_queue.put(("result", worker_id, replies))
+            results.put(("result", worker_id, replies))
 
         return handle, predictor.close
 
-    _run_worker(worker_id, request_queue, result_queue, set_up)
+    _run_worker(worker_id, requests, results, set_up)
 
 
-def _heartbeat_loop(worker_id: int, result_queue, interval: float, stop: threading.Event) -> None:
+def _heartbeat_loop(
+    worker_id: int, results: _Results, interval: float, stop: threading.Event
+) -> None:
     """Daemon thread: tell the parent this process is still scheduled."""
     while not stop.wait(interval):
         try:
-            result_queue.put(("heartbeat", worker_id, None))
-        except Exception:  # pragma: no cover - queue torn down at exit
+            results.put(("heartbeat", worker_id, None))
+        except OSError:  # pragma: no cover - pipe torn down at exit
             return
 
 
@@ -201,8 +242,8 @@ def _worker_main(
     meta: Dict[str, SharedArrayMeta],
     blas_threads: int,
     heartbeat_interval: float,
-    request_queue,
-    result_queue,
+    requests: _Requests,
+    results: _Results,
 ) -> None:
     """Training-worker main (one process; see module docstring)."""
 
@@ -213,7 +254,7 @@ def _worker_main(
         stop = threading.Event()
         threading.Thread(
             target=_heartbeat_loop,
-            args=(worker_id, result_queue, heartbeat_interval, stop),
+            args=(worker_id, results, heartbeat_interval, stop),
             name=f"repro-train-heartbeat-{worker_id}",
             daemon=True,
         ).start()
@@ -234,12 +275,13 @@ def _worker_main(
                     metrics = registry.snapshot()
                     registry.reset()
             except Exception as exc:
-                result_queue.put(
+                results.put(
                     ("error", worker_id, (task_index, attempt, f"{type(exc).__name__}: {exc}"))
                 )
             else:
-                result_queue.put(("result", worker_id, (task_index, attempt, net, metrics)))
+                results.put(("result", worker_id, (task_index, attempt, net, metrics)))
 
         return handle, stop.set
 
-    _run_worker(worker_id, request_queue, result_queue, set_up)
+    _run_worker(worker_id, requests, results, set_up)
+

@@ -6,7 +6,6 @@ case that queues instead."""
 
 import io
 import math
-import multiprocessing as mp
 import os
 import subprocess
 import sys
@@ -24,7 +23,7 @@ from repro.fleet.broker import _JOBS
 from repro.fleet.consumer import _CONSUMED
 from repro.fleet.front import _LocalConsumer
 from repro.obs.exposition import render_prometheus
-from tests.procs import child_pids, is_running
+from tests.procs import child_pids, is_running, worker_processes
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +91,7 @@ def test_every_method_bitwise_equals_single_process(fleet, reference, serial_res
 def test_a_consumer_is_one_process(fleet, serial_result):
     """The consumer answers in the calling process: no pool, so no child."""
     fleet.predict_proba(serial_result.dataset.x_test[:4], timeout=60)
-    assert mp.active_children() == []
+    assert worker_processes() == {}
 
 
 def test_a_consumer_does_not_load_the_serving_pool():

@@ -12,7 +12,7 @@ their own in their own process) and hit workers with signals and
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import os
 import signal
 import threading
 
@@ -27,7 +27,7 @@ from repro.nn.training import TrainingConfig
 from repro.parallel import executor
 from repro.parallel.executor import MemberTask, ParallelExecutor, _CallerLane, _pop_live
 from repro.parallel.supervision import Slot, SlotTable
-from tests.procs import echo_worker
+from tests.procs import echo_worker, worker_processes
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,7 @@ def test_pop_live_skips_what_a_straggler_already_answered():
 
 
 def test_lane_reports_through_the_tables_poll_and_carries_no_train_fault(data, monkeypatch):
-    """The lane is a result queue ``SlotTable.poll`` can wait on next to a
+    """The lane is a channel ``SlotTable.poll`` can wait on next to a
     worker's: its network arrives as an object (a live ``Model``, nothing
     packed), a fit error as an ``error`` message — and a train fault that
     fails every worker attempt does not exist here."""
@@ -116,16 +116,11 @@ def test_lane_reports_through_the_tables_poll_and_carries_no_train_fault(data, m
     good, bad = _tasks(2)
     bad.spec_json = "{not json"
     lane = _CallerLane(data["x"], data["y"])
-    table = SlotTable(
-        mp.get_context("spawn"),
-        [Slot(0, request_queue=lane.tasks, result_queue=lane, state="ready"), Slot(1)],
-        echo_worker,
-        "test-lane",
-    )
+    table = SlotTable([Slot(0, channel=lane, state="ready"), Slot(1)], echo_worker, "test-lane")
     try:
         assert table.poll(0) == []
-        lane.tasks.put((7, 0, good))
-        lane.tasks.put((8, 1, bad))
+        assert table.send(table.slots[0], (7, 0, good)) == 0  # nothing is encoded
+        table.send(table.slots[0], (8, 1, bad))
         messages = []
         while len(messages) < 2:
             polled = table.poll(30)
@@ -151,7 +146,7 @@ def test_workers_n_starts_n_minus_one_processes(data, train_events):
     tasks = _tasks(3)
     with ParallelExecutor(data, workers=3) as pool:
         networks, _ = pool.train(tasks)
-        assert sorted(p.name for p in mp.active_children()) == ["repro-train-1", "repro-train-2"]
+        assert sorted(worker_processes()) == ["repro-train-1", "repro-train-2"]
         lane = pool._lane
     _assert_bitwise(networks, tasks, data)
     ready = _of(train_events, "train.worker_ready")
@@ -159,7 +154,7 @@ def test_workers_n_starts_n_minus_one_processes(data, train_events):
     first = _of(train_events, "train.task_dispatched")[0]
     assert (first["member"], first["worker"]) == ("t0", 0) and first["waited_seconds"] < 0.01
     _assert_lane_gone(lane)
-    assert mp.active_children() == []
+    assert worker_processes() == {}
 
 
 def test_pool_closed_right_after_a_short_run_does_not_wait_out_the_boot(data, shm_sweep):
@@ -178,7 +173,7 @@ def test_pool_closed_right_after_a_short_run_does_not_wait_out_the_boot(data, sh
     _assert_bitwise(networks, tasks, data)
     assert state == "starting"
     assert process.exitcode == -signal.SIGKILL
-    assert mp.active_children() == []
+    assert worker_processes() == {}
 
 
 def test_worker_killed_while_lane0_fits_is_replaced_before_lane0_finishes(
@@ -189,11 +184,13 @@ def test_worker_killed_while_lane0_fits_is_replaced_before_lane0_finishes(
     handed the task again — and only then is lane 0 let go."""
     tasks = _tasks(2)
     started, release = _stalled_fit(monkeypatch)
+    # The dispatch reaches the worker at once, and ``t1`` fits in
+    # milliseconds: hold its first attempt so the kill lands while it is held.
+    monkeypatch.setenv("REPRO_FAULTS", "train_hang:member=t1:attempt=0:seconds=60")
 
     def kill_then_release(fields):
         if fields["worker"] == 1 and fields["attempt"] == 0:
-            (process,) = [p for p in mp.active_children() if p.name == "repro-train-1"]
-            process.kill()
+            os.kill(worker_processes()["repro-train-1"], signal.SIGKILL)
         elif fields["attempt"] == 1:
             release.set()
 
@@ -249,7 +246,7 @@ def test_lane0_fit_errors_exhaust_the_retries_naming_the_member(data, monkeypatc
     with pytest.raises(RuntimeError, match="'t0' failed 3 times"):
         pool.train(_tasks(1))
     _assert_lane_gone(pool._lane)
-    assert mp.active_children() == []
+    assert worker_processes() == {}
 
 
 def test_lane0_past_its_deadline_is_retired_and_the_run_completes_on_the_worker(
@@ -265,7 +262,7 @@ def test_lane0_past_its_deadline_is_retired_and_the_run_completes_on_the_worker(
         with ParallelExecutor(data, workers=2, task_timeout=1.0) as pool:
             networks, _ = pool.train(tasks)
             lane, slot = pool._lane, pool._table.slots[0]
-            assert (slot.state, slot.down_until, slot.result_queue) == ("down", None, None)
+            assert (slot.state, slot.down_until, slot.channel) == ("down", None, None)
             again, _ = pool.train(tasks[1:])  # the pool lives on, one lane short
     finally:
         release.set()
@@ -282,7 +279,7 @@ def test_lane0_past_its_deadline_is_retired_and_the_run_completes_on_the_worker(
                   _of(train_events, "train.task_dispatched")]
     assert dispatched[0] == ("t0", 0, 0) and ("t0", 1, 1) in dispatched
     assert all(worker == 1 for _, worker, _ in dispatched[1:])
-    assert mp.active_children() == []
+    assert worker_processes() == {}
 
 
 def test_a_one_lane_pool_fails_instead_of_hanging_when_its_lane_is_retired(data, monkeypatch):
@@ -311,7 +308,7 @@ def test_failed_run_leaves_lane0_at_most_the_fit_it_is_in(data, monkeypatch, shm
     try:
         with pytest.raises(OSError, match="disk full"):
             pool.train(tasks, on_outcome=journal)
-        assert mp.active_children() == []
+        assert worker_processes() == {}
         assert pool._lane._thread.is_alive()  # still inside t0
     finally:
         release.set()

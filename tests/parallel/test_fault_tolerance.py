@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import json
 import logging
-import multiprocessing as mp
 import os
 import signal
 import subprocess
@@ -31,7 +30,7 @@ import pytest
 from repro.api import load_ensemble_run, run_experiment
 from repro.obs.events import EVENTS_LOGGER_NAME
 from repro.obs.metrics import get_registry
-from tests.procs import child_pids, residue, shm_entries
+from tests.procs import child_pids, residue, shm_entries, worker_processes
 
 # Member names produced by the conftest mlp family (count=4, seed=1).
 MEMBERS = ["mlp-base", "mlp-var-001", "mlp-var-002", "mlp-var-003"]
@@ -142,10 +141,7 @@ def test_silent_worker_is_evicted_on_heartbeat_loss_and_retried_bitwise(
             fields = record.repro_fields
             if record.repro_event == "train.task_dispatched" and not stopped:
                 stopped.append((fields["worker"], fields["member"]))
-                (process,) = [
-                    p for p in mp.active_children() if p.name == f"repro-train-{fields['worker']}"
-                ]
-                os.kill(process.pid, signal.SIGSTOP)
+                os.kill(worker_processes()[f"repro-train-{fields['worker']}"], signal.SIGSTOP)
 
     events = logging.getLogger(EVENTS_LOGGER_NAME)
     handler = StopOnDispatch()
@@ -342,6 +338,67 @@ def test_parent_kill9_then_resume_skips_journaled_members(experiment_dict, tmp_p
     # the journal discarded now that the manifest is the commit point.
     _assert_same_members(serial, load_ensemble_run(out))
     assert not (out / "checkpoint").exists()
+
+
+# A trainer whose one worker wedges in its first fit: lane 0 is parked so
+# the task lands on the worker, and every dispatch is printed.
+_WEDGED_TRAINER = """
+import logging, sys
+import numpy as np
+from repro.arch.serialization import spec_to_json
+from repro.arch.zoo import mlp_family
+from repro.nn.training import TrainingConfig
+from repro.obs.events import EVENTS_LOGGER_NAME
+from repro.parallel.executor import MemberTask, ParallelExecutor
+
+class Dispatched(logging.Handler):
+    def emit(self, record):
+        if record.repro_event == "train.task_dispatched":
+            print(record.repro_fields["worker"], flush=True)
+
+events = logging.getLogger(EVENTS_LOGGER_NAME)
+events.addHandler(Dispatched())
+events.setLevel(logging.INFO)
+ParallelExecutor._start_lane = lambda self: None
+rng = np.random.default_rng(0)
+data = {"x": rng.normal(size=(64, 6)).astype(np.float32), "y": rng.integers(0, 3, size=64)}
+(spec,) = mlp_family(count=1, input_features=6, num_classes=3, base_width=5, seed=2)
+task = MemberTask(name="t0", spec_json=spec_to_json(spec),
+                  config=TrainingConfig(max_epochs=2, batch_size=16), train_seed=0, init_seed=0)
+ParallelExecutor(data, workers=2).train([task])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="procfs + /dev/shm")
+def test_a_sigkilled_trainer_leaves_no_process_while_its_worker_is_wedged():
+    """kill -9 a ``ParallelExecutor``'s process while its worker is wedged
+    inside a fit: the worker reads EOF on its lifeline and leaves, the
+    resource tracker — started by the published data set — then unlinks the
+    ``repro-shm`` segments, and within 5 s nothing of the run is left."""
+    shm_before = shm_entries()
+    env = dict(os.environ, REPRO_FAULTS="train_hang:seconds=600")
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _WEDGED_TRAINER],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline().strip() == "1"  # the task went to the worker
+        time.sleep(0.3)  # into the fault's sleep, mid-fit
+        children = child_pids(proc.pid)
+        workers = worker_processes(proc.pid)
+        assert list(workers) == ["repro-train-1"] and len(children) == 2  # and the tracker
+        assert len(shm_entries() - shm_before) == 2  # x and y
+        proc.kill()
+        proc.wait(timeout=30)
+        assert residue(children, shm_before, timeout=5.0) == ([], [])
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.stdout.close()
 
 
 def test_resume_refused_without_flag(experiment_dict, tmp_path):

@@ -10,7 +10,6 @@ request.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import shutil
 import threading
 import time
@@ -21,7 +20,7 @@ import pytest
 from repro.api import EnsemblePredictor, run_experiment
 from repro.core.artifact_store import ArtifactStore
 from repro.parallel import PoolPredictor
-from tests.procs import ColdReference, shm_entries
+from tests.procs import ColdReference, shm_entries, worker_processes
 
 
 @pytest.fixture(scope="module")
@@ -309,4 +308,4 @@ def test_close_during_a_rolling_swap_leaves_nothing_behind(
     # Nothing was spawned once close() had begun: no successor process (the
     # slot still names the original worker), no segment (shm_sweep).
     assert pool.info()["worker_pids"] == pids
-    assert [p for p in mp.active_children() if p.name.startswith("repro-serve")] == []
+    assert [name for name in worker_processes() if name.startswith("repro-serve")] == []

@@ -8,7 +8,6 @@ which can never exceed the summed per-member training seconds.
 """
 
 import copy
-import multiprocessing as mp
 import os
 import sys
 
@@ -17,6 +16,7 @@ import pytest
 
 from repro.api import run_experiment
 from repro.nn.training import TrainingConfig
+from tests.procs import worker_processes
 
 
 def with_workers(config_dict, workers):
@@ -53,7 +53,7 @@ def _assert_no_parallel_residue():
     if sys.platform.startswith("linux"):
         leftovers = [f for f in os.listdir("/dev/shm") if f.startswith("repro-shm")]
         assert leftovers == [], f"leaked shared-memory segments: {leftovers}"
-    assert mp.active_children() == []
+    assert worker_processes() == {}
 
 
 def test_mothernets_parallel_matches_serial_bitwise(serial_result, experiment_dict):
@@ -113,7 +113,7 @@ def test_pooled_mothernets_run_is_one_pool_scheduled_critical_path_first(
     processes = []
     with on_event(
         "train.task_dispatched",
-        lambda fields: processes.append(sorted(p.name for p in mp.active_children())),
+        lambda fields: processes.append(sorted(worker_processes())),
     ):
         run = run_experiment(config).run
 

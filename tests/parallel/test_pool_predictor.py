@@ -3,7 +3,6 @@ safety under concurrent clients, the dispatch-when-idle rule, and clean
 worker shutdown."""
 
 import itertools
-import multiprocessing as mp
 import sys
 import threading
 import time
@@ -16,6 +15,7 @@ from repro.api import EnsemblePredictor
 from repro.obs.metrics import get_registry
 from repro.parallel import PoolPredictor
 from repro.parallel.serving import dispatch_reason
+from tests.procs import worker_processes
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +209,7 @@ def test_pool_close_is_clean_and_final(saved_artifact, serial_result, shm_sweep)
     assert all(not p.is_alive() for p in processes)
     # Only this predictor's workers must be gone (the module-scoped pool
     # fixture is still serving other tests).
-    assert not set(processes) & set(mp.active_children())
+    assert not {p.pid for p in processes} & set(worker_processes().values())
     with pytest.raises(RuntimeError):
         predictor.predict(x)
     predictor.close()  # idempotent
@@ -241,17 +241,15 @@ def _wait_for(predicate, timeout, interval=0.05):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_live_pool_runs_one_thread(saved_artifact, reference, serial_result, workers):
     """Collecting, supervising and dispatching all happen on one thread: a
-    serving pool adds ``repro-serve-loop`` and nothing else but
-    multiprocessing's queue feeders, and ``close()`` takes every one away."""
+    serving pool adds ``repro-serve-loop`` and nothing else, and ``close()``
+    takes it away."""
     before = set(threading.enumerate())
     pool = PoolPredictor(saved_artifact, workers=workers, max_wait_ms=1.0)
     try:
         x = serial_result.dataset.x_test[:4]
         np.testing.assert_array_equal(pool.predict_proba(x), reference.predict_proba(x))
         names = sorted(thread.name for thread in set(threading.enumerate()) - before)
-        assert [name for name in names if name != "QueueFeederThread"] == [
-            "repro-serve-loop"
-        ], names
+        assert names == ["repro-serve-loop"], names
     finally:
         pool.close()
     assert _wait_for(lambda: set(threading.enumerate()) <= before, timeout=10.0), (

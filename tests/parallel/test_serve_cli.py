@@ -759,8 +759,8 @@ def test_serve_shuts_down_cleanly_on_sigterm(saved_artifact):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="procfs + /dev/shm")
 def test_workers_and_arenas_do_not_outlive_a_sigkilled_server(saved_artifact):
     """kill -9 the server: it runs no cleanup, so its pool workers must notice
-    the parent is gone and leave.  Left to themselves they would sit in
-    ``request_queue.get()`` under PID 1 forever.  The pool ships rows inline:
+    the parent is gone and leave.  Left to themselves they would sit on
+    their request pipes under PID 1 forever.  The pool ships rows inline:
     no ``repro-shm`` entry appears at any point."""
     shm_before = shm_entries()
     proc, banner = _spawn_serve(saved_artifact)
@@ -769,11 +769,52 @@ def test_workers_and_arenas_do_not_outlive_a_sigkilled_server(saved_artifact):
             worker_pids = json.loads(response.read())["worker_pids"]
         assert len(worker_pids) == 2 and shm_entries() == shm_before
         children = child_pids(proc.pid)
-        assert set(worker_pids) < set(children)  # the resource tracker is the third
+        assert set(worker_pids) == set(children)  # no resource tracker
         proc.kill()
         proc.wait(timeout=30)
         assert residue(children, shm_before, timeout=5.0) == ([], [])
     finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="procfs")
+def test_a_worker_wedged_mid_inference_leaves_with_its_sigkilled_server(
+    saved_artifact, monkeypatch
+):
+    """The same kill -9 while a worker is stuck inside an inference: it never
+    reads its request pipe again (an idle worker leaves on that pipe's EOF),
+    so only its lifeline tells it the server is gone."""
+    monkeypatch.setenv("REPRO_FAULTS", "serve_hang:seconds=600")
+    proc, banner = _spawn_serve(saved_artifact)
+    body = json.dumps({"inputs": [[0.0] * 12]}).encode()
+    sock = socket.create_connection((banner["host"], banner["port"]), timeout=30)
+    try:
+        children = child_pids(proc.pid)
+        assert len(children) == 2
+        sock.sendall(
+            b"POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n" % len(body)
+            + body
+        )
+        deadline = time.monotonic() + 30
+        while True:  # until the request is in a worker's hands
+            with urllib.request.urlopen(banner["url"] + "/metrics", timeout=30) as response:
+                page = response.read().decode()
+            if any(
+                line.startswith("repro_serve_dispatches_total{") and float(line.split()[-1]) >= 1
+                for line in page.splitlines()
+            ):
+                break
+            assert time.monotonic() < deadline, "the request was never dispatched"
+            time.sleep(0.05)
+        time.sleep(0.2)
+        proc.kill()
+        proc.wait(timeout=30)
+        assert residue(children, set(), timeout=5.0)[0] == []
+    finally:
+        sock.close()
         if proc.poll() is None:
             proc.kill()
         proc.stdout.close()

@@ -3,20 +3,24 @@ serving pool on top of it: worker death detection, respawn with bounded
 backoff, health degradation and recovery, and no process / shared-memory
 leaks across a crash-and-recover cycle."""
 
-import multiprocessing as mp
 import os
 import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from multiprocessing import resource_tracker
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.api import EnsemblePredictor
-from repro.parallel import ParallelExecutor, PoolPredictor
+from repro.parallel import ParallelExecutor, PoolPredictor, supervision
 from repro.parallel.supervision import Slot, SlotTable, backoff_delay
-from tests.procs import echo_worker, shm_entries
+from tests.procs import echo_worker, shm_entries, worker_processes
 
 
 def _wait_for(predicate, timeout, interval=0.05):
@@ -29,7 +33,7 @@ def _wait_for(predicate, timeout, interval=0.05):
 
 
 def _assert_no_residue(processes):
-    assert not set(processes) & set(mp.active_children())
+    assert not {p.pid for p in processes} & set(worker_processes().values())
     if sys.platform.startswith("linux"):
         assert [f for f in os.listdir("/dev/shm") if f.startswith("repro-shm")] == []
 
@@ -139,22 +143,71 @@ def test_repeated_kills_bounded_backoff_and_recovery(saved_artifact, serial_resu
     _assert_no_residue(processes)
 
 
-def test_a_worker_another_thread_reaped_reads_dead():
-    """Liveness is read off the process sentinel.  ``Process.is_alive()`` of
-    a child another thread has just reaped reads *alive* (its ``waitpid``
-    gets ``ECHILD``): the pool's loop and a caller joining a killed worker
-    raced so, and ``healthz()`` said "ok" before the respawn was counted."""
-    process = mp.get_context("fork").Process(target=time.sleep, args=(60,), daemon=True)
-    process.start()
-    slot = Slot(0, process=process, state="ready")
+def test_a_stopped_worker_holding_a_large_dispatch_is_evicted_while_healthz_answers(
+    saved_artifact, serial_result
+):
+    """SIGSTOP the only worker, then send it a dispatch over 1 MB: the loop
+    leaves what the pipe does not take in the outbox instead of blocking on
+    it, so ``healthz()`` keeps answering within 1 s, the wedged worker is
+    evicted at ``dispatch_timeout`` — its client fails promptly — and the
+    respawn answers bitwise."""
+    pool = PoolPredictor(
+        saved_artifact,
+        workers=1,
+        dispatch_timeout=1.0,
+        restart_backoff=0.1,
+        supervise_interval=0.05,
+        request_timeout=60.0,
+    )
+    reference = EnsemblePredictor.load(saved_artifact)
+    x = serial_result.dataset.x_test
+    rows = np.tile(x, (-(-(1 << 20) // x.nbytes) + 1, 1))
+    assert rows.nbytes > 1 << 20
     try:
-        assert slot.alive
-        process.kill()
-        os.waitpid(process.pid, 0)  # the other thread's reap
-        assert process.is_alive()  # the stdlib's reading of ECHILD
-        assert not slot.alive
+        victim = pool._slots[0]
+        os.kill(victim.process.pid, signal.SIGSTOP)
+        with ThreadPoolExecutor(max_workers=1) as client:
+            start = time.monotonic()
+            answer = client.submit(pool.predict_proba, rows)
+            assert _wait_for(lambda: victim.load > 0, timeout=10.0, interval=0.01)
+            slowest = 0.0
+            while not answer.done():
+                asked = time.monotonic()
+                pool.healthz()
+                slowest = max(slowest, time.monotonic() - asked)
+                time.sleep(0.02)
+            with pytest.raises(RuntimeError, match="worker 0 died"):
+                answer.result()
+        assert 1.0 <= time.monotonic() - start < 10.0
+        assert slowest < 1.0
+        assert _wait_for(lambda: pool.healthz()["status"] == "ok", timeout=60.0)
+        np.testing.assert_array_equal(pool.predict_proba(x[:8]), reference.predict_proba(x[:8]))
     finally:
-        process._popen.returncode = -signal.SIGKILL  # reaped: nothing left to wait for
+        processes = [slot.process for slot in pool._slots]
+        pool.close()
+    _assert_no_residue(processes)
+
+
+def test_a_worker_another_thread_reaped_reads_dead():
+    """Liveness is read off the process's pidfd.  ``Process.is_alive()`` of a
+    child another thread has just reaped reads *alive* (its ``waitpid`` gets
+    ``ECHILD``): the pool's loop and a caller joining a killed worker raced
+    so, and ``healthz()`` said "ok" before the respawn was counted.  The
+    table's handle reads the death whoever reaped it, and ``join`` /
+    ``exitcode`` after that reap neither hang nor raise."""
+    process = supervision.Child(
+        "test-reaped",
+        [sys.executable, "-c", "import time; time.sleep(60)"],
+        (),
+        os.open(os.devnull, os.O_RDONLY),
+    )
+    slot = Slot(0, process=process, state="ready")
+    assert slot.alive and process.is_alive()
+    process.kill()
+    os.waitpid(process.pid, 0)  # the other thread's reap
+    assert not slot.alive and not process.is_alive()
+    process.join(timeout=5)
+    process.kill()  # reaped already: nothing to signal, and no error
 
 
 def test_backoff_schedule_is_bounded():
@@ -171,11 +224,9 @@ def test_backoff_schedule_is_bounded():
 
 def test_slot_table_life_cycle_without_a_pool():
     """spawn -> ready -> evict -> not due before / due after the backoff ->
-    respawn on *different* queue objects -> healthy starts the delay over;
-    stop is graceful, close leaves no queue."""
-    table = SlotTable(
-        mp.get_context("spawn"), [Slot(0)], echo_worker, "test-slot", backoff=0.2, backoff_max=0.5
-    )
+    respawn on *different* pipes -> healthy starts the delay over; stop is
+    graceful, close leaves no pipe."""
+    table = SlotTable([Slot(0)], echo_worker, "test-slot", backoff=0.2, backoff_max=0.5)
     (slot,) = table.slots
     assert (slot.state, slot.process, table.due(time.monotonic())) == ("down", None, [])
 
@@ -192,22 +243,24 @@ def test_slot_table_life_cycle_without_a_pool():
         assert slot.state == "starting" and slot.process.name == "test-slot-0"
         assert next_message() == [("ready", 0, "hello")]
         slot.state = "ready"  # the owner's move, on the handshake
-        slot.request_queue.put("ping")
-        assert next_message() == [("result", 0, "ping")]
+        assert table.send(slot, "ping") > len("ping")  # the frame's bytes
+        reply = next_message()
+        assert reply == [("result", 0, "ping")]
+        assert reply[0].nbytes == len(supervision.encode(("result", 0, "ping")))
 
         # Evicting a live (wedged) worker kills it; the first delay is the base.
-        first = slot.process, slot.request_queue, slot.result_queue
+        first = slot.process, slot.channel
         exitcode, backoff = table.evict(slot)
         assert (exitcode, backoff) == (-signal.SIGKILL, 0.2)
-        assert (slot.state, slot.failures) == ("down", 1)
+        assert (slot.state, slot.failures, slot.channel) == ("down", 1, None)
+        assert first[1].fileno() is None and first[1].request_fd is None
         assert table.due(slot.down_until - 0.01) == []
         assert table.due(slot.down_until) == [slot]
 
-        # The successor never touches the predecessor's (possibly poisoned) queues.
+        # The successor never sees what was left on the predecessor's pipes.
         table.spawn(slot, "again")
         assert slot.process is not first[0] and slot.down_until is None
-        assert slot.request_queue is not first[1] and slot.result_queue is not first[2]
-        assert first[1]._closed and first[2]._closed
+        assert slot.channel is not first[1]
         assert next_message() == [("ready", 0, "again")]
 
         # Consecutive failures double the delay up to the cap ...
@@ -220,14 +273,94 @@ def test_slot_table_life_cycle_without_a_pool():
         table.spawn(slot, "last")
         assert next_message() == [("ready", 0, "last")]
         slot.state = "ready"
-        slot.request_queue.put("pending work is finished before the sentinel")
+        table.send(slot, "pending work is finished before the sentinel")
     finally:
         table.stop(table.slots)
         answered = table.poll(0)
         table.close()
     assert answered == [("result", 0, "pending work is finished before the sentinel")]
     assert slot.process.exitcode == 0 and slot.state == "down"
-    assert slot.request_queue is None and slot.result_queue is None
+    assert slot.channel is None
+    assert worker_processes() == {}
+
+
+@pytest.mark.parametrize("flag", ["-E", "-I"])
+def test_a_worker_finds_its_modules_however_its_owner_did(tmp_path, flag):
+    """An owner run with ``python -E`` or ``-I`` ignores ``PYTHONPATH`` and
+    finds ``repro`` through a ``sys.path`` it changed at run time; its
+    workers, started with the same flags, find the same modules: the path
+    travels in the bootstrap frame."""
+    root = Path(__file__).resolve().parents[2]
+    owner = textwrap.dedent(
+        f"""
+        import sys, time
+        sys.path[:0] = [{str(root / "src")!r}, {str(root)!r}]
+        from repro.parallel.supervision import Slot, SlotTable
+        from tests.procs import echo_worker
+        table = SlotTable([Slot(0)], echo_worker, "test-isolated")
+        (slot,) = table.slots
+        table.spawn(slot, "hello")
+        deadline, messages = time.monotonic() + 60, []
+        while not messages and slot.alive and time.monotonic() < deadline:
+            messages = table.poll(0.5)
+        print(messages)
+        table.stop(table.slots)
+        table.close()
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, flag, "-c", owner],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[('ready', 0, 'hello')]", done.stderr
+
+
+def test_a_stopped_worker_never_blocks_the_owners_loop():
+    """A SIGSTOPped worker takes nothing off its request pipe: a message
+    larger than the pipe waits in the slot's outbox while ``poll`` returns on
+    time, ``evict`` kills the worker and drops the outbox with it, and the
+    respawn answers on fresh pipes."""
+    table = SlotTable([Slot(0)], echo_worker, "test-stopped", backoff=0.05, backoff_max=0.05)
+    (slot,) = table.slots
+
+    def next_message():
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            messages = table.poll(0.5)
+            if messages:
+                return messages
+        raise AssertionError("worker never answered")
+
+    try:
+        table.spawn(slot, "hello")
+        assert next_message() == [("ready", 0, "hello")]
+        slot.state = "ready"
+        os.kill(slot.process.pid, signal.SIGSTOP)
+        began = time.monotonic()
+        table.send(slot, b"x" * (4 << 20))
+        assert time.monotonic() - began < 0.5
+        channel = slot.channel
+        assert channel.outbox  # the pipe took only part of the frame
+        began = time.monotonic()
+        assert table.poll(0.1) == []
+        assert time.monotonic() - began < 0.5
+
+        exitcode, _ = table.evict(slot)
+        assert exitcode == -signal.SIGKILL and not channel.outbox
+        assert _wait_for(lambda: table.due(time.monotonic()) == [slot], timeout=5.0)
+        table.spawn(slot, "again")
+        assert next_message() == [("ready", 0, "again")]
+        slot.state = "ready"
+        table.send(slot, "ping")
+        assert next_message() == [("result", 0, "ping")]
+    finally:
+        table.stop(table.slots)
+        table.close()
+    assert worker_processes() == {}
 
 
 class _FakeProcess:
@@ -246,22 +379,25 @@ class _FakeProcess:
 
     def join(self, timeout=None):
         self.calls.append("join")
-        if "sentinel" in self.calls:
-            self.exitcode = 0
 
 
-class _FakeQueue:
+class _FakeChannel:
+    """The worker leaves once it reads the sentinel."""
+
     def __init__(self, process):
         self.process = process
 
-    def put(self, item):
+    def send(self, item):
         assert item is None
         self.process.calls.append("sentinel")
+        self.process.exitcode = 0
+        return 0
+
+    def fileno(self):
+        return None
 
     def close(self):
         pass
-
-    join_thread = close
 
 
 @pytest.mark.parametrize(
@@ -277,42 +413,45 @@ class _FakeQueue:
 )
 def test_stop_kills_a_worker_that_is_still_starting(state, graceful, told):
     process = _FakeProcess()
-    slot = Slot(0, process=process, request_queue=_FakeQueue(process), state=state,
+    slot = Slot(0, process=process, channel=_FakeChannel(process), state=state,
                 down_until=123.0)
     owner_filled = Slot(1, state="ready")  # no process: not the table's to stop
-    table = SlotTable(None, [slot, owner_filled], echo_worker, "fake")
+    table = SlotTable([slot, owner_filled], echo_worker, "fake")
     table.stop(table.slots, graceful=graceful)
     assert process.calls == told
     assert (slot.state, slot.down_until) == ("down", None)
     assert owner_filled.state == "ready"
     table.close()
-    assert slot.request_queue is None
+    assert slot.channel is None
 
 
 def test_a_worker_that_cannot_start_raises_its_own_error(saved_artifact, monkeypatch):
-    """``Process.start`` failing (a script without a ``__main__`` guard, no
-    fork left) must reach the caller as itself — not as the ``can only join a
-    started process`` of a cleanup that trips over the unstarted process —
-    and leave no thread, process or ``/dev/shm`` entry behind, from either
-    owner of a slot table."""
-    from multiprocessing.context import SpawnProcess
+    """Starting the process failing (no fork left, no such interpreter) must
+    reach the caller as itself — not as the error of a cleanup that trips
+    over the unstarted process — and leave no thread, process, pipe or
+    ``/dev/shm`` entry behind, from either owner of a slot table."""
 
-    def refuse(self):
+    def refuse(*args, **kwargs):
         raise OSError("cannot start a worker here")
 
+    # The executor's SharedDataset starts this process's resource tracker,
+    # whose pipe then stays open for good: not the table's to close.
+    resource_tracker.ensure_running()
     threads_before = set(threading.enumerate())
     shm_before = shm_entries()
-    monkeypatch.setattr(SpawnProcess, "start", refuse)
+    fds_before = set(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(subprocess, "Popen", refuse)
     with pytest.raises(OSError, match="cannot start a worker here"):
         PoolPredictor(saved_artifact, workers=2)
     data = {"x": np.zeros((8, 3), dtype=np.float32), "y": np.zeros(8, dtype=np.int64)}
     with pytest.raises(OSError, match="cannot start a worker here"):
         ParallelExecutor(data, workers=2).train([])
-    assert mp.active_children() == []
+    assert worker_processes() == {}
     assert _wait_for(lambda: set(threading.enumerate()) <= threads_before, timeout=10.0), (
         set(threading.enumerate()) - threads_before
     )
     assert shm_entries() == shm_before
+    assert set(os.listdir("/proc/self/fd")) <= fds_before
 
 
 def test_a_respawn_that_cannot_start_backs_off(saved_artifact, monkeypatch, train_events):
@@ -321,17 +460,15 @@ def test_a_respawn_that_cannot_start_backs_off(saved_artifact, monkeypatch, trai
     one health check (it used to be retried every ``supervise_interval``, a
     fresh arena and a logged traceback each time) — and each failure is a
     ``serve.worker_spawn_failed`` event."""
-    from multiprocessing.context import SpawnProcess
-
     attempts = []
 
-    def refuse(self):
+    def refuse(*args, **kwargs):
         attempts.append(time.monotonic())
         raise OSError("cannot start a worker here")
 
     pool = PoolPredictor(saved_artifact, workers=1, restart_backoff=0.1, supervise_interval=0.05)
     try:
-        monkeypatch.setattr(SpawnProcess, "start", refuse)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
         victim = pool._slots[0].process
         victim.kill()
         victim.join(timeout=10)

@@ -7,7 +7,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -43,7 +43,19 @@ def _stat_fields(pid: int) -> List[str]:
 
 
 def child_pids(pid: int) -> List[int]:
-    """Direct children of ``pid`` (spawn workers, the resource tracker)."""
+    """Direct children of ``pid`` (pool workers, a resource tracker).
+
+    Read off each thread's ``children`` list where the kernel keeps one
+    (a fraction of a millisecond: tests kill workers on a dispatch event,
+    racing the fit they were just handed), else by scanning every process."""
+    try:
+        return [
+            int(child)
+            for tid in os.listdir(f"/proc/{pid}/task")
+            for child in Path("/proc", str(pid), "task", tid, "children").read_text().split()
+        ]
+    except FileNotFoundError:  # no CONFIG_PROC_CHILDREN, or a thread just ended
+        pass
     children = []
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
@@ -63,6 +75,23 @@ def is_running(pid: int) -> bool:
         return _stat_fields(pid)[0] != "Z"
     except (OSError, IndexError):
         return False
+
+
+def worker_processes(pid: Optional[int] = None) -> Dict[str, int]:
+    """``{name: pid}`` of the running pool workers — ``python -c LAUNCHER
+    NAME ...``, the launcher importing ``repro.parallel.worker`` — among the
+    children of ``pid`` (this process by default)."""
+    workers = {}
+    for child in child_pids(os.getpid() if pid is None else pid):
+        try:
+            argv = Path("/proc", str(child), "cmdline").read_bytes().split(b"\0")
+        except OSError:
+            continue
+        for index, arg in enumerate(argv[:-1]):
+            if b"from repro.parallel.worker import main" in arg and is_running(child):
+                workers[argv[index + 1].decode()] = child
+                break
+    return workers
 
 
 def shm_entries() -> Set[str]:
@@ -86,10 +115,9 @@ def residue(
         time.sleep(0.05)
 
 
-def echo_worker(worker_id: int, greeting: str, request_queue, result_queue) -> None:
+def echo_worker(worker_id: int, greeting: str, requests, results) -> None:
     """A trivial ``SlotTable`` target: say ready, echo every item until the
-    ``None`` sentinel (module-level here so a spawn child can import it
-    without pulling in numpy)."""
-    result_queue.put(("ready", worker_id, greeting))
-    for item in iter(request_queue.get, None):
-        result_queue.put(("result", worker_id, item))
+    ``None`` sentinel (module-level: the worker resolves it by name)."""
+    results.put(("ready", worker_id, greeting))
+    for item in iter(requests.get, None):
+        results.put(("result", worker_id, item))
