@@ -31,7 +31,7 @@ Sub-packages
     serving facade (also exposed as the ``python -m repro`` CLI).
 ``repro.parallel``
     Process-based parallel execution: multi-process ensemble-member training
-    over shared-memory datasets (``TrainingConfig(workers=N)``) and the
+    on a memfd copy of the data (``TrainingConfig(workers=N)``) and the
     self-healing multi-worker :class:`~repro.parallel.PoolPredictor` serving
     pool behind ``python -m repro serve``.
 ``repro.obs``

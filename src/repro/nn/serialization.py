@@ -7,8 +7,8 @@ members can be hatched later without retraining (one of the practical
 benefits the paper highlights: the training cost of growing an ensemble is
 just the member fine-tuning).
 
-For *in-memory* transport between processes (the parallel training engine
-ships models over ``multiprocessing`` pipes), :func:`pack_model_state` /
+For *in-memory* transport between processes (a training worker ships every
+model it trained back over its result pipe), :func:`pack_model_state` /
 :func:`unpack_model_state` provide a picklable plain-data form — spec JSON,
 compute dtype, and the weight/state snapshot — without touching the disk
 format.
@@ -32,8 +32,8 @@ _SPEC_KEY = "__spec_json__"
 def pack_model_state(model: Model) -> Dict[str, Any]:
     """A picklable snapshot of ``model``: spec JSON + dtype + weights/state.
 
-    The snapshot is plain data (strings and numpy arrays), safe to ship
-    through ``multiprocessing`` queues under the ``spawn`` start method.
+    The snapshot is plain data (strings and numpy arrays), pickled in a
+    frame on a worker's result pipe (:mod:`repro.parallel.supervision`).
     """
     return {
         "spec_json": spec_to_json(model.spec),

@@ -12,8 +12,9 @@ each owner from one single-threaded loop that never blocks on a pipe;
   calling process, the rest spawned workers — highest priority first,
   accepting the follow-up tasks a finished fit unblocks (the trainers'
   dependency graph).
-  The training set is published once through POSIX shared memory (:class:`SharedDataset`;
-  workers get zero-copy ``np.ndarray`` views), every worker's BLAS pool is
+  The training set is written once into one anonymous memory file (a memfd,
+  :mod:`repro.parallel.shared_data`) that every worker inherits and maps
+  read-only as zero-copy ``np.ndarray`` views, every worker's BLAS pool is
   capped before its numpy import
   (:func:`repro.utils.parallel.blas_thread_limit`), and the pool returns the
   trained networks next to the run's critical-path makespan.  The
@@ -29,18 +30,16 @@ each owner from one single-threaded loop that never blocks on a pipe;
   (:func:`repro.parallel.server.run_server`), including Prometheus
   ``GET /metrics`` and a degrading ``GET /healthz``.  Request rows travel
   inline on each worker's request pipe and results come back inline as raw
-  bytes; serving makes no shared-memory segment and runs no resource
-  tracker.
+  bytes.
+
+Neither half makes a ``/dev/shm`` segment or starts a resource-tracker
+process: a pool's only children are its workers.
 """
 
 from repro.parallel.executor import ParallelExecutor
-from repro.parallel.shared_data import AttachedDataset, SharedArrayMeta, SharedDataset
 from repro.parallel.serving import PoolPredictor
 
 __all__ = [
     "ParallelExecutor",
-    "SharedDataset",
-    "AttachedDataset",
-    "SharedArrayMeta",
     "PoolPredictor",
 ]

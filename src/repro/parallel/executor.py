@@ -7,8 +7,8 @@ one persistent pool of ``N`` *lanes* per training run, each fitting one
 is the calling process** — the one that already holds numpy, ``repro`` and the
 training set: a daemon thread (:class:`_CallerLane`) that fits on the caller's
 own arrays and hands its :class:`~repro.core.trainer.TrainedNetwork` over as
-an object.  Lanes ``1..N-1`` are worker processes that attach
-the training set through shared memory exactly once (see
+an object.  Lanes ``1..N-1`` are worker processes that map the training set
+read-only from one anonymous memory file the executor writes once (see
 :mod:`repro.parallel.shared_data`) and ship their networks back packed.  So
 ``workers=2`` starts one process, not two, and the first task starts the
 moment :meth:`~ParallelExecutor.train` does instead of after an interpreter
@@ -47,7 +47,7 @@ Key properties
     cannot be killed at all: lane 0 is *retired* — never dispatched to again,
     never respawned — and its task retried on a process lane; whichever
     answer lands first wins.  Tasks only go to slots that are ``ready`` (data
-    set attached), so the clock never runs while an interpreter is booting;
+    set mapped), so the clock never runs while an interpreter is booting;
   - **heartbeat loss** — each worker's daemon heartbeat thread pings every
     ``HEARTBEAT_INTERVAL`` seconds; a silent-but-alive process (SIGSTOP,
     scheduler starvation) past ``HEARTBEAT_TIMEOUT`` is treated as wedged.
@@ -220,15 +220,15 @@ class _CallerLane(LocalQueue):
 
 
 class ParallelExecutor:
-    """Persistent training pool: the caller's lane plus spawned workers over a
-    shared-memory dataset.
+    """Persistent training pool: the caller's lane plus spawned workers that
+    map one copy of the data set.
 
     Parameters
     ----------
     data:
         The arrays to train on — the trainers pass ``{"x": x_train, "y":
-        y_train}``.  Lane 0 fits on these very arrays; they are published
-        once for the worker processes.
+        y_train}``.  Lane 0 fits on these very arrays; they are written once
+        into a memfd that every worker process inherits.
     workers:
         Number of lanes, i.e. fits running at a time: the calling process is
         one of them, so ``workers - 1`` processes are spawned.
@@ -261,13 +261,18 @@ class ParallelExecutor:
         self._shared = SharedDataset(data)
         # Slot i is lane i.  Slot 0 never gets a process: `_start_lane` fills
         # it with the caller's thread, and the table only ever spawns, evicts
-        # and stops the others.
-        self._table = SlotTable(
-            [Slot(worker_id) for worker_id in range(self.workers)],
-            _worker_main,
-            "repro-train",
-            backoff=RESTART_BACKOFF,
-        )
+        # and stops the others — every one inheriting the data set's memfd.
+        try:
+            self._table = SlotTable(
+                [Slot(worker_id) for worker_id in range(self.workers)],
+                _worker_main,
+                "repro-train",
+                backoff=RESTART_BACKOFF,
+                inherit_fds=(self._shared.fd,),
+            )
+        except BaseException:
+            self._shared.close()
+            raise
         self._lane: Optional[_CallerLane] = None
         self._last_beat: Dict[int, float] = {}  # worker -> when it last said anything
         self._started = False
@@ -301,7 +306,11 @@ class ParallelExecutor:
         # they import numpy.
         with blas_thread_limit(BLAS_THREADS_PER_WORKER):
             self._table.spawn(
-                slot, self._shared.meta, BLAS_THREADS_PER_WORKER, HEARTBEAT_INTERVAL
+                slot,
+                self._shared.fd,
+                self._shared.layout,
+                BLAS_THREADS_PER_WORKER,
+                HEARTBEAT_INTERVAL,
             )
         self._last_beat[slot.worker_id] = slot.spawned_at
 
@@ -482,7 +491,7 @@ class ParallelExecutor:
                         busy.pop(worker_id, None)
                         if outcomes[task_index] is None:
                             fail_or_retry(task_index, message)
-                    elif kind == "fatal":  # worker could not start (attach failed)
+                    elif kind == "fatal":  # worker could not start (mapping failed)
                         self._evict_worker(slot, "startup", None)
 
                 now = time.monotonic()
@@ -572,7 +581,7 @@ class ParallelExecutor:
         self._shared.close()
 
     def close(self) -> None:
-        """Shut the pool down, then destroy the shared segments (idempotent)."""
+        """Shut the pool down, then close the data set's memfd (idempotent)."""
         self._shutdown(graceful=True)
 
     def __enter__(self) -> "ParallelExecutor":

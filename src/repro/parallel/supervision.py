@@ -29,7 +29,8 @@ LAUNCHER NAME REQUEST_FD RESULT_FD LIFELINE_FD`` started with
 ``subprocess.Popen``, holding three pipe ends passed with ``pass_fds`` — its
 request pipe's read end, its result pipe's write end and the read end of a
 *lifeline* whose write end only the owner holds (the worker leaves when it
-reads EOF: its parent is gone).  The first frame on the request pipe
+reads EOF: its parent is gone) — plus the table's ``inherit_fds``, which
+every spawn passes on and none closes.  The first frame on the request pipe
 bootstraps it: the owner's ``sys.path`` and the pickled ``(target, args)`` of
 its main function.  The launcher reads that frame with the standard library
 alone and puts the path in place before anything of ``repro`` is imported,
@@ -383,7 +384,9 @@ class SlotTable:
     ``target(worker_id, *args, requests, results)`` is the worker main
     function (module-level: it is pickled by reference), ``args`` what
     :meth:`spawn` is given; ``requests.get()`` and ``results.put(message)``
-    are the worker's ends of its pipes.  Not thread-safe: its owner drives it
+    are the worker's ends of its pipes.  Every worker also inherits
+    ``inherit_fds``, the owner's to keep open and close (the executor's data
+    set), under the same numbers.  Not thread-safe: its owner drives it
     from one thread, the owner's loop.  ``send`` returns each frame's length,
     and each message ``poll`` read off a pipe carries its frame's length.
     """
@@ -395,12 +398,14 @@ class SlotTable:
         name: str,
         backoff: float = RESTART_BACKOFF,
         backoff_max: float = RESTART_BACKOFF_MAX,
+        inherit_fds: Sequence[int] = (),
     ):
         if backoff <= 0 or backoff_max < backoff:
             raise ValueError("need 0 < restart_backoff <= restart_backoff_max")
         self.slots = list(slots)
         self._target = target
         self._name = name
+        self._inherit_fds = tuple(inherit_fds)
         self._backoff = float(backoff)
         self._backoff_max = float(backoff_max)
         self._held: List[tuple] = []  # read while stop() waited; the next poll's
@@ -434,7 +439,7 @@ class SlotTable:
         try:
             target = pickle.dumps((self._target, (slot.worker_id, *args)), protocol=5)
             bootstrap = encode((sys.path, target))
-            process = Child(name, argv, theirs, lifeline_w)
+            process = Child(name, argv, (*theirs, *self._inherit_fds), lifeline_w)
         except BaseException:
             _close_fds(request_w, result_r, lifeline_w)
             self._schedule(slot)

@@ -29,14 +29,16 @@ each give that loop a set-up and a handle function.
 
 A training worker receives picklable :class:`~repro.core.trainer.MemberTask`
 records and fits each with the very function the trainers call in-process,
-:func:`repro.core.trainer.fit_task`, against the shared-memory data set
-attached at set-up; every input of that function comes from the task record —
-so a member is bitwise the same wherever it trains, and a task *retried* on
-another worker after a crash is bitwise identical to a fault-free first
-attempt, provided the BLAS thread count matches (floating-point summation
-order inside GEMM depends on it; the executor caps workers to one BLAS thread
-each).  What is specific to running *in a worker* stays on this side of the
-process boundary, never in ``fit_task``:
+:func:`repro.core.trainer.fit_task`, against read-only views of the data
+set the executor wrote once into an anonymous memory file, mapped at set-up
+(:func:`repro.parallel.shared_data.attach`); every other input of that
+function comes from the task record — so a member is bitwise the same
+wherever it trains, and a task *retried* on another worker after a crash is
+bitwise identical to a fault-free first attempt, provided the BLAS thread
+count matches (floating-point summation order inside GEMM depends on it; the
+executor caps workers to one BLAS thread each).  What is specific to running
+*in a worker* stays on this side of the process boundary, never in
+``fit_task``:
 
 * a daemon heartbeat thread emits ``("heartbeat", worker_id, None)`` every
   ``heartbeat_interval`` seconds so the executor can tell a *stopped*
@@ -65,13 +67,13 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro.core.trainer import fit_task
 from repro.faults import fire
 from repro.nn.serialization import pack_model_state
 from repro.obs.metrics import get_registry
-from repro.parallel.shared_data import AttachedDataset, SharedArrayMeta
+from repro.parallel.shared_data import Layout, attach
 from repro.parallel.supervision import FrameReader, encode
 from repro.utils.parallel import apply_blas_thread_cap
 
@@ -239,17 +241,21 @@ def _heartbeat_loop(
 
 def _worker_main(
     worker_id: int,
-    meta: Dict[str, SharedArrayMeta],
+    data_fd: int,
+    layout: Layout,
     blas_threads: int,
     heartbeat_interval: float,
     requests: _Requests,
     results: _Results,
 ) -> None:
-    """Training-worker main (one process; see module docstring)."""
+    """Training-worker main (one process; see module docstring): the data
+    set is the memfd ``data_fd``, inherited from the executor, laid out as
+    ``layout`` says."""
 
     def set_up():
         apply_blas_thread_cap(blas_threads)
-        data = AttachedDataset(meta)
+        data = attach(data_fd, layout)
+        os.close(data_fd)  # the mapping keeps the file alive
         registry = get_registry()
         stop = threading.Event()
         threading.Thread(

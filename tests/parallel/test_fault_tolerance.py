@@ -256,9 +256,10 @@ def test_worker_metrics_merge_into_parent(experiment_dict, lane0_parked):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="procfs + /dev/shm")
 def test_parent_kill9_then_resume_skips_journaled_members(experiment_dict, tmp_path):
-    """kill -9 the training CLI mid-run: its one worker — wedged in a fit —
-    notices and leaves by itself, which lets the resource tracker unlink the
-    published data set; ``--resume`` then restores the journaled members
+    """kill -9 the training CLI mid-run: its one child, the worker — wedged
+    in a fit — notices and leaves by itself, and with it goes the last
+    descriptor of the data set's anonymous file (nothing to unlink, no
+    ``/dev/shm`` entry); ``--resume`` then restores the journaled members
     bitwise and only trains the remainder (acceptance criterion)."""
     shm_before = shm_entries()
     # Fits of ~0.6 s: the CLI's lane 0 cannot be parked from here, and on the
@@ -300,7 +301,7 @@ def test_parent_kill9_then_resume_skips_journaled_members(experiment_dict, tmp_p
                 pytest.fail("no members journaled within 120s")
             time.sleep(0.05)
         children = child_pids(proc.pid)
-        assert len(children) == 2  # the one worker and the resource tracker
+        assert len(children) == 1  # the one worker: no resource tracker
         proc.kill()  # SIGKILL: no cleanup of any kind runs
         proc.wait(timeout=30)
         assert residue(children, shm_before, timeout=5.0) == ([], [])
@@ -372,9 +373,10 @@ ParallelExecutor(data, workers=2).train([task])
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="procfs + /dev/shm")
 def test_a_sigkilled_trainer_leaves_no_process_while_its_worker_is_wedged():
     """kill -9 a ``ParallelExecutor``'s process while its worker is wedged
-    inside a fit: the worker reads EOF on its lifeline and leaves, the
-    resource tracker — started by the published data set — then unlinks the
-    ``repro-shm`` segments, and within 5 s nothing of the run is left."""
+    inside a fit: the worker — the process's only child — reads EOF on its
+    lifeline and leaves, and within 5 s nothing of the run is left.  The data
+    set is an anonymous memory file: no ``/dev/shm`` entry exists at any
+    point."""
     shm_before = shm_entries()
     env = dict(os.environ, REPRO_FAULTS="train_hang:seconds=600")
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
@@ -390,8 +392,8 @@ def test_a_sigkilled_trainer_leaves_no_process_while_its_worker_is_wedged():
         time.sleep(0.3)  # into the fault's sleep, mid-fit
         children = child_pids(proc.pid)
         workers = worker_processes(proc.pid)
-        assert list(workers) == ["repro-train-1"] and len(children) == 2  # and the tracker
-        assert len(shm_entries() - shm_before) == 2  # x and y
+        assert list(workers) == ["repro-train-1"] and len(children) == 1  # no tracker
+        assert len(shm_entries() - shm_before) == 0
         proc.kill()
         proc.wait(timeout=30)
         assert residue(children, shm_before, timeout=5.0) == ([], [])
@@ -494,7 +496,7 @@ def test_serving_worker_crash_mid_dispatch_recovers(
         assert pool.healthz()["restarts"] >= 1
 
 
-def test_shm_worker_hang_mid_slot_write_is_evicted(
+def test_a_serving_worker_wedged_holding_a_dispatch_is_evicted(
     saved_artifact, serial_result, monkeypatch, shm_sweep
 ):
     """A worker wedged past ``dispatch_timeout`` while it holds a dispatch

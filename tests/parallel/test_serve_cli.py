@@ -757,7 +757,7 @@ def test_serve_shuts_down_cleanly_on_sigterm(saved_artifact):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="procfs + /dev/shm")
-def test_workers_and_arenas_do_not_outlive_a_sigkilled_server(saved_artifact):
+def test_workers_do_not_outlive_a_sigkilled_server(saved_artifact):
     """kill -9 the server: it runs no cleanup, so its pool workers must notice
     the parent is gone and leave.  Left to themselves they would sit on
     their request pipes under PID 1 forever.  The pool ships rows inline:

@@ -11,7 +11,6 @@ import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
@@ -428,15 +427,13 @@ def test_stop_kills_a_worker_that_is_still_starting(state, graceful, told):
 def test_a_worker_that_cannot_start_raises_its_own_error(saved_artifact, monkeypatch):
     """Starting the process failing (no fork left, no such interpreter) must
     reach the caller as itself — not as the error of a cleanup that trips
-    over the unstarted process — and leave no thread, process, pipe or
-    ``/dev/shm`` entry behind, from either owner of a slot table."""
+    over the unstarted process — and leave no thread, process, pipe, memfd
+    or ``/dev/shm`` entry behind, from either owner of a slot table (the
+    executor closes its data set's memfd when a spawn fails)."""
 
     def refuse(*args, **kwargs):
         raise OSError("cannot start a worker here")
 
-    # The executor's SharedDataset starts this process's resource tracker,
-    # whose pipe then stays open for good: not the table's to close.
-    resource_tracker.ensure_running()
     threads_before = set(threading.enumerate())
     shm_before = shm_entries()
     fds_before = set(os.listdir("/proc/self/fd"))

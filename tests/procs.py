@@ -43,7 +43,7 @@ def _stat_fields(pid: int) -> List[str]:
 
 
 def child_pids(pid: int) -> List[int]:
-    """Direct children of ``pid`` (pool workers, a resource tracker).
+    """Direct children of ``pid`` (pool workers, and whatever else it started).
 
     Read off each thread's ``children`` list where the kernel keeps one
     (a fraction of a millisecond: tests kill workers on a dispatch event,
@@ -121,3 +121,18 @@ def echo_worker(worker_id: int, greeting: str, requests, results) -> None:
     results.put(("ready", worker_id, greeting))
     for item in iter(requests.get, None):
         results.put(("result", worker_id, item))
+
+
+def data_worker(worker_id: int, fd: int, layout, requests, results) -> None:
+    """A ``SlotTable`` target that maps an inherited data set: say ready
+    with every array's bytes, dtype, shape and ``writeable`` flag."""
+    from repro.parallel.shared_data import attach
+
+    views = attach(fd, layout)
+    summary = {
+        key: (view.tobytes(), view.dtype.str, view.shape, view.flags.writeable)
+        for key, view in views.items()
+    }
+    results.put(("ready", worker_id, summary))
+    for _ in iter(requests.get, None):
+        pass
