@@ -155,7 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-consumers",
         type=int,
         default=4,
-        help="autoscaler's consumer cap (front-0 included)",
+        help="autoscaler's consumer cap (front-0 included); equal to "
+        "--min-consumers pins the fleet (no autoscaler)",
     )
     fleet.add_argument(
         "--visibility-timeout",
@@ -174,11 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fleet-authkey",
         default="repro-fleet",
         help="shared secret fleet workers must present to the broker",
-    )
-    fleet.add_argument(
-        "--no-autoscale",
-        action="store_true",
-        help="pin the consumer count at --min-consumers",
     )
     fleet.add_argument(
         "--autoscale-cooldown",
@@ -418,7 +414,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_consumers=args.max_consumers,
             batch_size=args.batch_size,
             spawn_local=not args.no_local_consumers,
-            autoscale=not args.no_autoscale,
             autoscale_cooldown=args.autoscale_cooldown,
             autoscale_interval=args.autoscale_interval,
             up_queue_depth=args.up_queue_depth,

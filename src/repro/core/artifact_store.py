@@ -258,6 +258,8 @@ class ServingTier:
     """
 
     lanes = "workers_respawned"
+    #: How long ``predict_proba`` waits when the caller names no ``timeout``.
+    REQUEST_TIMEOUT = 300.0
 
     def __init__(self, path: Union[str, Path], method: str):
         # Resolved once: lanes load the concrete generation directory, while

@@ -64,8 +64,9 @@ wakes the front's loop in ``poll_completed``.
 
 The broker is passive: it starts no thread.  Its owner drives both clocks
 (lease expiry, consumer expiry) by calling :meth:`InProcBroker.sweep`
-periodically — the front's one loop does, every ``reconcile_interval`` — the
-way the serving pool's loop drives its ``SlotTable``.  Everything happens
+periodically — the front's one loop does, every ``RECONCILE_INTERVAL``
+seconds (a module constant of :mod:`repro.fleet.front`) — the way the
+serving pool's loop drives its ``SlotTable``.  Everything happens
 inside the calling thread under one broker lock — call rates are
 request-scale, not row-scale, so a single lock is plenty.
 """

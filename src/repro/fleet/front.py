@@ -19,9 +19,9 @@ local :class:`~repro.parallel.serving.PoolPredictor`.  It owns three threads:
   ``repro-serve-loop``: it waits in the broker's ``poll_completed`` until
   the next step is due and resolves completed jobs' futures (observing the
   job latency histogram, keeping results for ``/result/<id>``).  Every
-  ``reconcile_interval`` it sweeps the broker (lease and consumer expiry),
-  expires unfetched results and reconciles the consumers; every
-  ``autoscale_interval`` it ticks the
+  :data:`RECONCILE_INTERVAL` seconds it sweeps the broker (lease and
+  consumer expiry), expires unfetched results and reconciles the consumers;
+  every ``autoscale_interval`` it ticks the
   :class:`~repro.fleet.autoscaler.Autoscaler`, which steers ``desired`` —
   ``front-0`` included — between ``min_consumers`` and ``max_consumers``.
   A step that raises is logged; delivery goes on.
@@ -42,6 +42,7 @@ forward).  Results are bitwise identical to a single-process
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import secrets
@@ -78,8 +79,9 @@ __all__ = ["FleetFront"]
 
 #: How long a completed result waits to be fetched before the loop drops it.
 RESULT_TTL = 120.0
-#: How long ``result`` / ``predict_proba`` wait when the caller names no timeout.
-REQUEST_TIMEOUT = 300.0
+#: How often the loop sweeps the broker, expires results and reconciles the
+#: consumers; read when the loop starts (tests shorten it).
+RECONCILE_INTERVAL = 0.2
 
 
 @dataclass
@@ -135,7 +137,6 @@ class FleetFront(ServingTier):
         host: str = "127.0.0.1",
         fleet_port: int = 0,
         fleet_authkey: str = "repro-fleet",
-        reconcile_interval: float = 0.2,
         log_format: Optional[str] = None,
         log_file: Optional[Union[str, Path]] = None,
     ):
@@ -155,7 +156,6 @@ class FleetFront(ServingTier):
         self._log_format = log_format
         self._log_file = log_file
         self._fleet_authkey = fleet_authkey
-        self._reconcile_interval = float(reconcile_interval)
 
         self._lock = threading.Lock()
         self._entries: Dict[str, _JobEntry] = {}
@@ -278,7 +278,7 @@ class FleetFront(ServingTier):
             raise KeyError(f"unknown job id {job_id!r}")
         try:
             result = entry.future.result(
-                timeout=REQUEST_TIMEOUT if timeout is None else timeout
+                timeout=self.REQUEST_TIMEOUT if timeout is None else timeout
             )
         finally:
             with self._lock:
@@ -347,11 +347,11 @@ class FleetFront(ServingTier):
         run each housekeeping step when it is due — and once the front is
         closed, drain the consumers and deliver what they answered."""
         steps: List[Tuple[Callable[[], Any], float]] = [
-            (self.broker.sweep, self._reconcile_interval),
-            (self._expire_results, self._reconcile_interval),
+            (self.broker.sweep, RECONCILE_INTERVAL),
+            (self._expire_results, RECONCILE_INTERVAL),
         ]
         if self.spawn_local:
-            steps.append((self._reconcile, self._reconcile_interval))
+            steps.append((self._reconcile, RECONCILE_INTERVAL))
         if self.autoscaler is not None:
             steps.append((self.autoscaler.tick, self.autoscaler.interval))
         due = [0.0] * len(steps)
@@ -453,7 +453,6 @@ class FleetFront(ServingTier):
         # machine-readable banner; stderr (structured events) passes through.
         process = subprocess.Popen(argv, stdout=subprocess.DEVNULL, env=env)
         log_event("fleet.consumer_spawned", consumer=consumer_id, pid=process.pid)
-        logger.info("spawned local consumer %s (pid %d)", consumer_id, process.pid)
         return _LocalConsumer(consumer_id=consumer_id, process=process)
 
     def _reconcile(self) -> None:
@@ -483,16 +482,12 @@ class FleetFront(ServingTier):
                 if code is not None:
                     log_event(
                         "fleet.consumer_exited",
+                        level=logging.INFO if consumer.draining else logging.WARNING,
                         consumer=consumer.consumer_id,
                         returncode=code,
                         draining=consumer.draining,
                     )
                     if not consumer.draining:
-                        logger.warning(
-                            "local consumer %s exited unexpectedly (code %s)",
-                            consumer.consumer_id,
-                            code,
-                        )
                         self._hold_spawns(now)
                     continue
                 if consumer.draining:

@@ -71,6 +71,7 @@ Key properties
 from __future__ import annotations
 
 import heapq
+import logging
 import queue
 import threading
 import time
@@ -139,9 +140,6 @@ BLAS_THREADS_PER_WORKER = 1
 #: comfortably cover worker start-up (spawn + numpy import).
 HEARTBEAT_INTERVAL = 0.5
 HEARTBEAT_TIMEOUT = 60.0
-#: First respawn delay of an evicted slot; doubles per consecutive eviction up
-#: to the supervision core's cap, and a returned result starts it over.
-RESTART_BACKOFF = 0.25
 #: How long one scheduler round waits for lane messages.
 POLL_INTERVAL = 0.1
 
@@ -267,7 +265,6 @@ class ParallelExecutor:
                 [Slot(worker_id) for worker_id in range(self.workers)],
                 _worker_main,
                 "repro-train",
-                backoff=RESTART_BACKOFF,
                 inherit_fds=(self._shared.fd,),
             )
         except BaseException:
@@ -326,16 +323,9 @@ class ParallelExecutor:
             _WORKER_EVICTIONS.labels(reason).inc()
             if reason == "heartbeat":
                 _HEARTBEAT_MISSES.inc()
-        logger.error(
-            "training lane %d evicted (%s, exit code %s)%s; %s",
-            slot.worker_id,
-            reason,
-            exitcode,
-            f" while training {member!r}" if member else "",
-            "retired" if backoff is None else f"respawning in {backoff:.2f}s",
-        )
         log_event(
             "train.worker_evicted",
+            level=logging.ERROR,
             worker=slot.worker_id,
             reason=reason,
             exitcode=exitcode,
@@ -434,15 +424,12 @@ class ParallelExecutor:
                 retries += 1
                 _TASK_RETRIES.inc()
                 enqueue(task_index)
-                logger.warning(
-                    "retrying member %r (attempt %d/%d): %s",
-                    name,
-                    attempts[task_index] + 1,
-                    self.max_task_retries + 1,
-                    reason,
-                )
                 log_event(
-                    "train.task_retried", member=name, attempt=attempts[task_index], reason=reason
+                    "train.task_retried",
+                    level=logging.WARNING,
+                    member=name,
+                    attempt=attempts[task_index],
+                    reason=reason,
                 )
 
             for task in tasks:
@@ -537,11 +524,6 @@ class ParallelExecutor:
                 for slot in self._table.due(now):
                     self._spawn_worker(slot)
                     _WORKER_RESTARTS.inc()
-                    logger.info(
-                        "respawned training worker %d (eviction %d)",
-                        slot.worker_id,
-                        slot.failures,
-                    )
                     log_event(
                         "train.worker_respawned", worker=slot.worker_id, eviction=slot.failures
                     )

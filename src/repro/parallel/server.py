@@ -36,8 +36,8 @@ Endpoints
   predict the backend did not answer within its request timeout answers
   ``504``, and the connection stays open for the next request.  A
   ``Content-Length`` over :data:`MAX_BODY_BYTES` (64 MiB) answers ``413``
-  here and on ``/admin/swap``, without reading the body, and closes the
-  connection.
+  and a chunked body (``Transfer-Encoding``) ``411``, here and on
+  ``/admin/swap``, without reading the body, and closes the connection.
 * ``GET /result/<job_id>`` (queue mode) — poll an async job: ``200`` with
   the result once done (the result is consumed), ``202`` while pending,
   ``404`` for unknown/expired ids.
@@ -318,11 +318,17 @@ def _make_handler(pool, mode: str, started_at: float):
                 )
 
         def _read_body(self) -> Optional[bytes]:
-            """The request body — or ``None``, having answered 400 when
-            ``Content-Length`` is not a non-negative integer (``read(-1)``
-            would block this thread until the peer hangs up) and 413 when it
-            exceeds :data:`MAX_BODY_BYTES`.  Either way the connection is
-            closed, its body unread."""
+            """The request body — or ``None``, having answered 411 to a
+            ``Transfer-Encoding`` body (only ``Content-Length`` is read: the
+            chunk framing would be parsed as the body and the next request),
+            400 when ``Content-Length`` is not a non-negative integer
+            (``read(-1)`` would block this thread until the peer hangs up)
+            and 413 when it exceeds :data:`MAX_BODY_BYTES`.  Either way the
+            connection is closed, its body unread."""
+            if "Transfer-Encoding" in self.headers:
+                self.close_connection = True
+                self._reply(411, {"error": "send the body with a Content-Length, not chunked"})
+                return None
             try:
                 length = int(self.headers.get("Content-Length", "0"))
                 if length < 0:

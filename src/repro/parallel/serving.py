@@ -14,9 +14,9 @@ loop.  Each worker fills one slot of a
 generation), and each pass waits once, in its ``poll``, on every worker's
 result pipe plus a :class:`~repro.parallel.supervision.LocalQueue` that
 ``predict_proba`` posts each request to; then it resolves replies and
-ready/fatal handshakes, health-checks every ``supervise_interval`` seconds
-until the pool is closed, and ships what :func:`dispatch_reason` says should
-ship: a group of queued requests goes as soon as
+ready/fatal handshakes, health-checks every :data:`SUPERVISE_INTERVAL`
+seconds until the pool is closed, and ships what :func:`dispatch_reason` says
+should ship: a group of queued requests goes as soon as
 
 (a) it holds ``max_batch`` rows (``full``), or
 (b) some ready worker has nothing in flight (``idle``), or
@@ -33,14 +33,15 @@ spawns or stops a worker, so ``close()`` — which lets the loop stop them on
 its way out — cannot race a spawn.
 
 * *Self-healing.*  A dead worker, or one holding a dispatch past
-  ``dispatch_timeout`` (wedged: it is SIGKILLed), is evicted: its in-flight
-  requests fail promptly and the slot is respawned under the core's bounded
-  exponential backoff (``restart_backoff`` doubling per consecutive failed
-  attempt — a process that cannot even start counts — up to
-  ``restart_backoff_max``; reaching ``ready`` starts it over).  :meth:`healthz`
-  reports ``degraded`` until the respawn is warm; every transition is a
-  structured event (``serve.worker_died`` / ``_hung`` / ``_respawned`` /
-  ``_spawn_failed`` / ``_ready``) and counted in the ``repro_serve_*`` metrics.
+  :data:`DISPATCH_TIMEOUT` (wedged: it is SIGKILLed), is evicted: its
+  in-flight requests fail promptly and the slot is respawned under the
+  supervision core's one backoff schedule (``RESTART_BACKOFF`` doubling per
+  consecutive failed attempt — a process that cannot even start counts — up
+  to ``RESTART_BACKOFF_MAX``; reaching ``ready`` starts it over).
+  :meth:`healthz` reports ``degraded`` until the respawn is warm; every
+  transition is one structured event (``serve.worker_died`` / ``_hung`` /
+  ``_respawned`` / ``_spawn_failed`` / ``_ready``), a failure at level error,
+  and counted in the ``repro_serve_*`` metrics.
 * *Hot-swap is a reload.*  :meth:`~repro.core.artifact_store.ServingTier.swap`
   publishes the target and :meth:`PoolPredictor._roll`, in the swapping
   thread, claims one worker at a time under the pool lock like a dispatch
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import logging
 import math
 import threading
 import time
@@ -85,6 +87,14 @@ from repro.utils.parallel import lane_threads
 #: How long a closing pool waits for its in-flight answers before it kills
 #: the workers still holding some.
 _DRAIN_TIMEOUT = 10.0
+#: Timing of the loop, read at use (tests shorten them): how often it
+#: health-checks the workers; how long a request waits for *some* worker to
+#: become available before it fails; how long a worker may hold a dispatch
+#: before it counts as wedged (hung in a syscall, looping, SIGSTOPped) and is
+#: SIGKILLed, its in-flight requests failed and its slot respawned.
+SUPERVISE_INTERVAL = 0.25
+WORKER_WAIT = 60.0
+DISPATCH_TIMEOUT = 120.0
 
 logger = get_logger("parallel.serving")
 
@@ -220,22 +230,11 @@ class PoolPredictor(ServingTier):
         worker is busy; no request waits while a worker is idle.  ``0`` means
         never wait.
 
-    Resilience parameters
-    ---------------------
-    restart_backoff / restart_backoff_max:
-        Initial and maximum delay before respawning, doubling per consecutive
-        failed attempt (a worker that reaches "ready" resets its backoff).
-    supervise_interval:
-        How often the loop health-checks the workers.
-    worker_wait:
-        How long a request waits for *some* worker to become available
-        before it fails.
-    dispatch_timeout:
-        Per-dispatch deadline in seconds.  A worker holding a request in
-        flight longer than this is treated as *wedged* (hung in a syscall,
-        looping, SIGSTOPped): the loop SIGKILLs it, fails its in-flight
-        requests promptly, and respawns it like any other dead worker.
-        ``0`` disables hang detection (the pre-deadline behaviour).
+    Resilience is not configured per pool: the loop's timing is the module
+    constants :data:`SUPERVISE_INTERVAL`, :data:`WORKER_WAIT` and
+    :data:`DISPATCH_TIMEOUT`, the respawn schedule the supervision core's
+    ``RESTART_BACKOFF`` / ``RESTART_BACKOFF_MAX``, and a call that names no
+    ``timeout`` waits ``REQUEST_TIMEOUT`` seconds.
 
     ``transport`` takes ``"pickle"`` only: rows and results travel inline.
     """
@@ -248,12 +247,6 @@ class PoolPredictor(ServingTier):
         batch_size: int = 256,
         max_batch: int = 1024,
         max_wait_ms: float = 2.0,
-        request_timeout: float = 300.0,
-        restart_backoff: float = 0.5,
-        restart_backoff_max: float = 30.0,
-        supervise_interval: float = 0.25,
-        worker_wait: float = 60.0,
-        dispatch_timeout: float = 120.0,
         transport: str = "pickle",
     ):
         if workers < 1:
@@ -262,10 +255,6 @@ class PoolPredictor(ServingTier):
             raise ValueError("max_batch must be positive")
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be non-negative")
-        if supervise_interval <= 0:
-            raise ValueError("supervise_interval must be positive")
-        if dispatch_timeout < 0:
-            raise ValueError("dispatch_timeout must be non-negative (0 disables)")
         # Accepted only as "pickle" because benchmarks/e2e/probes.py passes
         # it; the parameter goes once a benchmark-only change stops passing it.
         if transport != "pickle":
@@ -276,10 +265,6 @@ class PoolPredictor(ServingTier):
         self.batch_size = int(batch_size)
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
-        self.request_timeout = float(request_timeout)
-        self.supervise_interval = float(supervise_interval)
-        self.worker_wait = float(worker_wait)
-        self.dispatch_timeout = float(dispatch_timeout)
         # Each worker is one lane: its forwards get its share of the cores.
         self.inference_threads = lane_threads(self.workers)
 
@@ -287,13 +272,8 @@ class PoolPredictor(ServingTier):
         # only the loop thread spawns, evicts, stops and writes to a worker,
         # and ``state``, ``load`` and ``generation`` change under the pool
         # lock — a swap claims workers from its own thread.
-        self._table = SlotTable(
-            [_PoolSlot(worker_id) for worker_id in range(self.workers)],
-            _serving_worker_main,
-            "repro-serve",
-            backoff=restart_backoff,
-            backoff_max=restart_backoff_max,
-        )
+        slots = [_PoolSlot(worker_id) for worker_id in range(self.workers)]
+        self._table = SlotTable(slots, _serving_worker_main, "repro-serve")
         self._slots: List[_PoolSlot] = self._table.slots
         self._lock = threading.Lock()
         # The constructor and a swap waiting for a booting worker sleep on
@@ -372,7 +352,7 @@ class PoolPredictor(ServingTier):
                 if now >= check_at:
                     if not self._closed:
                         self._supervise(now)
-                    check_at = now + self.supervise_interval
+                    check_at = now + SUPERVISE_INTERVAL
                 wait = self._dispatch(pending, now)
                 timeout = check_at - now if wait is None else min(wait, check_at - now)
                 if self._closed:
@@ -414,12 +394,15 @@ class PoolPredictor(ServingTier):
                     self._lifecycle.notify_all()
                 _WORKERS_ALIVE.set(self.alive_workers())
                 log_event("serve.worker_ready", worker=worker_id)
-                logger.info("serving worker %d is ready", worker_id)
             elif kind == "fatal":
                 # The worker failed to load and exited; the next health
                 # check finds the dead process and schedules the next attempt.
-                logger.error("serving worker %d failed to load: %s", worker_id, payload)
-                log_event("serve.worker_load_failed", worker=worker_id, error=str(payload))
+                log_event(
+                    "serve.worker_load_failed",
+                    level=logging.ERROR,
+                    worker=worker_id,
+                    error=str(payload),
+                )
                 with self._lock:
                     self._load_failure = f"serving worker {worker_id} failed to load: {payload}"
                     self._lifecycle.notify_all()
@@ -435,7 +418,7 @@ class PoolPredictor(ServingTier):
         way :meth:`_roll` claims one from the swapping thread — so an
         eviction that follows finds the group among the worker's in-flight
         requests and fails it with them.  A group that finds no ready worker
-        waits up to ``worker_wait`` from its first request for capacity to
+        waits up to :data:`WORKER_WAIT` from its first request for capacity to
         come back before it fails; a closing pool never waits.
         """
         while pending:
@@ -465,8 +448,8 @@ class PoolPredictor(ServingTier):
                         request.worker_id, request.dispatched = slot.worker_id, now
                     slot.load += len(group)
                     self._next_worker = (slot.worker_id + 1) % self.workers
-            if slot is None and not self._closed and waited < self.worker_wait:
-                return self.worker_wait - waited
+            if slot is None and not self._closed and waited < WORKER_WAIT:
+                return WORKER_WAIT - waited
             for _ in group:
                 pending.popleft()
             if slot is None:
@@ -516,21 +499,19 @@ class PoolPredictor(ServingTier):
         """Evict dead and wedged workers, respawn the slots that are due.
 
         A wedged worker (hung in a syscall, looping, SIGSTOPped) holding a
-        dispatch past ``dispatch_timeout`` still has a live process, so its
+        dispatch past :data:`DISPATCH_TIMEOUT` still has a live process, so its
         clients would burn the whole request timeout; evicting it SIGKILLs it
         and fails them promptly, like any other death.  A respawn whose
         process cannot even start is a failed attempt of its own: the table
         puts the next one further out under the same backoff.
         """
-        wedged = set()
-        if self.dispatch_timeout > 0:
-            with self._lock:
-                wedged = {
-                    request.worker_id
-                    for request in self._requests.values()
-                    if request.worker_id is not None
-                    and now - request.dispatched > self.dispatch_timeout
-                }
+        with self._lock:
+            wedged = {
+                request.worker_id
+                for request in self._requests.values()
+                if request.worker_id is not None
+                and now - request.dispatched > DISPATCH_TIMEOUT
+            }
         for slot in self._slots:
             if slot.state == "down":
                 continue
@@ -538,15 +519,11 @@ class PoolPredictor(ServingTier):
                 if slot.worker_id not in wedged:
                     continue
                 _WORKER_HANGS.inc()
-                logger.error(
-                    "serving worker %d exceeded the %.0fs dispatch deadline; killing it",
-                    slot.worker_id,
-                    self.dispatch_timeout,
-                )
                 log_event(
                     "serve.worker_hung",
+                    level=logging.ERROR,
                     worker=slot.worker_id,
-                    dispatch_timeout_seconds=self.dispatch_timeout,
+                    dispatch_timeout_seconds=DISPATCH_TIMEOUT,
                 )
             self._evict(slot)
         for slot in self._table.due(now):
@@ -554,14 +531,9 @@ class PoolPredictor(ServingTier):
                 self._spawn(slot)
             except Exception as exc:
                 retry_in = slot.down_until - time.monotonic()
-                logger.error(
-                    "serving worker %d could not be started (%s); retrying in %.1fs",
-                    slot.worker_id,
-                    exc,
-                    retry_in,
-                )
                 log_event(
                     "serve.worker_spawn_failed",
+                    level=logging.ERROR,
                     worker=slot.worker_id,
                     attempt=slot.failures,
                     error=f"{type(exc).__name__}: {exc}",
@@ -570,9 +542,6 @@ class PoolPredictor(ServingTier):
                 continue
             self._restarts_total += 1
             _WORKER_RESTARTS.inc()
-            logger.info(
-                "respawned serving worker %d (attempt %d)", slot.worker_id, slot.failures
-            )
             log_event("serve.worker_respawned", worker=slot.worker_id, attempt=slot.failures)
         _WORKERS_ALIVE.set(self.alive_workers())
 
@@ -587,16 +556,9 @@ class PoolPredictor(ServingTier):
                 if request.worker_id == slot.worker_id
             ]
         _WORKER_DEATHS.inc()
-        logger.error(
-            "serving worker %d died (exit code %s); failing %d in-flight requests, "
-            "respawning in %.1fs",
-            slot.worker_id,
-            exitcode,
-            len(orphaned),
-            backoff,
-        )
         log_event(
             "serve.worker_died",
+            level=logging.ERROR,
             worker=slot.worker_id,
             exitcode=exitcode,
             inflight_failed=len(orphaned),
@@ -636,7 +598,7 @@ class PoolPredictor(ServingTier):
                         break
                     # A ready handshake wakes us; an eviction or a respawn
                     # shows at the loop's health-check pace.
-                    self._lifecycle.wait(min(remaining, self.supervise_interval))
+                    self._lifecycle.wait(min(remaining, SUPERVISE_INTERVAL))
                 if self._closed:
                     raise RuntimeError("PoolPredictor closed during swap")
                 if slot.generation == target.generation:
@@ -713,7 +675,7 @@ class PoolPredictor(ServingTier):
                 self._requests[request.request_id] = request
             self._inbox.put(("request", None, request))
             result = request.future.result(
-                timeout=self.request_timeout if timeout is None else timeout
+                timeout=self.REQUEST_TIMEOUT if timeout is None else timeout
             )
         except BaseException:
             _REQUESTS_ERROR.inc()
@@ -799,7 +761,6 @@ class PoolPredictor(ServingTier):
             request.future.set_exception(RuntimeError("PoolPredictor closed"))
         atexit.unregister(self.close)
         log_event("serve.pool_closed", artifact=str(self.path))
-        logger.info("serving pool for %s shut down", self.path)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -49,11 +49,12 @@ worker that stops reading (SIGSTOP, a wedge) therefore only ever holds up its
 own outbox, and ``evict`` drops that with the process.
 
 ``evict`` schedules the respawn ``backoff_delay(failures)`` seconds out —
-``base`` doubling per consecutive failure up to ``cap`` — and so does a
-``spawn`` whose start raises; ``due`` lists the slots whose wait is over;
-``mark_healthy`` ends a failure streak (the executor calls it on a returned
-result, the serving pool on ``ready``).  Every spawn puts the worker on
-*fresh private* pipes: whatever is still on the old ones belongs to work the
+the module constant ``RESTART_BACKOFF`` doubling per consecutive failure up
+to ``RESTART_BACKOFF_MAX``, one schedule for every owner's children — and so
+does a ``spawn`` whose start raises; ``due`` lists the slots whose wait is
+over; ``mark_healthy`` ends a failure streak (the executor calls it on a
+returned result, the serving pool on ``ready``).  Every spawn puts the worker
+on *fresh private* pipes: whatever is still on the old ones belongs to work the
 owner already failed or rescheduled.  :class:`LocalQueue` is the one
 in-process end — threads of the owner's own process post to it (the
 executor's lane 0, the serving pool's clients) — so the owner's loop waits in
@@ -78,8 +79,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 
-#: Default respawn backoff: the first retry waits ``RESTART_BACKOFF`` seconds,
-#: each consecutive failure doubles that, up to ``RESTART_BACKOFF_MAX``.
+#: Respawn backoff of every supervised child: the first retry waits
+#: ``RESTART_BACKOFF`` seconds, each consecutive failure doubles that, up to
+#: ``RESTART_BACKOFF_MAX``.  Read at use (tests shorten them).
 RESTART_BACKOFF = 0.5
 RESTART_BACKOFF_MAX = 30.0
 #: How long an owner waits for its workers to say ready when it starts.
@@ -110,13 +112,12 @@ main(sys.argv[1:], payload)
 """
 
 
-def backoff_delay(
-    failures: int, base: float = RESTART_BACKOFF, cap: float = RESTART_BACKOFF_MAX
-) -> float:
+def backoff_delay(failures: int) -> float:
     """Seconds to wait before the next start, after ``failures`` consecutive
-    failed ones: ``base`` doubling per failure, bounded by ``cap``."""
+    failed ones: ``RESTART_BACKOFF`` doubling per failure, bounded by
+    ``RESTART_BACKOFF_MAX``."""
     # The exponent is clamped so a slot failing for days cannot overflow.
-    return min(base * (2 ** min(failures, 32)), cap)
+    return min(RESTART_BACKOFF * (2 ** min(failures, 32)), RESTART_BACKOFF_MAX)
 
 
 # ---------------------------------------------------------------- frames
@@ -396,18 +397,12 @@ class SlotTable:
         slots: Sequence[Slot],
         target: Callable[..., None],
         name: str,
-        backoff: float = RESTART_BACKOFF,
-        backoff_max: float = RESTART_BACKOFF_MAX,
         inherit_fds: Sequence[int] = (),
     ):
-        if backoff <= 0 or backoff_max < backoff:
-            raise ValueError("need 0 < restart_backoff <= restart_backoff_max")
         self.slots = list(slots)
         self._target = target
         self._name = name
         self._inherit_fds = tuple(inherit_fds)
-        self._backoff = float(backoff)
-        self._backoff_max = float(backoff_max)
         self._held: List[tuple] = []  # read while stop() waited; the next poll's
 
     def spawn(self, slot: Slot, *args) -> None:
@@ -460,8 +455,8 @@ class SlotTable:
 
         A wedged worker cannot be asked nicely: if the process is still alive
         it is SIGKILLed, as an operator (or the OOM killer) would.  Its pipes
-        go with it, outbox and all.  The respawn is scheduled ``backoff``
-        seconds out.
+        go with it, outbox and all.  The respawn is scheduled
+        ``backoff_delay(failures)`` seconds out.
         """
         process = slot.process
         if process.is_alive():
@@ -474,8 +469,8 @@ class SlotTable:
         return process.exitcode, self._schedule(slot)
 
     def _schedule(self, slot: Slot) -> float:
-        """Count a failure and put the slot's next start ``backoff`` out."""
-        backoff = backoff_delay(slot.failures, self._backoff, self._backoff_max)
+        """Count a failure and put the slot's next start ``backoff_delay`` out."""
+        backoff = backoff_delay(slot.failures)
         slot.failures += 1
         slot.down_until = time.monotonic() + backoff
         return backoff

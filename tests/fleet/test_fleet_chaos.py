@@ -24,6 +24,7 @@ import pytest
 
 from repro.api import EnsemblePredictor
 from repro.fleet import FleetConsumer, FleetFront
+from repro.fleet import front as front_module
 from repro.fleet.broker import _JOBS
 from tests.procs import child_pids, is_running, residue, shm_entries
 
@@ -170,13 +171,13 @@ def test_a_wedged_local_consumer_is_killed_and_replaced(
     completed = _JOBS.labels("completed").value
     duplicates = _JOBS.labels("duplicate_ack").value
     shm_before = shm_entries()
+    monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 0.1)
     front = FleetFront(
         saved_artifact,
         visibility_timeout=1.0,
         min_consumers=3,
         max_consumers=3,
         autoscale=False,
-        reconcile_interval=0.1,
     )
     pids = []
     try:
@@ -234,13 +235,13 @@ def test_a_wedged_front_consumer_is_retired_and_replaced(
     completed = _JOBS.labels("completed").value
     duplicates = _JOBS.labels("duplicate_ack").value
     shm_before = shm_entries()
+    monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 0.1)
     front = FleetFront(
         saved_artifact,
         visibility_timeout=1.0,
         min_consumers=2,
         max_consumers=2,
         autoscale=False,
-        reconcile_interval=0.1,
     )
     pids = []
     try:
@@ -298,13 +299,13 @@ def test_a_sync_call_wedged_on_its_own_thread_returns_while_the_lane_is_replaced
     x = serial_result.dataset.x_test
     inline = _JOBS.labels("inline").value
     shm_before = shm_entries()
+    monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 0.1)
     front = FleetFront(
         saved_artifact,
         visibility_timeout=1.0,
         min_consumers=1,
         max_consumers=1,
         autoscale=False,
-        reconcile_interval=0.1,
     )
     pids = []
     try:

@@ -238,9 +238,8 @@ def test_a_consumer_that_cannot_start_is_relaunched_under_backoff(
     real_spawn = FleetFront._spawn_consumer
     monkeypatch.setattr(FleetFront, "_spawn_consumer", spawn_doomed)
     # Two consumers: front-0 answers in this process, the other is launched.
-    front = FleetFront(
-        saved_artifact, min_consumers=2, max_consumers=2, reconcile_interval=0.05
-    )
+    monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 0.05)
+    front = FleetFront(saved_artifact, min_consumers=2, max_consumers=2)
     try:
         time.sleep(3.0)
         assert 2 <= len(doomed) <= 6, len(doomed)
@@ -271,9 +270,8 @@ def test_a_consumer_launch_that_raises_holds_the_next_launch(
         raise OSError("cannot launch a consumer here")
 
     monkeypatch.setattr(FleetFront, "_spawn_consumer", refuse)
-    front = FleetFront(
-        saved_artifact, min_consumers=2, max_consumers=2, reconcile_interval=0.05
-    )
+    monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 0.05)
+    front = FleetFront(saved_artifact, min_consumers=2, max_consumers=2)
     try:
         x = serial_result.dataset.x_test[:8]
         expected = reference.predict_proba(x)
@@ -339,10 +337,9 @@ def test_a_second_consumer_is_the_one_fleet_worker_child(
             assert np.array_equal(front.result(job_id, timeout=60), reference.predict_proba(batch))
 
 
-def test_scaling_up_adds_subprocesses_up_to_max_minus_one(saved_artifact):
-    with FleetFront(
-        saved_artifact, min_consumers=1, max_consumers=3, autoscale=False, reconcile_interval=0.05
-    ) as front:
+def test_scaling_up_adds_subprocesses_up_to_max_minus_one(saved_artifact, monkeypatch):
+    monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 0.05)
+    with FleetFront(saved_artifact, min_consumers=1, max_consumers=3, autoscale=False) as front:
         for _ in range(4):
             front.scale_up()
         assert front.local_consumers()["desired"] == 3
@@ -398,8 +395,9 @@ def test_a_constructor_that_raises_leaves_nothing_running(saved_artifact, monkey
         raise RuntimeError("front-0 could not start")
 
     monkeypatch.setattr(FleetConsumer, "start", failing_start)
+    monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 0.05)
     with pytest.raises(RuntimeError, match="could not start"):
-        FleetFront(saved_artifact, min_consumers=2, max_consumers=3, reconcile_interval=0.05)
+        FleetFront(saved_artifact, min_consumers=2, max_consumers=3)
     assert len(served) == 1 and len(launched) == 1
     assert not is_running(launched[0].pid)
     with pytest.raises(OSError):
@@ -457,9 +455,8 @@ def test_subprocess_consumers_metrics_reach_the_front_exactly(
     monkeypatch.setenv("REPRO_FAULTS", "fleet_consume_hang:consumer=front-0:seconds=0.3")
     ok = _CONSUMED.labels("ok")
     x = serial_result.dataset.x_test
-    with FleetFront(
-        saved_artifact, min_consumers=1, max_consumers=2, autoscale=False, reconcile_interval=0.05
-    ) as front:
+    monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 0.05)
+    with FleetFront(saved_artifact, min_consumers=1, max_consumers=2, autoscale=False) as front:
         front.scale_up()
         _wait_for(lambda: front.broker.consumer_count() == 2, 120, "local-0 never attached")
         answered = ok.value
@@ -525,18 +522,20 @@ def test_a_consumer_retired_while_blocked_in_lease_leaves_the_broker(saved_artif
 
 
 @pytest.mark.parametrize("max_consumers", [1, 2])
-def test_a_live_front_runs_one_loop(saved_artifact, reference, serial_result, max_consumers):
+def test_a_live_front_runs_one_loop(
+    saved_artifact, reference, serial_result, max_consumers, monkeypatch
+):
     """Result delivery, the broker sweep, consumer reconciling and the
     autoscaler (on when ``max > min``) all run on one thread: a front adds
     ``repro-fleet-loop``, ``front-0`` and the broker's accept thread and
     nothing else, and ``close()`` takes every one away without waiting out a
     housekeeping period."""
     before = set(threading.enumerate())
+    monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 30.0)
     front = FleetFront(
         saved_artifact,
         min_consumers=1,
         max_consumers=max_consumers,
-        reconcile_interval=30.0,
         autoscale_interval=30.0,
     )
     try:

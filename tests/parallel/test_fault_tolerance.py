@@ -82,11 +82,14 @@ def scratch_serial(experiment_dict):
 
 
 def test_sigkill_mid_member_retries_bitwise(
-    experiment_dict, scratch_serial, monkeypatch, lane0_parked
+    experiment_dict, scratch_serial, monkeypatch, train_events, lane0_parked
 ):
     """A worker SIGKILLed mid-fit is evicted; the retried member is bitwise
     identical to the fault-free run (``attempt=0`` scopes the fault to the
-    first attempt, so the retry survives)."""
+    first attempt, so the retry survives).  Its respawn waits the first step
+    of the backoff schedule every supervised child shares."""
+    from repro.parallel.supervision import backoff_delay
+
     monkeypatch.setenv("REPRO_FAULTS", "train_crash:member=mlp-var-001:attempt=0")
     retries_before = _counter("repro_training_task_retries_total")
     evictions_before = _counter("repro_training_worker_evictions_total", "died")
@@ -96,6 +99,10 @@ def test_sigkill_mid_member_retries_bitwise(
     _assert_same_members(scratch_serial, chaos)
     assert _counter("repro_training_task_retries_total") >= retries_before + 1
     assert _counter("repro_training_worker_evictions_total", "died") >= evictions_before + 1
+    evictions = [fields for event, fields in train_events if event == "train.worker_evicted"]
+    assert [(e["reason"], e["restart_in_seconds"]) for e in evictions] == [
+        ("died", backoff_delay(0))
+    ]
 
 
 def test_hang_past_deadline_evicts_and_retries_bitwise(
@@ -428,25 +435,23 @@ def _wait_until_ok(pool, timeout=60.0):
 
 
 def test_serving_pool_evicts_hung_worker(saved_artifact, serial_result, monkeypatch, shm_sweep):
-    """A serving worker wedged past ``dispatch_timeout`` is SIGKILLed, its
+    """A serving worker wedged past ``DISPATCH_TIMEOUT`` is SIGKILLed, its
     in-flight request fails promptly (not after the full request timeout),
     and the respawned worker answers bitwise what a single-process predictor
     answers."""
     from repro.api import EnsemblePredictor
+    from repro.parallel import serving, supervision
     from repro.parallel.serving import PoolPredictor
 
     monkeypatch.setenv("REPRO_FAULTS", "serve_hang:times=1:seconds=60")
+    monkeypatch.setattr(serving, "DISPATCH_TIMEOUT", 1.0)
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", 1.0)
+    monkeypatch.setattr(PoolPredictor, "REQUEST_TIMEOUT", 120.0)
     hangs_before = _counter("repro_serve_worker_hangs_total")
     x = serial_result.dataset.x_test[:8]
     expected = EnsemblePredictor.load(saved_artifact).predict_proba(x)
 
-    with PoolPredictor(
-        saved_artifact,
-        workers=1,
-        dispatch_timeout=1.0,
-        restart_backoff=1.0,
-        request_timeout=120.0,
-    ) as pool:
+    with PoolPredictor(saved_artifact, workers=1) as pool:
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="worker 0 died"):
             pool.predict(x)
@@ -468,19 +473,17 @@ def test_serving_worker_crash_mid_dispatch_recovers(
     request promptly, respawn the worker and serve answers bitwise equal to
     a single-process predictor's from the respawn."""
     from repro.api import EnsemblePredictor
+    from repro.parallel import serving, supervision
     from repro.parallel.serving import PoolPredictor
 
     monkeypatch.setenv("REPRO_FAULTS", "serve_crash:times=1")
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", 0.5)
+    monkeypatch.setattr(serving, "SUPERVISE_INTERVAL", 0.05)
+    monkeypatch.setattr(PoolPredictor, "REQUEST_TIMEOUT", 120.0)
     x = serial_result.dataset.x_test[:8]
     expected = EnsemblePredictor.load(saved_artifact).predict_proba(x)
 
-    with PoolPredictor(
-        saved_artifact,
-        workers=1,
-        restart_backoff=0.5,
-        supervise_interval=0.05,
-        request_timeout=120.0,
-    ) as pool:
+    with PoolPredictor(saved_artifact, workers=1) as pool:
         first = pool._slots[0].process
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="worker 0"):
@@ -499,27 +502,25 @@ def test_serving_worker_crash_mid_dispatch_recovers(
 def test_a_serving_worker_wedged_holding_a_dispatch_is_evicted(
     saved_artifact, serial_result, monkeypatch, shm_sweep
 ):
-    """A worker wedged past ``dispatch_timeout`` while it holds a dispatch
+    """A worker wedged past ``DISPATCH_TIMEOUT`` while it holds a dispatch
     (its rows travel inline in the queue entry; no shared-memory slot is
     involved) is SIGKILLed by a fast supervisor and replaced: the request
     fails promptly, the pool keeps no trace of it and the respawn answers
     bitwise like a single-process predictor."""
     from repro.api import EnsemblePredictor
+    from repro.parallel import serving, supervision
     from repro.parallel.serving import PoolPredictor
 
     monkeypatch.setenv("REPRO_FAULTS", "serve_hang:times=1:seconds=60")
+    monkeypatch.setattr(serving, "DISPATCH_TIMEOUT", 1.0)
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", 0.5)
+    monkeypatch.setattr(serving, "SUPERVISE_INTERVAL", 0.05)
+    monkeypatch.setattr(PoolPredictor, "REQUEST_TIMEOUT", 120.0)
     hangs_before = _counter("repro_serve_worker_hangs_total")
     x = serial_result.dataset.x_test[:8]
     expected = EnsemblePredictor.load(saved_artifact).predict_proba(x)
 
-    with PoolPredictor(
-        saved_artifact,
-        workers=1,
-        dispatch_timeout=1.0,
-        restart_backoff=0.5,
-        supervise_interval=0.05,
-        request_timeout=120.0,
-    ) as pool:
+    with PoolPredictor(saved_artifact, workers=1) as pool:
         first = pool._slots[0].process
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="worker 0 died"):

@@ -19,7 +19,7 @@ import pytest
 
 from repro.api import EnsemblePredictor, run_experiment
 from repro.core.artifact_store import ArtifactStore
-from repro.parallel import PoolPredictor
+from repro.parallel import PoolPredictor, serving, supervision
 from tests.procs import ColdReference, shm_entries, worker_processes
 
 
@@ -183,16 +183,17 @@ def test_swap_keeps_every_worker_process(swap_store, refs, shm_sweep):
         pool.close()
 
 
-def test_a_swap_waits_for_a_worker_that_is_being_respawned(swap_store, refs, shm_sweep):
+def test_a_swap_waits_for_a_worker_that_is_being_respawned(
+    swap_store, refs, shm_sweep, monkeypatch
+):
     """A worker evicted just before the swap is not skipped: the swap returns
     once it is back — on the target — so every worker answers on the new
     generation afterwards."""
     probe, _, ref1 = refs
     swap_store.promote(0)
-    pool = PoolPredictor(
-        swap_store.root, workers=2, max_wait_ms=0.0, restart_backoff=0.2,
-        supervise_interval=0.05,
-    )
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", 0.2)
+    monkeypatch.setattr(serving, "SUPERVISE_INTERVAL", 0.05)
+    pool = PoolPredictor(swap_store.root, workers=2, max_wait_ms=0.0)
     try:
         victim = pool._slots[1].process
         victim.kill()

@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import EnsemblePredictor
 from repro.obs.metrics import get_registry
-from repro.parallel import PoolPredictor
+from repro.parallel import PoolPredictor, serving
 from repro.parallel.serving import dispatch_reason
 from tests.procs import worker_processes
 
@@ -169,16 +169,12 @@ def test_dead_worker_fails_requests_promptly_without_respawn(
 ):
     """Kill the only worker while it holds a request (wedged there by a
     ``serve_hang`` fault): the request fails as soon as the supervisor sees
-    the death — not after ``request_timeout``, and without waiting for the
+    the death — not after ``REQUEST_TIMEOUT``, and without waiting for the
     respawn (which test_supervisor.py covers)."""
     monkeypatch.setenv("REPRO_FAULTS", "serve_hang:times=1:seconds=60")
-    predictor = PoolPredictor(
-        saved_artifact,
-        workers=1,
-        max_wait_ms=0.0,
-        request_timeout=60.0,
-        supervise_interval=0.05,
-    )
+    monkeypatch.setattr(PoolPredictor, "REQUEST_TIMEOUT", 60.0)
+    monkeypatch.setattr(serving, "SUPERVISE_INTERVAL", 0.05)
+    predictor = PoolPredictor(saved_artifact, workers=1, max_wait_ms=0.0)
     monkeypatch.delenv("REPRO_FAULTS")  # the respawn serves normally
     try:
         x = serial_result.dataset.x_test[:4]
@@ -216,10 +212,11 @@ def test_pool_close_is_clean_and_final(saved_artifact, serial_result, shm_sweep)
 
 
 def test_timeout_zero_does_not_wait(saved_artifact, serial_result, monkeypatch):
-    """``timeout=0`` means now, not ``request_timeout``: the worker holds
+    """``timeout=0`` means now, not ``REQUEST_TIMEOUT``: the worker holds
     the request (a ``serve_hang`` fault), so it is still pending."""
     monkeypatch.setenv("REPRO_FAULTS", "serve_hang:times=1:seconds=0.5")
-    pool = PoolPredictor(saved_artifact, workers=1, request_timeout=60.0)
+    monkeypatch.setattr(PoolPredictor, "REQUEST_TIMEOUT", 60.0)
+    pool = PoolPredictor(saved_artifact, workers=1)
     try:
         start = time.monotonic()
         with pytest.raises(TimeoutError):
@@ -258,12 +255,13 @@ def test_a_live_pool_runs_one_thread(saved_artifact, reference, serial_result, w
 
 
 def test_close_under_concurrent_clients_answers_or_fails_every_call(
-    saved_artifact, reference, serial_result, shm_sweep
+    saved_artifact, reference, serial_result, shm_sweep, monkeypatch
 ):
     """Eight threads call ``predict_proba`` back to back while another closes
     the pool: each call is answered bitwise or fails with "PoolPredictor
-    closed" within seconds — none is left to wait out ``request_timeout``."""
-    pool = PoolPredictor(saved_artifact, workers=2, max_wait_ms=1.0, request_timeout=30.0)
+    closed" within seconds — none is left to wait out ``REQUEST_TIMEOUT``."""
+    monkeypatch.setattr(PoolPredictor, "REQUEST_TIMEOUT", 30.0)
+    pool = PoolPredictor(saved_artifact, workers=2, max_wait_ms=1.0)
     x = serial_result.dataset.x_test
     start = threading.Barrier(9)
 

@@ -352,6 +352,31 @@ def test_an_oversized_body_is_a_413(request, mode, length):
     assert len(out["probabilities"]) == 2
 
 
+def test_a_chunked_body_is_a_411_and_the_connection_closes():
+    """Only ``Content-Length`` frames a body: a chunked POST was read as an
+    empty body (400 "needs an inputs array"), its chunk-size line then parsed
+    as the next request (an HTML 400), and a request pipelined behind it
+    never answered.  It is one JSON 411, and the server hangs up."""
+    payload = json.dumps({"inputs": [[0.0] * 12], "proba": True}).encode("utf-8")
+    chunked = (
+        b"POST /predict HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + b"%x\r\n%s\r\n0\r\n\r\n" % (len(payload), payload)
+        + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+    )
+    with _serving_in_process(_make_handler(_FakePool(), "pool", time.monotonic())) as url:
+        with socket.create_connection(("127.0.0.1", int(url.rsplit(":", 1)[1])), 30) as sock:
+            sock.sendall(chunked)
+            sock.settimeout(5.0)
+            reply = b""
+            while chunk := sock.recv(65536):  # until the server hangs up
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 411 "), reply[:80]
+        assert "Content-Length" in json.loads(body)["error"]  # one response, nothing after it
+        with urllib.request.urlopen(url + "/healthz", timeout=30) as response:
+            assert json.loads(response.read()) == {"status": "ok"}
+
+
 @pytest.mark.parametrize("body", [b"[1,2,3]", b"3", b'"x"'])
 @pytest.mark.parametrize("path", ["/predict", "/admin/swap"])
 def test_json_body_that_is_not_an_object_is_a_400(server, path, body):

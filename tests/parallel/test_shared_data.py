@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.parallel.shared_data import ALIGN, SharedDataset, attach
+from repro.parallel import supervision
 from repro.parallel.supervision import Slot, SlotTable
 from tests.procs import data_worker, worker_processes
 
@@ -84,16 +85,15 @@ def test_views_are_read_only_and_zero_copy():
         shared.close()
 
 
-def test_a_respawned_worker_still_reads_the_data_set():
+def test_a_respawned_worker_still_reads_the_data_set(monkeypatch):
     """A ``SlotTable`` child given the fd maps the parent's arrays, read-only;
     after the child is killed its respawn maps the same file again: the file
     outlives every worker and only the publisher closes it."""
     arrays = _arrays()
     shm_before = _dev_shm()
     shared = SharedDataset(arrays)
-    table = SlotTable(
-        [Slot(0)], data_worker, "test-data", backoff=0.1, inherit_fds=(shared.fd,)
-    )
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", 0.1)
+    table = SlotTable([Slot(0)], data_worker, "test-data", inherit_fds=(shared.fd,))
     (slot,) = table.slots
 
     def ready_summary():

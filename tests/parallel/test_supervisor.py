@@ -3,6 +3,7 @@ serving pool on top of it: worker death detection, respawn with bounded
 backoff, health degradation and recovery, and no process / shared-memory
 leaks across a crash-and-recover cycle."""
 
+import logging
 import os
 import signal
 import subprocess
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.api import EnsemblePredictor
-from repro.parallel import ParallelExecutor, PoolPredictor, supervision
+from repro.parallel import ParallelExecutor, PoolPredictor, serving, supervision
 from repro.parallel.supervision import Slot, SlotTable, backoff_delay
 from tests.procs import echo_worker, shm_entries, worker_processes
 
@@ -38,25 +39,31 @@ def _assert_no_residue(processes):
 
 
 def test_sigkilled_worker_is_respawned_and_capacity_restored(
-    saved_artifact, serial_result
+    saved_artifact, serial_result, monkeypatch, train_events
 ):
     """SIGKILL one of two workers: healthz must degrade during the gap, the
     supervisor must respawn the worker, and full capacity must return — with
-    predictions still bitwise identical to the single-process facade."""
-    pool = PoolPredictor(
-        saved_artifact,
-        workers=2,
-        max_wait_ms=1.0,
-        restart_backoff=0.1,
-        supervise_interval=0.05,
-    )
+    predictions still bitwise identical to the single-process facade.  The
+    death is one record on the ``repro`` loggers, the event, at level error,
+    and its respawn waits the first step of the one backoff schedule."""
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", 0.1)
+    monkeypatch.setattr(serving, "SUPERVISE_INTERVAL", 0.05)
+    pool = PoolPredictor(saved_artifact, workers=2, max_wait_ms=1.0)
     reference = EnsemblePredictor.load(saved_artifact)
     x = serial_result.dataset.x_test
+    records = []
+
+    class Capture(logging.Handler):
+        def emit(self, record):
+            records.append(record)
+
+    repro_root, capture = logging.getLogger("repro"), Capture()
     try:
         assert pool.healthz()["status"] == "ok"
         np.testing.assert_array_equal(pool.predict_proba(x), reference.predict_proba(x))
 
         victim = pool._slots[0].process
+        repro_root.addHandler(capture)
         victim.kill()
         victim.join(timeout=10)
 
@@ -69,6 +76,10 @@ def test_sigkilled_worker_is_respawned_and_capacity_restored(
         # Recovery: supervisor respawns from the artifact dir and healthz
         # returns to ok once the new predictor is loaded.
         assert _wait_for(lambda: pool.healthz()["status"] == "ok", timeout=60.0)
+        died = [r for r in records if "died" in r.getMessage()]
+        assert [(r.getMessage(), r.levelname) for r in died] == [("serve.worker_died", "ERROR")]
+        (fields,) = [f for event, f in train_events if event == "serve.worker_died"]
+        assert fields["restart_in_seconds"] == backoff_delay(0)
         recovered = pool.healthz()
         assert recovered["alive_workers"] == 2
         assert recovered["restarts"] >= 1
@@ -81,6 +92,7 @@ def test_sigkilled_worker_is_respawned_and_capacity_restored(
             pool.predict_proba(x[:16]), reference.predict_proba(x[:16])
         )
     finally:
+        repro_root.removeHandler(capture)
         processes = [slot.process for slot in pool._slots]
         pool.close()
     assert all(not p.is_alive() for p in processes)
@@ -88,19 +100,15 @@ def test_sigkilled_worker_is_respawned_and_capacity_restored(
 
 
 def test_single_worker_pool_survives_kill_and_serves_during_recovery(
-    saved_artifact, serial_result
+    saved_artifact, serial_result, monkeypatch
 ):
     """workers=1: the kill takes the pool to 'down'; a predict issued during
-    the gap waits for the respawn (worker_wait) instead of failing, and the
+    the gap waits for the respawn (WORKER_WAIT) instead of failing, and the
     pool comes back to 'ok'."""
-    pool = PoolPredictor(
-        saved_artifact,
-        workers=1,
-        max_wait_ms=0.0,
-        restart_backoff=0.1,
-        supervise_interval=0.05,
-        worker_wait=120.0,
-    )
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", 0.1)
+    monkeypatch.setattr(serving, "SUPERVISE_INTERVAL", 0.05)
+    monkeypatch.setattr(serving, "WORKER_WAIT", 120.0)
+    pool = PoolPredictor(saved_artifact, workers=1, max_wait_ms=0.0)
     reference = EnsemblePredictor.load(saved_artifact)
     x = serial_result.dataset.x_test[:8]
     try:
@@ -117,17 +125,13 @@ def test_single_worker_pool_survives_kill_and_serves_during_recovery(
     _assert_no_residue(processes)
 
 
-def test_repeated_kills_bounded_backoff_and_recovery(saved_artifact, serial_result):
+def test_repeated_kills_bounded_backoff_and_recovery(saved_artifact, serial_result, monkeypatch):
     """Kill the same worker twice: the supervisor keeps respawning (backoff
     grows but stays bounded) and the pool ends at full capacity."""
-    pool = PoolPredictor(
-        saved_artifact,
-        workers=2,
-        max_wait_ms=1.0,
-        restart_backoff=0.05,
-        restart_backoff_max=0.2,
-        supervise_interval=0.05,
-    )
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", 0.05)
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF_MAX", 0.2)
+    monkeypatch.setattr(serving, "SUPERVISE_INTERVAL", 0.05)
+    pool = PoolPredictor(saved_artifact, workers=2, max_wait_ms=1.0)
     try:
         for _ in range(2):
             pool._slots[0].process.kill()
@@ -143,21 +147,18 @@ def test_repeated_kills_bounded_backoff_and_recovery(saved_artifact, serial_resu
 
 
 def test_a_stopped_worker_holding_a_large_dispatch_is_evicted_while_healthz_answers(
-    saved_artifact, serial_result
+    saved_artifact, serial_result, monkeypatch
 ):
     """SIGSTOP the only worker, then send it a dispatch over 1 MB: the loop
     leaves what the pipe does not take in the outbox instead of blocking on
     it, so ``healthz()`` keeps answering within 1 s, the wedged worker is
-    evicted at ``dispatch_timeout`` — its client fails promptly — and the
+    evicted at ``DISPATCH_TIMEOUT`` — its client fails promptly — and the
     respawn answers bitwise."""
-    pool = PoolPredictor(
-        saved_artifact,
-        workers=1,
-        dispatch_timeout=1.0,
-        restart_backoff=0.1,
-        supervise_interval=0.05,
-        request_timeout=60.0,
-    )
+    monkeypatch.setattr(serving, "DISPATCH_TIMEOUT", 1.0)
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", 0.1)
+    monkeypatch.setattr(serving, "SUPERVISE_INTERVAL", 0.05)
+    monkeypatch.setattr(PoolPredictor, "REQUEST_TIMEOUT", 60.0)
+    pool = PoolPredictor(saved_artifact, workers=1)
     reference = EnsemblePredictor.load(saved_artifact)
     x = serial_result.dataset.x_test
     rows = np.tile(x, (-(-(1 << 20) // x.nbytes) + 1, 1))
@@ -209,23 +210,28 @@ def test_a_worker_another_thread_reaped_reads_dead():
     process.kill()  # reaped already: nothing to signal, and no error
 
 
-def test_backoff_schedule_is_bounded():
-    """The per-attempt backoff doubles from restart_backoff and saturates at
-    restart_backoff_max (the 'bounded restart backoff' contract)."""
+def test_backoff_schedule_is_bounded(monkeypatch):
+    """The per-attempt backoff doubles from RESTART_BACKOFF and saturates at
+    RESTART_BACKOFF_MAX (the 'bounded restart backoff' contract), both read
+    when a delay is asked for."""
     base, cap = 0.5, 30.0
-    delays = [backoff_delay(failures, base, cap) for failures in range(12)]
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", base)
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF_MAX", cap)
+    delays = [backoff_delay(failures) for failures in range(12)]
     assert delays[:3] == [base, 2 * base, 4 * base]
     assert all(later >= earlier for earlier, later in zip(delays, delays[1:]))
     assert delays[-1] == cap
     assert max(delays) <= cap
-    assert backoff_delay(10**6, base, cap) == cap  # a streak of days cannot overflow
+    assert backoff_delay(10**6) == cap  # a streak of days cannot overflow
 
 
-def test_slot_table_life_cycle_without_a_pool():
+def test_slot_table_life_cycle_without_a_pool(monkeypatch):
     """spawn -> ready -> evict -> not due before / due after the backoff ->
     respawn on *different* pipes -> healthy starts the delay over; stop is
     graceful, close leaves no pipe."""
-    table = SlotTable([Slot(0)], echo_worker, "test-slot", backoff=0.2, backoff_max=0.5)
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", 0.2)
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF_MAX", 0.5)
+    table = SlotTable([Slot(0)], echo_worker, "test-slot")
     (slot,) = table.slots
     assert (slot.state, slot.process, table.due(time.monotonic())) == ("down", None, [])
 
@@ -318,12 +324,14 @@ def test_a_worker_finds_its_modules_however_its_owner_did(tmp_path, flag):
     assert done.stdout.strip() == "[('ready', 0, 'hello')]", done.stderr
 
 
-def test_a_stopped_worker_never_blocks_the_owners_loop():
+def test_a_stopped_worker_never_blocks_the_owners_loop(monkeypatch):
     """A SIGSTOPped worker takes nothing off its request pipe: a message
     larger than the pipe waits in the slot's outbox while ``poll`` returns on
     time, ``evict`` kills the worker and drops the outbox with it, and the
     respawn answers on fresh pipes."""
-    table = SlotTable([Slot(0)], echo_worker, "test-stopped", backoff=0.05, backoff_max=0.05)
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", 0.05)
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF_MAX", 0.05)
+    table = SlotTable([Slot(0)], echo_worker, "test-stopped")
     (slot,) = table.slots
 
     def next_message():
@@ -453,8 +461,8 @@ def test_a_worker_that_cannot_start_raises_its_own_error(saved_artifact, monkeyp
 
 def test_a_respawn_that_cannot_start_backs_off(saved_artifact, monkeypatch, train_events):
     """A respawn whose process cannot start is a failed attempt like a
-    death: the next one waits ``restart_backoff`` doubling per attempt — not
-    one health check (it used to be retried every ``supervise_interval``, a
+    death: the next one waits ``RESTART_BACKOFF`` doubling per attempt — not
+    one health check (it used to be retried every ``SUPERVISE_INTERVAL``, a
     fresh arena and a logged traceback each time) — and each failure is a
     ``serve.worker_spawn_failed`` event."""
     attempts = []
@@ -463,7 +471,9 @@ def test_a_respawn_that_cannot_start_backs_off(saved_artifact, monkeypatch, trai
         attempts.append(time.monotonic())
         raise OSError("cannot start a worker here")
 
-    pool = PoolPredictor(saved_artifact, workers=1, restart_backoff=0.1, supervise_interval=0.05)
+    monkeypatch.setattr(supervision, "RESTART_BACKOFF", 0.1)
+    monkeypatch.setattr(serving, "SUPERVISE_INTERVAL", 0.05)
+    pool = PoolPredictor(saved_artifact, workers=1)
     try:
         monkeypatch.setattr(subprocess, "Popen", refuse)
         victim = pool._slots[0].process
@@ -481,11 +491,3 @@ def test_a_respawn_that_cannot_start_backs_off(saved_artifact, monkeypatch, trai
     assert [round(fields["restart_in_seconds"], 1) for fields in failed[:3]] == [0.2, 0.4, 0.8]
     assert failed[0]["error"] == "OSError: cannot start a worker here"
 
-
-def test_pool_validation_of_supervisor_parameters(saved_artifact):
-    with pytest.raises(ValueError):
-        PoolPredictor(saved_artifact, restart_backoff=0.0)
-    with pytest.raises(ValueError):
-        PoolPredictor(saved_artifact, restart_backoff=2.0, restart_backoff_max=1.0)
-    with pytest.raises(ValueError):
-        PoolPredictor(saved_artifact, supervise_interval=0.0)
