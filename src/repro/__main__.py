@@ -454,8 +454,7 @@ def _cmd_fleet_worker(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.fleet.broker import connect_broker
-    from repro.fleet.consumer import FleetConsumer
+    from repro.fleet.consumer import connect_consumer
     from repro.obs.events import configure_logging, enable_events
 
     configure_logging(fmt=args.log_format, force=True, log_file=args.log_file)
@@ -466,14 +465,14 @@ def _cmd_fleet_worker(args: argparse.Namespace) -> int:
             f"--broker must look like host:port, got {args.broker!r}"
         )
     consumer_id = args.consumer_id or f"fleet-{os.getpid()}"
-    broker = connect_broker((host, int(port)), authkey=args.authkey)
-    consumer = FleetConsumer(
-        broker,
+    consumer = connect_consumer(
+        (host, int(port)),
+        args.authkey,
         args.artifact,
-        consumer_id=consumer_id,
+        consumer_id,
         method=args.method,
         batch_size=args.batch_size,
-    ).start()
+    )
 
     stop = threading.Event()
 

@@ -6,15 +6,16 @@ at-least-once job broker:
 * **front** (:class:`~repro.fleet.front.FleetFront`) — validates requests,
   publishes prediction jobs, resolves result futures, is consumer 0 itself
   (``front-0``, a consumer thread on the broker object: no socket hop), and
-  manages and autoscales the other consumers as local subprocesses — all
-  from one loop thread, which also drives the broker's clocks;
+  manages and autoscales the other consumers as children of the supervision
+  core (:class:`~repro.parallel.supervision.SlotTable`) — all from one loop
+  thread, which also drives the broker's clocks;
 * **broker** (:class:`~repro.fleet.broker.InProcBroker`) — one bounded
   FIFO queue any consumer leases the oldest job from, visibility-timeout
   redelivery when a consumer dies mid-job; served cross-process via
   :func:`~repro.fleet.broker.serve_broker` / :func:`~repro.fleet.broker.connect_broker`;
-* **consumers** (:class:`~repro.fleet.consumer.FleetConsumer`, the
-  ``repro fleet-worker`` CLI) — each one is a single serving lane that
-  answers one leased job at a time with its own in-process
+* **consumers** (:class:`~repro.fleet.consumer.FleetConsumer`; on other
+  hosts, the ``repro fleet-worker`` CLI) — each one is a single serving lane
+  that answers one leased job at a time with its own in-process
   :class:`~repro.api.predictor.EnsemblePredictor`, so fleet results stay
   bitwise identical to single-process serving.
 
@@ -32,7 +33,6 @@ from repro.fleet.broker import (
     serve_broker,
 )
 from repro.fleet.consumer import FleetConsumer
-from repro.fleet.front import FleetFront
 
 __all__ = [
     "Autoscaler",
@@ -46,3 +46,12 @@ __all__ = [
     "connect_broker",
     "serve_broker",
 ]
+
+
+def __getattr__(name: str):
+    # On first use: a consumer process never loads the front (nor repro.parallel).
+    if name == "FleetFront":
+        from repro.fleet.front import FleetFront
+
+        return FleetFront
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

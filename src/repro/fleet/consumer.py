@@ -27,14 +27,16 @@ error and keeps the old generation serving).  A consumer that joins late,
 on whatever ``CURRENT`` it loaded, is moved onto the target before its first
 job.
 
-Fleet-wide observability: a consumer on a broker proxy (``repro
-fleet-worker``) ships a *delta* snapshot of its ``repro.obs`` registry with
-an ack at most every :data:`METRICS_INTERVAL` seconds (counters/histograms
-accumulate on merge), and the rest with its detach when it stops, so the
-front's ``/metrics`` aggregates consumer activity across the fleet without
-scraping N processes.  A consumer on the broker object itself — the front's
-``front-0``, or any in-process one — shares the front's registry and ships
-nothing.
+A consumer process — ``repro fleet-worker``, or a front's own child
+(:func:`consumer_slot`) — builds its consumer with :func:`connect_consumer`.
+
+Fleet-wide observability: a consumer on a broker proxy ships a *delta*
+snapshot of its ``repro.obs`` registry with an ack at most every
+:data:`METRICS_INTERVAL` seconds (counters/histograms accumulate on merge),
+and the rest with its detach when it stops, so the front's ``/metrics``
+aggregates consumer activity across the fleet without scraping N processes.
+A consumer on the broker object itself — the front's ``front-0``, or any
+in-process one — shares the front's registry and ships nothing.
 
 Chaos hooks: ``repro.faults`` injection points ``fleet_consume`` (after the
 lease, before inference — a crash here strands a leased job, exercising
@@ -53,14 +55,14 @@ import math
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.api.predictor import EnsemblePredictor
 from repro.faults import fire
-from repro.fleet.broker import InProcBroker, Job
-from repro.obs.events import log_event
+from repro.fleet.broker import InProcBroker, Job, connect_broker
+from repro.obs.events import configure_logging, enable_events, log_event
 from repro.obs.metrics import get_registry
 from repro.utils.logging import get_logger
 
@@ -73,7 +75,7 @@ _CONSUMED = _metrics.counter(
     ("status",),
 )
 
-__all__ = ["FleetConsumer"]
+__all__ = ["FleetConsumer", "connect_consumer", "consumer_slot"]
 
 #: Longest wait in one ``lease`` call before the loop checks for a stop.
 LEASE_TIMEOUT = 0.5
@@ -290,3 +292,44 @@ class FleetConsumer:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def connect_consumer(
+    address: Tuple[str, int],
+    authkey: str,
+    artifact: Union[str, Path],
+    consumer_id: str,
+    method: str,
+    batch_size: int,
+) -> FleetConsumer:
+    """A started consumer on the broker served at ``address`` (a consumer
+    process's one, ``repro fleet-worker``'s or a front child's)."""
+    broker = connect_broker(address, authkey=authkey)
+    return FleetConsumer(
+        broker, artifact, consumer_id=consumer_id, method=method, batch_size=batch_size
+    ).start()
+
+
+def consumer_slot(
+    worker_id: int,
+    address: Tuple[str, int],
+    consumer_id: str,
+    authkey: str,
+    artifact: Union[str, Path],
+    method: str,
+    batch_size: int,
+    log_format: str,
+    log_file: Optional[Union[str, Path]],
+    requests,
+    results,
+) -> None:
+    """A front's local consumer as a supervision-table child: ``ready`` once
+    attached, drained on the ``None`` sentinel; it logs where the front does
+    and writes nothing on the stdout it shares with the front.  (A dead lease
+    loop stays attached until the broker reaps it: the front evicts it then.)"""
+    configure_logging(fmt=log_format, force=True, log_file=log_file)
+    enable_events()
+    consumer = connect_consumer(address, authkey, artifact, consumer_id, method, batch_size)
+    results.put(("ready", worker_id, None))
+    requests.get()
+    consumer.close()

@@ -26,13 +26,15 @@ local :class:`~repro.parallel.serving.PoolPredictor`.  It owns three threads:
   ``front-0`` included — between ``min_consumers`` and ``max_consumers``.
   A step that raises is logged; delivery goes on.
 
-Only the loop spawns, kills and drains the other ``desired - 1`` consumers,
-``repro fleet-worker`` subprocesses on the loopback broker address: dead
-ones are respawned, wedged ones (reaped by the broker) SIGKILLed first,
-surplus ones SIGTERMed to drain; ``close()`` has the loop drain them all, so
-it cannot race a spawn.  A wedged ``front-0`` cannot be killed: it is
-*retired* (stopped from leasing, detached; a late ack is a dropped
-duplicate) and a subprocess takes its place under the same spawn backoff.
+The other ``desired - 1`` consumers are children of a
+:class:`~repro.parallel.supervision.SlotTable` — the training executor's
+and the serving pool's supervision core — that the loop alone drives (see
+:meth:`FleetFront._reconcile`); ``close()`` has the loop drain them all, so
+it cannot race a spawn.  Each runs :func:`~repro.fleet.consumer.consumer_slot`
+on the broker's manager socket, its arguments (the authkey too) on a private
+pipe, and leaves when the front's lifeline closes, wedged or not.  A wedged
+``front-0`` cannot be killed: it is *retired* (stopped from leasing,
+detached; a late ack is a dropped duplicate) and a child takes its place.
 
 Client calls (`submit` / `result` / `predict_proba`) are thread-safe; each
 blocks only on its own job's future (or, answered inline, on its own
@@ -44,11 +46,7 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import secrets
-import signal
-import subprocess
-import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -61,9 +59,10 @@ import numpy as np
 from repro.core.artifact_store import ServedArtifact, ServingTier
 from repro.fleet.autoscaler import Autoscaler, AutoscaleSignals
 from repro.fleet.broker import CompletedJob, InProcBroker, serve_broker
-from repro.fleet.consumer import FleetConsumer
+from repro.fleet.consumer import FleetConsumer, consumer_slot
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry, quantile_from_counts
+from repro.parallel.supervision import Slot, SlotTable
 from repro.utils.logging import get_logger
 from repro.utils.parallel import lane_threads
 
@@ -92,11 +91,9 @@ class _JobEntry:
 
 
 @dataclass
-class _LocalConsumer:
-    consumer_id: str
-    process: subprocess.Popen
-    draining: bool = False
-    kill_at: Optional[float] = None
+class _ConsumerSlot(Slot):
+    consumer_id: str = ""  # the broker's name for this spawn: local-<n>
+    drain_by: Optional[float] = None  # told to drain: finished, or killed, by then
 
 
 class FleetFront(ServingTier):
@@ -105,12 +102,11 @@ class FleetFront(ServingTier):
     A consumer is one serving lane (one job at a time), so capacity is
     ``min_consumers``..``max_consumers``.  The front is consumer 0: with
     ``spawn_local=True`` it answers on a ``front-0`` thread and runs the
-    other ``desired - 1`` consumers as subprocesses, so
+    other ``desired - 1`` consumers as supervision-table children, so
     ``min_consumers=max_consumers=1`` starts no child at all.  With
     ``spawn_local=False`` it runs no consumer of any kind (and the
     autoscaler stays off) — the caller attaches its own, in process or via
-    the broker address; this is how the chaos tests drive
-    externally-SIGKILLed `fleet-worker` processes.
+    the broker address (``repro fleet-worker``, on this host or another).
 
     A constructor that raises leaves nothing running.
     """
@@ -153,19 +149,17 @@ class FleetFront(ServingTier):
         self.max_consumers = int(max_consumers)
         self.batch_size = int(batch_size)
         self.spawn_local = bool(spawn_local)
-        self._log_format = log_format
-        self._log_file = log_file
-        self._fleet_authkey = fleet_authkey
+        # A local consumer's arguments after the broker address and its id.
+        self._consumer_args = (
+            fleet_authkey, self.path, self.method, self.batch_size, log_format or "json", log_file
+        )
 
         self._lock = threading.Lock()
         self._entries: Dict[str, _JobEntry] = {}
-        self._local: List[_LocalConsumer] = []
         self._desired = self.min_consumers if self.spawn_local else 0
-        self._spawned = 0
-        # Consecutive unexpected consumer exits, and the monotonic time until
-        # which they hold further spawns (the supervision core's backoff).
-        self._spawn_failures = 0
-        self._spawn_hold = 0.0
+        # The local consumers beyond front-0; only the loop changes them.
+        self._table = SlotTable([], consumer_slot, "repro-fleet")
+        self._spawned = 0  # consumer ids are unique per spawn
         self._latency_window_counts = _JOB_LATENCY.bucket_counts()
         # What close() stops: absent, or not started, until the constructor starts it.
         self.broker: Optional[InProcBroker] = None
@@ -322,7 +316,7 @@ class FleetFront(ServingTier):
         Given up for this: a forward that wedges on the calling thread is not
         redelivered to it, and ``timeout`` does not bound it.  The call
         returns when that forward does; meanwhile the broker reaps the lane
-        and the loop retires ``front-0`` and starts a subprocess in its place.
+        and the loop retires ``front-0`` and starts a child in its place.
         """
         job_id, payload = self._register(x, method)
         front = self._front_consumer
@@ -395,71 +389,40 @@ class FleetFront(ServingTier):
                 del self._entries[job_id]
 
     def _shut_down(self) -> None:
-        """Drain the local consumers — the subprocesses on SIGTERM while
+        """Drain the local consumers — the children on the sentinel while
         ``front-0`` finishes its job — close the broker (failing whatever is
         left) and deliver the last answers.  A retired ``front-0`` thread is
         not waited for."""
         with self._lock:
-            local, self._local = self._local, []
             front, self._front_consumer = self._front_consumer, None
-        for consumer in local:
-            if consumer.process.poll() is None:
-                consumer.process.send_signal(signal.SIGTERM)
+        table = self._table
+        for slot in table.slots:
+            if slot.state == "ready":
+                table.send(slot, None)
         if front is not None:
-            front.close()  # drains while the subprocesses drain
-        deadline = time.monotonic() + 60.0
-        for consumer in local:
-            remaining = max(0.1, deadline - time.monotonic())
-            try:
-                consumer.process.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:  # pragma: no cover - wedged drain
-                consumer.process.kill()
-                consumer.process.wait(timeout=10)
+            front.close()  # drains while the children drain
+        # Kills a booting child; sends a ready one the sentinel again (it reads one).
+        table.stop(table.slots, timeout=60.0)
+        table.close()
         self.broker.close()
         self._deliver(self.broker.poll_completed(timeout=0.0))
 
     # ------------------------------------------------------ local consumers
-    def _spawn_consumer(self) -> _LocalConsumer:
-        import repro
-
-        consumer_id = f"local-{self._spawned}"
-        self._spawned += 1
-        env = dict(os.environ)
-        src_dir = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        argv = [
-            sys.executable,
-            "-m",
-            "repro",
-            "fleet-worker",
-            "--broker",
-            f"{self.broker_address[0]}:{self.broker_address[1]}",
-            "--authkey",
-            self._fleet_authkey,
-            "--artifact",
-            str(self.path),
-            "--consumer-id",
-            consumer_id,
-            "--method",
-            self.method,
-            "--batch-size",
-            str(self.batch_size),
-        ]
-        if self._log_format is not None:
-            argv += ["--log-format", self._log_format]
-        if self._log_file is not None:
-            argv += ["--log-file", str(self._log_file)]
-        # stdout would interleave the consumer's banner with the front's own
-        # machine-readable banner; stderr (structured events) passes through.
-        process = subprocess.Popen(argv, stdout=subprocess.DEVNULL, env=env)
-        log_event("fleet.consumer_spawned", consumer=consumer_id, pid=process.pid)
-        return _LocalConsumer(consumer_id=consumer_id, process=process)
-
     def _reconcile(self) -> None:
+        """Bring the children to ``desired`` less ``front-0`` with the table's
+        verbs, waiting for none.  A dead child, or one the broker reaped
+        (silent past its deadline: hung in a job already redelivered), is
+        evicted — SIGKILLed, respawned under a new id once ``due``.  The
+        surplus drains newest first: each is sent the sentinel, and its slot
+        is finished once its process has exited, killed 30 s on.  ``ready``
+        (attached) ends a failure streak."""
+        table = self._table
+        for kind, worker_id, _ in table.poll(0):
+            slot = table.slots[worker_id]
+            if kind == "ready" and slot.state == "starting":
+                slot.state = "ready"
+                table.mark_healthy(slot)
         now = time.monotonic()
-        # Only asked while a failure streak is open: it ends once the fleet
-        # is whole again and every local consumer has attached.
-        attached = set(self.broker.stats()["consumers"]) if self._spawn_failures else ()
         wedged = set(self.broker.take_reaped())
         with self._lock:
             front = self._front_consumer
@@ -467,77 +430,58 @@ class FleetFront(ServingTier):
                 # Consumer 0 went silent past the broker's deadline: hung
                 # mid-job (its job already redelivered) or its thread ended on
                 # an exception.  A thread cannot be SIGKILLed: it stops
-                # leasing and is detached, and a subprocess takes its place
-                # under the backoff a killed consumer's successor waits out.
+                # leasing and is detached, and a child takes its place.
                 log_event("fleet.consumer_wedged", consumer=front.consumer_id)
                 front.retire()
                 self._front_consumer = None
-                self._hold_spawns(now)
-            # Consumer 0 answers in this process; subprocesses fill the rest.
             desired = self._desired - (self._front_consumer is not None)
-            # Prune exited processes; kill wedged ones and draining stragglers.
-            survivors: List[_LocalConsumer] = []
-            for consumer in self._local:
-                code = consumer.process.poll()
-                if code is not None:
-                    log_event(
-                        "fleet.consumer_exited",
-                        level=logging.INFO if consumer.draining else logging.WARNING,
-                        consumer=consumer.consumer_id,
-                        returncode=code,
-                        draining=consumer.draining,
-                    )
-                    if not consumer.draining:
-                        self._hold_spawns(now)
-                    continue
-                if consumer.draining:
-                    if consumer.kill_at is not None and now > consumer.kill_at:
-                        consumer.process.kill()  # pragma: no cover - drain wedged
-                elif consumer.consumer_id in wedged:
-                    # Attached, then silent past the broker's deadline: hung in
-                    # a job already redelivered (a booting consumer never
-                    # attached, so is never reaped).  Killed, it exits on a
-                    # later tick and is relaunched under the spawn backoff.
-                    log_event("fleet.consumer_wedged", consumer=consumer.consumer_id)
-                    consumer.process.kill()
-                survivors.append(consumer)
-            self._local = survivors
-            running = [c for c in self._local if not c.draining]
-            # Surplus: drain the newest first (oldest consumers keep serving).
-            for consumer in running[desired:]:
-                consumer.draining = True
-                consumer.kill_at = now + 30.0
-                try:
-                    consumer.process.send_signal(signal.SIGTERM)
-                except OSError:  # pragma: no cover - exited between poll and kill
-                    pass
-                log_event("fleet.consumer_draining", consumer=consumer.consumer_id)
-            shortfall = desired - len(running)
-            if now < self._spawn_hold:
-                shortfall = 0
-            elif shortfall <= 0 and all(c.consumer_id in attached for c in running):
-                self._spawn_failures = 0
-        # Spawns happen outside the lock (subprocess start is slow).
-        for _ in range(max(0, shortfall)):
-            try:
-                consumer = self._spawn_consumer()
-            except Exception:
-                with self._lock:
-                    self._hold_spawns(time.monotonic())
-                raise
-            with self._lock:
-                self._local.append(consumer)
+        for slot in table.slots:
+            if slot.drain_by is not None:
+                if not slot.alive or now > slot.drain_by:
+                    table.stop([slot], graceful=False)
+                    slot.drain_by = None
+                    self._exited(slot, draining=True)
+            elif slot.state != "down" and (slot.consumer_id in wedged or not slot.alive):
+                if slot.alive:
+                    log_event("fleet.consumer_wedged", consumer=slot.consumer_id)
+                table.evict(slot)
+                self._exited(slot, draining=False)
+        # A place is a child, or a respawn not yet due; the oldest children keep theirs.
+        places = [s for s in table.slots if s.drain_by is None and s.down_until is not None]
+        places += [s for s in table.slots if s.drain_by is None and s.state != "down"]
+        places.sort(key=lambda slot: (slot.state == "down", slot.spawned_at))
+        for slot in places[desired:]:
+            if slot.state == "down":
+                slot.down_until = None  # its respawn is called off
+                continue
+            slot.drain_by = now + 30.0
+            table.send(slot, None)  # a booting child reads it once attached
+            log_event("fleet.consumer_draining", consumer=slot.consumer_id)
+        for slot in table.due(now):
+            self._spawn(slot)
+        idle = [s for s in table.slots if s.state == "down" and s.down_until is None]
+        for _ in range(desired - len(places)):
+            if not idle:
+                idle.append(_ConsumerSlot(len(table.slots)))
+                table.slots.append(idle[-1])
+            self._spawn(idle.pop())
 
-    def _hold_spawns(self, now: float) -> None:
-        """Count a consumer that could not start (exited at once, or could
-        not even be launched) and hold further launches under the supervision
-        core's backoff — not one interpreter and numpy import per tick.
-        Under ``_lock``."""
-        # Not at module level: fleet-worker must not load repro.parallel.
-        from repro.parallel.supervision import backoff_delay
+    def _spawn(self, slot: _ConsumerSlot) -> None:
+        """Start a consumer child in ``slot`` under the next consumer id."""
+        slot.consumer_id = f"local-{self._spawned}"
+        self._spawned += 1
+        self._table.spawn(slot, self.broker_address, slot.consumer_id, *self._consumer_args)
+        log_event("fleet.consumer_spawned", consumer=slot.consumer_id, pid=slot.process.pid)
 
-        self._spawn_hold = now + backoff_delay(self._spawn_failures)
-        self._spawn_failures += 1
+    @staticmethod
+    def _exited(slot: _ConsumerSlot, draining: bool) -> None:
+        log_event(
+            "fleet.consumer_exited",
+            level=logging.INFO if draining else logging.WARNING,
+            consumer=slot.consumer_id,
+            returncode=slot.process.exitcode,
+            draining=draining,
+        )
 
     def scale_up(self) -> None:
         with self._lock:
@@ -549,16 +493,19 @@ class FleetFront(ServingTier):
 
     def local_consumers(self) -> Dict[str, Any]:
         """The consumers this front runs: ``desired`` and ``running`` count
-        ``front-0`` (until retired) with the subprocesses; ``pids`` lists
-        the subprocesses only."""
+        ``front-0`` (until retired) with the children; ``pids`` lists the
+        children only."""
         with self._lock:
-            return {
-                "desired": self._desired,
-                "running": (self._front_consumer is not None)
-                + sum(1 for c in self._local if not c.draining),
-                "draining": sum(1 for c in self._local if c.draining),
-                "pids": [c.process.pid for c in self._local if not c.draining],
-            }
+            desired, front = self._desired, self._front_consumer is not None
+        # The loop changes the slots; each one is read once, attribute by attribute.
+        slots = list(self._table.slots)
+        running = [slot for slot in slots if slot.state != "down" and slot.drain_by is None]
+        return {
+            "desired": desired,
+            "running": front + len(running),
+            "draining": sum(slot.drain_by is not None for slot in slots),
+            "pids": [slot.process.pid for slot in running],
+        }
 
     # -------------------------------------------------------------- signals
     def _signals(self) -> AutoscaleSignals:

@@ -1,9 +1,10 @@
 """Process-based parallel execution layer for training and serving.
 
-Two halves share one supervision core (:mod:`repro.parallel.supervision`: a
-worker's life — a plain child process started on fresh private pipes, ready,
-evict, bounded backoff, respawn, shutdown — is written once, and driven by
-each owner from one single-threaded loop that never blocks on a pipe;
+Two halves — and the fleet front's local consumers — share one supervision
+core (:mod:`repro.parallel.supervision`, the one code in ``repro`` that
+starts a process: a worker's life — a plain child on fresh private pipes,
+ready, evict, bounded backoff, respawn, shutdown — is written once and
+driven by each owner from one loop that never blocks on a pipe;
 :mod:`repro.parallel.worker` holds the one worker loop):
 
 * **Training** — :class:`ParallelExecutor` runs

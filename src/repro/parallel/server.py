@@ -8,8 +8,8 @@ endpoint surface:
   :class:`~repro.parallel.serving.PoolPredictor`;
 * ``--mode queue`` — a :class:`~repro.fleet.front.FleetFront`: requests are
   published as jobs on a one-queue broker and answered by consumers — the
-  front's own ``front-0`` thread, ``repro fleet-worker`` subprocesses the
-  front manages and autoscales, plus any externally attached ones.
+  front's own ``front-0`` thread, the child processes it supervises and
+  autoscales, plus any ``repro fleet-worker`` attached from elsewhere.
 
 Endpoints
 ---------
@@ -254,15 +254,19 @@ def _make_handler(pool, mode: str, started_at: float):
                 return "/result"
             return self.path if self.path in _KNOWN_PATHS else "other"
 
-        def _reply(self, status: int, payload: dict) -> None:
+        def _reply(self, status: int, payload: dict, close: bool = False) -> None:
             # An int key is written as a JSON string key, not refused.
             body = orjson.dumps(payload, option=orjson.OPT_NON_STR_KEYS)
-            self._reply_raw(status, body, "application/json")
+            self._reply_raw(status, body, "application/json", close)
 
-        def _reply_raw(self, status: int, body: bytes, content_type: str) -> None:
+        def _reply_raw(
+            self, status: int, body: bytes, content_type: str, close: bool = False
+        ) -> None:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
+            if close:  # sets close_connection too
+                self.send_header("Connection", "close")
             if self.request_version == "HTTP/0.9":  # bare "GET /path": no head
                 self.wfile.write(body)
             else:
@@ -318,32 +322,27 @@ def _make_handler(pool, mode: str, started_at: float):
                 )
 
         def _read_body(self) -> Optional[bytes]:
-            """The request body — or ``None``, having answered 411 to a
-            ``Transfer-Encoding`` body (only ``Content-Length`` is read: the
-            chunk framing would be parsed as the body and the next request),
-            400 when ``Content-Length`` is not a non-negative integer
-            (``read(-1)`` would block this thread until the peer hangs up)
-            and 413 when it exceeds :data:`MAX_BODY_BYTES`.  Either way the
-            connection is closed, its body unread."""
+            """The request body — or ``None``, refused (:meth:`_refuse`): 411
+            for a ``Transfer-Encoding`` body (its chunk framing would be read
+            as the body and the next request), 400 for a ``Content-Length``
+            that is not a non-negative integer (``read(-1)`` blocks until the
+            peer hangs up), 413 past :data:`MAX_BODY_BYTES`."""
             if "Transfer-Encoding" in self.headers:
-                self.close_connection = True
-                self._reply(411, {"error": "send the body with a Content-Length, not chunked"})
-                return None
+                return self._refuse(411, "send the body with a Content-Length, not chunked")
             try:
                 length = int(self.headers.get("Content-Length", "0"))
                 if length < 0:
                     raise ValueError
             except ValueError:
-                self.close_connection = True
-                self._reply(400, {"error": "Content-Length must be a non-negative integer"})
-                return None
+                return self._refuse(400, "Content-Length must be a non-negative integer")
             if length > MAX_BODY_BYTES:
-                self.close_connection = True
-                self._reply(
-                    413, {"error": f"request body over the {MAX_BODY_BYTES}-byte limit"}
-                )
-                return None
+                return self._refuse(413, f"request body over the {MAX_BODY_BYTES}-byte limit")
             return self.rfile.read(length)
+
+        def _refuse(self, status: int, error: str) -> None:
+            """Answer ``error`` and hang up, saying so (``Connection: close``):
+            the body is unread, so nothing after it on the connection parses."""
+            self._reply(status, {"error": error}, close=True)
 
         def _admin_swap(self) -> None:
             raw = self._read_body()

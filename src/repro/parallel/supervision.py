@@ -1,17 +1,17 @@
 """The one place that knows how a pool slot lives.
 
-A pool — the training executor's or the serving pool's — is a fixed number of
-*slots*, each filled by one worker process at a time.  (A slot whose
-``process`` stays ``None`` is filled by its owner instead — the executor's
-lane 0 is a thread of the calling process: its ``channel`` is a
-:class:`LocalQueue` that ``poll`` reads like any other, ``stop`` passes it by,
-and the owner never hands it to ``spawn`` or ``evict``.)
-:class:`SlotTable` holds one :class:`Slot` record per worker and is the only
-code under ``repro.parallel`` that creates a pipe or a process.  It is
-passive: no thread, no lock, no logging.  Its owner drives it from one
-single-threaded loop — the executor's ``train()``, the serving pool's
-``repro-serve-loop`` thread — decides *when* a transition happens, and logs
-the facts the table hands back (exit code, backoff) under its own event and
+A pool — the training executor's, the serving pool's, a queue-mode front's
+local consumers — is a set of *slots*, each filled by one process at a
+time.  (A slot whose ``process`` stays ``None`` is filled by its owner
+instead — the executor's lane 0 is a thread of the calling process: its
+``channel`` is a :class:`LocalQueue` that ``poll`` reads like any other,
+``stop`` passes it by, and the owner never hands it to ``spawn`` or
+``evict``.)  :class:`SlotTable` holds one :class:`Slot` record per worker
+and is the only code in ``repro`` that starts a process.  It is passive: no
+thread, no lock, no logging.  Its owner drives it from one single-threaded
+loop — the executor's ``train()``, the serving pool's ``repro-serve-loop``,
+the fleet front's ``repro-fleet-loop`` — decides *when* a transition
+happens, and logs the facts the table hands back (exit code, backoff) under its own event and
 metric names::
 
     down -> starting       spawn(): first start, or a respawn once due()

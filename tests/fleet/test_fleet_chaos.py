@@ -4,7 +4,8 @@ redeliver its jobs to the surviving consumer and every request must be
 answered bitwise identically to the single-process predictor — zero dropped
 requests.
 
-The consumers run as real ``repro fleet-worker`` subprocesses because the
+The consumers run as real processes — ``repro fleet-worker`` ones attached
+from outside, or the front's own supervision-table children — because the
 ``crash`` fault action kills its whole process, exactly like an OOM kill —
 which is also why every fault here names its consumer: an unqualified crash
 would fire in the front's own consumer, ``front-0``, and kill the front.
@@ -182,8 +183,7 @@ def test_a_wedged_local_consumer_is_killed_and_replaced(
     pids = []
     try:
         front.wait_ready(timeout=120)
-        with front._lock:
-            local = {c.consumer_id: c.process.pid for c in front._local}
+        local = {slot.consumer_id: slot.process.pid for slot in front._table.slots}
         wedged = local["local-0"]
         pids = list(local.values())
         assert [child_pids(pid) for pid in pids] == [[], []]

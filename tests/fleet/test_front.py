@@ -1,12 +1,13 @@
 """FleetFront against an in-process consumer: bitwise parity with the
 single-process predictor, sync and async result paths, and validation; the
-front as consumer 0 (``front-0``) and the subprocesses it adds beside it; a
+front as consumer 0 (``front-0``) and the table children it adds beside it; a
 sync call answered on its own thread when ``front-0`` is idle, and every
 case that queues instead."""
 
 import io
 import math
 import os
+import secrets
 import subprocess
 import sys
 import threading
@@ -21,8 +22,8 @@ from repro.fleet import BrokerFull, FleetConsumer, FleetFront, InProcBroker, con
 from repro.fleet import front as front_module
 from repro.fleet.broker import _JOBS
 from repro.fleet.consumer import _CONSUMED
-from repro.fleet.front import _LocalConsumer
 from repro.obs.exposition import render_prometheus
+from repro.parallel import supervision
 from tests.procs import child_pids, is_running, worker_processes
 
 
@@ -229,31 +230,32 @@ def test_a_consumer_that_cannot_start_is_relaunched_under_backoff(
     not lock a healthy consumer out: once one can start again the fleet gets
     ready and the delay starts over."""
     doomed = []
+    real_child = supervision.Child
 
-    def spawn_doomed(self):
-        process = subprocess.Popen([sys.executable, "-c", "raise SystemExit(1)"])
-        doomed.append(process)
-        return _LocalConsumer(consumer_id=f"doomed-{len(doomed)}", process=process)
+    def doomed_child(name, argv, pass_fds, lifeline):
+        child = real_child(name, [sys.executable, "-c", "raise SystemExit(1)"], pass_fds, lifeline)
+        doomed.append(child)
+        return child
 
-    real_spawn = FleetFront._spawn_consumer
-    monkeypatch.setattr(FleetFront, "_spawn_consumer", spawn_doomed)
+    monkeypatch.setattr(supervision, "Child", doomed_child)
     # Two consumers: front-0 answers in this process, the other is launched.
     monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 0.05)
     front = FleetFront(saved_artifact, min_consumers=2, max_consumers=2)
     try:
         time.sleep(3.0)
         assert 2 <= len(doomed) <= 6, len(doomed)
-        monkeypatch.setattr(FleetFront, "_spawn_consumer", real_spawn)
+        monkeypatch.setattr(supervision, "Child", real_child)
         front.wait_ready(timeout=120)
-        deadline = time.monotonic() + 10
-        while front._spawn_failures and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert front._spawn_failures == 0
+        _wait_for(
+            lambda: all(slot.failures == 0 for slot in front._table.slots),
+            10,
+            "the failure streak never ended",
+        )
         assert front.local_consumers()["running"] == 2
     finally:
         front.close()
-        for process in doomed:
-            process.wait(timeout=10)
+        for child in doomed:
+            child.join(timeout=10)
 
 
 def test_a_consumer_launch_that_raises_holds_the_next_launch(
@@ -265,11 +267,11 @@ def test_a_consumer_launch_that_raises_holds_the_next_launch(
     step and goes on delivering ``front-0``'s answers."""
     launches = []
 
-    def refuse(self):
+    def refuse(*args):
         launches.append(time.monotonic())
         raise OSError("cannot launch a consumer here")
 
-    monkeypatch.setattr(FleetFront, "_spawn_consumer", refuse)
+    monkeypatch.setattr(supervision, "Child", refuse)
     monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 0.05)
     front = FleetFront(saved_artifact, min_consumers=2, max_consumers=2)
     try:
@@ -283,7 +285,7 @@ def test_a_consumer_launch_that_raises_holds_the_next_launch(
     finally:
         front.close()
     assert 1 <= len(launches) <= 4, launches
-    assert front._spawn_failures == len(launches)
+    assert sum(slot.failures for slot in front._table.slots) == len(launches)
 
 
 def _wait_for(condition, timeout, what):
@@ -319,22 +321,47 @@ def test_the_front_is_consumer_0_and_starts_no_child(saved_artifact, reference, 
     assert set(child_pids(os.getpid())) <= children
 
 
-def test_a_second_consumer_is_the_one_fleet_worker_child(
-    saved_artifact, reference, serial_result
-):
+def test_a_second_consumer_is_the_one_table_child(saved_artifact, reference, serial_result):
     children = set(child_pids(os.getpid()))
     with FleetFront(saved_artifact, min_consumers=2, max_consumers=2) as front:
         front.wait_ready(timeout=120)
         local = front.local_consumers()
         assert local["running"] == 2 and len(local["pids"]) == 1
         assert set(child_pids(os.getpid())) - children == set(local["pids"])
-        cmdline = Path(f"/proc/{local['pids'][0]}/cmdline").read_bytes().split(b"\0")
-        assert b"fleet-worker" in cmdline
+        # A supervision-table child (python -c LAUNCHER NAME ...), not a CLI.
+        assert worker_processes() == {"repro-fleet-0": local["pids"][0]}
         assert sorted(front.broker.stats()["consumers"]) == ["front-0", "local-0"]
         batches = [serial_result.dataset.x_test[i * 4 : i * 4 + 4] for i in range(8)]
         job_ids = [front.submit(batch) for batch in batches]
         for batch, job_id in zip(batches, job_ids):
             assert np.array_equal(front.result(job_id, timeout=60), reference.predict_proba(batch))
+
+
+def _descendants(pid):
+    children = child_pids(pid)
+    return children + [grandchild for child in children for grandchild in _descendants(child)]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="procfs")
+def test_the_fleet_authkey_is_on_no_command_line(saved_artifact):
+    """The broker's shared secret reaches a local consumer in its bootstrap
+    frame, on a private pipe: no process of the front's tree shows it in
+    ``/proc/<pid>/cmdline`` (any local user can read those)."""
+    authkey = secrets.token_hex(16)
+    with FleetFront(
+        saved_artifact, min_consumers=2, max_consumers=2, fleet_authkey=authkey
+    ) as front:
+        front.wait_ready(timeout=120)
+        assert len(front.local_consumers()["pids"]) == 1
+        tree = [os.getpid(), *_descendants(os.getpid())]
+        shown = {}
+        for pid in tree:
+            try:
+                shown[pid] = Path(f"/proc/{pid}/cmdline").read_bytes()
+            except OSError:  # exited meanwhile
+                continue
+        assert set(front.local_consumers()["pids"]) <= set(shown)
+        assert [pid for pid, cmdline in shown.items() if authkey.encode() in cmdline] == []
 
 
 def test_scaling_up_adds_subprocesses_up_to_max_minus_one(saved_artifact, monkeypatch):
@@ -363,20 +390,20 @@ def test_a_constructor_that_raises_leaves_nothing_running(saved_artifact, monkey
     once everything runs closes it all — threads, the broker socket, the
     launched consumer and ``front-0``."""
     served, launched = [], []
-    real_serve, real_spawn = front_module.serve_broker, FleetFront._spawn_consumer
+    real_serve, real_child = front_module.serve_broker, supervision.Child
 
     def recording_serve(*args, **kwargs):
         address, stop = real_serve(*args, **kwargs)
         served.append(address)
         return address, stop
 
-    def recording_spawn(self):
-        consumer = real_spawn(self)
-        launched.append(consumer.process)
-        return consumer
+    def recording_child(*args):
+        child = real_child(*args)
+        launched.append(child)
+        return child
 
     monkeypatch.setattr(front_module, "serve_broker", recording_serve)
-    monkeypatch.setattr(FleetFront, "_spawn_consumer", recording_spawn)
+    monkeypatch.setattr(supervision, "Child", recording_child)
     threads = set(threading.enumerate())
     children = set(child_pids(os.getpid()))
 

@@ -356,23 +356,36 @@ def test_a_chunked_body_is_a_411_and_the_connection_closes():
     """Only ``Content-Length`` frames a body: a chunked POST was read as an
     empty body (400 "needs an inputs array"), its chunk-size line then parsed
     as the next request (an HTML 400), and a request pipelined behind it
-    never answered.  It is one JSON 411, and the server hangs up."""
+    never answered.  It is one JSON 411, and the server hangs up — saying so
+    with ``Connection: close``, as the 400 for a bad ``Content-Length`` and
+    the 413 do, so a client does not pipeline onto a connection going away."""
     payload = json.dumps({"inputs": [[0.0] * 12], "proba": True}).encode("utf-8")
     chunked = (
         b"POST /predict HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n"
         + b"%x\r\n%s\r\n0\r\n\r\n" % (len(payload), payload)
         + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
     )
+    refusals = [
+        (chunked, b"411"),
+        (b"POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: -1\r\n\r\n", b"400"),
+        (
+            b"POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n"
+            % (MAX_BODY_BYTES + 1),
+            b"413",
+        ),
+    ]
     with _serving_in_process(_make_handler(_FakePool(), "pool", time.monotonic())) as url:
-        with socket.create_connection(("127.0.0.1", int(url.rsplit(":", 1)[1])), 30) as sock:
-            sock.sendall(chunked)
-            sock.settimeout(5.0)
-            reply = b""
-            while chunk := sock.recv(65536):  # until the server hangs up
-                reply += chunk
-        head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 411 "), reply[:80]
-        assert "Content-Length" in json.loads(body)["error"]  # one response, nothing after it
+        for request, status in refusals:
+            with socket.create_connection(("127.0.0.1", int(url.rsplit(":", 1)[1])), 30) as sock:
+                sock.sendall(request)
+                sock.settimeout(5.0)
+                reply = b""
+                while chunk := sock.recv(65536):  # until the server hangs up
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 " + status + b" "), reply[:80]
+            assert b"\r\nConnection: close" in head, head
+            assert json.loads(body)["error"]  # one response, nothing after it
         with urllib.request.urlopen(url + "/healthz", timeout=30) as response:
             assert json.loads(response.read()) == {"status": "ok"}
 
@@ -842,5 +855,56 @@ def test_a_worker_wedged_mid_inference_leaves_with_its_sigkilled_server(
         sock.close()
         if proc.poll() is None:
             proc.kill()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="procfs")
+def test_a_consumer_wedged_mid_job_leaves_with_its_sigkilled_front(
+    saved_artifact, monkeypatch
+):
+    """Queue mode's counterpart: kill -9 the front while its local consumer
+    is stuck inside a job.  Its lease thread never returns and its main
+    thread only watches that thread, so only a lifeline tells it the front
+    is gone."""
+    monkeypatch.setenv("REPRO_FAULTS", "fleet_consume_hang:consumer=local-0:seconds=600")
+    proc, banner = _spawn_serve(
+        saved_artifact, "--mode", "queue", "--workers", "1",
+        "--min-consumers", "2", "--max-consumers", "2",
+    )
+    children = []
+
+    def get(path):
+        with urllib.request.urlopen(banner["url"] + path, timeout=30) as response:
+            return json.loads(response.read())
+
+    try:
+        deadline = time.monotonic() + 120
+        while len(get("/info")["queue"]["consumers"]) < 2:
+            assert time.monotonic() < deadline, "local-0 never attached"
+            time.sleep(0.1)
+        children = child_pids(proc.pid)
+        assert len(children) == 1
+        # front-0 answers a job in milliseconds: a job still leased with
+        # nothing queued, twice half a second apart, is local-0's.
+        held = 0
+        while held < 2:
+            assert time.monotonic() < deadline, "local-0 never leased a job"
+            queue = get("/info")["queue"]
+            if queue["inflight"] and not queue["depth"]:
+                held += 1
+            else:
+                held = 0
+                _post(banner["url"], {"inputs": [[0.0] * 12], "async": True})
+            time.sleep(0.5)
+        proc.kill()
+        proc.wait(timeout=30)
+        assert residue(children, set(), timeout=5.0)[0] == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        for pid in children:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
         proc.stdout.close()
         proc.stderr.close()
