@@ -115,16 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--batch-size", type=int, default=256)
     serve.add_argument(
-        "--max-batch", type=int, default=1024, help="micro-batch row cap per dispatch"
-    )
-    serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="upper bound on how long the dispatcher coalesces concurrent "
-        "requests while every worker is busy (never waited on an idle pool)",
-    )
-    serve.add_argument(
         "--log-format",
         choices=("json", "text"),
         default="json",
@@ -156,7 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="autoscaler's consumer cap (front-0 included); equal to "
-        "--min-consumers pins the fleet (no autoscaler)",
+        "--min-consumers pins the fleet (no autoscaler); the autoscaler's "
+        "thresholds and cooldown are fixed in repro.fleet.autoscaler",
     )
     fleet.add_argument(
         "--visibility-timeout",
@@ -175,42 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fleet-authkey",
         default="repro-fleet",
         help="shared secret fleet workers must present to the broker",
-    )
-    fleet.add_argument(
-        "--autoscale-cooldown",
-        type=float,
-        default=10.0,
-        help="seconds the autoscaler holds still after any scale action",
-    )
-    fleet.add_argument(
-        "--autoscale-interval",
-        type=float,
-        default=1.0,
-        help="seconds between autoscaler evaluations",
-    )
-    fleet.add_argument(
-        "--up-queue-depth",
-        type=float,
-        default=4.0,
-        help="scale up when per-consumer backlog exceeds this",
-    )
-    fleet.add_argument(
-        "--down-queue-depth",
-        type=float,
-        default=1.0,
-        help="scale down only when per-consumer backlog is at or below this",
-    )
-    fleet.add_argument(
-        "--up-p99-seconds",
-        type=float,
-        default=2.0,
-        help="scale up when the windowed job-latency p99 exceeds this",
-    )
-    fleet.add_argument(
-        "--down-p99-seconds",
-        type=float,
-        default=0.5,
-        help="scale down only when the windowed p99 is below this",
     )
     fleet.add_argument(
         "--no-local-consumers",
@@ -414,12 +369,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_consumers=args.max_consumers,
             batch_size=args.batch_size,
             spawn_local=not args.no_local_consumers,
-            autoscale_cooldown=args.autoscale_cooldown,
-            autoscale_interval=args.autoscale_interval,
-            up_queue_depth=args.up_queue_depth,
-            down_queue_depth=args.down_queue_depth,
-            up_p99_seconds=args.up_p99_seconds,
-            down_p99_seconds=args.down_p99_seconds,
             host=args.host,
             fleet_port=args.fleet_port,
             fleet_authkey=args.fleet_authkey,
@@ -430,12 +379,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.parallel.serving import PoolPredictor
 
         backend = PoolPredictor(
-            args.artifact,
-            workers=args.workers,
-            method=args.method,
-            batch_size=args.batch_size,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
+            args.artifact, workers=args.workers, method=args.method, batch_size=args.batch_size
         )
     # run_server closes the backend, however it ends.
     return run_server(

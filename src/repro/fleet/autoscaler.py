@@ -13,15 +13,19 @@ Two mechanisms keep it from flapping:
   scale-up thresholds, so a load level that just triggered growth can never
   immediately justify shrinking back.
 * **Cooldown** — after any action the scaler holds still for
-  ``cooldown_seconds``, long enough for the new capacity to show up in the
-  signals (a freshly spawned consumer takes seconds to load its predictor).
+  :data:`COOLDOWN` seconds, long enough for the new capacity to show up in
+  the signals (a freshly spawned consumer takes seconds to load its
+  predictor).
+
+The thresholds and the cooldown are module constants, read at every tick
+(tests patch them).
 
 The class is deliberately mechanism-free: it reads signals through a
 callable and acts through ``scale_up``/``scale_down`` callbacks, with an
 injectable clock — :meth:`tick` is therefore unit-testable with synthetic
 bursts, and the serving front wires the same object to its real broker and
 consumer manager.  It runs no thread: the front's one loop calls :meth:`tick`
-every ``interval`` seconds.
+every :data:`TICK_INTERVAL` seconds.
 """
 
 from __future__ import annotations
@@ -33,9 +37,17 @@ from typing import Callable, Dict, Optional
 
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
-from repro.utils.logging import get_logger
 
-logger = get_logger("fleet.autoscaler")
+#: The thresholds :meth:`Autoscaler.tick` compares with; each DOWN_* sits
+#: strictly below its UP_* (hysteresis).
+UP_QUEUE_DEPTH = 4.0
+DOWN_QUEUE_DEPTH = 1.0
+UP_P99_SECONDS = 2.0
+DOWN_P99_SECONDS = 0.5
+#: Seconds the scaler holds still after any action.
+COOLDOWN = 10.0
+#: Seconds between two ticks; read by the front's loop when it starts.
+TICK_INTERVAL = 1.0
 
 _metrics = get_registry()
 _DESIRED = _metrics.gauge(
@@ -66,11 +78,11 @@ class Autoscaler:
 
     ``get_signals`` returns an :class:`AutoscaleSignals`; ``scale_up`` /
     ``scale_down`` change capacity by one consumer.  Scale-up fires when the
-    per-consumer backlog exceeds ``up_queue_depth`` *or* the windowed p99
-    exceeds ``up_p99_seconds``; scale-down requires the backlog at or below
-    ``down_queue_depth`` *and* the p99 below ``down_p99_seconds`` (an empty
-    window counts as cold).  One action per tick, never inside the cooldown;
-    ``interval`` is how often the owner ticks it.
+    per-consumer backlog exceeds :data:`UP_QUEUE_DEPTH` *or* the windowed
+    p99 exceeds :data:`UP_P99_SECONDS`; scale-down requires the backlog at or
+    below :data:`DOWN_QUEUE_DEPTH` *and* the p99 below
+    :data:`DOWN_P99_SECONDS` (an empty window counts as cold).  One action
+    per tick, never inside the :data:`COOLDOWN`.
     """
 
     def __init__(
@@ -80,36 +92,14 @@ class Autoscaler:
         get_signals: Callable[[], AutoscaleSignals],
         scale_up: Callable[[], None],
         scale_down: Callable[[], None],
-        up_queue_depth: float = 4.0,
-        up_p99_seconds: float = 2.0,
-        down_queue_depth: float = 1.0,
-        down_p99_seconds: float = 0.5,
-        cooldown_seconds: float = 10.0,
-        interval: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
     ):
         if min_consumers < 1:
             raise ValueError("min_consumers must be at least 1")
         if max_consumers < min_consumers:
             raise ValueError("need min_consumers <= max_consumers")
-        if down_queue_depth >= up_queue_depth:
-            raise ValueError(
-                "hysteresis requires down_queue_depth < up_queue_depth"
-            )
-        if down_p99_seconds >= up_p99_seconds:
-            raise ValueError(
-                "hysteresis requires down_p99_seconds < up_p99_seconds"
-            )
-        if cooldown_seconds < 0 or interval <= 0:
-            raise ValueError("cooldown_seconds must be >= 0 and interval > 0")
         self.min_consumers = int(min_consumers)
         self.max_consumers = int(max_consumers)
-        self.up_queue_depth = float(up_queue_depth)
-        self.up_p99_seconds = float(up_p99_seconds)
-        self.down_queue_depth = float(down_queue_depth)
-        self.down_p99_seconds = float(down_p99_seconds)
-        self.cooldown_seconds = float(cooldown_seconds)
-        self.interval = float(interval)
         self._get_signals = get_signals
         self._scale_up = scale_up
         self._scale_down = scale_down
@@ -124,26 +114,26 @@ class Autoscaler:
         now = self._clock()
         if (
             self._last_action_at is not None
-            and now - self._last_action_at < self.cooldown_seconds
+            and now - self._last_action_at < COOLDOWN
         ):
             return None
         signals = self._get_signals()
         consumers = max(1, int(signals.consumers))
         backlog_per_consumer = signals.queue_depth / consumers
         p99 = float(signals.p99_seconds)
-        latency_hot = not math.isnan(p99) and p99 > self.up_p99_seconds
-        latency_cold = math.isnan(p99) or p99 < self.down_p99_seconds
+        latency_hot = not math.isnan(p99) and p99 > UP_P99_SECONDS
+        latency_cold = math.isnan(p99) or p99 < DOWN_P99_SECONDS
 
         action: Optional[str] = None
         if (
-            backlog_per_consumer > self.up_queue_depth or latency_hot
+            backlog_per_consumer > UP_QUEUE_DEPTH or latency_hot
         ) and signals.consumers < self.max_consumers:
             self._scale_up()
             _ACTIONS.labels("up").inc()
             _DESIRED.set(signals.consumers + 1)
             action = "up"
         elif (
-            backlog_per_consumer <= self.down_queue_depth
+            backlog_per_consumer <= DOWN_QUEUE_DEPTH
             and latency_cold
             and signals.consumers > self.min_consumers
         ):
@@ -154,13 +144,6 @@ class Autoscaler:
         if action is not None:
             self._last_action_at = now
             self._last_action = action
-            logger.info(
-                "autoscale %s: depth/consumer=%.1f p99=%.3fs consumers=%d",
-                action,
-                backlog_per_consumer,
-                p99,
-                signals.consumers,
-            )
             log_event(
                 "fleet.autoscale",
                 direction=action,
@@ -171,14 +154,15 @@ class Autoscaler:
         return action
 
     def state(self) -> Dict[str, object]:
-        """JSON-friendly scaler state for ``/info``."""
+        """JSON-friendly scaler state for ``/info``: its bounds, the module
+        constants it steers by and its last action."""
         return {
             "min_consumers": self.min_consumers,
             "max_consumers": self.max_consumers,
-            "cooldown_seconds": self.cooldown_seconds,
-            "up_queue_depth": self.up_queue_depth,
-            "up_p99_seconds": self.up_p99_seconds,
-            "down_queue_depth": self.down_queue_depth,
-            "down_p99_seconds": self.down_p99_seconds,
+            "cooldown_seconds": COOLDOWN,
+            "up_queue_depth": UP_QUEUE_DEPTH,
+            "up_p99_seconds": UP_P99_SECONDS,
+            "down_queue_depth": DOWN_QUEUE_DEPTH,
+            "down_p99_seconds": DOWN_P99_SECONDS,
             "last_action": self._last_action,
         }

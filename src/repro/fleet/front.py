@@ -21,7 +21,7 @@ local :class:`~repro.parallel.serving.PoolPredictor`.  It owns three threads:
   job latency histogram, keeping results for ``/result/<id>``).  Every
   :data:`RECONCILE_INTERVAL` seconds it sweeps the broker (lease and
   consumer expiry), expires unfetched results and reconciles the consumers;
-  every ``autoscale_interval`` it ticks the
+  every :data:`~repro.fleet.autoscaler.TICK_INTERVAL` seconds it ticks the
   :class:`~repro.fleet.autoscaler.Autoscaler`, which steers ``desired`` —
   ``front-0`` included — between ``min_consumers`` and ``max_consumers``.
   A step that raises is logged; delivery goes on.
@@ -57,6 +57,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.artifact_store import ServedArtifact, ServingTier
+from repro.fleet import autoscaler as autoscaling
 from repro.fleet.autoscaler import Autoscaler, AutoscaleSignals
 from repro.fleet.broker import CompletedJob, InProcBroker, serve_broker
 from repro.fleet.consumer import FleetConsumer, consumer_slot
@@ -103,10 +104,12 @@ class FleetFront(ServingTier):
     ``min_consumers``..``max_consumers``.  The front is consumer 0: with
     ``spawn_local=True`` it answers on a ``front-0`` thread and runs the
     other ``desired - 1`` consumers as supervision-table children, so
-    ``min_consumers=max_consumers=1`` starts no child at all.  With
-    ``spawn_local=False`` it runs no consumer of any kind (and the
-    autoscaler stays off) — the caller attaches its own, in process or via
-    the broker address (``repro fleet-worker``, on this host or another).
+    ``min_consumers=max_consumers=1`` starts no child at all.  The
+    autoscaler runs when ``max_consumers > min_consumers``, steering by the
+    constants of :mod:`repro.fleet.autoscaler`.  With ``spawn_local=False``
+    it runs no consumer of any kind (and no autoscaler) — the caller
+    attaches its own, in process or via the broker address
+    (``repro fleet-worker``, on this host or another).
 
     A constructor that raises leaves nothing running.
     """
@@ -123,13 +126,6 @@ class FleetFront(ServingTier):
         consumer_workers: int = 1,
         batch_size: int = 256,
         spawn_local: bool = True,
-        autoscale: bool = True,
-        autoscale_cooldown: float = 10.0,
-        autoscale_interval: float = 1.0,
-        up_queue_depth: float = 4.0,
-        down_queue_depth: float = 1.0,
-        up_p99_seconds: float = 2.0,
-        down_p99_seconds: float = 0.5,
         host: str = "127.0.0.1",
         fleet_port: int = 0,
         fleet_authkey: str = "repro-fleet",
@@ -167,21 +163,10 @@ class FleetFront(ServingTier):
         self._front_consumer: Optional[FleetConsumer] = None
         self._loop = threading.Thread(target=self._run, name="repro-fleet-loop", daemon=True)
 
-        # Built (and so validated) before anything starts.
         self.autoscaler: Optional[Autoscaler] = None
-        if self.spawn_local and autoscale and self.max_consumers > self.min_consumers:
+        if self.spawn_local and self.max_consumers > self.min_consumers:
             self.autoscaler = Autoscaler(
-                min_consumers=self.min_consumers,
-                max_consumers=self.max_consumers,
-                get_signals=self._signals,
-                scale_up=self.scale_up,
-                scale_down=self.scale_down,
-                up_queue_depth=up_queue_depth,
-                down_queue_depth=down_queue_depth,
-                up_p99_seconds=up_p99_seconds,
-                down_p99_seconds=down_p99_seconds,
-                cooldown_seconds=autoscale_cooldown,
-                interval=autoscale_interval,
+                self.min_consumers, self.max_consumers, self._signals, self.scale_up, self.scale_down
             )
         try:
             # Every consumer is a lane: its forwards get a share of the cores.
@@ -346,9 +331,11 @@ class FleetFront(ServingTier):
         ]
         if self.spawn_local:
             steps.append((self._reconcile, RECONCILE_INTERVAL))
-        if self.autoscaler is not None:
-            steps.append((self.autoscaler.tick, self.autoscaler.interval))
         due = [0.0] * len(steps)
+        if self.autoscaler is not None:
+            # First due one interval on, so its first p99 window is a full one.
+            steps.append((self.autoscaler.tick, autoscaling.TICK_INTERVAL))
+            due.append(time.monotonic() + autoscaling.TICK_INTERVAL)
         try:
             while not self._closed:
                 now = time.monotonic()

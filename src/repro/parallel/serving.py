@@ -18,7 +18,7 @@ ready/fatal handshakes, health-checks every :data:`SUPERVISE_INTERVAL`
 seconds until the pool is closed, and ships what :func:`dispatch_reason` says
 should ship: a group of queued requests goes as soon as
 
-(a) it holds ``max_batch`` rows (``full``), or
+(a) it holds :data:`MAX_BATCH` rows (``full``), or
 (b) some ready worker has nothing in flight (``idle``), or
 (c) ``max_wait_ms`` has passed since its first request was enqueued
     (``deadline``).
@@ -95,6 +95,9 @@ _DRAIN_TIMEOUT = 10.0
 SUPERVISE_INTERVAL = 0.25
 WORKER_WAIT = 60.0
 DISPATCH_TIMEOUT = 120.0
+#: Rows at which a coalesced group ships whatever the workers are doing;
+#: read at every dispatch.
+MAX_BATCH = 1024
 
 logger = get_logger("parallel.serving")
 
@@ -221,17 +224,13 @@ class PoolPredictor(ServingTier):
     context manager — so worker processes and pipes shut down promptly; an
     ``atexit`` hook covers forgotten pools.
 
-    Dispatch parameters (see :func:`dispatch_reason`)
-    -------------------------------------------------
-    max_batch:
-        Rows at which a coalesced group ships whatever the workers are doing.
-    max_wait_ms:
-        Upper bound on how long a group keeps coalescing while every ready
-        worker is busy; no request waits while a worker is idle.  ``0`` means
-        never wait.
+    ``max_wait_ms`` bounds how long a coalesced group keeps coalescing while
+    every ready worker is busy (see :func:`dispatch_reason`); no request
+    waits while a worker is idle, and ``0`` means never wait.
 
-    Resilience is not configured per pool: the loop's timing is the module
-    constants :data:`SUPERVISE_INTERVAL`, :data:`WORKER_WAIT` and
+    Nothing else is configured per pool: a group ships at :data:`MAX_BATCH`
+    rows, the loop's timing is the module constants
+    :data:`SUPERVISE_INTERVAL`, :data:`WORKER_WAIT` and
     :data:`DISPATCH_TIMEOUT`, the respawn schedule the supervision core's
     ``RESTART_BACKOFF`` / ``RESTART_BACKOFF_MAX``, and a call that names no
     ``timeout`` waits ``REQUEST_TIMEOUT`` seconds.
@@ -245,14 +244,14 @@ class PoolPredictor(ServingTier):
         workers: int = 2,
         method: str = "average",
         batch_size: int = 256,
-        max_batch: int = 1024,
+        # Accepted only because benchmarks/e2e/probes.py passes it, like
+        # ``transport``; the parameter goes once a benchmark-only change stops
+        # passing it.
         max_wait_ms: float = 2.0,
         transport: str = "pickle",
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be non-negative")
         # Accepted only as "pickle" because benchmarks/e2e/probes.py passes
@@ -263,7 +262,6 @@ class PoolPredictor(ServingTier):
         super().__init__(path, method)
         self.workers = int(workers)
         self.batch_size = int(batch_size)
-        self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
         # Each worker is one lane: its forwards get its share of the cores.
         self.inference_threads = lane_threads(self.workers)
@@ -425,7 +423,7 @@ class PoolPredictor(ServingTier):
             group: List[_Request] = []
             rows = 0
             for request in pending:
-                if rows >= self.max_batch:
+                if rows >= MAX_BATCH:
                     break
                 group.append(request)
                 rows += request.rows
@@ -434,7 +432,7 @@ class PoolPredictor(ServingTier):
             with self._lock:
                 ready = [slot for slot in self._slots if slot.state == "ready"]
                 idle = any(slot.load == 0 for slot in ready)
-                reason = dispatch_reason(rows, self.max_batch, idle, waited, max_wait)
+                reason = dispatch_reason(rows, MAX_BATCH, idle, waited, max_wait)
                 if reason is None:
                     return max_wait - waited
                 # Fewest requests in flight first — the idle one when the
@@ -731,7 +729,7 @@ class PoolPredictor(ServingTier):
             "num_classes": self.num_classes,
             "input_shape": list(self.input_shape),
             "method": self.method,
-            "max_batch": self.max_batch,
+            "max_batch": MAX_BATCH,
             "max_wait_ms": self.max_wait_ms,
             "super_learner": self._artifact.has_super_learner,
             "request_latency_seconds": _latency_quantiles(_REQUEST_LATENCY),

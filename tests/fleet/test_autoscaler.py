@@ -1,23 +1,24 @@
 """Unit tests for the load-aware autoscaler: burst response, hysteresis,
-cooldown discipline, and bounds — all with a synthetic clock and signals."""
+cooldown discipline, and bounds — all with a synthetic clock and signals, at
+the module's constants unless a test patches one."""
 
 import math
 
 import pytest
 
+from repro.fleet import autoscaler
 from repro.fleet.autoscaler import Autoscaler, AutoscaleSignals
 
 
 class Harness:
     """Synthetic fleet: injectable clock + signals, counting scale calls."""
 
-    def __init__(self, consumers=1, min_consumers=1, max_consumers=3, **kwargs):
+    def __init__(self, consumers=1, min_consumers=1, max_consumers=3):
         self.now = 0.0
         self.consumers = consumers
         self.queue_depth = 0
         self.p99 = float("nan")
         self.actions = []
-        kwargs.setdefault("cooldown_seconds", 10.0)
         self.scaler = Autoscaler(
             min_consumers=min_consumers,
             max_consumers=max_consumers,
@@ -29,7 +30,6 @@ class Harness:
             scale_up=self._up,
             scale_down=self._down,
             clock=lambda: self.now,
-            **kwargs,
         )
 
     def _up(self):
@@ -76,13 +76,25 @@ def test_cooldown_blocks_actions_inside_the_window():
     assert h.tick(at=10.0) == "up"
     # No two actions ever closer than the cooldown.
     gaps = [b[0] - a[0] for a, b in zip(h.actions, h.actions[1:])]
-    assert all(gap >= h.scaler.cooldown_seconds for gap in gaps)
+    assert all(gap >= autoscaler.COOLDOWN for gap in gaps)
+
+
+def test_a_patched_cooldown_changes_the_tick_spacing(monkeypatch):
+    """The cooldown is read at every tick, not when the scaler is built."""
+    h = Harness(consumers=1, max_consumers=5)
+    monkeypatch.setattr(autoscaler, "COOLDOWN", 3.0)
+    h.queue_depth = 100
+    assert h.tick(at=0.0) == "up"
+    assert h.tick(at=2.9) is None
+    assert h.tick(at=3.0) == "up"
+    assert h.tick(at=6.0) == "up"
+    assert [t for t, _ in h.actions] == [0.0, 3.0, 6.0]
 
 
 def test_no_oscillation_between_thresholds():
     """A load level inside the hysteresis band (above scale-down, below
     scale-up) must produce no action in either direction."""
-    h = Harness(consumers=2, up_queue_depth=4.0, down_queue_depth=1.0)
+    h = Harness(consumers=2)
     h.queue_depth = 4  # 2.0 per consumer: neither > 4.0 nor <= 1.0
     h.p99 = 1.0  # between down (0.5) and up (2.0)
     for t in (0.0, 15.0, 30.0, 45.0):
@@ -111,14 +123,20 @@ def test_scale_down_requires_backlog_and_latency_both_cold():
 
 
 def test_backlog_is_normalised_per_consumer():
-    h = Harness(consumers=4, max_consumers=8, up_queue_depth=4.0)
+    h = Harness(consumers=4, max_consumers=8)
     h.queue_depth = 16  # 4.0 per consumer: not strictly above the threshold
     assert h.tick(at=0.0) is None
     h.queue_depth = 17
     assert h.tick(at=1.0) == "up"
 
 
-def test_constructor_enforces_hysteresis_and_bounds():
+def test_the_thresholds_keep_hysteresis():
+    """Each scale-down threshold sits strictly below its scale-up one."""
+    assert autoscaler.DOWN_QUEUE_DEPTH < autoscaler.UP_QUEUE_DEPTH
+    assert autoscaler.DOWN_P99_SECONDS < autoscaler.UP_P99_SECONDS
+
+
+def test_constructor_enforces_bounds():
     def build(**kwargs):
         defaults = dict(
             min_consumers=1,
@@ -134,12 +152,6 @@ def test_constructor_enforces_hysteresis_and_bounds():
         build(min_consumers=0)
     with pytest.raises(ValueError):
         build(min_consumers=3, max_consumers=2)
-    with pytest.raises(ValueError):
-        build(up_queue_depth=1.0, down_queue_depth=1.0)
-    with pytest.raises(ValueError):
-        build(up_p99_seconds=0.5, down_p99_seconds=0.5)
-    with pytest.raises(ValueError):
-        build(interval=0.0)
 
 
 def test_state_reports_configuration_and_last_action():
@@ -147,6 +159,19 @@ def test_state_reports_configuration_and_last_action():
     state = h.scaler.state()
     assert state["min_consumers"] == 1
     assert state["max_consumers"] == 3
+    assert (
+        state["cooldown_seconds"],
+        state["up_queue_depth"],
+        state["up_p99_seconds"],
+        state["down_queue_depth"],
+        state["down_p99_seconds"],
+    ) == (
+        autoscaler.COOLDOWN,
+        autoscaler.UP_QUEUE_DEPTH,
+        autoscaler.UP_P99_SECONDS,
+        autoscaler.DOWN_QUEUE_DEPTH,
+        autoscaler.DOWN_P99_SECONDS,
+    )
     assert state["last_action"] is None
     h.queue_depth = 100
     h.tick(at=0.0)

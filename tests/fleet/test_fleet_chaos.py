@@ -73,7 +73,6 @@ def test_consumer_crash_redelivers_with_zero_dropped_requests(
         saved_artifact,
         visibility_timeout=1.5,
         spawn_local=False,
-        autoscale=False,
         min_consumers=1,
         max_consumers=2,
     )
@@ -128,7 +127,7 @@ def test_consumer_crash_redelivers_with_zero_dropped_requests(
 
 
 def test_fleet_worker_drains_cleanly_on_sigterm(saved_artifact, serial_result):
-    front = FleetFront(saved_artifact, spawn_local=False, autoscale=False)
+    front = FleetFront(saved_artifact, spawn_local=False)
     worker = None
     try:
         worker = _spawn_worker(front.broker_address, saved_artifact, "drainer")
@@ -178,7 +177,6 @@ def test_a_wedged_local_consumer_is_killed_and_replaced(
         visibility_timeout=1.0,
         min_consumers=3,
         max_consumers=3,
-        autoscale=False,
     )
     pids = []
     try:
@@ -241,7 +239,6 @@ def test_a_wedged_front_consumer_is_retired_and_replaced(
         visibility_timeout=1.0,
         min_consumers=2,
         max_consumers=2,
-        autoscale=False,
     )
     pids = []
     try:
@@ -305,7 +302,6 @@ def test_a_sync_call_wedged_on_its_own_thread_returns_while_the_lane_is_replaced
         visibility_timeout=1.0,
         min_consumers=1,
         max_consumers=1,
-        autoscale=False,
     )
     pids = []
     try:

@@ -54,7 +54,6 @@ def test_fleet_swap_under_fire_converges_all_consumers(swap_store, refs):
     front = FleetFront(
         swap_store.root,
         spawn_local=False,
-        autoscale=False,
         min_consumers=1,
         max_consumers=2,
     )
@@ -139,7 +138,7 @@ def test_fleet_swap_under_fire_converges_all_consumers(swap_store, refs):
 def test_fleet_swap_without_pointer_move_is_a_noop(swap_store):
     swap_store.promote(0)
     front = FleetFront(
-        swap_store.root, spawn_local=False, autoscale=False
+        swap_store.root, spawn_local=False
     )
     try:
         result = front.swap()
@@ -163,7 +162,7 @@ def test_a_second_swap_is_refused_while_one_runs(swap_store, monkeypatch):
     monkeypatch.setattr(EnsemblePredictor, "reload", slow_reload)
     swap_store.promote(0)
     front = FleetFront(
-        swap_store.root, spawn_local=False, autoscale=False, max_consumers=2
+        swap_store.root, spawn_local=False, max_consumers=2
     )
     consumers = [
         FleetConsumer(front.broker, swap_store.root, consumer_id=f"c{i}").start()
@@ -205,7 +204,7 @@ def test_a_failed_swap_rolls_the_fleet_back(swap_store, refs, tmp_path):
     shutil.copytree(swap_store.root, root)
     store = ArtifactStore(root)
     store.promote(0)
-    front = FleetFront(root, spawn_local=False, autoscale=False, max_consumers=2)
+    front = FleetFront(root, spawn_local=False, max_consumers=2)
     consumers = [
         FleetConsumer(front.broker, root, consumer_id=f"c{i}").start()
         for i in range(2)
@@ -235,7 +234,7 @@ def test_a_late_consumer_serves_the_pinned_generation_not_current(swap_store, re
     that joins on the target already (the first one here) never reloads."""
     probe, ref0, ref1 = refs
     swap_store.promote(1)
-    front = FleetFront(swap_store.root, spawn_local=False, autoscale=False)
+    front = FleetFront(swap_store.root, spawn_local=False)
     first = FleetConsumer(front.broker, swap_store.root, consumer_id="first").start()
     loaded = first.predictor._served
     late = None
@@ -267,7 +266,7 @@ def test_a_late_consumer_serves_the_fronts_generation_when_current_moved(swap_st
     does a consumer that loads 1 when it joins."""
     probe, ref0, _ = refs
     swap_store.promote(0)
-    front = FleetFront(swap_store.root, spawn_local=False, autoscale=False)
+    front = FleetFront(swap_store.root, spawn_local=False)
     consumer = None
     try:
         swap_store.promote(1)
@@ -302,7 +301,7 @@ def test_swap_to_the_served_generation_is_a_noop_and_a_failed_one_keeps_serving(
     probe, ref0, _ = refs
     swap_store.promote(0)
     front = FleetFront(
-        swap_store.root, spawn_local=False, autoscale=False
+        swap_store.root, spawn_local=False
     )
     consumer = FleetConsumer(front.broker, swap_store.root, consumer_id="c").start()
     loaded = consumer.predictor._served

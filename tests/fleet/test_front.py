@@ -19,6 +19,7 @@ import pytest
 
 from repro.api import EnsemblePredictor
 from repro.fleet import BrokerFull, FleetConsumer, FleetFront, InProcBroker, connect_broker
+from repro.fleet import autoscaler as autoscaler_module
 from repro.fleet import front as front_module
 from repro.fleet.broker import _JOBS
 from repro.fleet.consumer import _CONSUMED
@@ -34,7 +35,6 @@ def fleet(saved_artifact):
     front = FleetFront(
         saved_artifact,
         spawn_local=False,
-        autoscale=False,
         min_consumers=1,
         max_consumers=1,
     )
@@ -165,7 +165,7 @@ def test_constructor_rejects_bad_configuration(saved_artifact):
 
 
 def test_broker_full_submit_cleans_up_its_entry(saved_artifact):
-    front = FleetFront(saved_artifact, spawn_local=False, autoscale=False)
+    front = FleetFront(saved_artifact, spawn_local=False)
     front.broker.capacity = 1
     try:
         x = np.zeros((1, 12))
@@ -197,7 +197,7 @@ def test_healthz_and_info_reflect_the_fleet(fleet):
 def test_close_fails_outstanding_futures(saved_artifact):
     import threading
 
-    front = FleetFront(saved_artifact, spawn_local=False, autoscale=False)
+    front = FleetFront(saved_artifact, spawn_local=False)
     job_id = front.submit(np.zeros((1, 12)))  # nobody will ever answer
     outcome = {}
 
@@ -366,7 +366,8 @@ def test_the_fleet_authkey_is_on_no_command_line(saved_artifact):
 
 def test_scaling_up_adds_subprocesses_up_to_max_minus_one(saved_artifact, monkeypatch):
     monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 0.05)
-    with FleetFront(saved_artifact, min_consumers=1, max_consumers=3, autoscale=False) as front:
+    monkeypatch.setattr(autoscaler_module, "TICK_INTERVAL", 3600.0)  # the scaler holds still
+    with FleetFront(saved_artifact, min_consumers=1, max_consumers=3) as front:
         for _ in range(4):
             front.scale_up()
         assert front.local_consumers()["desired"] == 3
@@ -407,10 +408,8 @@ def test_a_constructor_that_raises_leaves_nothing_running(saved_artifact, monkey
     threads = set(threading.enumerate())
     children = set(child_pids(os.getpid()))
 
-    with pytest.raises(ValueError, match="hysteresis"):
-        FleetFront(
-            saved_artifact, min_consumers=1, max_consumers=2, up_queue_depth=1, down_queue_depth=2
-        )
+    with pytest.raises(ValueError, match="min_consumers <= max_consumers"):
+        FleetFront(saved_artifact, min_consumers=3, max_consumers=2)
     assert served == [] and launched == []
     assert set(threading.enumerate()) <= threads
 
@@ -483,7 +482,8 @@ def test_subprocess_consumers_metrics_reach_the_front_exactly(
     ok = _CONSUMED.labels("ok")
     x = serial_result.dataset.x_test
     monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 0.05)
-    with FleetFront(saved_artifact, min_consumers=1, max_consumers=2, autoscale=False) as front:
+    monkeypatch.setattr(autoscaler_module, "TICK_INTERVAL", 3600.0)  # the scaler holds still
+    with FleetFront(saved_artifact, min_consumers=1, max_consumers=2) as front:
         front.scale_up()
         _wait_for(lambda: front.broker.consumer_count() == 2, 120, "local-0 never attached")
         answered = ok.value
@@ -559,12 +559,8 @@ def test_a_live_front_runs_one_loop(
     housekeeping period."""
     before = set(threading.enumerate())
     monkeypatch.setattr(front_module, "RECONCILE_INTERVAL", 30.0)
-    front = FleetFront(
-        saved_artifact,
-        min_consumers=1,
-        max_consumers=max_consumers,
-        autoscale_interval=30.0,
-    )
+    monkeypatch.setattr(autoscaler_module, "TICK_INTERVAL", 30.0)
+    front = FleetFront(saved_artifact, min_consumers=1, max_consumers=max_consumers)
     try:
         assert (front.autoscaler is not None) == (max_consumers > 1)
         x = serial_result.dataset.x_test[:4]
@@ -591,14 +587,14 @@ def test_close_leaves_the_callers_stdout_and_stderr(saved_artifact, monkeypatch)
     monkeypatch.setattr(sys, "stdout", out)
     monkeypatch.setattr(sys, "stderr", err)
     before = set(threading.enumerate())
-    FleetFront(saved_artifact, spawn_local=False, autoscale=False).close()
+    FleetFront(saved_artifact, spawn_local=False).close()
     _wait_for(lambda: set(threading.enumerate()) <= before, 10, "threads outlived the front")
     assert sys.stdout is out and sys.stderr is err
 
 
 def test_timeout_zero_does_not_wait(saved_artifact):
     """``timeout=0`` means now, not the 300 s default."""
-    with FleetFront(saved_artifact, spawn_local=False, autoscale=False) as front:
+    with FleetFront(saved_artifact, spawn_local=False) as front:
         job_id = front.submit(np.zeros((1, 12)))  # no consumer: stays pending
         start = time.monotonic()
         with pytest.raises(TimeoutError):

@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.api import EnsemblePredictor
+from repro.fleet import autoscaler
 from tests.procs import child_pids
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -158,7 +159,16 @@ def test_info_reports_uptime_and_queue_stats(server):
     assert len(queue["consumers"]) >= 1
     assert "oldest_job_age_seconds" in queue
     assert info["local_consumers"]["desired"] >= 1
-    assert info["autoscaler"]["max_consumers"] == 2
+    assert info["autoscaler"] == {
+        "min_consumers": 1,
+        "max_consumers": 2,
+        "cooldown_seconds": autoscaler.COOLDOWN,
+        "up_queue_depth": autoscaler.UP_QUEUE_DEPTH,
+        "up_p99_seconds": autoscaler.UP_P99_SECONDS,
+        "down_queue_depth": autoscaler.DOWN_QUEUE_DEPTH,
+        "down_p99_seconds": autoscaler.DOWN_P99_SECONDS,
+        "last_action": info["autoscaler"]["last_action"],
+    }
     assert "p99" in info["job_latency_seconds"]
 
 

@@ -135,11 +135,16 @@ def test_silent_worker_is_evicted_on_heartbeat_loss_and_retried_bitwise(
     """SIGSTOP a worker the moment it is handed a task: the process stays
     alive and far inside its task deadline, only its heartbeat goes silent.
     The executor evicts it for exactly that (``reason="heartbeat"``), retries
-    the task on its successor, and the ensemble is bitwise the fault-free run."""
+    the task on its successor, and the ensemble is bitwise the fault-free run.
+
+    A fit takes milliseconds, so the worker could answer before the signal
+    lands: a short first-attempt hang on the first task dispatched (the
+    highest-priority member) holds it inside that task until it does."""
     from repro.parallel import executor
 
     monkeypatch.setattr(executor, "HEARTBEAT_INTERVAL", 0.2)
     monkeypatch.setattr(executor, "HEARTBEAT_TIMEOUT", 4.0)  # still covers a worker boot
+    monkeypatch.setenv("REPRO_FAULTS", "train_hang:member=mlp-var-001:attempt=0:seconds=1")
     misses_before = _counter("repro_training_heartbeat_misses_total")
     stopped = []
 

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api import EnsemblePredictor
+from repro.parallel import serving
 from repro.parallel.server import MAX_BODY_BYTES, _make_handler, _Server
 from repro.utils.parallel import cpu_count
 from tests.procs import child_pids, residue, shm_entries
@@ -75,7 +76,7 @@ def _stop(proc):
 
 @pytest.fixture(scope="module")
 def server(saved_artifact):
-    proc, banner = _spawn_serve(saved_artifact, "--max-wait-ms", "1.0")
+    proc, banner = _spawn_serve(saved_artifact)
     try:
         import repro
 
@@ -127,6 +128,7 @@ def test_serve_round_trip_concurrent(server, saved_artifact, serial_result):
     assert info["mode"] == "pool"
     assert info["uptime_seconds"] > 0
     assert "p99" in info["request_latency_seconds"]
+    assert (info["max_batch"], info["max_wait_ms"]) == (serving.MAX_BATCH, 2.0)
 
     results = []
 

@@ -2,7 +2,7 @@
 
 The contract: the pool answers **bitwise identically** to the single-process
 ``EnsemblePredictor`` on the same rows — one row, a handful, 256, requests
-larger than ``max_batch``, concurrent clients, on one worker or several.
+larger than ``MAX_BATCH``, concurrent clients, on one worker or several.
 Results are ordinary owned arrays, the queue byte counters see both
 directions, and serving makes no shared-memory segment.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import EnsemblePredictor
 from repro.obs.metrics import get_registry
-from repro.parallel import PoolPredictor
+from repro.parallel import PoolPredictor, serving
 from repro.parallel.serving import _PoolSlot, _Request
 from repro.parallel.worker import answer_entry
 from tests.procs import shm_entries
@@ -34,10 +34,10 @@ def reference(saved_artifact):
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("max_batch", [1, 2, 8])
 def test_pool_shape_sweep_matches_single_process_bitwise(
-    saved_artifact, reference, serial_result, max_batch, workers, shm_sweep
+    saved_artifact, reference, serial_result, max_batch, workers, shm_sweep, monkeypatch
 ):
     """Concurrent requests of 1, 7 and 256 rows (plus a few random sizes),
-    every one larger than some of the ``max_batch`` values swept, on one
+    every one larger than some of the ``MAX_BATCH`` values swept, on one
     worker or spread over four: every answer is bitwise what the
     single-process predictor returns for the same rows."""
     x = serial_result.dataset.x_test
@@ -45,9 +45,8 @@ def test_pool_shape_sweep_matches_single_process_bitwise(
     rng = np.random.default_rng(100 * max_batch)
     sizes = [1, 7, 256] + [int(n) for n in rng.integers(1, 65, size=rng.integers(0, 5))]
 
-    with PoolPredictor(
-        saved_artifact, workers=workers, max_batch=max_batch, max_wait_ms=1.0
-    ) as pool:
+    monkeypatch.setattr(serving, "MAX_BATCH", max_batch)
+    with PoolPredictor(saved_artifact, workers=workers, max_wait_ms=1.0) as pool:
         start = threading.Barrier(len(sizes))
 
         def call(rows):
